@@ -462,8 +462,13 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     admissible = [r for r, ok in zip(radii, interior) if ok]
     radius = max(admissible) if admissible else 0.0
     if cfg.data["resolution"] == "auto":
-        rule = solver.choose_rule(n, p, data, radius=radius,
-                                  tol=max(tol / 10.0, 1e-13), seed=cfg.seed)
+        try:
+            rule = solver.choose_rule(n, p, data, radius=radius,
+                                      tol=max(tol / 10.0, 1e-13),
+                                      seed=cfg.seed)
+        except ValueError as err:  # SeriesToleranceError is one
+            raise ConfigError(f"no quadrature rule for radius {radius!r}: "
+                              f"{err}") from err
     else:
         rule = quadrature.sphere_rule(n, cfg.data["resolution"],
                                       seed=cfg.seed if n >= 4 else None)
@@ -667,8 +672,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            fp.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fp:
+                fp.write(text)
+        except OSError as err:
+            print(f"error: cannot write output: {err}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(text)
     return table.exit_code()

@@ -40,6 +40,7 @@ from .gegenbauer import gegenbauer_coefficients
 from .geometry import (RotatedVector, as_complex_vector, as_rotated,
                        bilinear_square, hermitian_dot, lie_norm,
                        principal_power)
+from .quadrature import compensated_sum
 
 __all__ = [
     "KernelParams",
@@ -59,6 +60,7 @@ __all__ = [
     "truncation_degree",
     "poisson_boundary_form",
     "cauchy_hua",
+    "cauchy_hua_from_products",
     "poisson_from_hua",
     "hua_convergence_gap",
 ]
@@ -248,16 +250,21 @@ def _require_sector_interior(x, p: int, margin: float = 0.0) -> RotatedVector:
     return x
 
 
+def _denominator_power(base, n: int, kernel: str):
+    """Principal base^{-n/2}, the denominator of every closed-form kernel;
+    a base below 1e-14 in modulus raises ``SingularKernelError``."""
+    base = np.asarray(base, dtype=complex)
+    if np.any(np.abs(base) < 1e-14):
+        raise SingularKernelError(f"{kernel} denominator vanished")
+    return principal_power(base, -n / 2.0)
+
+
 def poisson_from_products(n: int, p: int, x2, B, zb2):
     """(1 - x2^p) / (x2*zb2 - 2B + 1)^{n/2}, vectorized, with singular guard."""
     x2a = np.asarray(x2, dtype=complex)
-    Ba = np.asarray(B, dtype=complex)
-    zb2a = np.asarray(zb2, dtype=complex)
-    denom_base = x2a * zb2a - 2.0 * Ba + 1.0
-    if np.any(np.abs(denom_base) < 1e-14):
-        raise SingularKernelError("Poisson kernel denominator vanished")
-    value = (1.0 - x2a ** p) * principal_power(denom_base, -n / 2.0)
-    return value
+    base = (x2a * np.asarray(zb2, dtype=complex)
+            - 2.0 * np.asarray(B, dtype=complex) + 1.0)
+    return (1.0 - x2a ** p) * _denominator_power(base, n, "Poisson kernel")
 
 
 def poisson_kernel(x, zeta, p: int) -> complex:
@@ -279,11 +286,8 @@ def poisson_kernel(x, zeta, p: int) -> complex:
 
 def boundary_form_values(n: int, p: int, x2, v2):
     """(1 - x2^p) / (v2)^{n/2} for precomputed difference squares v2."""
-    v2a = np.asarray(v2, dtype=complex)
-    if np.any(np.abs(v2a) < 1e-14):
-        raise SingularKernelError("boundary form denominator vanished")
     return (1.0 - np.asarray(x2, dtype=complex) ** p) \
-        * principal_power(v2a, -n / 2.0)
+        * _denominator_power(v2, n, "boundary form")
 
 
 def poisson_boundary_form(x, zeta, k: int, p: int) -> complex:
@@ -422,8 +426,6 @@ def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
                               - (m + 2.0 * lam - 2.0) * prev) / m)
             low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
             terms.append((cvals[m] - low) * wm)
-    from .quadrature import compensated_sum
-
     value = compensated_sum(terms)
     bound = c_tail * p * _tail_sum_bound(n, r, M)
     return KernelValue(value, M + 1, bound)
@@ -432,6 +434,13 @@ def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
 # --------------------------------------------------------------------------
 # Cauchy-Hua kernel on the Lie ball
 # --------------------------------------------------------------------------
+
+def cauchy_hua_from_products(n: int, x2, B, zb2):
+    """(x2*zb2 - 2B + 1)^{-n/2}, vectorized, with singular guard."""
+    base = (np.asarray(x2, dtype=complex) * np.asarray(zb2, dtype=complex)
+            - 2.0 * np.asarray(B, dtype=complex) + 1.0)
+    return _denominator_power(base, n, "Cauchy-Hua")
+
 
 def cauchy_hua(z, w) -> complex:
     """H(z, w) = (z2 * conj(w)2 - 2<z,w> + 1)^{-n/2} on L(z) L(w) < 1."""
@@ -442,10 +451,7 @@ def cauchy_hua(z, w) -> complex:
     if not lie_norm(zs) * lie_norm(ws) < 1.0:
         raise ValueError("pair outside the Lie domain L(z) L(w) < 1")
     B, z2, wb2 = pair_invariants(zs, ws)
-    denom_base = z2 * wb2 - 2.0 * B + 1.0
-    if abs(denom_base) < 1e-14:
-        raise SingularKernelError("Cauchy-Hua denominator vanished")
-    return complex(principal_power(denom_base, -zs.size / 2.0))
+    return complex(cauchy_hua_from_products(zs.size, z2, B, wb2))
 
 
 def poisson_from_hua(z, w, p: int) -> complex:

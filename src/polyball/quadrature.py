@@ -8,9 +8,12 @@ Rules are deterministic per (n, resolution, seed):
 * n >= 4: seeded Monte Carlo on the sphere; ``exactness`` is reported as 0
   and accuracy is statistical only.
 
-All surface measures are normalized (total mass 1).  Integral reductions
-accumulate with ``math.fsum`` on real and imaginary parts in fixed node
-order, so results are deterministic and free of summation roundoff.
+All surface measures are normalized (total mass 1).  Integral reductions go
+through ``compensated_sum``, a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J.
+Sci. Comput. 26(6), 2005): deterministic, and as accurate as a sum carried
+in twice the working precision; each product term keeps its own rounding.
+Sums over rotated copies reduce along the node axis first, then across
+the copies.
 """
 
 from __future__ import annotations
@@ -146,10 +149,35 @@ def lie_sphere_rule(base: SphereRule, angular: int) -> LieSphereRule:
 # reductions
 # --------------------------------------------------------------------------
 
-def compensated_sum(values) -> complex:
-    """Error-free accumulation (fsum) of a complex sequence in given order."""
+def compensated_sum(values, axis=None):
+    """Sum2 of complex values along ``axis`` (flattened, to a complex, when
+    None).  A binary tree adds neighbouring pairs and keeps each exact
+    rounding error (TwoSum); a second tree adds the errors, and one final
+    rounding joins the two.  With h = ceil(log2 N), each of the real and
+    imaginary parts obeys |result - S| <= u|S| + 2 h^2 u^2 sum|terms|
+    (u = 2^-53).  The tree depends on N alone, so other axes can be split or
+    batched without changing a bit.
+    """
     arr = np.asarray(values, dtype=complex)
-    return complex(math.fsum(arr.real), math.fsum(arr.imag))
+    if axis is None:
+        arr = arr.reshape(-1)
+    elif axis not in (-1, arr.ndim - 1):
+        arr = np.moveaxis(arr, axis, -1)
+    if not arr.shape[-1]:  # an empty sum is one exact zero
+        arr = np.zeros(arr.shape[:-1] + (1,), dtype=complex)
+    s, c = arr, None
+    while s.shape[-1] > 1:
+        if s.shape[-1] % 2:  # pad with an exact zero
+            zero = np.zeros(s.shape[:-1] + (1,), dtype=complex)
+            s = np.concatenate((s, zero), axis=-1)
+            c = None if c is None else np.concatenate((c, zero), axis=-1)
+        a, b = s[..., 0::2], s[..., 1::2]
+        s = a + b
+        z = s - a
+        e = (a - (s - z)) + (b - z)
+        c = e if c is None else c[..., 0::2] + c[..., 1::2] + e
+    total = s[..., 0] if c is None else s[..., 0] + c[..., 0]
+    return complex(total) if axis is None else np.array(total)  # no view
 
 
 def _values_on(rule: SphereRule, f) -> np.ndarray:
@@ -196,31 +224,28 @@ def rotated_inner_product(f, g, p: int, rule: SphereRule) -> complex:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    parts = []
-    for j in range(p):
-        fv = _sector_values(f, j, rule)
-        gv = _sector_values(g, j, rule)
-        parts.append(compensated_sum(rule.weights * fv * np.conj(gv)))
-    return complex(math.fsum(z.real for z in parts) / p,
-                   math.fsum(z.imag for z in parts) / p)
+    fv = np.array([_sector_values(f, j, rule) for j in range(p)])
+    gv = np.array([_sector_values(g, j, rule) for j in range(p)])
+    return compensated_sum(compensated_sum(
+        rule.weights * fv * np.conj(gv), axis=-1)) / p
 
 
 def lie_sphere_integral(F, rule: LieSphereRule) -> complex:
     """Average of F over the Lie sphere using the product rule.
 
-    ``F`` is a callable taking an (R, n) complex array of points
-    e^{i angle} * node and returning values.
+    ``F`` is a callable taking an (M, n) complex array of points
+    e^{i angle} * node, for every angle and node of the rule at once
+    (angle-major), and returning one value per point.
     """
     base = rule.base
-    parts = []
-    for angle in rule.angles:
-        pts = np.exp(1j * angle) * base.nodes
-        values = np.asarray(F(pts), dtype=complex)
-        if values.shape != (base.count,):
-            raise ValueError("values must match the rule's node count")
-        parts.append(compensated_sum(base.weights * values))
-    return complex(math.fsum(z.real for z in parts) / rule.angular,
-                   math.fsum(z.imag for z in parts) / rule.angular)
+    phases = np.exp(1j * rule.angles)
+    pts = (phases[:, None, None] * base.nodes).reshape(-1, base.n)
+    values = np.asarray(F(pts), dtype=complex)
+    if values.shape != (pts.shape[0],):
+        raise ValueError("values must match the rule's point count")
+    values = values.reshape(rule.angular, base.count)
+    return compensated_sum(compensated_sum(
+        base.weights * values, axis=-1)) / rule.angular
 
 
 # --------------------------------------------------------------------------

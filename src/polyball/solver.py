@@ -5,6 +5,14 @@ list of per-sector evaluators f_j(nodes) giving values of f on the sector
 e^{ij pi/p} S.  ``BoundaryData`` caches node values per (rule, sector), so
 repeated solves against the same rule reuse every evaluation.
 
+Every integral goes through one kernel operator: the data-independent
+kernel is built from the pair invariants (B, x2 * zb2) once per bounded
+block of points x sectors x nodes, shared by every datum, and weights *
+kernel * data is reduced along the node axis by the compensated
+``quadrature.compensated_sum``.  ``poisson_integrals``, ``dirichlet_solve``
+and ``hua_integrals`` batch points and data; ``poisson_integral`` and
+``hua_reproduce`` are their 1 x 1 cases.
+
 Two independent evaluation routes compute the same solution:
 
 * ``poisson_integral`` pairs boundary values with the closed-form kernel
@@ -33,9 +41,11 @@ __all__ = [
     "DirichletSolution",
     "LimitExperiment",
     "poisson_integral",
+    "poisson_integrals",
     "dirichlet_solve",
     "spectral_component",
     "hua_reproduce",
+    "hua_integrals",
     "polyharmonic_limit_experiment",
     "choose_rule",
 ]
@@ -109,38 +119,76 @@ class BoundaryData:
 
 
 # --------------------------------------------------------------------------
-# kernel-value arrays at rule nodes
+# the kernel operator
 # --------------------------------------------------------------------------
 
-def _sector_phases(p: int, j: int) -> complex:
-    return complex(np.exp(1j * j * math.pi / p))
+# Kernel routes: the closed-form Poisson kernel, its boundary form
+# (1 - x2^p) / (conj(phase) x - zeta)^{n}, and the Cauchy-Hua kernel.
+_POISSON, _BOUNDARY_FORM, _HUA = "poisson", "boundary-form", "hua"
+
+# Most kernel values, or (point, datum, node) products, one block holds.  It
+# bounds peak memory only: no block splits the node axis of a sum, so every
+# value is bit-identical for any budget.
+_BLOCK_ELEMENTS = 1 << 14
 
 
-def _row_norms_sq(nodes: np.ndarray) -> np.ndarray:
-    return np.sum(nodes * nodes, axis=1)
+def _sector_phases(p: int) -> np.ndarray:
+    return np.exp(1j * np.arange(p) * math.pi / p)
 
 
-def _poisson_node_values(x: RotatedVector, p: int, j: int,
-                         rule: quadrature.SphereRule) -> np.ndarray:
-    """P(x, e^{ij pi/p} zeta) at every node zeta (closed-form route)."""
-    phase = _sector_phases(p, j)
-    xc = x.to_complex()
-    B = np.conj(phase) * (rule.nodes @ xc)
-    zb2 = np.conj(phase) ** 2 * _row_norms_sq(rule.nodes)
-    x2 = bilinear_square(xc)
-    return kernels.poisson_from_products(x.n, p, x2, B, zb2)
+def _dots(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """zs . node for every node, summed in coordinate order (no BLAS), so
+    that no row depends on the others."""
+    return sum(zs[..., k, None] * nodes[:, k] for k in range(nodes.shape[1]))
 
 
-def _boundary_form_node_values(x: RotatedVector, p: int, k: int,
-                               rule: quadrature.SphereRule) -> np.ndarray:
-    """(1 - |x|^{2p}) / |e^{-ik pi/p} x - zeta|^n at every node (conjugated
-    kernel route)."""
-    phase = np.conj(_sector_phases(p, k))
-    xc = phase * x.to_complex()
-    x2 = bilinear_square(x.to_complex())
-    v2 = (bilinear_square(xc) - 2.0 * (rule.nodes @ xc)
-          + _row_norms_sq(rule.nodes))
-    return kernels.boundary_form_values(x.n, p, x2, v2)
+def _sector_kernels(route: str, p: int, zs: np.ndarray, phases: np.ndarray,
+                    nodes: np.ndarray) -> np.ndarray:
+    """Kernels (P, S, R) between points zs (P, n) and every phases[s] *
+    nodes[r], from x2 = z.z, B = conj(phase) (node . z) and
+    zb2 = conj(phase)^2 |node|^2; the Cauchy-Hua route ignores ``p``."""
+    n = zs.shape[1]
+    rn = np.sum(nodes * nodes, axis=1)
+    x2 = np.sum(zs * zs, axis=1)[:, None, None]
+    conj = np.conj(phases)[:, None]
+    if route == _BOUNDARY_FORM:
+        xk = conj * zs[:, None, :]
+        v2 = np.sum(xk * xk, axis=2)[:, :, None] - 2.0 * _dots(xk, nodes) + rn
+        return kernels.boundary_form_values(n, p, x2, v2)
+    B = conj * _dots(zs, nodes)[:, None, :]
+    if route == _POISSON:
+        return kernels.poisson_from_products(n, p, x2, B, conj ** 2 * rn)
+    return kernels.cauchy_hua_from_products(n, x2, B, conj ** 2 * rn)
+
+
+def _integrate(route: str, p: int, zs: np.ndarray, phases: np.ndarray,
+               rule: quadrature.SphereRule, data: list) -> np.ndarray:
+    """(len(zs), len(data)) matrix of (1/S) sum_s int_S K(z_i, phases[s]
+    zeta) f_d(phases[s] zeta) dsigma, where data[d](s) gives the values of
+    f_d at phases[s] * nodes.
+
+    Each kernel value is built once, in a block of points x sectors x nodes
+    shared by every datum.  The products weights * K * f are reduced along
+    the node axis by one compensated sum per (point, datum, sector), and the
+    sector sums by a second one.
+    """
+    size, sectors = rule.count, len(phases)
+    s_step = max(1, min(sectors, _BLOCK_ELEMENTS // size))
+    partial = np.empty((len(zs), len(data), sectors), dtype=complex)
+    for s0 in range(0, sectors, s_step):
+        block = range(s0, min(s0 + s_step, sectors))
+        width = len(block) * size
+        z_step = max(1, min(len(zs), _BLOCK_ELEMENTS // width))
+        d_step = max(1, _BLOCK_ELEMENTS // (z_step * width))
+        for i in range(0, len(zs), z_step):
+            wk = rule.weights * _sector_kernels(route, p, zs[i:i + z_step],
+                                                phases[block], rule.nodes)
+            for d in range(0, len(data), d_step):
+                values = np.array([[f(s) for s in block]
+                                   for f in data[d:d + d_step]])
+                partial[i:i + z_step, d:d + d_step, block] = \
+                    quadrature.compensated_sum(wk[:, None] * values, axis=-1)
+    return quadrature.compensated_sum(partial, axis=-1) / sectors
 
 
 def _interior_point(x, p: int) -> RotatedVector:
@@ -151,33 +199,39 @@ def _interior_point(x, p: int) -> RotatedVector:
     return x
 
 
+def _rotated_integrals(route: str, data: list, points,
+                       rule: quadrature.SphereRule) -> tuple:
+    """Interior points and their (points, data) matrix on one route, for
+    boundary data sharing n and p."""
+    if len({(f.n, f.p) for f in data}) != 1:
+        raise ValueError("need boundary data sharing n and p")
+    n, p = data[0].n, data[0].p
+    xs = [_interior_point(x, p) for x in points]
+    if any(x.n != n for x in xs):
+        raise ValueError("dimension mismatch")
+    zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), n)
+    sectors = [lambda j, f=f: f.sector_values(j, rule) for f in data]
+    return xs, _integrate(route, p, zs, _sector_phases(p), rule, sectors)
+
+
 # --------------------------------------------------------------------------
 # reproduction integrals
 # --------------------------------------------------------------------------
 
+def poisson_integrals(data, points,
+                      rule: quadrature.SphereRule) -> np.ndarray:
+    """Poisson integrals of many boundary data at many interior points.
+
+    Entry (i, d) is (1/p) sum_j int_S f_d(e^{ij pi/p} zeta)
+    P(x_i, e^{ij pi/p} zeta) dsigma; every datum shares the kernel values,
+    which are built once per block of points.
+    """
+    return _rotated_integrals(_POISSON, list(data), points, rule)[1]
+
+
 def poisson_integral(f: BoundaryData, x, rule: quadrature.SphereRule) -> complex:
     """(1/p) sum_j int_S f(e^{ij pi/p} zeta) P(x, e^{ij pi/p} zeta) dsigma."""
-    x = _interior_point(x, f.p)
-    if f.n != x.n:
-        raise ValueError("dimension mismatch")
-    parts = []
-    for j in range(f.p):
-        kv = _poisson_node_values(x, f.p, j, rule)
-        fv = f.sector_values(j, rule)
-        parts.append(quadrature.compensated_sum(rule.weights * fv * kv))
-    return complex(math.fsum(z.real for z in parts) / f.p,
-                   math.fsum(z.imag for z in parts) / f.p)
-
-
-def _dirichlet_value(f: BoundaryData, x: RotatedVector,
-                     rule: quadrature.SphereRule) -> complex:
-    parts = []
-    for k in range(f.p):
-        kv = _boundary_form_node_values(x, f.p, k, rule)
-        fv = f.sector_values(k, rule)
-        parts.append(quadrature.compensated_sum(rule.weights * fv * kv))
-    return complex(math.fsum(z.real for z in parts) / f.p,
-                   math.fsum(z.imag for z in parts) / f.p)
+    return complex(poisson_integrals([f], [x], rule)[0, 0])
 
 
 @dataclass
@@ -195,8 +249,8 @@ class DirichletSolution:
         return self.boundary.p
 
     def evaluate(self, x) -> complex:
-        return _dirichlet_value(self.boundary,
-                                _interior_point(x, self.boundary.p), self.rule)
+        return complex(dirichlet_solve(self.boundary, [x],
+                                       self.rule).values[0])
 
 
 def dirichlet_solve(f: BoundaryData, points,
@@ -208,11 +262,9 @@ def dirichlet_solve(f: BoundaryData, points,
     restricted from an order-p polyharmonic polynomial this reproduces the
     polynomial (up to quadrature truncation).
     """
-    pts = [_interior_point(x, f.p) for x in points]
-    values = np.array([_dirichlet_value(f, x, rule) for x in pts],
-                      dtype=complex)
+    pts, values = _rotated_integrals(_BOUNDARY_FORM, [f], points, rule)
     return DirichletSolution(
-        boundary=f, rule=rule, points=pts, values=values,
+        boundary=f, rule=rule, points=pts, values=values[:, 0],
         sector_indices=[x.sector_index(f.p) for x in pts])
 
 
@@ -228,12 +280,12 @@ def spectral_component(f: BoundaryData, m: int, eta,
     if eta_c.size != f.n:
         raise ValueError("dimension mismatch")
     zb2 = complex(np.conj(bilinear_square(eta_c)))
-    rn = _row_norms_sq(rule.nodes)
+    rn = np.sum(rule.nodes * rule.nodes, axis=1)
+    phases = _sector_phases(f.p)
 
     def zfun(j, nodes):
-        phase = _sector_phases(f.p, j)
-        B = phase * (nodes @ np.conj(eta_c))
-        x2 = phase ** 2 * rn
+        B = phases[j] * (nodes @ np.conj(eta_c))
+        x2 = phases[j] ** 2 * rn
         return kernels.zonal_from_products(f.n, m, f.p, B, x2 * zb2, route)
 
     return quadrature.rotated_inner_product(f, zfun, f.p, rule)
@@ -243,44 +295,36 @@ def spectral_component(f: BoundaryData, m: int, eta,
 # Cauchy-Hua reproduction and the order limit
 # --------------------------------------------------------------------------
 
+def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
+    """Lie-sphere averages of H(z_i, w) u_d(w) for many holomorphic
+    polynomials u_d and points z_i of the open Lie ball: a (len(zs),
+    len(us)) matrix.  Each entry reproduces u_d(z_i) for polynomial u_d."""
+    us, base = list(us), lie_rule.base
+    zc = [as_complex_vector(z) for z in zs]
+    if any(u.n != base.n for u in us) or any(z.size != base.n for z in zc):
+        raise ValueError("dimension mismatch")
+    if not all(lie_norm(z) < 1.0 for z in zc):
+        raise ValueError("z must lie in the open Lie ball")
+    phases = np.exp(1j * lie_rule.angles)
+    data = [lambda a, u=u: u.eval_at(phases[a] * base.nodes) for u in us]
+    return _integrate(_HUA, 0, np.array(zc).reshape(len(zc), base.n), phases,
+                      base, data)
+
+
 def hua_reproduce(u: MultiPoly, z, lie_rule: quadrature.LieSphereRule) -> complex:
     """Average of H(z, w) u(w) over the Lie sphere; reproduces holomorphic
     polynomials at z in the open Lie ball."""
-    zc = as_complex_vector(z)
-    if zc.size != u.n:
-        raise ValueError("dimension mismatch")
-    if not lie_norm(zc) < 1.0:
-        raise ValueError("z must lie in the open Lie ball")
-    z2 = bilinear_square(zc)
-
-    def F(points):
-        wb2 = np.conj(np.sum(points * points, axis=1))
-        B = np.conj(points) @ zc
-        denom = z2 * wb2 - 2.0 * B + 1.0
-        if np.any(np.abs(denom) < 1e-14):
-            raise kernels.SingularKernelError("Cauchy-Hua denominator vanished")
-        from .geometry import principal_power
-        return principal_power(denom, -u.n / 2.0) * u.eval_at(points)
-
-    return quadrature.lie_sphere_integral(F, lie_rule)
+    return complex(hua_integrals([u], [z], lie_rule)[0, 0])
 
 
 def _poisson_value_at_complex(u: MultiPoly, z, p: int,
                               rule: quadrature.SphereRule) -> complex:
     """u_p(z): Poisson integral of u's restriction, first argument complex."""
+    phases = _sector_phases(p)
     zc = as_complex_vector(z)
-    z2 = bilinear_square(zc)
-    rn = _row_norms_sq(rule.nodes)
-    parts = []
-    for k in range(p):
-        phase = _sector_phases(p, k)
-        B = np.conj(phase) * (rule.nodes @ zc)
-        zb2 = np.conj(phase) ** 2 * rn
-        kv = kernels.poisson_from_products(u.n, p, z2, B, zb2)
-        fv = u.eval_at(rule.nodes, phase=phase)
-        parts.append(quadrature.compensated_sum(rule.weights * fv * kv))
-    return complex(math.fsum(v.real for v in parts) / p,
-                   math.fsum(v.imag for v in parts) / p)
+    return complex(_integrate(
+        _POISSON, p, zc[None, :], phases, rule,
+        [lambda k: u.eval_at(rule.nodes, phase=phases[k])])[0, 0])
 
 
 @dataclass(frozen=True)

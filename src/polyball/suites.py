@@ -229,13 +229,15 @@ def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0, delta: float = 0.5,
     masses = []
     excess = 0.0
     for r in radii:
+        xs = np.array([RotatedVector(-k * math.pi / p, r * eta).to_complex()
+                       for k in range(p)])
+        values = np.abs(solver._sector_kernels(solver._POISSON, p, xs,
+                                               np.ones(1), rule.nodes))
         total = 0.0
         for k in range(p):
-            xk = RotatedVector(-k * math.pi / p, r * eta)
             dist_sq = 2.0 - 2.0 * math.cos(k * math.pi / p) * dots
             far = dist_sq > delta * delta
-            values = np.abs(solver._poisson_node_values(xk, p, 0, rule))
-            total += float(np.sum(rule.weights[far] * values[far]))
+            total += float(np.sum(rule.weights[far] * values[k, 0, far]))
         cap = p * (1.0 - r ** (2 * p)) / delta ** n
         masses.append(total)
         excess = max(excess, total - cap)
@@ -286,15 +288,14 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     base = quadrature.sphere_rule(
         n, quadrature.resolution_for_exactness(n, exactness))
     lie = quadrature.lie_sphere_rule(base, angular)
-    zs = [_lie_point(rng, n, rng.uniform(0.2, lie_radius))
-          for _ in range(points)]
-    worst = 0.0
-    for degree in range(max_degree + 1):
-        for exps in polyalg._monomials(n, degree):
-            u = MultiPoly.monomial(n, exps, 1, exact=False)
-            for z in zs:
-                got = solver.hua_reproduce(u, z, lie)
-                worst = max(worst, abs(got - u.evaluate(z)))
+    zs = np.array([_lie_point(rng, n, rng.uniform(0.2, lie_radius))
+                   for _ in range(points)])
+    us = [MultiPoly.monomial(n, exps, 1, exact=False)
+          for degree in range(max_degree + 1)
+          for exps in polyalg._monomials(n, degree)]
+    got = solver.hua_integrals(us, zs, lie)
+    want = np.array([u.eval_at(zs) for u in us]).T
+    worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("hua-reproduction", "max-reproduction-error",
                            worst, tolerance)]
 
@@ -317,13 +318,17 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     xs = [RotatedVector.sector(j, p, rng.uniform(0.1, radius)
                                * _unit_coords(rng, n))
           for j in range(p) for _ in range(points_per_sector)]
+    coords = np.array([x.coords for x in xs]).reshape(p, points_per_sector, n)
     worst = 0.0
-    for m in range(max_degree + 1):
-        for q in polyharmonic_basis(n, m, p):
-            data = solver.BoundaryData.from_polynomial(q, p)
-            for x in xs:
-                got = solver.poisson_integral(data, x, rule)
-                worst = max(worst, abs(got - q.evaluate(x)))
+    for m in range(max_degree + 1):  # a batch per degree bounds memory
+        basis = polyharmonic_basis(n, m, p)
+        got = solver.poisson_integrals(
+            [solver.BoundaryData.from_polynomial(q, p) for q in basis], xs,
+            rule)
+        want = [np.concatenate([
+            q.eval_at(c, phase=np.exp(1j * j * math.pi / p))
+            for j, c in enumerate(coords)]) for q in basis]
+        worst = max(worst, float(np.max(np.abs(got - np.transpose(want)))))
     return [PropertyResult("reproduction", "max-reproduction-error",
                            worst, tolerance)]
 
@@ -363,21 +368,22 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     exactness = kernels.truncation_degree(n, p, radius, 1e-12) + 4
     rule = quadrature.sphere_rule(
         n, quadrature.resolution_for_exactness(n, exactness))
+    samples = [rng.uniform(0.1, radius) * _unit_coords(rng, n)
+               for _ in range(points)]
+    # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once
+    xs = np.array([RotatedVector(-k * math.pi / p, coords).to_complex()
+                   for coords in samples for k in range(p)])
+    lhs_all = solver._integrate(solver._POISSON, p, xs, np.ones(1), rule, [
+        lambda s: np.ones(rule.count)]).reshape(points, p)
     dev_sector = 0.0
     dev_average = 0.0
-    for _ in range(points):
-        coords = rng.uniform(0.1, radius) * _unit_coords(rng, n)
+    for coords, lhs_row in zip(samples, lhs_all):
         r2 = float(coords @ coords)
-        lhs_all = []
-        for k in range(p):
-            xk = RotatedVector(-k * math.pi / p, coords)
-            values = solver._poisson_node_values(xk, p, 0, rule)
-            lhs = quadrature.compensated_sum(rule.weights * values)
+        for k, lhs in enumerate(lhs_row):
             rhs = sum(np.exp(-2j * k * j * math.pi / p) * r2 ** j
                       for j in range(p))
             dev_sector = max(dev_sector, abs(lhs - rhs))
-            lhs_all.append(lhs)
-        average = quadrature.compensated_sum(lhs_all) / p
+        average = quadrature.compensated_sum(lhs_row) / p
         dev_average = max(dev_average, abs(average - 1.0))
     return [
         PropertyResult("sector-integrals", "per-sector-identity",

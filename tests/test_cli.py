@@ -195,6 +195,20 @@ def test_dirichlet_exterior_point_rejected_per_row(tmp_path):
     assert states == ["ok", "rejected"]
 
 
+@pytest.mark.parametrize("point", [[0.99999999, 0], [0.9999, 0]])
+def test_dirichlet_unresolvable_radius_is_config_error(tmp_path, capsys,
+                                                       point):
+    # interior points too close to the sphere for any truncation degree
+    # (r >= 1 - 1e-6) or for the term cap (SeriesToleranceError)
+    code, text = run(tmp_path, "dirichlet",
+                     {"n": 2, "boundary": "x1", "points": [point]})
+    assert code == cli.EXIT_CONFIG
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: no quadrature rule for radius")
+    assert err.count("\n") == 1
+
+
 def test_dirichlet_explicit_resolution_is_used(tmp_path):
     code, text = run(tmp_path, "dirichlet",
                      {"n": 2, "boundary": "x1", "points": [[0.2, 0.1]],
@@ -353,6 +367,18 @@ def test_flag_overrides_feed_back_into_the_run(tmp_path):
     code2, text2 = run(tmp_path, "kernel", effective)
     assert code2 == 0
     assert text2 == text
+
+
+def test_unwritable_out_path_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 2, "degrees": [0, 1]}))
+    out = tmp_path / "missing" / "x.csv"
+    code = cli.main(["dims", "--config", str(cfg), "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_stdout_emission_when_no_out_path(tmp_path, capsys):

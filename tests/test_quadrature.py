@@ -200,6 +200,65 @@ def test_compensated_sum_beats_naive_on_cancelling_terms():
     assert compensated_sum(terms) == pytest.approx(3.14159, abs=1e-12)
 
 
+def ill_conditioned(rng, count: int, cond: float) -> np.ndarray:
+    """Shuffled real terms whose sum has condition number sum|t| / |sum t|
+    near ``cond``: large terms of spread exponents, their rounded near-
+    negatives, and O(1) terms that survive the cancellation."""
+    half = count // 3
+    big = rng.uniform(-1.0, 1.0, half) * 2.0 ** rng.integers(
+        0, int(math.log2(cond)), half)
+    near = -(big * (1.0 + rng.uniform(-1.0, 1.0, half) * 2.0 ** -40))
+    small = rng.uniform(-1.0, 1.0, count - 2 * half)
+    terms = np.concatenate([big, near, small])
+    rng.shuffle(terms)
+    return terms
+
+
+SUM2_CASES = [(count, cond) for count in (2, 3, 17, 1000, 4099)
+              for cond in (1e2, 1e6, 1e12)]
+
+
+@pytest.mark.parametrize("count,cond", SUM2_CASES)
+def test_compensated_sum_meets_the_sum2_bound_against_fsum(count, cond):
+    # |result - S| <= u |S| + 2 h^2 u^2 sum|t| per part, and fsum is within
+    # u |S| of S; the slack is 2u |S| and 3 h^2 u^2 sum|t|
+    rng = np.random.default_rng(count + int(math.log10(cond)))
+    re = ill_conditioned(rng, count, cond)
+    im = ill_conditioned(rng, count, cond)
+    got = compensated_sum(re + 1j * im)
+    u = 2.0 ** -53
+    h = max(1, math.ceil(math.log2(count)))
+    for part, terms in ((got.real, re), (got.imag, im)):
+        want = math.fsum(terms)
+        bound = (2 * u * abs(want)
+                 + 3 * h * h * u * u * math.fsum(np.abs(terms)))
+        assert abs(part - want) <= bound
+
+
+def test_ill_conditioned_sums_defeat_the_naive_sum():
+    # the oracle test above must separate Sum2 from a plain sum
+    rng = np.random.default_rng(12)
+    terms = ill_conditioned(rng, 4099, 1e12)
+    want = math.fsum(terms)
+    assert math.fsum(np.abs(terms)) / abs(want) >= 1e10
+    assert abs(float(np.sum(terms)) - want) > 1e-10 * abs(want)
+    assert abs(compensated_sum(terms).real - want) <= 1e-15 * abs(want)
+
+
+def test_compensated_sum_along_an_axis_matches_each_slice_bitwise():
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((5, 37, 11)) \
+        + 1j * rng.standard_normal((5, 37, 11))
+    for axis in range(3):
+        got = compensated_sum(values, axis=axis)
+        moved = np.moveaxis(values, axis, -1)
+        assert got.shape == moved.shape[:-1]
+        for index in np.ndindex(*got.shape):
+            assert got[index] == compensated_sum(moved[index])
+    assert compensated_sum([]) == 0j
+    assert compensated_sum(np.zeros((3, 0)), axis=1).shape == (3,)
+
+
 def test_sphere_rule_validation():
     with pytest.raises(ValueError):
         sphere_rule(1, 10)

@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from polyball import kernels, quadrature, solver
-from polyball.geometry import RotatedVector, lie_norm
+from polyball.geometry import RotatedVector, bilinear_square, lie_norm
 from polyball.polyalg import MultiPoly, polyharmonic_basis
 from polyball.solver import (
     BoundaryData,
     choose_rule,
     dirichlet_solve,
+    hua_integrals,
     hua_reproduce,
     poisson_integral,
+    poisson_integrals,
     polyharmonic_limit_experiment,
     spectral_component,
 )
@@ -115,6 +117,106 @@ def test_dirichlet_rejects_exterior_and_off_sector_points():
     with pytest.raises(ValueError):
         dirichlet_solve(data, [RotatedVector(0.123, np.array([0.3, 0.0]))],
                         rule)
+
+
+# --------------------------------------------------------------------------
+# the batched kernel operator against the per-point, per-sector loop
+# --------------------------------------------------------------------------
+
+def _fsum(values) -> complex:
+    values = np.asarray(values, dtype=complex)
+    return complex(math.fsum(values.real), math.fsum(values.imag))
+
+
+def reference_integrals(route: str, data, points, rule) -> np.ndarray:
+    """One kernel array per point and sector from the point's own
+    invariants, an fsum per sector and an fsum over the sectors."""
+    rn = np.sum(rule.nodes ** 2, axis=1)
+    out = np.empty((len(points), len(data)), dtype=complex)
+    for i, x in enumerate(points):
+        xc = x.to_complex()
+        x2 = bilinear_square(xc)
+        for d, f in enumerate(data):
+            parts = []
+            for j in range(f.p):
+                conj = np.conj(np.exp(1j * j * math.pi / f.p))
+                if route == "poisson":
+                    kv = kernels.poisson_from_products(
+                        f.n, f.p, x2, conj * (rule.nodes @ xc), conj ** 2 * rn)
+                else:
+                    xk = conj * xc
+                    kv = kernels.boundary_form_values(
+                        f.n, f.p, x2,
+                        bilinear_square(xk) - 2.0 * (rule.nodes @ xk) + rn)
+                parts.append(_fsum(rule.weights * f.sector_values(j, rule)
+                                   * kv))
+            out[i, d] = _fsum(parts) / f.p
+    return out
+
+
+def operator_case(n: int, p: int):
+    """Basis data of degrees 0-3, interior points over every sector, and
+    the rule choose_rule picks for them."""
+    rng = np.random.default_rng(200 + 10 * n + p)
+    basis = [q for m in range(4) for q in polyharmonic_basis(n, m, p)]
+    data = [BoundaryData.from_polynomial(q, p) for q in basis[::2]]
+    rule = choose_rule(n, p, data[-1], radius=0.7, tol=1e-11)
+    return data, interior_points(n, p, 7, rng, rmax=0.7), rule
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (1, 2, 3)])
+def test_batched_operator_matches_per_sector_loop(n, p):
+    data, points, rule = operator_case(n, p)
+    routes = {
+        "poisson": poisson_integrals(data, points, rule),
+        "boundary-form": np.array([dirichlet_solve(f, points, rule).values
+                                   for f in data]).T,
+    }
+    for route, got in routes.items():
+        want = reference_integrals(route, data, points, rule)
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.max(np.abs(got - want) / scale) <= 1e-13, route
+
+
+def test_batched_hua_matches_per_angle_loop():
+    rng = np.random.default_rng(41)
+    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(3, 8), 6)
+    us = [MultiPoly.from_text(t, n=3).to_numeric()
+          for t in ("1", "x1 x3", "x2^3 + (0,1) x1")]
+    zs = [z * (0.5 / lie_norm(z)) for z in
+          rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))]
+    got = hua_integrals(us, zs, lie)
+    base = lie.base
+    for i, z in enumerate(zs):
+        for d, u in enumerate(us):
+            parts = []
+            for angle in lie.angles:
+                w = np.exp(1j * angle) * base.nodes
+                denom = (bilinear_square(z) * np.conj(np.sum(w * w, axis=1))
+                         - 2.0 * (np.conj(w) @ z) + 1.0)
+                parts.append(_fsum(base.weights * u.eval_at(w)
+                                   * denom ** -1.5))
+            want = _fsum(parts) / lie.angular
+            assert abs(got[i, d] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("budget", [1, 500, 1 << 20])
+def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
+                                                         budget):
+    data, points, rule = operator_case(2, 2)
+    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
+    us = [MultiPoly.from_text(t, n=2).to_numeric() for t in ("x1", "x2^2")]
+    zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
+
+    def results():
+        return (poisson_integrals(data, points, rule),
+                dirichlet_solve(data[1], points, rule).values,
+                hua_integrals(us, zs, lie))
+
+    default = results()
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
+    for a, b in zip(default, results()):
+        np.testing.assert_array_equal(a, b)
 
 
 # --------------------------------------------------------------------------
