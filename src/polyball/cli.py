@@ -535,8 +535,12 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
     p_list = cfg.data["p_list"]
     if cfg.data["resolution"] == "auto":
         degree = max(u.degree(), 0)
-        trunc = kernels.truncation_degree(n, max(p_list), lie_norm(zc),
-                                          max(tol / 10.0, 1e-13))
+        try:
+            trunc = kernels.truncation_degree(n, max(p_list), lie_norm(zc),
+                                              max(tol / 10.0, 1e-13))
+        except ValueError as err:  # SeriesToleranceError is one
+            raise ConfigError(f"no quadrature rule for Lie norm "
+                              f"{lie_norm(zc)!r}: {err}") from err
         rule = quadrature.sphere_rule(
             n, quadrature.resolution_for_exactness(n, degree + trunc + 4))
     else:

@@ -5,7 +5,10 @@ Two evaluation routes are provided on purpose: the three-term recurrence
     m C_m = 2 t (m + lambda - 1) C_{m-1} - (m + 2 lambda - 2) C_{m-2},
     C_0 = 1,  C_1 = 2 lambda t,
 
-which is the stable route for |t| <= 1, and the explicit alternating sum
+which is the stable route for |t| <= 1 and whose one implementation, the
+generator ``_recurrence``, also drives the generating-function partial sums
+and the truncated kernel series in ``kernels``; and the explicit
+alternating sum
 
     C_m(t) = sum_k (-1)^k  (lambda)_{m-k} / (k! (m-2k)!)  (2t)^{m-2k},
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 
@@ -41,6 +45,21 @@ def _check_lambda(lam) -> float:
     return lamf
 
 
+def _recurrence(lamf: float, t, c0):
+    """Yield C_0, C_1, C_2, ... at t by the three-term recurrence.
+
+    The single copy of the recurrence in the package.  ``c0`` is C_0 and
+    fixes the value type (an array of ones for array ``t``, ``1.0 + 0j`` for
+    a scalar); the sequence is unbounded, so callers slice it.
+    """
+    yield c0
+    prev, cur = c0, 2.0 * lamf * t
+    for k in count(2):
+        yield cur
+        prev, cur = cur, (2.0 * t * (k + lamf - 1.0) * cur
+                          - (k + 2.0 * lamf - 2.0) * prev) / k
+
+
 def gegenbauer(lam, m: int, t):
     """C_m^lambda(t) by the three-term recurrence; m < 0 gives 0.
 
@@ -53,15 +72,26 @@ def gegenbauer(lam, m: int, t):
     tv = np.asarray(t, dtype=complex)
     if m < 0:
         out = np.zeros_like(tv)
-        return complex(out) if scalar else out
-    prev = np.ones_like(tv)  # C_0
-    if m == 0:
-        return complex(prev) if scalar else prev
-    cur = 2.0 * lamf * tv  # C_1
-    for k in range(2, m + 1):
-        prev, cur = cur, (2.0 * tv * (k + lamf - 1.0) * cur
-                          - (k + 2.0 * lamf - 2.0) * prev) / k
-    return complex(cur) if scalar else cur
+    else:
+        out = next(islice(_recurrence(lamf, tv, np.ones_like(tv)), m, None))
+    return complex(out) if scalar else out
+
+
+@lru_cache(maxsize=None)
+def _explicit_coefficients(lam: Fraction, m: int) -> tuple:
+    """(-1)^k (lambda)_{m-k} / (k! (m-2k)!) for k = 0..floor(m/2).
+
+    Built from the factorial formula, never from the recurrence table, so
+    the explicit sum stays an independent route.
+    """
+    out = []
+    for k in range(m // 2 + 1):
+        rising = Fraction(1)
+        for j in range(m - k):
+            rising *= lam + j
+        out.append((-1) ** k * rising
+                   / (math.factorial(k) * math.factorial(m - 2 * k)))
+    return tuple(out)
 
 
 def gegenbauer_explicit(lam, m: int, t):
@@ -72,7 +102,8 @@ def gegenbauer_explicit(lam, m: int, t):
     conversion): the alternating sum cancels catastrophically in floating
     point for large m, which would make the oracle useless at the
     tolerances it is meant to certify.  Complex or array arguments fall
-    back to a floating-point loop and inherit that cancellation.
+    back to a floating-point sum of the same coefficients and inherit that
+    cancellation.
     """
     m = int(m)
     if np.ndim(t) == 0 and not isinstance(t, complex):
@@ -81,30 +112,21 @@ def gegenbauer_explicit(lam, m: int, t):
             raise ValueError("lambda must be positive")
         if m < 0:
             return 0j
-        half = m // 2
         tq = Fraction(t)
         u = 4 * tq * tq  # (2t)^2, Horner variable
         acc = Fraction(0)
-        for k in range(half + 1):
-            rising = Fraction(1)
-            for j in range(m - k):
-                rising *= lamq + j
-            coef = rising / (math.factorial(k) * math.factorial(m - 2 * k))
-            acc = acc * u + (-1) ** k * coef
+        for coef in _explicit_coefficients(lamq, m):
+            acc = acc * u + coef
         if m % 2:
             acc *= 2 * tq
         return complex(acc)
-    lamf = _check_lambda(lam)
+    _check_lambda(lam)
     if m < 0:
         return 0.0 * t if np.ndim(t) else 0j
     tv = np.asarray(t, dtype=complex)
     total = np.zeros_like(tv)
-    for k in range(m // 2 + 1):
-        rising = 1.0
-        for j in range(m - k):
-            rising *= lamf + j
-        coef = rising / (math.factorial(k) * math.factorial(m - 2 * k))
-        total = total + (-1) ** k * coef * (2.0 * tv) ** (m - 2 * k)
+    for k, coef in enumerate(_explicit_coefficients(Fraction(lam), m)):
+        total = total + float(coef) * (2.0 * tv) ** (m - 2 * k)
     return complex(total) if np.ndim(t) == 0 else total
 
 
@@ -162,18 +184,8 @@ def generating_partial_sum(lam, t, w, max_degree: int) -> complex:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     total = 0j
-    prev = 1.0 + 0j  # C_0
-    cur = 2.0 * lamf * t  # C_1
     wm = 1.0 + 0j
-    for m in range(max_degree + 1):
-        if m == 0:
-            val = prev
-        elif m == 1:
-            val = cur
-        else:
-            prev, cur = cur, (2.0 * t * (m + lamf - 1.0) * cur
-                              - (m + 2.0 * lamf - 2.0) * prev) / m
-            val = cur
+    for val in islice(_recurrence(lamf, t, 1.0 + 0j), max_degree + 1):
         total += val * wm
         wm *= w
     return total

@@ -33,10 +33,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
-from .gegenbauer import gegenbauer_coefficients
+from .gegenbauer import _recurrence, gegenbauer_coefficients
 from .geometry import (RotatedVector, as_complex_vector, as_rotated,
                        bilinear_square, hermitian_dot, lie_norm,
                        principal_power)
@@ -343,15 +344,9 @@ def _tail_constant(n: int, p: int) -> float:
         B, x2, zb2 = pair_invariants(x, zeta)
         w = complex(np.sqrt(complex(x2 * zb2)))
         t = B / w
-        prev, cur = 1.0 + 0j, n * t  # C_0, C_1 at lambda = n/2
-        cvals = [prev, cur]
+        cvals = list(islice(_recurrence(n / 2.0, t, 1.0 + 0j), 21))
         wm = w
         for m in range(1, 21):
-            if m >= 2:
-                lam = n / 2.0
-                prev, cur = cur, (2.0 * t * (m + lam - 1.0) * cur
-                                  - (m + 2.0 * lam - 2.0) * prev) / m
-                cvals.append(cur)
             low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
             value = (cvals[m] - low) * wm
             ratio = abs(value) / (p * m ** (n - 2) * radius ** m)
@@ -415,15 +410,10 @@ def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
     else:
         w = complex(np.sqrt(complex(P)))
         t = B / w
-        lam = n / 2.0
-        cvals = [1.0 + 0j, 2.0 * lam * t]
+        cvals = list(islice(_recurrence(n / 2.0, t, 1.0 + 0j), M + 1))
         wm = 1.0 + 0j
         for m in range(1, M + 1):
             wm *= w
-            if m >= 2:
-                prev, cur = cvals[m - 2], cvals[m - 1]
-                cvals.append((2.0 * t * (m + lam - 1.0) * cur
-                              - (m + 2.0 * lam - 2.0) * prev) / m)
             low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
             terms.append((cvals[m] - low) * wm)
     value = compensated_sum(terms)

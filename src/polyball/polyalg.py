@@ -12,10 +12,12 @@ The Almansi ladder writes a homogeneous q of degree m uniquely as
 
     q = u_m + |x|^2 u_{m-2} + |x|^4 u_{m-4} + ...        (u_k harmonic)
 
-by repeatedly solving Delta(|x|^2 r) = Delta(q) for r in P_{m-2}, an
-invertible square linear system over the rationals.  Grouping the ladder in
-blocks of p gives the order-p decomposition with Delta^p-annihilated
-components.
+in closed form: u_{m-2k} is the harmonic projection of Delta^k q divided by
+prod_{i=1..k} 2i (n + 2(m-2k) + 2i - 2), and the projection of f of degree d
+is sum_j (-1)^j |x|^{2j} Delta^j f / (2^j j! prod_{i=1..j} (n + 2d - 2 - 2i))
+(Axler, Bourdon, Ramey, Harmonic Function Theory, 2nd ed., GTM 137, ch. 5).
+No linear system is solved.  Grouping the ladder in blocks of p gives the
+order-p decomposition with Delta^p-annihilated components.
 
 Text format: terms joined by " + ", each term "c * x1^a1 x2^a2 ...", with
 rational coefficients "p/q" and complex ones "(re,im)".  Printing then
@@ -171,8 +173,6 @@ def _as_scalar(value, exact: bool):
         if isinstance(value, (int, Fraction)):
             return QQi(value)
         raise TypeError(f"exact mode needs int/Fraction/QQi, got {type(value).__name__}")
-    if isinstance(value, QQi):
-        return complex(value)
     return complex(value)
 
 
@@ -523,7 +523,7 @@ def _parse_poly(text: str, n: int | None, exact: bool) -> MultiPoly:
             sign = -sign
     while True:
         coeff, factors = parser.term()
-        raw.append((coeff * sign if exact else coeff * sign, factors))
+        raw.append((coeff * sign, factors))
         kind, val = parser.peek()
         if kind is None:
             break
@@ -545,8 +545,7 @@ def _parse_poly(text: str, n: int | None, exact: bool) -> MultiPoly:
             exps[i] = e
         key = tuple(exps)
         terms[key] = terms.get(key, zero) + coeff
-    poly = MultiPoly(dim, terms, exact)
-    return poly
+    return MultiPoly(dim, terms, exact)
 
 
 # --------------------------------------------------------------------------
@@ -579,7 +578,7 @@ def dim_Hp(n: int, m: int, p: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# exact linear algebra (small dense systems over QQi)
+# monomial bases
 # --------------------------------------------------------------------------
 
 def _monomials(n: int, m: int) -> list:
@@ -599,25 +598,6 @@ def _monomials(n: int, m: int) -> list:
     return out
 
 
-def _solve_exact(matrix, rhs):
-    """Solve a square QQi system by Gaussian elimination, first-nonzero pivot."""
-    size = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("singular system in exact solve")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = QQi(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
 # --------------------------------------------------------------------------
 # Almansi decompositions
 # --------------------------------------------------------------------------
@@ -633,41 +613,33 @@ def harmonic_almansi(q: MultiPoly) -> list:
     """Components [u_m, u_{m-2}, ...] with q = sum_k |x|^{2k} u_{m-2k}.
 
     Exact and unique; zero components are kept so the k-th entry always has
-    degree m - 2k.  The zero polynomial decomposes as [].
+    degree m - 2k.  The zero polynomial decomposes as [].  With the Laplacian
+    ladder L_k = Delta^k q and d = m - 2k, the harmonic projection gives
+
+        u_{m-2k} = a_k^{-1} sum_{j=0}^{floor(d/2)} c_j |x|^{2j} L_{k+j},
+        c_0 = 1,  c_j = -c_{j-1} / (2j (n + 2d - 2 - 2j)),
+        a_k = prod_{i=1..k} 2i (n + 2d + 2i - 2).
     """
     _require_exact_homogeneous(q, "harmonic_almansi")
     if q.is_zero():
         return []
-    m = q.degree()
+    n, m = q.n, q.degree()
+    ladder = [q]
+    for _ in range(m // 2):
+        ladder.append(ladder[-1].laplacian())
+    r2 = MultiPoly.radial_square(n)
     components = []
-    r2 = MultiPoly.radial_square(q.n)
-    current = q
-    for k in range((m // 2) + 1):
-        deg = m - 2 * k
-        lap = current.laplacian()
-        if lap.is_zero() or deg <= 1:
-            components.append(current)
-            current = MultiPoly.zero(q.n)
-            # remaining components are zero; pad below
-            for dd in range(deg - 2, -1, -2):
-                components.append(MultiPoly.zero(q.n))
-            break
-        # solve Delta(|x|^2 r) = Delta(current) for r in P_{deg-2}
-        basis = _monomials(q.n, deg - 2)
-        index = {e: i for i, e in enumerate(basis)}
-        size = len(basis)
-        matrix = [[QQi(0)] * size for _ in range(size)]
-        for col, exps in enumerate(basis):
-            image = (r2 * MultiPoly.monomial(q.n, exps)).laplacian()
-            for e, c in image.terms.items():
-                matrix[index[e]][col] = c
-        rhs = [QQi(0)] * size
-        for e, c in lap.terms.items():
-            rhs[index[e]] = c
-        sol = _solve_exact(matrix, rhs)
-        r = MultiPoly(q.n, {e: c for e, c in zip(basis, sol)})
-        components.append(current - r2 * r)
-        current = r
+    for k in range(m // 2 + 1):
+        d = m - 2 * k
+        # weights[j] = c_j / a_k
+        weights = [Fraction(1, math.prod(2 * i * (n + 2 * d + 2 * i - 2)
+                                         for i in range(1, k + 1)))]
+        for j in range(1, d // 2 + 1):
+            weights.append(-weights[-1] / (2 * j * (n + 2 * d - 2 - 2 * j)))
+        u = MultiPoly.zero(n)
+        for j in reversed(range(len(weights))):  # Horner in |x|^2
+            u = r2 * u + ladder[k + j] * weights[j]
+        components.append(u)
     return components
 
 

@@ -269,6 +269,17 @@ def test_hua_limit_constant_data_has_zero_errors(tmp_path):
         assert d["abs_error"] <= 1e-9
 
 
+def test_hua_limit_unresolvable_z_is_config_error(tmp_path, capsys):
+    # z too close to the Lie sphere for the series term cap
+    code, text = run(tmp_path, "hua-limit",
+                     {"n": 2, "u": "x1^2", "z": [0.9999, 0]})
+    assert code == cli.EXIT_CONFIG
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: no quadrature rule for Lie norm")
+    assert err.count("\n") == 1
+
+
 def test_hua_limit_rejects_exterior_z_and_bad_p_list(tmp_path, capsys):
     code, _ = run(tmp_path, "hua-limit",
                   {"n": 2, "u": "x1", "z": [1.2, 0.0]})

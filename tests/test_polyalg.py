@@ -246,14 +246,29 @@ def test_polyharmonic_almansi_of_x1_fourth_order_two():
 
 def test_harmonic_almansi_reassembles_exactly():
     rng = np.random.default_rng(41)
-    for n in (2, 3):
+    for n in (2, 3, 5):
         for m in (3, 5, 8):
             q = random_homogeneous(n, m, rng)
             comps = harmonic_almansi(q)
-            for c in comps:
+            assert len(comps) == m // 2 + 1
+            for k, c in enumerate(comps):
                 assert c.laplacian().coefficient_scale() == 0.0
+                assert c.is_zero() or (c.is_homogeneous()
+                                       and c.degree() == m - 2 * k)
             back = almansi_reassemble(comps, n, 1)
             assert (back - q).coefficient_scale() == 0.0
+
+
+def test_harmonic_almansi_keeps_zero_components():
+    # a harmonic q: the ladder is [q, 0, 0, 0]
+    q = MultiPoly.from_text("x1^6 - 15 x1^4 x2^2 + 15 x1^2 x2^4 - x2^6",
+                            n=2)
+    assert harmonic_almansi(q) == [q] + [MultiPoly.zero(2)] * 3
+    # |x|^4 x1 at n = 3: only the degree-1 component survives
+    x1 = MultiPoly.variable(3, 0)
+    q = MultiPoly.radial_square(3) ** 2 * x1
+    assert harmonic_almansi(q) == [MultiPoly.zero(3), MultiPoly.zero(3), x1]
+    assert harmonic_almansi(MultiPoly.zero(3)) == []
 
 
 def test_polyharmonic_almansi_annihilates_and_reassembles():
