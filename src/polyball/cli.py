@@ -447,6 +447,22 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     return table
 
 
+def _build_rule(cfg: RunConfig, where: str, auto_rule):
+    """The sphere rule of a dirichlet or hua-limit run: ``auto_rule()`` or
+    the configured resolution.  An unresolvable truncation, or a rule or
+    Lie-sphere rule above the node cap, is a configuration error."""
+    try:
+        if cfg.data["resolution"] == "auto":
+            rule = auto_rule()  # SeriesToleranceError is a ValueError
+        else:
+            rule = quadrature.sphere_rule(cfg.n, cfg.data["resolution"])
+        if "angular" in cfg.data:
+            quadrature.lie_sphere_rule(rule, cfg.data["angular"])
+    except ValueError as err:
+        raise ConfigError(f"no quadrature rule for {where}: {err}") from err
+    return rule
+
+
 def run_dirichlet(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     tol = cfg.row_tolerance
@@ -461,17 +477,8 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     interior = [r < 1.0 - 1e-9 for r in radii]
     admissible = [r for r, ok in zip(radii, interior) if ok]
     radius = max(admissible) if admissible else 0.0
-    if cfg.data["resolution"] == "auto":
-        try:
-            rule = solver.choose_rule(n, p, data, radius=radius,
-                                      tol=max(tol / 10.0, 1e-13),
-                                      seed=cfg.seed)
-        except ValueError as err:  # SeriesToleranceError is one
-            raise ConfigError(f"no quadrature rule for radius {radius!r}: "
-                              f"{err}") from err
-    else:
-        rule = quadrature.sphere_rule(n, cfg.data["resolution"],
-                                      seed=cfg.seed if n >= 4 else None)
+    rule = _build_rule(cfg, f"radius {radius!r}", lambda: solver.choose_rule(
+        n, p, data, radius=radius, tol=max(tol / 10.0, 1e-13)))
     coord_names = tuple(f"x{i + 1}" for i in range(n))
     table = ResultTable("dirichlet",
                         ("point", "sector") + coord_names + ("status",),
@@ -533,19 +540,14 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
     if not lie_norm(zc) < 1.0:
         raise ConfigError("z must lie in the open Lie ball")
     p_list = cfg.data["p_list"]
-    if cfg.data["resolution"] == "auto":
-        degree = max(u.degree(), 0)
-        try:
-            trunc = kernels.truncation_degree(n, max(p_list), lie_norm(zc),
-                                              max(tol / 10.0, 1e-13))
-        except ValueError as err:  # SeriesToleranceError is one
-            raise ConfigError(f"no quadrature rule for Lie norm "
-                              f"{lie_norm(zc)!r}: {err}") from err
-        rule = quadrature.sphere_rule(
-            n, quadrature.resolution_for_exactness(n, degree + trunc + 4))
-    else:
-        rule = quadrature.sphere_rule(n, cfg.data["resolution"],
-                                      seed=cfg.seed if n >= 4 else None)
+
+    def auto_rule():
+        trunc = kernels.truncation_degree(n, max(p_list), lie_norm(zc),
+                                          max(tol / 10.0, 1e-13))
+        return quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
+            n, max(u.degree(), 0) + trunc + 4))
+
+    rule = _build_rule(cfg, f"Lie norm {lie_norm(zc)!r}", auto_rule)
     result = solver.polyharmonic_limit_experiment(
         u, zc, p_list, rule, angular=cfg.data["angular"])
     table = ResultTable("hua-limit", ("p", "status"), _metadata(cfg, rule))

@@ -60,8 +60,10 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(
+            self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(
+            self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, *_):
         raise AttributeError("QQi is immutable")
@@ -199,9 +201,8 @@ class MultiPoly:
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for n={n}")
             c = _as_scalar(c, exact)
-            if (c if exact else c != 0):
-                clean[exps] = clean.get(exps, _as_scalar(0, exact)) + c
-        clean = {e: c for e, c in clean.items() if (c if exact else c != 0)}
+            clean[exps] = clean[exps] + c if exps in clean else c
+        clean = {e: c for e, c in clean.items() if c}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "exact", bool(exact))
         object.__setattr__(self, "terms", clean)
@@ -775,8 +776,8 @@ def harmonic_basis(n: int, m: int, orthonormal: bool = False,
     from the reduced row echelon form of the Laplacian in graded-lex monomial
     order.  With ``orthonormal=True`` the basis is Gram-Schmidt orthonormalized
     under the normalized surface inner product on the unit sphere, realized by
-    a quadrature rule of exactness >= 2m (supplied or auto-built; only n = 2, 3
-    carry deterministic rules).  Orthonormalized output is numeric mode.
+    a quadrature rule of exactness >= 2m (supplied or auto-built for any n).
+    Orthonormalized output is numeric mode.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -786,8 +787,6 @@ def harmonic_basis(n: int, m: int, orthonormal: bool = False,
     from . import quadrature as quad
 
     if rule is None:
-        if n not in (2, 3):
-            raise ValueError("orthonormalization needs an explicit rule for n >= 4")
         rule = quad.sphere_rule(n, quad.resolution_for_exactness(n, 2 * m))
     if rule.exactness < 2 * m:
         raise ValueError("rule exactness must cover degree 2m")

@@ -1,12 +1,13 @@
 """Quadrature on unit spheres, rotated-sphere unions, and the Lie sphere.
 
-Rules are deterministic per (n, resolution, seed):
+Rules are deterministic per (n, resolution):
 
 * n = 2: the N-point uniform angle grid, exact for polynomial degree N - 1.
-* n = 3: (Gauss-Legendre in the polar cosine) x (uniform azimuth with 2L
-  angles), exact for total degree 2L - 1.
-* n >= 4: seeded Monte Carlo on the sphere; ``exactness`` is reported as 0
-  and accuracy is statistical only.
+* n >= 3: the recursive Gauss-Gegenbauer product rule (Stroud, 1971),
+  exact for total degree 2L - 1: a node of S^{k-1} is (sqrt(1 - t^2) y, t)
+  for y a node of S^{k-2} and t one of L Gauss nodes of the weight
+  (1 - t^2)^{(k-3)/2}, down to the uniform circle with 2L angles (at n = 3,
+  Gauss-Legendre x azimuth).  Its 2 L^{n-1} nodes are capped up front.
 
 All surface measures are normalized (total mass 1).  Integral reductions go
 through ``compensated_sum``, a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J.
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "SphereRule",
@@ -39,6 +39,9 @@ __all__ = [
     "rule_from_json",
 ]
 
+# Most nodes a sphere rule, or points a Lie-sphere rule, may hold.
+_MAX_NODES = 1 << 21
+
 
 @dataclass(frozen=True, eq=False)
 class SphereRule:
@@ -50,7 +53,6 @@ class SphereRule:
     exactness: int
     kind: str
     resolution: int
-    seed: int | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -70,7 +72,7 @@ class SphereRule:
 
     def doubled(self) -> "SphereRule":
         """Same family at twice the resolution (convergence checks)."""
-        return sphere_rule(self.n, 2 * self.resolution, seed=self.seed)
+        return sphere_rule(self.n, 2 * self.resolution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,45 +91,58 @@ class LieSphereRule:
     def __post_init__(self):
         if self.angular < 4:
             raise ValueError("angular resolution must be >= 4")
+        if self.angular * self.base.count > _MAX_NODES:
+            raise ValueError(f"{self.angular} angles exceed the node cap")
 
     @property
     def angles(self) -> np.ndarray:
         return np.arange(self.angular) * (math.pi / self.angular)
 
 
-def sphere_rule(n: int, resolution: int, seed: int | None = None) -> SphereRule:
+def _polar_rule(k: int, count: int) -> tuple:
+    """Gauss nodes (ascending) and normalized weights for the weight
+    (1 - t^2)^a, a = (k - 3)/2, of the polar cosine of S^{k-1}.
+
+    Golub-Welsch (Math. Comp. 23, 1969): eigenvalues of the Jacobi matrix
+    with off-diagonal sqrt(j (j + 2a) / ((2j + 2a - 1) (2j + 2a + 1))), and
+    weights 1 / sum_{j<L} p_j^2 over the orthonormal p_j (the squared first
+    eigenvector components, whose LAPACK path leaves BLAS threads spinning).
+    One Newton step polishes each node to ~1 ulp, as nodes near the poles need.
+    """
+    a = 0.5 * (k - 3)
+    j = np.arange(1, count)
+    off = np.sqrt(j * (j + 2 * a) / ((2 * j + 2 * a) ** 2 - 1))
+    t = np.linalg.eigvalsh(np.diag(off, -1) + np.diag(off, 1))
+    # b_j p_j = t p_{j-1} - b_{j-1} p_{j-2}; the scale of p_count is free
+    p_prev, p, d_prev, d, norm = 0.0 * t, 1.0 + 0.0 * t, 0.0 * t, 0.0 * t, 0.0
+    for b_prev, b in zip(np.r_[0.0, off], np.r_[off, 1.0]):
+        norm = norm + p * p
+        p_prev, p, d_prev, d = (p, (t * p - b_prev * p_prev) / b,
+                                d, (p + t * d - b_prev * d_prev) / b)
+    return t - p / d, 1.0 / norm
+
+
+def sphere_rule(n: int, resolution: int) -> SphereRule:
     """Deterministic rule on S^{n-1}; see module docstring for families."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if resolution < 4:
         raise ValueError("resolution must be >= 4")
-    if n == 2:
-        theta = 2.0 * math.pi * np.arange(resolution) / resolution
-        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
-        weights = np.full(resolution, 1.0 / resolution)
-        return SphereRule(n, nodes, weights, resolution - 1, "trapezoid",
-                          resolution)
-    if n == 3:
-        u, v = leggauss(resolution)
-        m_az = 2 * resolution
-        phi = 2.0 * math.pi * np.arange(m_az) / m_az
-        s = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-        nodes = np.empty((resolution * m_az, 3))
-        weights = np.empty(resolution * m_az)
-        for i in range(resolution):
-            rows = slice(i * m_az, (i + 1) * m_az)
-            nodes[rows, 0] = s[i] * np.cos(phi)
-            nodes[rows, 1] = s[i] * np.sin(phi)
-            nodes[rows, 2] = u[i]
-            weights[rows] = v[i] / (2.0 * m_az)
-        return SphereRule(n, nodes, weights, 2 * resolution - 1,
-                          "gauss-product", resolution)
-    rng = np.random.default_rng(0 if seed is None else seed)
-    raw = rng.standard_normal((resolution, n))
-    nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    weights = np.full(resolution, 1.0 / resolution)
-    return SphereRule(n, nodes, weights, 0, "monte-carlo", resolution,
-                      seed=0 if seed is None else seed)
+    m = resolution if n == 2 else 2 * resolution  # circle angles
+    # resolution >= 4: the exponent 22 already passes the cap at any n
+    if m * resolution ** min(n - 2, 22) > _MAX_NODES:
+        raise ValueError(f"n={n}, resolution {resolution}: over the node cap")
+    theta = 2.0 * math.pi * np.arange(m) / m
+    nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+    weights = np.full(m, 1.0 / m)
+    for k in range(3, n + 1):  # S^{k-2} -> S^{k-1}, polar index outermost
+        t, w = _polar_rule(k, resolution)
+        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        nodes = np.column_stack([np.kron(s[:, None], nodes),
+                                 np.repeat(t, len(nodes))])
+        weights = np.kron(w, weights)
+    return SphereRule(n, nodes, weights, m - 1,
+                      "trapezoid" if n == 2 else "gauss-product", resolution)
 
 
 def resolution_for_exactness(n: int, degree: int) -> int:
@@ -136,9 +151,7 @@ def resolution_for_exactness(n: int, degree: int) -> int:
         raise ValueError("degree must be >= 0")
     if n == 2:
         return max(degree + 1, 4)
-    if n == 3:
-        return max(math.ceil((degree + 1) / 2), 4)
-    raise ValueError("no deterministic rule for n >= 4")
+    return max(math.ceil((degree + 1) / 2), 4)
 
 
 def lie_sphere_rule(base: SphereRule, angular: int) -> LieSphereRule:
@@ -267,7 +280,6 @@ def rule_to_json(rule) -> dict:
             "kind": rule.kind,
             "resolution": rule.resolution,
             "exactness": rule.exactness,
-            "seed": rule.seed,
             "nodes": [list(row) for row in rule.nodes.tolist()],
             "weights": rule.weights.tolist(),
         }
@@ -285,6 +297,5 @@ def rule_from_json(data: dict):
             exactness=data["exactness"],
             kind=data["kind"],
             resolution=data["resolution"],
-            seed=data.get("seed"),
         )
     raise ValueError("unrecognized rule serialization")

@@ -371,19 +371,17 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
 # --------------------------------------------------------------------------
 
 def choose_rule(n: int, p: int, f: BoundaryData | None, radius: float,
-                tol: float, resolution: int | None = None,
-                seed: int | None = None) -> quadrature.SphereRule:
+                tol: float,
+                resolution: int | None = None) -> quadrature.SphereRule:
     """Select a sphere rule for Poisson integrals at the given radius.
 
     Tagged (polynomial) data picks exactness degree d + M + 4 where M is the
     certified kernel truncation degree at r = radius and d the data degree.
     Untagged data requires an explicit ``resolution`` (callers should verify
-    convergence by doubling).  n >= 4 falls back to seeded Monte Carlo.
+    convergence by doubling).  A rule above the node cap raises ValueError.
     """
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must be in [0, 1)")
-    if n >= 4:
-        return quadrature.sphere_rule(n, resolution or 20000, seed=seed)
     if f is not None and f.tag is not None:
         d = max(f.tag.degree(), 0)
         m_trunc = kernels.truncation_degree(n, p, radius, tol)
@@ -391,4 +389,4 @@ def choose_rule(n: int, p: int, f: BoundaryData | None, radius: float,
             n, quadrature.resolution_for_exactness(n, d + m_trunc + 4))
     if resolution is None:
         raise ValueError("untagged boundary data needs an explicit resolution")
-    return quadrature.sphere_rule(n, resolution, seed=seed)
+    return quadrature.sphere_rule(n, resolution)

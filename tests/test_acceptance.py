@@ -77,7 +77,8 @@ def test_criterion_04_reproducing_property():
 
 
 def test_criterion_05_orthogonality():
-    ok, worst = run_over_combos("orthogonality")
+    ok, worst = run_over_combos("orthogonality",
+                                combos=NP_COMBOS + [(4, 1), (4, 2), (4, 3)])
     report(5, "orthogonality", ok,
            f"max cross-degree |<u,v>| {worst.deviation:.3e} (tol 1e-10)")
     assert ok
@@ -134,7 +135,8 @@ def _exponents(n: int, m: int):
 
 
 def test_criterion_07_sector_integral_identities():
-    ok, worst = run_over_combos("sector-integrals")
+    ok, worst = run_over_combos("sector-integrals",
+                                combos=NP_COMBOS + [(4, 1)])
     report(7, "sector-integrals", ok,
            f"max identity deviation {worst.deviation:.3e} (tol 1e-10)")
     assert ok

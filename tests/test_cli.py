@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -215,6 +216,50 @@ def test_dirichlet_explicit_resolution_is_used(tmp_path):
                       "resolution": 64})
     assert code == 0
     assert json.loads(text)["metadata"]["rule"]["resolution"] == 64
+
+
+def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
+    code, text = run(tmp_path, "dirichlet",
+                     {"n": 4, "p": 1,
+                      "boundary": "x1 x2 x3 + x1^3 - 3 * x1 x4^2",
+                      "points": [[0.1, 0.2, -0.1, 0.05], [0.0, 0.0, 0.3, 0.0],
+                                 [0.15, -0.15, 0.15, -0.15]]})
+    assert code == 0
+    obj = json.loads(text)
+    rule = obj["metadata"]["rule"]
+    assert rule["kind"] == "gauss-product"
+    assert len(rule["weights"]) == 9826  # 2 * 17^3: exactness 33
+    assert "seed" not in rule
+    for row in obj["rows"]:
+        d = dict(zip(obj["columns"], row))
+        assert d["status"] == "ok"
+        assert d["abs_error"] <= d["bound"]
+
+
+@pytest.mark.parametrize("command,config", [
+    ("dirichlet", {"n": 2, "boundary": "x1", "points": [[0.1, 0.1]],
+                   "resolution": 10 ** 9}),
+    ("dirichlet", {"n": 3, "boundary": "x1", "points": [[0.1, 0.1, 0.0]],
+                   "resolution": 10 ** 5}),
+    ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.4, 0.2],
+                   "angular": 10 ** 9}),
+    ("verify", {"n": 6, "suites": ["reproduction"]}),
+])
+def test_rules_above_the_node_cap_are_config_errors(tmp_path, capsys,
+                                                    command, config):
+    # refused from the node count alone: no large array is ever built
+    tracemalloc.start()
+    try:
+        code, text = run(tmp_path, command, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_CONFIG
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the node cap" in err
+    assert err.count("\n") == 1
+    assert peak < 1 << 24
 
 
 # --------------------------------------------------------------------------

@@ -211,14 +211,15 @@ def test_polyharmonic_basis_is_exactly_annihilated(n, m, p):
 def test_orthonormal_harmonic_basis_has_identity_gram():
     from polyball import quadrature
 
-    n, m = 2, 4
-    rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
-        n, 2 * m))
-    basis = harmonic_basis(n, m, orthonormal=True, rule=rule)
-    vals = [b.eval_at(rule.nodes).astype(complex) for b in basis]
-    gram = np.array([[quadrature.weighted_dot(rule, u, v) for v in vals]
-                     for u in vals])
-    np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
+    for n, m, explicit in ((2, 4, True), (4, 3, False)):
+        rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
+            n, 2 * m))
+        basis = harmonic_basis(n, m, orthonormal=True,
+                               rule=rule if explicit else None)
+        vals = [b.eval_at(rule.nodes).astype(complex) for b in basis]
+        gram = np.array([[quadrature.weighted_dot(rule, u, v) for v in vals]
+                         for u in vals])
+        np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
 
 
 # --------------------------------------------------------------------------

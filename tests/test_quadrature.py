@@ -13,7 +13,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_gegenbauer
 
+from polyball import quadrature
 from polyball.quadrature import (
     LieSphereRule,
     SphereRule,
@@ -60,7 +63,8 @@ def monomials_up_to(n: int, degree: int):
 # exactness against analytic moments
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n,degree", [(2, 8), (2, 15), (3, 8), (3, 13)])
+@pytest.mark.parametrize("n,degree", [(2, 8), (2, 15), (3, 8), (3, 13),
+                                      (4, 9), (5, 7)])
 def test_rule_integrates_monomials_to_exact_moments(n, degree):
     rule = sphere_rule(n, resolution_for_exactness(n, degree))
     assert rule.exactness >= degree
@@ -71,7 +75,7 @@ def test_rule_integrates_monomials_to_exact_moments(n, degree):
 
 
 def test_weights_are_positive_and_normalized():
-    for n in (2, 3):
+    for n in (2, 3, 4, 5):
         rule = sphere_rule(n, resolution_for_exactness(n, 10))
         assert np.all(rule.weights > 0)
         assert abs(np.sum(rule.weights) - 1.0) <= 1e-14
@@ -79,13 +83,69 @@ def test_weights_are_positive_and_normalized():
             <= 1e-13
 
 
-def test_monte_carlo_rule_for_n_four_is_seeded_and_statistical():
-    rule_a = sphere_rule(4, 20000, seed=11)
-    rule_b = sphere_rule(4, 20000, seed=11)
-    np.testing.assert_array_equal(rule_a.nodes, rule_b.nodes)
-    got = sphere_integral(lambda pts: pts[:, 0] ** 2, rule_a)
-    # E[x1^2] = 1/4; MC tolerance at 5 sigma-ish
-    assert abs(got - 0.25) <= 5.0 / math.sqrt(rule_a.count)
+def reference_plane_rule(n: int, resolution: int) -> tuple:
+    """Nodes and weights of the n = 2 and n = 3 rules as built before the
+    product recursion: the uniform circle, and Gauss-Legendre in the polar
+    cosine times the uniform 2L-angle azimuth."""
+    if n == 2:
+        theta = 2.0 * math.pi * np.arange(resolution) / resolution
+        return (np.column_stack([np.cos(theta), np.sin(theta)]),
+                np.full(resolution, 1.0 / resolution))
+    u, v = leggauss(resolution)
+    m_az = 2 * resolution
+    phi = 2.0 * math.pi * np.arange(m_az) / m_az
+    s = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    nodes = np.empty((resolution * m_az, 3))
+    weights = np.empty(resolution * m_az)
+    for i in range(resolution):
+        rows = slice(i * m_az, (i + 1) * m_az)
+        nodes[rows, 0] = s[i] * np.cos(phi)
+        nodes[rows, 1] = s[i] * np.sin(phi)
+        nodes[rows, 2] = u[i]
+        weights[rows] = v[i] / (2.0 * m_az)
+    return nodes, weights
+
+
+def test_circle_rule_is_bit_identical_to_the_reference():
+    for resolution in range(4, 200):
+        rule = sphere_rule(2, resolution)
+        nodes, weights = reference_plane_rule(2, resolution)
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.weights, weights)
+        assert (rule.exactness, rule.resolution, rule.kind) \
+            == (resolution - 1, resolution, "trapezoid")
+
+
+def test_three_dimensional_rule_matches_the_legendre_reference():
+    for resolution in range(4, 101):
+        rule = sphere_rule(3, resolution)
+        nodes, weights = reference_plane_rule(3, resolution)
+        assert np.max(np.abs(rule.nodes - nodes)) <= 1e-14
+        assert np.max(np.abs(rule.weights - weights)) <= 1e-14
+        assert (rule.exactness, rule.resolution, rule.kind) \
+            == (2 * resolution - 1, resolution, "gauss-product")
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("count", [4, 7, 42])
+def test_polar_rule_matches_scipy_gegenbauer_roots(lam, count):
+    # S^{k-1} carries the Gegenbauer weight (1 - t^2)^{lam - 1/2}, k = 2 lam + 2
+    t, w = quadrature._polar_rule(int(2 * lam + 2), count)
+    x, v = roots_gegenbauer(count, lam)
+    assert np.max(np.abs(t - x)) <= 1e-15
+    assert np.max(np.abs(w - v / np.sum(v))) <= 1e-14
+
+
+def test_rules_above_the_node_cap_are_refused_before_building():
+    cap = quadrature._MAX_NODES
+    for n, resolution in ((2, cap + 1), (2, 10 ** 12), (3, 1025), (4, 102),
+                          (6, 31), (10 ** 9, 4)):
+        with pytest.raises(ValueError, match="node cap"):
+            sphere_rule(n, resolution)
+    base = sphere_rule(3, 16)  # 512 nodes
+    lie_sphere_rule(base, cap // base.count)  # exactly at the cap
+    with pytest.raises(ValueError, match="node cap"):
+        lie_sphere_rule(base, cap // base.count + 1)
 
 
 def test_doubled_rule_keeps_family_and_doubles_resolution():
@@ -171,15 +231,14 @@ def test_angular_resolution_floor():
 # --------------------------------------------------------------------------
 
 def test_rule_serialization_round_trip_is_bit_exact():
-    for rule in (sphere_rule(2, 20), sphere_rule(3, 9),
-                 sphere_rule(4, 500, seed=3)):
+    for rule in (sphere_rule(2, 20), sphere_rule(3, 9), sphere_rule(4, 5)):
         data = json.loads(json.dumps(rule_to_json(rule)))
         back = rule_from_json(data)
         np.testing.assert_array_equal(back.nodes, rule.nodes)
         np.testing.assert_array_equal(back.weights, rule.weights)
         assert back.exactness == rule.exactness
         assert back.kind == rule.kind
-        assert back.seed == rule.seed
+        assert back.resolution == rule.resolution
 
 
 def test_lie_rule_serialization_round_trip():

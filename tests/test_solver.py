@@ -332,10 +332,13 @@ def test_choose_rule_untagged_needs_resolution():
     assert rule.resolution == 64
 
 
-def test_choose_rule_monte_carlo_for_high_dimension():
-    rule = choose_rule(4, 1, None, radius=0.5, tol=1e-6, seed=3)
-    assert rule.kind == "monte-carlo"
-    assert rule.seed == 3
+def test_choose_rule_tagged_covers_high_dimension():
+    q = MultiPoly.from_text("x1 x2 x4", n=4)
+    data = BoundaryData.from_polynomial(q, 2)
+    rule = choose_rule(4, 2, data, radius=0.5, tol=1e-10)
+    needed = 3 + kernels.truncation_degree(4, 2, 0.5, 1e-10) + 4
+    assert rule.exactness >= needed
+    assert rule.kind == "gauss-product"
 
 
 def test_choose_rule_rejects_bad_radius():

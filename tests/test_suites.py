@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from polyball.suites import SUITES, PropertyResult, run_suite
+from polyball.suites import (SUITES, PropertyResult, run_suite,
+                             suite_reproduction)
 
 EXPECTED_NAMES = {
     "route-agreement",
@@ -40,6 +41,14 @@ def test_each_suite_passes_at_default_tolerances(name):
 def test_reproduction_suite_passes():
     # the heaviest suite; run one configuration here, the rest in acceptance
     rows = run_suite("reproduction", n=2, p=2, seed=1)
+    assert all(r.passed for r in rows)
+
+
+def test_reproduction_suite_passes_in_four_dimensions():
+    # a reduced basis and point set; the default n = 4 run (148,176 nodes)
+    # is too slow for this suite
+    rows = suite_reproduction(n=4, p=1, seed=1, max_degree=4,
+                              points_per_sector=4)
     assert all(r.passed for r in rows)
 
 
