@@ -11,8 +11,10 @@ numeric columns
 preceded by command-specific input columns (always including ``status``).
 Empty reference/bound cells mark informational rows.  Table metadata carries
 the normalized configuration, its SHA-256 hash, package versions, and the
-serialized quadrature rule when one drove the run, so a report is enough to
-reproduce the run bit-identically.
+quadrature rule when one drove the run, recorded by its (n, resolution)
+and a digest of its nodes and weights (``quadrature.rule_to_json``).  A
+report rebuilds its rule bit for bit wherever ``sphere_rule`` yields the
+same bits; ``rule_from_json`` detects a rule that differs and refuses it.
 
 CSV cells print floats with 17 significant digits; the JSON emitter writes
 native floats.  Both parse back to identical binary values.
@@ -412,8 +414,12 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
         if "zonal" in cfg.data["kernels"]:
             B, x2, zb2 = kernels.pair_invariants(x, zeta)
             for m in cfg.data["degrees"]:
-                values = {route: complex(kernels.zonal_from_products(
-                    n, m, p, B, x2 * zb2, route)) for route in ROUTES}
+                try:  # the scale below reuses these float coefficients
+                    values = {route: complex(kernels.zonal_from_products(
+                        n, m, p, B, x2 * zb2, route)) for route in ROUTES}
+                except OverflowError as err:  # exact coefficients > 2^1024
+                    raise ConfigError(f"degree {m}: the zonal coefficients "
+                                      "overflow a double") from err
                 reference = values[ROUTE_GEGENBAUER_DIFF]
                 scale = max(1.0, suites._zonal_term_scale(n, m, p, B,
                                                           x2 * zb2))
@@ -447,13 +453,16 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _build_rule(cfg: RunConfig, where: str, auto_rule):
-    """The sphere rule of a dirichlet or hua-limit run: ``auto_rule()`` or
-    the configured resolution.  An unresolvable truncation, or a rule or
-    Lie-sphere rule above the node cap, is a configuration error."""
+def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
+                radius: float):
+    """The sphere rule of a dirichlet or hua-limit run: ``choose_rule`` for
+    degree-``degree`` data up to ``radius``, or the configured resolution.
+    An unresolvable truncation, or a rule or Lie-sphere rule above the node
+    cap, is a configuration error."""
     try:
         if cfg.data["resolution"] == "auto":
-            rule = auto_rule()  # SeriesToleranceError is a ValueError
+            rule = solver.choose_rule(  # SeriesToleranceError is a ValueError
+                cfg.n, p, degree, radius, max(cfg.row_tolerance / 10.0, 1e-13))
         else:
             rule = quadrature.sphere_rule(cfg.n, cfg.data["resolution"])
         if "angular" in cfg.data:
@@ -475,10 +484,8 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     points = [np.asarray(pt, dtype=float) for pt in cfg.data["points"]]
     radii = [float(np.linalg.norm(pt)) for pt in points]
     interior = [r < 1.0 - 1e-9 for r in radii]
-    admissible = [r for r, ok in zip(radii, interior) if ok]
-    radius = max(admissible) if admissible else 0.0
-    rule = _build_rule(cfg, f"radius {radius!r}", lambda: solver.choose_rule(
-        n, p, data, radius=radius, tol=max(tol / 10.0, 1e-13)))
+    radius = max([r for r, ok in zip(radii, interior) if ok], default=0.0)
+    rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius)
     coord_names = tuple(f"x{i + 1}" for i in range(n))
     table = ResultTable("dirichlet",
                         ("point", "sector") + coord_names + ("status",),
@@ -537,17 +544,11 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
     except ValueError as err:
         raise ConfigError(f"u polynomial: {err}") from err
     zc = np.array([complex(re, im) for re, im in cfg.data["z"]])
-    if not lie_norm(zc) < 1.0:
+    radius, p_list = lie_norm(zc), cfg.data["p_list"]
+    if not radius < 1.0:
         raise ConfigError("z must lie in the open Lie ball")
-    p_list = cfg.data["p_list"]
-
-    def auto_rule():
-        trunc = kernels.truncation_degree(n, max(p_list), lie_norm(zc),
-                                          max(tol / 10.0, 1e-13))
-        return quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
-            n, max(u.degree(), 0) + trunc + 4))
-
-    rule = _build_rule(cfg, f"Lie norm {lie_norm(zc)!r}", auto_rule)
+    rule = _build_rule(cfg, f"Lie norm {radius!r}", max(p_list), u.degree(),
+                       radius)
     result = solver.polyharmonic_limit_experiment(
         u, zc, p_list, rule, angular=cfg.data["angular"])
     table = ResultTable("hua-limit", ("p", "status"), _metadata(cfg, rule))

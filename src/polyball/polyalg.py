@@ -650,10 +650,8 @@ def almansi_reassemble(components: list, n: int, p: int = 1) -> MultiPoly:
         raise ValueError("p must be >= 1")
     out = MultiPoly.zero(n, exact=all(c.exact for c in components) if components else True)
     r2p = MultiPoly.radial_square(n, out.exact) ** p
-    weight = MultiPoly.constant(n, 1 if out.exact else 1.0, out.exact)
-    for comp in components:
-        out = out + weight * comp
-        weight = weight * r2p
+    for comp in reversed(components):  # Horner in |x|^{2p}
+        out = r2p * out + comp
     return out
 
 
@@ -673,10 +671,8 @@ def polyharmonic_almansi(q: MultiPoly, p: int) -> list:
     groups = []
     for start in range(0, len(ladder), p):
         block = MultiPoly.zero(q.n)
-        weight = MultiPoly.constant(q.n, 1)
-        for u in ladder[start:start + p]:
-            block = block + weight * u
-            weight = weight * r2
+        for u in reversed(ladder[start:start + p]):  # Horner in |x|^2
+            block = r2 * block + u
         groups.append(block)
     return groups
 

@@ -19,6 +19,7 @@ the copies.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -265,8 +266,17 @@ def lie_sphere_integral(F, rule: LieSphereRule) -> complex:
 # serialization
 # --------------------------------------------------------------------------
 
+def _digest(rule: SphereRule) -> str:
+    """SHA-256 of the little-endian float64 nodes, then weights."""
+    digest = hashlib.sha256(rule.nodes.astype("<f8").tobytes())
+    digest.update(rule.weights.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
 def rule_to_json(rule) -> dict:
-    """JSON-ready dict; node/weight floats survive round-trip bit-exactly."""
+    """JSON-ready record of a rule: a sphere rule is a pure function of
+    (n, resolution), recorded with a digest of its nodes and weights so
+    that a platform whose rebuilt rule differs in any bit is detected."""
     if isinstance(rule, LieSphereRule):
         return {
             "type": "lie-sphere",
@@ -280,22 +290,26 @@ def rule_to_json(rule) -> dict:
             "kind": rule.kind,
             "resolution": rule.resolution,
             "exactness": rule.exactness,
-            "nodes": [list(row) for row in rule.nodes.tolist()],
-            "weights": rule.weights.tolist(),
+            "count": rule.count,
+            "sha256": _digest(rule),
         }
     raise TypeError(f"not a rule: {type(rule).__name__}")
 
 
 def rule_from_json(data: dict):
-    if data.get("type") == "lie-sphere":
-        return LieSphereRule(rule_from_json(data["base"]), data["angular"])
-    if data.get("type") == "sphere":
-        return SphereRule(
-            n=data["n"],
-            nodes=np.array(data["nodes"], dtype=float),
-            weights=np.array(data["weights"], dtype=float),
-            exactness=data["exactness"],
-            kind=data["kind"],
-            resolution=data["resolution"],
-        )
-    raise ValueError("unrecognized rule serialization")
+    """Rebuild a rule from its ``rule_to_json`` record.  ValueError when a
+    key is missing or the rebuilt rule's kind, exactness, count or digest
+    differs from the record."""
+    try:
+        if data.get("type") == "lie-sphere":
+            return LieSphereRule(rule_from_json(data["base"]), data["angular"])
+        if data.get("type") != "sphere":
+            raise ValueError("unrecognized rule serialization")
+        record = (data["kind"], data["exactness"], data["count"],
+                  data["sha256"])
+        rule = sphere_rule(data["n"], data["resolution"])
+    except KeyError as err:
+        raise ValueError(f"rule record lacks {err}") from err
+    if (rule.kind, rule.exactness, rule.count, _digest(rule)) != record:
+        raise ValueError("the rebuilt rule differs from its record")
+    return rule

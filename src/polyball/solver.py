@@ -56,8 +56,8 @@ class BoundaryData:
 
     Per-sector evaluators take an (R, n) array of real sphere points and
     return complex values of f on e^{ij pi/p} * points.  When built from a
-    polynomial, the polynomial is kept as a tag enabling degree-aware rule
-    selection; tagged constructions are spot-checked against the tag.
+    polynomial, the polynomial is kept as a tag that the evaluators are
+    spot-checked against; rule sizing (``choose_rule``) does not read it.
     """
 
     def __init__(self, evaluators, n: int, tag: MultiPoly | None = None):
@@ -87,11 +87,6 @@ class BoundaryData:
             return lambda pts: q.eval_at(pts, phase=phase)
 
         return cls([make(j) for j in range(p)], q.n, tag=q)
-
-    @classmethod
-    def from_sector_callables(cls, fns, n: int,
-                              tag: MultiPoly | None = None) -> "BoundaryData":
-        return cls(fns, n, tag=tag)
 
     def _spot_check(self):
         rng = np.random.default_rng(7)
@@ -370,23 +365,14 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
 # rule selection
 # --------------------------------------------------------------------------
 
-def choose_rule(n: int, p: int, f: BoundaryData | None, radius: float,
-                tol: float,
-                resolution: int | None = None) -> quadrature.SphereRule:
-    """Select a sphere rule for Poisson integrals at the given radius.
-
-    Tagged (polynomial) data picks exactness degree d + M + 4 where M is the
-    certified kernel truncation degree at r = radius and d the data degree.
-    Untagged data requires an explicit ``resolution`` (callers should verify
-    convergence by doubling).  A rule above the node cap raises ValueError.
-    """
+def choose_rule(n: int, p: int, degree: int, radius: float,
+                tol: float) -> quadrature.SphereRule:
+    """The one rule-sizing policy: for Poisson integrals of data of degree
+    d = ``degree`` up to ``radius``, exactness d + M + 4 with M the certified
+    kernel truncation degree at r = radius.  An unresolvable truncation or a
+    rule above the node cap raises ValueError."""
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must be in [0, 1)")
-    if f is not None and f.tag is not None:
-        d = max(f.tag.degree(), 0)
-        m_trunc = kernels.truncation_degree(n, p, radius, tol)
-        return quadrature.sphere_rule(
-            n, quadrature.resolution_for_exactness(n, d + m_trunc + 4))
-    if resolution is None:
-        raise ValueError("untagged boundary data needs an explicit resolution")
-    return quadrature.sphere_rule(n, resolution)
+    m_trunc = kernels.truncation_degree(n, p, radius, tol)
+    return quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
+        n, max(degree, 0) + m_trunc + 4))

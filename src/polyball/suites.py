@@ -303,9 +303,7 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     """Poisson integrals reproduce every basis element of H_m^p at
     interior points, with an exact-degree rule."""
     rng = np.random.default_rng(seed)
-    exactness = max_degree + kernels.truncation_degree(n, p, radius, 1e-11) + 4
-    rule = quadrature.sphere_rule(
-        n, quadrature.resolution_for_exactness(n, exactness))
+    rule = solver.choose_rule(n, p, max_degree, radius, 1e-11)
     xs = [RotatedVector.sector(j, p, rng.uniform(0.1, radius)
                                * _unit_coords(rng, n))
           for j in range(p) for _ in range(points_per_sector)]
@@ -354,9 +352,7 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     """Prescribed sphere integrals of the Poisson kernel over each rotated
     copy: the per-sector identity and its unit average."""
     rng = np.random.default_rng(seed)
-    exactness = kernels.truncation_degree(n, p, radius, 1e-12) + 4
-    rule = quadrature.sphere_rule(
-        n, quadrature.resolution_for_exactness(n, exactness))
+    rule = solver.choose_rule(n, p, 0, radius, 1e-12)
     samples = [rng.uniform(0.1, radius) * _unit_coords(rng, n)
                for _ in range(points)]
     # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once

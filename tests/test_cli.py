@@ -12,9 +12,11 @@ import csv
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from polyball import cli
+from polyball import cli, quadrature, solver
+from polyball.geometry import lie_norm
 
 VALUE_COLS = ["value_re", "value_im", "reference_re", "reference_im",
               "abs_error", "bound"]
@@ -148,6 +150,22 @@ def test_kernel_sector_index_range_is_validated(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("n,p,degree", [(2, 1, 1500), (5, 2, 800)])
+def test_kernel_degree_past_double_range_is_config_error(tmp_path, capsys,
+                                                         n, p, degree):
+    # the exact zonal coefficients are built (no recursion limit) but do
+    # not fit a double
+    code, text = run(tmp_path, "kernel",
+                     {"n": n, "p": p, "x": [0.1] * n,
+                      "zeta": [1] + [0] * (n - 1), "degrees": [degree],
+                      "kernels": ["zonal"]})
+    assert code == cli.EXIT_CONFIG
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: degree {degree}: the zonal coefficients")
+    assert err.count("\n") == 1
+
+
 # --------------------------------------------------------------------------
 # dirichlet command
 # --------------------------------------------------------------------------
@@ -218,6 +236,26 @@ def test_dirichlet_explicit_resolution_is_used(tmp_path):
     assert json.loads(text)["metadata"]["rule"]["resolution"] == 64
 
 
+def assert_records(record, rule):
+    """The rule record holds no array and rebuilds ``rule`` bit for bit."""
+    assert not any(isinstance(v, list) for v in record.values())
+    back = quadrature.rule_from_json(record)
+    np.testing.assert_array_equal(back.nodes, rule.nodes)
+    np.testing.assert_array_equal(back.weights, rule.weights)
+
+
+def test_dirichlet_table_records_its_rule_compactly(tmp_path):
+    points = [[0.05 * k, -0.03 * k, 0.02] for k in range(16)]
+    code, text = run(tmp_path, "dirichlet",
+                     {"n": 3, "p": 2, "boundary": "x1^2 - x2^2 + x1 x3",
+                      "points": points})
+    assert code == 0
+    assert len(text.encode()) < 10_000
+    radius = max(float(np.linalg.norm(pt)) for pt in points)
+    assert_records(json.loads(text)["metadata"]["rule"],
+                   solver.choose_rule(3, 2, 2, radius, 1e-10))
+
+
 def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
     code, text = run(tmp_path, "dirichlet",
                      {"n": 4, "p": 1,
@@ -228,7 +266,7 @@ def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
     obj = json.loads(text)
     rule = obj["metadata"]["rule"]
     assert rule["kind"] == "gauss-product"
-    assert len(rule["weights"]) == 9826  # 2 * 17^3: exactness 33
+    assert rule["count"] == 9826  # 2 * 17^3: exactness 33
     assert "seed" not in rule
     for row in obj["rows"]:
         d = dict(zip(obj["columns"], row))
@@ -300,6 +338,10 @@ def test_hua_limit_table_shape_and_trailing_row(tmp_path):
     errs = [dict(zip(obj["columns"], r))["abs_error"] for r in obj["rows"]]
     assert all(b <= a + 1e-12 for a, b in zip(errs[:-2], errs[1:-1]))
     assert errs[0] == pytest.approx(0.4, abs=1e-9)
+    record = obj["metadata"]["rule"]
+    assert record["type"] == "sphere"
+    assert_records(record, solver.choose_rule(
+        2, 8, 2, lie_norm(np.array([0.4, 0.2])), 1e-7))
 
 
 def test_hua_limit_constant_data_has_zero_errors(tmp_path):

@@ -254,6 +254,20 @@ def test_rule_from_json_rejects_unknown_type():
         rule_from_json({"type": "cube"})
 
 
+def test_rule_from_json_rejects_records_that_do_not_rebuild():
+    rule = sphere_rule(3, 6)
+    record = rule_to_json(rule)
+    tampered = dict(record, sha256=record["sha256"][::-1])
+    other = dict(record, resolution=7)
+    old_format = {key: record[key]
+                  for key in ("type", "n", "kind", "resolution", "exactness")}
+    old_format.update(nodes=rule.nodes.tolist(), weights=rule.weights.tolist())
+    lie = {"type": "lie-sphere", "angular": 8, "base": tampered}
+    for bad in (tampered, other, old_format, lie):
+        with pytest.raises(ValueError):
+            rule_from_json(bad)
+
+
 def test_compensated_sum_beats_naive_on_cancelling_terms():
     terms = [1e16, 3.14159, -1e16]
     assert compensated_sum(terms) == pytest.approx(3.14159, abs=1e-12)

@@ -75,9 +75,7 @@ def test_boundary_data_sector_values_are_cached_per_rule():
 @pytest.mark.parametrize("n,p,m", [(2, 1, 4), (2, 2, 5), (3, 2, 3)])
 def test_poisson_integral_reproduces_polyharmonic_basis(n, p, m):
     rng = np.random.default_rng(1000 + n + 10 * p + 100 * m)
-    rule = choose_rule(n, p, BoundaryData.from_polynomial(
-        MultiPoly.monomial(n, (m,) + (0,) * (n - 1), 1), p),
-        radius=0.6, tol=1e-11)
+    rule = choose_rule(n, p, m, radius=0.6, tol=1e-11)
     for q in polyharmonic_basis(n, m, p)[:4]:
         data = BoundaryData.from_polynomial(q, p)
         for x in interior_points(n, p, 5, rng):
@@ -90,7 +88,7 @@ def test_dirichlet_solve_matches_poisson_integral():
     q = MultiPoly.from_text("x1^2 - x2^2 + x1 x2", n=2)
     p = 2
     data = BoundaryData.from_polynomial(q, p)
-    rule = choose_rule(2, p, data, radius=0.7, tol=1e-11)
+    rule = choose_rule(2, p, q.degree(), radius=0.7, tol=1e-11)
     pts = interior_points(2, p, 12, np.random.default_rng(5), rmax=0.7)
     sol = dirichlet_solve(data, pts, rule)
     for x, v in zip(pts, sol.values):
@@ -102,7 +100,7 @@ def test_dirichlet_solve_matches_poisson_integral():
 def test_dirichlet_solution_evaluate_extends_to_new_points():
     q = MultiPoly.from_text("x1", n=2)
     data = BoundaryData.from_polynomial(q, 1)
-    rule = choose_rule(2, 1, data, radius=0.5, tol=1e-11)
+    rule = choose_rule(2, 1, q.degree(), radius=0.5, tol=1e-11)
     sol = dirichlet_solve(data, [np.array([0.2, 0.1])], rule)
     got = sol.evaluate(np.array([0.3, 0.4]))
     assert got == pytest.approx(0.3, abs=1e-10)
@@ -160,7 +158,7 @@ def operator_case(n: int, p: int):
     rng = np.random.default_rng(200 + 10 * n + p)
     basis = [q for m in range(4) for q in polyharmonic_basis(n, m, p)]
     data = [BoundaryData.from_polynomial(q, p) for q in basis[::2]]
-    rule = choose_rule(n, p, data[-1], radius=0.7, tol=1e-11)
+    rule = choose_rule(n, p, data[-1].tag.degree(), radius=0.7, tol=1e-11)
     return data, interior_points(n, p, 7, rng, rmax=0.7), rule
 
 
@@ -226,7 +224,7 @@ def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
 def test_poisson_integral_of_constant_is_one():
     for p in (1, 2, 3):
         data = BoundaryData.from_polynomial(MultiPoly.constant(2, 1), p)
-        rule = choose_rule(2, p, data, radius=0.8, tol=1e-12)
+        rule = choose_rule(2, p, 0, radius=0.8, tol=1e-12)
         for x in interior_points(2, p, 6, np.random.default_rng(7),
                                  rmax=0.8):
             got = poisson_integral(data, x, rule)
@@ -317,25 +315,14 @@ def test_limit_experiment_validates_inputs():
 
 def test_choose_rule_tagged_covers_data_degree_plus_truncation():
     q = MultiPoly.from_text("x1^3", n=2)
-    data = BoundaryData.from_polynomial(q, 1)
-    rule = choose_rule(2, 1, data, radius=0.5, tol=1e-10)
+    rule = choose_rule(2, 1, q.degree(), radius=0.5, tol=1e-10)
     needed = 3 + kernels.truncation_degree(2, 1, 0.5, 1e-10) + 4
     assert rule.exactness >= needed
 
 
-def test_choose_rule_untagged_needs_resolution():
-    data = BoundaryData.from_sector_callables(
-        [lambda pts: np.ones(pts.shape[0], dtype=complex)], 2)
-    with pytest.raises(ValueError):
-        choose_rule(2, 1, data, radius=0.5, tol=1e-10)
-    rule = choose_rule(2, 1, data, radius=0.5, tol=1e-10, resolution=64)
-    assert rule.resolution == 64
-
-
 def test_choose_rule_tagged_covers_high_dimension():
     q = MultiPoly.from_text("x1 x2 x4", n=4)
-    data = BoundaryData.from_polynomial(q, 2)
-    rule = choose_rule(4, 2, data, radius=0.5, tol=1e-10)
+    rule = choose_rule(4, 2, q.degree(), radius=0.5, tol=1e-10)
     needed = 3 + kernels.truncation_degree(4, 2, 0.5, 1e-10) + 4
     assert rule.exactness >= needed
     assert rule.kind == "gauss-product"
@@ -343,4 +330,4 @@ def test_choose_rule_tagged_covers_high_dimension():
 
 def test_choose_rule_rejects_bad_radius():
     with pytest.raises(ValueError):
-        choose_rule(2, 1, None, radius=1.0, tol=1e-10)
+        choose_rule(2, 1, 0, radius=1.0, tol=1e-10)
