@@ -81,7 +81,6 @@ from .quadrature import (
     SphereRule,
     lie_sphere_rule,
     resolution_for_exactness,
-    rotated_inner_product,
     rule_from_json,
     rule_to_json,
     sphere_integral,
@@ -116,8 +115,8 @@ __all__ = [
     "poisson_kernel_series", "truncation_degree", "zonal_harmonic",
     "zonal_polyharmonic",
     "LieSphereRule", "SphereRule", "lie_sphere_rule",
-    "resolution_for_exactness", "rotated_inner_product", "rule_from_json",
-    "rule_to_json", "sphere_integral", "sphere_rule",
+    "resolution_for_exactness", "rule_from_json", "rule_to_json",
+    "sphere_integral", "sphere_rule",
     "BoundaryData", "DirichletSolution", "LimitExperiment", "choose_rule",
     "dirichlet_solve", "hua_reproduce", "poisson_integral",
     "polyharmonic_limit_experiment",

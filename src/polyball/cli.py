@@ -421,8 +421,8 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
                     raise ConfigError(f"degree {m}: the zonal coefficients "
                                       "overflow a double") from err
                 reference = values[ROUTE_GEGENBAUER_DIFF]
-                scale = max(1.0, suites._zonal_term_scale(n, m, p, B,
-                                                          x2 * zb2))
+                scale = max(1.0, kernels._zonal_term_scale(n, m, p, B,
+                                                           x2 * zb2))
                 for route in ROUTES:
                     gap = max(abs(values[route] - values[other])
                               for other in ROUTES if other != route)
@@ -479,7 +479,7 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
         q = MultiPoly.from_text(cfg.data["boundary"], n=n)
     except ValueError as err:
         raise ConfigError(f"boundary polynomial: {err}") from err
-    data = solver.BoundaryData.from_polynomial(q, p)
+    data = solver.BoundaryData(q, p)
     reproduces = polyalg.is_polyharmonic(q, p)
     points = [np.asarray(pt, dtype=float) for pt in cfg.data["points"]]
     radii = [float(np.linalg.norm(pt)) for pt in points]

@@ -219,6 +219,15 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
     raise ValueError(f"unknown route {route!r}")
 
 
+def _zonal_term_scale(n: int, m: int, p: int, B: complex, P: complex) -> float:
+    """Magnitude budget of the monomial expansion sum_k c_k B^{m-2k} P^k;
+    route gaps are measured against it so that cancellation-heavy points do
+    not inflate relative errors beyond what double precision can express."""
+    coeffs = _float_coeffs(n, m, p, False)
+    return float(sum(abs(c) * abs(B) ** (m - 2 * k) * abs(P) ** k
+                     for k, c in enumerate(coeffs)))
+
+
 def zonal_polyharmonic(params: KernelParams, x, zeta,
                        route: str = ROUTE_GEGENBAUER_DIFF) -> complex:
     """Reproducing kernel of degree-m order-p polyharmonics on the
@@ -243,10 +252,10 @@ def _require_sector_sphere(zeta, p: int) -> RotatedVector:
     return zeta
 
 
-def _require_sector_interior(x, p: int, margin: float = 0.0) -> RotatedVector:
+def _require_sector_interior(x, p: int) -> RotatedVector:
     x = as_rotated(x)
     x.sector_index(p)
-    if not x.radius < 1.0 - margin:
+    if not x.radius < 1.0:
         raise ValueError("x must lie strictly inside the rotated unit balls")
     return x
 

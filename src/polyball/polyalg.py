@@ -793,10 +793,11 @@ def harmonic_basis(n: int, m: int, orthonormal: bool = False,
     for vec, poly in zip(values, numeric):
         v, q = vec, poly
         for ov, oq in zip(ortho_vals, ortho_polys):
-            coef = quad.weighted_dot(rule, v, ov)
+            coef = quad.compensated_sum(rule.weights * v * np.conj(ov))
             v = v - coef * ov
             q = q - coef * oq
-        norm = math.sqrt(abs(quad.weighted_dot(rule, v, v)))
+        norm = math.sqrt(abs(quad.compensated_sum(rule.weights * v
+                                                  * np.conj(v))))
         if norm < 1e-12:
             raise ArithmeticError("rank collapse during orthonormalization")
         ortho_vals.append(v / norm)

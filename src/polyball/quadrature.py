@@ -1,4 +1,4 @@
-"""Quadrature on unit spheres, rotated-sphere unions, and the Lie sphere.
+"""Quadrature rules on unit spheres and the Lie sphere, and their reductions.
 
 Rules are deterministic per (n, resolution):
 
@@ -13,8 +13,9 @@ All surface measures are normalized (total mass 1).  Integral reductions go
 through ``compensated_sum``, a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J.
 Sci. Comput. 26(6), 2005): deterministic, and as accurate as a sum carried
 in twice the working precision; each product term keeps its own rounding.
-Sums over rotated copies reduce along the node axis first, then across
-the copies.
+Sums over rotated copies of the sphere (Lie-sphere angles here, the rotated
+sectors in ``solver``) reduce along the node axis first, then across the
+copies.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ __all__ = [
     "resolution_for_exactness",
     "compensated_sum",
     "sphere_integral",
-    "weighted_dot",
-    "rotated_inner_product",
     "lie_sphere_integral",
     "rule_to_json",
     "rule_from_json",
@@ -210,38 +209,6 @@ def sphere_integral(f, rule: SphereRule) -> complex:
     """
     values = _values_on(rule, f)
     return compensated_sum(rule.weights * values)
-
-
-def weighted_dot(rule: SphereRule, u, v) -> complex:
-    """<u, v>_S = integral of u * conj(v) for node-value arrays u, v."""
-    return compensated_sum(rule.weights * np.asarray(u, dtype=complex)
-                           * np.conj(np.asarray(v, dtype=complex)))
-
-
-def _sector_values(f, j: int, rule: SphereRule) -> np.ndarray:
-    if hasattr(f, "sector_values"):
-        values = f.sector_values(j, rule)
-    else:
-        values = f(j, rule.nodes)
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (rule.count,):
-        raise ValueError("sector values must match the rule's node count")
-    return values
-
-
-def rotated_inner_product(f, g, p: int, rule: SphereRule) -> complex:
-    """Hermitian inner product over the union of p rotated spheres.
-
-    (1/p) sum_j integral_S f(e^{ij pi/p} zeta) conj(g(e^{ij pi/p} zeta)).
-    ``f`` and ``g`` are either callables (j, nodes) -> values or objects
-    with a ``sector_values(j, rule)`` method.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    fv = np.array([_sector_values(f, j, rule) for j in range(p)])
-    gv = np.array([_sector_values(g, j, rule) for j in range(p)])
-    return compensated_sum(compensated_sum(
-        rule.weights * fv * np.conj(gv), axis=-1)) / p
 
 
 def lie_sphere_integral(F, rule: LieSphereRule) -> complex:

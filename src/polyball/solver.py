@@ -1,9 +1,9 @@
 """Dirichlet solver and reproduction integrals on rotated sphere unions.
 
-Boundary data lives on the union of p rotated unit spheres: a function is a
-list of per-sector evaluators f_j(nodes) giving values of f on the sector
-e^{ij pi/p} S.  ``BoundaryData`` caches node values per (rule, sector), so
-repeated solves against the same rule reuse every evaluation.
+Boundary data is a polynomial q restricted to the union of p rotated unit
+spheres: on the sector e^{ij pi/p} S its values are q(e^{ij pi/p} zeta).
+``BoundaryData`` caches node values per (rule, sector), so repeated solves
+against the same rule reuse every evaluation.
 
 Every integral goes through one kernel operator: the data-independent
 kernel is built from the pair invariants (B, x2 * zb2) once per bounded
@@ -11,7 +11,8 @@ block of points x sectors x nodes, shared by every datum, and weights *
 kernel * data is reduced along the node axis by the compensated
 ``quadrature.compensated_sum``.  ``poisson_integrals``, ``dirichlet_solve``
 and ``hua_integrals`` batch points and data; ``poisson_integral`` and
-``hua_reproduce`` are their 1 x 1 cases.
+``hua_reproduce`` are their 1 x 1 cases, and ``spectral_component`` pairs
+the data with the zonal polyharmonic Z_m^p.
 
 Two independent evaluation routes compute the same solution:
 
@@ -32,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels, quadrature
-from .geometry import (RotatedVector, as_complex_vector, as_rotated,
-                       bilinear_square, lie_norm)
+from .geometry import RotatedVector, as_complex_vector, as_rotated, lie_norm
 from .polyalg import MultiPoly
 
 __all__ = [
@@ -52,63 +52,29 @@ __all__ = [
 
 
 class BoundaryData:
-    """Function on the union of p rotated unit spheres.
+    """Restriction of a polynomial q to the union of p rotated unit spheres.
 
-    Per-sector evaluators take an (R, n) array of real sphere points and
-    return complex values of f on e^{ij pi/p} * points.  When built from a
-    polynomial, the polynomial is kept as a tag that the evaluators are
-    spot-checked against; rule sizing (``choose_rule``) does not read it.
+    ``sector_values(j, rule)`` gives q(e^{ij pi/p} node) at the rule's
+    nodes; callers size the rule (``choose_rule``) from q's degree.
     """
 
-    def __init__(self, evaluators, n: int, tag: MultiPoly | None = None):
-        evaluators = list(evaluators)
-        if not evaluators:
-            raise ValueError("need at least one sector evaluator")
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        self.p = len(evaluators)
-        self.n = n
-        self.tag = tag
-        self._evaluators = evaluators
-        self._cache: dict = {}
-        if tag is not None:
-            if tag.n != n:
-                raise ValueError("tag dimension mismatch")
-            self._spot_check()
-
-    @classmethod
-    def from_polynomial(cls, q: MultiPoly, p: int) -> "BoundaryData":
-        """Restriction of a polynomial to the union of p rotated spheres."""
+    def __init__(self, q: MultiPoly, p: int):
         if p < 1:
             raise ValueError("p must be >= 1")
-
-        def make(j):
-            phase = np.exp(1j * j * math.pi / p)
-            return lambda pts: q.eval_at(pts, phase=phase)
-
-        return cls([make(j) for j in range(p)], q.n, tag=q)
-
-    def _spot_check(self):
-        rng = np.random.default_rng(7)
-        pts = rng.standard_normal((10, self.n))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        scale = max(1.0, self.tag.coefficient_scale())
-        for j in range(self.p):
-            got = np.asarray(self._evaluators[j](pts), dtype=complex)
-            want = self.tag.eval_at(pts, phase=np.exp(1j * j * math.pi / self.p))
-            if np.max(np.abs(got - want)) > 1e-12 * scale:
-                raise ValueError(
-                    f"sector {j} evaluator disagrees with the polynomial tag")
+        self.p = p
+        self.n = q.n
+        self._q = q
+        self._cache: dict = {}
 
     def sector_values(self, j: int, rule: quadrature.SphereRule) -> np.ndarray:
-        """Values of f on sector j at the rule's nodes (cached per rule)."""
+        """Values of q on sector j at the rule's nodes (cached per rule)."""
         if not 0 <= j < self.p:
             raise ValueError("sector index out of range")
         key = (id(rule), j)
         cached = self._cache.get(key)
         if cached is None:
-            self._cache[key] = (rule, np.asarray(
-                self._evaluators[j](rule.nodes), dtype=complex))
+            self._cache[key] = (rule, self._q.eval_at(
+                rule.nodes, phase=np.exp(1j * j * math.pi / self.p)))
             cached = self._cache[key]
         return cached[1]
 
@@ -118,7 +84,8 @@ class BoundaryData:
 # --------------------------------------------------------------------------
 
 # Kernel routes: the closed-form Poisson kernel, its boundary form
-# (1 - x2^p) / (conj(phase) x - zeta)^{n}, and the Cauchy-Hua kernel.
+# (1 - x2^p) / (conj(phase) x - zeta)^{n}, and the Cauchy-Hua kernel.  A
+# pair (zonal route, m) is the zonal polyharmonic Z_m^p(z, phase * zeta).
 _POISSON, _BOUNDARY_FORM, _HUA = "poisson", "boundary-form", "hua"
 
 # Most kernel values, or (point, datum, node) products, one block holds.  It
@@ -137,7 +104,7 @@ def _dots(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return sum(zs[..., k, None] * nodes[:, k] for k in range(nodes.shape[1]))
 
 
-def _sector_kernels(route: str, p: int, zs: np.ndarray, phases: np.ndarray,
+def _sector_kernels(route, p: int, zs: np.ndarray, phases: np.ndarray,
                     nodes: np.ndarray) -> np.ndarray:
     """Kernels (P, S, R) between points zs (P, n) and every phases[s] *
     nodes[r], from x2 = z.z, B = conj(phase) (node . z) and
@@ -151,12 +118,16 @@ def _sector_kernels(route: str, p: int, zs: np.ndarray, phases: np.ndarray,
         v2 = np.sum(xk * xk, axis=2)[:, :, None] - 2.0 * _dots(xk, nodes) + rn
         return kernels.boundary_form_values(n, p, x2, v2)
     B = conj * _dots(zs, nodes)[:, None, :]
+    zb2 = conj ** 2 * rn
     if route == _POISSON:
-        return kernels.poisson_from_products(n, p, x2, B, conj ** 2 * rn)
-    return kernels.cauchy_hua_from_products(n, x2, B, conj ** 2 * rn)
+        return kernels.poisson_from_products(n, p, x2, B, zb2)
+    if route == _HUA:
+        return kernels.cauchy_hua_from_products(n, x2, B, zb2)
+    zonal, m = route
+    return kernels.zonal_from_products(n, m, p, B, x2 * zb2, zonal)
 
 
-def _integrate(route: str, p: int, zs: np.ndarray, phases: np.ndarray,
+def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
                rule: quadrature.SphereRule, data: list) -> np.ndarray:
     """(len(zs), len(data)) matrix of (1/S) sum_s int_S K(z_i, phases[s]
     zeta) f_d(phases[s] zeta) dsigma, where data[d](s) gives the values of
@@ -268,22 +239,16 @@ def spectral_component(f: BoundaryData, m: int, eta,
                        route: str = kernels.ROUTE_GEGENBAUER_DIFF) -> complex:
     """<f, Z_m^p(., eta)> over the rotated spheres: the degree-m spectral
     value of f at eta.  For f restricted from a degree-m order-p
-    polyharmonic q this equals q(eta)."""
+    polyharmonic q this equals q(eta).  By hermitian symmetry it is
+    (1/p) sum_j int_S Z_m^p(eta, e^{ij pi/p} zeta) f(e^{ij pi/p} zeta)."""
     if m < 0:
         return 0j
     eta_c = as_complex_vector(eta)
     if eta_c.size != f.n:
         raise ValueError("dimension mismatch")
-    zb2 = complex(np.conj(bilinear_square(eta_c)))
-    rn = np.sum(rule.nodes * rule.nodes, axis=1)
-    phases = _sector_phases(f.p)
-
-    def zfun(j, nodes):
-        B = phases[j] * (nodes @ np.conj(eta_c))
-        x2 = phases[j] ** 2 * rn
-        return kernels.zonal_from_products(f.n, m, f.p, B, x2 * zb2, route)
-
-    return quadrature.rotated_inner_product(f, zfun, f.p, rule)
+    return complex(_integrate(
+        (route, m), f.p, eta_c[None, :], _sector_phases(f.p), rule,
+        [lambda j: f.sector_values(j, rule)])[0, 0])
 
 
 # --------------------------------------------------------------------------

@@ -217,8 +217,9 @@ def test_orthonormal_harmonic_basis_has_identity_gram():
         basis = harmonic_basis(n, m, orthonormal=True,
                                rule=rule if explicit else None)
         vals = [b.eval_at(rule.nodes).astype(complex) for b in basis]
-        gram = np.array([[quadrature.weighted_dot(rule, u, v) for v in vals]
-                         for u in vals])
+        gram = np.array([[quadrature.compensated_sum(rule.weights * u
+                                                     * np.conj(v))
+                          for v in vals] for u in vals])
         np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
 
 

@@ -24,12 +24,10 @@ from polyball.quadrature import (
     lie_sphere_integral,
     lie_sphere_rule,
     resolution_for_exactness,
-    rotated_inner_product,
     rule_from_json,
     rule_to_json,
     sphere_integral,
     sphere_rule,
-    weighted_dot,
 )
 
 
@@ -153,43 +151,6 @@ def test_doubled_rule_keeps_family_and_doubles_resolution():
     twice = rule.doubled()
     assert twice.resolution == 32
     assert twice.kind == rule.kind
-
-
-# --------------------------------------------------------------------------
-# inner products on the rotated spheres
-# --------------------------------------------------------------------------
-
-def _poly_sampler(coeff, freq):
-    def f(j, nodes):
-        phase = np.exp(1j * j * np.pi / 2)
-        theta = np.arctan2(nodes[:, 1], nodes[:, 0])
-        return coeff * phase ** freq * np.exp(1j * freq * theta)
-    return f
-
-
-def test_rotated_inner_product_conjugate_symmetry():
-    rule = sphere_rule(2, 64)
-    f = _poly_sampler(1.3 + 0.2j, 3)
-    g = _poly_sampler(0.7 - 1.1j, 3)
-    a = rotated_inner_product(f, g, 2, rule)
-    b = rotated_inner_product(g, f, 2, rule)
-    assert abs(a - np.conj(b)) <= 1e-13 * max(1.0, abs(a))
-
-
-def test_rotated_inner_product_self_is_nonnegative():
-    rule = sphere_rule(2, 64)
-    f = _poly_sampler(0.9 + 0.4j, 2)
-    v = rotated_inner_product(f, f, 2, rule)
-    assert abs(v.imag) <= 1e-13 * max(1.0, abs(v))
-    assert v.real >= -1e-13
-
-
-def test_weighted_dot_matches_manual_sum():
-    rule = sphere_rule(3, 6)
-    u = rule.nodes[:, 0] + 1j * rule.nodes[:, 1]
-    v = rule.nodes[:, 2].astype(complex)
-    want = np.sum(rule.weights * u * np.conj(v))
-    assert weighted_dot(rule, u, v) == pytest.approx(want, abs=1e-15)
 
 
 # --------------------------------------------------------------------------

@@ -45,27 +45,25 @@ def interior_points(n: int, p: int, count: int, rng,
 # boundary data
 # --------------------------------------------------------------------------
 
-def test_boundary_data_from_polynomial_keeps_tag():
+def test_boundary_data_is_its_polynomial():
     q = MultiPoly.from_text("x1^2 - x2^2", n=2)
-    data = BoundaryData.from_polynomial(q, 2)
-    assert data.p == 2
-    assert data.tag is q
-
-
-def test_boundary_data_spot_check_rejects_mismatched_evaluators():
-    q = MultiPoly.from_text("x1", n=2)
-    wrong = [lambda pts: np.zeros(pts.shape[0], dtype=complex)]
+    data = BoundaryData(q, 2)
+    assert (data.n, data.p) == (2, 2)
     with pytest.raises(ValueError):
-        BoundaryData(wrong, 2, tag=q)
+        BoundaryData(q, 0)
 
 
 def test_boundary_data_sector_values_are_cached_per_rule():
     q = MultiPoly.from_text("x1^3", n=2)
-    data = BoundaryData.from_polynomial(q, 2)
+    data = BoundaryData(q, 2)
     rule = quadrature.sphere_rule(2, 16)
     first = data.sector_values(0, rule)
     second = data.sector_values(0, rule)
     assert first is second
+    for j in range(2):  # the polynomial's own values, bit for bit
+        np.testing.assert_array_equal(
+            data.sector_values(j, rule),
+            q.eval_at(rule.nodes, phase=np.exp(1j * j * math.pi / 2)))
 
 
 # --------------------------------------------------------------------------
@@ -77,7 +75,7 @@ def test_poisson_integral_reproduces_polyharmonic_basis(n, p, m):
     rng = np.random.default_rng(1000 + n + 10 * p + 100 * m)
     rule = choose_rule(n, p, m, radius=0.6, tol=1e-11)
     for q in polyharmonic_basis(n, m, p)[:4]:
-        data = BoundaryData.from_polynomial(q, p)
+        data = BoundaryData(q, p)
         for x in interior_points(n, p, 5, rng):
             got = poisson_integral(data, x, rule)
             want = q.evaluate(x)
@@ -87,7 +85,7 @@ def test_poisson_integral_reproduces_polyharmonic_basis(n, p, m):
 def test_dirichlet_solve_matches_poisson_integral():
     q = MultiPoly.from_text("x1^2 - x2^2 + x1 x2", n=2)
     p = 2
-    data = BoundaryData.from_polynomial(q, p)
+    data = BoundaryData(q, p)
     rule = choose_rule(2, p, q.degree(), radius=0.7, tol=1e-11)
     pts = interior_points(2, p, 12, np.random.default_rng(5), rmax=0.7)
     sol = dirichlet_solve(data, pts, rule)
@@ -99,7 +97,7 @@ def test_dirichlet_solve_matches_poisson_integral():
 
 def test_dirichlet_solution_evaluate_extends_to_new_points():
     q = MultiPoly.from_text("x1", n=2)
-    data = BoundaryData.from_polynomial(q, 1)
+    data = BoundaryData(q, 1)
     rule = choose_rule(2, 1, q.degree(), radius=0.5, tol=1e-11)
     sol = dirichlet_solve(data, [np.array([0.2, 0.1])], rule)
     got = sol.evaluate(np.array([0.3, 0.4]))
@@ -108,7 +106,7 @@ def test_dirichlet_solution_evaluate_extends_to_new_points():
 
 def test_dirichlet_rejects_exterior_and_off_sector_points():
     q = MultiPoly.from_text("x1", n=2)
-    data = BoundaryData.from_polynomial(q, 2)
+    data = BoundaryData(q, 2)
     rule = quadrature.sphere_rule(2, 16)
     with pytest.raises(ValueError):
         dirichlet_solve(data, [np.array([1.5, 0.0])], rule)
@@ -157,8 +155,8 @@ def operator_case(n: int, p: int):
     the rule choose_rule picks for them."""
     rng = np.random.default_rng(200 + 10 * n + p)
     basis = [q for m in range(4) for q in polyharmonic_basis(n, m, p)]
-    data = [BoundaryData.from_polynomial(q, p) for q in basis[::2]]
-    rule = choose_rule(n, p, data[-1].tag.degree(), radius=0.7, tol=1e-11)
+    data = [BoundaryData(q, p) for q in basis[::2]]
+    rule = choose_rule(n, p, basis[-1].degree(), radius=0.7, tol=1e-11)
     return data, interior_points(n, p, 7, rng, rmax=0.7), rule
 
 
@@ -223,7 +221,7 @@ def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
 
 def test_poisson_integral_of_constant_is_one():
     for p in (1, 2, 3):
-        data = BoundaryData.from_polynomial(MultiPoly.constant(2, 1), p)
+        data = BoundaryData(MultiPoly.constant(2, 1), p)
         rule = choose_rule(2, p, 0, radius=0.8, tol=1e-12)
         for x in interior_points(2, p, 6, np.random.default_rng(7),
                                  rmax=0.8):
@@ -234,7 +232,7 @@ def test_poisson_integral_of_constant_is_one():
 def test_spectral_component_recovers_polyharmonic_values():
     n, p, m = 2, 2, 4
     q = polyharmonic_basis(n, m, p)[1]
-    data = BoundaryData.from_polynomial(q, p)
+    data = BoundaryData(q, p)
     rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
         n, 2 * m + 4))
     rng = np.random.default_rng(9)
@@ -242,15 +240,16 @@ def test_spectral_component_recovers_polyharmonic_values():
         y = rng.standard_normal(n)
         eta = RotatedVector.sector(int(rng.integers(p)), p,
                                    y / np.linalg.norm(y))
-        got = spectral_component(data, m, eta.to_complex(), rule)
         want = q.evaluate(eta)
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        for route in kernels.ROUTES:  # each route's kernel at the nodes
+            got = spectral_component(data, m, eta.to_complex(), rule, route)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), route
 
 
 def test_spectral_components_sum_to_boundary_value():
     n, p = 2, 2
     q = MultiPoly.from_text("x1^3 + x1 x2 - 1/2 x2^2", n=2)
-    data = BoundaryData.from_polynomial(q, p)
+    data = BoundaryData(q, p)
     d = q.degree()
     rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
         n, 2 * d + 4))

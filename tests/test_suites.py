@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from polyball.suites import (SUITES, PropertyResult, run_suite,
-                             suite_reproduction)
+                             suite_far_cap, suite_reproduction)
 
 EXPECTED_NAMES = {
     "route-agreement",
@@ -50,6 +50,14 @@ def test_reproduction_suite_passes_in_four_dimensions():
     rows = suite_reproduction(n=4, p=1, seed=1, max_degree=4,
                               points_per_sector=4)
     assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (5, 2)])
+def test_far_cap_holds_up_to_radius_0999_in_higher_dimensions(n, p):
+    # the old distance-based far set failed here: cap-excess 0.75 at
+    # n = 4, p = 2 and 3.06 at p = 3
+    rows = suite_far_cap(n=n, p=p, seed=1)
+    assert all(r.passed for r in rows), rows
 
 
 def test_gegenbauer_suite_ignores_geometry_arguments():
