@@ -323,7 +323,7 @@ def poisson_boundary_form(x, zeta, k: int, p: int) -> complex:
 
 
 # --------------------------------------------------------------------------
-# series evaluation with certified truncation
+# series evaluation with calibrated truncation
 # --------------------------------------------------------------------------
 
 def _tail_sum_bound(n: int, r: float, M: int) -> float:
@@ -384,7 +384,7 @@ def truncation_degree(n: int, p: int, r: float, tol: float,
 
 def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
                           max_terms: int = 10000) -> KernelValue:
-    """Poisson kernel as sum_m Z_m^p(x, zeta), truncated with a certified tail.
+    """Poisson kernel as sum_m Z_m^p(x, zeta), truncated with a calibrated tail.
 
     Terms use the stable value form (C_m(t) - C_{m-2p}(t)) w^m with
     w^2 = x2 * zb2 and t = B / w (branch-independent).  The truncation M is

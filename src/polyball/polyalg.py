@@ -1,12 +1,10 @@
 """Polynomial algebra on C^n: Laplacians, Almansi decompositions, dimensions.
 
-Polynomials are sparse dicts mapping exponent tuples to coefficients, in one
-of two modes:
-
-* exact: coefficients are Gaussian rationals (``QQi``, a pair of Fractions).
-  Decomposition routines require this mode and produce exact results; Python
-  integers never overflow, so there is no precision failure mode.
-* numeric: coefficients are Python complex.
+Polynomials are sparse dicts mapping exponent tuples to Gaussian-rational
+coefficients (``QQi``, a pair of Fractions), so every result is exact; Python
+integers never overflow, so there is no precision failure mode.  A float
+coefficient is refused rather than rounded.  Evaluation converts each
+coefficient to a complex double.
 
 The Almansi ladder writes a homogeneous q of degree m uniquely as
 
@@ -19,9 +17,13 @@ is sum_j (-1)^j |x|^{2j} Delta^j f / (2^j j! prod_{i=1..j} (n + 2d - 2 - 2i))
 No linear system is solved.  Grouping the ladder in blocks of p gives the
 order-p decomposition with Delta^p-annihilated components.
 
+The orthonormal harmonic basis comes from an exact Gram-Schmidt under the
+exact sphere moments, with one float square root per element.
+
 Text format: terms joined by " + ", each term "c * x1^a1 x2^a2 ...", with
-rational coefficients "p/q" and complex ones "(re,im)".  Printing then
-parsing reproduces the polynomial bit-exactly in both modes.
+rational coefficients "p/q" and complex ones "(re,im)"; decimals such as
+"0.25" are read exactly.  Printing then parsing reproduces the polynomial
+exactly.
 """
 
 from __future__ import annotations
@@ -167,15 +169,17 @@ class QQi:
         return f"({self.re},{self.im})"
 
 
-def _as_scalar(value, exact: bool):
-    """Coerce a user coefficient to the mode's scalar type."""
-    if exact:
-        if isinstance(value, QQi):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QQi(value)
-        raise TypeError(f"exact mode needs int/Fraction/QQi, got {type(value).__name__}")
-    return complex(value)
+_ZERO = QQi()
+
+
+def _as_scalar(value) -> QQi:
+    """Coerce a user coefficient to QQi; floats are refused, not rounded."""
+    if isinstance(value, QQi):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return QQi(value)
+    raise TypeError("coefficients must be int/Fraction/QQi, got "
+                    f"{type(value).__name__}")
 
 
 # --------------------------------------------------------------------------
@@ -188,11 +192,11 @@ def _term_order(item):
 
 
 class MultiPoly:
-    """Sparse polynomial in n variables, exact (QQi) or numeric (complex)."""
+    """Sparse polynomial in n variables with exact (QQi) coefficients."""
 
-    __slots__ = ("n", "exact", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms=None, exact: bool = True):
+    def __init__(self, n: int, terms=None):
         if n < 2:
             raise ValueError("n must be >= 2")
         clean = {}
@@ -200,11 +204,10 @@ class MultiPoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for n={n}")
-            c = _as_scalar(c, exact)
+            c = _as_scalar(c)
             clean[exps] = clean[exps] + c if exps in clean else c
         clean = {e: c for e, c in clean.items() if c}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "exact", bool(exact))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *_):
@@ -213,56 +216,49 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n: int, exact: bool = True) -> "MultiPoly":
-        return cls(n, {}, exact)
+    def zero(cls, n: int) -> "MultiPoly":
+        return cls(n, {})
 
     @classmethod
-    def constant(cls, n: int, c, exact: bool = True) -> "MultiPoly":
-        return cls(n, {(0,) * n: c}, exact)
+    def constant(cls, n: int, c) -> "MultiPoly":
+        return cls(n, {(0,) * n: c})
 
     @classmethod
-    def variable(cls, n: int, i: int, exact: bool = True) -> "MultiPoly":
+    def variable(cls, n: int, i: int) -> "MultiPoly":
         if not 0 <= i < n:
             raise ValueError("variable index out of range")
         exps = [0] * n
         exps[i] = 1
-        return cls(n, {tuple(exps): 1 if exact else 1.0}, exact)
+        return cls(n, {tuple(exps): 1})
 
     @classmethod
-    def monomial(cls, n: int, exps, c=1, exact: bool = True) -> "MultiPoly":
-        return cls(n, {tuple(exps): c}, exact)
+    def monomial(cls, n: int, exps, c=1) -> "MultiPoly":
+        return cls(n, {tuple(exps): c})
 
     @classmethod
-    def radial_square(cls, n: int, exact: bool = True) -> "MultiPoly":
+    def radial_square(cls, n: int) -> "MultiPoly":
         """|x|^2 = x1^2 + ... + xn^2 (as a bilinear square of real x)."""
         terms = {}
         for i in range(n):
             exps = [0] * n
             exps[i] = 2
-            terms[tuple(exps)] = 1 if exact else 1.0
-        return cls(n, terms, exact)
+            terms[tuple(exps)] = 1
+        return cls(n, terms)
 
     # -- ring operations ---------------------------------------------------
-
-    def _check_mode(self, other: "MultiPoly"):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        if self.exact != other.exact:
-            raise ValueError("cannot mix exact and numeric polynomials; "
-                             "convert with to_numeric()")
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        self._check_mode(other)
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
         terms = dict(self.terms)
-        zero = _as_scalar(0, self.exact)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, zero) + c
-        return MultiPoly(self.n, terms, self.exact)
+            terms[e] = terms.get(e, _ZERO) + c
+        return MultiPoly(self.n, terms)
 
     def __neg__(self):
-        return MultiPoly(self.n, {e: -c for e, c in self.terms.items()}, self.exact)
+        return MultiPoly(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -271,23 +267,23 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
-            self._check_mode(other)
+            if self.n != other.n:
+                raise ValueError("dimension mismatch")
             terms = {}
-            zero = _as_scalar(0, self.exact)
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, zero) + c1 * c2
-            return MultiPoly(self.n, terms, self.exact)
-        c = _as_scalar(other, self.exact)
-        return MultiPoly(self.n, {e: v * c for e, v in self.terms.items()}, self.exact)
+                    terms[e] = terms.get(e, _ZERO) + c1 * c2
+            return MultiPoly(self.n, terms)
+        c = _as_scalar(other)
+        return MultiPoly(self.n, {e: v * c for e, v in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not polynomials")
-        out = MultiPoly.constant(self.n, 1 if self.exact else 1.0, self.exact)
+        out = MultiPoly.constant(self.n, 1)
         base = self
         while k:
             if k & 1:
@@ -299,26 +295,24 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.n == other.n and self.exact == other.exact
-                and self.terms == other.terms)
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, self.exact, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 
     def laplacian(self) -> "MultiPoly":
         """Sum of second partials; degree drops by 2."""
         terms = {}
-        zero = _as_scalar(0, self.exact)
         for exps, c in self.terms.items():
             for i, e in enumerate(exps):
                 if e >= 2:
                     new = list(exps)
                     new[i] = e - 2
                     key = tuple(new)
-                    terms[key] = terms.get(key, zero) + c * (e * (e - 1))
-        return MultiPoly(self.n, terms, self.exact)
+                    terms[key] = terms.get(key, _ZERO) + c * (e * (e - 1))
+        return MultiPoly(self.n, terms)
 
     # -- structure ---------------------------------------------------------
 
@@ -338,18 +332,11 @@ class MultiPoly:
         parts = {}
         for exps, c in self.terms.items():
             parts.setdefault(sum(exps), {})[exps] = c
-        return {d: MultiPoly(self.n, t, self.exact)
-                for d, t in sorted(parts.items())}
+        return {d: MultiPoly(self.n, t) for d, t in sorted(parts.items())}
 
     def coefficient_scale(self) -> float:
         """Largest coefficient modulus (0.0 for the zero polynomial)."""
         return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
-
-    def to_numeric(self) -> "MultiPoly":
-        if not self.exact:
-            return self
-        return MultiPoly(self.n, {e: complex(c) for e, c in self.terms.items()},
-                         exact=False)
 
     # -- evaluation --------------------------------------------------------
 
@@ -392,32 +379,22 @@ class MultiPoly:
             return "0"
         parts = []
         for exps, c in sorted(self.terms.items(), key=_term_order):
-            cs = _coeff_to_text(c, self.exact)
+            cs = str(c)
             factors = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
             parts.append(f"{cs} * {factors}" if factors else cs)
         return " + ".join(parts)
 
     @classmethod
-    def from_text(cls, text: str, n: int | None = None,
-                  exact: bool = True) -> "MultiPoly":
-        return _parse_poly(text, n, exact)
+    def from_text(cls, text: str, n: int | None = None) -> "MultiPoly":
+        return _parse_poly(text, n)
 
     def __repr__(self):
-        mode = "exact" if self.exact else "numeric"
-        return f"MultiPoly(n={self.n}, {mode}, {self.to_text()!r})"
+        return f"MultiPoly(n={self.n}, {self.to_text()!r})"
 
 
 # --------------------------------------------------------------------------
 # text format helpers
 # --------------------------------------------------------------------------
-
-def _coeff_to_text(c, exact: bool) -> str:
-    if exact:
-        return str(c)
-    if c.imag == 0.0:
-        return repr(c.real)
-    return f"({c.real!r},{c.imag!r})"
-
 
 _TOKEN = _re.compile(r"""
       (?P<var>x\d+)
@@ -442,10 +419,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, exact: bool):
+    def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
-        self.exact = exact
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else (None, None)
@@ -468,9 +444,7 @@ class _Parser:
         kind, val = self.next()
         if kind != "num":
             raise ValueError(f"polynomial text: expected a number, got {val!r}")
-        if self.exact:
-            return sign * Fraction(val)
-        return sign * float(Fraction(val) if "/" in val else val)
+        return sign * Fraction(val)
 
     def coefficient(self):
         if self.peek()[1] == "(":
@@ -479,11 +453,8 @@ class _Parser:
             self.expect(",")
             im_part = self.number()
             self.expect(")")
-            if self.exact:
-                return QQi(re_part, im_part)
-            return complex(re_part, im_part)
-        value = self.number(allow_sign=False)
-        return QQi(value) if self.exact else complex(value)
+            return QQi(re_part, im_part)
+        return QQi(self.number(allow_sign=False))
 
     def term(self):
         coeff = None
@@ -508,15 +479,15 @@ class _Parser:
         if coeff is None:
             if not factors:
                 raise ValueError("polynomial text: empty term")
-            coeff = QQi(1) if self.exact else 1.0 + 0j
+            coeff = QQi(1)
         return coeff, factors
 
 
-def _parse_poly(text: str, n: int | None, exact: bool) -> MultiPoly:
+def _parse_poly(text: str, n: int | None) -> MultiPoly:
     toks = _tokenize(text)
     if not toks:
         raise ValueError("polynomial text: empty input")
-    parser = _Parser(toks, exact)
+    parser = _Parser(toks)
     raw = []  # (coeff, factor-dict) pairs with signs folded in
     sign = 1
     while parser.peek()[1] in ("+", "-"):
@@ -539,14 +510,13 @@ def _parse_poly(text: str, n: int | None, exact: bool) -> MultiPoly:
     if max_idx + 1 > dim:
         raise ValueError(f"polynomial text: variable x{max_idx + 1} exceeds n={dim}")
     terms = {}
-    zero = _as_scalar(0, exact)
     for coeff, factors in raw:
         exps = [0] * dim
         for i, e in factors.items():
             exps[i] = e
         key = tuple(exps)
-        terms[key] = terms.get(key, zero) + coeff
-    return MultiPoly(dim, terms, exact)
+        terms[key] = terms.get(key, _ZERO) + coeff
+    return MultiPoly(dim, terms)
 
 
 # --------------------------------------------------------------------------
@@ -603,9 +573,7 @@ def _monomials(n: int, m: int) -> list:
 # Almansi decompositions
 # --------------------------------------------------------------------------
 
-def _require_exact_homogeneous(q: MultiPoly, what: str):
-    if not q.exact:
-        raise ValueError(f"{what} requires an exact-mode polynomial")
+def _require_homogeneous(q: MultiPoly, what: str):
     if not q.is_homogeneous():
         raise ValueError(f"{what} requires a homogeneous polynomial")
 
@@ -621,7 +589,7 @@ def harmonic_almansi(q: MultiPoly) -> list:
         c_0 = 1,  c_j = -c_{j-1} / (2j (n + 2d - 2 - 2j)),
         a_k = prod_{i=1..k} 2i (n + 2d + 2i - 2).
     """
-    _require_exact_homogeneous(q, "harmonic_almansi")
+    _require_homogeneous(q, "harmonic_almansi")
     if q.is_zero():
         return []
     n, m = q.n, q.degree()
@@ -648,8 +616,8 @@ def almansi_reassemble(components: list, n: int, p: int = 1) -> MultiPoly:
     """sum_k |x|^{2kp} * components[k]."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    out = MultiPoly.zero(n, exact=all(c.exact for c in components) if components else True)
-    r2p = MultiPoly.radial_square(n, out.exact) ** p
+    out = MultiPoly.zero(n)
+    r2p = MultiPoly.radial_square(n) ** p
     for comp in reversed(components):  # Horner in |x|^{2p}
         out = r2p * out + comp
     return out
@@ -663,7 +631,7 @@ def polyharmonic_almansi(q: MultiPoly, p: int) -> list:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    _require_exact_homogeneous(q, "polyharmonic_almansi")
+    _require_homogeneous(q, "polyharmonic_almansi")
     if q.is_zero():
         return []
     ladder = harmonic_almansi(q)
@@ -689,15 +657,13 @@ def polyharmonic_split(q: MultiPoly, p: int) -> tuple:
 
 
 def is_polyharmonic(q: MultiPoly, p: int) -> bool:
-    """Whether Delta^p q = 0 (exact test, or 1e-9 relative in numeric mode)."""
+    """Whether Delta^p q = 0, tested exactly."""
     if p < 1:
         raise ValueError("p must be >= 1")
     out = q
     for _ in range(p):
         out = out.laplacian()
-    if q.exact:
-        return out.is_zero()
-    return out.coefficient_scale() <= 1e-9 * max(1.0, q.coefficient_scale())
+    return out.is_zero()
 
 
 # --------------------------------------------------------------------------
@@ -764,42 +730,49 @@ def polyharmonic_basis(n: int, m: int, p: int) -> list:
     return _nullspace_basis(n, m, p)
 
 
-def harmonic_basis(n: int, m: int, orthonormal: bool = False,
-                   rule=None) -> list:
+def _sphere_moment(exps) -> Fraction:
+    """Normalized moment of x^exps on S^{n-1}, n = len(exps): for even exps
+    prod (e_i - 1)!! / (n (n+2) ... (n+|e|-2)), else 0 (Folland, Amer. Math.
+    Monthly 108, 2001)."""
+    if any(e % 2 for e in exps):
+        return Fraction(0)
+    n = len(exps)
+    odd_factorials = math.prod(math.prod(range(e - 1, 0, -2)) for e in exps)
+    return Fraction(odd_factorials, math.prod(range(n, n + sum(exps) - 1, 2)))
+
+
+def _sphere_inner(f: MultiPoly, g: MultiPoly) -> QQi:
+    """Exact <f, g> = int f conj(g) dsigma over the unit sphere (real x)."""
+    total = _ZERO
+    for a, c in f.terms.items():
+        for b, d in g.terms.items():
+            moment = _sphere_moment([x + y for x, y in zip(a, b)])
+            if moment:
+                total = total + c * d.conjugate() * moment
+    return total
+
+
+def harmonic_basis(n: int, m: int, orthonormal: bool = False) -> list:
     """Basis of the degree-m harmonic homogeneous polynomials.
 
     The raw basis is exact (rational coefficients) and deterministic, built
     from the reduced row echelon form of the Laplacian in graded-lex monomial
-    order.  With ``orthonormal=True`` the basis is Gram-Schmidt orthonormalized
-    under the normalized surface inner product on the unit sphere, realized by
-    a quadrature rule of exactness >= 2m (supplied or auto-built for any n).
-    Orthonormalized output is numeric mode.
+    order.  With ``orthonormal=True`` the raw basis is Gram-Schmidt
+    orthogonalized exactly under the normalized surface inner product on the
+    unit sphere, computed from exact sphere moments; each element is then
+    scaled by the exact rational of the double sqrt(1 / |q|^2), the one
+    rounding in the construction.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     raw = _nullspace_basis(n, m, 1)
     if not orthonormal:
         return raw
-    from . import quadrature as quad
-
-    if rule is None:
-        rule = quad.sphere_rule(n, quad.resolution_for_exactness(n, 2 * m))
-    if rule.exactness < 2 * m:
-        raise ValueError("rule exactness must cover degree 2m")
-    values = [b.eval_at(rule.nodes).astype(complex) for b in raw]
-    ortho_vals = []
-    ortho_polys = []
-    numeric = [b.to_numeric() for b in raw]
-    for vec, poly in zip(values, numeric):
-        v, q = vec, poly
-        for ov, oq in zip(ortho_vals, ortho_polys):
-            coef = quad.compensated_sum(rule.weights * v * np.conj(ov))
-            v = v - coef * ov
-            q = q - coef * oq
-        norm = math.sqrt(abs(quad.compensated_sum(rule.weights * v
-                                                  * np.conj(v))))
-        if norm < 1e-12:
-            raise ArithmeticError("rank collapse during orthonormalization")
-        ortho_vals.append(v / norm)
-        ortho_polys.append(q * (1.0 / norm))
-    return ortho_polys
+    ortho, norms = [], []
+    for b in raw:
+        q = b
+        for o, norm in zip(ortho, norms):
+            q = q - o * (_sphere_inner(b, o) / norm)
+        ortho.append(q)
+        norms.append(_sphere_inner(q, q).re)
+    return [q * Fraction(math.sqrt(1 / norm)) for q, norm in zip(ortho, norms)]

@@ -318,7 +318,7 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
         value = _poisson_value_at_complex(u, zc, int(p), rule)
         rows.append((int(p), value, abs(value - reference)))
     lie = quadrature.lie_sphere_rule(rule, angular)
-    hua_value = hua_reproduce(u.to_numeric(), zc, lie)
+    hua_value = hua_reproduce(u, zc, lie)
     return LimitExperiment(
         reference=complex(reference),
         rows=tuple(rows),
@@ -333,7 +333,7 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
 def choose_rule(n: int, p: int, degree: int, radius: float,
                 tol: float) -> quadrature.SphereRule:
     """The one rule-sizing policy: for Poisson integrals of data of degree
-    d = ``degree`` up to ``radius``, exactness d + M + 4 with M the certified
+    d = ``degree`` up to ``radius``, exactness d + M + 4 with M the calibrated
     kernel truncation degree at r = radius.  An unresolvable truncation or a
     rule above the node cap raises ValueError."""
     if not 0.0 <= radius < 1.0:

@@ -274,7 +274,7 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     lie = quadrature.lie_sphere_rule(base, angular)
     zs = np.array([_lie_point(rng, n, rng.uniform(0.2, lie_radius))
                    for _ in range(points)])
-    us = [MultiPoly.monomial(n, exps, 1, exact=False)
+    us = [MultiPoly.monomial(n, exps)
           for degree in range(max_degree + 1)
           for exps in polyalg._monomials(n, degree)]
     got = solver.hua_integrals(us, zs, lie)

@@ -1,8 +1,8 @@
 """Exact polynomial algebra: Laplacian, dimensions, Almansi splits.
 
 Oracles: sympy recomputes Laplacians and nullspace dimensions from scratch;
-hand-derived closed forms pin small decompositions.  Exact-mode polynomials
-carry Fraction coefficients, so reassembly and annihilation checks demand
+hand-derived closed forms pin small decompositions.  Polynomials carry
+Gaussian-rational coefficients, so reassembly and annihilation checks demand
 residual zero, not merely small.
 """
 
@@ -16,8 +16,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_quadrature import exact_moment, monomials_up_to
+
 from polyball.polyalg import (
     MultiPoly,
+    QQi,
+    _sphere_moment,
     almansi_reassemble,
     dim_H,
     dim_Hp,
@@ -60,12 +64,8 @@ def _exponents(n: int, m: int):
 def _sympy_poly(q: MultiPoly, symbols):
     expr = sympy.Integer(0)
     for exps, c in q.terms.items():
-        if hasattr(c, "re"):  # exact Gaussian rational coefficient
-            term = (sympy.Rational(c.re.numerator, c.re.denominator)
-                    + sympy.I * sympy.Rational(c.im.numerator,
-                                               c.im.denominator))
-        else:
-            term = sympy.nsimplify(c)
+        term = (sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
         for s, e in zip(symbols, exps):
             term *= s ** e
         expr += term
@@ -89,6 +89,16 @@ def test_from_text_examples():
     assert q.terms[(2, 0)] == 1
     assert q.terms[(1, 1)] == -2
     assert q.terms[(0, 0)] == Fraction(3, 4)
+
+
+def test_coefficients_are_exact_only():
+    with pytest.raises(TypeError):
+        MultiPoly.monomial(2, (1, 0), 0.5)
+    q = MultiPoly.variable(2, 0)
+    with pytest.raises(TypeError):
+        q * 0.5
+    assert MultiPoly.from_text("0.1 * x1", n=2).terms == {
+        (1, 0): QQi(Fraction(1, 10))}
 
 
 def test_from_text_rejects_unknown_symbols_with_position():
@@ -208,14 +218,19 @@ def test_polyharmonic_basis_is_exactly_annihilated(n, m, p):
         assert out.coefficient_scale() == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sphere_moments_match_the_test_oracle(n):
+    for exps in monomials_up_to(n, 8):
+        assert float(_sphere_moment(exps)) == exact_moment(n, exps), exps
+
+
 def test_orthonormal_harmonic_basis_has_identity_gram():
     from polyball import quadrature
 
-    for n, m, explicit in ((2, 4, True), (4, 3, False)):
+    for n, m in ((2, 4), (4, 3), (3, 6), (5, 4)):
         rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
             n, 2 * m))
-        basis = harmonic_basis(n, m, orthonormal=True,
-                               rule=rule if explicit else None)
+        basis = harmonic_basis(n, m, orthonormal=True)
         vals = [b.eval_at(rule.nodes).astype(complex) for b in basis]
         gram = np.array([[quadrature.compensated_sum(rule.weights * u
                                                      * np.conj(v))

@@ -177,7 +177,7 @@ def test_batched_operator_matches_per_sector_loop(n, p):
 def test_batched_hua_matches_per_angle_loop():
     rng = np.random.default_rng(41)
     lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(3, 8), 6)
-    us = [MultiPoly.from_text(t, n=3).to_numeric()
+    us = [MultiPoly.from_text(t, n=3)
           for t in ("1", "x1 x3", "x2^3 + (0,1) x1")]
     zs = [z * (0.5 / lie_norm(z)) for z in
           rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))]
@@ -201,7 +201,7 @@ def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
                                                          budget):
     data, points, rule = operator_case(2, 2)
     lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
-    us = [MultiPoly.from_text(t, n=2).to_numeric() for t in ("x1", "x2^2")]
+    us = [MultiPoly.from_text(t, n=2) for t in ("x1", "x2^2")]
     zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
 
     def results():
@@ -274,7 +274,7 @@ def test_hua_reproduce_monomials():
         2, 42))
     lie = quadrature.lie_sphere_rule(base, 32)
     for text in ("1", "x1^2", "x1 x2"):
-        u = MultiPoly.from_text(text, n=2).to_numeric()
+        u = MultiPoly.from_text(text, n=2)
         for _ in range(4):
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             z *= 0.5 / lie_norm(z)
