@@ -72,19 +72,33 @@ def principal_power(w, a):
     """Principal power w**a for real exponent a, same branch as principal_sqrt.
 
     Integer exponents are evaluated by plain powering (no branch involved).
-    Zero base requires a positive exponent.
+    A half-integer a = +-(k + 1/2), the kernel denominators at odd n, is
+    w^k * sqrt(w) or its reciprocal: one correctly rounded square root and
+    a few multiplications, cheaper and more accurate than exp(a log w).
+    Other exponents go through exp(a log w).  Zero base requires a positive
+    exponent.
     """
-    if float(a) == int(a):
+    a = float(a)
+    if a == int(a):
         res = np.asarray(w, dtype=complex) ** int(a)
         return complex(res) if np.ndim(w) == 0 else res
     arr = _canonical_complex(w)
     zero = arr == 0
-    if np.any(zero):
+    has_zero = bool(np.any(zero))
+    if has_zero:
         if a <= 0:
             raise ValueError("0 cannot be raised to a non-positive power")
-        res = np.where(zero, 0.0, np.exp(a * np.log(np.where(zero, 1.0, arr))))
+        arr = np.where(zero, 1.0, arr)
+    if 2 * a % 2 == 1:
+        res = np.sqrt(arr)
+        if abs(a) > 1:
+            res = arr ** int(abs(a)) * res
+        if a < 0:
+            res = 1.0 / res
     else:
         res = np.exp(a * np.log(arr))
+    if has_zero:
+        res = np.where(zero, 0.0, res)
     return complex(res) if np.ndim(w) == 0 else res
 
 

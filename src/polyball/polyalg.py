@@ -18,7 +18,8 @@ No linear system is solved.  Grouping the ladder in blocks of p gives the
 order-p decomposition with Delta^p-annihilated components.
 
 The orthonormal harmonic basis comes from an exact Gram-Schmidt under the
-exact sphere moments, with one float square root per element.
+exact sphere moments, within each parity class of exponents, with one float
+square root per element.
 
 Text format: terms joined by " + ", each term "c * x1^a1 x2^a2 ...", with
 rational coefficients "p/q" and complex ones "(re,im)"; decimals such as
@@ -357,20 +358,35 @@ class MultiPoly:
 
         ``phase`` is a complex scalar multiplying every point; it enters each
         term as phase**degree, which keeps rotated-point evaluation free of
-        unnecessary complex coordinate arithmetic when points are real.
+        unnecessary complex coordinate arithmetic when points are real.  A
+        1-d array of phases gives a (len(phase), R) array, row k equal bit
+        for bit to the call with phase[k]: every power and monomial column
+        is built once and shared by all phases.
         """
         pts = np.asarray(points)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError("points must have shape (R, n)")
-        out = np.zeros(pts.shape[0], dtype=complex)
-        phase = complex(phase)
+        # isinstance first: np.ndim alone costs a microsecond per call
+        scalar = isinstance(phase, (float, complex)) or np.ndim(phase) == 0
+        if not scalar and np.ndim(phase) != 1:
+            raise ValueError("phase must be a scalar or a 1-d array")
+        phases = [complex(phase)] if scalar else [complex(ph) for ph in phase]
+        out = np.zeros((len(phases), pts.shape[0]), dtype=complex)
+        powers = {}
         for exps, c in sorted(self.terms.items(), key=_term_order):
-            mono = np.ones(pts.shape[0], dtype=pts.dtype)
+            # a product started from 1.0, not a ones column: the two differ
+            # only in the sign of a zero, which adding into out erases
+            mono = 1.0
             for i, e in enumerate(exps):
                 if e:
-                    mono = mono * pts[:, i] ** e
-            out += (complex(c) * phase ** sum(exps)) * mono
-        return out
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = pts[:, i] ** e
+                    mono = mono * power
+            c, degree = complex(c), sum(exps)
+            for k, ph in enumerate(phases):
+                out[k] += (c * ph ** degree) * mono
+        return out[0] if scalar else out
 
     # -- text format -------------------------------------------------------
 
@@ -752,6 +768,12 @@ def _sphere_inner(f: MultiPoly, g: MultiPoly) -> QQi:
     return total
 
 
+def _parity_classes(f: MultiPoly) -> set:
+    """Exponent tuples mod 2 of f's terms; <f, g> = 0 when f's and g's
+    classes are disjoint, since a moment with an odd exponent vanishes."""
+    return {tuple(e % 2 for e in exps) for exps in f.terms}
+
+
 def harmonic_basis(n: int, m: int, orthonormal: bool = False) -> list:
     """Basis of the degree-m harmonic homogeneous polynomials.
 
@@ -761,18 +783,23 @@ def harmonic_basis(n: int, m: int, orthonormal: bool = False) -> list:
     orthogonalized exactly under the normalized surface inner product on the
     unit sphere, computed from exact sphere moments; each element is then
     scaled by the exact rational of the double sqrt(1 / |q|^2), the one
-    rounding in the construction.
+    rounding in the construction.  Monomials whose exponents differ in
+    parity are orthogonal, so only pairs sharing a parity class (exponents
+    mod 2) are projected; the Laplacian keeps each class, so every raw
+    element lies in one.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     raw = _nullspace_basis(n, m, 1)
     if not orthonormal:
         return raw
-    ortho, norms = [], []
+    ortho, norms, classes = [], [], []
     for b in raw:
-        q = b
-        for o, norm in zip(ortho, norms):
-            q = q - o * (_sphere_inner(b, o) / norm)
+        q, parity = b, _parity_classes(b)
+        for o, norm, o_parity in zip(ortho, norms, classes):
+            if parity & o_parity:
+                q = q - o * (_sphere_inner(b, o) / norm)
         ortho.append(q)
         norms.append(_sphere_inner(q, q).re)
+        classes.append(_parity_classes(q))
     return [q * Fraction(math.sqrt(1 / norm)) for q, norm in zip(ortho, norms)]

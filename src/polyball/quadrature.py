@@ -8,6 +8,8 @@ Rules are deterministic per (n, resolution):
   for y a node of S^{k-2} and t one of L Gauss nodes of the weight
   (1 - t^2)^{(k-3)/2}, down to the uniform circle with 2L angles (at n = 3,
   Gauss-Legendre x azimuth).  Its 2 L^{n-1} nodes are capped up front.
+  Each polar Gauss rule is computed once per process and shared, read-only;
+  every ``sphere_rule`` call still assembles a fresh ``SphereRule``.
 
 All surface measures are normalized (total mass 1).  Integral reductions go
 through ``compensated_sum``, a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,6 +102,7 @@ class LieSphereRule:
         return np.arange(self.angular) * (math.pi / self.angular)
 
 
+@lru_cache(maxsize=None)
 def _polar_rule(k: int, count: int) -> tuple:
     """Gauss nodes (ascending) and normalized weights for the weight
     (1 - t^2)^a, a = (k - 3)/2, of the polar cosine of S^{k-1}.
@@ -108,6 +112,11 @@ def _polar_rule(k: int, count: int) -> tuple:
     weights 1 / sum_{j<L} p_j^2 over the orthonormal p_j (the squared first
     eigenvector components, whose LAPACK path leaves BLAS threads spinning).
     One Newton step polishes each node to ~1 ulp, as nodes near the poles need.
+
+    The only LAPACK call in the package.  It is cached, so it runs once per
+    (k, count) per process and the BLAS threads it wakes do not spin after
+    every request; the node cap bounds the pairs, and the arrays handed to
+    every caller are read-only.
     """
     a = 0.5 * (k - 3)
     j = np.arange(1, count)
@@ -119,7 +128,9 @@ def _polar_rule(k: int, count: int) -> tuple:
         norm = norm + p * p
         p_prev, p, d_prev, d = (p, (t * p - b_prev * p_prev) / b,
                                 d, (p + t * d - b_prev * d_prev) / b)
-    return t - p / d, 1.0 / norm
+    nodes, weights = t - p / d, 1.0 / norm
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def sphere_rule(n: int, resolution: int) -> SphereRule:

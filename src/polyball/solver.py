@@ -55,7 +55,9 @@ class BoundaryData:
     """Restriction of a polynomial q to the union of p rotated unit spheres.
 
     ``sector_values(j, rule)`` gives q(e^{ij pi/p} node) at the rule's
-    nodes; callers size the rule (``choose_rule``) from q's degree.
+    nodes; callers size the rule (``choose_rule``) from q's degree.  The
+    first lookup for a rule evaluates all p sectors in one ``eval_at`` pass,
+    which shares the monomial columns; later lookups return the same arrays.
     """
 
     def __init__(self, q: MultiPoly, p: int):
@@ -70,13 +72,12 @@ class BoundaryData:
         """Values of q on sector j at the rule's nodes (cached per rule)."""
         if not 0 <= j < self.p:
             raise ValueError("sector index out of range")
-        key = (id(rule), j)
-        cached = self._cache.get(key)
-        if cached is None:
-            self._cache[key] = (rule, self._q.eval_at(
-                rule.nodes, phase=np.exp(1j * j * math.pi / self.p)))
-            cached = self._cache[key]
-        return cached[1]
+        cached = self._cache.get(id(rule))
+        if cached is None:  # scalar exps; an array exp may round differently
+            phases = [np.exp(1j * k * math.pi / self.p) for k in range(self.p)]
+            cached = self._cache[id(rule)] = (
+                rule, list(self._q.eval_at(rule.nodes, phase=phases)))
+        return cached[1][j]
 
 
 # --------------------------------------------------------------------------
@@ -105,12 +106,12 @@ def _dots(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 def _sector_kernels(route, p: int, zs: np.ndarray, phases: np.ndarray,
-                    nodes: np.ndarray) -> np.ndarray:
+                    nodes: np.ndarray, rn: np.ndarray) -> np.ndarray:
     """Kernels (P, S, R) between points zs (P, n) and every phases[s] *
     nodes[r], from x2 = z.z, B = conj(phase) (node . z) and
-    zb2 = conj(phase)^2 |node|^2; the Cauchy-Hua route ignores ``p``."""
+    zb2 = conj(phase)^2 rn with rn = |node|^2; the Cauchy-Hua route ignores
+    ``p``."""
     n = zs.shape[1]
-    rn = np.sum(nodes * nodes, axis=1)
     x2 = np.sum(zs * zs, axis=1)[:, None, None]
     conj = np.conj(phases)[:, None]
     if route == _BOUNDARY_FORM:
@@ -139,6 +140,7 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
     sector sums by a second one.
     """
     size, sectors = rule.count, len(phases)
+    rn = np.sum(rule.nodes * rule.nodes, axis=1)
     s_step = max(1, min(sectors, _BLOCK_ELEMENTS // size))
     partial = np.empty((len(zs), len(data), sectors), dtype=complex)
     for s0 in range(0, sectors, s_step):
@@ -148,7 +150,7 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
         d_step = max(1, _BLOCK_ELEMENTS // (z_step * width))
         for i in range(0, len(zs), z_step):
             wk = rule.weights * _sector_kernels(route, p, zs[i:i + z_step],
-                                                phases[block], rule.nodes)
+                                                phases[block], rule.nodes, rn)
             for d in range(0, len(data), d_step):
                 values = np.array([[f(s) for s in block]
                                    for f in data[d:d + d_step]])
@@ -282,9 +284,9 @@ def _poisson_value_at_complex(u: MultiPoly, z, p: int,
     """u_p(z): Poisson integral of u's restriction, first argument complex."""
     phases = _sector_phases(p)
     zc = as_complex_vector(z)
-    return complex(_integrate(
-        _POISSON, p, zc[None, :], phases, rule,
-        [lambda k: u.eval_at(rule.nodes, phase=phases[k])])[0, 0])
+    values = u.eval_at(rule.nodes, phase=phases)
+    return complex(_integrate(_POISSON, p, zc[None, :], phases, rule,
+                              [values.__getitem__])[0, 0])
 
 
 @dataclass(frozen=True)

@@ -213,13 +213,14 @@ def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0, delta: float = 0.5,
     rng = np.random.default_rng(seed)
     rule = quadrature.sphere_rule(n, {2: 512, 3: 64, 4: 32}.get(n, 12))
     eta = _unit_coords(rng, n)
+    rn = np.sum(rule.nodes * rule.nodes, axis=1)
     masses = []
     excess = 0.0
     for r in radii:
         xs = np.array([RotatedVector(-k * math.pi / p, r * eta).to_complex()
                        for k in range(p)])
-        values = np.abs(solver._sector_kernels(solver._POISSON, p, xs,
-                                               np.ones(1), rule.nodes))[:, 0]
+        values = np.abs(solver._sector_kernels(
+            solver._POISSON, p, xs, np.ones(1), rule.nodes, rn))[:, 0]
         node_cap = (1.0 - r ** (2 * p)) / delta ** n
         total = quadrature.compensated_sum(
             np.where(values < node_cap, rule.weights * values, 0.0)).real
@@ -325,8 +326,7 @@ def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
     for m in range(max_degree + 1):
         basis = polyharmonic_basis(n, m, p)
         values.append(np.array(
-            [[q.eval_at(rule.nodes, phase=ph) for ph in phases]
-             for q in basis]))
+            [q.eval_at(rule.nodes, phase=phases) for q in basis]))
     worst = 0.0
     weighted = [v * rule.weights for v in values]
     for m in range(max_degree + 1):

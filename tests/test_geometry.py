@@ -73,6 +73,55 @@ def test_principal_power_integer_exponent_is_plain_power():
     assert principal_power(w, 2.0) == pytest.approx(w ** 2)
 
 
+HALF_INTEGERS = (0.5, -0.5, 1.5, -1.5, 2.5, -2.5, -3.5)
+
+
+def half_integer_bases() -> np.ndarray:
+    """Moduli 0.03-4 at every argument, plus the negative real axis with
+    +0, -0 and +-1e-300 imaginary parts."""
+    modulus = np.exp(RNG.uniform(math.log(0.03), math.log(4.0), 400))
+    spread = modulus * np.exp(1j * RNG.uniform(-math.pi, math.pi, 400))
+    neg = -np.exp(RNG.uniform(math.log(0.03), math.log(4.0), 20))
+    axis = [complex(x, im) for x in neg for im in (0.0, -0.0, 1e-300, -1e-300)]
+    return np.concatenate([spread, np.array(axis)])
+
+
+@pytest.mark.parametrize("a", HALF_INTEGERS)
+def test_half_integer_powers_match_mpmath(a):
+    import mpmath  # installed with sympy
+
+    bases = half_integer_bases()
+    with mpmath.workprec(120):
+        want = [complex(mpmath.power(mpmath.mpc(w.real, w.imag),
+                                     mpmath.mpf(a))) for w in bases]
+    want = np.array(want)
+    got = principal_power(bases, a)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    for w, v in zip(bases, want):
+        assert abs(principal_power(complex(w), a) - v) <= 1e-15 * abs(v)
+
+
+@pytest.mark.parametrize("a", HALF_INTEGERS)
+def test_half_integer_powers_keep_the_upper_branch_on_the_cut(a):
+    for w in (complex(-4.0, 0.0), complex(-4.0, -0.0)):
+        want = 4.0 ** a * complex(math.cos(a * math.pi), math.sin(a * math.pi))
+        assert principal_power(w, a) == pytest.approx(want, rel=1e-15)
+        got = principal_power(np.array([w]), a)
+        assert got[0] == pytest.approx(want, rel=1e-15)
+
+
+def test_principal_power_zero_base():
+    for a in (0.5, 1.5, 0.3):
+        assert principal_power(0j, a) == 0
+        got = principal_power(np.array([0j, -0.0 + 0j, 4.0]), a)
+        assert got[0] == got[1] == 0 and got[2] == pytest.approx(4.0 ** a)
+    for a in (-0.5, -1.5, -0.3, -2.5):
+        with pytest.raises(ValueError, match="non-positive"):
+            principal_power(0j, a)
+        with pytest.raises(ValueError, match="non-positive"):
+            principal_power(np.array([1.0, 0.0]), a)
+
+
 # --------------------------------------------------------------------------
 # bilinear square and complex_abs
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 below it, so no module reaches up (or sideways) into another's concerns.
 
 Every import is read with ``ast``, including imports inside functions.
+LAPACK is reached only behind the polar-rule cache: a per-request LAPACK
+call wakes threaded BLAS workers that keep spinning after it returns.
 """
 
 from __future__ import annotations
@@ -54,3 +56,45 @@ def test_imports_only_reach_lower_layers():
             if RANK[target] >= rank:
                 violations.append(f"{name}.py:{line} imports {target}")
     assert not violations, violations
+
+
+# The one place that may call numpy.linalg beyond ``norm``; it is cached.
+LAPACK_CALLERS = {("quadrature", "_polar_rule")}
+
+
+def _linalg_uses(tree: ast.AST):
+    """(enclosing function, line, name) of every numpy.linalg attribute
+    other than ``norm``, and of every import from numpy.linalg."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if (isinstance(child, ast.Attribute)
+                    and isinstance(child.value, ast.Attribute)
+                    and child.value.attr == "linalg"
+                    and isinstance(child.value.value, ast.Name)
+                    and child.value.value.id in ("np", "numpy")
+                    and child.attr != "norm"):
+                yield inner, child.lineno, child.attr
+            elif isinstance(child, ast.ImportFrom) and (
+                    (child.module or "").startswith("numpy.linalg")
+                    or child.module == "numpy"
+                    and any(a.name == "linalg" for a in child.names)):
+                yield inner, child.lineno, "import"
+            elif isinstance(child, ast.Import) and any(
+                    a.name.startswith("numpy.linalg") for a in child.names):
+                yield inner, child.lineno, "import"
+            yield from walk(child, inner)
+    yield from walk(tree, None)
+
+
+def test_lapack_runs_only_behind_the_polar_rule_cache():
+    violations = []
+    for name in RANK:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for function, line, attr in _linalg_uses(tree):
+            if (name, function) not in LAPACK_CALLERS:
+                violations.append(f"{name}.py:{line} np.linalg.{attr}")
+    assert not violations, violations
+    assert hasattr(polyball.quadrature._polar_rule, "cache_info")

@@ -8,6 +8,7 @@ residual zero, not merely small.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from test_quadrature import exact_moment, monomials_up_to
 from polyball.polyalg import (
     MultiPoly,
     QQi,
+    _sphere_inner,
     _sphere_moment,
     almansi_reassemble,
     dim_H,
@@ -140,6 +142,46 @@ def test_evaluate_homogeneity_under_complex_phase():
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def _eval_term_by_term(q: MultiPoly, pts: np.ndarray, phase) -> np.ndarray:
+    """One phase, every monomial column rebuilt per term: the reference
+    order of operations for ``eval_at``."""
+    out = np.zeros(pts.shape[0], dtype=complex)
+    for exps, c in sorted(q.terms.items(), key=lambda t: (-sum(t[0]), t[0])):
+        mono = np.ones(pts.shape[0], dtype=pts.dtype)
+        for i, e in enumerate(exps):
+            if e:
+                mono = mono * pts[:, i] ** e
+        out += (complex(c) * complex(phase) ** sum(exps)) * mono
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_eval_at_phase_array_matches_per_phase_calls_bitwise(n):
+    rng = np.random.default_rng(300 + n)
+    polys = [MultiPoly.zero(n), MultiPoly.constant(n, QQi(Fraction(2, 3), -1))]
+    for _ in range(3):
+        q = MultiPoly.zero(n)
+        for m in range(5):
+            c = QQi(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            q = q + random_homogeneous(n, m, rng) * c
+        polys.append(q)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
+    real = rng.uniform(-1, 1, (30, n))
+    real[::7, 0], real[3::7, 1] = 0.0, -0.0  # signed zeros keep their bits
+    for q in polys:
+        for pts in (real, np.exp(0.3j) * real):
+            together = q.eval_at(pts, phase=phases)
+            assert together.shape == (len(phases), len(pts))
+            stacked = np.array([q.eval_at(pts, phase=ph) for ph in phases])
+            reference = np.array([_eval_term_by_term(q, pts, ph)
+                                  for ph in phases])
+            assert together.tobytes() == stacked.tobytes()
+            assert together.tobytes() == reference.tobytes()
+            assert q.eval_at(pts).shape == (len(pts),)
+    with pytest.raises(ValueError, match="1-d"):
+        polys[-1].eval_at(real, phase=phases.reshape(2, 2))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=3, max_size=3),
        st.integers(0, 3))
@@ -236,6 +278,24 @@ def test_orthonormal_harmonic_basis_has_identity_gram():
                                                      * np.conj(v))
                           for v in vals] for u in vals])
         np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
+
+
+def _gram_schmidt_over_every_pair(raw: list) -> list:
+    """Exact Gram-Schmidt projecting on every earlier element."""
+    ortho, norms = [], []
+    for b in raw:
+        q = b
+        for o, norm in zip(ortho, norms):
+            q = q - o * (_sphere_inner(b, o) / norm)
+        ortho.append(q)
+        norms.append(_sphere_inner(q, q).re)
+    return [q * Fraction(math.sqrt(1 / norm)) for q, norm in zip(ortho, norms)]
+
+
+@pytest.mark.parametrize("n,m", [(2, 4), (3, 6), (4, 3), (5, 4)])
+def test_orthonormal_basis_skips_only_vanishing_inner_products(n, m):
+    want = _gram_schmidt_over_every_pair(harmonic_basis(n, m))
+    assert harmonic_basis(n, m, orthonormal=True) == want
 
 
 # --------------------------------------------------------------------------

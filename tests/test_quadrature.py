@@ -134,6 +134,27 @@ def test_polar_rule_matches_scipy_gegenbauer_roots(lam, count):
     assert np.max(np.abs(w - v / np.sum(v))) <= 1e-14
 
 
+def test_polar_rules_are_built_once_per_process(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    quadrature._polar_rule.cache_clear()
+    first, second = sphere_rule(3, 11), sphere_rule(3, 11)
+    assert calls == [11]
+    assert first is not second
+    assert first.nodes.tobytes() == second.nodes.tobytes()
+    assert rule_to_json(first) == rule_to_json(second)
+    for array in quadrature._polar_rule(3, 11):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def test_rules_above_the_node_cap_are_refused_before_building():
     cap = quadrature._MAX_NODES
     for n, resolution in ((2, cap + 1), (2, 10 ** 12), (3, 1025), (4, 102),

@@ -66,6 +66,23 @@ def test_boundary_data_sector_values_are_cached_per_rule():
             q.eval_at(rule.nodes, phase=np.exp(1j * j * math.pi / 2)))
 
 
+def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
+    calls = []
+    eval_at = MultiPoly.eval_at
+
+    def counting(self, points, phase=1.0):
+        calls.append(np.ndim(phase))
+        return eval_at(self, points, phase)
+
+    monkeypatch.setattr(MultiPoly, "eval_at", counting)
+    data = BoundaryData(MultiPoly.from_text("x1^2 x2 + 2 * x3", n=3), 3)
+    rules = quadrature.sphere_rule(3, 6), quadrature.sphere_rule(3, 7)
+    for rule in rules + rules:
+        for j in range(3):
+            data.sector_values(j, rule)
+    assert calls == [1, 1]  # one phase-array call per rule
+
+
 # --------------------------------------------------------------------------
 # reproduction and form equality
 # --------------------------------------------------------------------------
