@@ -432,8 +432,10 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
         if "poisson" in cfg.data["kernels"]:
             try:
                 closed = kernels.poisson_kernel(x, zeta, p)
+                # the series tail can reach its bound, so the reference
+                # keeps to 1% of the row tolerance
                 series = kernels.poisson_kernel_series(
-                    x, zeta, p, tol=max(tol / 10.0, 1e-13))
+                    x, zeta, p, tol=max(tol / 100.0, 1e-13))
                 table.add((i, "poisson", "", "closed-form", "ok"),
                           value=closed, reference=series.value,
                           error=abs(closed - series.value),

@@ -22,9 +22,10 @@ moderate degree (the agreement domain is m <= 8, they stay usable well past
 that); high-degree evaluation goes through ``poisson_kernel_series`` which
 uses the stable value recurrence (C_m(t) - C_{m-2p}(t)) w^m.
 
-Series truncation bounds use the Lie norm product r = L(x) L(zeta), the
-actual growth gauge of zonal values for complex arguments (the hermitian
-norm underestimates off the rotated-real slices; the two coincide on it).
+Series truncation uses the proven bound |Z_m^p(x, zeta)| <= dim H_m^p r^m
+with r = L(x) L(zeta), the Lie norm product: the growth gauge of zonal
+values for complex arguments (the hermitian norm underestimates off the
+rotated-real slices; the two coincide on them).
 """
 
 from __future__ import annotations
@@ -323,73 +324,61 @@ def poisson_boundary_form(x, zeta, k: int, p: int) -> complex:
 
 
 # --------------------------------------------------------------------------
-# series evaluation with calibrated truncation
+# series evaluation with a proven truncation bound
 # --------------------------------------------------------------------------
 
-def _tail_sum_bound(n: int, r: float, M: int) -> float:
-    """Upper bound for sum_{m > M} m^{n-2} r^m (exact for n = 2)."""
-    q = r * math.exp((n - 2) / (M + 1))
-    if q >= 1.0:
-        return math.inf
-    return (M + 1) ** (n - 2) * r ** (M + 1) / (1.0 - q)
+def _tail_bound(n: int, p: int, r: float, M: int) -> float:
+    """sum_{m>M} dim H_m^p r^m in closed form.  It bounds the tail of
+    sum_m Z_m^p(x, zeta) at r = L(x) L(zeta), as |Z_m^p| <= dim H_m^p r^m:
 
+    * rotated pairs: Z_m^p(eta, eta) = dim H_m^p on the rotated unit
+      spheres; write x = r eta and apply Cauchy-Schwarz;
+    * complex pairs: Z_m^p = sum_{i<p} (z.z)^i (conj(w.w))^i Z_{m-2i} with
+      |z.z| <= L(z)^2, and sum_l |e_l(z)|^2 <= dim H_j L(z)^{2j} for an
+      orthonormal basis e_l of H_j, since |e_l(e^{it} x)| = |e_l(x)| and the
+      Lie sphere is the Shilov boundary of the Lie ball (Hua, AMS 1963).
 
-@lru_cache(maxsize=None)
-def _tail_constant(n: int, p: int) -> float:
-    """Calibrated C with |Z_m^p| <= C p m^{n-2} r^m on a seeded probe set.
-
-    Probes 200 rotated pairs, m <= 20, takes the worst ratio and doubles it.
+    With k = n - 1 and the negative-binomial tail T(N) = sum_{m>=N}
+    C(m+k, k) r^m = sum_{j<=k} C(N+k, j) (1-r)^{j-k-1} r^{N+k-j}, the sum
+    is T(M+1) - r^{2p} T(max(M+1-2p, 0)).
     """
-    rng = np.random.default_rng(97 * n + p)
-    worst = 1.0
-    for _ in range(200):
-        a = rng.standard_normal(n)
-        a /= np.linalg.norm(a)
-        s = rng.standard_normal(n)
-        s /= np.linalg.norm(s)
-        radius = 0.2 + 0.7 * rng.random()
-        x = RotatedVector(int(rng.integers(p)) * math.pi / p, radius * a)
-        zeta = RotatedVector(int(rng.integers(p)) * math.pi / p, s)
-        B, x2, zb2 = pair_invariants(x, zeta)
-        w = complex(np.sqrt(complex(x2 * zb2)))
-        t = B / w
-        cvals = list(islice(_recurrence(n / 2.0, t, 1.0 + 0j), 21))
-        wm = w
-        for m in range(1, 21):
-            low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
-            value = (cvals[m] - low) * wm
-            ratio = abs(value) / (p * m ** (n - 2) * radius ** m)
-            worst = max(worst, ratio)
-            wm *= w
-    return 2.0 * worst
+    k = n - 1
+
+    def upper(N: int) -> float:
+        return sum(math.comb(N + k, j) * (1.0 - r) ** (j - k - 1)
+                   * r ** (N + k - j) for j in range(k + 1))
+    return upper(M + 1) - r ** (2 * p) * upper(max(M + 1 - 2 * p, 0))
 
 
 def truncation_degree(n: int, p: int, r: float, tol: float,
                       max_terms: int = 10000) -> int:
-    """Smallest M whose calibrated tail bound C p sum_{m>M} m^{n-2} r^m
-    falls below tol at Lie-radius product r."""
+    """Smallest M whose proven tail bound sum_{m>M} dim H_m^p r^m falls
+    below tol at Lie-radius product r."""
     if not 0.0 <= r < 1.0 - 1e-6:
         raise ValueError("truncation needs r < 1 - 1e-6")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    c_tail = _tail_constant(n, p)
     M = 0
-    while c_tail * p * _tail_sum_bound(n, r, M) >= tol:
-        M += 1
+    tail = _tail_bound(n, p, r, M)
+    while tail >= tol:
+        # dim H_m^p never decreases in m, so tail(M + j) >= r^j tail(M):
+        # no degree up to M + floor(log(tail / tol) / log(1 / r)) passes
+        M += max(1, math.floor(math.log(tail / tol) / -math.log(r)))
         if M > max_terms:
             raise SeriesToleranceError(
                 f"tolerance {tol:g} unreachable within {max_terms} terms")
+        tail = _tail_bound(n, p, r, M)
     return M
 
 
 def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
                           max_terms: int = 10000) -> KernelValue:
-    """Poisson kernel as sum_m Z_m^p(x, zeta), truncated with a calibrated tail.
+    """Poisson kernel as sum_m Z_m^p(x, zeta), truncated with a proven tail.
 
     Terms use the stable value form (C_m(t) - C_{m-2p}(t)) w^m with
     w^2 = x2 * zb2 and t = B / w (branch-independent).  The truncation M is
-    the smallest degree whose calibrated tail bound C p sum_{m>M} m^{n-2} r^m
-    with r = L(x) L(zeta) falls below ``tol``.
+    the smallest degree whose tail bound sum_{m>M} dim H_m^p r^m with
+    r = L(x) L(zeta) falls below ``tol``; it holds for complex x and zeta.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -404,7 +393,6 @@ def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
     if not r < 1.0 - 1e-6:
         raise ValueError("series needs L(x) L(zeta) < 1 - 1e-6")
     M = truncation_degree(n, p, r, tol, max_terms)
-    c_tail = _tail_constant(n, p)
     B, x2, zb2 = pair_invariants(xs, zs)
     P = x2 * zb2
     terms = [1.0 + 0j]
@@ -426,8 +414,7 @@ def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
             low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
             terms.append((cvals[m] - low) * wm)
     value = compensated_sum(terms)
-    bound = c_tail * p * _tail_sum_bound(n, r, M)
-    return KernelValue(value, M + 1, bound)
+    return KernelValue(value, M + 1, _tail_bound(n, p, r, M))
 
 
 # --------------------------------------------------------------------------

@@ -73,10 +73,9 @@ class BoundaryData:
         if not 0 <= j < self.p:
             raise ValueError("sector index out of range")
         cached = self._cache.get(id(rule))
-        if cached is None:  # scalar exps; an array exp may round differently
-            phases = [np.exp(1j * k * math.pi / self.p) for k in range(self.p)]
-            cached = self._cache[id(rule)] = (
-                rule, list(self._q.eval_at(rule.nodes, phase=phases)))
+        if cached is None:
+            cached = self._cache[id(rule)] = (rule, list(self._q.eval_at(
+                rule.nodes, phase=_sector_phases(self.p))))
         return cached[1][j]
 
 
@@ -335,8 +334,9 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
 def choose_rule(n: int, p: int, degree: int, radius: float,
                 tol: float) -> quadrature.SphereRule:
     """The one rule-sizing policy: for Poisson integrals of data of degree
-    d = ``degree`` up to ``radius``, exactness d + M + 4 with M the calibrated
-    kernel truncation degree at r = radius.  An unresolvable truncation or a
+    d = ``degree`` up to ``radius``, exactness d + M + 4 with M the kernel
+    truncation degree at r = radius: the smallest whose proven tail bound
+    sum_{m>M} dim H_m^p r^m is below ``tol``.  An unresolvable truncation or a
     rule above the node cap raises ValueError."""
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must be in [0, 1)")

@@ -265,9 +265,12 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
                            tolerance: float = 1e-6) -> list:
     """Lie-sphere quadrature of H(z, .) u reproduces holomorphic monomials.
 
-    The kernel series at Lie radius r contributes ~ m r^m at degree m, so
-    the base rule must stay exact well past the data degree: exactness 42
-    pushes the misintegrated tail below 1e-7 at r = 0.6.
+    The degree-m Cauchy-Hua term obeys |K_m(z, w)| <= dim P_m L(z)^m for w
+    on the Lie sphere (its Shilov boundary), so for data of degree <= 4 at
+    r = 0.6, exactness 42 misintegrates at most 2 sum_{m>38} dim P_m 0.6^m.
+    That is 4.6e-7 at n=2, so the 1e-6 tolerance is proven there; at n >= 3
+    (9.8e-6 at n=3, 1.4e-4 at n=4) it is calibrated, and a proven sizing
+    would need exactness 47 and 54.
     """
     rng = np.random.default_rng(seed)
     base = quadrature.sphere_rule(
@@ -321,7 +324,7 @@ def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
     """Cross-degree inner products on the union of rotated spheres vanish."""
     rule = quadrature.sphere_rule(
         n, quadrature.resolution_for_exactness(n, 2 * max_degree))
-    phases = [np.exp(1j * j * math.pi / p) for j in range(p)]
+    phases = solver._sector_phases(p)
     values = []  # per degree: array (basis, sector, node)
     for m in range(max_degree + 1):
         basis = polyharmonic_basis(n, m, p)

@@ -266,7 +266,8 @@ def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
     obj = json.loads(text)
     rule = obj["metadata"]["rule"]
     assert rule["kind"] == "gauss-product"
-    assert rule["count"] == 9826  # 2 * 17^3: exactness 33
+    # radius 0.3, tol 1e-10: truncation M = 24, so exactness 3 + 24 + 4 = 31
+    assert rule["count"] == 8192  # 2 * 16^3
     assert "seed" not in rule
     for row in obj["rows"]:
         d = dict(zip(obj["columns"], row))

@@ -9,12 +9,14 @@ closed forms, series, and the exact dimension formulas.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from polyball.geometry import RotatedVector, lie_norm
+from polyball.gegenbauer import _recurrence
+from polyball.geometry import RotatedVector, as_complex_vector, lie_norm
 from polyball.kernels import (
     KernelParams,
     ROUTE_EXPLICIT_SUM,
@@ -22,6 +24,7 @@ from polyball.kernels import (
     ROUTE_SUM_OF_ZONALS,
     ROUTES,
     SingularKernelError,
+    _tail_bound,
     cauchy_hua,
     hua_convergence_gap,
     pair_invariants,
@@ -280,6 +283,110 @@ def test_truncation_degree_monotone_in_radius_and_tolerance():
 def test_truncation_degree_rejects_radius_at_one():
     with pytest.raises(ValueError):
         truncation_degree(2, 1, 1.0, 1e-8)
+
+
+def _direct_tail(n: int, p: int, r: float, M: int) -> float:
+    """sum_{m>M} dim H_m^p r^m term by term, until the terms stop counting."""
+    terms, m = [], M + 1
+    while True:
+        terms.append(dim_Hp(n, m, p) * r ** m)
+        if m > M + 50 and terms[-1] <= 1e-18 * terms[0]:
+            return math.fsum(terms)
+        m += 1
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tail_bound_matches_the_direct_sum(n):
+    for p in range(1, 6):
+        for r in (0.05, 0.3, 0.6, 0.8, 0.95):
+            for M in sorted({0, 1, 2 * p - 1, 2 * p, 17, 60, 150}):
+                want = _direct_tail(n, p, r, M)
+                got = _tail_bound(n, p, r, M)
+                assert abs(got - want) <= 1e-12 * want, (p, r, M)
+
+
+def _zonal_terms(n: int, p: int, x, zeta, top: int) -> list:
+    """Z_m^p(x, zeta) for m <= top by the value recurrence of the series."""
+    B, x2, zb2 = pair_invariants(x, zeta)
+    w = complex(np.sqrt(complex(x2 * zb2)))
+    c = list(islice(_recurrence(n / 2.0, B / w, 1.0 + 0j), top + 1))
+    return [(c[m] - (c[m - 2 * p] if m >= 2 * p else 0.0)) * w ** m
+            for m in range(top + 1)]
+
+
+def _lie_pair(n: int, rng, lz: float, lw: float) -> tuple:
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z * (lz / lie_norm(z)), w * (lw / lie_norm(w))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_zonal_values_obey_the_dimension_bound(n):
+    """|Z_m^p(x, zeta)| <= dim H_m^p (L(x) L(zeta))^m, the bound behind
+    every truncation degree, on rotated pairs and on Lie-domain pairs."""
+    rng = np.random.default_rng(40 + n)
+    for p in (1, 2, 3):
+        pairs = [(sector_interior_point(n, p, rng, rmax=0.95),
+                  sector_sphere_point(n, p, rng)) for _ in range(20)]
+        pairs += [_lie_pair(n, rng, rng.uniform(0.2, 1.0),
+                            rng.uniform(0.2, 1.0)) for _ in range(20)]
+        for x, zeta in pairs:
+            r = lie_norm(as_complex_vector(x)) * lie_norm(
+                as_complex_vector(zeta))
+            for m, value in enumerate(_zonal_terms(n, p, x, zeta, 60)):
+                assert abs(value) <= dim_Hp(n, m, p) * r ** m * (1 + 1e-12)
+
+
+def test_truncation_degree_is_the_smallest_passing_degree():
+    for n in (2, 3, 5, 7):
+        for p in (1, 2, 4):
+            for r in (0.0, 0.01, 0.3, 0.8, 0.95):
+                for tol in (1e-3, 1e-8, 1e-13):
+                    M = truncation_degree(n, p, r, tol)
+                    scan = 0
+                    while _tail_bound(n, p, r, scan) >= tol:
+                        scan += 1
+                    assert M == scan, (n, p, r, tol)
+
+
+def test_truncation_degree_pins_from_the_circle_formula():
+    # at n = 2, dim H_m^p = 2p for m >= 2p - 1, so for M >= 2p - 1 the
+    # tail is 2p r^{M+1} / (1 - r): 4 * 0.5^{M+1} = 2^{1-M} < 1e-8 first at
+    # M = 28, 10 * 0.8^{M+1} < 1e-10 first at M = 113, and (p = 3)
+    # 12 * 0.5^{M+1} < 1e-8 first at M = 30
+    assert truncation_degree(2, 1, 0.5, 1e-8) == 28
+    assert truncation_degree(2, 1, 0.8, 1e-10) == 113
+    assert truncation_degree(2, 3, 0.5, 1e-8) == 30
+    for p, r, M in ((1, 0.5, 28), (1, 0.8, 113), (3, 0.5, 30), (2, 0.9, 3)):
+        want = 2 * p * r ** (M + 1) / (1 - r)
+        assert _tail_bound(2, p, r, M) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_poisson_series_error_within_the_proven_tail(n):
+    """Up to r = 0.95, aligned pairs x = r zeta included: there
+    Z_m^p(x, zeta) = dim H_m^p r^m, so the series misses exactly the bound.
+
+    The slack is the rounding of the series: each recurrence term carries
+    about m ulps of sum_m dim H_m^p r^m = (1 - r^{2p}) / (1 - r)^n, the
+    largest any partial sum of term moduli can be.  At n = 5, r = 0.95 on
+    an aligned pair (836 terms) that rounding is 2.4e-13 of the value.
+    """
+    rng = np.random.default_rng(70 + n)
+    for p in (1, 2, 3):
+        for r in (0.3, 0.8, 0.95):
+            terms = (1.0 - r ** (2 * p)) / (1.0 - r) ** n
+            for k in range(6):
+                zeta = sector_sphere_point(n, p, rng)
+                eta = zeta.coords if k == 0 else unit_vector(n, rng)
+                x = RotatedVector(zeta.angle, r * eta)
+                closed = poisson_kernel(x, zeta, p)
+                series = poisson_kernel_series(x, zeta, p, tol=1e-9)
+                slack = 1e-15 * series.terms_used * max(1.0, terms)
+                assert abs(closed - series.value) <= series.tail_bound + slack
+                if n == 2 and k == 0:  # rounding is far below the bound
+                    assert abs(closed - series.value) >= \
+                        series.tail_bound - slack
 
 
 # --------------------------------------------------------------------------

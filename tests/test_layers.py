@@ -4,6 +4,8 @@ below it, so no module reaches up (or sideways) into another's concerns.
 Every import is read with ``ast``, including imports inside functions.
 LAPACK is reached only behind the polar-rule cache: a per-request LAPACK
 call wakes threaded BLAS workers that keep spinning after it returns.
+No module below the property suites draws random numbers: every bound and
+rule size there is computed, not sampled.
 """
 
 from __future__ import annotations
@@ -98,3 +100,34 @@ def test_lapack_runs_only_behind_the_polar_rule_cache():
                 violations.append(f"{name}.py:{line} np.linalg.{attr}")
     assert not violations, violations
     assert hasattr(polyball.quadrature._polar_rule, "cache_info")
+
+
+def _random_uses(tree: ast.AST):
+    """(line, what) of every use of numpy.random or the random module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            yield node.lineno, f"{node.value.id}.random"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "random" \
+                        or alias.name.startswith("numpy.random"):
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                (node.module or "").split(".")[0] == "random"
+                or (node.module or "").startswith("numpy.random")
+                or node.module == "numpy"
+                and any(a.name == "random" for a in node.names)):
+            yield node.lineno, f"from {node.module} import"
+
+
+def test_no_random_numbers_below_the_suites():
+    violations = []
+    for name, rank in RANK.items():
+        if rank >= RANK["suites"]:
+            continue
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        violations += [f"{name}.py:{line} {what}"
+                       for line, what in _random_uses(tree)]
+    assert not violations, violations

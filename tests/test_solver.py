@@ -66,6 +66,17 @@ def test_boundary_data_sector_values_are_cached_per_rule():
             q.eval_at(rule.nodes, phase=np.exp(1j * j * math.pi / 2)))
 
 
+def test_boundary_data_uses_the_kernel_sector_phases():
+    # p = 6 is the first order where the array and the scalar exp of
+    # e^{5 i pi / 6} round differently; data and kernels must share one
+    q = MultiPoly.from_text("x1^3 - 2 * x1 x2 + x2 + 1", n=2)
+    data = BoundaryData(q, 6)
+    rule = quadrature.sphere_rule(2, 16)
+    want = q.eval_at(rule.nodes, phase=solver._sector_phases(6))
+    for j in range(6):
+        np.testing.assert_array_equal(data.sector_values(j, rule), want[j])
+
+
 def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
     calls = []
     eval_at = MultiPoly.eval_at
