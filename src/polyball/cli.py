@@ -432,8 +432,7 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
         if "poisson" in cfg.data["kernels"]:
             try:
                 closed = kernels.poisson_kernel(x, zeta, p)
-                # the series tail can reach its bound, so the reference
-                # keeps to 1% of the row tolerance
+                # aligned pairs attain the tail bound, so ask for tol / 100
                 series = kernels.poisson_kernel_series(
                     x, zeta, p, tol=max(tol / 100.0, 1e-13))
                 table.add((i, "poisson", "", "closed-form", "ok"),

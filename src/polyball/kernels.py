@@ -22,10 +22,9 @@ moderate degree (the agreement domain is m <= 8, they stay usable well past
 that); high-degree evaluation goes through ``poisson_kernel_series`` which
 uses the stable value recurrence (C_m(t) - C_{m-2p}(t)) w^m.
 
-Series truncation uses the proven bound |Z_m^p(x, zeta)| <= dim H_m^p r^m
-with r = L(x) L(zeta), the Lie norm product: the growth gauge of zonal
-values for complex arguments (the hermitian norm underestimates off the
-rotated-real slices; the two coincide on them).
+Series truncation uses the proven bound |Z_m^p(x, zeta)| <= dim H_m^p r^m,
+r = L(x) L(zeta): the Lie norm is the growth gauge of zonal values (the
+hermitian norm underestimates them off the rotated-real slices).
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class SingularKernelError(ArithmeticError):
 
 
 class SeriesToleranceError(ValueError):
-    """Requested series tolerance unreachable within the term cap."""
+    """Requested series tolerance unreachable (term cap or double range)."""
 
 
 @dataclass(frozen=True)
@@ -347,13 +346,20 @@ def _tail_bound(n: int, p: int, r: float, M: int) -> float:
     def upper(N: int) -> float:
         return sum(math.comb(N + k, j) * (1.0 - r) ** (j - k - 1)
                    * r ** (N + k - j) for j in range(k + 1))
-    return upper(M + 1) - r ** (2 * p) * upper(max(M + 1 - 2 * p, 0))
+    try:
+        tail = upper(M + 1) - r ** (2 * p) * upper(max(M + 1 - 2 * p, 0))
+    except OverflowError:  # a binomial or (1 - r)^{-n} past the double range
+        tail = math.inf
+    if not tail < math.inf:  # inf, or nan from inf - inf
+        raise SeriesToleranceError(f"the tail bound at degree {M} overflows")
+    return tail
 
 
 def truncation_degree(n: int, p: int, r: float, tol: float,
                       max_terms: int = 10000) -> int:
     """Smallest M whose proven tail bound sum_{m>M} dim H_m^p r^m falls
-    below tol at Lie-radius product r."""
+    below tol at Lie-radius product r.  A bound that overflows a double
+    (large n near r = 1) raises ``SeriesToleranceError`` too."""
     if not 0.0 <= r < 1.0 - 1e-6:
         raise ValueError("truncation needs r < 1 - 1e-6")
     if tol <= 0:
@@ -363,7 +369,8 @@ def truncation_degree(n: int, p: int, r: float, tol: float,
     while tail >= tol:
         # dim H_m^p never decreases in m, so tail(M + j) >= r^j tail(M):
         # no degree up to M + floor(log(tail / tol) / log(1 / r)) passes
-        M += max(1, math.floor(math.log(tail / tol) / -math.log(r)))
+        M += max(1, math.floor((math.log(tail) - math.log(tol))
+                               / -math.log(r)))
         if M > max_terms:
             raise SeriesToleranceError(
                 f"tolerance {tol:g} unreachable within {max_terms} terms")

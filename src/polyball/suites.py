@@ -266,11 +266,10 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     """Lie-sphere quadrature of H(z, .) u reproduces holomorphic monomials.
 
     The degree-m Cauchy-Hua term obeys |K_m(z, w)| <= dim P_m L(z)^m for w
-    on the Lie sphere (its Shilov boundary), so for data of degree <= 4 at
-    r = 0.6, exactness 42 misintegrates at most 2 sum_{m>38} dim P_m 0.6^m.
-    That is 4.6e-7 at n=2, so the 1e-6 tolerance is proven there; at n >= 3
-    (9.8e-6 at n=3, 1.4e-4 at n=4) it is calibrated, and a proven sizing
-    would need exactness 47 and 54.
+    on the Lie sphere (its Shilov boundary), so at r = 0.6 exactness 42
+    misintegrates data of degree <= 4 by at most 2 sum_{m>38} dim P_m 0.6^m:
+    4.6e-7 at n=2, which proves the 1e-6 tolerance there, but 9.8e-6 at n=3
+    and 1.4e-4 at n=4, where 42 is calibrated (proven would need 47, 54).
     """
     rng = np.random.default_rng(seed)
     base = quadrature.sphere_rule(

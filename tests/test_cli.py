@@ -166,6 +166,17 @@ def test_kernel_degree_past_double_range_is_config_error(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+def test_kernel_series_bound_past_double_range_is_a_rejected_row(tmp_path):
+    # at n = 300 the series tail bound overflows a double: one rejected
+    # row, not a traceback
+    n = 300
+    code, text = run(tmp_path, "kernel",
+                     {"n": n, "p": 1, "x": [0.9] + [0] * (n - 1),
+                      "zeta": [1] + [0] * (n - 1), "kernels": ["poisson"]})
+    assert code == cli.EXIT_CONFIG
+    assert [row["status"] for row in rows_by(text)] == ["rejected"]
+
+
 # --------------------------------------------------------------------------
 # dirichlet command
 # --------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from polyball.kernels import (
     ROUTE_GEGENBAUER_DIFF,
     ROUTE_SUM_OF_ZONALS,
     ROUTES,
+    SeriesToleranceError,
     SingularKernelError,
     _tail_bound,
     cauchy_hua,
@@ -283,6 +284,14 @@ def test_truncation_degree_monotone_in_radius_and_tolerance():
 def test_truncation_degree_rejects_radius_at_one():
     with pytest.raises(ValueError):
         truncation_degree(2, 1, 1.0, 1e-8)
+
+
+@pytest.mark.parametrize("n,r", [(300, 0.9), (200, 0.85), (150, 0.95)])
+def test_truncation_past_the_double_range_is_a_tolerance_error(n, r):
+    # the closed form leaves the double range; at (300, 0.9) its inf - inf
+    # must not read as a tail below tol
+    with pytest.raises(SeriesToleranceError, match="overflows"):
+        truncation_degree(n, 1, r, 1e-11)
 
 
 def _direct_tail(n: int, p: int, r: float, M: int) -> float:
