@@ -402,6 +402,16 @@ def _rotated(coords, j: int, p: int) -> RotatedVector:
     return RotatedVector.sector(j, p, np.asarray(coords, dtype=float))
 
 
+def _coefficients_overflow(n: int, m: int) -> bool:
+    """Whether Z_m's p = 1 coefficients e_k = a^m_k - a^{m-2}_{k-1}, which
+    every zonal row converts, surely overflow: signs are opposite, so |e_k|
+    >= |a^m_k| = 2^{m-2k} Gamma(n/2+m-k) / (Gamma(n/2) k! (m-2k)!)."""
+    return max((m - 2 * k) * math.log(2) + math.lgamma(n / 2 + m - k)
+               - math.lgamma(n / 2) - math.lgamma(k + 1)
+               - math.lgamma(m - 2 * k + 1)
+               for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
+
+
 def run_kernel(cfg: RunConfig) -> ResultTable:
     table = ResultTable("kernel",
                         ("pair", "kernel", "m", "route", "status"),
@@ -415,6 +425,8 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
             B, x2, zb2 = kernels.pair_invariants(x, zeta)
             for m in cfg.data["degrees"]:
                 try:  # the scale below reuses these float coefficients
+                    if _coefficients_overflow(n, m):  # before exact tables
+                        raise OverflowError
                     values = {route: complex(kernels.zonal_from_products(
                         n, m, p, B, x2 * zb2, route)) for route in ROUTES}
                 except OverflowError as err:  # exact coefficients > 2^1024

@@ -260,13 +260,19 @@ def _require_sector_interior(x, p: int) -> RotatedVector:
     return x
 
 
-def _denominator_power(base, n: int, kernel: str):
-    """Principal base^{-n/2}, the denominator of every closed-form kernel;
-    a base below 1e-14 in modulus raises ``SingularKernelError``."""
+@np.errstate(all="ignore")  # an overflow is refused below, not warned of
+def _denominator_power(base, n: int, kernel: str, numerator=None):
+    """numerator * principal base^{-n/2} (the power alone for None), every
+    closed-form kernel.  A base below 1e-14 in modulus raises
+    ``SingularKernelError``, a value past the double range ``ValueError``."""
     base = np.asarray(base, dtype=complex)
     if np.any(np.abs(base) < 1e-14):
         raise SingularKernelError(f"{kernel} denominator vanished")
-    return principal_power(base, -n / 2.0)
+    value = principal_power(base, -n / 2.0)
+    value = value if numerator is None else numerator * value
+    if not np.isfinite(value).all():
+        raise ValueError(f"{kernel} value overflows a double")
+    return value
 
 
 def poisson_from_products(n: int, p: int, x2, B, zb2):
@@ -274,7 +280,7 @@ def poisson_from_products(n: int, p: int, x2, B, zb2):
     x2a = np.asarray(x2, dtype=complex)
     base = (x2a * np.asarray(zb2, dtype=complex)
             - 2.0 * np.asarray(B, dtype=complex) + 1.0)
-    return (1.0 - x2a ** p) * _denominator_power(base, n, "Poisson kernel")
+    return _denominator_power(base, n, "Poisson kernel", 1.0 - x2a ** p)
 
 
 def poisson_kernel(x, zeta, p: int) -> complex:
@@ -296,8 +302,8 @@ def poisson_kernel(x, zeta, p: int) -> complex:
 
 def boundary_form_values(n: int, p: int, x2, v2):
     """(1 - x2^p) / (v2)^{n/2} for precomputed difference squares v2."""
-    return (1.0 - np.asarray(x2, dtype=complex) ** p) \
-        * _denominator_power(v2, n, "boundary form")
+    return _denominator_power(v2, n, "boundary form",
+                              1.0 - np.asarray(x2, dtype=complex) ** p)
 
 
 def poisson_boundary_form(x, zeta, k: int, p: int) -> complex:

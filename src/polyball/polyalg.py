@@ -17,9 +17,9 @@ is sum_j (-1)^j |x|^{2j} Delta^j f / (2^j j! prod_{i=1..j} (n + 2d - 2 - 2i))
 No linear system is solved.  Grouping the ladder in blocks of p gives the
 order-p decomposition with Delta^p-annihilated components.
 
-The orthonormal harmonic basis comes from an exact Gram-Schmidt under the
-exact sphere moments, within each parity class of exponents, with one float
-square root per element.
+The bases of H_m^p = ker Delta^p come in closed form too, and the
+orthonormal harmonic basis from an exact Gram-Schmidt under exact sphere
+moments, within each parity class, with one float square root per element.
 
 Text format: terms joined by " + ", each term "c * x1^a1 x2^a2 ...", with
 rational coefficients "p/q" and complex ones "(re,im)"; decimals such as
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import re as _re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,8 @@ class QQi:
         return QQi(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a real scalar: two products
+            return QQi(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -686,64 +689,42 @@ def is_polyharmonic(q: MultiPoly, p: int) -> bool:
 # harmonic bases
 # --------------------------------------------------------------------------
 
-def _nullspace_basis(n: int, m: int, p: int) -> list:
-    """Exact basis of ker(Delta^p) on P_m, deterministic RREF construction."""
-    cols = _monomials(n, m)
-    rows = _monomials(n, m - 2 * p)
-    row_index = {e: i for i, e in enumerate(rows)}
-    matrix = []
-    for exps in cols:
-        mono = MultiPoly.monomial(n, exps)
-        for _ in range(p):
-            mono = mono.laplacian()
-        column = [Fraction(0)] * len(rows)
-        for e, c in mono.terms.items():
-            column[row_index[e]] = c.re  # Laplacian of real monomial is real
-        matrix.append(column)
-    # RREF of the (rows x cols) map, tracking pivot columns
-    nrows, ncols = len(rows), len(cols)
-    aug = [[matrix[c][r] for c in range(ncols)] for r in range(nrows)]
-    pivots = []
-    lead = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(lead, nrows) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[lead], aug[pivot] = aug[pivot], aug[lead]
-        inv = 1 / aug[lead][col]
-        aug[lead] = [v * inv for v in aug[lead]]
-        for r in range(nrows):
-            if r != lead and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == nrows:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: Fraction(1)}
-        for prow, pcol in enumerate(pivots):
-            if aug[prow][free]:
-                vec[pcol] = -aug[prow][free]
-        terms = {cols[i]: QQi(v) for i, v in vec.items() if v}
-        basis.append(MultiPoly(n, terms))
-    return basis
-
-
-def polyharmonic_basis(n: int, m: int, p: int) -> list:
-    """Exact basis of H_m^p: homogeneous degree-m polynomials with
-    Delta^p = 0, in deterministic graded-lex order.  dim = dim_Hp(n, m, p)."""
+@lru_cache(maxsize=None)
+def _polyharmonic_basis(n: int, m: int, p: int) -> tuple:
+    """Exact basis of ker(Delta^p) on P_m, built once: for each alpha with
+    alpha_1 < 2p (``_monomials`` order), the p-polyharmonic x^alpha + (terms
+    of x1-power >= 2p).  With h = sum_j x1^j / j! g_j(x2..xn), Delta acts on
+    (g_j) as a shift by two plus the Laplacian D' in x2..xn, so Delta^p h = 0
+    is the Cauchy-Kovalevskaya recurrence g_{j+2p} = -sum_{k<p} C(p, k)
+    D'^{p-k} g_{j+2k}, from g_{alpha_1} = alpha_1! x'^alpha', other g_j = 0."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if m < 0:
         raise ValueError("m must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _nullspace_basis(n, m, p)
+    basis = []
+    for alpha in _monomials(n, m):
+        if alpha[0] >= 2 * p:
+            continue
+        g = [MultiPoly.zero(n)] * (m + 1)
+        g[alpha[0]] = MultiPoly.monomial(n, (0,) + alpha[1:],
+                                         math.factorial(alpha[0]))
+        for j in range(m - 2 * p + 1):
+            total = MultiPoly.zero(n)
+            for k in range(p):  # Horner in D'
+                total = (total + g[j + 2 * k] * math.comb(p, k)).laplacian()
+            g[j + 2 * p] = -total
+        basis.append(MultiPoly(n, {
+            (j,) + e[1:]: c * Fraction(1, math.factorial(j))
+            for j, gj in enumerate(g) for e, c in gj.terms.items()}))
+    return tuple(basis)
+
+
+def polyharmonic_basis(n: int, m: int, p: int) -> list:
+    """Exact basis of H_m^p: homogeneous degree-m polynomials with
+    Delta^p = 0, a fresh list in a fixed order.  dim = dim_Hp(n, m, p)."""
+    return list(_polyharmonic_basis(n, m, p))
 
 
 def _sphere_moment(exps) -> Fraction:
@@ -777,22 +758,19 @@ def _parity_classes(f: MultiPoly) -> set:
 def harmonic_basis(n: int, m: int, orthonormal: bool = False) -> list:
     """Basis of the degree-m harmonic homogeneous polynomials.
 
-    The raw basis is exact (rational coefficients) and deterministic, built
-    from the reduced row echelon form of the Laplacian in graded-lex monomial
-    order.  With ``orthonormal=True`` the raw basis is Gram-Schmidt
-    orthogonalized exactly under the normalized surface inner product on the
-    unit sphere, computed from exact sphere moments; each element is then
-    scaled by the exact rational of the double sqrt(1 / |q|^2), the one
-    rounding in the construction.  Monomials whose exponents differ in
-    parity are orthogonal, so only pairs sharing a parity class (exponents
-    mod 2) are projected; the Laplacian keeps each class, so every raw
-    element lies in one.
+    The raw basis is ``polyharmonic_basis(n, m, 1)``: exact (rational
+    coefficients), deterministic and in closed form.  With
+    ``orthonormal=True`` it is Gram-Schmidt orthogonalized exactly under the
+    normalized surface inner product on the unit sphere, computed from exact
+    sphere moments; each element is then scaled by the exact rational of the
+    double sqrt(1 / |q|^2), the one rounding in the construction.  Monomials
+    whose exponents differ in parity are orthogonal, so only pairs sharing a
+    parity class (exponents mod 2) are projected; the Laplacian keeps each
+    class, so every raw element lies in one.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    raw = _nullspace_basis(n, m, 1)
+    raw = _polyharmonic_basis(n, m, 1)
     if not orthonormal:
-        return raw
+        return list(raw)
     ortho, norms, classes = [], [], []
     for b in raw:
         q, parity = b, _parity_classes(b)

@@ -138,14 +138,17 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
 def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
                        max_degree: int = 8, samples: int = 3,
                        tolerance: float = 1e-9) -> list:
-    """Z_m^p(eta, eta) equals dim H_m^p in every sector, and dim formulas
-    equal exact nullspace dimensions."""
+    """Z_m^p(eta, eta) equals dim H_m^p in every sector, and each degree's
+    basis has dim_Hp elements, independent by construction (one free
+    monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     dim_misses = 0
     for m in range(max_degree + 1):
         dim = dim_Hp(n, m, p)
-        if len(polyharmonic_basis(n, m, p)) != dim:
+        basis = polyharmonic_basis(n, m, p)
+        if len(basis) != dim or not all(polyalg.is_polyharmonic(q, p)
+                                        for q in basis):
             dim_misses += 1
         for j in range(p):
             for _ in range(samples):

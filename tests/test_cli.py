@@ -8,18 +8,39 @@ emitter; reruns must be byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyball import cli, quadrature, solver
+from polyball import cli, kernels, quadrature, solver
+from polyball.gegenbauer import gegenbauer_coefficients
 from polyball.geometry import lie_norm
 
 VALUE_COLS = ["value_re", "value_im", "reference_re", "reference_im",
               "abs_error", "bound"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def parse_strictly(text, fmt="json"):
+    """Parse a table, failing on NaN and Infinity, which are not JSON."""
+    if fmt == "json":
+        return json.loads(text, parse_constant=_refuse_constant)
+    head, *lines = text.splitlines()
+    cells = [c for row in csv.reader(lines[1:]) for c in row]
+    assert not {"inf", "-inf", "nan"} & set(cells), "non-finite CSV cell"
+    return json.loads(head[2:], parse_constant=_refuse_constant)
 
 
 def run(tmp_path, command, config, *flags):
@@ -31,7 +52,10 @@ def run(tmp_path, command, config, *flags):
             "--format", fmt]
     argv += [f for f in flags if not f.startswith("--format")]
     code = cli.main(argv)
-    return code, out.read_text() if out.exists() else ""
+    text = out.read_text() if out.exists() else ""
+    if text:
+        parse_strictly(text, fmt)
+    return code, text
 
 
 def rows_by(table_text, **match):
@@ -153,8 +177,8 @@ def test_kernel_sector_index_range_is_validated(tmp_path):
 @pytest.mark.parametrize("n,p,degree", [(2, 1, 1500), (5, 2, 800)])
 def test_kernel_degree_past_double_range_is_config_error(tmp_path, capsys,
                                                          n, p, degree):
-    # the exact zonal coefficients are built (no recursion limit) but do
-    # not fit a double
+    # a log-scale bound on the Gegenbauer coefficients refuses the degree
+    # before any exact table is built
     code, text = run(tmp_path, "kernel",
                      {"n": n, "p": p, "x": [0.1] * n,
                       "zeta": [1] + [0] * (n - 1), "degrees": [degree],
@@ -166,6 +190,28 @@ def test_kernel_degree_past_double_range_is_config_error(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+def test_certain_coefficient_overflow_builds_no_exact_table(tmp_path,
+                                                           monkeypatch):
+    def built(*args):
+        raise AssertionError("an exact coefficient table was built")
+
+    monkeypatch.setattr(kernels, "_zonal_p_coeffs", built)
+    monkeypatch.setattr(kernels, "_explicit_p_coeffs", built)
+    code, text = run(tmp_path, "kernel",
+                     {"n": 2, "x": [0.1, 0.1], "zeta": [1, 0],
+                      "degrees": [1500], "kernels": ["zonal"]})
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_coefficient_overflow_bound_is_sound_at_its_first_degree(n):
+    # the first degree the log-scale bound refuses does overflow exactly
+    m = next(m for m in range(1000) if cli._coefficients_overflow(n, m))
+    table = gegenbauer_coefficients(Fraction(n, 2), m)
+    with pytest.raises(OverflowError):
+        float(max(abs(c) for c in table))
+
+
 def test_kernel_series_bound_past_double_range_is_a_rejected_row(tmp_path):
     # at n = 300 the series tail bound overflows a double: one rejected
     # row, not a traceback
@@ -175,6 +221,55 @@ def test_kernel_series_bound_past_double_range_is_a_rejected_row(tmp_path):
                       "zeta": [1] + [0] * (n - 1), "kernels": ["poisson"]})
     assert code == cli.EXIT_CONFIG
     assert [row["status"] for row in rows_by(text)] == ["rejected"]
+
+
+@st.composite
+def kernel_configs(draw):
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 50, 400]))
+    p = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, zeta = rng.standard_normal((2, n))
+    x *= draw(st.floats(0.0, 0.999999)) / np.linalg.norm(x)
+    return {"n": n, "p": p, "x": x.tolist(),
+            "zeta": (zeta / np.linalg.norm(zeta)).tolist(),
+            "x_sector": draw(st.integers(0, p - 1)),
+            "zeta_sector": draw(st.integers(0, p - 1)),
+            "degrees": draw(st.lists(st.integers(0, 40), min_size=1,
+                                     max_size=3)),
+            "kernels": draw(st.lists(st.sampled_from(["zonal", "poisson",
+                                                      "hua"]),
+                                     min_size=1, unique=True))}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kernel_configs())
+@example({"n": 400, "p": 1, "x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399,
+          "kernels": ["zonal", "poisson", "hua"]})
+@example({"n": 400, "p": 1, "x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399,
+          "kernels": ["hua"]})
+@example({"n": 2, "p": 1, "x": [0.1, 0.1], "zeta": [1, 0],
+          "degrees": [1500], "kernels": ["zonal"]})
+def test_kernel_contract_holds_on_generated_configs(tmp_path_factory,
+                                                    config):
+    # exit 0-3 with either a strict-JSON table and a silent stderr, or one
+    # "error:" line and no table; never a traceback or a warning
+    path = tmp_path_factory.mktemp("contract") / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(["kernel", "--config", str(path)])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        assert err.getvalue() == ""
+        parse_strictly(out.getvalue())
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 \
+            and err.getvalue().endswith("\n")
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ closed forms, series, and the exact dimension formulas.
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -246,6 +247,22 @@ def test_poisson_singular_near_boundary_touch():
     zeta = RotatedVector(0.0, np.array([1.0, 0.0]))
     with pytest.raises(SingularKernelError):
         poisson_kernel(x, zeta, 1)
+
+
+@pytest.mark.parametrize("n", [400, 401])
+def test_closed_forms_past_the_double_range_raise_without_warnings(n):
+    # |x - zeta|^2 = 0.01, so the denominator power is 10^{n/2 * 2} > 2^1024;
+    # at odd n the half-integer power underflows and divides by zero instead
+    x = RotatedVector(0.0, np.array([0.9] + [0.0] * (n - 1)))
+    zeta = np.array([1.0] + [0.0] * (n - 1))
+    calls = (lambda: poisson_kernel(x, zeta, 1),
+             lambda: poisson_boundary_form(x, zeta, 0, 1),
+             lambda: cauchy_hua(x.to_complex(), zeta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="overflows a double"):
+                call()
 
 
 def test_boundary_form_matches_direct_formula():

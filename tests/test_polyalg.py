@@ -1,9 +1,9 @@
 """Exact polynomial algebra: Laplacian, dimensions, Almansi splits.
 
-Oracles: sympy recomputes Laplacians and nullspace dimensions from scratch;
-hand-derived closed forms pin small decompositions.  Polynomials carry
-Gaussian-rational coefficients, so reassembly and annihilation checks demand
-residual zero, not merely small.
+Oracles: sympy recomputes Laplacians, nullspace dimensions and nullspace
+bases from scratch; hand-derived closed forms pin small decompositions.
+Polynomials carry Gaussian-rational coefficients, so reassembly and
+annihilation checks demand residual zero, not merely small.
 """
 
 from __future__ import annotations
@@ -201,12 +201,14 @@ def test_sum_then_evaluate_is_linear(coeffs, m):
 # dimension formulas against sympy nullspaces
 # --------------------------------------------------------------------------
 
-def _nullity_of_laplacian_power(n: int, m: int, p: int) -> int:
+def _laplacian_power_matrix(n: int, m: int, p: int):
+    """Sympy matrix of Delta^p from the degree-m monomials (columns, in
+    ``_exponents`` order) to the degree m - 2p monomials (rows)."""
     symbols = sympy.symbols(f"x1:{n + 1}")
     monos = list(_exponents(n, m))
     targets = list(_exponents(n, m - 2 * p)) if m - 2 * p >= 0 else []
     if not targets:
-        return len(monos)
+        return sympy.zeros(0, len(monos))
     rows = []
     for exps in monos:
         expr = sympy.Integer(1)
@@ -218,8 +220,12 @@ def _nullity_of_laplacian_power(n: int, m: int, p: int) -> int:
         rows.append([poly.coeff_monomial(
             sympy.prod([s ** e for s, e in zip(symbols, t)]))
             for t in targets])
-    mat = sympy.Matrix(rows).T
-    return len(monos) - mat.rank()
+    return sympy.Matrix(rows).T
+
+
+def _nullity_of_laplacian_power(n: int, m: int, p: int) -> int:
+    mat = _laplacian_power_matrix(n, m, p)
+    return mat.cols - mat.rank()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -258,6 +264,45 @@ def test_polyharmonic_basis_is_exactly_annihilated(n, m, p):
         for _ in range(p):
             out = out.laplacian()
         assert out.coefficient_scale() == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_polyharmonic_basis_is_the_reduced_kernel_basis(n):
+    # one element per free monomial x^alpha (alpha_1 < 2p), annihilated
+    # exactly, with coefficient 1 there and 0 at every other free monomial
+    for p in (1, 2, 3):
+        for m in range(9 if n <= 3 else 7):
+            free = [a for a in _exponents(n, m) if a[0] < 2 * p]
+            basis = polyharmonic_basis(n, m, p)
+            assert len(basis) == len(free) == dim_Hp(n, m, p)
+            for own, b in zip(free, basis):
+                assert is_polyharmonic(b, p), (m, p, own)
+                assert [b.terms.get(a, 0) for a in free] \
+                    == [int(a == own) for a in free], (m, p, own)
+
+
+@pytest.mark.parametrize("n,max_m", [(2, 6), (3, 6), (4, 4)])
+def test_polyharmonic_basis_equals_the_sympy_nullspace(n, max_m):
+    # sympy's nullspace sets one free column to 1 and solves its reduced
+    # echelon form for the pivots: the same basis, bit for bit
+    monos = {m: list(_exponents(n, m)) for m in range(max_m + 1)}
+    for p in (1, 2, 3):
+        for m in range(max_m + 1):
+            want = [MultiPoly(n, {
+                monos[m][i]: Fraction(int(v.p), int(v.q))
+                for i, v in enumerate(vec) if v})
+                for vec in _laplacian_power_matrix(n, m, p).nullspace()]
+            assert polyharmonic_basis(n, m, p) == want, (m, p)
+
+
+def test_returned_bases_are_fresh_lists():
+    for build in (lambda: polyharmonic_basis(3, 4, 2),
+                  lambda: harmonic_basis(3, 4)):
+        first = build()
+        want = list(first)
+        first.reverse()
+        first[0] = MultiPoly.zero(3)
+        assert build() == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

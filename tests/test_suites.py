@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from polyball import polyalg
+from polyball.polyalg import MultiPoly
 from polyball.suites import (SUITES, PropertyResult, run_suite,
-                             suite_far_cap, suite_reproduction)
+                             suite_diagonal_dim, suite_far_cap,
+                             suite_reproduction)
 
 EXPECTED_NAMES = {
     "route-agreement",
@@ -85,3 +88,28 @@ def test_seed_changes_samples_but_not_verdict():
 def test_tolerance_override_tightens_every_row():
     rows = run_suite("diagonal-dim", n=2, p=1, seed=0, tolerance=1e-30)
     assert any(not r.passed for r in rows)
+
+
+def test_diagonal_dim_counts_a_basis_element_that_is_not_annihilated(
+        monkeypatch):
+    # the right count is not enough: |x|^2 x1^(m-2) added to the first
+    # element keeps the count and breaks Delta^1 at every degree m >= 2
+    def nullspace_row():
+        rows = suite_diagonal_dim(n=2, p=1, max_degree=6, samples=1)
+        return next(r for r in rows
+                    if r.name == "dimension-formula-vs-nullspace")
+
+    assert nullspace_row().deviation == 0.0
+    build = polyalg._polyharmonic_basis
+
+    def spoiled(n, m, p):
+        basis = build(n, m, p)
+        if m < 2:
+            return basis
+        bump = MultiPoly.radial_square(n) * MultiPoly.monomial(
+            n, (m - 2,) + (0,) * (n - 1))
+        return (basis[0] + bump,) + basis[1:]
+
+    monkeypatch.setattr(polyalg, "_polyharmonic_basis", spoiled)
+    row = nullspace_row()
+    assert row.deviation == 5.0 and not row.passed
