@@ -29,15 +29,9 @@ from .geometry import (
     as_complex_vector,
     as_rotated,
     bilinear_square,
-    complex_abs,
     hermitian_dot,
-    hermitian_norm,
-    in_lie_ball,
-    in_lie_domain,
     lie_norm,
-    on_lie_sphere,
     principal_power,
-    principal_sqrt,
 )
 from .polyalg import (
     MultiPoly,
@@ -46,7 +40,6 @@ from .polyalg import (
     dim_Hp,
     dim_P,
     harmonic_almansi,
-    harmonic_basis,
     is_polyharmonic,
     polyharmonic_almansi,
     polyharmonic_basis,
@@ -68,12 +61,10 @@ from .kernels import (
     cauchy_hua,
     hua_convergence_gap,
     pair_invariants,
-    poisson_boundary_form,
     poisson_from_hua,
     poisson_kernel,
     poisson_kernel_series,
     truncation_degree,
-    zonal_harmonic,
     zonal_polyharmonic,
 )
 from .quadrature import (
@@ -83,7 +74,6 @@ from .quadrature import (
     resolution_for_exactness,
     rule_from_json,
     rule_to_json,
-    sphere_integral,
     sphere_rule,
 )
 from .solver import (
@@ -101,22 +91,19 @@ from .suites import SUITES, PropertyResult, run_suite
 __all__ = [
     "__version__",
     "RotatedVector", "as_complex_vector", "as_rotated", "bilinear_square",
-    "complex_abs", "hermitian_dot", "hermitian_norm", "in_lie_ball",
-    "in_lie_domain", "lie_norm", "on_lie_sphere", "principal_power",
-    "principal_sqrt",
+    "hermitian_dot", "lie_norm", "principal_power",
     "MultiPoly", "almansi_reassemble", "dim_H", "dim_Hp", "dim_P",
-    "harmonic_almansi", "harmonic_basis", "is_polyharmonic",
-    "polyharmonic_almansi", "polyharmonic_basis", "polyharmonic_split",
+    "harmonic_almansi", "is_polyharmonic", "polyharmonic_almansi",
+    "polyharmonic_basis", "polyharmonic_split",
     "gegenbauer_coefficients", "gegenbauer_explicit",
     "generating_function", "generating_partial_sum",
     "KernelParams", "KernelValue", "ROUTES", "SingularKernelError",
     "cauchy_hua", "hua_convergence_gap", "pair_invariants",
-    "poisson_boundary_form", "poisson_from_hua", "poisson_kernel",
-    "poisson_kernel_series", "truncation_degree", "zonal_harmonic",
-    "zonal_polyharmonic",
+    "poisson_from_hua", "poisson_kernel", "poisson_kernel_series",
+    "truncation_degree", "zonal_polyharmonic",
     "LieSphereRule", "SphereRule", "lie_sphere_rule",
     "resolution_for_exactness", "rule_from_json", "rule_to_json",
-    "sphere_integral", "sphere_rule",
+    "sphere_rule",
     "BoundaryData", "DirichletSolution", "LimitExperiment", "choose_rule",
     "dirichlet_solve", "hua_reproduce", "poisson_integral",
     "polyharmonic_limit_experiment",

@@ -4,10 +4,10 @@ Conventions used throughout the package:
 
 * Points of C^n are 1-d arrays (or sequences) of complex numbers, n >= 2.
 * ``bilinear_square(z)`` is the analytic square z.z = sum z_j**2, without
-  conjugation.  ``complex_abs`` is its principal square root, with branch cut
-  on the non-positive real axis and argument in (-pi, pi].  Negative reals
-  map to the positive imaginary axis regardless of the sign of an incoming
-  imaginary zero.
+  conjugation.
+* ``principal_power`` takes the principal branch, with branch cut on the
+  non-positive real axis and argument in (-pi, pi].  Negative reals map to
+  the upper half plane regardless of the sign of an incoming imaginary zero.
 * The Lie norm is L(z) = sqrt(|z|_h^2 + sqrt(|z|_h^4 - |z.z|^2)) where
   |.|_h is the hermitian norm.  For real x, L(x) = |x|; L is invariant under
   multiplication by unit scalars e^{i phi}.
@@ -16,9 +16,8 @@ Conventions used throughout the package:
   rotations, so the embedded complex point is preserved).  Sector points of
   the union of rotated spheres/balls have angle = j*pi/p.
 
-Public API (stable): bilinear_square, complex_abs, hermitian_dot,
-hermitian_norm, lie_norm, in_lie_ball, on_lie_sphere, in_lie_domain,
-principal_sqrt, principal_power, as_complex_vector, RotatedVector.
+Public API (stable): bilinear_square, hermitian_dot, lie_norm,
+principal_power, as_complex_vector, as_rotated, RotatedVector.
 """
 
 from __future__ import annotations
@@ -33,15 +32,9 @@ __all__ = [
     "as_complex_vector",
     "as_rotated",
     "bilinear_square",
-    "complex_abs",
     "hermitian_dot",
-    "hermitian_norm",
-    "in_lie_ball",
-    "in_lie_domain",
     "lie_norm",
-    "on_lie_sphere",
     "principal_power",
-    "principal_sqrt",
 ]
 
 
@@ -62,14 +55,9 @@ def _canonical_complex(w):
     return arr.real + 1j * im
 
 
-def principal_sqrt(w):
-    """Principal square root, branch cut (-inf, 0], arg in (-pi, pi]."""
-    res = np.sqrt(_canonical_complex(w))
-    return complex(res) if np.isscalar(w) or np.ndim(w) == 0 else res
-
-
 def principal_power(w, a):
-    """Principal power w**a for real exponent a, same branch as principal_sqrt.
+    """Principal power w**a for real exponent a: branch cut (-inf, 0], arg w
+    in (-pi, pi].
 
     Integer exponents are evaluated by plain powering (no branch involved).
     A half-integer a = +-(k + 1/2), the kernel denominators at odd n, is
@@ -158,14 +146,10 @@ class RotatedVector:
     def to_complex(self) -> np.ndarray:
         return np.exp(1j * self.angle) * self.coords
 
-    def rotated(self, delta: float) -> "RotatedVector":
-        """The point multiplied by e^{i*delta}."""
-        return RotatedVector(self.angle + delta, self.coords)
-
-    def sector_index(self, p: int, tol: float = 1e-9) -> int:
-        """Index j with angle = j*pi/p, or raise if no sector matches."""
+    def sector_index(self, p: int) -> int:
+        """Index j with angle = j*pi/p (within 1e-9), or raise if none."""
         j = round(self.angle * p / math.pi)
-        if abs(self.angle - j * math.pi / p) > tol:
+        if abs(self.angle - j * math.pi / p) > 1e-9:
             raise ValueError(
                 f"angle {self.angle!r} is not a multiple of pi/{p}")
         return j % p
@@ -202,21 +186,12 @@ def bilinear_square(z) -> complex:
     return complex(np.sum(arr * arr))
 
 
-def complex_abs(z) -> complex:
-    """Principal square root of the analytic square z.z."""
-    return principal_sqrt(bilinear_square(z))
-
-
 def hermitian_dot(z, w) -> complex:
     """<z, w> = sum z_j * conj(w_j)."""
     za, wa = as_complex_vector(z), as_complex_vector(w)
     if za.size != wa.size:
         raise ValueError("dimension mismatch")
     return complex(np.sum(za * np.conj(wa)))
-
-
-def hermitian_norm(z) -> float:
-    return float(np.linalg.norm(as_complex_vector(z)))
 
 
 def lie_norm(z) -> float:
@@ -235,17 +210,3 @@ def lie_norm(z) -> float:
     minors -= minors.T
     inner = 2.0 * float(np.sum(minors * minors))
     return math.sqrt(h2 + math.sqrt(inner))
-
-
-def in_lie_ball(z) -> bool:
-    """Open Lie ball membership, L(z) < 1."""
-    return lie_norm(z) < 1.0
-
-
-def on_lie_sphere(z, tol: float = 1e-12) -> bool:
-    return abs(lie_norm(z) - 1.0) <= tol
-
-
-def in_lie_domain(z, w) -> bool:
-    """Membership in {L(z) * L(w) < 1}, the domain of the kernel series."""
-    return lie_norm(z) * lie_norm(w) < 1.0

@@ -52,14 +52,12 @@ __all__ = [
     "ROUTE_EXPLICIT_SUM",
     "SingularKernelError",
     "SeriesToleranceError",
-    "zonal_harmonic",
     "zonal_polyharmonic",
     "zonal_from_products",
     "poisson_kernel",
     "poisson_from_products",
     "poisson_kernel_series",
     "truncation_degree",
-    "poisson_boundary_form",
     "cauchy_hua",
     "cauchy_hua_from_products",
     "poisson_from_hua",
@@ -182,20 +180,6 @@ def _poly_sum(coeffs, m: int, B, P):
 # zonal kernels
 # --------------------------------------------------------------------------
 
-def zonal_harmonic(n: int, m: int, x, zeta) -> complex:
-    """Reproducing kernel of degree-m spherical harmonics, extended to C^n.
-
-    Z_0 = 1; degrees m < 0 give 0.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if m < 0:
-        return 0j
-    B, x2, zb2 = pair_invariants(x, zeta)
-    coeffs = _float_coeffs(n, m, 1, False)
-    return complex(_poly_sum(coeffs, m, B, x2 * zb2))
-
-
 def zonal_from_products(n: int, m: int, p: int, B, P,
                         route: str = ROUTE_GEGENBAUER_DIFF):
     """Z_m^p from precomputed invariants B and P = x2 * zb2 (vectorized)."""
@@ -228,16 +212,15 @@ def _zonal_term_scale(n: int, m: int, p: int, B: complex, P: complex) -> float:
                      for k, c in enumerate(coeffs)))
 
 
-def zonal_polyharmonic(params: KernelParams, x, zeta,
-                       route: str = ROUTE_GEGENBAUER_DIFF) -> complex:
+def zonal_polyharmonic(params: KernelParams, x, zeta) -> complex:
     """Reproducing kernel of degree-m order-p polyharmonics on the
-    union of rotated spheres, extended to C^n x C^n."""
+    union of rotated spheres, extended to C^n x C^n; at p = 1 the zonal
+    harmonic Z_m.  Degrees m < 0 give 0."""
     if params.m < 0:
         return 0j
     B, x2, zb2 = pair_invariants(x, zeta)
-    value = zonal_from_products(params.n, params.m, params.p, B, x2 * zb2,
-                                route)
-    return complex(value)
+    return complex(zonal_from_products(params.n, params.m, params.p, B,
+                                       x2 * zb2))
 
 
 # --------------------------------------------------------------------------
@@ -301,31 +284,10 @@ def poisson_kernel(x, zeta, p: int) -> complex:
 
 
 def boundary_form_values(n: int, p: int, x2, v2):
-    """(1 - x2^p) / (v2)^{n/2} for precomputed difference squares v2."""
+    """(1 - x2^p) / (v2)^{n/2} for precomputed difference squares v2; at
+    v2 = (e^{-ik pi/p} x - zeta)^2 it equals conj(P(e^{ik pi/p} zeta, x))."""
     return _denominator_power(v2, n, "boundary form",
                               1.0 - np.asarray(x2, dtype=complex) ** p)
-
-
-def poisson_boundary_form(x, zeta, k: int, p: int) -> complex:
-    """Boundary-sector form (1 - |x|^{2p}) / |e^{-ik pi/p} x - zeta|_C^n.
-
-    ``zeta`` is the real unit vector representing the k-th sector point
-    e^{ik pi/p} zeta; |.|_C is the principal bilinear norm (its n-th power
-    is the n/2 principal power of the bilinear square).  Equals the
-    conjugated Poisson kernel conj(P(e^{ik pi/p} zeta, x)).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    x = _require_sector_interior(x, p)
-    zs = np.asarray(zeta, dtype=float)
-    if zs.shape != (x.n,):
-        raise ValueError("zeta must be a real unit vector matching x")
-    if abs(np.linalg.norm(zs) - 1.0) > 1e-12:
-        raise ValueError("zeta must lie on the unit sphere")
-    v = np.exp(-1j * k * math.pi / p) * x.to_complex() - zs
-    v2 = bilinear_square(v)
-    x2 = bilinear_square(x.to_complex())
-    return complex(boundary_form_values(x.n, p, x2, v2))
 
 
 # --------------------------------------------------------------------------

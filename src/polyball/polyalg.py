@@ -17,9 +17,7 @@ is sum_j (-1)^j |x|^{2j} Delta^j f / (2^j j! prod_{i=1..j} (n + 2d - 2 - 2i))
 No linear system is solved.  Grouping the ladder in blocks of p gives the
 order-p decomposition with Delta^p-annihilated components.
 
-The bases of H_m^p = ker Delta^p come in closed form too, and the
-orthonormal harmonic basis from an exact Gram-Schmidt under exact sphere
-moments, within each parity class, with one float square root per element.
+The bases of H_m^p = ker Delta^p come in closed form too.
 
 Text format: terms joined by " + ", each term "c * x1^a1 x2^a2 ...", with
 rational coefficients "p/q" and complex ones "(re,im)"; decimals such as
@@ -49,7 +47,6 @@ __all__ = [
     "polyharmonic_split",
     "almansi_reassemble",
     "is_polyharmonic",
-    "harmonic_basis",
     "polyharmonic_basis",
 ]
 
@@ -93,18 +90,6 @@ class QQi:
     def __neg__(self):
         return QQi(-self.re, -self.im)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQi(o.re - self.re, o.im - self.im)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # a real scalar: two products
             return QQi(self.re * other, self.im * other)
@@ -115,34 +100,6 @@ class QQi:
                    self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero in QQi")
-        return QQi((self.re * o.re + self.im * o.im) / d,
-                   (self.im * o.re - self.re * o.im) / d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return QQi(1) / self ** (-k)
-        out = QQi(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     # -- structure ---------------------------------------------------------
 
@@ -157,9 +114,6 @@ class QQi:
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -226,14 +180,6 @@ class MultiPoly:
     @classmethod
     def constant(cls, n: int, c) -> "MultiPoly":
         return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "MultiPoly":
-        if not 0 <= i < n:
-            raise ValueError("variable index out of range")
-        exps = [0] * n
-        exps[i] = 1
-        return cls(n, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, n: int, exps, c=1) -> "MultiPoly":
@@ -686,7 +632,7 @@ def is_polyharmonic(q: MultiPoly, p: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# harmonic bases
+# polyharmonic bases
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -725,59 +671,3 @@ def polyharmonic_basis(n: int, m: int, p: int) -> list:
     """Exact basis of H_m^p: homogeneous degree-m polynomials with
     Delta^p = 0, a fresh list in a fixed order.  dim = dim_Hp(n, m, p)."""
     return list(_polyharmonic_basis(n, m, p))
-
-
-def _sphere_moment(exps) -> Fraction:
-    """Normalized moment of x^exps on S^{n-1}, n = len(exps): for even exps
-    prod (e_i - 1)!! / (n (n+2) ... (n+|e|-2)), else 0 (Folland, Amer. Math.
-    Monthly 108, 2001)."""
-    if any(e % 2 for e in exps):
-        return Fraction(0)
-    n = len(exps)
-    odd_factorials = math.prod(math.prod(range(e - 1, 0, -2)) for e in exps)
-    return Fraction(odd_factorials, math.prod(range(n, n + sum(exps) - 1, 2)))
-
-
-def _sphere_inner(f: MultiPoly, g: MultiPoly) -> QQi:
-    """Exact <f, g> = int f conj(g) dsigma over the unit sphere (real x)."""
-    total = _ZERO
-    for a, c in f.terms.items():
-        for b, d in g.terms.items():
-            moment = _sphere_moment([x + y for x, y in zip(a, b)])
-            if moment:
-                total = total + c * d.conjugate() * moment
-    return total
-
-
-def _parity_classes(f: MultiPoly) -> set:
-    """Exponent tuples mod 2 of f's terms; <f, g> = 0 when f's and g's
-    classes are disjoint, since a moment with an odd exponent vanishes."""
-    return {tuple(e % 2 for e in exps) for exps in f.terms}
-
-
-def harmonic_basis(n: int, m: int, orthonormal: bool = False) -> list:
-    """Basis of the degree-m harmonic homogeneous polynomials.
-
-    The raw basis is ``polyharmonic_basis(n, m, 1)``: exact (rational
-    coefficients), deterministic and in closed form.  With
-    ``orthonormal=True`` it is Gram-Schmidt orthogonalized exactly under the
-    normalized surface inner product on the unit sphere, computed from exact
-    sphere moments; each element is then scaled by the exact rational of the
-    double sqrt(1 / |q|^2), the one rounding in the construction.  Monomials
-    whose exponents differ in parity are orthogonal, so only pairs sharing a
-    parity class (exponents mod 2) are projected; the Laplacian keeps each
-    class, so every raw element lies in one.
-    """
-    raw = _polyharmonic_basis(n, m, 1)
-    if not orthonormal:
-        return list(raw)
-    ortho, norms, classes = [], [], []
-    for b in raw:
-        q, parity = b, _parity_classes(b)
-        for o, norm, o_parity in zip(ortho, norms, classes):
-            if parity & o_parity:
-                q = q - o * (_sphere_inner(b, o) / norm)
-        ortho.append(q)
-        norms.append(_sphere_inner(q, q).re)
-        classes.append(_parity_classes(q))
-    return [q * Fraction(math.sqrt(1 / norm)) for q, norm in zip(ortho, norms)]

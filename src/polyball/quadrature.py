@@ -15,8 +15,8 @@ All surface measures are normalized (total mass 1).  Integral reductions go
 through ``compensated_sum``, a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J.
 Sci. Comput. 26(6), 2005): deterministic, and as accurate as a sum carried
 in twice the working precision; each product term keeps its own rounding.
-Sums over rotated copies of the sphere (Lie-sphere angles here, the rotated
-sectors in ``solver``) reduce along the node axis first, then across the
+Sums over rotated copies of the sphere (the rotated sectors and Lie-sphere
+angles in ``solver``) reduce along the node axis first, then across the
 copies.
 """
 
@@ -36,8 +36,6 @@ __all__ = [
     "lie_sphere_rule",
     "resolution_for_exactness",
     "compensated_sum",
-    "sphere_integral",
-    "lie_sphere_integral",
     "rule_to_json",
     "rule_from_json",
 ]
@@ -72,10 +70,6 @@ class SphereRule:
     @property
     def count(self) -> int:
         return self.nodes.shape[0]
-
-    def doubled(self) -> "SphereRule":
-        """Same family at twice the resolution (convergence checks)."""
-        return sphere_rule(self.n, 2 * self.resolution)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,42 +196,6 @@ def compensated_sum(values, axis=None):
         c = e if c is None else c[..., 0::2] + c[..., 1::2] + e
     total = s[..., 0] if c is None else s[..., 0] + c[..., 0]
     return complex(total) if axis is None else np.array(total)  # no view
-
-
-def _values_on(rule: SphereRule, f) -> np.ndarray:
-    values = f(rule.nodes) if callable(f) else np.asarray(f)
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (rule.count,):
-        raise ValueError("values must match the rule's node count")
-    return values
-
-
-def sphere_integral(f, rule: SphereRule) -> complex:
-    """Integral over the unit sphere (normalized measure).
-
-    ``f`` is a callable taking the (R, n) node array, or a length-R value
-    array.
-    """
-    values = _values_on(rule, f)
-    return compensated_sum(rule.weights * values)
-
-
-def lie_sphere_integral(F, rule: LieSphereRule) -> complex:
-    """Average of F over the Lie sphere using the product rule.
-
-    ``F`` is a callable taking an (M, n) complex array of points
-    e^{i angle} * node, for every angle and node of the rule at once
-    (angle-major), and returning one value per point.
-    """
-    base = rule.base
-    phases = np.exp(1j * rule.angles)
-    pts = (phases[:, None, None] * base.nodes).reshape(-1, base.n)
-    values = np.asarray(F(pts), dtype=complex)
-    if values.shape != (pts.shape[0],):
-        raise ValueError("values must match the rule's point count")
-    values = values.reshape(rule.angular, base.count)
-    return compensated_sum(compensated_sum(
-        base.weights * values, axis=-1)) / rule.angular
 
 
 # --------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def poisson_integral(f: BoundaryData, x, rule: quadrature.SphereRule) -> complex
 
 @dataclass
 class DirichletSolution:
-    """Solution values plus an evaluator for further interior points."""
+    """Solution values at interior points, with their data and rule."""
 
     boundary: BoundaryData
     rule: quadrature.SphereRule
@@ -214,10 +214,6 @@ class DirichletSolution:
     @property
     def p(self) -> int:
         return self.boundary.p
-
-    def evaluate(self, x) -> complex:
-        return complex(dirichlet_solve(self.boundary, [x],
-                                       self.rule).values[0])
 
 
 def dirichlet_solve(f: BoundaryData, points,

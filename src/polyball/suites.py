@@ -11,7 +11,9 @@ Conventions: sampling is driven entirely by the ``seed`` argument
 (``numpy.random.default_rng``); iteration orders are fixed, so reports are
 bit-reproducible.  Deviations for exact-arithmetic checks count failures
 (0.0 means every case held exactly).  Every suite accepts any n >= 2; an
-integrating suite whose rule exceeds the node cap raises ``ValueError``.
+integrating suite whose rule exceeds the node cap raises ``ValueError``, and
+so does a suite that enumerates the degree-``max_degree`` monomials when
+there are more than ``_MAX_MONOMIALS`` of them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels, polyalg, quadrature, solver
-from .geometry import RotatedVector, as_complex_vector, lie_norm
+from .geometry import RotatedVector, lie_norm
 from .kernels import KernelParams, ROUTES
-from .polyalg import MultiPoly, dim_Hp, polyharmonic_basis
+from .polyalg import MultiPoly, dim_P, dim_Hp, polyharmonic_basis
 
 __all__ = [
     "PropertyResult",
@@ -44,6 +46,17 @@ __all__ = [
     "suite_far_cap",
     "suite_gegenbauer",
 ]
+
+
+# Most degree-max_degree monomials a suite enumerates: n = 8 at degree 8.
+_MAX_MONOMIALS = 1 << 13
+
+
+def _require_monomials(n: int, degree: int):
+    count = dim_P(n, degree)
+    if count > _MAX_MONOMIALS:
+        raise ValueError(f"n={n}: {count} monomials of degree {degree} "
+                         f"exceed the cap of {_MAX_MONOMIALS}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +154,7 @@ def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
     """Z_m^p(eta, eta) equals dim H_m^p in every sector, and each degree's
     basis has dim_Hp elements, independent by construction (one free
     monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp."""
+    _require_monomials(n, max_degree)
     rng = np.random.default_rng(seed)
     worst = 0.0
     dim_misses = 0
@@ -380,22 +394,21 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
 # --------------------------------------------------------------------------
 
 def _random_homogeneous(rng, n: int, m: int) -> MultiPoly:
-    out = MultiPoly.zero(n)
+    terms = {}
     for exps in polyalg._monomials(n, m):
         if rng.uniform() < 0.65:
             num = int(rng.integers(-9, 10))
             den = int(rng.integers(1, 10))
             if num:
-                out = out + MultiPoly.monomial(n, exps, Fraction(num, den))
-    if out.is_zero():
-        out = MultiPoly.monomial(n, polyalg._monomials(n, m)[0], 1)
-    return out
+                terms[exps] = Fraction(num, den)
+    return MultiPoly(n, terms or {(m,) + (0,) * (n - 1): 1})
 
 
 def suite_almansi(n: int = 2, p: int = 1, seed: int = 0, count: int = 40,
                   max_degree: int = 8) -> list:
     """Exact Almansi behavior on random rational homogeneous polynomials:
     reassembly, annihilation, uniqueness, and the one-step direct sum."""
+    _require_monomials(n, max_degree)
     rng = np.random.default_rng(seed)
     reassembly = annihilation = uniqueness = direct_sum = 0
     for _ in range(count):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyball import cli, kernels, quadrature, solver
+from polyball import cli, kernels, polyalg, quadrature, solver
 from polyball.gegenbauer import gegenbauer_coefficients
 from polyball.geometry import lie_norm
 
@@ -428,6 +428,33 @@ def test_verify_tolerance_flag_forces_failure_exit(tmp_path):
                   {"n": 2, "suites": ["diagonal-dim"]},
                   "--tolerance", "1e-30")
     assert code == cli.EXIT_TOLERANCE
+
+
+def assert_monomial_cap_refusal(code, text, err):
+    assert code == cli.EXIT_CONFIG
+    assert text == ""
+    assert err.startswith("error: ") and "monomials" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["diagonal-dim", "almansi"])
+def test_monomial_suites_refuse_sizes_past_the_cap(tmp_path, capsys, suite):
+    # n=9 has 12,870 monomials of degree 8, past the cap of 8,192
+    code, text = run(tmp_path, "verify", {"n": 9, "suites": [suite]})
+    assert_monomial_cap_refusal(code, text, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("suite", ["diagonal-dim", "almansi"])
+def test_monomial_cap_is_checked_before_any_enumeration(tmp_path, capsys,
+                                                        monkeypatch, suite):
+    # n=400 has about 1.5e15 monomials of degree 8: enumerating none of
+    # them shows the refusal comes from the count alone
+    def enumerate_none(n, m):
+        raise AssertionError(f"monomials of degree {m} enumerated")
+
+    monkeypatch.setattr(polyalg, "_monomials", enumerate_none)
+    code, text = run(tmp_path, "verify", {"n": 400, "suites": [suite]})
+    assert_monomial_cap_refusal(code, text, capsys.readouterr().err)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Geometry primitives: rotated points, bilinear square, Lie norm.
 
 Conventions under test: RotatedVector stores e^{i*angle} * coords with the
-angle reduced to [0, pi) (sign folded into coords), complex_abs is the
-principal square root of the bilinear square, and the Lie norm L satisfies
-hermitian norm <= L with equality exactly on rotated real vectors.
+angle reduced to [0, pi) (sign folded into coords), principal powers take
+arg in (-pi, pi], and the Lie norm L satisfies hermitian norm <= L with
+equality exactly on rotated real vectors.
 """
 
 from __future__ import annotations
@@ -20,16 +20,9 @@ from polyball.geometry import (
     RotatedVector,
     as_complex_vector,
     as_rotated,
-    bilinear_square,
-    complex_abs,
     hermitian_dot,
-    hermitian_norm,
-    in_lie_ball,
-    in_lie_domain,
     lie_norm,
-    on_lie_sphere,
     principal_power,
-    principal_sqrt,
 )
 
 RNG = np.random.default_rng(20260814)
@@ -46,15 +39,15 @@ def random_complex(n: int, scale: float = 10.0) -> np.ndarray:
 def test_principal_sqrt_squares_back():
     for _ in range(200):
         w = complex(RNG.uniform(-10, 10), RNG.uniform(-10, 10))
-        s = principal_sqrt(w)
+        s = principal_power(w, 0.5)
         assert abs(s * s - w) <= 1e-12 * max(1.0, abs(w))
         assert s.real >= 0.0
 
 
 def test_principal_sqrt_on_the_cut_picks_upper_branch():
-    assert principal_sqrt(complex(-4.0, 0.0)) == pytest.approx(2j)
+    assert principal_power(complex(-4.0, 0.0), 0.5) == pytest.approx(2j)
     # a negative-zero imaginary part is normalized before branching
-    assert principal_sqrt(complex(-4.0, -0.0)) == pytest.approx(2j)
+    assert principal_power(complex(-4.0, -0.0), 0.5) == pytest.approx(2j)
 
 
 def test_principal_power_matches_exp_log():
@@ -123,25 +116,8 @@ def test_principal_power_zero_base():
 
 
 # --------------------------------------------------------------------------
-# bilinear square and complex_abs
+# bilinear square and hermitian dot
 # --------------------------------------------------------------------------
-
-def test_complex_abs_squares_to_bilinear_square():
-    for n in (2, 3, 5):
-        for _ in range(100):
-            z = random_complex(n)
-            w = complex_abs(z)
-            assert abs(w * w - bilinear_square(z)) <= 1e-12 * max(
-                1.0, abs(bilinear_square(z)))
-
-
-def test_complex_abs_real_vector_is_euclidean_norm():
-    for n in (2, 3, 4):
-        for _ in range(50):
-            x = RNG.uniform(-10, 10, n)
-            assert complex_abs(x) == pytest.approx(np.linalg.norm(x),
-                                                   rel=1e-13)
-
 
 def test_hermitian_dot_self_is_norm_squared():
     for _ in range(50):
@@ -173,7 +149,7 @@ def test_lie_norm_dominates_hermitian_norm():
     for n in (2, 3, 4):
         for _ in range(100):
             z = random_complex(n)
-            assert hermitian_norm(z) <= lie_norm(z) * (1 + 1e-12)
+            assert np.linalg.norm(z) <= lie_norm(z) * (1 + 1e-12)
 
 
 def test_lie_norm_scales_linearly():
@@ -190,7 +166,6 @@ def test_rotated_sphere_points_have_unit_lie_norm():
                 y /= np.linalg.norm(y)
                 zeta = RotatedVector.sector(j, p, y)
                 assert abs(lie_norm(zeta.to_complex()) - 1.0) <= 1e-12
-                assert on_lie_sphere(zeta.to_complex())
 
 
 def test_rotated_ball_points_are_inside_lie_ball():
@@ -200,15 +175,7 @@ def test_rotated_ball_points_are_inside_lie_ball():
                 y = RNG.standard_normal(2)
                 y *= RNG.uniform(0.01, 0.999) / np.linalg.norm(y)
                 x = RotatedVector.sector(j, p, y)
-                assert in_lie_ball(x.to_complex())
                 assert lie_norm(x.to_complex()) < 1.0
-
-
-def test_in_lie_domain_is_product_condition():
-    z = 0.5 * np.array([1.0, 0.0])
-    w = np.array([1.0, 0.0])
-    assert in_lie_domain(z, w)
-    assert not in_lie_domain(2.0 * w, w)
 
 
 # --------------------------------------------------------------------------

@@ -27,16 +27,15 @@ from polyball.kernels import (
     SeriesToleranceError,
     SingularKernelError,
     _tail_bound,
+    boundary_form_values,
     cauchy_hua,
     hua_convergence_gap,
     pair_invariants,
-    poisson_boundary_form,
     poisson_from_hua,
     poisson_kernel,
     poisson_kernel_series,
     truncation_degree,
     zonal_from_products,
-    zonal_harmonic,
     zonal_polyharmonic,
 )
 from polyball.polyalg import dim_Hp
@@ -71,11 +70,11 @@ def test_zonal_harmonic_n2_is_twice_cosine():
             a, b = rng.uniform(0, 2 * math.pi, 2)
             x = np.array([math.cos(a), math.sin(a)])
             zeta = np.array([math.cos(b), math.sin(b)])
-            got = zonal_harmonic(2, m, x, zeta)
+            got = zonal_polyharmonic(KernelParams(2, 1, m), x, zeta)
             want = 2.0 * math.cos(m * (a - b))
             assert abs(got - want) <= 1e-11
-    assert zonal_harmonic(2, 0, np.array([1.0, 0]),
-                          np.array([0.0, 1])) == pytest.approx(1.0)
+    assert zonal_polyharmonic(KernelParams(2, 1, 0), np.array([1.0, 0]),
+                              np.array([0.0, 1])) == pytest.approx(1.0)
 
 
 def test_zonal_harmonic_n3_is_legendre():
@@ -84,7 +83,7 @@ def test_zonal_harmonic_n3_is_legendre():
         for _ in range(20):
             x = unit_vector(3, rng)
             zeta = unit_vector(3, rng)
-            got = zonal_harmonic(3, m, x, zeta)
+            got = zonal_polyharmonic(KernelParams(3, 1, m), x, zeta)
             want = (2 * m + 1) * eval_legendre(m, float(x @ zeta))
             assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
 
@@ -93,14 +92,14 @@ def test_zonal_harmonic_is_homogeneous_of_degree_m_in_each_slot():
     rng = np.random.default_rng(3)
     x, zeta = unit_vector(3, rng), unit_vector(3, rng)
     for m in (2, 5):
-        base = zonal_harmonic(3, m, x, zeta)
-        scaled = zonal_harmonic(3, m, 0.7 * x, zeta)
+        base = zonal_polyharmonic(KernelParams(3, 1, m), x, zeta)
+        scaled = zonal_polyharmonic(KernelParams(3, 1, m), 0.7 * x, zeta)
         assert scaled == pytest.approx(0.7 ** m * base, rel=1e-12)
 
 
 def test_zonal_negative_degree_is_zero():
-    assert zonal_harmonic(2, -1, np.array([1.0, 0]),
-                          np.array([1.0, 0])) == 0
+    assert zonal_polyharmonic(KernelParams(2, 1, -1), np.array([1.0, 0]),
+                              np.array([1.0, 0])) == 0
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def test_closed_forms_past_the_double_range_raise_without_warnings(n):
     x = RotatedVector(0.0, np.array([0.9] + [0.0] * (n - 1)))
     zeta = np.array([1.0] + [0.0] * (n - 1))
     calls = (lambda: poisson_kernel(x, zeta, 1),
-             lambda: poisson_boundary_form(x, zeta, 0, 1),
+             lambda: boundary_form_values(n, 1, 0.81, 0.01),
              lambda: cauchy_hua(x.to_complex(), zeta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -276,14 +275,9 @@ def test_boundary_form_matches_direct_formula():
         v2 = complex(np.sum(v * v))
         r2 = float(coords @ coords)
         want = (1.0 - r2 ** p) * v2 ** (-1.0)  # n = 2: power is -n/2 = -1
-        got = poisson_boundary_form(x, zeta, k, p)
+        xc = x.to_complex()
+        got = boundary_form_values(2, p, complex(np.sum(xc * xc)), v2)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_boundary_form_validates_zeta():
-    x = RotatedVector(0.0, np.array([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        poisson_boundary_form(x, np.array([0.5, 0.0]), 0, 1)
 
 
 # --------------------------------------------------------------------------

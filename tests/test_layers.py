@@ -5,7 +5,8 @@ Every import is read with ``ast``, including imports inside functions.
 LAPACK is reached only behind the polar-rule cache: a per-request LAPACK
 call wakes threaded BLAS workers that keep spinning after it returns.
 No module below the property suites draws random numbers: every bound and
-rule size there is computed, not sampled.
+rule size there is computed, not sampled.  Every public name is used by the
+package itself, or is kept on a list that says why.
 """
 
 from __future__ import annotations
@@ -131,3 +132,59 @@ def test_no_random_numbers_below_the_suites():
         violations += [f"{name}.py:{line} {what}"
                        for line, what in _random_uses(tree)]
     assert not violations, violations
+
+
+# Public names that no package code reads, each with the reason it stays.
+UNREFERENCED_PUBLIC = {
+    "dirichlet_solve": "the boundary-form route, which cross-checks the "
+                       "Poisson-integral route",
+    "spectral_component": "the only check that Z_m^p reproduces H_m^p, by "
+                          "each of the three zonal routes",
+    "rule_from_json": "reads back the rule record that every table carries",
+    "PropertyResult.passed": "the acceptance gate reads it",
+}
+
+
+def _public_definitions(tree: ast.AST):
+    """(name, first line, last line) of every public top-level function or
+    class and every public method, methods named Class.method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield (f"{node.name}.{item.name}", item.lineno,
+                           item.end_lineno)
+
+
+def _name_reads(tree: ast.AST):
+    """(name, line) of every variable or attribute read; a docstring or an
+    ``__all__`` string is not a read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)):
+            yield node.attr, node.lineno
+
+
+def test_every_public_name_is_read_by_package_code():
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text())
+             for name in RANK}
+    reads = {}
+    for module, tree in trees.items():
+        for name, line in _name_reads(tree):
+            reads.setdefault(name, []).append((module, line))
+    unread = set()
+    for module, tree in trees.items():
+        for name, first, last in _public_definitions(tree):
+            if not any(where != module or not first <= line <= last
+                       for where, line in reads.get(name.split(".")[-1], ())):
+                unread.add(name)
+    # each name listed is read by tests alone, or is a stale allowlist entry
+    assert unread == set(UNREFERENCED_PUBLIC), ", ".join(
+        sorted(unread ^ set(UNREFERENCED_PUBLIC)))

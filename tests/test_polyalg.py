@@ -8,7 +8,6 @@ annihilation checks demand residual zero, not merely small.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,19 +16,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_quadrature import exact_moment, monomials_up_to
-
 from polyball.polyalg import (
     MultiPoly,
     QQi,
-    _sphere_inner,
-    _sphere_moment,
     almansi_reassemble,
     dim_H,
     dim_Hp,
     dim_P,
     harmonic_almansi,
-    harmonic_basis,
     is_polyharmonic,
     polyharmonic_almansi,
     polyharmonic_basis,
@@ -79,8 +73,8 @@ def _sympy_poly(q: MultiPoly, symbols):
 # --------------------------------------------------------------------------
 
 def test_multipoly_product_matches_hand_expansion():
-    x1 = MultiPoly.variable(2, 0)
-    x2 = MultiPoly.variable(2, 1)
+    x1 = MultiPoly.monomial(2, (1, 0))
+    x2 = MultiPoly.monomial(2, (0, 1))
     q = (x1 + x2) * (x1 + x2)
     want = x1 * x1 + MultiPoly.monomial(2, (1, 1), 2) + x2 * x2
     assert (q - want).coefficient_scale() == 0.0
@@ -96,7 +90,7 @@ def test_from_text_examples():
 def test_coefficients_are_exact_only():
     with pytest.raises(TypeError):
         MultiPoly.monomial(2, (1, 0), 0.5)
-    q = MultiPoly.variable(2, 0)
+    q = MultiPoly.monomial(2, (1, 0))
     with pytest.raises(TypeError):
         q * 0.5
     assert MultiPoly.from_text("0.1 * x1", n=2).terms == {
@@ -249,7 +243,7 @@ def test_dim_Hp_truncates_to_dim_P_for_large_p():
 
 @pytest.mark.parametrize("n,m", [(2, 0), (2, 3), (2, 6), (3, 2), (3, 4)])
 def test_harmonic_basis_is_exactly_harmonic(n, m):
-    basis = harmonic_basis(n, m)
+    basis = polyharmonic_basis(n, m, 1)
     assert len(basis) == dim_H(n, m)
     for b in basis:
         assert b.laplacian().coefficient_scale() == 0.0
@@ -297,50 +291,12 @@ def test_polyharmonic_basis_equals_the_sympy_nullspace(n, max_m):
 
 def test_returned_bases_are_fresh_lists():
     for build in (lambda: polyharmonic_basis(3, 4, 2),
-                  lambda: harmonic_basis(3, 4)):
+                  lambda: polyharmonic_basis(3, 4, 1)):
         first = build()
         want = list(first)
         first.reverse()
         first[0] = MultiPoly.zero(3)
         assert build() == want
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_sphere_moments_match_the_test_oracle(n):
-    for exps in monomials_up_to(n, 8):
-        assert float(_sphere_moment(exps)) == exact_moment(n, exps), exps
-
-
-def test_orthonormal_harmonic_basis_has_identity_gram():
-    from polyball import quadrature
-
-    for n, m in ((2, 4), (4, 3), (3, 6), (5, 4)):
-        rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
-            n, 2 * m))
-        basis = harmonic_basis(n, m, orthonormal=True)
-        vals = [b.eval_at(rule.nodes).astype(complex) for b in basis]
-        gram = np.array([[quadrature.compensated_sum(rule.weights * u
-                                                     * np.conj(v))
-                          for v in vals] for u in vals])
-        np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
-
-
-def _gram_schmidt_over_every_pair(raw: list) -> list:
-    """Exact Gram-Schmidt projecting on every earlier element."""
-    ortho, norms = [], []
-    for b in raw:
-        q = b
-        for o, norm in zip(ortho, norms):
-            q = q - o * (_sphere_inner(b, o) / norm)
-        ortho.append(q)
-        norms.append(_sphere_inner(q, q).re)
-    return [q * Fraction(math.sqrt(1 / norm)) for q, norm in zip(ortho, norms)]
-
-
-@pytest.mark.parametrize("n,m", [(2, 4), (3, 6), (4, 3), (5, 4)])
-def test_orthonormal_basis_skips_only_vanishing_inner_products(n, m):
-    want = _gram_schmidt_over_every_pair(harmonic_basis(n, m))
-    assert harmonic_basis(n, m, orthonormal=True) == want
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +343,7 @@ def test_harmonic_almansi_keeps_zero_components():
                             n=2)
     assert harmonic_almansi(q) == [q] + [MultiPoly.zero(2)] * 3
     # |x|^4 x1 at n = 3: only the degree-1 component survives
-    x1 = MultiPoly.variable(3, 0)
+    x1 = MultiPoly.monomial(3, (1, 0, 0))
     q = MultiPoly.radial_square(3) ** 2 * x1
     assert harmonic_almansi(q) == [MultiPoly.zero(3), MultiPoly.zero(3), x1]
     assert harmonic_almansi(MultiPoly.zero(3)) == []
@@ -413,8 +369,8 @@ def test_almansi_uniqueness_by_perturbation():
     rng = np.random.default_rng(47)
     q = random_homogeneous(3, 6, rng)
     comps = harmonic_almansi(q)
-    bump = harmonic_basis(3, comps[1].degree())[0] if comps[1].degree() >= 0 \
-        else MultiPoly.constant(3, 1)
+    bump = (polyharmonic_basis(3, comps[1].degree(), 1)[0]
+            if comps[1].degree() >= 0 else MultiPoly.constant(3, 1))
     perturbed = list(comps)
     perturbed[1] = perturbed[1] + bump
     back = almansi_reassemble(perturbed, 3, 1)

@@ -123,15 +123,6 @@ def test_dirichlet_solve_matches_poisson_integral():
     assert sol.sector_indices == [x.sector_index(p) for x in pts]
 
 
-def test_dirichlet_solution_evaluate_extends_to_new_points():
-    q = MultiPoly.from_text("x1", n=2)
-    data = BoundaryData(q, 1)
-    rule = choose_rule(2, 1, q.degree(), radius=0.5, tol=1e-11)
-    sol = dirichlet_solve(data, [np.array([0.2, 0.1])], rule)
-    got = sol.evaluate(np.array([0.3, 0.4]))
-    assert got == pytest.approx(0.3, abs=1e-10)
-
-
 def test_dirichlet_rejects_exterior_and_off_sector_points():
     q = MultiPoly.from_text("x1", n=2)
     data = BoundaryData(q, 2)
