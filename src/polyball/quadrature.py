@@ -11,13 +11,20 @@ Rules are deterministic per (n, resolution):
   Each polar Gauss rule is computed once per process and shared, read-only;
   every ``sphere_rule`` call still assembles a fresh ``SphereRule``.
 
-All surface measures are normalized (total mass 1).  Integral reductions go
-through ``compensated_sum``, a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J.
-Sci. Comput. 26(6), 2005): deterministic, and as accurate as a sum carried
-in twice the working precision; each product term keeps its own rounding.
-Sums over rotated copies of the sphere (the rotated sectors and Lie-sphere
-angles in ``solver``) reduce along the node axis first, then across the
-copies.
+All surface measures are normalized (total mass 1).  ``compensated_sum`` is
+a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J. Sci. Comput. 26(6), 2005):
+deterministic, and as accurate as a sum carried in twice the working
+precision.  The node sums of ``solver`` are exact sliced matrix products
+(Ozaki, Ogita, Oishi, Rump, Numer. Algorithms 59, 2012): ``_split`` cuts
+each row, scaled by its largest entry, into slices whose every product sum
+is exact; ``_matmul`` multiplies them in BLAS products small enough to run
+on the calling thread, so no bit depends on BLAS blocking or threads; and
+``_sliced_sums`` joins the exact slice-pair terms with ``compensated_sum``.
+Each real and imaginary part is then off by at most u|S| plus about
+u/32 R M_K M_V for R nodes and row maxima M_K, M_V (the bound is in
+``_sliced_sums``).  Sums over rotated copies of the sphere (the rotated
+sectors and Lie-sphere angles) reduce along the node axis first, then
+across the copies.
 """
 
 from __future__ import annotations
@@ -192,10 +199,124 @@ def compensated_sum(values, axis=None):
         a, b = s[..., 0::2], s[..., 1::2]
         s = a + b
         z = s - a
-        e = (a - (s - z)) + (b - z)
-        c = e if c is None else c[..., 0::2] + c[..., 1::2] + e
+        e = s - z  # e = (a - (s - z)) + (b - z), in place
+        np.subtract(a, e, out=e)
+        np.subtract(b, z, out=z)
+        e += z
+        if c is not None:
+            e += c[..., 0::2] + c[..., 1::2]
+        c = e
     total = s[..., 0] if c is None else s[..., 0] + c[..., 0]
     return complex(total) if axis is None else np.array(total)  # no view
+
+
+# Most multiply-adds m*n*k of one matrix product.  OpenBLAS runs a product
+# this small on the calling thread; a larger one wakes worker threads that
+# spin after it returns.
+_GEMM_SIZE = 1 << 18
+
+# Least number of bits the slices of one factor carry: the dropped
+# remainder of every factor is at most 2^-60 = u/128 of its row maximum.
+_SLICE_BITS = 60
+
+
+def _slicing(count: int) -> tuple:
+    """(width, slices) for sums of ``count`` products.  With
+    L = ceil(log2 count), width w = floor((53 - L) / 2) makes every sum of
+    at most ``count`` slice products exact (see ``_split``); the number of
+    slices is the least k with k w >= 60: 3 up to 2^13 terms, 4 up to the
+    2^21 node cap."""
+    width = (53 - (count - 1).bit_length()) // 2
+    return width, -(-_SLICE_BITS // width)
+
+
+def _split(values, width: int, slices: int) -> np.ndarray:
+    """Error-free slices of complex ``values`` (..., R): an array
+    (..., 2 slices, R) whose rows along axis -2 are the real part's slices
+    x_1..x_k, then the imaginary part's.
+
+    Each real row x with max |x| = 2^e m, m in [1/2, 1), is cut by the
+    rounding of (x + sigma) - sigma with sigma = 1.5 * 2^(e + 52 - j w):
+    slice j is x_j = N_j 2^(e - j w) with an integer |N_j| <= 2^w, and the
+    cut is exact for w <= 50 (Ozaki, Ogita, Oishi, Rump, Numer. Algorithms
+    59, 2012).  What is left, x - sum_{j<=k} x_j, is at most 2^(e - k w - 1)
+    <= 2^-kw max |x| in modulus.  A product of a row slice and a column
+    slice is N N' 2^c with |N N'| <= 2^(2w) and c fixed by the two rows and
+    the two slice indices, so any partial sum of R <= 2^L such products is
+    an integer times 2^c of modulus at most 2^(L + 2w) <= 2^53: exact, in
+    any order, with or without FMA (barring underflow below 2^-1022).  The
+    scale comes from the whole row, so a row's slices do not depend on the
+    block it is cut in.
+    """
+    values = np.asarray(values, dtype=complex)
+    rest = np.stack((values.real, values.imag), axis=-2)
+    top = np.maximum(np.max(rest, axis=-1, keepdims=True),
+                     -np.min(rest, axis=-1, keepdims=True))
+    _, e = np.frexp(top)
+    out = np.empty(rest.shape[:-1] + (slices, rest.shape[-1]))
+    for j in range(slices):
+        sigma = np.ldexp(1.5, e + 52 - (j + 1) * width)
+        cut = out[..., j, :]
+        np.add(rest, sigma, out=cut)
+        cut -= sigma
+        if j < slices - 1:
+            rest -= cut
+    return out.reshape(values.shape[:-1] + (2 * slices, values.shape[-1]))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stacked products a[s] @ b[s] of slice matrices whose every
+    partial sum is exact, issued as matrix products of at most
+    ``_GEMM_SIZE`` multiply-adds each: tiles of at most 64 x 64 outputs and
+    even pieces of the contraction axis, whose exact sums add exactly.  So
+    no product wakes BLAS worker threads, and the result does not depend
+    on the tiling."""
+    m, size = a.shape[-2:]
+    n = b.shape[-1]
+    rows, cols = -(-m // -(-m // 64)), -(-n // -(-n // 64))
+    depth = _GEMM_SIZE // (rows * cols)
+    depth = -(-size // -(-size // depth))
+    out = np.zeros(a.shape[:-2] + (m, n))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            tile = out[..., i:i + rows, j:j + cols]
+            for r in range(0, size, depth):
+                tile += np.matmul(a[..., i:i + rows, r:r + depth],
+                                  b[..., r:r + depth, j:j + cols])
+    return out
+
+
+def _sliced_sums(ks: np.ndarray, vs: np.ndarray, slices: int) -> np.ndarray:
+    """sum_r K[s, i, r] V[s, d, r] for the ``_split`` slices ks (S, P,
+    2 slices, R) of K and vs (S, D, 2 slices, R) of V: an (S, P, D) complex
+    array.
+
+    One exact product per sector gives every slice-pair sum.  The real part
+    joins the k^2 terms Kr_j Vr_l and the k^2 terms -Ki_j Vi_l, the
+    imaginary part Kr_j Vi_l and Ki_j Vr_l; no two are combined before the
+    join, a ``compensated_sum`` over these 2 k^2 exact terms in a fixed
+    order.  For each part, with M_K = max_r |K_r|, M_V = max_r |V_r|, the
+    dropped remainders cost at most rho = 2^(1 - k w) (2 + 2^-kw) R M_K M_V
+    (two real dots of R terms), the terms sum in modulus to at most
+    T = 2 (1 + 2^(2 - w))^2 R M_K M_V, and the join adds u |S| + 2 h^2 u^2 T
+    with h = ceil(log2 2k^2), so |result - S| <= u |S| + (1 + u) rho +
+    2 h^2 u^2 T.  As k w >= 60, rho is at most 2^-58 (1 + 2^-61) R M_K M_V,
+    about u/32 R M_K M_V.
+    """
+    sectors, points, _, size = ks.shape
+    data = vs.shape[1]
+    g = _matmul(ks.reshape(sectors, -1, size),
+                vs.reshape(sectors, -1, size).transpose(0, 2, 1)).reshape(
+        sectors, points, 2, slices, data, 2, slices)
+    g = g.transpose(0, 1, 4, 2, 5, 3, 6)  # (s, i, d, K part, V part, j, l)
+    terms = np.empty((sectors, points, data, 2, slices, slices),
+                     dtype=complex)
+    terms.real[..., 0, :, :] = g[..., 0, 0, :, :]
+    terms.real[..., 1, :, :] = -g[..., 1, 1, :, :]
+    terms.imag[..., 0, :, :] = g[..., 0, 1, :, :]
+    terms.imag[..., 1, :, :] = g[..., 1, 0, :, :]
+    del g  # before the join's temporaries
+    return compensated_sum(terms.reshape(sectors, points, data, -1), axis=-1)
 
 
 # --------------------------------------------------------------------------

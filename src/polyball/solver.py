@@ -7,12 +7,13 @@ against the same rule reuse every evaluation.
 
 Every integral goes through one kernel operator: the data-independent
 kernel is built from the pair invariants (B, x2 * zb2) once per bounded
-block of points x sectors x nodes, shared by every datum, and weights *
-kernel * data is reduced along the node axis by the compensated
-``quadrature.compensated_sum``.  ``poisson_integrals``, ``dirichlet_solve``
-and ``hua_integrals`` batch points and data; ``poisson_integral`` and
-``hua_reproduce`` are their 1 x 1 cases, and ``spectral_component`` pairs
-the data with the zonal polyharmonic Z_m^p.
+block of points x sectors, shared by every datum, and the node sum of
+weights * kernel * data is an exact sliced matrix product
+(``quadrature._sliced_sums``), so no value depends on the blocks or on
+BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
+batch points and data; ``poisson_integral`` and ``hua_reproduce`` are their
+1 x 1 cases, and ``spectral_component`` pairs the data with the zonal
+polyharmonic Z_m^p.
 
 Two independent evaluation routes compute the same solution:
 
@@ -88,10 +89,12 @@ class BoundaryData:
 # pair (zonal route, m) is the zonal polyharmonic Z_m^p(z, phase * zeta).
 _POISSON, _BOUNDARY_FORM, _HUA = "poisson", "boundary-form", "hua"
 
-# Most kernel values, or (point, datum, node) products, one block holds.  It
-# bounds peak memory only: no block splits the node axis of a sum, so every
+# Most float64 values the slices of one block hold: the kernel slices of a
+# block of points x sectors, or the data slices of a block of data x
+# sectors.  It bounds peak memory only: no block splits the node axis of a
+# sum, and the scale of every slice comes from its whole row, so every
 # value is bit-identical for any budget.
-_BLOCK_ELEMENTS = 1 << 14
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _sector_phases(p: int) -> np.ndarray:
@@ -130,31 +133,52 @@ def _sector_kernels(route, p: int, zs: np.ndarray, phases: np.ndarray,
 def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
                rule: quadrature.SphereRule, data: list) -> np.ndarray:
     """(len(zs), len(data)) matrix of (1/S) sum_s int_S K(z_i, phases[s]
-    zeta) f_d(phases[s] zeta) dsigma, where data[d](s) gives the values of
-    f_d at phases[s] * nodes.
+    zeta) f_d(phases[s] zeta) dsigma, where data[d](block) gives the values
+    of f_d at phases[block] * nodes, a (len(phases[block]), R) array.
 
-    Each kernel value is built once, in a block of points x sectors x nodes
-    shared by every datum.  The products weights * K * f are reduced along
-    the node axis by one compensated sum per (point, datum, sector), and the
-    sector sums by a second one.
+    The node sum is a matrix product per sector, taken exactly: weights * K
+    and the data are cut into error-free slices (``quadrature._split``),
+    multiplied exactly and joined per (point, datum, sector) by
+    ``quadrature._sliced_sums``; a compensated sum then adds the sectors.
+    Each kernel value is built and cut once, in a block of points x sectors
+    shared by every datum.  The data, whose values are cached or cheap next
+    to a kernel, are cut once per block of points, or once in all when they
+    fit one block.
     """
     size, sectors = rule.count, len(phases)
     rn = np.sum(rule.nodes * rule.nodes, axis=1)
-    s_step = max(1, min(sectors, _BLOCK_ELEMENTS // size))
+    width, slices = quadrature._slicing(size)
+    # a block's kernel slices, its data slices, and its slice-pair sums
+    # with the temporaries of their join (about four times the 4 k^2
+    # floats per point, datum and sector) each hold at most _BLOCK_ELEMENTS
+    row, pair = 2 * slices * size, 16 * slices * slices
+    z_step = max(1, min(len(zs), _BLOCK_ELEMENTS // row))
+    d_step = max(1, min(len(data), _BLOCK_ELEMENTS // row,
+                        _BLOCK_ELEMENTS // (pair * z_step)))
+    s_step = max(1, min(sectors, _BLOCK_ELEMENTS // (row * z_step),
+                        _BLOCK_ELEMENTS // (row * d_step),
+                        _BLOCK_ELEMENTS // (pair * z_step * d_step)))
+
+    def cut(block, d):  # the data slices (S, D, 2 slices, R) of a data block
+        return quadrature._split(np.array(
+            [f(block) for f in data[d:d + d_step]]).transpose(1, 0, 2),
+            width, slices)
+
     partial = np.empty((len(zs), len(data), sectors), dtype=complex)
     for s0 in range(0, sectors, s_step):
-        block = range(s0, min(s0 + s_step, sectors))
-        width = len(block) * size
-        z_step = max(1, min(len(zs), _BLOCK_ELEMENTS // width))
-        d_step = max(1, _BLOCK_ELEMENTS // (z_step * width))
+        block = slice(s0, min(s0 + s_step, sectors))
+        held = cut(block, 0) if d_step == len(data) else None
         for i in range(0, len(zs), z_step):
-            wk = rule.weights * _sector_kernels(route, p, zs[i:i + z_step],
-                                                phases[block], rule.nodes, rn)
+            ks = quadrature._split((rule.weights * _sector_kernels(
+                route, p, zs[i:i + z_step], phases[block], rule.nodes,
+                rn)).transpose(1, 0, 2), width, slices)
             for d in range(0, len(data), d_step):
-                values = np.array([[f(s) for s in block]
-                                   for f in data[d:d + d_step]])
+                vs = cut(block, d) if held is None else held
                 partial[i:i + z_step, d:d + d_step, block] = \
-                    quadrature.compensated_sum(wk[:, None] * values, axis=-1)
+                    quadrature._sliced_sums(ks, vs, slices).transpose(1, 2, 0)
+                del vs  # each block is freed before the next one is built
+            del ks
+        del held
     return quadrature.compensated_sum(partial, axis=-1) / sectors
 
 
@@ -164,6 +188,13 @@ def _interior_point(x, p: int) -> RotatedVector:
     if not x.radius < 1.0 - 1e-9:
         raise ValueError("interior points need hermitian radius < 1 - 1e-9")
     return x
+
+
+def _sector_block(f: BoundaryData, rule: quadrature.SphereRule):
+    """The ``_integrate`` datum of boundary data f: its values on a block
+    of sectors."""
+    return lambda block: [f.sector_values(j, rule)
+                          for j in range(f.p)[block]]
 
 
 def _rotated_integrals(route: str, data: list, points,
@@ -177,8 +208,8 @@ def _rotated_integrals(route: str, data: list, points,
     if any(x.n != n for x in xs):
         raise ValueError("dimension mismatch")
     zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), n)
-    sectors = [lambda j, f=f: f.sector_values(j, rule) for f in data]
-    return xs, _integrate(route, p, zs, _sector_phases(p), rule, sectors)
+    return xs, _integrate(route, p, zs, _sector_phases(p), rule,
+                          [_sector_block(f, rule) for f in data])
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +276,7 @@ def spectral_component(f: BoundaryData, m: int, eta,
         raise ValueError("dimension mismatch")
     return complex(_integrate(
         (route, m), f.p, eta_c[None, :], _sector_phases(f.p), rule,
-        [lambda j: f.sector_values(j, rule)])[0, 0])
+        [_sector_block(f, rule)])[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +286,9 @@ def spectral_component(f: BoundaryData, m: int, eta,
 def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     """Lie-sphere averages of H(z_i, w) u_d(w) for many holomorphic
     polynomials u_d and points z_i of the open Lie ball: a (len(zs),
-    len(us)) matrix.  Each entry reproduces u_d(z_i) for polynomial u_d."""
+    len(us)) matrix.  Each entry reproduces u_d(z_i) for polynomial u_d.
+    Each datum is evaluated once per block of angles, by one phase-array
+    ``eval_at`` on the real nodes inside the operator's data block."""
     us, base = list(us), lie_rule.base
     zc = [as_complex_vector(z) for z in zs]
     if any(u.n != base.n for u in us) or any(z.size != base.n for z in zc):
@@ -263,7 +296,8 @@ def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     if not all(lie_norm(z) < 1.0 for z in zc):
         raise ValueError("z must lie in the open Lie ball")
     phases = np.exp(1j * lie_rule.angles)
-    data = [lambda a, u=u: u.eval_at(phases[a] * base.nodes) for u in us]
+    data = [lambda block, u=u: u.eval_at(base.nodes, phase=phases[block])
+            for u in us]
     return _integrate(_HUA, 0, np.array(zc).reshape(len(zc), base.n), phases,
                       base, data)
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from polyball import cli, kernels, polyalg, quadrature, solver
 from polyball.gegenbauer import gegenbauer_coefficients
-from polyball.geometry import lie_norm
+from polyball.geometry import RotatedVector, lie_norm
 
 VALUE_COLS = ["value_re", "value_im", "reference_re", "reference_im",
               "abs_error", "bound"]
@@ -318,6 +318,30 @@ def test_dirichlet_exterior_point_rejected_per_row(tmp_path):
     cols = json.loads(text)["columns"]
     states = [dict(zip(cols, r))["status"] for r in rows]
     assert states == ["ok", "rejected"]
+
+
+def test_dirichlet_rows_equal_the_per_point_poisson_integrals():
+    # one batched integral for every interior point; no value depends on
+    # the batch, so each equals its own one-point integral bit for bit
+    config = {"n": 3, "p": 2, "boundary": "x1^2 x2 + (0,1) x3 - 2",
+              "points": [[0.1, 0.2, 0.3], [1.5, 0.0, 0.0],
+                         [-0.4, 0.1, 0.2], [0.0, 0.0, 0.05]],
+              "sectors": [0, 1, 1, 0]}
+    table = cli.run_command("dirichlet", config)
+    rule = quadrature.rule_from_json(table.metadata["rule"])
+    data = solver.BoundaryData(
+        polyalg.MultiPoly.from_text(config["boundary"], n=3), 2)
+    states = []
+    for row, point, j in zip(table.rows, config["points"],
+                             config["sectors"]):
+        cells = dict(zip(table.columns, row))
+        states.append(cells["status"])
+        if cells["status"] == "ok":
+            want = solver.poisson_integral(
+                data, RotatedVector.sector(j, 2, np.array(point)), rule)
+            assert (cells["value_re"], cells["value_im"]) == (
+                want.real + 0.0, want.imag + 0.0)
+    assert states == ["ok", "rejected", "ok", "ok"]
 
 
 @pytest.mark.parametrize("point", [[0.99999999, 0], [0.9999, 0]])

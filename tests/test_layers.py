@@ -140,6 +140,8 @@ UNREFERENCED_PUBLIC = {
                        "Poisson-integral route",
     "spectral_component": "the only check that Z_m^p reproduces H_m^p, by "
                           "each of the three zonal routes",
+    "poisson_integral": "the one-point case of poisson_integrals: the "
+                        "per-point reference of the batched dirichlet table",
     "rule_from_json": "reads back the rule record that every table carries",
     "PropertyResult.passed": "the acceptance gate reads it",
 }

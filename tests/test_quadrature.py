@@ -322,3 +322,105 @@ def test_sphere_rule_validation():
     with pytest.raises(ValueError):
         SphereRule(n=2, nodes=np.zeros((3, 3)), weights=np.ones(3) / 3,
                    exactness=1, kind="trapezoid", resolution=3)
+
+
+# --------------------------------------------------------------------------
+# exact sliced products
+# --------------------------------------------------------------------------
+
+U = 2.0 ** -53
+
+
+def exact_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products a * b as four exact parts each (Dekker's splitting:
+    halves of at most 26 bits multiply without rounding)."""
+    def halves(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+    ah, al = halves(a)
+    bh, bl = halves(b)
+    return np.concatenate([ah * bh, ah * bl, al * bh, al * bl])
+
+
+def spread_values(rng, shape) -> np.ndarray:
+    """Complex values with full mantissas whose moduli spread over 2^20."""
+    return ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            * 2.0 ** rng.integers(-20, 1, shape))
+
+
+SLICE_COUNTS = [4, 100, 2048, 2049, (1 << 17) + 3]
+
+
+@pytest.mark.parametrize("cancel", [False, True])
+@pytest.mark.parametrize("count", SLICE_COUNTS)
+def test_sliced_sums_meet_their_bound_against_exact_products(count, cancel):
+    # |result - S| <= u |S| + (1 + u) rho + 2 h^2 u^2 T per part, and the
+    # correctly rounded fsum is within u |S| of S
+    rng = np.random.default_rng(count + 7 * cancel)
+    width, slices = quadrature._slicing(count)
+    points, data = (1, 1) if count > 4096 else (3, 2)
+    kernel = spread_values(rng, (2, points, count))
+    values = spread_values(rng, (2, data, count))
+    if cancel:  # a second half of nodes takes back the first almost exactly
+        half = count // 2
+        kernel[..., half:2 * half] = kernel[..., :half]
+        values[..., half:2 * half] = -values[..., :half] * (
+            1.0 + 2.0 ** -45 * rng.standard_normal((2, data, half)))
+        values[..., 2 * half:] = 0.0
+    got = quadrature._sliced_sums(quadrature._split(kernel, width, slices),
+                                  quadrature._split(values, width, slices),
+                                  slices)
+    assert got.shape == (2, points, data)
+    h = math.ceil(math.log2(2 * slices * slices))
+    rho = 2.0 ** (1 - slices * width) * (2 + 2.0 ** -(slices * width))
+    total = 2 * (1 + 2.0 ** (2 - width)) ** 2
+    worst_cond = math.inf
+    for s, i, d in np.ndindex(*got.shape):
+        k, v = kernel[s, i], values[s, d]
+        scale = count * np.max(np.abs(k)) * np.max(np.abs(v))
+        for part, products in (
+                (got[s, i, d].real, np.concatenate([
+                    exact_products(k.real, v.real),
+                    -exact_products(k.imag, v.imag)])),
+                (got[s, i, d].imag, np.concatenate([
+                    exact_products(k.real, v.imag),
+                    exact_products(k.imag, v.real)]))):
+            want = math.fsum(products)
+            bound = 2 * U * abs(want) + ((1 + U) * rho
+                                         + 2 * h * h * U * U * total) * scale
+            assert abs(part - want) <= bound, (s, i, d)
+            worst_cond = min(worst_cond,
+                             math.fsum(np.abs(products)) / abs(want))
+    if cancel:
+        assert worst_cond >= 1e10
+
+
+@pytest.mark.parametrize("count", [3, 2048, 2049, 70001])
+def test_slice_products_are_exact_for_any_tiling(monkeypatch, count):
+    # integers of the slice width, scaled by unrelated powers of two per row
+    # and column: every partial sum is exact, so each tiling returns the
+    # correctly rounded (here exact) sums bit for bit
+    rng = np.random.default_rng(count)
+    width, _ = quadrature._slicing(count)
+    top = 1 << width
+    a = (rng.integers(-top, top + 1, (2, 5, count)).astype(float)
+         * 2.0 ** rng.integers(-60, 60, (2, 5, 1)))
+    b = (rng.integers(-top, top + 1, (2, count, 3)).astype(float)
+         * 2.0 ** rng.integers(-60, 60, (2, 1, 3)))
+    want = np.array([[[math.fsum(a[s, i] * b[s, :, j]) for j in range(3)]
+                      for i in range(5)] for s in range(2)])
+    np.testing.assert_array_equal(quadrature._matmul(a, b), want)
+    np.testing.assert_array_equal(a @ b, want)
+    monkeypatch.setattr(quadrature, "_GEMM_SIZE", 64)
+    np.testing.assert_array_equal(quadrature._matmul(a, b), want)
+
+
+def test_slicing_widths_keep_every_sum_exact_and_the_remainder_small():
+    for count in [1, 2, 4, 2048, 2049, 1 << 17, (1 << 17) + 1, 1 << 21]:
+        width, slices = quadrature._slicing(count)
+        assert math.ceil(math.log2(count)) + 2 * width <= 53
+        assert slices * width >= 60 and (slices - 1) * width < 60
+    assert quadrature._slicing(1 << 13)[1] == 3
+    assert quadrature._slicing((1 << 13) + 1)[1] == 4
+    assert quadrature._slicing(1 << 21)[1] == 4

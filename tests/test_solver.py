@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from polyball import kernels, quadrature, solver
+from polyball import kernels, quadrature, solver, suites
 from polyball.geometry import RotatedVector, bilinear_square, lie_norm
 from polyball.polyalg import MultiPoly, polyharmonic_basis
 from polyball.solver import (
@@ -232,6 +232,38 @@ def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
     monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
     for a, b in zip(default, results()):
         np.testing.assert_array_equal(a, b)
+
+
+def test_every_matrix_product_stays_on_the_calling_thread(monkeypatch):
+    # OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
+    # thread; a larger one wakes worker threads that spin after it returns
+    sizes = []
+    matmul = np.matmul
+
+    def recorded(a, b, *args, **kwargs):
+        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    [row] = suites.suite_reproduction(n=3, p=1)
+    assert row.passed
+    assert sizes and max(sizes) <= 1 << 18
+
+
+def test_hua_integrals_evaluate_each_datum_once_per_block(monkeypatch):
+    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
+    us = [MultiPoly.from_text(t, n=2) for t in ("1", "x1", "x2^2 + x1 x2")]
+    zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
+    phases = []
+    eval_at = MultiPoly.eval_at
+
+    def recorded(self, points, phase=1.0):
+        phases.append(np.shape(phase))
+        return eval_at(self, points, phase)
+
+    monkeypatch.setattr(MultiPoly, "eval_at", recorded)
+    hua_integrals(us, zs, lie)
+    assert phases == [(lie.angular,)] * len(us)
 
 
 # --------------------------------------------------------------------------
