@@ -585,6 +585,7 @@ def run_almansi(cfg: RunConfig) -> ResultTable:
     except ValueError as err:
         raise ConfigError(f"polynomial: {err}") from err
     try:
+        suites._require_monomials(n, q.degree())  # before the ladder
         components = polyalg.polyharmonic_almansi(q, p)
     except ValueError as err:
         raise ConfigError(str(err)) from err

@@ -13,8 +13,10 @@ alternating sum
     C_m(t) = sum_k (-1)^k  (lambda)_{m-k} / (k! (m-2k)!)  (2t)^{m-2k},
 
 where (lambda)_j is the rising product lambda (lambda+1) ... (lambda+j-1).
-Exact rational coefficient arrays (as polynomials in t) back the kernel
-algebra elsewhere in the package.
+The explicit sum is the oracle: at a real t it is evaluated exactly, in
+Python integers over one common denominator, and rounded once.  Exact
+rational coefficient arrays (as polynomials in t) back the kernel algebra
+elsewhere in the package.
 
 Degrees m < 0 evaluate to 0 everywhere; this convention makes difference
 expressions like C_m - C_{m-2p} valid for every m >= 0.
@@ -79,30 +81,35 @@ def gegenbauer(lam, m: int, t):
 
 @lru_cache(maxsize=None)
 def _explicit_coefficients(lam: Fraction, m: int) -> tuple:
-    """(-1)^k (lambda)_{m-k} / (k! (m-2k)!) for k = 0..floor(m/2).
+    """(numerators, denominator): the coefficients (-1)^k (lambda)_{m-k} /
+    (k! (m-2k)!) for k = 0..floor(m/2), all over their least common
+    denominator.
 
     Built from the factorial formula, never from the recurrence table, so
     the explicit sum stays an independent route.
     """
-    out = []
+    coefs = []
     for k in range(m // 2 + 1):
         rising = Fraction(1)
         for j in range(m - k):
             rising *= lam + j
-        out.append((-1) ** k * rising
-                   / (math.factorial(k) * math.factorial(m - 2 * k)))
-    return tuple(out)
+        coefs.append((-1) ** k * rising
+                     / (math.factorial(k) * math.factorial(m - 2 * k)))
+    denom = math.lcm(*(c.denominator for c in coefs))
+    return tuple(c.numerator * (denom // c.denominator) for c in coefs), denom
 
 
 def gegenbauer_explicit(lam, m: int, t):
     """C_m^lambda(t) by the explicit alternating sum (oracle route).
 
-    Real scalar arguments are accumulated in exact rational arithmetic (a
-    float is an exact rational, so the only rounding is the final
-    conversion): the alternating sum cancels catastrophically in floating
-    point for large m, which would make the oracle useless at the
-    tolerances it is meant to certify.  Complex or array arguments fall
-    back to a floating-point sum of the same coefficients and inherit that
+    Real scalar arguments are summed exactly (a float is an exact rational,
+    so the only rounding is the final conversion): the alternating sum
+    cancels catastrophically in floating point for large m, which would
+    make the oracle useless at the tolerances it is meant to certify.  With
+    t = a/b and the coefficients N_k / L over one denominator, Horner runs
+    in integers on sum_k N_k (2a)^{m-2k} b^{2k} and one correctly rounded
+    division by L b^m ends it.  Complex or array arguments fall back to a
+    floating-point sum of the same coefficients and inherit that
     cancellation.
     """
     m = int(m)
@@ -112,21 +119,26 @@ def gegenbauer_explicit(lam, m: int, t):
             raise ValueError("lambda must be positive")
         if m < 0:
             return 0j
-        tq = Fraction(t)
-        u = 4 * tq * tq  # (2t)^2, Horner variable
-        acc = Fraction(0)
-        for coef in _explicit_coefficients(lamq, m):
-            acc = acc * u + coef
+        a, b = (t.as_integer_ratio() if isinstance(t, float)
+                else Fraction(t).as_integer_ratio())
+        nums, denom = _explicit_coefficients(lamq, m)
+        u, w = 4 * a * a, b * b  # (2t)^2 = u / w
+        acc, wk = 0, 1
+        for num in nums:
+            acc = acc * u + num * wk
+            wk *= w
+        denom *= wk // w
         if m % 2:
-            acc *= 2 * tq
-        return complex(acc)
+            acc, denom = 2 * a * acc, b * denom
+        return complex(acc / denom)
     _check_lambda(lam)
     if m < 0:
         return 0.0 * t if np.ndim(t) else 0j
     tv = np.asarray(t, dtype=complex)
     total = np.zeros_like(tv)
-    for k, coef in enumerate(_explicit_coefficients(Fraction(lam), m)):
-        total = total + float(coef) * (2.0 * tv) ** (m - 2 * k)
+    nums, denom = _explicit_coefficients(Fraction(lam), m)
+    for k, num in enumerate(nums):
+        total = total + (num / denom) * (2.0 * tv) ** (m - 2 * k)
     return complex(total) if np.ndim(t) == 0 else total
 
 

@@ -1,10 +1,13 @@
 """Polynomial algebra on C^n: Laplacians, Almansi decompositions, dimensions.
 
-Polynomials are sparse dicts mapping exponent tuples to Gaussian-rational
-coefficients (``QQi``, a pair of Fractions), so every result is exact; Python
-integers never overflow, so there is no precision failure mode.  A float
-coefficient is refused rather than rounded.  Evaluation converts each
-coefficient to a complex double.
+Polynomials are sparse dicts mapping exponent tuples to Gaussian-integer
+numerators ``(re, im)`` over one positive common denominator ``denom``, all
+Python integers, so every result is exact and there is no precision failure
+mode.  Each operation reduces its result by one gcd, to
+``gcd(denom, every re, every im) = 1`` with zero terms dropped, so equal
+polynomials have equal ``terms``, ``denom`` and hash.  A float coefficient
+is refused rather than rounded.  Evaluation converts each coefficient to
+``complex(re / denom, im / denom)``, the correctly rounded double.
 
 The Almansi ladder writes a homogeneous q of degree m uniquely as
 
@@ -31,13 +34,14 @@ import math
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import add
 
 import numpy as np
 
 from .geometry import RotatedVector
 
 __all__ = [
-    "QQi",
     "MultiPoly",
     "dim_P",
     "dim_H",
@@ -51,93 +55,18 @@ __all__ = [
 ]
 
 
-# --------------------------------------------------------------------------
-# Gaussian rational scalar
-# --------------------------------------------------------------------------
-
-class QQi:
-    """Gaussian rational re + im*i with exact Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(
-            self, "re", re if isinstance(re, Fraction) else Fraction(re))
-        object.__setattr__(
-            self, "im", im if isinstance(im, Fraction) else Fraction(im))
-
-    def __setattr__(self, *_):
-        raise AttributeError("QQi is immutable")
-
-    # -- arithmetic --------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QQi):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QQi(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQi(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QQi(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a real scalar: two products
-            return QQi(self.re * other, self.im * other)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQi(self.re * o.re - self.im * o.im,
-                   self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    # -- structure ---------------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"QQi({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        return f"({self.re},{self.im})"
-
-
-_ZERO = QQi()
-
-
-def _as_scalar(value) -> QQi:
-    """Coerce a user coefficient to QQi; floats are refused, not rounded."""
-    if isinstance(value, QQi):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QQi(value)
-    raise TypeError("coefficients must be int/Fraction/QQi, got "
-                    f"{type(value).__name__}")
+def _scalar(value) -> tuple:
+    """(re, im, denom) integers of an exact coefficient: an int, a Fraction
+    or an (re, im) pair of them.  Floats are refused, not rounded."""
+    pair = isinstance(value, tuple) and len(value) == 2
+    re, im = value if pair else (value, 0)
+    for part in (re, im):
+        if not isinstance(part, (int, Fraction)):
+            raise TypeError("coefficients must be int, Fraction or an (re, im)"
+                            f" pair of them, got {type(part).__name__}")
+    d = math.lcm(re.denominator, im.denominator)
+    return (re.numerator * (d // re.denominator),
+            im.numerator * (d // im.denominator), d)
 
 
 # --------------------------------------------------------------------------
@@ -150,23 +79,48 @@ def _term_order(item):
 
 
 class MultiPoly:
-    """Sparse polynomial in n variables with exact (QQi) coefficients."""
+    """Sparse polynomial in n variables: ``terms`` maps exponent tuples to
+    Gaussian-integer numerators (re, im) over the common ``denom``.
 
-    __slots__ = ("n", "terms")
+    The constructor takes coefficients as ints, Fractions or (re, im) pairs
+    of them."""
+
+    __slots__ = ("n", "terms", "denom")
 
     def __init__(self, n: int, terms=None):
         if n < 2:
             raise ValueError("n must be >= 2")
-        clean = {}
+        parsed, scale = [], 1
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for n={n}")
-            c = _as_scalar(c)
-            clean[exps] = clean[exps] + c if exps in clean else c
-        clean = {e: c for e, c in clean.items() if c}
+            a, b, d = _scalar(c)
+            parsed.append((exps, a, b, d))
+            scale = math.lcm(scale, d)
+        clean = {}
+        for exps, a, b, d in parsed:
+            re0, im0 = clean.get(exps, (0, 0))
+            clean[exps] = (re0 + a * (scale // d), im0 + b * (scale // d))
+        self._set(n, clean, scale)
+
+    def _set(self, n: int, terms: dict, denom: int):
+        """Store terms / denom with zero terms and common factors removed."""
+        terms = {e: c for e, c in terms.items() if c[0] or c[1]}
+        g = math.gcd(denom, *chain.from_iterable(terms.values()))
+        if g > 1:
+            terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "denom", denom // g)
+
+    @classmethod
+    def _exact(cls, n: int, terms: dict, denom: int) -> "MultiPoly":
+        """The reduced polynomial of integer numerators over ``denom``,
+        without the public constructor's checks."""
+        out = object.__new__(cls)
+        out._set(n, terms, denom)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -202,13 +156,16 @@ class MultiPoly:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, _ZERO) + c
-        return MultiPoly(self.n, terms)
+        denom = math.lcm(self.denom, other.denom)
+        k1, k2 = denom // self.denom, denom // other.denom
+        terms = {e: (a * k1, b * k1) for e, (a, b) in self.terms.items()}
+        for e, (a, b) in other.terms.items():
+            a0, b0 = terms.get(e, (0, 0))
+            terms[e] = (a0 + a * k2, b0 + b * k2)
+        return MultiPoly._exact(self.n, terms, denom)
 
     def __neg__(self):
-        return MultiPoly(self.n, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -220,13 +177,16 @@ class MultiPoly:
             if self.n != other.n:
                 raise ValueError("dimension mismatch")
             terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, _ZERO) + c1 * c2
-            return MultiPoly(self.n, terms)
-        c = _as_scalar(other)
-        return MultiPoly(self.n, {e: v * c for e, v in self.terms.items()})
+            for e1, (a1, b1) in self.terms.items():
+                for e2, (a2, b2) in other.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    a0, b0 = terms.get(e, (0, 0))
+                    terms[e] = (a0 + a1 * a2 - b1 * b2, b0 + a1 * b2 + b1 * a2)
+            return MultiPoly._exact(self.n, terms, self.denom * other.denom)
+        a2, b2, d = _scalar(other)
+        return MultiPoly._exact(
+            self.n, {e: (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                     for e, (a1, b1) in self.terms.items()}, self.denom * d)
 
     __rmul__ = __mul__
 
@@ -245,24 +205,24 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (self.n == other.n and self.denom == other.denom
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.denom, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 
     def laplacian(self) -> "MultiPoly":
         """Sum of second partials; degree drops by 2."""
         terms = {}
-        for exps, c in self.terms.items():
+        for exps, (a, b) in self.terms.items():
             for i, e in enumerate(exps):
                 if e >= 2:
-                    new = list(exps)
-                    new[i] = e - 2
-                    key = tuple(new)
-                    terms[key] = terms.get(key, _ZERO) + c * (e * (e - 1))
-        return MultiPoly(self.n, terms)
+                    key = exps[:i] + (e - 2,) + exps[i + 1:]
+                    a0, b0 = terms.get(key, (0, 0))
+                    terms[key] = (a0 + a * e * (e - 1), b0 + b * e * (e - 1))
+        return MultiPoly._exact(self.n, terms, self.denom)
 
     # -- structure ---------------------------------------------------------
 
@@ -282,11 +242,14 @@ class MultiPoly:
         parts = {}
         for exps, c in self.terms.items():
             parts.setdefault(sum(exps), {})[exps] = c
-        return {d: MultiPoly(self.n, t) for d, t in sorted(parts.items())}
+        return {d: MultiPoly._exact(self.n, t, self.denom)
+                for d, t in sorted(parts.items())}
 
     def coefficient_scale(self) -> float:
         """Largest coefficient modulus (0.0 for the zero polynomial)."""
-        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
+        d = self.denom
+        return max((abs(complex(a / d, b / d))
+                    for a, b in self.terms.values()), default=0.0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -321,8 +284,8 @@ class MultiPoly:
             raise ValueError("phase must be a scalar or a 1-d array")
         phases = [complex(phase)] if scalar else [complex(ph) for ph in phase]
         out = np.zeros((len(phases), pts.shape[0]), dtype=complex)
-        powers = {}
-        for exps, c in sorted(self.terms.items(), key=_term_order):
+        powers, d = {}, self.denom
+        for exps, (a, b) in sorted(self.terms.items(), key=_term_order):
             # a product started from 1.0, not a ones column: the two differ
             # only in the sign of a zero, which adding into out erases
             mono = 1.0
@@ -332,7 +295,8 @@ class MultiPoly:
                     if power is None:
                         power = powers[i, e] = pts[:, i] ** e
                     mono = mono * power
-            c, degree = complex(c), sum(exps)
+            # a / d is correctly rounded, as float(Fraction(a, d)) is
+            c, degree = complex(a / d, b / d), sum(exps)
             for k, ph in enumerate(phases):
                 out[k] += (c * ph ** degree) * mono
         return out[0] if scalar else out
@@ -343,8 +307,10 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in sorted(self.terms.items(), key=_term_order):
-            cs = str(c)
+        for exps, (a, b) in sorted(self.terms.items(), key=_term_order):
+            cs = str(Fraction(a, self.denom))
+            if b:
+                cs = f"({cs},{Fraction(b, self.denom)})"
             factors = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
             parts.append(f"{cs} * {factors}" if factors else cs)
         return " + ".join(parts)
@@ -409,17 +375,22 @@ class _Parser:
         kind, val = self.next()
         if kind != "num":
             raise ValueError(f"polynomial text: expected a number, got {val!r}")
-        return sign * Fraction(val)
+        try:
+            return sign * Fraction(val)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"polynomial text: zero denominator in {val!r}") from None
 
     def coefficient(self):
+        """(re, im) Fractions of a number or an "(re,im)" tuple."""
         if self.peek()[1] == "(":
             self.next()
             re_part = self.number()
             self.expect(",")
             im_part = self.number()
             self.expect(")")
-            return QQi(re_part, im_part)
-        return QQi(self.number(allow_sign=False))
+            return re_part, im_part
+        return self.number(allow_sign=False), Fraction(0)
 
     def term(self):
         coeff = None
@@ -444,7 +415,7 @@ class _Parser:
         if coeff is None:
             if not factors:
                 raise ValueError("polynomial text: empty term")
-            coeff = QQi(1)
+            coeff = Fraction(1), Fraction(0)
         return coeff, factors
 
 
@@ -459,8 +430,8 @@ def _parse_poly(text: str, n: int | None) -> MultiPoly:
         if parser.next()[1] == "-":
             sign = -sign
     while True:
-        coeff, factors = parser.term()
-        raw.append((coeff * sign, factors))
+        (re_part, im_part), factors = parser.term()
+        raw.append((sign * re_part, sign * im_part, factors))
         kind, val = parser.peek()
         if kind is None:
             break
@@ -470,17 +441,18 @@ def _parse_poly(text: str, n: int | None) -> MultiPoly:
         while parser.peek()[1] in ("+", "-"):
             if parser.next()[1] == "-":
                 sign = -sign
-    max_idx = max((max(f, default=-1) for _, f in raw), default=-1)
+    max_idx = max((max(f, default=-1) for *_, f in raw), default=-1)
     dim = n if n is not None else max(max_idx + 1, 2)
     if max_idx + 1 > dim:
         raise ValueError(f"polynomial text: variable x{max_idx + 1} exceeds n={dim}")
     terms = {}
-    for coeff, factors in raw:
+    for re_part, im_part, factors in raw:
         exps = [0] * dim
         for i, e in factors.items():
             exps[i] = e
         key = tuple(exps)
-        terms[key] = terms.get(key, _ZERO) + coeff
+        re0, im0 = terms.get(key, (0, 0))
+        terms[key] = (re0 + re_part, im0 + im_part)
     return MultiPoly(dim, terms)
 
 
@@ -661,9 +633,13 @@ def _polyharmonic_basis(n: int, m: int, p: int) -> tuple:
             for k in range(p):  # Horner in D'
                 total = (total + g[j + 2 * k] * math.comb(p, k)).laplacian()
             g[j + 2 * p] = -total
-        basis.append(MultiPoly(n, {
-            (j,) + e[1:]: c * Fraction(1, math.factorial(j))
-            for j, gj in enumerate(g) for e, c in gj.terms.items()}))
+        # h = sum_j x1^j g_j / j!, over the common denominator of the g_j / j!
+        scales = [gj.denom * math.factorial(j) for j, gj in enumerate(g)]
+        denom = math.lcm(*scales)
+        basis.append(MultiPoly._exact(n, {
+            (j,) + e[1:]: (a * (denom // scale), b * (denom // scale))
+            for j, (gj, scale) in enumerate(zip(g, scales))
+            for e, (a, b) in gj.terms.items()}, denom))
     return tuple(basis)
 
 

@@ -458,9 +458,9 @@ def suite_gegenbauer(n: int = 2, p: int = 1, seed: int = 0,
     worst = 0.0
     for lam in lambdas:
         for m in range(max_degree + 1):
-            for t in ts:
-                a = gg.gegenbauer(lam, m, float(t))
-                b = gg.gegenbauer_explicit(lam, m, float(t))
+            recurrence = gg.gegenbauer(lam, m, ts).tolist()
+            for t, a in zip(ts.tolist(), recurrence):
+                b = gg.gegenbauer_explicit(lam, m, t)
                 worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
     # geometric decay of partial sums toward the closed form
     decay = 0.0

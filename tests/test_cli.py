@@ -550,6 +550,140 @@ def test_almansi_exposes_components_with_zero_residuals(tmp_path):
     assert comps[1]["polynomial"] == "3/8"
 
 
+# (n, p, polynomial) -> (polynomial, value_re, abs_error) of each row, the
+# reassembly row last; recorded when coefficients were still Fraction pairs,
+# so a change of the exact representation cannot drift the tables unseen
+ALMANSI_GOLDEN = [
+    ((3, 1, "x1^2 x2 - 3/4 x3^3 + 2 x1 x2 x3"), [
+        ("-3/10 * x3^3 + -1/5 * x2^1 x3^2 + 9/20 * x2^2 x3^1 + -1/5 * x2^3 + "
+         "2 * x1^1 x2^1 x3^1 + 9/20 * x1^2 x3^1 + 4/5 * x1^2 x2^1",
+         2.0, 0.0),
+        ("-9/20 * x3^1 + 1/5 * x2^1",
+         0.45, 0.0),
+        ("-3/4 * x3^3 + 2 * x1^1 x2^1 x3^1 + 1 * x1^2 x2^1",
+         2.0, 0.0),
+    ]),
+    ((4, 2, "x1^4 - 2/3 x2^2 x3 x4 + 5 x4^4"), [
+        ("17/4 * x4^4 + -3/2 * x3^2 x4^2 + -3/4 * x3^4 + -3/2 * x2^2 x4^2 + "
+         "-2/3 * x2^2 x3^1 x4^1 + -3/2 * x2^2 x3^2 + -3/4 * x2^4 + "
+         "-3/2 * x1^2 x4^2 + -3/2 * x1^2 x3^2 + -3/2 * x1^2 x2^2 + 1/4 * x1^4",
+         4.25, 0.0),
+        ("3/4",
+         0.75, 0.0),
+        ("5 * x4^4 + -2/3 * x2^2 x3^1 x4^1 + 1 * x1^4",
+         5.0, 0.0),
+    ]),
+    ((5, 3, "x1^6 + 1/7 x2^3 x5^3 - x3^2 x4^4 + 0.25 x1 x2 x3 x4 x5^2"), [
+        ("-4/105 * x5^6 + -4/35 * x4^2 x5^4 + -4/35 * x4^4 x5^2 + "
+         "-4/105 * x4^6 + -4/35 * x3^2 x5^4 + -8/35 * x3^2 x4^2 x5^2 + "
+         "-39/35 * x3^2 x4^4 + -4/35 * x3^4 x5^2 + -4/35 * x3^4 x4^2 + "
+         "-4/105 * x3^6 + -4/35 * x2^2 x5^4 + -8/35 * x2^2 x4^2 x5^2 + "
+         "-4/35 * x2^2 x4^4 + -8/35 * x2^2 x3^2 x5^2 + "
+         "-8/35 * x2^2 x3^2 x4^2 + -4/35 * x2^2 x3^4 + 1/7 * x2^3 x5^3 + "
+         "-4/35 * x2^4 x5^2 + -4/35 * x2^4 x4^2 + -4/35 * x2^4 x3^2 + "
+         "-4/105 * x2^6 + 1/4 * x1^1 x2^1 x3^1 x4^1 x5^2 + "
+         "-4/35 * x1^2 x5^4 + -8/35 * x1^2 x4^2 x5^2 + -4/35 * x1^2 x4^4 + "
+         "-8/35 * x1^2 x3^2 x5^2 + -8/35 * x1^2 x3^2 x4^2 + "
+         "-4/35 * x1^2 x3^4 + -8/35 * x1^2 x2^2 x5^2 + "
+         "-8/35 * x1^2 x2^2 x4^2 + -8/35 * x1^2 x2^2 x3^2 + "
+         "-4/35 * x1^2 x2^4 + -4/35 * x1^4 x5^2 + -4/35 * x1^4 x4^2 + "
+         "-4/35 * x1^4 x3^2 + -4/35 * x1^4 x2^2 + 101/105 * x1^6",
+         1.1142857142857143, 0.0),
+        ("4/105",
+         0.0380952380952381, 0.0),
+        ("-1 * x3^2 x4^4 + 1/7 * x2^3 x5^3 + 1/4 * x1^1 x2^1 x3^1 x4^1 x5^2 + "
+         "1 * x1^6",
+         1.0, 0.0),
+    ]),
+    ((3, 2, "(1,-2) * x1^3 x2 + (0,1/3) * x3^4 - 5/6 x1 x2^2 x3"), [
+        ("(0,4/15) * x3^4 + (0,-2/15) * x2^2 x3^2 + (0,-1/15) * x2^4 + "
+         "-5/6 * x1^1 x2^2 x3^1 + (0,-2/15) * x1^2 x3^2 + "
+         "(0,-2/15) * x1^2 x2^2 + (1,-2) * x1^3 x2^1 + (0,-1/15) * x1^4",
+         2.23606797749979, 0.0),
+        ("(0,1/15)",
+         0.06666666666666667, 0.0),
+        ("(0,1/3) * x3^4 + -5/6 * x1^1 x2^2 x3^1 + (1,-2) * x1^3 x2^1",
+         2.23606797749979, 0.0),
+    ]),
+    ((4, 3, "(3/2,1/5) * x1^2 x4^5 + x2 x3^2 x4^4 - 7 x1^7"), [
+        ("(-3/64,-1/160) * x4^7 + (-9/64,-3/160) * x3^2 x4^5 + "
+         "(-9/64,-3/160) * x3^4 x4^3 + (-3/64,-1/160) * x3^6 x4^1 + "
+         "-1/160 * x2^1 x4^6 + 157/160 * x2^1 x3^2 x4^4 + "
+         "-3/160 * x2^1 x3^4 x4^2 + -1/160 * x2^1 x3^6 + "
+         "(-9/64,-3/160) * x2^2 x4^5 + (-9/32,-3/80) * x2^2 x3^2 x4^3 + "
+         "(-9/64,-3/160) * x2^2 x3^4 x4^1 + -3/160 * x2^3 x4^4 + "
+         "-3/80 * x2^3 x3^2 x4^2 + -3/160 * x2^3 x3^4 + "
+         "(-9/64,-3/160) * x2^4 x4^3 + (-9/64,-3/160) * x2^4 x3^2 x4^1 + "
+         "-3/160 * x2^5 x4^2 + -3/160 * x2^5 x3^2 + "
+         "(-3/64,-1/160) * x2^6 x4^1 + -1/160 * x2^7 + 49/32 * x1^1 x4^6 + "
+         "147/32 * x1^1 x3^2 x4^4 + 147/32 * x1^1 x3^4 x4^2 + "
+         "49/32 * x1^1 x3^6 + 147/32 * x1^1 x2^2 x4^4 + "
+         "147/16 * x1^1 x2^2 x3^2 x4^2 + 147/32 * x1^1 x2^2 x3^4 + "
+         "147/32 * x1^1 x2^4 x4^2 + 147/32 * x1^1 x2^4 x3^2 + "
+         "49/32 * x1^1 x2^6 + (87/64,29/160) * x1^2 x4^5 + "
+         "(-9/32,-3/80) * x1^2 x3^2 x4^3 + (-9/64,-3/160) * x1^2 x3^4 x4^1 + "
+         "-3/160 * x1^2 x2^1 x4^4 + -3/80 * x1^2 x2^1 x3^2 x4^2 + "
+         "-3/160 * x1^2 x2^1 x3^4 + (-9/32,-3/80) * x1^2 x2^2 x4^3 + "
+         "(-9/32,-3/80) * x1^2 x2^2 x3^2 x4^1 + -3/80 * x1^2 x2^3 x4^2 + "
+         "-3/80 * x1^2 x2^3 x3^2 + (-9/64,-3/160) * x1^2 x2^4 x4^1 + "
+         "-3/160 * x1^2 x2^5 + 147/32 * x1^3 x4^4 + 147/16 * x1^3 x3^2 x4^2 + "
+         "147/32 * x1^3 x3^4 + 147/16 * x1^3 x2^2 x4^2 + "
+         "147/16 * x1^3 x2^2 x3^2 + 147/32 * x1^3 x2^4 + "
+         "(-9/64,-3/160) * x1^4 x4^3 + (-9/64,-3/160) * x1^4 x3^2 x4^1 + "
+         "-3/160 * x1^4 x2^1 x4^2 + -3/160 * x1^4 x2^1 x3^2 + "
+         "(-9/64,-3/160) * x1^4 x2^2 x4^1 + -3/160 * x1^4 x2^3 + "
+         "147/32 * x1^5 x4^2 + 147/32 * x1^5 x3^2 + 147/32 * x1^5 x2^2 + "
+         "(-3/64,-1/160) * x1^6 x4^1 + -1/160 * x1^6 x2^1 + -175/32 * x1^7",
+         9.1875, 0.0),
+        ("(3/64,1/160) * x4^1 + 1/160 * x2^1 + -49/32 * x1^1",
+         1.53125, 0.0),
+        ("1 * x2^1 x3^2 x4^4 + (3/2,1/5) * x1^2 x4^5 + -7 * x1^7",
+         7.0, 0.0),
+    ]),
+]
+
+
+@pytest.mark.parametrize("request_, want", ALMANSI_GOLDEN)
+def test_almansi_tables_match_their_recorded_columns(tmp_path, request_,
+                                                     want):
+    n, p, text = request_
+    code, table = run(tmp_path, "almansi",
+                      {"n": n, "p": p, "polynomial": text})
+    assert code == 0
+    assert [(r["polynomial"], r["value_re"], r["abs_error"])
+            for r in rows_by(table)] == want
+
+
+@pytest.mark.parametrize("command,config", [
+    ("almansi", {"n": 3, "polynomial": "1/0 * x1^2"}),
+    ("almansi", {"n": 3, "polynomial": "(1,1/0) * x1"}),
+    ("almansi", {"n": 3, "polynomial": "x1^2 + 3/0"}),
+    ("dirichlet", {"n": 2, "boundary": "x1 + 2/0 * x2",
+                   "points": [[0.3, 0.1]]}),
+    ("hua-limit", {"n": 2, "u": "-5/0 * x1^2", "z": [0.4, 0.2]}),
+])
+def test_zero_denominators_are_config_errors(tmp_path, capsys, command,
+                                             config):
+    code, text = run(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert text == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+    assert err.count("\n") == 1
+
+
+def test_almansi_refuses_polynomials_past_the_monomial_cap(tmp_path, capsys,
+                                                          monkeypatch):
+    # n=5 has 10,626 monomials of degree 20, past the cap of 8,192; the
+    # refusal comes before any ladder is built
+    def no_ladder(q, p):
+        raise AssertionError("Almansi ladder built")
+
+    monkeypatch.setattr(polyalg, "polyharmonic_almansi", no_ladder)
+    code, text = run(tmp_path, "almansi", {"n": 5, "polynomial": "x1^20"})
+    assert_monomial_cap_refusal(code, text, capsys.readouterr().err)
+
+
 def test_dims_tabulates_dimension_formulas(tmp_path):
     code, text = run(tmp_path, "dims", {"n": 3, "p": 2,
                                         "degrees": [4, 5]})

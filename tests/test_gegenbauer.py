@@ -7,6 +7,7 @@ accuracy even at degree 30, where its terms reach 2^30 and cancel to O(m).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,64 @@ def test_explicit_sum_matches_recurrence_to_relative_1e_11(lam):
             a = gegenbauer(lam, m, t)
             b = gegenbauer_explicit(lam, m, t)
             assert abs(a - b) <= 1e-11 * max(1.0, abs(a), abs(b))
+
+
+def _fraction_coefficients(lam, m: int) -> list:
+    """(-1)^k (lambda)_{m-k} / (k! (m-2k)!) as Fractions, from the formula."""
+    lamq = Fraction(lam)
+    out = []
+    for k in range(m // 2 + 1):
+        rising = Fraction(1)
+        for j in range(m - k):
+            rising *= lamq + j
+        out.append((-1) ** k * rising
+                   / (math.factorial(k) * math.factorial(m - 2 * k)))
+    return out
+
+
+def _fraction_horner(coefs: list, m: int, t: float) -> complex:
+    """The explicit sum at a real t by Horner over Fractions: the reference
+    the integer evaluation must equal bit for bit."""
+    tq = Fraction(t)
+    u = 4 * tq * tq
+    acc = Fraction(0)
+    for coef in coefs:
+        acc = acc * u + coef
+    if m % 2:
+        acc *= 2 * tq
+    return complex(acc)
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+SUITE_LAMBDAS = (1, 1.5, 2, 2.5)  # the gegenbauer suite's grid
+SPECIAL_TS = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324)
+
+
+@pytest.mark.parametrize("lam", SUITE_LAMBDAS)
+def test_integer_explicit_sum_equals_fraction_horner_bitwise(lam):
+    # every t of the suite up to degree 30, a tenth of them up to 60, and
+    # the signed zeros, the ends and the smallest subnormal throughout
+    for m in range(61):
+        ts = list(TS if m <= 30 else TS[::10]) + list(SPECIAL_TS)
+        coefs = _fraction_coefficients(lam, m)
+        want = [_fraction_horner(coefs, m, float(t)) for t in ts]
+        assert _bits([gegenbauer_explicit(lam, m, float(t)) for t in ts]) \
+            == _bits(want), m
+        # the array route sums float(coef) terms in floating point
+        floats = sum(float(c) * (2.0 * TS.astype(complex)) ** (m - 2 * k)
+                     for k, c in enumerate(coefs))
+        assert _bits(gegenbauer_explicit(lam, m, TS)) == _bits(floats), m
+
+
+@pytest.mark.parametrize("lam", SUITE_LAMBDAS)
+def test_array_recurrence_equals_scalar_calls_bitwise(lam):
+    ts = np.concatenate([TS, SPECIAL_TS])
+    for m in list(range(31)) + [45, 60]:
+        assert _bits(gegenbauer(lam, m, ts)) \
+            == _bits([gegenbauer(lam, m, float(t)) for t in ts]), m
 
 
 def test_parity():

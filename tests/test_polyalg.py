@@ -2,12 +2,14 @@
 
 Oracles: sympy recomputes Laplacians, nullspace dimensions and nullspace
 bases from scratch; hand-derived closed forms pin small decompositions.
-Polynomials carry Gaussian-rational coefficients, so reassembly and
-annihilation checks demand residual zero, not merely small.
+Polynomials carry Gaussian-rational coefficients (integer numerators over
+one denominator), so reassembly and annihilation checks demand residual
+zero, not merely small.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,6 @@ from hypothesis import strategies as st
 
 from polyball.polyalg import (
     MultiPoly,
-    QQi,
     almansi_reassemble,
     dim_H,
     dim_Hp,
@@ -57,11 +58,22 @@ def _exponents(n: int, m: int):
             yield (head,) + rest
 
 
+def _coefficients(q: MultiPoly) -> dict:
+    """{exps: (re, im)} with Fraction parts, read off the numerators and the
+    common denominator."""
+    return {exps: (Fraction(a, q.denom), Fraction(b, q.denom))
+            for exps, (a, b) in q.terms.items()}
+
+
+def _coef(q: MultiPoly, exps) -> tuple:
+    return _coefficients(q).get(exps, (0, 0))
+
+
 def _sympy_poly(q: MultiPoly, symbols):
     expr = sympy.Integer(0)
-    for exps, c in q.terms.items():
-        term = (sympy.Rational(c.re.numerator, c.re.denominator)
-                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+    for exps, (re, im) in _coefficients(q).items():
+        term = (sympy.Rational(re.numerator, re.denominator)
+                + sympy.I * sympy.Rational(im.numerator, im.denominator))
         for s, e in zip(symbols, exps):
             term *= s ** e
         expr += term
@@ -82,9 +94,9 @@ def test_multipoly_product_matches_hand_expansion():
 
 def test_from_text_examples():
     q = MultiPoly.from_text("x1^2 - 2*x1 x2 + 3/4", n=2)
-    assert q.terms[(2, 0)] == 1
-    assert q.terms[(1, 1)] == -2
-    assert q.terms[(0, 0)] == Fraction(3, 4)
+    assert _coef(q, (2, 0)) == (1, 0)
+    assert _coef(q, (1, 1)) == (-2, 0)
+    assert _coef(q, (0, 0)) == (Fraction(3, 4), 0)
 
 
 def test_coefficients_are_exact_only():
@@ -93,8 +105,9 @@ def test_coefficients_are_exact_only():
     q = MultiPoly.monomial(2, (1, 0))
     with pytest.raises(TypeError):
         q * 0.5
-    assert MultiPoly.from_text("0.1 * x1", n=2).terms == {
-        (1, 0): QQi(Fraction(1, 10))}
+    tenth = MultiPoly.from_text("0.1 * x1", n=2)
+    assert _coefficients(tenth) == {(1, 0): (Fraction(1, 10), 0)}
+    assert (tenth.terms, tenth.denom) == ({(1, 0): (1, 0)}, 10)
 
 
 def test_from_text_rejects_unknown_symbols_with_position():
@@ -140,23 +153,25 @@ def _eval_term_by_term(q: MultiPoly, pts: np.ndarray, phase) -> np.ndarray:
     """One phase, every monomial column rebuilt per term: the reference
     order of operations for ``eval_at``."""
     out = np.zeros(pts.shape[0], dtype=complex)
-    for exps, c in sorted(q.terms.items(), key=lambda t: (-sum(t[0]), t[0])):
+    for exps, (re, im) in sorted(_coefficients(q).items(),
+                                 key=lambda t: (-sum(t[0]), t[0])):
         mono = np.ones(pts.shape[0], dtype=pts.dtype)
         for i, e in enumerate(exps):
             if e:
                 mono = mono * pts[:, i] ** e
-        out += (complex(c) * complex(phase) ** sum(exps)) * mono
+        c = complex(float(re), float(im))
+        out += (c * complex(phase) ** sum(exps)) * mono
     return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_eval_at_phase_array_matches_per_phase_calls_bitwise(n):
     rng = np.random.default_rng(300 + n)
-    polys = [MultiPoly.zero(n), MultiPoly.constant(n, QQi(Fraction(2, 3), -1))]
+    polys = [MultiPoly.zero(n), MultiPoly.constant(n, (Fraction(2, 3), -1))]
     for _ in range(3):
         q = MultiPoly.zero(n)
         for m in range(5):
-            c = QQi(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+            c = (int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
             q = q + random_homogeneous(n, m, rng) * c
         polys.append(q)
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 4))
@@ -189,6 +204,98 @@ def test_sum_then_evaluate_is_linear(coeffs, m):
     point = np.array([0.3, -0.7])
     direct = sum(b.evaluate(point) for b in basis)
     assert total.evaluate(point) == pytest.approx(direct, abs=1e-12)
+
+
+# --------------------------------------------------------------------------
+# integer-numerator arithmetic against a Fraction-pair reference
+# --------------------------------------------------------------------------
+
+def _ref_clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != (0, 0)}
+
+
+def _ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, (re, im) in q.items():
+        re0, im0 = out.get(e, (Fraction(0), Fraction(0)))
+        out[e] = (re0 + re, im0 + im)
+    return _ref_clean(out)
+
+
+def _ref_scale(p: dict, re2, im2) -> dict:
+    return _ref_clean({e: (re * re2 - im * im2, re * im2 + im * re2)
+                       for e, (re, im) in p.items()})
+
+
+def _ref_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for e1, c1 in p.items():
+        for e2, (re2, im2) in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out = _ref_add(out, _ref_scale({e: c1}, re2, im2))
+    return out
+
+
+def _ref_laplacian(p: dict) -> dict:
+    out = {}
+    for exps, (re, im) in p.items():
+        for i, e in enumerate(exps):
+            if e >= 2:
+                key = exps[:i] + (e - 2,) + exps[i + 1:]
+                out = _ref_add(out, {key: (re * e * (e - 1),
+                                           im * e * (e - 1))})
+    return out
+
+
+_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@st.composite
+def _poly_pairs(draw, n):
+    """A MultiPoly and its reference dict, built term by term."""
+    ref = {}
+    for _ in range(draw(st.integers(0, 4))):
+        exps = tuple(draw(st.lists(st.integers(0, 3), min_size=n,
+                                   max_size=n)))
+        re = draw(_fractions)
+        im = draw(st.sampled_from([Fraction(0)]) | _fractions)
+        ref = _ref_add(ref, {exps: (re, im)})
+    return MultiPoly(n, ref), ref
+
+
+def _assert_canonical(q: MultiPoly):
+    nums = [v for c in q.terms.values() for v in c]
+    assert q.denom >= 1 and math.gcd(q.denom, *nums) == 1
+    assert all(c != (0, 0) for c in q.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 3))
+def test_integer_arithmetic_matches_fraction_pairs(data, n):
+    (a, ra), (b, rb), (c, rc) = (data.draw(_poly_pairs(n)) for _ in range(3))
+    r = data.draw(_fractions)
+    k = data.draw(st.integers(0, 3))
+    neg_b = _ref_scale(rb, Fraction(-1), Fraction(0))
+    power = {(0,) * n: (Fraction(1), Fraction(0))}
+    for _ in range(k):
+        power = _ref_mul(power, ra)
+    cases = [(a + b, _ref_add(ra, rb)), (a - b, _ref_add(ra, neg_b)),
+             (a * b, _ref_mul(ra, rb)), (a * r, _ref_scale(ra, r, 0)),
+             (r * a, _ref_scale(ra, r, 0)), (a ** k, power),
+             (a.laplacian(), _ref_laplacian(ra))]
+    for got, want in cases:
+        assert _coefficients(got) == want
+        _assert_canonical(got)
+    # the same value by different routes: equal, with equal hashes
+    routes = [((a * b) * c, a * (b * c)),
+              (a * Fraction(2, 4), (a * 2) * Fraction(1, 4)),
+              (a * (Fraction(1, 2), 0), a * Fraction(1, 2)),
+              (a - a, MultiPoly.zero(n)), (a + b - b, a),
+              (MultiPoly(n, _coefficients(a)), a),
+              (MultiPoly.from_text(a.to_text(), n=n), a)]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
 
 
 # --------------------------------------------------------------------------
@@ -271,8 +378,8 @@ def test_polyharmonic_basis_is_the_reduced_kernel_basis(n):
             assert len(basis) == len(free) == dim_Hp(n, m, p)
             for own, b in zip(free, basis):
                 assert is_polyharmonic(b, p), (m, p, own)
-                assert [b.terms.get(a, 0) for a in free] \
-                    == [int(a == own) for a in free], (m, p, own)
+                assert [_coef(b, a) for a in free] \
+                    == [(int(a == own), 0) for a in free], (m, p, own)
 
 
 @pytest.mark.parametrize("n,max_m", [(2, 6), (3, 6), (4, 4)])
