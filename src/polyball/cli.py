@@ -466,6 +466,17 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     return table
 
 
+def _polynomial(cfg: RunConfig, key: str, what: str) -> MultiPoly:
+    """``cfg.data[key]`` parsed; unparsable text, or a coefficient past the
+    double range that every command evaluates in, is a ConfigError."""
+    try:
+        q = MultiPoly.from_text(cfg.data[key], n=cfg.n)
+        q.coefficient_scale()
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from err
+    return q
+
+
 def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
                 radius: float):
     """The sphere rule of a dirichlet or hua-limit run: ``choose_rule`` for
@@ -488,10 +499,7 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
 def run_dirichlet(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     tol = cfg.row_tolerance
-    try:
-        q = MultiPoly.from_text(cfg.data["boundary"], n=n)
-    except ValueError as err:
-        raise ConfigError(f"boundary polynomial: {err}") from err
+    q = _polynomial(cfg, "boundary", "boundary polynomial")
     data = solver.BoundaryData(q, p)
     reproduces = polyalg.is_polyharmonic(q, p)
     points = [np.asarray(pt, dtype=float) for pt in cfg.data["points"]]
@@ -553,12 +561,8 @@ def _limit_error_bound(u: MultiPoly, zc: np.ndarray, p: int) -> float:
 
 
 def run_hua_limit(cfg: RunConfig) -> ResultTable:
-    n = cfg.n
     tol = cfg.row_tolerance
-    try:
-        u = MultiPoly.from_text(cfg.data["u"], n=n)
-    except ValueError as err:
-        raise ConfigError(f"u polynomial: {err}") from err
+    u = _polynomial(cfg, "u", "u polynomial")
     zc = np.array([complex(re, im) for re, im in cfg.data["z"]])
     radius, p_list = lie_norm(zc), cfg.data["p_list"]
     if not radius < 1.0:
@@ -580,33 +584,27 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
 def run_almansi(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     bound = cfg.row_tolerance
-    try:
-        q = MultiPoly.from_text(cfg.data["polynomial"], n=n)
-    except ValueError as err:
-        raise ConfigError(f"polynomial: {err}") from err
-    try:
-        suites._require_monomials(n, q.degree())  # before the ladder
-        components = polyalg.polyharmonic_almansi(q, p)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    q = _polynomial(cfg, "polynomial", "polynomial")
     table = ResultTable("almansi",
                         ("component", "degree", "polynomial", "status"),
                         _metadata(cfg))
-    residuals = []
-    for k, comp in enumerate(components):
-        out = comp
-        for _ in range(p):
-            out = out.laplacian()
-        residual = out.coefficient_scale()
-        residuals.append(residual)
-        table.add((k, comp.degree(), comp.to_text(), "ok"),
-                  value=comp.coefficient_scale(), reference=0.0,
-                  error=residual, bound=bound)
-    mismatch = (polyalg.almansi_reassemble(components, n, p)
-                - q).coefficient_scale()
-    table.add(("reassembly", q.degree(), q.to_text(), "ok"),
-              value=q.coefficient_scale(), reference=0.0, error=mismatch,
-              bound=bound)
+    try:  # a component may pass the double range or the int-to-text limit
+        suites._require_monomials(n, q.degree())  # before the ladder
+        components = polyalg.polyharmonic_almansi(q, p)
+        for k, comp in enumerate(components):
+            out = comp
+            for _ in range(p):
+                out = out.laplacian()
+            table.add((k, comp.degree(), comp.to_text(), "ok"),
+                      value=comp.coefficient_scale(), reference=0.0,
+                      error=out.coefficient_scale(), bound=bound)
+        mismatch = (polyalg.almansi_reassemble(components, n, p)
+                    - q).coefficient_scale()
+        table.add(("reassembly", q.degree(), q.to_text(), "ok"),
+                  value=q.coefficient_scale(), reference=0.0,
+                  error=mismatch, bound=bound)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     return table
 
 

@@ -99,47 +99,34 @@ def _explicit_coefficients(lam: Fraction, m: int) -> tuple:
     return tuple(c.numerator * (denom // c.denominator) for c in coefs), denom
 
 
-def gegenbauer_explicit(lam, m: int, t):
-    """C_m^lambda(t) by the explicit alternating sum (oracle route).
+def gegenbauer_explicit(lam, m: int, t) -> complex:
+    """C_m^lambda(t) at a real scalar t by the explicit alternating sum (the
+    oracle route), taken exactly; any other t raises ValueError.
 
-    Real scalar arguments are summed exactly (a float is an exact rational,
-    so the only rounding is the final conversion): the alternating sum
-    cancels catastrophically in floating point for large m, which would
-    make the oracle useless at the tolerances it is meant to certify.  With
-    t = a/b and the coefficients N_k / L over one denominator, Horner runs
-    in integers on sum_k N_k (2a)^{m-2k} b^{2k} and one correctly rounded
-    division by L b^m ends it.  Complex or array arguments fall back to a
-    floating-point sum of the same coefficients and inherit that
-    cancellation.
+    A float is an exact rational, so the only rounding is the final one; in
+    floating point the sum cancels catastrophically for large m, which would
+    make the oracle useless at the tolerances it certifies.  With t = a/b
+    and the coefficients N_k / L over one denominator, Horner runs in
+    integers on sum_k N_k (2a)^{m-2k} b^{2k}, and one correctly rounded
+    division by L b^m ends it.
     """
     m = int(m)
-    if np.ndim(t) == 0 and not isinstance(t, complex):
-        lamq = Fraction(lam)
-        if lamq <= 0:
-            raise ValueError("lambda must be positive")
-        if m < 0:
-            return 0j
-        a, b = (t.as_integer_ratio() if isinstance(t, float)
-                else Fraction(t).as_integer_ratio())
-        nums, denom = _explicit_coefficients(lamq, m)
-        u, w = 4 * a * a, b * b  # (2t)^2 = u / w
-        acc, wk = 0, 1
-        for num in nums:
-            acc = acc * u + num * wk
-            wk *= w
-        denom *= wk // w
-        if m % 2:
-            acc, denom = 2 * a * acc, b * denom
-        return complex(acc / denom)
+    if np.ndim(t) or isinstance(t, complex):
+        raise ValueError("the explicit sum takes a real scalar t")
     _check_lambda(lam)
     if m < 0:
-        return 0.0 * t if np.ndim(t) else 0j
-    tv = np.asarray(t, dtype=complex)
-    total = np.zeros_like(tv)
+        return 0j
+    a, b = Fraction(t).as_integer_ratio()
     nums, denom = _explicit_coefficients(Fraction(lam), m)
-    for k, num in enumerate(nums):
-        total = total + (num / denom) * (2.0 * tv) ** (m - 2 * k)
-    return complex(total) if np.ndim(t) == 0 else total
+    u, w = 4 * a * a, b * b  # (2t)^2 = u / w
+    acc, wk = 0, 1
+    for num in nums:
+        acc = acc * u + num * wk
+        wk *= w
+    denom *= wk // w
+    if m % 2:
+        acc, denom = 2 * a * acc, b * denom
+    return complex(acc / denom)
 
 
 @lru_cache(maxsize=None)

@@ -246,10 +246,14 @@ class MultiPoly:
                 for d, t in sorted(parts.items())}
 
     def coefficient_scale(self) -> float:
-        """Largest coefficient modulus (0.0 for the zero polynomial)."""
+        """Largest coefficient modulus (0.0 for the zero polynomial);
+        ValueError for a coefficient past the double range."""
         d = self.denom
-        return max((abs(complex(a / d, b / d))
-                    for a, b in self.terms.values()), default=0.0)
+        try:
+            return max((abs(complex(a / d, b / d))
+                        for a, b in self.terms.values()), default=0.0)
+        except OverflowError:
+            raise ValueError("coefficient past the double range") from None
 
     # -- evaluation --------------------------------------------------------
 

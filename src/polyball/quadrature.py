@@ -81,13 +81,9 @@ class SphereRule:
 
 @dataclass(frozen=True, eq=False)
 class LieSphereRule:
-    """Product of a sphere rule with A uniform angles a*pi/A on [0, pi).
-
-    Functions on the Lie sphere are sampled at e^{i*angle} * node; the
-    angular grid integrates trigonometric degree up to 2A - 1 in the phase
-    (only even frequencies survive spatially, so A angles on a half-turn
-    behave like 2A on a full turn).
-    """
+    """Product of a sphere rule with A uniform angles a*pi/A on [0, pi):
+    functions on the Lie sphere are sampled at e^{i*angle} * node.
+    ``solver.choose_lie_rule`` sizes both factors from a proven bound."""
 
     base: SphereRule
     angular: int
@@ -330,36 +326,26 @@ def _digest(rule: SphereRule) -> str:
     return digest.hexdigest()
 
 
-def rule_to_json(rule) -> dict:
-    """JSON-ready record of a rule: a sphere rule is a pure function of
+def rule_to_json(rule: SphereRule) -> dict:
+    """JSON-ready record of a sphere rule, a pure function of
     (n, resolution), recorded with a digest of its nodes and weights so
     that a platform whose rebuilt rule differs in any bit is detected."""
-    if isinstance(rule, LieSphereRule):
-        return {
-            "type": "lie-sphere",
-            "angular": rule.angular,
-            "base": rule_to_json(rule.base),
-        }
-    if isinstance(rule, SphereRule):
-        return {
-            "type": "sphere",
-            "n": rule.n,
-            "kind": rule.kind,
-            "resolution": rule.resolution,
-            "exactness": rule.exactness,
-            "count": rule.count,
-            "sha256": _digest(rule),
-        }
-    raise TypeError(f"not a rule: {type(rule).__name__}")
+    return {
+        "type": "sphere",
+        "n": rule.n,
+        "kind": rule.kind,
+        "resolution": rule.resolution,
+        "exactness": rule.exactness,
+        "count": rule.count,
+        "sha256": _digest(rule),
+    }
 
 
-def rule_from_json(data: dict):
-    """Rebuild a rule from its ``rule_to_json`` record.  ValueError when a
-    key is missing or the rebuilt rule's kind, exactness, count or digest
-    differs from the record."""
+def rule_from_json(data: dict) -> SphereRule:
+    """Rebuild a sphere rule from its ``rule_to_json`` record.  ValueError
+    when a key is missing or the rebuilt rule's kind, exactness, count or
+    digest differs from the record."""
     try:
-        if data.get("type") == "lie-sphere":
-            return LieSphereRule(rule_from_json(data["base"]), data["angular"])
         if data.get("type") != "sphere":
             raise ValueError("unrecognized rule serialization")
         record = (data["kind"], data["exactness"], data["count"],

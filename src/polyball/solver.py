@@ -49,6 +49,7 @@ __all__ = [
     "hua_integrals",
     "polyharmonic_limit_experiment",
     "choose_rule",
+    "choose_lie_rule",
 ]
 
 
@@ -373,3 +374,29 @@ def choose_rule(n: int, p: int, degree: int, radius: float,
     m_trunc = kernels.truncation_degree(n, p, radius, tol)
     return quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
         n, max(degree, 0) + m_trunc + 4))
+
+
+def choose_lie_rule(n: int, degree: int, radius: float,
+                    tol: float) -> quadrature.LieSphereRule:
+    """The Lie-sphere rule for Cauchy-Hua integrals of holomorphic data of
+    degree <= d = ``degree`` at Lie norm L(z) <= ``radius``: a base rule of
+    exactness 2d + 1 and the least A >= 4 with 2A > d and sum_{m>=2A}
+    dim P_m L^m <= ``tol``, the error bound for data with |u| <= 1 on the
+    Lie sphere.  Proof: u of degree e <= d and the degree-m term of H obey
+    K_m(z, e^{it} zeta) u(e^{it} zeta) = e^{i(e-m)t} K_m(z, zeta) u(zeta).
+    The A angles a pi / A cancel every even e - m but e - m = 0 (mod 2A).
+    Exactness 2d + 1 makes the base symmetric under zeta -> -zeta (an even
+    circle at n = 2; Gauss products always are), so it cancels every odd
+    e - m and integrates m = e, which reproduces u(z), exactly.  Left are
+    m = e + 2jA, j >= 1, each at most dim P_m L(z)^m: |K_m(z, w)| <=
+    dim P_m L(z)^m on the Lie sphere (``kernels._tail_bound``), and the
+    weights are positive with sum 1.  Over the node cap: ValueError."""
+    if not 0.0 <= radius < 1.0:
+        raise ValueError("radius must be in [0, 1)")
+    base = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
+        n, 2 * degree + 1))
+    angular = max(4, degree // 2 + 1)
+    while (kernels._nb_tail(n - 1, radius, 2 * angular) > tol
+           and angular * base.count <= quadrature._MAX_NODES):
+        angular += 1
+    return quadrature.lie_sphere_rule(base, angular)

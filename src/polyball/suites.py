@@ -10,10 +10,13 @@ tolerances, not merely that the code ran.
 Conventions: sampling is driven entirely by the ``seed`` argument
 (``numpy.random.default_rng``); iteration orders are fixed, so reports are
 bit-reproducible.  Deviations for exact-arithmetic checks count failures
-(0.0 means every case held exactly).  Every suite accepts any n >= 2; an
-integrating suite whose rule exceeds the node cap raises ``ValueError``, and
-so does a suite that enumerates the degree-``max_degree`` monomials when
-there are more than ``_MAX_MONOMIALS`` of them.
+(0.0 means every case held exactly).  Rules are sized by proven bounds
+(``solver.choose_rule``, ``solver.choose_lie_rule``) or integrand degrees,
+but for ``far-cap``, whose cap holds for any positive rule.  Every suite
+accepts any n >= 2; one whose rule or kernel values exceed the node cap
+raises ``ValueError``, and so does a suite that enumerates the
+degree-``max_degree`` monomials when there are more than
+``_MAX_MONOMIALS`` of them.
 """
 
 from __future__ import annotations
@@ -277,21 +280,19 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
 
 def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
                            max_degree: int = 4, points: int = 10,
-                           lie_radius: float = 0.6, angular: int = 32,
-                           exactness: int = 42,
+                           lie_radius: float = 0.6,
                            tolerance: float = 1e-6) -> list:
     """Lie-sphere quadrature of H(z, .) u reproduces holomorphic monomials.
 
-    The degree-m Cauchy-Hua term obeys |K_m(z, w)| <= dim P_m L(z)^m for w
-    on the Lie sphere (its Shilov boundary), so at r = 0.6 exactness 42
-    misintegrates data of degree <= 4 by at most 2 sum_{m>38} dim P_m 0.6^m:
-    4.6e-7 at n=2, which proves the 1e-6 tolerance there, but 9.8e-6 at n=3
-    and 1.4e-4 at n=4, where 42 is calibrated (proven would need 47, 54).
+    Its rule is ``solver.choose_lie_rule`` at tolerance / 100, and |u| <= 1
+    on the Lie sphere, so the row is proven at every n.  Its kernel values,
+    points x angles x nodes, are held to the node cap: n >= 6 is refused.
     """
     rng = np.random.default_rng(seed)
-    base = quadrature.sphere_rule(
-        n, quadrature.resolution_for_exactness(n, exactness))
-    lie = quadrature.lie_sphere_rule(base, angular)
+    lie = solver.choose_lie_rule(n, max_degree, lie_radius, tolerance / 100)
+    values = points * lie.angular * lie.base.count
+    if values > quadrature._MAX_NODES:
+        raise ValueError(f"n={n}: {values} kernel values exceed the node cap")
     zs = np.array([_lie_point(rng, n, rng.uniform(0.2, lie_radius))
                    for _ in range(points)])
     us = [MultiPoly.monomial(n, exps)

@@ -413,6 +413,7 @@ def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
     ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.4, 0.2],
                    "angular": 10 ** 9}),
     ("verify", {"n": 6, "suites": ["reproduction"]}),
+    ("verify", {"n": 6, "suites": ["hua-reproduction"]}),
 ])
 def test_rules_above_the_node_cap_are_config_errors(tmp_path, capsys,
                                                     command, config):
@@ -669,6 +670,25 @@ def test_zero_denominators_are_config_errors(tmp_path, capsys, command,
     assert code == cli.EXIT_CONFIG
     assert text == ""
     assert err.startswith("error: ") and "zero denominator" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,config", [
+    ("almansi", {"n": 2, "polynomial": "1e400 * x1"}),
+    ("almansi", {"n": 2, "polynomial": "1e5000 * x1"}),
+    ("dirichlet", {"n": 2, "boundary": "1e5000 * x1",
+                   "points": [[0.3, 0.1]]}),
+    ("hua-limit", {"n": 2, "u": "1e400 * x1", "z": [0.4, 0.2]}),
+    # in range, but a harmonic component of x1^12 is not
+    ("almansi", {"n": 2, "polynomial": "1e308 * x1^12"}),
+])
+def test_coefficients_past_the_double_range_are_config_errors(
+        tmp_path, capsys, command, config):
+    code, text = run(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert text == ""
+    assert err.startswith("error: ") and "past the double range" in err
     assert err.count("\n") == 1
 
 

@@ -5,8 +5,10 @@ Every import is read with ``ast``, including imports inside functions.
 LAPACK is reached only behind the polar-rule cache: a per-request LAPACK
 call wakes threaded BLAS workers that keep spinning after it returns.
 No module below the property suites draws random numbers: every bound and
-rule size there is computed, not sampled.  Every public name is used by the
-package itself, or is kept on a list that says why.
+rule size there is computed, not sampled.  A suite's rule takes its size
+from a sizing function, unless it is listed with the reason it needs none.
+Every public name is used by the package itself, or is kept on a list that
+says why.
 """
 
 from __future__ import annotations
@@ -132,6 +134,37 @@ def test_no_random_numbers_below_the_suites():
         violations += [f"{name}.py:{line} {what}"
                        for line, what in _random_uses(tree)]
     assert not violations, violations
+
+
+# Suites whose rule has a fixed size, each with the reason it needs no
+# sizing; every other suite's rule is sized by one of SIZERS.
+FIXED_RULES = {
+    "suite_far_cap": "its cap holds for any positive rule with unit mass",
+}
+SIZERS = {"resolution_for_exactness", "choose_rule", "choose_lie_rule"}
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+
+
+def test_suite_rules_take_their_size_from_a_sizing_function():
+    tree = ast.parse((PACKAGE / "suites.py").read_text())
+    fixed = {}
+    for function in tree.body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Call)
+                    and _callee(node) in ("sphere_rule", "lie_sphere_rule")):
+                size = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(size, ast.Call)
+                        and _callee(size) in SIZERS):
+                    fixed.setdefault(function.name, []).append(node.lineno)
+    # each name listed builds a fixed rule, or is a stale allowlist entry
+    assert set(fixed) == set(FIXED_RULES), fixed
 
 
 # Public names that no package code reads, each with the reason it stays.

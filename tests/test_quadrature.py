@@ -223,14 +223,6 @@ def test_rule_serialization_round_trip_is_bit_exact():
         assert back.resolution == rule.resolution
 
 
-def test_lie_rule_serialization_round_trip():
-    lie = lie_sphere_rule(sphere_rule(2, 12), 8)
-    back = rule_from_json(json.loads(json.dumps(rule_to_json(lie))))
-    assert isinstance(back, LieSphereRule)
-    assert back.angular == 8
-    np.testing.assert_array_equal(back.base.nodes, lie.base.nodes)
-
-
 def test_rule_from_json_rejects_unknown_type():
     with pytest.raises(ValueError):
         rule_from_json({"type": "cube"})

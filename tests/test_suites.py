@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from polyball import polyalg
+from polyball import kernels, polyalg, quadrature, solver
 from polyball.polyalg import MultiPoly
 from polyball.suites import (SUITES, PropertyResult, run_suite,
                              suite_diagonal_dim, suite_far_cap,
-                             suite_reproduction)
+                             suite_hua_reproduction, suite_reproduction)
 
 EXPECTED_NAMES = {
     "route-agreement",
@@ -113,3 +113,36 @@ def test_diagonal_dim_counts_a_basis_element_that_is_not_annihilated(
     monkeypatch.setattr(polyalg, "_polyharmonic_basis", spoiled)
     row = nullspace_row()
     assert row.deviation == 5.0 and not row.passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hua_reproduction_stays_below_the_tail_its_rule_is_sized_to(
+        n, monkeypatch):
+    choose, sized = solver.choose_lie_rule, []
+
+    def spy(*args):  # the rule the suite sizes
+        sized.append(choose(*args))
+        return sized[-1]
+
+    monkeypatch.setattr(solver, "choose_lie_rule", spy)
+    for seed in range(5):
+        (row,) = suite_hua_reproduction(n=n, seed=seed)
+        lie = sized[-1]
+        tail = kernels._nb_tail(n - 1, 0.6, 2 * lie.angular)
+        assert tail <= 1e-8 and row.tolerance == 1e-6
+        assert row.deviation <= tail, (seed, row.deviation, tail)
+    if n == 2:  # symmetric under zeta -> -zeta
+        assert lie.base.count % 2 == 0
+
+
+def test_an_odd_circle_breaks_the_hua_reproduction_bound(monkeypatch):
+    # exactness 2 * max_degree gives the n = 2 circle 9 points: not
+    # symmetric under zeta -> -zeta, so the odd d - m terms survive
+    sized = solver.choose_lie_rule(2, 4, 0.6, 1e-8)
+    odd = quadrature.lie_sphere_rule(quadrature.sphere_rule(
+        2, quadrature.resolution_for_exactness(2, 8)), sized.angular)
+    assert odd.base.count == 9
+    monkeypatch.setattr(solver, "choose_lie_rule", lambda *args: odd)
+    (row,) = suite_hua_reproduction(n=2, seed=0)
+    assert row.deviation > 1e4 * kernels._nb_tail(1, 0.6, 2 * sized.angular)
+    assert not row.passed
