@@ -348,15 +348,9 @@ class ResultTable:
                 code = max(code, EXIT_TOLERANCE)
         return code
 
-    def to_json_obj(self) -> dict:
-        return {"metadata": self.metadata,
-                "columns": list(self.columns),
-                "rows": [list(r) for r in self.rows]}
-
     def render(self, fmt: str) -> str:
         if fmt == "json":
-            return json.dumps(self.to_json_obj(), indent=2,
-                              sort_keys=True) + "\n"
+            return self._render_json()
         if fmt != "csv":
             raise ValueError(f"unknown format {fmt!r}")
         buf = io.StringIO()
@@ -368,6 +362,25 @@ class ResultTable:
         for row in self.rows:
             writer.writerow([_csv_cell(c) for c in row])
         return buf.getvalue()
+
+    def _render_json(self) -> str:
+        r"""``json.dumps(table, indent=2, sort_keys=True)`` plus a newline,
+        byte for byte, where table is {metadata, columns, rows}.  Metadata
+        and columns go through that call.  The rows, which sort last, go
+        through one call of the C encoder (which ``indent`` turns off) with
+        every cell on a line of its own; then the row boundaries are
+        indented.  An encoded JSON string never holds a raw newline, so
+        each "],\n      [" is a row boundary."""
+        text = json.dumps({"columns": list(self.columns),
+                           "metadata": self.metadata, "rows": []},
+                          indent=2, sort_keys=True)
+        if self.rows:
+            cells = json.dumps(self.rows, separators=(",\n      ", ": "))
+            rows = cells[2:-2].replace("],\n      [",
+                                       "\n    ],\n    [\n      ")
+            text = (text[:-len("[]\n}")] + "[\n    [\n      " + rows
+                    + "\n    ]\n  ]\n}")
+        return text + "\n"
 
 
 def _csv_cell(cell) -> str:
@@ -412,57 +425,90 @@ def _coefficients_overflow(n: int, m: int) -> bool:
                for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
 
 
+def _status(outside: bool, singular: bool, failed: bool) -> str:
+    """A closed-form row's status: rejected for a pair outside the kernel's
+    domain, singular for a vanished denominator, rejected for a value that
+    overflowed or a series that was refused."""
+    if outside:
+        return "rejected"
+    if singular:
+        return "singular"
+    return "rejected" if failed else "ok"
+
+
+def _outside_balls(x: RotatedVector, zeta: RotatedVector, p: int) -> bool:
+    """Whether the Poisson kernel refuses the pair: x not inside the
+    rotated balls or zeta not on the rotated spheres."""
+    try:
+        kernels._require_sector_interior(x, p)
+        kernels._require_sector_sphere(zeta, p)
+    except ValueError:
+        return True
+    return False
+
+
 def run_kernel(cfg: RunConfig) -> ResultTable:
+    """Every kernel is evaluated as arrays over all pairs at once; array
+    operations act on each pair alone, so a pair's rows do not depend on
+    the rest of its batch."""
     table = ResultTable("kernel",
                         ("pair", "kernel", "m", "route", "status"),
                         _metadata(cfg))
     tol = cfg.row_tolerance
-    n, p = cfg.n, cfg.p
-    for i, pair in enumerate(cfg.data["pairs"]):
-        x = _rotated(pair["x"], pair["x_sector"], p)
-        zeta = _rotated(pair["zeta"], pair["zeta_sector"], p)
-        if "zonal" in cfg.data["kernels"]:
-            B, x2, zb2 = kernels.pair_invariants(x, zeta)
-            for m in cfg.data["degrees"]:
-                try:  # the scale below reuses these float coefficients
-                    if _coefficients_overflow(n, m):  # before exact tables
-                        raise OverflowError
-                    values = {route: complex(kernels.zonal_from_products(
-                        n, m, p, B, x2 * zb2, route)) for route in ROUTES}
-                except OverflowError as err:  # exact coefficients > 2^1024
-                    raise ConfigError(f"degree {m}: the zonal coefficients "
-                                      "overflow a double") from err
-                reference = values[ROUTE_GEGENBAUER_DIFF]
-                scale = max(1.0, kernels._zonal_term_scale(n, m, p, B,
-                                                           x2 * zb2))
-                for route in ROUTES:
-                    gap = max(abs(values[route] - values[other])
-                              for other in ROUTES if other != route)
-                    table.add((i, "zonal", m, route, "ok"),
-                              value=values[route], reference=reference,
-                              error=gap, bound=tol * scale)
-        if "poisson" in cfg.data["kernels"]:
-            try:
-                closed = kernels.poisson_kernel(x, zeta, p)
-                # aligned pairs attain the tail bound, so ask for tol / 100
-                series = kernels.poisson_kernel_series(
-                    x, zeta, p, tol=max(tol / 100.0, 1e-13))
-                table.add((i, "poisson", "", "closed-form", "ok"),
-                          value=closed, reference=series.value,
-                          error=abs(closed - series.value),
-                          bound=series.tail_bound + tol * max(1.0, abs(closed)))
-            except kernels.SingularKernelError:
-                table.add((i, "poisson", "", "closed-form", "singular"))
-            except ValueError:
-                table.add((i, "poisson", "", "closed-form", "rejected"))
-        if "hua" in cfg.data["kernels"]:
-            try:
-                value = kernels.cauchy_hua(x.to_complex(), zeta.to_complex())
-                table.add((i, "hua", "", "closed-form", "ok"), value=value)
-            except kernels.SingularKernelError:
-                table.add((i, "hua", "", "closed-form", "singular"))
-            except ValueError:
-                table.add((i, "hua", "", "closed-form", "rejected"))
+    n, p, which = cfg.n, cfg.p, cfg.data["kernels"]
+    pairs = [(_rotated(pair["x"], pair["x_sector"], p),
+              _rotated(pair["zeta"], pair["zeta_sector"], p))
+             for pair in cfg.data["pairs"]]
+    xs = np.array([x.to_complex() for x, _ in pairs])
+    zetas = np.array([zeta.to_complex() for _, zeta in pairs])
+    B, x2, zb2 = kernels.pair_invariants(xs, zetas)
+    P = x2 * zb2
+    zonal = []  # (m, route values, route gaps, bound), each per pair
+    for m in cfg.data["degrees"] if "zonal" in which else ():
+        try:  # the scale below reuses these float coefficients
+            if _coefficients_overflow(n, m):  # before exact tables
+                raise OverflowError
+            values = np.array([kernels.zonal_from_products(n, m, p, B, P,
+                                                           route)
+                               for route in ROUTES])
+        except OverflowError as err:  # exact coefficients > 2^1024
+            raise ConfigError(f"degree {m}: the zonal coefficients "
+                              "overflow a double") from err
+        gaps = np.abs(values[:, None] - values).max(axis=1)
+        scale = kernels._zonal_term_scale(n, m, p, B, P)
+        zonal.append((m, values.T.tolist(), gaps.T.tolist(),
+                      (tol * np.fmax(1.0, scale)).tolist()))
+    lie = [lie_norm(x) * lie_norm(zeta) for x, zeta in zip(xs, zetas)]
+    if "poisson" in which:
+        closed, singular, finite = kernels._poisson_guarded(n, p, x2, B,
+                                                             zb2)
+        # aligned pairs attain the tail bound, so ask for tol / 100
+        series = kernels._series_values(n, p, B, P, lie,
+                                        max(tol / 100.0, 1e-13))
+        poisson = [_status(_outside_balls(x, zeta, p), singular[i],
+                           not finite[i] or isinstance(series[i], ValueError))
+                   for i, (x, zeta) in enumerate(pairs)]
+    if "hua" in which:
+        hua, singular, finite = kernels._hua_guarded(n, x2, B, zb2)
+        hua_status = [_status(not lie[i] < 1.0, singular[i], not finite[i])
+                      for i in range(len(pairs))]
+    reference = ROUTES.index(ROUTE_GEGENBAUER_DIFF)
+    for i in range(len(pairs)):
+        for m, values, gaps, bound in zonal:
+            for route, value, gap in zip(ROUTES, values[i], gaps[i]):
+                table.add((i, "zonal", m, route, "ok"), value=value,
+                          reference=values[i][reference], error=gap,
+                          bound=bound[i])
+        if "poisson" in which and poisson[i] == "ok":
+            value, truth = complex(closed[i]), series[i]
+            table.add((i, "poisson", "", "closed-form", "ok"), value=value,
+                      reference=truth.value, error=abs(value - truth.value),
+                      bound=truth.tail_bound + tol * max(1.0, abs(value)))
+        elif "poisson" in which:
+            table.add((i, "poisson", "", "closed-form", poisson[i]))
+        if "hua" in which:
+            table.add((i, "hua", "", "closed-form", hua_status[i]),
+                      value=hua[i] if hua_status[i] == "ok" else None)
     return table
 
 
@@ -481,8 +527,9 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
                 radius: float):
     """The sphere rule of a dirichlet or hua-limit run: ``choose_rule`` for
     degree-``degree`` data up to ``radius``, or the configured resolution.
-    An unresolvable truncation, or a rule or Lie-sphere rule above the node
-    cap, is a configuration error."""
+    An unresolvable truncation, or a rule, Lie-sphere rule or p sectors of
+    the rule above the node cap, is a configuration error, raised before
+    any array of p sector phases is built."""
     try:
         if cfg.data["resolution"] == "auto":
             rule = solver.choose_rule(  # SeriesToleranceError is a ValueError
@@ -493,6 +540,9 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
             quadrature.lie_sphere_rule(rule, cfg.data["angular"])
     except ValueError as err:
         raise ConfigError(f"no quadrature rule for {where}: {err}") from err
+    if p * rule.count > quadrature._MAX_NODES:
+        raise ConfigError(f"p={p}: {p * rule.count} sector nodes exceed "
+                          "the node cap")
     return rule
 
 
@@ -500,13 +550,13 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     tol = cfg.row_tolerance
     q = _polynomial(cfg, "boundary", "boundary polynomial")
-    data = solver.BoundaryData(q, p)
-    reproduces = polyalg.is_polyharmonic(q, p)
     points = [np.asarray(pt, dtype=float) for pt in cfg.data["points"]]
     radii = [float(np.linalg.norm(pt)) for pt in points]
     interior = [r < 1.0 - 1e-9 for r in radii]
     radius = max([r for r, ok in zip(radii, interior) if ok], default=0.0)
     rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius)
+    data = solver.BoundaryData(q, p)
+    reproduces = polyalg.is_polyharmonic(q, p)
     coord_names = tuple(f"x{i + 1}" for i in range(n))
     table = ResultTable("dirichlet",
                         ("point", "sector") + coord_names + ("status",),
@@ -604,7 +654,7 @@ def run_almansi(cfg: RunConfig) -> ResultTable:
                   value=q.coefficient_scale(), reference=0.0,
                   error=mismatch, bound=bound)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"polynomial: {err}") from err
     return table
 
 

@@ -79,8 +79,9 @@ def principal_power(w, a):
         arr = np.where(zero, 1.0, arr)
     if 2 * a % 2 == 1:
         res = np.sqrt(arr)
-        if abs(a) > 1:
-            res = arr ** int(abs(a)) * res
+        k = int(abs(a))
+        if k:  # |a| = 3/2 multiplies directly: arr ** 1 would copy arr
+            res = (arr if k == 1 else arr ** k) * res
         if a < 0:
             res = 1.0 / res
     else:
@@ -180,18 +181,30 @@ def as_rotated(v) -> RotatedVector:
 # norms and domains
 # --------------------------------------------------------------------------
 
-def bilinear_square(z) -> complex:
-    """The analytic square z.z = sum z_j**2 (no conjugation)."""
-    arr = as_complex_vector(z)
-    return complex(np.sum(arr * arr))
+def _as_points(z) -> np.ndarray:
+    """A point as ``as_complex_vector`` gives it, or a stack (P, n) of
+    points as a complex array."""
+    if isinstance(z, np.ndarray) and z.ndim == 2 and z.shape[1] >= 2:
+        return z.astype(complex, copy=False)
+    return as_complex_vector(z)
 
 
-def hermitian_dot(z, w) -> complex:
-    """<z, w> = sum z_j * conj(w_j)."""
-    za, wa = as_complex_vector(z), as_complex_vector(w)
-    if za.size != wa.size:
+def bilinear_square(z):
+    """The analytic square z.z = sum z_j**2 (no conjugation); for a stack
+    (P, n) of points, the array of their squares."""
+    arr = _as_points(z)
+    out = np.sum(arr * arr, axis=-1)
+    return out if arr.ndim == 2 else complex(out)
+
+
+def hermitian_dot(z, w):
+    """<z, w> = sum z_j * conj(w_j); for stacks (P, n) of points, the
+    array of the P products."""
+    za, wa = _as_points(z), _as_points(w)
+    if za.shape != wa.shape:
         raise ValueError("dimension mismatch")
-    return complex(np.sum(za * np.conj(wa)))
+    out = np.sum(za * np.conj(wa), axis=-1)
+    return out if za.ndim == 2 else complex(out)
 
 
 def lie_norm(z) -> float:

@@ -157,13 +157,10 @@ def _float_coeffs(n: int, m: int, p: int, explicit: bool) -> tuple:
 # --------------------------------------------------------------------------
 
 def pair_invariants(x, zeta) -> tuple:
-    """(B, x2, zb2) for a point pair; arguments may be RotatedVector."""
-    xs = as_complex_vector(x)
-    zs = as_complex_vector(zeta)
-    if xs.size != zs.size:
-        raise ValueError("dimension mismatch")
-    return (hermitian_dot(xs, zs), bilinear_square(xs),
-            complex(np.conj(bilinear_square(zs))))
+    """(B, x2, zb2) for a point pair, whose points may be RotatedVector;
+    for stacks (P, n) of pairs, three arrays over the pairs."""
+    return (hermitian_dot(x, zeta), bilinear_square(x),
+            bilinear_square(zeta).conjugate())
 
 
 def _poly_sum(coeffs, m: int, B, P):
@@ -203,13 +200,15 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
     raise ValueError(f"unknown route {route!r}")
 
 
-def _zonal_term_scale(n: int, m: int, p: int, B: complex, P: complex) -> float:
-    """Magnitude budget of the monomial expansion sum_k c_k B^{m-2k} P^k;
-    route gaps are measured against it so that cancellation-heavy points do
-    not inflate relative errors beyond what double precision can express."""
+def _zonal_term_scale(n: int, m: int, p: int, B, P) -> np.ndarray:
+    """Magnitude budget of the monomial expansion sum_k c_k B^{m-2k} P^k,
+    an array over B and P; route gaps are measured against it so that
+    cancellation-heavy points do not inflate relative errors beyond what
+    double precision can express."""
     coeffs = _float_coeffs(n, m, p, False)
-    return float(sum(abs(c) * abs(B) ** (m - 2 * k) * abs(P) ** k
-                     for k, c in enumerate(coeffs)))
+    aB, aP = np.abs(B), np.abs(P)
+    return sum(abs(c) * aB ** (m - 2 * k) * aP ** k
+               for k, c in enumerate(coeffs))
 
 
 def zonal_polyharmonic(params: KernelParams, x, zeta) -> complex:
@@ -243,27 +242,49 @@ def _require_sector_interior(x, p: int) -> RotatedVector:
     return x
 
 
-@np.errstate(all="ignore")  # an overflow is refused below, not warned of
-def _denominator_power(base, n: int, kernel: str, numerator=None):
-    """numerator * principal base^{-n/2} (the power alone for None), every
-    closed-form kernel.  A base below 1e-14 in modulus raises
-    ``SingularKernelError``, a value past the double range ``ValueError``."""
+@np.errstate(all="ignore")  # a failed value is reported, not warned of
+def _denominator_power(base, n: int, numerator=None) -> tuple:
+    """(value, singular, finite): numerator * principal base^{-n/2} (the
+    power alone for None) and the masks that judge each value, the one
+    guard of every closed-form kernel.  A base below 1e-14 in modulus is
+    singular (its value is not computed, and its mask wins); a value that
+    is not finite passed the double range.  ``_checked`` raises on any
+    failure; a batch of pairs reads the masks row by row."""
     base = np.asarray(base, dtype=complex)
-    if np.any(np.abs(base) < 1e-14):
-        raise SingularKernelError(f"{kernel} denominator vanished")
+    singular = np.abs(base) < 1e-14
+    if singular.any():
+        base = np.where(singular, 1.0, base)
     value = principal_power(base, -n / 2.0)
     value = value if numerator is None else numerator * value
-    if not np.isfinite(value).all():
+    return value, singular, np.isfinite(value)
+
+
+def _checked(kernel: str, value, singular, finite):
+    """``value`` when no value failed its guard; else
+    ``SingularKernelError`` (a denominator vanished) or ``ValueError`` (a
+    value past the double range)."""
+    if singular.any():
+        raise SingularKernelError(f"{kernel} denominator vanished")
+    if not finite.all():
         raise ValueError(f"{kernel} value overflows a double")
     return value
 
 
+def _hua_base(x2, B, zb2) -> np.ndarray:
+    """x2*zb2 - 2B + 1, the denominator base of both closed forms."""
+    return (np.asarray(x2, dtype=complex) * np.asarray(zb2, dtype=complex)
+            - 2.0 * np.asarray(B, dtype=complex) + 1.0)
+
+
+def _poisson_guarded(n: int, p: int, x2, B, zb2) -> tuple:
+    """``_denominator_power`` of the closed-form Poisson kernel."""
+    return _denominator_power(_hua_base(x2, B, zb2), n,
+                              1.0 - np.asarray(x2, dtype=complex) ** p)
+
+
 def poisson_from_products(n: int, p: int, x2, B, zb2):
     """(1 - x2^p) / (x2*zb2 - 2B + 1)^{n/2}, vectorized, with singular guard."""
-    x2a = np.asarray(x2, dtype=complex)
-    base = (x2a * np.asarray(zb2, dtype=complex)
-            - 2.0 * np.asarray(B, dtype=complex) + 1.0)
-    return _denominator_power(base, n, "Poisson kernel", 1.0 - x2a ** p)
+    return _checked("Poisson kernel", *_poisson_guarded(n, p, x2, B, zb2))
 
 
 def poisson_kernel(x, zeta, p: int) -> complex:
@@ -286,8 +307,8 @@ def poisson_kernel(x, zeta, p: int) -> complex:
 def boundary_form_values(n: int, p: int, x2, v2):
     """(1 - x2^p) / (v2)^{n/2} for precomputed difference squares v2; at
     v2 = (e^{-ik pi/p} x - zeta)^2 it equals conj(P(e^{ik pi/p} zeta, x))."""
-    return _denominator_power(v2, n, "boundary form",
-                              1.0 - np.asarray(x2, dtype=complex) ** p)
+    return _checked("boundary form", *_denominator_power(
+        v2, n, 1.0 - np.asarray(x2, dtype=complex) ** p))
 
 
 # --------------------------------------------------------------------------
@@ -348,6 +369,70 @@ def truncation_degree(n: int, p: int, r: float, tol: float,
     return M
 
 
+def _series_terms(n: int, p: int, B, P, top: int) -> np.ndarray:
+    """Z_m^p for m <= top (rows) over pairs (columns) with invariants B and
+    P = x2 * zb2, in the stable value form (C_m(t) - C_{m-2p}(t)) w^m with
+    w^2 = P and t = B / w (branch-independent), by one recurrence over all
+    pairs.  An isotropic pair (P = 0) keeps only the leading Gegenbauer
+    coefficient: a_m B^m."""
+    B = np.asarray(B, dtype=complex)
+    P = np.asarray(P, dtype=complex)
+    isotropic = P == 0.0
+    w = np.sqrt(np.where(isotropic, 1.0, P))
+    t = B / w
+    cvals = list(islice(_recurrence(n / 2.0, t, np.ones_like(t)), top + 1))
+    terms = np.empty((top + 1, B.size), dtype=complex)
+    terms[0] = 1.0
+    wm = np.ones_like(w)
+    for m in range(1, top + 1):
+        wm = wm * w
+        low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
+        terms[m] = (cvals[m] - low) * wm
+    if isotropic.any():
+        a0, Bi = 1.0, B[isotropic]
+        Bm = np.ones_like(Bi)
+        for m in range(1, top + 1):
+            a0 *= 2.0 * (n / 2.0 + m - 1.0) / m
+            Bm = Bm * Bi
+            terms[m, isotropic] = a0 * Bm
+    return terms
+
+
+def _series_values(n: int, p: int, B, P, radii, tol: float,
+                   max_terms: int = 10000) -> list:
+    """Per pair, the ``KernelValue`` of sum_m Z_m^p truncated at the pair's
+    own proven degree M (``truncation_degree`` at r = L(x) L(zeta) from
+    ``radii``), or the ``ValueError`` that refused the pair (r too close to
+    1, or ``SeriesToleranceError``).  One recurrence runs to the largest M;
+    each pair sums its own M + 1 terms, so its value does not depend on the
+    other pairs."""
+    out, degrees = [], []  # each pair's error, or its tail bound
+    for r in radii:
+        try:
+            if not r < 1.0 - 1e-6:
+                raise ValueError("series needs L(x) L(zeta) < 1 - 1e-6")
+            M = truncation_degree(n, p, r, tol, max_terms)
+            out.append(_tail_bound(n, p, r, M))
+        except ValueError as err:
+            M = -1
+            out.append(err)
+        degrees.append(M)
+    if max(degrees, default=-1) < 0:
+        return out
+    terms = _series_terms(n, p, B, P, max(degrees)).T
+    # zeros up to the next power of two change no bit of a compensated
+    # sum, so the pairs whose M + 1 share that power are summed together
+    for width in {1 << M.bit_length() for M in degrees if M >= 0}:
+        pairs = [i for i, M in enumerate(degrees)
+                 if M >= 0 and 1 << M.bit_length() == width]
+        block = np.zeros((len(pairs), width), dtype=complex)
+        for row, i in enumerate(pairs):
+            block[row, :degrees[i] + 1] = terms[i, :degrees[i] + 1]
+        for i, value in zip(pairs, compensated_sum(block, axis=-1)):
+            out[i] = KernelValue(complex(value), degrees[i] + 1, out[i])
+    return out
+
+
 def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
                           max_terms: int = 10000) -> KernelValue:
     """Poisson kernel as sum_m Z_m^p(x, zeta), truncated with a proven tail.
@@ -365,44 +450,26 @@ def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
     zs = as_complex_vector(zeta)
     if xs.size != zs.size:
         raise ValueError("dimension mismatch")
-    n = xs.size
-    r = lie_norm(xs) * lie_norm(zs)
-    if not r < 1.0 - 1e-6:
-        raise ValueError("series needs L(x) L(zeta) < 1 - 1e-6")
-    M = truncation_degree(n, p, r, tol, max_terms)
-    B, x2, zb2 = pair_invariants(xs, zs)
-    P = x2 * zb2
-    terms = [1.0 + 0j]
-    if abs(P) == 0.0:
-        # isotropic pair: only the leading Gegenbauer coefficient survives
-        a0 = 1.0
-        Bm = 1.0 + 0j
-        for m in range(1, M + 1):
-            a0 *= 2.0 * (n / 2.0 + m - 1.0) / m
-            Bm *= B
-            terms.append(a0 * Bm)
-    else:
-        w = complex(np.sqrt(complex(P)))
-        t = B / w
-        cvals = list(islice(_recurrence(n / 2.0, t, 1.0 + 0j), M + 1))
-        wm = 1.0 + 0j
-        for m in range(1, M + 1):
-            wm *= w
-            low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
-            terms.append((cvals[m] - low) * wm)
-    value = compensated_sum(terms)
-    return KernelValue(value, M + 1, _tail_bound(n, p, r, M))
+    B, x2, zb2 = pair_invariants(xs[None], zs[None])
+    [value] = _series_values(xs.size, p, B, x2 * zb2,
+                             [lie_norm(xs) * lie_norm(zs)], tol, max_terms)
+    if isinstance(value, ValueError):
+        raise value
+    return value
 
 
 # --------------------------------------------------------------------------
 # Cauchy-Hua kernel on the Lie ball
 # --------------------------------------------------------------------------
 
+def _hua_guarded(n: int, x2, B, zb2) -> tuple:
+    """``_denominator_power`` of the Cauchy-Hua kernel."""
+    return _denominator_power(_hua_base(x2, B, zb2), n)
+
+
 def cauchy_hua_from_products(n: int, x2, B, zb2):
     """(x2*zb2 - 2B + 1)^{-n/2}, vectorized, with singular guard."""
-    base = (np.asarray(x2, dtype=complex) * np.asarray(zb2, dtype=complex)
-            - 2.0 * np.asarray(B, dtype=complex) + 1.0)
-    return _denominator_power(base, n, "Cauchy-Hua")
+    return _checked("Cauchy-Hua", *_hua_guarded(n, x2, B, zb2))
 
 
 def cauchy_hua(z, w) -> complex:

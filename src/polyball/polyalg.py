@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re as _re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -312,10 +313,17 @@ class MultiPoly:
             return "0"
         parts = []
         for exps, (a, b) in sorted(self.terms.items(), key=_term_order):
-            cs = str(Fraction(a, self.denom))
-            if b:
-                cs = f"({cs},{Fraction(b, self.denom)})"
             factors = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+            try:
+                cs = str(Fraction(a, self.denom))
+                if b:
+                    cs = f"({cs},{Fraction(b, self.denom)})"
+            except ValueError:  # past the int-to-text digit limit
+                e = math.log10(max(abs(a), abs(b))) - math.log10(self.denom)
+                raise ValueError(
+                    f"the coefficient of {factors or 'the constant term'}, "
+                    f"about {10 ** (e % 1):.3g}e{math.floor(e)}, has more "
+                    f"than {sys.get_int_max_str_digits()} digits") from None
             parts.append(f"{cs} * {factors}" if factors else cs)
         return " + ".join(parts)
 

@@ -177,7 +177,9 @@ def compensated_sum(values, axis=None):
     rounding joins the two.  With h = ceil(log2 N), each of the real and
     imaginary parts obeys |result - S| <= u|S| + 2 h^2 u^2 sum|terms|
     (u = 2^-53).  The tree depends on N alone, so other axes can be split or
-    batched without changing a bit.
+    batched without changing a bit.  Zeros appended up to the next power of
+    two change no bit either: the tree pads each odd level with one zero,
+    and a pair of zeros adds to an exact zero with a zero error.
     """
     arr = np.asarray(values, dtype=complex)
     if axis is None:

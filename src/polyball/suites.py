@@ -96,6 +96,16 @@ def _interior_point(rng, n: int, p: int, rmin: float,
                                 r * _unit_coords(rng, n))
 
 
+def _pairs(rng, n: int, p: int, count: int, rmin: float,
+           rmax: float) -> tuple:
+    """``count`` pairs of an interior and a sphere point, drawn in turn,
+    as stacked complex arrays (count, n)."""
+    pairs = [(_interior_point(rng, n, p, rmin, rmax), _sphere_point(rng, n, p))
+             for _ in range(count)]
+    return (np.array([x.to_complex() for x, _ in pairs]).reshape(count, n),
+            np.array([z.to_complex() for _, z in pairs]).reshape(count, n))
+
+
 def _lie_point(rng, n: int, target: float) -> np.ndarray:
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return z * (target / lie_norm(z))
@@ -110,18 +120,15 @@ def suite_route_agreement(n: int = 2, p: int = 1, seed: int = 0,
                           tolerance: float = 1e-10) -> list:
     """The three zonal evaluation routes agree on random rotated pairs."""
     rng = np.random.default_rng(seed)
+    B, x2, zb2 = kernels.pair_invariants(*_pairs(rng, n, p, pairs, 0.0, 0.9))
+    P = x2 * zb2
     worst = 0.0
-    for _ in range(pairs):
-        x = _interior_point(rng, n, p, 0.0, 0.9)
-        zeta = _sphere_point(rng, n, p)
-        B, x2, zb2 = kernels.pair_invariants(x, zeta)
-        P = x2 * zb2
-        for m in range(max_degree + 1):
-            values = [kernels.zonal_from_products(n, m, p, B, P, route)
-                      for route in ROUTES]
-            scale = max(kernels._zonal_term_scale(n, m, p, B, P), 1e-30)
-            gap = max(abs(a - b) for a in values for b in values)
-            worst = max(worst, gap / scale)
+    for m in range(max_degree + 1):
+        values = np.array([kernels.zonal_from_products(n, m, p, B, P, route)
+                           for route in ROUTES])
+        scale = np.maximum(kernels._zonal_term_scale(n, m, p, B, P), 1e-30)
+        gap = np.abs(values[:, None] - values).max(axis=(0, 1))
+        worst = max(worst, float(np.max(gap / scale, initial=0.0)))
     return [PropertyResult("route-agreement", "max-relative-route-gap",
                            worst, tolerance)]
 
@@ -132,17 +139,19 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
                           tolerance: float = 1e-8) -> list:
     """Closed-form Poisson kernel equals its truncated zonal series."""
     rng = np.random.default_rng(seed)
+    xs, zetas = _pairs(rng, n, p, points, 0.05, radius)
+    B, x2, zb2 = kernels.pair_invariants(xs, zetas)
+    closed = kernels.poisson_from_products(n, p, x2, B, zb2)
+    series = kernels._series_values(
+        n, p, B, x2 * zb2, [lie_norm(x) * lie_norm(z) for x, z
+                            in zip(xs, zetas)], tolerance / 4.0, max_terms)
     worst = 0.0
     most_terms = 0
-    for _ in range(points):
-        x = _interior_point(rng, n, p, 0.05, radius)
-        zeta = _sphere_point(rng, n, p)
-        closed = kernels.poisson_kernel(x, zeta, p)
-        series = kernels.poisson_kernel_series(x, zeta, p,
-                                               tol=tolerance / 4.0,
-                                               max_terms=max_terms)
-        worst = max(worst, abs(closed - series.value))
-        most_terms = max(most_terms, series.terms_used)
+    for value, truth in zip(closed, series):
+        if isinstance(truth, ValueError):
+            raise truth
+        worst = max(worst, abs(complex(value) - truth.value))
+        most_terms = max(most_terms, truth.terms_used)
     return [
         PropertyResult("series-identity", "max-closed-vs-series-gap",
                        worst, tolerance),

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -225,15 +226,23 @@ def test_kernel_series_bound_past_double_range_is_a_rejected_row(tmp_path):
 
 @st.composite
 def kernel_configs(draw):
+    # 1-4 pairs, one of them aligned near |x| = 1, where the closed forms
+    # are singular
     n = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 50, 400]))
     p = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    x, zeta = rng.standard_normal((2, n))
-    x *= draw(st.floats(0.0, 0.999999)) / np.linalg.norm(x)
-    return {"n": n, "p": p, "x": x.tolist(),
-            "zeta": (zeta / np.linalg.norm(zeta)).tolist(),
-            "x_sector": draw(st.integers(0, p - 1)),
-            "zeta_sector": draw(st.integers(0, p - 1)),
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        x, zeta = rng.standard_normal((2, n))
+        x *= draw(st.floats(0.0, 0.999999)) / np.linalg.norm(x)
+        pairs.append({"x": x.tolist(),
+                      "zeta": (zeta / np.linalg.norm(zeta)).tolist(),
+                      "x_sector": draw(st.integers(0, p - 1)),
+                      "zeta_sector": draw(st.integers(0, p - 1))})
+    aligned = pairs[draw(st.integers(0, len(pairs) - 1))]
+    aligned["x"] = [(1.0 - 1e-9) * c for c in aligned["zeta"]]
+    aligned["x_sector"] = aligned["zeta_sector"]
+    return {"n": n, "p": p, "pairs": pairs,
             "degrees": draw(st.lists(st.integers(0, 40), min_size=1,
                                      max_size=3)),
             "kernels": draw(st.lists(st.sampled_from(["zonal", "poisson",
@@ -270,6 +279,72 @@ def test_kernel_contract_holds_on_generated_configs(tmp_path_factory,
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 \
             and err.getvalue().endswith("\n")
+
+
+def _pair_rows(table) -> dict:
+    """Each pair's rows without the pair cell, every cell by its repr."""
+    rows = {}
+    for row in table.rows:
+        rows.setdefault(row[0], []).append([repr(c) for c in row[1:]])
+    return rows
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (5, 3)])
+def test_kernel_pair_rows_do_not_depend_on_the_batch(n, p):
+    # a pair's rows in a batch of ok, singular and rejected pairs are the
+    # rows of the same pair sent alone, bit for bit
+    rng = np.random.default_rng(40 + n)
+    e1 = [1.0] + [0.0] * (n - 1)
+    e2 = [0.0, 1.0] + [0.0] * (n - 2)
+    pairs = []
+    for k in range(7):
+        x, zeta = rng.standard_normal((2, n))
+        pairs.append({"x": (0.05 + 0.13 * k) * x / np.linalg.norm(x),
+                      "zeta": zeta / np.linalg.norm(zeta),
+                      "x_sector": int(rng.integers(p)),
+                      "zeta_sector": int(rng.integers(p))})
+    pairs = [{key: v.tolist() if isinstance(v, np.ndarray) else v
+              for key, v in pair.items()} for pair in pairs]
+    pairs[2:2] = [{"x": [0.999999999] + e1[1:], "zeta": e1},  # singular
+                  {"x": [1.5] + e1[1:], "zeta": e1},  # outside the ball
+                  {"x": [0.5] + e1[1:], "zeta": [0.5] + e1[1:]},  # off-sphere
+                  {"x": [1.0 - 1e-7] + e1[1:], "zeta": e2}]  # series refused
+    config = {"n": n, "p": p, "pairs": pairs, "degrees": list(range(9)),
+              "kernels": ["zonal", "poisson", "hua"]}
+    table = cli.run_command("kernel", config)
+    statuses = {row[1]: set() for row in table.rows}
+    for row in table.rows:
+        statuses[row[1]].add(row[4])
+    assert statuses["poisson"] == {"ok", "singular", "rejected"}
+    assert statuses["hua"] == {"ok", "singular", "rejected"}
+    batched = _pair_rows(table)
+    for i, pair in enumerate(pairs):
+        alone = cli.run_command("kernel", dict(config, pairs=[pair]))
+        assert _pair_rows(alone)[0] == batched[i], i
+
+
+def test_kernel_request_makes_one_zonal_call_per_degree_and_route(
+        monkeypatch):
+    calls = {"zonal": 0, "overflow": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "zonal_from_products",
+                        counted("zonal", kernels.zonal_from_products))
+    monkeypatch.setattr(cli, "_coefficients_overflow",
+                        counted("overflow", cli._coefficients_overflow))
+    rng = np.random.default_rng(3)
+    pairs = [{"x": (0.05 * k * v / np.linalg.norm(v)).tolist(),
+              "zeta": (w / np.linalg.norm(w)).tolist()}
+             for k, (v, w) in enumerate(rng.standard_normal((16, 2, 3)))]
+    table = cli.run_command("kernel", {"n": 3, "p": 2, "pairs": pairs,
+                                       "degrees": list(range(9))})
+    assert len(table.rows) == 16 * (9 * 3 + 1)
+    assert calls == {"zonal": 27, "overflow": 9}
 
 
 # --------------------------------------------------------------------------
@@ -430,6 +505,30 @@ def test_rules_above_the_node_cap_are_config_errors(tmp_path, capsys,
     assert err.startswith("error: ") and "the node cap" in err
     assert err.count("\n") == 1
     assert peak < 1 << 24
+
+
+@pytest.mark.parametrize("command,config", [
+    ("dirichlet", {"n": 2, "p": 10 ** 6, "boundary": "x1",
+                   "points": [[0.1, 0.2]]}),
+    ("dirichlet", {"n": 3, "p": 10 ** 18, "boundary": "x1^2",
+                   "points": [[0.1, 0.2, 0.0]], "resolution": 4}),
+    ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.3, 0.1],
+                   "p_list": [1, 10 ** 6]}),
+])
+def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      config):
+    # p sectors of the rule are refused from the counts alone, before any
+    # array of sector phases exists
+    def no_phases(p):
+        raise AssertionError("sector phases built")
+
+    monkeypatch.setattr(solver, "_sector_phases", no_phases)
+    code, text = run(tmp_path, command, config)
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: p=") and "the node cap" in err
+    assert err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------
@@ -692,6 +791,18 @@ def test_coefficients_past_the_double_range_are_config_errors(
     assert err.count("\n") == 1
 
 
+def test_coefficients_past_the_text_digit_limit_are_named(tmp_path, capsys):
+    # 1e-5000 is a Fraction with a 5,001-digit denominator, which Python
+    # will not print; the error line names the coefficient, not the
+    # interpreter setting
+    code, text = run(tmp_path, "almansi",
+                     {"n": 2, "polynomial": "1e-5000 * x1"})
+    err = capsys.readouterr().err
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert err == ("error: polynomial: the coefficient of x1^1, about "
+                   "1e-5000, has more than 4300 digits\n")
+
+
 def test_almansi_refuses_polynomials_past_the_monomial_cap(tmp_path, capsys,
                                                           monkeypatch):
     # n=5 has 10,626 monomials of degree 20, past the cap of 8,192; the
@@ -717,6 +828,24 @@ def test_dims_tabulates_dimension_formulas(tmp_path):
 # --------------------------------------------------------------------------
 # emitters and metadata
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[0, "a],\n  [b", 1.5], ["\"q\" \\ é ☃ \u2028", "],", -2]],
+    [[None, -0.0, 0.0], [math.nan, math.inf, -math.inf], [1e300, 5e-324, 7]],
+])
+def test_json_render_equals_the_indented_encoder(rows):
+    # the rows go through the C encoder and are indented after; the bytes
+    # are those of the pure-Python encoder with indent=2
+    table = cli.ResultTable("dims", ("status", "a", "b"),
+                            {"z": [1, {"y": None}], "a": "é\n"})
+    for row in rows:
+        table.add(row)
+    obj = {"metadata": table.metadata, "columns": list(table.columns),
+           "rows": table.rows}
+    assert table.render("json") == json.dumps(obj, indent=2,
+                                              sort_keys=True) + "\n"
+
 
 def test_csv_and_json_payloads_are_identical(tmp_path):
     config = {"n": 2, "p": 2, "x": [0.4, 0.1], "zeta": [0.8, 0.6],

@@ -175,6 +175,8 @@ UNREFERENCED_PUBLIC = {
                           "each of the three zonal routes",
     "poisson_integral": "the one-point case of poisson_integrals: the "
                         "per-point reference of the batched dirichlet table",
+    "poisson_kernel_series": "the one-pair case of the batched series: "
+                             "the per-pair reference of the kernel table",
     "rule_from_json": "reads back the rule record that every table carries",
     "PropertyResult.passed": "the acceptance gate reads it",
 }

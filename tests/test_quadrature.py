@@ -247,6 +247,22 @@ def test_compensated_sum_beats_naive_on_cancelling_terms():
     assert compensated_sum(terms) == pytest.approx(3.14159, abs=1e-12)
 
 
+def test_zeros_up_to_the_next_power_of_two_change_no_bit():
+    # the kernel series sums pairs of different lengths in one call by
+    # padding each with zeros to the power of two above it
+    rng = np.random.default_rng(91)
+    for count in [*range(1, 70), 127, 128, 129, 1000]:
+        terms = ill_conditioned(rng, count, 1e12) \
+            + 1j * rng.uniform(-1e-3, 1e-3, count)
+        terms[rng.integers(count)] = complex(-0.0, -0.0)
+        padded = np.zeros((2, 1 << (count - 1).bit_length()), dtype=complex)
+        padded[0, :count] = terms
+        padded[1, :count] = terms[::-1]
+        want = np.array([compensated_sum(terms), compensated_sum(terms[::-1])])
+        got = compensated_sum(padded, axis=-1)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all(), count
+
+
 def ill_conditioned(rng, count: int, cond: float) -> np.ndarray:
     """Shuffled real terms whose sum has condition number sum|t| / |sum t|
     near ``cond``: large terms of spread exponents, their rounded near-
