@@ -80,6 +80,7 @@ from .solver import (
     BoundaryData,
     DirichletSolution,
     LimitExperiment,
+    aligned_rule,
     choose_lie_rule,
     choose_rule,
     dirichlet_solve,
@@ -105,8 +106,8 @@ __all__ = [
     "LieSphereRule", "SphereRule", "lie_sphere_rule",
     "resolution_for_exactness", "rule_from_json", "rule_to_json",
     "sphere_rule",
-    "BoundaryData", "DirichletSolution", "LimitExperiment", "choose_lie_rule",
-    "choose_rule",
+    "BoundaryData", "DirichletSolution", "LimitExperiment", "aligned_rule",
+    "choose_lie_rule", "choose_rule",
     "dirichlet_solve", "hua_reproduce", "poisson_integral",
     "polyharmonic_limit_experiment",
     "SUITES", "PropertyResult", "run_suite",

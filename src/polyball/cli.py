@@ -13,8 +13,11 @@ Empty reference/bound cells mark informational rows.  Table metadata carries
 the normalized configuration, its SHA-256 hash, package versions, and the
 quadrature rule when one drove the run, recorded by its (n, resolution)
 and a digest of its nodes and weights (``quadrature.rule_to_json``).  A
-report rebuilds its rule bit for bit wherever ``sphere_rule`` yields the
-same bits; ``rule_from_json`` detects a rule that differs and refuses it.
+``dirichlet`` run at n >= 3 records its pole-aligned template, whose
+azimuth resolution comes from the data degree, and the number of nodes
+turned to its points.  A report rebuilds its rule bit for bit wherever
+``sphere_rule`` yields the same bits; ``rule_from_json`` detects a rule
+that differs and refuses it.
 
 CSV cells print floats with 17 significant digits; the JSON emitter writes
 native floats.  Both parse back to identical binary values.
@@ -524,25 +527,33 @@ def _polynomial(cfg: RunConfig, key: str, what: str) -> MultiPoly:
 
 
 def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
-                radius: float):
+                radius: float, points: int | None = None):
     """The sphere rule of a dirichlet or hua-limit run: ``choose_rule`` for
-    degree-``degree`` data up to ``radius``, or the configured resolution.
-    An unresolvable truncation, or a rule, Lie-sphere rule or p sectors of
-    the rule above the node cap, is a configuration error, raised before
-    any array of p sector phases is built."""
+    degree-``degree`` data up to ``radius``, or the configured (polar)
+    resolution.  Given the number of ``points``, the pole-aligned template
+    that is turned to each of them (``solver.aligned_rule``).  An
+    unresolvable truncation, or a rule, Lie-sphere rule or the nodes built
+    from it (p sectors, times the points of a template) above the node cap,
+    is a configuration error, raised before any array of p sector phases
+    is built."""
+    aligned = points is not None
     try:
         if cfg.data["resolution"] == "auto":
             rule = solver.choose_rule(  # SeriesToleranceError is a ValueError
-                cfg.n, p, degree, radius, max(cfg.row_tolerance / 10.0, 1e-13))
+                cfg.n, p, degree, radius, max(cfg.row_tolerance / 10.0, 1e-13),
+                aligned)
+        elif aligned:
+            rule = solver.aligned_rule(cfg.n, cfg.data["resolution"], degree)
         else:
             rule = quadrature.sphere_rule(cfg.n, cfg.data["resolution"])
         if "angular" in cfg.data:
             quadrature.lie_sphere_rule(rule, cfg.data["angular"])
     except ValueError as err:
         raise ConfigError(f"no quadrature rule for {where}: {err}") from err
-    if p * rule.count > quadrature._MAX_NODES:
-        raise ConfigError(f"p={p}: {p * rule.count} sector nodes exceed "
-                          "the node cap")
+    built = p * rule.count * (points if aligned else 1)
+    if built > quadrature._MAX_NODES:
+        where = f"p={p}, {points} points" if aligned else f"p={p}"
+        raise ConfigError(f"{where}: {built} sector nodes exceed the node cap")
     return rule
 
 
@@ -554,17 +565,25 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     radii = [float(np.linalg.norm(pt)) for pt in points]
     interior = [r < 1.0 - 1e-9 for r in radii]
     radius = max([r for r, ok in zip(radii, interior) if ok], default=0.0)
-    rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius)
+    # n = 2 keeps one trapezoid rule for every point: a circle has no
+    # S^{n-2} factor for a pole-aligned template to shrink
+    turns = sum(interior) if n >= 3 else None
+    rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius,
+                       turns)
     data = solver.BoundaryData(q, p)
     reproduces = polyalg.is_polyharmonic(q, p)
     coord_names = tuple(f"x{i + 1}" for i in range(n))
+    metadata = _metadata(cfg, rule)
+    if turns is not None:
+        metadata["rule"]["nodes"] = p * turns * rule.count
     table = ResultTable("dirichlet",
                         ("point", "sector") + coord_names + ("status",),
-                        _metadata(cfg, rule))
+                        metadata)
     xs = [_rotated(pt, j, p) if ok else None
           for pt, j, ok in zip(points, cfg.data["sectors"], interior)]
-    values = iter(solver.poisson_integrals(
-        [data], [x for x in xs if x is not None], rule)[:, 0])
+    inside = [x for x in xs if x is not None]
+    values = iter(solver.poisson_integrals([data], inside, rule)[:, 0])
+    wants = iter(_values_at(q, inside) if reproduces else ())
     for i, (pt, j, x) in enumerate(zip(points, cfg.data["sectors"], xs)):
         inputs = (i, j) + tuple(float(c) for c in pt)
         if x is None:
@@ -572,13 +591,24 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
             continue
         value = complex(next(values))
         if reproduces:
-            want = q.evaluate(x)
+            want = complex(next(wants))
             table.add(inputs + ("ok",), value=value, reference=want,
                       error=abs(value - want),
                       bound=tol * max(1.0, abs(want)))
         else:
             table.add(inputs + ("ok",), value=value)
     return table
+
+
+def _values_at(q: MultiPoly, xs: list) -> np.ndarray:
+    """q at rotated points, one ``eval_at`` per sector angle over that
+    sector's points; each value equals ``q.evaluate(x)`` bit for bit."""
+    out = np.empty(len(xs), dtype=complex)
+    for angle in {x.angle for x in xs}:
+        at = [i for i, x in enumerate(xs) if x.angle == angle]
+        out[at] = q.eval_at(np.array([xs[i].coords for i in at]),
+                            phase=np.exp(1j * angle))
+    return out
 
 
 def run_verify(cfg: RunConfig) -> ResultTable:

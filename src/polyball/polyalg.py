@@ -606,11 +606,14 @@ def polyharmonic_split(q: MultiPoly, p: int) -> tuple:
 
 
 def is_polyharmonic(q: MultiPoly, p: int) -> bool:
-    """Whether Delta^p q = 0, tested exactly."""
+    """Whether Delta^p q = 0, tested exactly.  The loop stops at the first
+    zero Laplacian, so it applies at most floor(deg q / 2) + 1 of them."""
     if p < 1:
         raise ValueError("p must be >= 1")
     out = q
     for _ in range(p):
+        if out.is_zero():
+            return True
         out = out.laplacian()
     return out.is_zero()
 

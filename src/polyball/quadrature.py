@@ -8,6 +8,10 @@ Rules are deterministic per (n, resolution):
   for y a node of S^{k-2} and t one of L Gauss nodes of the weight
   (1 - t^2)^{(k-3)/2}, down to the uniform circle with 2L angles (at n = 3,
   Gauss-Legendre x azimuth).  Its 2 L^{n-1} nodes are capped up front.
+  An ``azimuth`` resolution A <= L gives the S^{n-2} factor y resolution A
+  instead (exact for degree 2A - 1, 2 A^{n-2} nodes), while the polar factor
+  of the last coordinate keeps its L nodes: the template of a pole-aligned
+  rule (``solver.aligned_rule``).
   Each polar Gauss rule is computed once per process and shared, read-only;
   every ``sphere_rule`` call still assembles a fresh ``SphereRule``.
 
@@ -53,7 +57,9 @@ _MAX_NODES = 1 << 21
 
 @dataclass(frozen=True, eq=False)
 class SphereRule:
-    """Nodes (R, n) on the unit sphere with positive weights summing to 1."""
+    """Nodes (R, n) on the unit sphere with positive weights summing to 1.
+    ``azimuth`` is the resolution of the S^{n-2} factor of a pole-aligned
+    template, None for a rule of one resolution."""
 
     n: int
     nodes: np.ndarray
@@ -61,6 +67,7 @@ class SphereRule:
     exactness: int
     kind: str
     resolution: int
+    azimuth: int | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -130,27 +137,37 @@ def _polar_rule(k: int, count: int) -> tuple:
     return nodes, weights
 
 
-def sphere_rule(n: int, resolution: int) -> SphereRule:
-    """Deterministic rule on S^{n-1}; see module docstring for families."""
+def sphere_rule(n: int, resolution: int,
+                azimuth: int | None = None) -> SphereRule:
+    """Deterministic rule on S^{n-1}; see module docstring for families.
+    ``azimuth`` (n >= 3, 1 <= azimuth <= resolution) is the resolution of
+    the S^{n-2} factor.  The node cap applies to the rule of one resolution
+    ``resolution`` whatever the azimuth, which bounds the L x L Jacobi
+    matrix of the polar factor and the n levels of the product."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if resolution < 4:
         raise ValueError("resolution must be >= 4")
-    m = resolution if n == 2 else 2 * resolution  # circle angles
-    # resolution >= 4: the exponent 22 already passes the cap at any n
-    if m * resolution ** min(n - 2, 22) > _MAX_NODES:
+    inner = resolution if azimuth is None else azimuth
+    if azimuth is not None and not (n >= 3 and 1 <= azimuth <= resolution):
+        raise ValueError("azimuth needs n >= 3 and 1 <= azimuth <= resolution")
+    # the rule of one resolution holds 2 L^{n-1} nodes (L at n = 2);
+    # resolution >= 4, so the exponent 23 already passes the cap at any n
+    if (1 if n == 2 else 2) * resolution ** min(n - 1, 23) > _MAX_NODES:
         raise ValueError(f"n={n}, resolution {resolution}: over the node cap")
+    m = resolution if n == 2 else 2 * inner  # circle angles
     theta = 2.0 * math.pi * np.arange(m) / m
     nodes = np.column_stack([np.cos(theta), np.sin(theta)])
     weights = np.full(m, 1.0 / m)
     for k in range(3, n + 1):  # S^{k-2} -> S^{k-1}, polar index outermost
-        t, w = _polar_rule(k, resolution)
+        t, w = _polar_rule(k, resolution if k == n else inner)
         s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
         nodes = np.column_stack([np.kron(s[:, None], nodes),
                                  np.repeat(t, len(nodes))])
         weights = np.kron(w, weights)
     return SphereRule(n, nodes, weights, m - 1,
-                      "trapezoid" if n == 2 else "gauss-product", resolution)
+                      "trapezoid" if n == 2 else "gauss-product", resolution,
+                      azimuth)
 
 
 def resolution_for_exactness(n: int, degree: int) -> int:
@@ -331,8 +348,11 @@ def _digest(rule: SphereRule) -> str:
 def rule_to_json(rule: SphereRule) -> dict:
     """JSON-ready record of a sphere rule, a pure function of
     (n, resolution), recorded with a digest of its nodes and weights so
-    that a platform whose rebuilt rule differs in any bit is detected."""
-    return {
+    that a platform whose rebuilt rule differs in any bit is detected.  A
+    pole-aligned template (``azimuth`` set) is a pure function of
+    (n, resolution, azimuth); its record adds the azimuth, the exactness
+    2L - 1 of its polar factor, and the map that turns it to each point."""
+    record = {
         "type": "sphere",
         "n": rule.n,
         "kind": rule.kind,
@@ -341,18 +361,26 @@ def rule_to_json(rule: SphereRule) -> dict:
         "count": rule.count,
         "sha256": _digest(rule),
     }
+    if rule.azimuth is not None:
+        record.update(type="pole-aligned", azimuth=rule.azimuth,
+                      polar_exactness=2 * rule.resolution - 1,
+                      turn="householder")
+    return record
 
 
 def rule_from_json(data: dict) -> SphereRule:
-    """Rebuild a sphere rule from its ``rule_to_json`` record.  ValueError
-    when a key is missing or the rebuilt rule's kind, exactness, count or
-    digest differs from the record."""
+    """Rebuild a sphere rule or pole-aligned template from its
+    ``rule_to_json`` record.  ValueError when a key is missing or the
+    rebuilt rule's kind, exactness, count or digest differs from the
+    record."""
     try:
-        if data.get("type") != "sphere":
+        if data.get("type") not in ("sphere", "pole-aligned"):
             raise ValueError("unrecognized rule serialization")
         record = (data["kind"], data["exactness"], data["count"],
                   data["sha256"])
-        rule = sphere_rule(data["n"], data["resolution"])
+        rule = sphere_rule(data["n"], data["resolution"],
+                           data["azimuth"] if data["type"] == "pole-aligned"
+                           else None)
     except KeyError as err:
         raise ValueError(f"rule record lacks {err}") from err
     if (rule.kind, rule.exactness, rule.count, _digest(rule)) != record:

@@ -13,7 +13,10 @@ weights * kernel * data is an exact sliced matrix product
 BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
 batch points and data; ``poisson_integral`` and ``hua_reproduce`` are their
 1 x 1 cases, and ``spectral_component`` pairs the data with the zonal
-polyharmonic Z_m^p.
+polyharmonic Z_m^p.  Given a pole-aligned template (``aligned_rule``),
+``poisson_integrals`` and ``dirichlet_solve`` turn it to each point, whose
+kernel is zonal about the point's real direction, and evaluate the data at
+each point's own nodes.
 
 Two independent evaluation routes compute the same solution:
 
@@ -49,6 +52,7 @@ __all__ = [
     "hua_integrals",
     "polyharmonic_limit_experiment",
     "choose_rule",
+    "aligned_rule",
     "choose_lie_rule",
 ]
 
@@ -76,9 +80,14 @@ class BoundaryData:
             raise ValueError("sector index out of range")
         cached = self._cache.get(id(rule))
         if cached is None:
-            cached = self._cache[id(rule)] = (rule, list(self._q.eval_at(
-                rule.nodes, phase=_sector_phases(self.p))))
+            cached = self._cache[id(rule)] = (rule,
+                                              list(self.values_at(rule.nodes)))
         return cached[1][j]
+
+    def values_at(self, nodes: np.ndarray) -> np.ndarray:
+        """q(e^{ij pi/p} node) for every sector j and node of an (R, n)
+        array: a (p, R) array, uncached."""
+        return self._q.eval_at(nodes, phase=_sector_phases(self.p))
 
 
 # --------------------------------------------------------------------------
@@ -183,6 +192,72 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
     return quadrature.compensated_sum(partial, axis=-1) / sectors
 
 
+def _turned(nodes: np.ndarray, coords: np.ndarray) -> tuple:
+    """The Householder reflections H = I - 2 v v^T / (v . v), v = u + s e_n,
+    of real points a = coords[i] (P, n), with u = a/|a| (e_n for a = 0) and
+    s = +1 if u_n >= 0, else -1: the nodes (R, n) reflected for each point,
+    (P, R, n), and the c (P,) with H a = c e_n, c = -s|a|.  v . v =
+    2 + 2|u_n| >= 2 keeps H accurate, and sums run in coordinate order, so
+    no point's copy depends on the others."""
+    n = coords.shape[1]
+    norm = np.sqrt(sum(coords[:, k] * coords[:, k] for k in range(n)))
+    u = np.where(norm[:, None] > 0.0, coords, np.eye(n)[-1]) \
+        / np.where(norm > 0.0, norm, 1.0)[:, None]
+    sign = np.where(u[:, -1] < 0.0, -1.0, 1.0)
+    v = u.copy()
+    v[:, -1] += sign
+    scale = 2.0 / sum(v[:, k] * v[:, k] for k in range(n))
+    return (nodes - (scale[:, None] * v)[:, None, :]
+            * _dots(v, nodes)[:, :, None], -sign * norm)
+
+
+def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
+                       data: list) -> np.ndarray:
+    """The (len(xs), len(data)) matrix of ``_integrate`` for rotated real
+    points x = e^{i theta} a and boundary data, each point with its own copy
+    H zeta of the pole-aligned template ``rule``, reflected by ``_turned``
+    so that its pole lies on +-a/|a| (``aligned_rule`` has the proof of
+    exactness).  The kernel at (x, H zeta) is the kernel at
+    (H x, zeta) = (e^{i theta} c e_n, zeta), a function of t = zeta_n
+    alone: it is built once per polar node and repeated over the S^{n-2}
+    nodes that share it (the template's polar index is outermost), so the
+    reflection's rounding never reaches a kernel value.
+
+    Per block of points: the reflected nodes, one phase-array ``eval_at``
+    of each datum over all of them, one kernel build, one ``_split`` of
+    each, and one exact ``_sliced_sums`` whose stacked rows are
+    (point, sector) pairs, so a product multiplies one point's slices with
+    its own data.  A block's kernel slices and its data slices each hold at
+    most ``_BLOCK_ELEMENTS`` floats (one point at least); every value is
+    computed per point, so each is bit-identical for any budget."""
+    n, size, count = rule.n, rule.count, len(data)
+    per = size // rule.resolution  # nodes per polar node
+    polar = rule.nodes[::per]
+    rn = np.sum(polar * polar, axis=1)
+    phases = _sector_phases(p)
+    width, slices = quadrature._slicing(size)
+    step = max(1, _BLOCK_ELEMENTS // (2 * slices * size * p * count))
+    out = np.empty((len(xs), count), dtype=complex)
+    for i in range(0, len(xs), step):
+        block = xs[i:i + step]
+        points = len(block)
+        nodes, pole = _turned(rule.nodes, np.array([x.coords for x in block]))
+        zs = np.zeros((points, n), dtype=complex)
+        zs[:, -1] = pole * np.exp(1j * np.array([x.angle for x in block]))
+        ks = quadrature._split(rule.weights * np.repeat(_sector_kernels(
+            route, p, zs, phases, polar, rn), per, axis=-1), width, slices)
+        flat = nodes.reshape(-1, n)
+        vs = quadrature._split(np.array(
+            [f.values_at(flat).reshape(p, points, size) for f in data]
+        ).transpose(2, 1, 0, 3), width, slices)
+        sums = quadrature._sliced_sums(
+            ks.reshape(points * p, 1, 2 * slices, size),
+            vs.reshape(points * p, count, 2 * slices, size), slices)
+        out[i:i + points] = quadrature.compensated_sum(
+            sums.reshape(points, p, count).transpose(0, 2, 1), axis=-1) / p
+    return out
+
+
 def _interior_point(x, p: int) -> RotatedVector:
     x = as_rotated(x)
     x.sector_index(p)
@@ -198,16 +273,19 @@ def _sector_block(f: BoundaryData, rule: quadrature.SphereRule):
                           for j in range(f.p)[block]]
 
 
-def _rotated_integrals(route: str, data: list, points,
+def _rotated_integrals(route, data: list, points,
                        rule: quadrature.SphereRule) -> tuple:
     """Interior points and their (points, data) matrix on one route, for
-    boundary data sharing n and p."""
+    boundary data sharing n and p; a pole-aligned template is turned to
+    each point."""
     if len({(f.n, f.p) for f in data}) != 1:
         raise ValueError("need boundary data sharing n and p")
     n, p = data[0].n, data[0].p
     xs = [_interior_point(x, p) for x in points]
     if any(x.n != n for x in xs):
         raise ValueError("dimension mismatch")
+    if rule.azimuth is not None:
+        return xs, _aligned_integrate(route, p, xs, rule, data)
     zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), n)
     return xs, _integrate(route, p, zs, _sector_phases(p), rule,
                           [_sector_block(f, rule) for f in data])
@@ -362,18 +440,58 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
 # rule selection
 # --------------------------------------------------------------------------
 
-def choose_rule(n: int, p: int, degree: int, radius: float,
-                tol: float) -> quadrature.SphereRule:
+def choose_rule(n: int, p: int, degree: int, radius: float, tol: float,
+                aligned: bool = False) -> quadrature.SphereRule:
     """The one rule-sizing policy: for Poisson integrals of data of degree
     d = ``degree`` up to ``radius``, exactness d + M + 4 with M the kernel
     truncation degree at r = radius: the smallest whose proven tail bound
-    sum_{m>M} dim H_m^p r^m is below ``tol``.  An unresolvable truncation or a
-    rule above the node cap raises ValueError."""
+    sum_{m>M} dim H_m^p r^m is below ``tol``.  With ``aligned`` (n >= 3),
+    the pole-aligned template of that polar exactness (``aligned_rule``).
+    An unresolvable truncation or a rule above the node cap raises
+    ValueError."""
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must be in [0, 1)")
     m_trunc = kernels.truncation_degree(n, p, radius, tol)
-    return quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
-        n, max(degree, 0) + m_trunc + 4))
+    resolution = quadrature.resolution_for_exactness(
+        n, max(degree, 0) + m_trunc + 4)
+    if aligned:
+        return aligned_rule(n, resolution, degree)
+    return quadrature.sphere_rule(n, resolution)
+
+
+def aligned_rule(n: int, resolution: int,
+                 degree: int) -> quadrature.SphereRule:
+    """The pole-aligned template for Poisson integrals of degree-d data
+    (d = ``degree``) at rotated real points, n >= 3: the Gauss product rule
+    whose polar factor has L = ``resolution`` nodes (exactness 2L - 1) and
+    whose S^{n-2} factor has resolution A = ceil((d + 1) / 2), at most L
+    (exactness 2A - 1 >= d).  Each point x = e^{i theta} a integrates with
+    its own copy, turned by a reflection H that takes the pole e_n to
+    +-a/|a| (``_turned``; any frame at a = 0).
+
+    Proof that the copy integrates Z_m^p(x, .) f exactly whenever
+    m + d <= 2L - 1, the guarantee ``choose_rule`` gives with a rule of one
+    resolution L.  The sphere measure is invariant under H, so take
+    g(zeta) = Z_m^p(x, e^{i s pi/p} H zeta) f(e^{i s pi/p} H zeta) on the
+    template.  Z_m^p depends on zeta only through
+    B = e^{i(theta - s pi/p)} a . H zeta = +-e^{i(theta - s pi/p)} |a| t,
+    t = zeta_n, and x2 zb2 = e^{2i(theta - s pi/p)} |a|^2 (its Gegenbauer
+    form), so it is a polynomial of degree m in t.  Write zeta =
+    (sqrt(1 - t^2) y, t) with y on S^{n-2}: f(e^{i s pi/p} H zeta), of
+    degree <= d, is sum_b g_b(t) (1 - t^2)^{b/2} h_b(y) with h_b homogeneous
+    of degree b <= d and deg g_b <= d - b.  The S^{n-2} factor is exact for
+    degree 2A - 1 >= d, so it averages each h_b exactly: to 0 for odd b and
+    to a constant c_b for even b.  What is left, sum over even b of
+    c_b Z(t) g_b(t) (1 - t^2)^{b/2}, is a polynomial in t of degree
+    <= m + d, which the polar Gauss rule of the weight (1 - t^2)^{(n-3)/2}
+    integrates exactly when m + d <= 2L - 1; the sphere measure is that
+    weight times the measure of S^{n-2}, so this is the exact integral.
+    The Poisson kernel is sum_m Z_m^p, so a template of ``choose_rule``'s
+    polar resolution leaves the same tail as its rule of one resolution,
+    from far fewer nodes: at n = 3, 2A azimuth angles instead of 2L."""
+    return quadrature.sphere_rule(n, resolution,
+                                  azimuth=min(resolution,
+                                              max(1, (degree + 2) // 2)))
 
 
 def choose_lie_rule(n: int, degree: int, radius: float,

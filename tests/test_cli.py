@@ -419,6 +419,35 @@ def test_dirichlet_rows_equal_the_per_point_poisson_integrals():
     assert states == ["ok", "rejected", "ok", "ok"]
 
 
+def test_aligned_dirichlet_builds_a_twentieth_of_the_shared_kernel_values(
+        monkeypatch):
+    # each point turns a template whose azimuth is sized by the data degree;
+    # a fall back to the rule shared by every point would build over 20
+    # times the kernel values
+    rng = np.random.default_rng(16)
+    points = []
+    for k in range(16):
+        y = rng.standard_normal(3)
+        points.append(list(y * (0.8 if k == 0 else rng.uniform(0.1, 0.8))
+                           / np.linalg.norm(y)))
+    config = {"n": 3, "p": 2, "points": points,
+              "boundary": "x1^5 - 3 x1 x2^2 x3^2 + (0,1) x2^3 + x3 - 1",
+              "sectors": [k % 2 for k in range(16)]}
+    built = []
+    poisson = kernels.poisson_from_products
+
+    def counted(n, p, x2, B, zb2):
+        built.append(np.broadcast(x2, B, zb2).size)
+        return poisson(n, p, x2, B, zb2)
+
+    monkeypatch.setattr(kernels, "poisson_from_products", counted)
+    table = cli.run_command("dirichlet", config)
+    assert [row[table.status_index] for row in table.rows] == ["ok"] * 16
+    shared = solver.choose_rule(3, 2, 5, 0.8,
+                                cli._DEFAULT_TOLERANCE["dirichlet"] / 10.0)
+    assert 20 * sum(built) <= 16 * 2 * shared.count
+
+
 @pytest.mark.parametrize("point", [[0.99999999, 0], [0.9999, 0]])
 def test_dirichlet_unresolvable_radius_is_config_error(tmp_path, capsys,
                                                        point):
@@ -458,7 +487,7 @@ def test_dirichlet_table_records_its_rule_compactly(tmp_path):
     assert len(text.encode()) < 10_000
     radius = max(float(np.linalg.norm(pt)) for pt in points)
     assert_records(json.loads(text)["metadata"]["rule"],
-                   solver.choose_rule(3, 2, 2, radius, 1e-10))
+                   solver.choose_rule(3, 2, 2, radius, 1e-10, aligned=True))
 
 
 def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
@@ -470,9 +499,14 @@ def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
     assert code == 0
     obj = json.loads(text)
     rule = obj["metadata"]["rule"]
-    assert rule["kind"] == "gauss-product"
-    # radius 0.3, tol 1e-10: truncation M = 24, so exactness 3 + 24 + 4 = 31
-    assert rule["count"] == 8192  # 2 * 16^3
+    assert (rule["type"], rule["kind"]) == ("pole-aligned", "gauss-product")
+    # radius 0.3, tol 1e-10: truncation M = 24, so polar exactness
+    # 3 + 24 + 4 = 31 (resolution 16); degree-3 data need an S^2 factor of
+    # exactness 3 (resolution 2: 2 polar nodes x 4 angles)
+    assert (rule["resolution"], rule["azimuth"]) == (16, 2)
+    assert (rule["polar_exactness"], rule["exactness"]) == (31, 3)
+    assert rule["count"] == 128  # 16 * 2 * 4, against 2 * 16^3 = 8192
+    assert rule["nodes"] == 3 * 128  # three points, one sector each
     assert "seed" not in rule
     for row in obj["rows"]:
         d = dict(zip(obj["columns"], row))
@@ -514,6 +548,10 @@ def test_rules_above_the_node_cap_are_config_errors(tmp_path, capsys,
                    "points": [[0.1, 0.2, 0.0]], "resolution": 4}),
     ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.3, 0.1],
                    "p_list": [1, 10 ** 6]}),
+    # 1000 sectors of a 128-node template fit the cap; turned to each of
+    # 17 points they do not
+    ("dirichlet", {"n": 3, "p": 1000, "boundary": "x1",
+                   "points": [[0.1, 0.2, 0.0]] * 17, "resolution": 64}),
 ])
 def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
                                                       monkeypatch, command,

@@ -512,6 +512,27 @@ def test_is_polyharmonic_classifies_simple_cases():
     assert is_polyharmonic(r2, 2)
 
 
+def test_is_polyharmonic_stops_at_the_first_zero_laplacian(monkeypatch):
+    # Delta^k q = 0 for every k > deg q / 2, so a huge p costs at most
+    # floor(deg q / 2) + 1 Laplacians
+    calls = []
+    laplacian = MultiPoly.laplacian
+
+    def counted(self):
+        calls.append(self.degree())
+        return laplacian(self)
+
+    monkeypatch.setattr(MultiPoly, "laplacian", counted)
+    r4 = MultiPoly.from_text("x1^4 + 2 x1^2 x2^2 + x2^4", n=2)
+    for q, p, want, count in (
+            (MultiPoly.from_text("x1^3", n=2), 100000, True, 2),
+            (r4, 100000, True, 3), (r4, 2, False, 2), (r4, 3, True, 3),
+            (MultiPoly.zero(2), 5, True, 0)):
+        calls.clear()
+        assert is_polyharmonic(q, p) is want
+        assert len(calls) == count <= max(q.degree(), 0) // 2 + 1
+
+
 def test_polyharmonic_almansi_requires_homogeneous_input():
     q = MultiPoly.from_text("x1^2 + x1", n=2)
     with pytest.raises(ValueError):

@@ -79,6 +79,34 @@ def test_rule_integrates_monomials_to_exact_moments(n, degree):
         assert abs(got - exact_moment(n, exps)) <= 1e-13
 
 
+@pytest.mark.parametrize("n,resolution,azimuth", [(3, 9, 1), (3, 12, 3),
+                                                  (4, 8, 2), (5, 6, 2)])
+def test_template_is_exact_to_its_polar_degree_along_the_pole(n, resolution,
+                                                              azimuth):
+    # x'^b x_n^j is ((1 - t^2)^{|b|/2} y^b) t^j: the S^{n-2} factor is exact
+    # for |b| <= 2A - 1, then the polar factor for |b| + j <= 2L - 1
+    rule = sphere_rule(n, resolution, azimuth)
+    assert (rule.resolution, rule.azimuth) == (resolution, azimuth)
+    assert rule.count == 2 * azimuth ** (n - 2) * resolution
+    assert rule.exactness == 2 * azimuth - 1
+    assert np.all(rule.weights > 0)
+    for b in monomials_up_to(n - 1, 2 * azimuth - 1):
+        for j in range(2 * resolution - sum(b)):
+            exps = b + (j,)
+            got = compensated_sum(rule.weights * np.prod(
+                rule.nodes ** np.array(exps), axis=1))
+            assert abs(got - exact_moment(n, exps)) <= 1e-13, exps
+
+
+def test_template_azimuth_is_validated():
+    for n, resolution, azimuth in ((2, 8, 2), (3, 8, 0), (3, 8, 9)):
+        with pytest.raises(ValueError, match="azimuth"):
+            sphere_rule(n, resolution, azimuth)
+    # the cap is that of the rule of one resolution, whatever the azimuth
+    with pytest.raises(ValueError, match="node cap"):
+        sphere_rule(3, 1025, 1)
+
+
 def test_weights_are_positive_and_normalized():
     for n in (2, 3, 4, 5):
         rule = sphere_rule(n, resolution_for_exactness(n, 10))
@@ -213,14 +241,18 @@ def test_angular_resolution_floor():
 # --------------------------------------------------------------------------
 
 def test_rule_serialization_round_trip_is_bit_exact():
-    for rule in (sphere_rule(2, 20), sphere_rule(3, 9), sphere_rule(4, 5)):
+    for rule in (sphere_rule(2, 20), sphere_rule(3, 9), sphere_rule(4, 5),
+                 sphere_rule(3, 9, 2), sphere_rule(4, 5, 5)):
         data = json.loads(json.dumps(rule_to_json(rule)))
+        assert data["type"] == ("sphere" if rule.azimuth is None
+                                else "pole-aligned")
         back = rule_from_json(data)
         np.testing.assert_array_equal(back.nodes, rule.nodes)
         np.testing.assert_array_equal(back.weights, rule.weights)
         assert back.exactness == rule.exactness
         assert back.kind == rule.kind
         assert back.resolution == rule.resolution
+        assert back.azimuth == rule.azimuth
 
 
 def test_rule_from_json_rejects_unknown_type():
@@ -237,7 +269,11 @@ def test_rule_from_json_rejects_records_that_do_not_rebuild():
                   for key in ("type", "n", "kind", "resolution", "exactness")}
     old_format.update(nodes=rule.nodes.tolist(), weights=rule.weights.tolist())
     lie = {"type": "lie-sphere", "angular": 8, "base": tampered}
-    for bad in (tampered, other, old_format, lie):
+    aligned = rule_to_json(sphere_rule(3, 6, 2))
+    no_azimuth = {k: v for k, v in aligned.items() if k != "azimuth"}
+    for bad in (tampered, other, old_format, lie, no_azimuth,
+                dict(aligned, azimuth=3), dict(record, type="pole-aligned",
+                                               azimuth=2)):
         with pytest.raises(ValueError):
             rule_from_json(bad)
 

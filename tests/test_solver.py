@@ -234,6 +234,68 @@ def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
         np.testing.assert_array_equal(a, b)
 
 
+# --------------------------------------------------------------------------
+# pole-aligned templates
+# --------------------------------------------------------------------------
+
+def random_polynomial(n: int, degree: int, rng) -> MultiPoly:
+    """Complex coefficients on every monomial of degree <= ``degree``."""
+    terms = []
+    for exps in np.ndindex(*(degree + 1,) * n):
+        if sum(exps) <= degree:
+            c = complex(*np.round(rng.standard_normal(2), 3))
+            terms.append(f"({c.real!r},{c.imag!r}) " + " ".join(
+                f"x{i + 1}^{e}" for i, e in enumerate(exps) if e))
+    return MultiPoly.from_text(" + ".join(terms), n=n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_aligned_rule_integrates_zonal_times_data_exactly(n):
+    # Z_m^p(x, .) f with m + d <= 2L - 1, on a template turned to x, against
+    # a rule shared by every point that is exact for degree m + d.  Every
+    # data degree is drawn, and an even m <= d as well as any m: at even d
+    # an S^{n-2} factor of exactness d - 1 misses the y-degree-d part, which
+    # only a zonal part of even degree <= d sees (parity and Gegenbauer
+    # orthogonality)
+    rng = np.random.default_rng(160 + n)
+    route = kernels.ROUTE_GEGENBAUER_DIFF
+    for d in range(7):
+        f = BoundaryData(random_polynomial(n, d, rng), int(rng.integers(1, 4)))
+        resolution = int(rng.integers(4, 7))
+        template = solver.aligned_rule(n, resolution, d)
+        [x] = interior_points(n, f.p, 1, rng, rmax=0.9)
+        for m in (2 * int(rng.integers(0, d // 2 + 1)),
+                  int(rng.integers(0, 2 * resolution - d))):
+            got = solver._rotated_integrals((route, m), [f], [x],
+                                            template)[1][0, 0]
+            shared = quadrature.sphere_rule(
+                n, quadrature.resolution_for_exactness(n, m + d))
+            want = spectral_component(f, m, x, shared, route)
+            # every zonal term is at most sum |e_k| |a|^m, the data sum |c|
+            scale = sum(abs(c) for c in kernels._float_coeffs(
+                n, m, f.p, False)) * x.radius ** m \
+                * sum(abs(complex(a, b)) for a, b in f._q.terms.values())
+            assert abs(got - want) <= 1e-13 * scale, (d, m, f.p)
+
+
+@pytest.mark.parametrize("budget", [1, 60000, 1 << 20])  # 1, 2, 7 points
+def test_aligned_rows_equal_their_one_point_integrals(monkeypatch, budget):
+    data, points, rule = operator_case(3, 2)
+    template = choose_rule(3, 2, 3, radius=0.7, tol=1e-11, aligned=True)
+    assert template.count * 20 < rule.count
+    shared = poisson_integrals(data, points, rule)
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
+    got = poisson_integrals(data, points, template)
+    forms = dirichlet_solve(data[1], points, template).values
+    for i, x in enumerate(points):
+        np.testing.assert_array_equal(
+            got[i], poisson_integrals(data, [x], template)[0])
+        assert forms[i] == dirichlet_solve(data[1], [x], template).values[0]
+    # both rules reproduce the polyharmonic data to the tolerance
+    assert np.max(np.abs(got - shared)) <= 1e-10
+    assert np.max(np.abs(forms - got[:, 1])) <= 1e-10
+
+
 def test_every_matrix_product_stays_on_the_calling_thread(monkeypatch):
     # OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
     # thread; a larger one wakes worker threads that spin after it returns
