@@ -56,14 +56,13 @@ VALUE_COLUMNS = ("value_re", "value_im", "reference_re", "reference_im",
                  "abs_error", "bound")
 
 _COMMON_KEYS = {"n", "p", "seed", "tolerance"}
+_PAIR_KEYS = {"x", "zeta", "x_sector", "zeta_sector"}
 _ALLOWED_KEYS = {
-    "kernel": _COMMON_KEYS | {"x", "zeta", "x_sector", "zeta_sector",
-                              "pairs", "degrees", "kernels"},
+    "kernel": _COMMON_KEYS | _PAIR_KEYS | {"pairs", "degrees", "kernels"},
     "dirichlet": _COMMON_KEYS | {"resolution", "boundary", "points",
                                  "sectors"},
     "verify": _COMMON_KEYS | {"suites"},
-    "hua-limit": (_COMMON_KEYS - {"p"}) | {"u", "z", "p_list", "resolution",
-                                           "angular"},
+    "hua-limit": (_COMMON_KEYS - {"p"}) | {"u", "z", "p_list", "resolution"},
     "almansi": _COMMON_KEYS | {"polynomial"},
     "dims": _COMMON_KEYS | {"degrees"},
 }
@@ -181,37 +180,33 @@ class RunConfig:
 
 
 def _normalize_kernel(raw: dict, n: int, p: int) -> dict:
+    """The single x/zeta form is normalized as a one-entry pairs list."""
     if "pairs" in raw and ("x" in raw or "zeta" in raw):
         raise ConfigError("give either pairs or a single x/zeta, not both")
-    pairs = []
     if "pairs" in raw:
-        if not isinstance(raw["pairs"], list) or not raw["pairs"]:
+        entries = raw["pairs"]
+        if not isinstance(entries, list) or not entries:
             raise ConfigError("pairs must be a non-empty list")
-        for i, entry in enumerate(raw["pairs"]):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"pairs[{i}] must be an object")
-            unknown = sorted(set(entry) - {"x", "zeta", "x_sector",
-                                           "zeta_sector"})
-            if unknown:
-                raise ConfigError(f"unknown keys in pairs[{i}]: "
-                                  + ", ".join(unknown))
-            pairs.append({
-                "x": _as_vector(entry.get("x"), f"pairs[{i}].x", n),
-                "zeta": _as_vector(entry.get("zeta"), f"pairs[{i}].zeta", n),
-                "x_sector": _as_int(entry.get("x_sector", 0),
-                                    f"pairs[{i}].x_sector", 0, p - 1),
-                "zeta_sector": _as_int(entry.get("zeta_sector", 0),
-                                       f"pairs[{i}].zeta_sector", 0, p - 1),
-            })
+        names = [f"pairs[{i}]" for i in range(len(entries))]
+    elif "x" in raw and "zeta" in raw:
+        entries, names = [{k: raw[k] for k in _PAIR_KEYS if k in raw}], [""]
     else:
-        if "x" not in raw or "zeta" not in raw:
-            raise ConfigError("kernel needs x and zeta (or a pairs list)")
+        raise ConfigError("kernel needs x and zeta (or a pairs list)")
+    pairs = []
+    for entry, name in zip(entries, names):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{name} must be an object")
+        unknown = sorted(set(entry) - _PAIR_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown keys in {name}: " + ", ".join(unknown))
+        at = f"{name}." if name else ""
         pairs.append({
-            "x": _as_vector(raw["x"], "x", n),
-            "zeta": _as_vector(raw["zeta"], "zeta", n),
-            "x_sector": _as_int(raw.get("x_sector", 0), "x_sector", 0, p - 1),
-            "zeta_sector": _as_int(raw.get("zeta_sector", 0), "zeta_sector",
-                                   0, p - 1),
+            "x": _as_vector(entry.get("x"), f"{at}x", n),
+            "zeta": _as_vector(entry.get("zeta"), f"{at}zeta", n),
+            "x_sector": _as_int(entry.get("x_sector", 0), f"{at}x_sector",
+                                0, p - 1),
+            "zeta_sector": _as_int(entry.get("zeta_sector", 0),
+                                   f"{at}zeta_sector", 0, p - 1),
         })
     degrees = raw.get("degrees", [0, 1, 2, 3, 4])
     if not isinstance(degrees, list) or not degrees:
@@ -277,8 +272,7 @@ def _normalize_hua_limit(raw: dict, n: int, p: int) -> dict:
     p_list = [_as_int(q, f"p_list[{i}]", 1) for i, q in enumerate(p_list)]
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ConfigError("p_list must be strictly increasing")
-    angular = _as_int(raw.get("angular", 64), "angular", minimum=4)
-    return {"u": u, "z": z, "p_list": p_list, "angular": angular,
+    return {"u": u, "z": z, "p_list": p_list,
             "resolution": _normalize_resolution(raw)}
 
 
@@ -532,10 +526,10 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
     degree-``degree`` data up to ``radius``, or the configured (polar)
     resolution.  Given the number of ``points``, the pole-aligned template
     that is turned to each of them (``solver.aligned_rule``).  An
-    unresolvable truncation, or a rule, Lie-sphere rule or the nodes built
-    from it (p sectors, times the points of a template) above the node cap,
-    is a configuration error, raised before any array of p sector phases
-    is built."""
+    unresolvable truncation, or a rule or the nodes built from it
+    (p sectors, times the points of a template) above the node cap, is a
+    configuration error, raised before any array of p sector phases is
+    built."""
     aligned = points is not None
     try:
         if cfg.data["resolution"] == "auto":
@@ -546,8 +540,6 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
             rule = solver.aligned_rule(cfg.n, cfg.data["resolution"], degree)
         else:
             rule = quadrature.sphere_rule(cfg.n, cfg.data["resolution"])
-        if "angular" in cfg.data:
-            quadrature.lie_sphere_rule(rule, cfg.data["angular"])
     except ValueError as err:
         raise ConfigError(f"no quadrature rule for {where}: {err}") from err
     built = p * rule.count * (points if aligned else 1)
@@ -583,7 +575,7 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
           for pt, j, ok in zip(points, cfg.data["sectors"], interior)]
     inside = [x for x in xs if x is not None]
     values = iter(solver.poisson_integrals([data], inside, rule)[:, 0])
-    wants = iter(_values_at(q, inside) if reproduces else ())
+    wants = iter(solver._values_at([q], inside)[:, 0] if reproduces else ())
     for i, (pt, j, x) in enumerate(zip(points, cfg.data["sectors"], xs)):
         inputs = (i, j) + tuple(float(c) for c in pt)
         if x is None:
@@ -598,17 +590,6 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
         else:
             table.add(inputs + ("ok",), value=value)
     return table
-
-
-def _values_at(q: MultiPoly, xs: list) -> np.ndarray:
-    """q at rotated points, one ``eval_at`` per sector angle over that
-    sector's points; each value equals ``q.evaluate(x)`` bit for bit."""
-    out = np.empty(len(xs), dtype=complex)
-    for angle in {x.angle for x in xs}:
-        at = [i for i, x in enumerate(xs) if x.angle == angle]
-        out[at] = q.eval_at(np.array([xs[i].coords for i in at]),
-                            phase=np.exp(1j * angle))
-    return out
 
 
 def run_verify(cfg: RunConfig) -> ResultTable:
@@ -649,8 +630,17 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
         raise ConfigError("z must lie in the open Lie ball")
     rule = _build_rule(cfg, f"Lie norm {radius!r}", max(p_list), u.degree(),
                        radius)
-    result = solver.polyharmonic_limit_experiment(
-        u, zc, p_list, rule, angular=cfg.data["angular"])
+    # |u| <= sum |c_alpha| on the Lie sphere, where every |w^alpha| <= 1, so
+    # a rule proven to tail * sum |c_alpha| <= tol / 100 sizes the hua row
+    u_max = sum(abs(complex(a / u.denom, b / u.denom))
+                for a, b in u.terms.values())
+    try:
+        lie = solver.choose_lie_rule(cfg.n, max(u.degree(), 0), radius,
+                                     tol / 100.0 / max(1.0, u_max))
+    except ValueError as err:
+        raise ConfigError(f"no Lie-sphere rule for Lie norm {radius!r}: "
+                          f"{err}") from err
+    result = solver.polyharmonic_limit_experiment(u, zc, p_list, rule, lie)
     table = ResultTable("hua-limit", ("p", "status"), _metadata(cfg, rule))
     for p, value, error in result.rows:
         bound = _limit_error_bound(u, zc, p) + tol

@@ -2,12 +2,13 @@
 
 Boundary data is a polynomial q restricted to the union of p rotated unit
 spheres: on the sector e^{ij pi/p} S its values are q(e^{ij pi/p} zeta).
-``BoundaryData`` caches node values per (rule, sector), so repeated solves
-against the same rule reuse every evaluation.
+``BoundaryData`` holds q and p only; nothing is cached between calls.
 
 Every integral goes through one kernel operator: the data-independent
 kernel is built from the pair invariants (B, x2 * zb2) once per bounded
-block of points x sectors, shared by every datum, and the node sum of
+block of points x sectors, shared by every datum; every datum is a
+polynomial, which the operator evaluates at its own nodes with the
+kernels' phases, once per block of sectors; and the node sum of
 weights * kernel * data is an exact sliced matrix product
 (``quadrature._sliced_sums``), so no value depends on the blocks or on
 BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
@@ -58,36 +59,16 @@ __all__ = [
 
 
 class BoundaryData:
-    """Restriction of a polynomial q to the union of p rotated unit spheres.
-
-    ``sector_values(j, rule)`` gives q(e^{ij pi/p} node) at the rule's
-    nodes; callers size the rule (``choose_rule``) from q's degree.  The
-    first lookup for a rule evaluates all p sectors in one ``eval_at`` pass,
-    which shares the monomial columns; later lookups return the same arrays.
-    """
+    """Restriction of a polynomial q to the union of p rotated unit spheres:
+    on the sector e^{ij pi/p} S its values are q(e^{ij pi/p} zeta).  It
+    holds no values: the kernel operator evaluates q at its own nodes with
+    the kernels' sector phases, and callers size the rule (``choose_rule``)
+    from q's degree."""
 
     def __init__(self, q: MultiPoly, p: int):
         if p < 1:
             raise ValueError("p must be >= 1")
-        self.p = p
-        self.n = q.n
-        self._q = q
-        self._cache: dict = {}
-
-    def sector_values(self, j: int, rule: quadrature.SphereRule) -> np.ndarray:
-        """Values of q on sector j at the rule's nodes (cached per rule)."""
-        if not 0 <= j < self.p:
-            raise ValueError("sector index out of range")
-        cached = self._cache.get(id(rule))
-        if cached is None:
-            cached = self._cache[id(rule)] = (rule,
-                                              list(self.values_at(rule.nodes)))
-        return cached[1][j]
-
-    def values_at(self, nodes: np.ndarray) -> np.ndarray:
-        """q(e^{ij pi/p} node) for every sector j and node of an (R, n)
-        array: a (p, R) array, uncached."""
-        return self._q.eval_at(nodes, phase=_sector_phases(self.p))
+        self.q, self.p, self.n = q, p, q.n
 
 
 # --------------------------------------------------------------------------
@@ -143,17 +124,19 @@ def _sector_kernels(route, p: int, zs: np.ndarray, phases: np.ndarray,
 def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
                rule: quadrature.SphereRule, data: list) -> np.ndarray:
     """(len(zs), len(data)) matrix of (1/S) sum_s int_S K(z_i, phases[s]
-    zeta) f_d(phases[s] zeta) dsigma, where data[d](block) gives the values
-    of f_d at phases[block] * nodes, a (len(phases[block]), R) array.
+    zeta) f_d(phases[s] zeta) dsigma for polynomials f_d = data[d].
 
     The node sum is a matrix product per sector, taken exactly: weights * K
     and the data are cut into error-free slices (``quadrature._split``),
     multiplied exactly and joined per (point, datum, sector) by
     ``quadrature._sliced_sums``; a compensated sum then adds the sectors.
     Each kernel value is built and cut once, in a block of points x sectors
-    shared by every datum.  The data, whose values are cached or cheap next
-    to a kernel, are cut once per block of points, or once in all when they
-    fit one block.
+    shared by every datum.  Each datum is evaluated once per block of
+    sectors, by one phase-array ``eval_at`` into one (data, sectors, nodes)
+    array that lives for that block only: every sector at once when all the
+    values fit ``_BLOCK_ELEMENTS`` (so a small call makes one call per
+    datum), else the sectors of one kernel block.  The data are cut from it
+    once per block of points, or once in all when they fit one block.
     """
     size, sectors = rule.count, len(phases)
     rn = np.sum(rule.nodes * rule.nodes, axis=1)
@@ -168,22 +151,31 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
     s_step = max(1, min(sectors, _BLOCK_ELEMENTS // (row * z_step),
                         _BLOCK_ELEMENTS // (row * d_step),
                         _BLOCK_ELEMENTS // (pair * z_step * d_step)))
+    e_step = sectors if len(data) * sectors * size <= _BLOCK_ELEMENTS \
+        else s_step
+    # preallocated: stacking the data's arrays would hold them twice
+    values = np.empty((len(data), e_step, size), dtype=complex)
 
-    def cut(block, d):  # the data slices (S, D, 2 slices, R) of a data block
-        return quadrature._split(np.array(
-            [f(block) for f in data[d:d + d_step]]).transpose(1, 0, 2),
-            width, slices)
+    def cut(d):  # the data slices (S, D, 2 slices, R) of a data block
+        return quadrature._split(here[d:d + d_step].transpose(1, 0, 2),
+                                 width, slices)
 
     partial = np.empty((len(zs), len(data), sectors), dtype=complex)
     for s0 in range(0, sectors, s_step):
         block = slice(s0, min(s0 + s_step, sectors))
-        held = cut(block, 0) if d_step == len(data) else None
+        if s0 % e_step == 0:  # the first kernel block of an evaluated one
+            evaluated = phases[s0:s0 + e_step]
+            for d, f in enumerate(data):
+                values[d, :len(evaluated)] = f.eval_at(rule.nodes,
+                                                       phase=evaluated)
+        here = values[:, s0 % e_step:][:, :block.stop - s0]
+        held = cut(0) if d_step == len(data) else None
         for i in range(0, len(zs), z_step):
             ks = quadrature._split((rule.weights * _sector_kernels(
                 route, p, zs[i:i + z_step], phases[block], rule.nodes,
                 rn)).transpose(1, 0, 2), width, slices)
             for d in range(0, len(data), d_step):
-                vs = cut(block, d) if held is None else held
+                vs = cut(d) if held is None else held
                 partial[i:i + z_step, d:d + d_step, block] = \
                     quadrature._sliced_sums(ks, vs, slices).transpose(1, 2, 0)
                 del vs  # each block is freed before the next one is built
@@ -214,7 +206,7 @@ def _turned(nodes: np.ndarray, coords: np.ndarray) -> tuple:
 def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
                        data: list) -> np.ndarray:
     """The (len(xs), len(data)) matrix of ``_integrate`` for rotated real
-    points x = e^{i theta} a and boundary data, each point with its own copy
+    points x = e^{i theta} a and polynomial data, each point with its own copy
     H zeta of the pole-aligned template ``rule``, reflected by ``_turned``
     so that its pole lies on +-a/|a| (``aligned_rule`` has the proof of
     exactness).  The kernel at (x, H zeta) is the kernel at
@@ -248,7 +240,8 @@ def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
             route, p, zs, phases, polar, rn), per, axis=-1), width, slices)
         flat = nodes.reshape(-1, n)
         vs = quadrature._split(np.array(
-            [f.values_at(flat).reshape(p, points, size) for f in data]
+            [f.eval_at(flat, phase=phases).reshape(p, points, size)
+             for f in data]
         ).transpose(2, 1, 0, 3), width, slices)
         sums = quadrature._sliced_sums(
             ks.reshape(points * p, 1, 2 * slices, size),
@@ -258,19 +251,25 @@ def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
     return out
 
 
+def _values_at(qs: list, xs: list) -> np.ndarray:
+    """(len(xs), len(qs)) values of polynomials at rotated points, one
+    ``eval_at`` per polynomial and sector angle over that sector's points;
+    each value equals ``q.evaluate(x)`` bit for bit."""
+    out = np.empty((len(xs), len(qs)), dtype=complex)
+    for angle in {x.angle for x in xs}:
+        at = [i for i, x in enumerate(xs) if x.angle == angle]
+        coords = np.array([xs[i].coords for i in at])
+        for d, q in enumerate(qs):
+            out[at, d] = q.eval_at(coords, phase=np.exp(1j * angle))
+    return out
+
+
 def _interior_point(x, p: int) -> RotatedVector:
     x = as_rotated(x)
     x.sector_index(p)
     if not x.radius < 1.0 - 1e-9:
         raise ValueError("interior points need hermitian radius < 1 - 1e-9")
     return x
-
-
-def _sector_block(f: BoundaryData, rule: quadrature.SphereRule):
-    """The ``_integrate`` datum of boundary data f: its values on a block
-    of sectors."""
-    return lambda block: [f.sector_values(j, rule)
-                          for j in range(f.p)[block]]
 
 
 def _rotated_integrals(route, data: list, points,
@@ -284,11 +283,11 @@ def _rotated_integrals(route, data: list, points,
     xs = [_interior_point(x, p) for x in points]
     if any(x.n != n for x in xs):
         raise ValueError("dimension mismatch")
+    qs = [f.q for f in data]
     if rule.azimuth is not None:
-        return xs, _aligned_integrate(route, p, xs, rule, data)
+        return xs, _aligned_integrate(route, p, xs, rule, qs)
     zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), n)
-    return xs, _integrate(route, p, zs, _sector_phases(p), rule,
-                          [_sector_block(f, rule) for f in data])
+    return xs, _integrate(route, p, zs, _sector_phases(p), rule, qs)
 
 
 # --------------------------------------------------------------------------
@@ -353,9 +352,8 @@ def spectral_component(f: BoundaryData, m: int, eta,
     eta_c = as_complex_vector(eta)
     if eta_c.size != f.n:
         raise ValueError("dimension mismatch")
-    return complex(_integrate(
-        (route, m), f.p, eta_c[None, :], _sector_phases(f.p), rule,
-        [_sector_block(f, rule)])[0, 0])
+    return complex(_integrate((route, m), f.p, eta_c[None, :],
+                              _sector_phases(f.p), rule, [f.q])[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -367,34 +365,21 @@ def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     polynomials u_d and points z_i of the open Lie ball: a (len(zs),
     len(us)) matrix.  Each entry reproduces u_d(z_i) for polynomial u_d.
     Each datum is evaluated once per block of angles, by one phase-array
-    ``eval_at`` on the real nodes inside the operator's data block."""
+    ``eval_at`` on the real nodes."""
     us, base = list(us), lie_rule.base
     zc = [as_complex_vector(z) for z in zs]
     if any(u.n != base.n for u in us) or any(z.size != base.n for z in zc):
         raise ValueError("dimension mismatch")
     if not all(lie_norm(z) < 1.0 for z in zc):
         raise ValueError("z must lie in the open Lie ball")
-    phases = np.exp(1j * lie_rule.angles)
-    data = [lambda block, u=u: u.eval_at(base.nodes, phase=phases[block])
-            for u in us]
-    return _integrate(_HUA, 0, np.array(zc).reshape(len(zc), base.n), phases,
-                      base, data)
+    return _integrate(_HUA, 0, np.array(zc).reshape(len(zc), base.n),
+                      np.exp(1j * lie_rule.angles), base, us)
 
 
 def hua_reproduce(u: MultiPoly, z, lie_rule: quadrature.LieSphereRule) -> complex:
     """Average of H(z, w) u(w) over the Lie sphere; reproduces holomorphic
     polynomials at z in the open Lie ball."""
     return complex(hua_integrals([u], [z], lie_rule)[0, 0])
-
-
-def _poisson_value_at_complex(u: MultiPoly, z, p: int,
-                              rule: quadrature.SphereRule) -> complex:
-    """u_p(z): Poisson integral of u's restriction, first argument complex."""
-    phases = _sector_phases(p)
-    zc = as_complex_vector(z)
-    values = u.eval_at(rule.nodes, phase=phases)
-    return complex(_integrate(_POISSON, p, zc[None, :], phases, rule,
-                              [values.__getitem__])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -410,25 +395,27 @@ class LimitExperiment:
 
 def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
                                   rule: quadrature.SphereRule,
-                                  angular: int = 64) -> LimitExperiment:
+                                  lie_rule: quadrature.LieSphereRule
+                                  ) -> LimitExperiment:
     """Evaluate u_p(z) for increasing order p and compare with u(z).
 
     ``u`` is a holomorphic polynomial (boundary data on each rotated sphere
     union is its restriction); as p grows, u_p(z) converges to u(z) for z in
-    the open Lie ball, and matches the Cauchy-Hua reproduction integral.
+    the open Lie ball, and matches the Cauchy-Hua reproduction integral
+    over ``lie_rule`` (``choose_lie_rule``).
     """
     zc = as_complex_vector(z)
     if not lie_norm(zc) < 1.0:
         raise ValueError("z must lie in the open Lie ball")
     reference = u.evaluate(zc)
     rows = []
-    for p in p_list:
+    for p in map(int, p_list):
         if p < 1:
             raise ValueError("orders must be >= 1")
-        value = _poisson_value_at_complex(u, zc, int(p), rule)
-        rows.append((int(p), value, abs(value - reference)))
-    lie = quadrature.lie_sphere_rule(rule, angular)
-    hua_value = hua_reproduce(u, zc, lie)
+        value = complex(_integrate(_POISSON, p, zc[None, :],
+                                   _sector_phases(p), rule, [u])[0, 0])
+        rows.append((p, value, abs(value - reference)))
+    hua_value = hua_reproduce(u, zc, lie_rule)
     return LimitExperiment(
         reference=complex(reference),
         rows=tuple(rows),

@@ -329,15 +329,11 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     xs = [RotatedVector.sector(j, p, rng.uniform(0.1, radius)
                                * _unit_coords(rng, n))
           for j in range(p) for _ in range(points_per_sector)]
-    coords = np.array([x.coords for x in xs]).reshape(p, points_per_sector, n)
     basis = [q for m in range(max_degree + 1)
              for q in polyharmonic_basis(n, m, p)]
     got = solver.poisson_integrals(
         [solver.BoundaryData(q, p) for q in basis], xs, rule)
-    want = [np.concatenate([
-        q.eval_at(c, phase=np.exp(1j * j * math.pi / p))
-        for j, c in enumerate(coords)]) for q in basis]
-    worst = float(np.max(np.abs(got - np.transpose(want))))
+    worst = float(np.max(np.abs(got - solver._values_at(basis, xs))))
     return [PropertyResult("reproduction", "max-reproduction-error",
                            worst, tolerance)]
 
@@ -377,8 +373,8 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once
     xs = np.array([RotatedVector(-k * math.pi / p, coords).to_complex()
                    for coords in samples for k in range(p)])
-    lhs_all = solver._integrate(solver._POISSON, p, xs, np.ones(1), rule, [
-        lambda block: np.ones((1, rule.count))]).reshape(points, p)
+    lhs_all = solver._integrate(solver._POISSON, p, xs, np.ones(1), rule,
+                                [MultiPoly.constant(n, 1)]).reshape(points, p)
     dev_sector = 0.0
     dev_average = 0.0
     for coords, lhs_row in zip(samples, lhs_all):

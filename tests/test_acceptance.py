@@ -21,7 +21,7 @@ from polyball.polyalg import (
     almansi_reassemble,
     polyharmonic_almansi,
 )
-from polyball.solver import polyharmonic_limit_experiment
+from polyball.solver import choose_lie_rule, polyharmonic_limit_experiment
 from polyball.suites import run_suite
 
 NP_COMBOS = [(n, p) for n in (2, 3) for p in (1, 2, 3)]
@@ -166,7 +166,8 @@ def test_criterion_10_limit_theorem():
     trunc = kernels.truncation_degree(2, 64, lie_norm(z), 1e-13)
     rule = quadrature.sphere_rule(
         2, quadrature.resolution_for_exactness(2, 2 + trunc + 4))
-    result = polyharmonic_limit_experiment(u, z, p_list, rule)
+    lie = choose_lie_rule(2, u.degree(), lie_norm(z), 1e-8)
+    result = polyharmonic_limit_experiment(u, z, p_list, rule, lie)
     errors = [row[2] for row in result.rows]
     monotone = all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     final_ok = errors[-1] <= 1e-3

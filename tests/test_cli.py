@@ -520,7 +520,7 @@ def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
     ("dirichlet", {"n": 3, "boundary": "x1", "points": [[0.1, 0.1, 0.0]],
                    "resolution": 10 ** 5}),
     ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.4, 0.2],
-                   "angular": 10 ** 9}),
+                   "p_list": [1, 1048576]}),
     ("verify", {"n": 6, "suites": ["reproduction"]}),
     ("verify", {"n": 6, "suites": ["hua-reproduction"]}),
 ])

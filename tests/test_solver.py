@@ -53,45 +53,72 @@ def test_boundary_data_is_its_polynomial():
         BoundaryData(q, 0)
 
 
-def test_boundary_data_sector_values_are_cached_per_rule():
-    q = MultiPoly.from_text("x1^3", n=2)
-    data = BoundaryData(q, 2)
-    rule = quadrature.sphere_rule(2, 16)
-    first = data.sector_values(0, rule)
-    second = data.sector_values(0, rule)
-    assert first is second
-    for j in range(2):  # the polynomial's own values, bit for bit
-        np.testing.assert_array_equal(
-            data.sector_values(j, rule),
-            q.eval_at(rule.nodes, phase=np.exp(1j * j * math.pi / 2)))
+def _recorded_phases(monkeypatch) -> tuple:
+    """Lists that collect (datum, phases) of every ``eval_at`` call and the
+    phases of every kernel build."""
+    evaluated, built = [], []
+    eval_at, sector_kernels = MultiPoly.eval_at, solver._sector_kernels
+
+    def recorded_eval(self, points, phase=1.0):
+        evaluated.append((self, np.array(phase)))
+        return eval_at(self, points, phase)
+
+    def recorded_kernels(route, p, zs, phases, *args):
+        built.append(np.array(phases))
+        return sector_kernels(route, p, zs, phases, *args)
+
+    monkeypatch.setattr(MultiPoly, "eval_at", recorded_eval)
+    monkeypatch.setattr(solver, "_sector_kernels", recorded_kernels)
+    return evaluated, built
 
 
-def test_boundary_data_uses_the_kernel_sector_phases():
+def test_boundary_data_uses_the_kernel_sector_phases(monkeypatch):
     # p = 6 is the first order where the array and the scalar exp of
     # e^{5 i pi / 6} round differently; data and kernels must share one
-    q = MultiPoly.from_text("x1^3 - 2 * x1 x2 + x2 + 1", n=2)
-    data = BoundaryData(q, 6)
-    rule = quadrature.sphere_rule(2, 16)
-    want = q.eval_at(rule.nodes, phase=solver._sector_phases(6))
-    for j in range(6):
-        np.testing.assert_array_equal(data.sector_values(j, rule), want[j])
+    evaluated, built = _recorded_phases(monkeypatch)
+    want = solver._sector_phases(6)
+    x = RotatedVector.sector(5, 6, np.array([0.2, -0.1, 0.3]))
+    q = MultiPoly.from_text("x1^3 - 2 * x1 x2 + x3 + 1", n=3)
+    for rule in (quadrature.sphere_rule(3, 6),
+                 solver.aligned_rule(3, 6, q.degree())):
+        evaluated.clear()
+        built.clear()
+        poisson_integral(BoundaryData(q, 6), x, rule)
+        np.testing.assert_array_equal(
+            np.concatenate([phase for _, phase in evaluated]), want)
+        np.testing.assert_array_equal(np.concatenate(built), want)
 
 
 def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
-    calls = []
-    eval_at = MultiPoly.eval_at
-
-    def counting(self, points, phase=1.0):
-        calls.append(np.ndim(phase))
-        return eval_at(self, points, phase)
-
-    monkeypatch.setattr(MultiPoly, "eval_at", counting)
-    data = BoundaryData(MultiPoly.from_text("x1^2 x2 + 2 * x3", n=3), 3)
-    rules = quadrature.sphere_rule(3, 6), quadrature.sphere_rule(3, 7)
-    for rule in rules + rules:
-        for j in range(3):
-            data.sector_values(j, rule)
-    assert calls == [1, 1]  # one phase-array call per rule
+    # each datum is evaluated once per block of sectors, and never again
+    # for another block of points or data: its calls cover every sector
+    # once.  A block holds every sector when all the values fit the budget
+    # (one pass, even where the kernels take one sector at a time), else
+    # the sectors of one kernel block
+    evaluated, built = _recorded_phases(monkeypatch)
+    qs = [MultiPoly.from_text(t, n=3)
+          for t in ("x1^2 x2 + 2 * x3", "x3 - 1", "(0,1) x1 x2")]
+    points = interior_points(3, 3, 4, np.random.default_rng(3))
+    rule = quadrature.sphere_rule(3, 6)
+    assert len(qs) * 3 * rule.count == 648  # the values of every sector
+    for budget, passes, kernel_blocks in ((1 << 20, 1, 1), (1 << 16, 1, 1),
+                                          (700, 1, 3), (500, 3, 3),
+                                          (1, 3, 3)):
+        evaluated.clear()
+        built.clear()
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
+        poisson_integrals([BoundaryData(q, 3) for q in qs], points, rule)
+        blocks = []  # the kernels' sector blocks, each once per point block
+        for phases in built:
+            if not blocks or not np.array_equal(blocks[-1], phases):
+                blocks.append(phases)
+        assert len(blocks) == kernel_blocks, budget
+        assert len(evaluated) == len(qs) * passes, budget
+        for q in qs:
+            mine = [phase for q0, phase in evaluated if q0 is q]
+            assert len(mine) == passes, budget
+            np.testing.assert_array_equal(np.concatenate(mine),
+                                          solver._sector_phases(3))
 
 
 # --------------------------------------------------------------------------
@@ -163,8 +190,9 @@ def reference_integrals(route: str, data, points, rule) -> np.ndarray:
                     kv = kernels.boundary_form_values(
                         f.n, f.p, x2,
                         bilinear_square(xk) - 2.0 * (rule.nodes @ xk) + rn)
-                parts.append(_fsum(rule.weights * f.sector_values(j, rule)
-                                   * kv))
+                values = f.q.eval_at(rule.nodes,
+                                     phase=solver._sector_phases(f.p)[j])
+                parts.append(_fsum(rule.weights * values * kv))
             out[i, d] = _fsum(parts) / f.p
     return out
 
@@ -274,7 +302,7 @@ def test_aligned_rule_integrates_zonal_times_data_exactly(n):
             # every zonal term is at most sum |e_k| |a|^m, the data sum |c|
             scale = sum(abs(c) for c in kernels._float_coeffs(
                 n, m, f.p, False)) * x.radius ** m \
-                * sum(abs(complex(a, b)) for a, b in f._q.terms.values())
+                * sum(abs(complex(a, b)) for a, b in f.q.terms.values())
             assert abs(got - want) <= 1e-13 * scale, (d, m, f.p)
 
 
@@ -402,7 +430,9 @@ def test_limit_experiment_error_column_and_hua_row():
     trunc = kernels.truncation_degree(2, 64, lie_norm(z), 1e-13)
     rule = quadrature.sphere_rule(2, quadrature.resolution_for_exactness(
         2, 2 + trunc + 4))
-    result = polyharmonic_limit_experiment(u, z, [1, 2, 4, 8, 16, 64], rule)
+    lie = solver.choose_lie_rule(2, u.degree(), lie_norm(z), 1e-8)
+    result = polyharmonic_limit_experiment(u, z, [1, 2, 4, 8, 16, 64], rule,
+                                           lie)
     errors = [row[2] for row in result.rows]
     # the p = 1 error is the exact ladder discrepancy |1 - z^2| * 1/2
     assert errors[0] == pytest.approx(0.4, abs=1e-9)
@@ -415,10 +445,11 @@ def test_limit_experiment_error_column_and_hua_row():
 def test_limit_experiment_validates_inputs():
     u = MultiPoly.from_text("x1", n=2)
     rule = quadrature.sphere_rule(2, 16)
+    lie = quadrature.lie_sphere_rule(rule, 8)
     with pytest.raises(ValueError):
-        polyharmonic_limit_experiment(u, np.array([1.2, 0.0]), [1], rule)
+        polyharmonic_limit_experiment(u, np.array([1.2, 0.0]), [1], rule, lie)
     with pytest.raises(ValueError):
-        polyharmonic_limit_experiment(u, np.array([0.3, 0.0]), [0], rule)
+        polyharmonic_limit_experiment(u, np.array([0.3, 0.0]), [0], rule, lie)
 
 
 # --------------------------------------------------------------------------
