@@ -24,13 +24,15 @@ native floats.  Both parse back to identical binary values.
 
 Exit codes: 0 all rows pass; 1 a measured error exceeded its bound;
 2 configuration or parse error (including per-row rejected inputs);
-3 numerical singularity in a required row.
+3 numerical singularity in a required row; 4 internal error (an exception
+no validation anticipated, reported as one ``error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -51,6 +53,7 @@ EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
+EXIT_INTERNAL = 4
 
 VALUE_COLUMNS = ("value_re", "value_im", "reference_re", "reference_im",
                  "abs_error", "bound")
@@ -683,8 +686,13 @@ def run_dims(cfg: RunConfig) -> ResultTable:
                         ("n", "p", "m", "dim_P", "dim_H", "status"),
                         _metadata(cfg))
     for m in cfg.data["degrees"]:
+        try:
+            value = float(dim_Hp(cfg.n, m, cfg.p))
+        except OverflowError:
+            raise ConfigError(f"degree {m}: dim H_m^p is past the double "
+                              "range") from None
         table.add((cfg.n, cfg.p, m, dim_P(cfg.n, m), dim_H(cfg.n, m), "ok"),
-                  value=float(dim_Hp(cfg.n, m, cfg.p)))
+                  value=value)
     return table
 
 
@@ -708,7 +716,10 @@ def run_command(command: str, config: dict) -> ResultTable:
 # argument parsing
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: ``parse_args`` leaves it unchanged, so
+    every ``main`` call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="polyball",
         description="Kernel and solver experiments on unions of rotated "
@@ -763,6 +774,11 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as err:  # a gap in validation, not a failed bound
+        message = " ".join(str(err).splitlines())
+        print(f"error: internal error: {type(err).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fp:

@@ -527,6 +527,32 @@ def _require_homogeneous(q: MultiPoly, what: str):
         raise ValueError(f"{what} requires a homogeneous polynomial")
 
 
+def _radial_horner(n: int, polys: list, weights: list) -> MultiPoly:
+    """sum_j weights[j] |x|^{2j} polys[j] over the pairs that
+    ``zip(polys, weights)`` gives, for int or Fraction weights; exact.
+
+    The sum is built as integer numerators over one denominator, the lcm of
+    den(weights[j]) * polys[j].denom, by Horner in |x|^2: multiplying by
+    |x|^2 adds each numerator at e + 2 e_i for every i.  One gcd reduces the
+    result; generic products would reduce at every step."""
+    parts = list(zip(polys, weights))
+    denom = math.lcm(*(w.denominator * u.denom for u, w in parts))
+    acc = {}
+    for u, w in reversed(parts):
+        shifted = {}
+        for e, (a, b) in acc.items():
+            for i in range(n):
+                key = e[:i] + (e[i] + 2,) + e[i + 1:]
+                a0, b0 = shifted.get(key, (0, 0))
+                shifted[key] = (a0 + a, b0 + b)
+        f = w.numerator * (denom // (w.denominator * u.denom))
+        for e, (a, b) in u.terms.items():
+            a0, b0 = shifted.get(e, (0, 0))
+            shifted[e] = (a0 + a * f, b0 + b * f)
+        acc = shifted
+    return MultiPoly._exact(n, acc, denom)
+
+
 def harmonic_almansi(q: MultiPoly) -> list:
     """Components [u_m, u_{m-2}, ...] with q = sum_k |x|^{2k} u_{m-2k}.
 
@@ -545,7 +571,6 @@ def harmonic_almansi(q: MultiPoly) -> list:
     ladder = [q]
     for _ in range(m // 2):
         ladder.append(ladder[-1].laplacian())
-    r2 = MultiPoly.radial_square(n)
     components = []
     for k in range(m // 2 + 1):
         d = m - 2 * k
@@ -554,10 +579,7 @@ def harmonic_almansi(q: MultiPoly) -> list:
                                          for i in range(1, k + 1)))]
         for j in range(1, d // 2 + 1):
             weights.append(-weights[-1] / (2 * j * (n + 2 * d - 2 - 2 * j)))
-        u = MultiPoly.zero(n)
-        for j in reversed(range(len(weights))):  # Horner in |x|^2
-            u = r2 * u + ladder[k + j] * weights[j]
-        components.append(u)
+        components.append(_radial_horner(n, ladder[k:], weights))
     return components
 
 
@@ -584,14 +606,8 @@ def polyharmonic_almansi(q: MultiPoly, p: int) -> list:
     if q.is_zero():
         return []
     ladder = harmonic_almansi(q)
-    r2 = MultiPoly.radial_square(q.n)
-    groups = []
-    for start in range(0, len(ladder), p):
-        block = MultiPoly.zero(q.n)
-        for u in reversed(ladder[start:start + p]):  # Horner in |x|^2
-            block = r2 * block + u
-        groups.append(block)
-    return groups
+    return [_radial_horner(q.n, ladder[start:start + p], [1] * p)
+            for start in range(0, len(ladder), p)]
 
 
 def polyharmonic_split(q: MultiPoly, p: int) -> tuple:

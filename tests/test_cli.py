@@ -8,6 +8,7 @@ emitter; reruns must be byte-identical.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -250,6 +251,28 @@ def kernel_configs(draw):
                                      min_size=1, unique=True))}
 
 
+def assert_contract(tmp_path_factory, command, config):
+    """Exit 0-3 with either a strict-JSON table and a silent stderr, or one
+    "error:" line and no table; never a traceback, a warning or exit 4."""
+    path = tmp_path_factory.mktemp("contract") / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", str(path)])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if out.getvalue():
+        assert err.getvalue() == ""
+        parse_strictly(out.getvalue())
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 \
+            and err.getvalue().endswith("\n")
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(kernel_configs())
 @example({"n": 400, "p": 1, "x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399,
@@ -260,25 +283,56 @@ def kernel_configs(draw):
           "degrees": [1500], "kernels": ["zonal"]})
 def test_kernel_contract_holds_on_generated_configs(tmp_path_factory,
                                                     config):
-    # exit 0-3 with either a strict-JSON table and a silent stderr, or one
-    # "error:" line and no table; never a traceback or a warning
-    path = tmp_path_factory.mktemp("contract") / "config.json"
-    path.write_text(json.dumps(config))
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = cli.main(["kernel", "--config", str(path)])
-    assert not caught, [str(w.message) for w in caught]
-    assert code in (0, 1, 2, 3)
-    if out.getvalue():
-        assert err.getvalue() == ""
-        parse_strictly(out.getvalue())
-    else:
-        assert code == cli.EXIT_CONFIG
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1 \
-            and err.getvalue().endswith("\n")
+    assert_contract(tmp_path_factory, "kernel", config)
+
+
+_COEFFICIENTS = st.one_of(
+    st.integers(-99, 99).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9)).map(
+        "{0[0]}/{0[1]}".format),
+    st.sampled_from(["0.25", "-1.5", "1e3", "2.5e-4"]),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9)).map(
+        "({0[0]}/{0[1]},{0[2]})".format))
+
+
+@st.composite
+def almansi_configs(draw):
+    # 1-4 terms of one degree, or of two degrees (refused as not
+    # homogeneous); degree at most 6 keeps n = 8 inside the monomial cap
+    n = draw(st.integers(2, 8))
+    degrees = [draw(st.integers(0, 6))]
+    if draw(st.booleans()):
+        degrees.append(draw(st.integers(0, 6)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        cuts = sorted(draw(st.lists(st.integers(0, degrees[-1]),
+                                    min_size=n - 1, max_size=n - 1)))
+        exps = [b - a for a, b in zip([0] + cuts, cuts + [degrees[-1]])]
+        monomial = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+        terms.append(f"{draw(_COEFFICIENTS)} * {monomial}" if monomial
+                     else draw(_COEFFICIENTS))
+        degrees.reverse()
+    return {"n": n, "p": draw(st.integers(1, 3)),
+            "polynomial": " + ".join(terms)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(almansi_configs())
+@example({"n": 8, "p": 1, "polynomial": "x1^9"})  # monomial cap
+@example({"n": 3, "p": 2, "polynomial": "x1^2 + 3/0 * x2^2"})  # zero denom
+def test_almansi_contract_holds_on_generated_configs(tmp_path_factory,
+                                                     config):
+    assert_contract(tmp_path_factory, "almansi", config)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "n": st.sampled_from([2, 3, 4, 5, 6, 7, 8, 50, 400]),
+    "p": st.integers(1, 3),
+    "degrees": st.lists(st.integers(0, 60), min_size=1, max_size=5)}))
+@example({"n": 2000, "p": 1, "degrees": [2, 300]})  # dim past the doubles
+def test_dims_contract_holds_on_generated_configs(tmp_path_factory, config):
+    assert_contract(tmp_path_factory, "dims", config)
 
 
 def _pair_rows(table) -> dict:
@@ -965,3 +1019,44 @@ def test_stdout_emission_when_no_out_path(tmp_path, capsys):
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["metadata"]["command"] == "dims"
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    # a valid call, a usage error, a valid call: one parser tree (the root
+    # and one parser per command) serves all three, and the usage error
+    # leaves nothing behind in it
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": 3, "p": 2, "degrees": [0, 4, 7]}))
+    first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+    assert cli.main(["dims", "--config", str(cfg), "--out", str(first),
+                     "--format", "csv"]) == 0
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["dims", "--config", str(cfg), "--format", "xml"])
+    assert usage.value.code == 2
+    assert cli.main(["dims", "--config", str(cfg), "--out", str(last),
+                     "--format", "csv"]) == 0
+    assert len(made) == 1 + len(cli._RUNNERS)
+    assert last.read_bytes() == first.read_bytes()
+
+
+def test_an_unexpected_exception_is_one_error_line_and_exit_four(
+        tmp_path, capsys, monkeypatch):
+    # an exception no validation anticipated is neither a traceback nor
+    # exit 1, which means a measured error exceeded its bound
+    def broken(cfg):
+        raise RuntimeError("runner broke\non two lines")
+
+    monkeypatch.setitem(cli._RUNNERS, "dims", broken)
+    code, text = run(tmp_path, "dims", {"n": 2, "degrees": [0, 1]})
+    assert (code, text) == (cli.EXIT_INTERNAL, "")
+    assert capsys.readouterr().err == (
+        "error: internal error: RuntimeError: runner broke on two lines\n")

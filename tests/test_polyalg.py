@@ -444,6 +444,52 @@ def test_harmonic_almansi_reassembles_exactly():
             assert (back - q).coefficient_scale() == 0.0
 
 
+def _generic_harmonic_almansi(q: MultiPoly) -> list:
+    """The ladder by generic MultiPoly products: each Horner step in |x|^2
+    is one product with |x|^2, one scaling and one sum, each reduced."""
+    n, m = q.n, q.degree()
+    ladder = [q]
+    for _ in range(m // 2):
+        ladder.append(ladder[-1].laplacian())
+    r2 = MultiPoly.radial_square(n)
+    components = []
+    for k in range(m // 2 + 1):
+        d = m - 2 * k
+        weights = [Fraction(1, math.prod(2 * i * (n + 2 * d + 2 * i - 2)
+                                         for i in range(1, k + 1)))]
+        for j in range(1, d // 2 + 1):
+            weights.append(-weights[-1] / (2 * j * (n + 2 * d - 2 - 2 * j)))
+        u = MultiPoly.zero(n)
+        for j in reversed(range(len(weights))):
+            u = r2 * u + ladder[k + j] * weights[j]
+        components.append(u)
+    return components
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_almansi_ladders_equal_the_generic_product_horner(n):
+    # the numerator Horner of harmonic_almansi and polyharmonic_almansi
+    # against generic products, on Gaussian-rational data of degree 0-8
+    rng = np.random.default_rng(180 + n)
+    r2 = MultiPoly.radial_square(n)
+    for m in range(9):
+        for _ in range(2):
+            scale = (Fraction(int(rng.integers(1, 9)),
+                              int(rng.integers(1, 9))),
+                     Fraction(int(rng.integers(-4, 5)), 7))
+            q = random_homogeneous(n, m, rng) * scale
+            want = _generic_harmonic_almansi(q)
+            assert harmonic_almansi(q) == want, (n, m)
+            for p in (1, 2, 3):
+                groups = []
+                for start in range(0, len(want), p):
+                    block = MultiPoly.zero(n)
+                    for u in reversed(want[start:start + p]):
+                        block = r2 * block + u
+                    groups.append(block)
+                assert polyharmonic_almansi(q, p) == groups, (n, m, p)
+
+
 def test_harmonic_almansi_keeps_zero_components():
     # a harmonic q: the ladder is [q, 0, 0, 0]
     q = MultiPoly.from_text("x1^6 - 15 x1^4 x2^2 + 15 x1^2 x2^4 - x2^6",

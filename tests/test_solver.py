@@ -300,9 +300,11 @@ def test_aligned_rule_integrates_zonal_times_data_exactly(n):
                 n, quadrature.resolution_for_exactness(n, m + d))
             want = spectral_component(f, m, x, shared, route)
             # every zonal term is at most sum |e_k| |a|^m, the data sum |c|
+            # (the terms are numerators over f.q.denom)
             scale = sum(abs(c) for c in kernels._float_coeffs(
                 n, m, f.p, False)) * x.radius ** m \
-                * sum(abs(complex(a, b)) for a, b in f.q.terms.values())
+                * sum(abs(complex(a, b)) for a, b in f.q.terms.values()) \
+                / f.q.denom
             assert abs(got - want) <= 1e-13 * scale, (d, m, f.p)
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from polyball import kernels, polyalg, quadrature, solver
+from polyball import kernels, polyalg, quadrature, solver, suites
+from polyball.geometry import RotatedVector
+from polyball.kernels import KernelParams
 from polyball.polyalg import MultiPoly
 from polyball.suites import (SUITES, PropertyResult, run_suite,
                              suite_diagonal_dim, suite_far_cap,
@@ -113,6 +116,44 @@ def test_diagonal_dim_counts_a_basis_element_that_is_not_annihilated(
     monkeypatch.setattr(polyalg, "_polyharmonic_basis", spoiled)
     row = nullspace_row()
     assert row.deviation == 5.0 and not row.passed
+
+
+def _per_sample_diagonal_gap(n, p, seed, max_degree=8, samples=3):
+    """The diagonal-dim gap by one scalar kernel call per sample, drawing
+    the points in the suite's order."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for m in range(max_degree + 1):
+        dim = polyalg.dim_Hp(n, m, p)
+        for j in range(p):
+            for _ in range(samples):
+                eta = RotatedVector.sector(j, p, suites._unit_coords(rng, n))
+                value = kernels.zonal_polyharmonic(KernelParams(n, p, m),
+                                                   eta, eta)
+                worst = max(worst, abs(value - dim))
+    return worst
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_diagonal_dim_equals_the_per_sample_kernel_loop(p):
+    for seed in range(50):
+        n = 2 + seed % 4
+        row = suite_diagonal_dim(n, p, seed)[0]
+        assert row.deviation == _per_sample_diagonal_gap(n, p, seed), seed
+
+
+def test_diagonal_dim_makes_one_kernel_call_per_degree(monkeypatch):
+    calls = []
+    batched = kernels.zonal_from_products
+
+    def counted(n, m, p, B, P, *args):
+        calls.append((m, len(P)))
+        return batched(n, m, p, B, P, *args)
+
+    monkeypatch.setattr(kernels, "zonal_from_products", counted)
+    monkeypatch.setattr(kernels, "zonal_polyharmonic", None)
+    suite_diagonal_dim(n=3, p=3, max_degree=8, samples=3)
+    assert calls == [(m, 9) for m in range(9)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
