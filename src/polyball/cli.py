@@ -39,6 +39,7 @@ import json
 import math
 import platform
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,25 +59,8 @@ EXIT_INTERNAL = 4
 VALUE_COLUMNS = ("value_re", "value_im", "reference_re", "reference_im",
                  "abs_error", "bound")
 
-_COMMON_KEYS = {"n", "p", "seed", "tolerance"}
+_COMMON_KEYS = frozenset({"n", "seed", "tolerance"})
 _PAIR_KEYS = {"x", "zeta", "x_sector", "zeta_sector"}
-_ALLOWED_KEYS = {
-    "kernel": _COMMON_KEYS | _PAIR_KEYS | {"pairs", "degrees", "kernels"},
-    "dirichlet": _COMMON_KEYS | {"resolution", "boundary", "points",
-                                 "sectors"},
-    "verify": _COMMON_KEYS | {"suites"},
-    "hua-limit": (_COMMON_KEYS - {"p"}) | {"u", "z", "p_list", "resolution"},
-    "almansi": _COMMON_KEYS | {"polynomial"},
-    "dims": _COMMON_KEYS | {"degrees"},
-}
-_DEFAULT_TOLERANCE = {
-    "kernel": 1e-10,
-    "dirichlet": 1e-9,
-    "verify": None,  # per-property defaults
-    "hua-limit": 1e-6,
-    "almansi": 0.0,
-    "dims": None,
-}
 
 
 class ConfigError(ValueError):
@@ -118,6 +102,19 @@ def _as_vector(value, key: str, n: int) -> list:
     return [_as_float(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
+def _required(raw: dict, key: str, what: str):
+    if key not in raw:
+        raise ConfigError(f"{what} is required")
+    return raw[key]
+
+
+def _nonempty_list(raw: dict, key: str, default) -> list:
+    value = raw.get(key, default)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key} must be a non-empty list")
+    return value
+
+
 def _as_complex_entry(value, key: str) -> list:
     """A coordinate given either as a real number or as an [re, im] pair."""
     if isinstance(value, list):
@@ -141,20 +138,16 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, command: str, raw) -> "RunConfig":
-        if command not in _ALLOWED_KEYS:
+        if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        allowed = _ALLOWED_KEYS[command]
-        unknown = sorted(set(raw) - allowed)
+        unknown = sorted(set(raw) - _COMMANDS[command].keys)
         if unknown:
             raise ConfigError(
                 f"unknown configuration keys for {command}: "
                 + ", ".join(unknown))
-        n = _as_int(raw.get("n", None), "n", minimum=2) if "n" in raw \
-            else None
-        if n is None:
-            raise ConfigError("n is required")
+        n = _as_int(_required(raw, "n", "n"), "n", minimum=2)
         p = _as_int(raw.get("p", 1), "p", minimum=1)
         seed = _as_int(raw.get("seed", 0), "seed", minimum=0,
                        maximum=2 ** 64 - 1)
@@ -163,14 +156,13 @@ class RunConfig:
             tolerance = _as_float(tolerance, "tolerance")
             if tolerance <= 0:
                 raise ConfigError("tolerance must be positive")
-        data = _NORMALIZERS[command](raw, n, p)
-        cfg = cls(command, n, p, seed, tolerance, data)
-        return cfg
+        data = _COMMANDS[command].normalize(raw, n, p)
+        return cls(command, n, p, seed, tolerance, data)
 
     def effective(self) -> dict:
         """The fully normalized configuration (defaults materialized)."""
         out = {"n": self.n, "seed": self.seed, "tolerance": self.tolerance}
-        if self.command != "hua-limit":
+        if "p" in _COMMANDS[self.command].keys:
             out["p"] = self.p
         out.update(self.data)
         return out
@@ -179,7 +171,7 @@ class RunConfig:
     def row_tolerance(self) -> float | None:
         if self.tolerance is not None:
             return self.tolerance
-        return _DEFAULT_TOLERANCE[self.command]
+        return _COMMANDS[self.command].tolerance
 
 
 def _normalize_kernel(raw: dict, n: int, p: int) -> dict:
@@ -187,9 +179,7 @@ def _normalize_kernel(raw: dict, n: int, p: int) -> dict:
     if "pairs" in raw and ("x" in raw or "zeta" in raw):
         raise ConfigError("give either pairs or a single x/zeta, not both")
     if "pairs" in raw:
-        entries = raw["pairs"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("pairs must be a non-empty list")
+        entries = _nonempty_list(raw, "pairs", None)
         names = [f"pairs[{i}]" for i in range(len(entries))]
     elif "x" in raw and "zeta" in raw:
         entries, names = [{k: raw[k] for k in _PAIR_KEYS if k in raw}], [""]
@@ -211,15 +201,11 @@ def _normalize_kernel(raw: dict, n: int, p: int) -> dict:
             "zeta_sector": _as_int(entry.get("zeta_sector", 0),
                                    f"{at}zeta_sector", 0, p - 1),
         })
-    degrees = raw.get("degrees", [0, 1, 2, 3, 4])
-    if not isinstance(degrees, list) or not degrees:
-        raise ConfigError("degrees must be a non-empty list")
-    degrees = [_as_int(m, f"degrees[{i}]", 0) for i, m in enumerate(degrees)]
-    which = raw.get("kernels", ["zonal", "poisson"])
-    if not isinstance(which, list) or not which:
-        raise ConfigError("kernels must be a non-empty list")
-    for name in which:
-        if name not in ("zonal", "poisson", "hua"):
+    degrees = [_as_int(m, f"degrees[{i}]", 0) for i, m
+               in enumerate(_nonempty_list(raw, "degrees", [0, 1, 2, 3, 4]))]
+    which = _nonempty_list(raw, "kernels", ["zonal", "poisson"])
+    for i, name in enumerate(which):
+        if _as_str(name, f"kernels[{i}]") not in ("zonal", "poisson", "hua"):
             raise ConfigError(f"unknown kernel {name!r} "
                               "(choose from zonal, poisson, hua)")
     return {"pairs": pairs, "degrees": degrees, "kernels": list(which)}
@@ -233,14 +219,10 @@ def _normalize_resolution(raw: dict) -> object:
 
 
 def _normalize_dirichlet(raw: dict, n: int, p: int) -> dict:
-    boundary = _as_str(raw.get("boundary"), "boundary") if "boundary" in raw \
-        else None
-    if boundary is None:
-        raise ConfigError("boundary (polynomial text) is required")
-    points = raw.get("points")
-    if not isinstance(points, list) or not points:
-        raise ConfigError("points must be a non-empty list")
-    points = [_as_vector(pt, f"points[{i}]", n) for i, pt in enumerate(points)]
+    boundary = _as_str(_required(raw, "boundary", "boundary (polynomial text)"),
+                       "boundary")
+    points = [_as_vector(pt, f"points[{i}]", n)
+              for i, pt in enumerate(_nonempty_list(raw, "points", None))]
     sectors = raw.get("sectors", [0] * len(points))
     if not isinstance(sectors, list) or len(sectors) != len(points):
         raise ConfigError("sectors must list one sector index per point")
@@ -251,28 +233,22 @@ def _normalize_dirichlet(raw: dict, n: int, p: int) -> dict:
 
 
 def _normalize_verify(raw: dict, n: int, p: int) -> dict:
-    names = raw.get("suites")
-    if not isinstance(names, list) or not names:
-        raise ConfigError("suites must be a non-empty list")
-    for name in names:
-        if name not in suites.SUITES:
+    names = _nonempty_list(raw, "suites", None)
+    for i, name in enumerate(names):
+        if _as_str(name, f"suites[{i}]") not in suites.SUITES:
             known = ", ".join(sorted(suites.SUITES))
             raise ConfigError(f"unknown suite {name!r} (known: {known})")
     return {"suites": list(names)}
 
 
 def _normalize_hua_limit(raw: dict, n: int, p: int) -> dict:
-    u = _as_str(raw.get("u"), "u") if "u" in raw else None
-    if u is None:
-        raise ConfigError("u (holomorphic polynomial text) is required")
+    u = _as_str(_required(raw, "u", "u (holomorphic polynomial text)"), "u")
     z = raw.get("z")
     if not isinstance(z, list) or len(z) != n:
         raise ConfigError(f"z must be a list of {n} coordinates")
     z = [_as_complex_entry(v, f"z[{i}]") for i, v in enumerate(z)]
-    p_list = raw.get("p_list", [1, 2, 4, 8])
-    if not isinstance(p_list, list) or not p_list:
-        raise ConfigError("p_list must be a non-empty list")
-    p_list = [_as_int(q, f"p_list[{i}]", 1) for i, q in enumerate(p_list)]
+    p_list = [_as_int(q, f"p_list[{i}]", 1) for i, q
+              in enumerate(_nonempty_list(raw, "p_list", [1, 2, 4, 8]))]
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ConfigError("p_list must be strictly increasing")
     return {"u": u, "z": z, "p_list": p_list,
@@ -280,29 +256,14 @@ def _normalize_hua_limit(raw: dict, n: int, p: int) -> dict:
 
 
 def _normalize_almansi(raw: dict, n: int, p: int) -> dict:
-    text = _as_str(raw.get("polynomial"), "polynomial") \
-        if "polynomial" in raw else None
-    if text is None:
-        raise ConfigError("polynomial (text) is required")
-    return {"polynomial": text}
+    return {"polynomial": _as_str(_required(raw, "polynomial",
+                                            "polynomial (text)"), "polynomial")}
 
 
 def _normalize_dims(raw: dict, n: int, p: int) -> dict:
-    degrees = raw.get("degrees", list(range(9)))
-    if not isinstance(degrees, list) or not degrees:
-        raise ConfigError("degrees must be a non-empty list")
-    return {"degrees": [_as_int(m, f"degrees[{i}]", 0)
-                        for i, m in enumerate(degrees)]}
-
-
-_NORMALIZERS = {
-    "kernel": _normalize_kernel,
-    "dirichlet": _normalize_dirichlet,
-    "verify": _normalize_verify,
-    "hua-limit": _normalize_hua_limit,
-    "almansi": _normalize_almansi,
-    "dims": _normalize_dims,
-}
+    return {"degrees": [_as_int(m, f"degrees[{i}]", 0) for i, m
+                        in enumerate(_nonempty_list(raw, "degrees",
+                                                    list(range(9))))]}
 
 
 # --------------------------------------------------------------------------
@@ -482,9 +443,11 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     if "poisson" in which:
         closed, singular, finite = kernels._poisson_guarded(n, p, x2, B,
                                                              zb2)
-        # aligned pairs attain the tail bound, so ask for tol / 100
-        series = kernels._series_values(n, p, B, P, lie,
-                                        max(tol / 100.0, 1e-13))
+        try:  # aligned pairs attain the tail bound, so ask for tol / 100
+            series = kernels._series_values(n, p, B, P, lie,
+                                            max(tol / 100.0, 1e-13))
+        except ValueError as err:  # the term table is above the node cap
+            raise ConfigError(f"poisson series: {err}") from err
         poisson = [_status(_outside_balls(x, zeta, p), singular[i],
                            not finite[i] or isinstance(series[i], ValueError))
                    for i, (x, zeta) in enumerate(pairs)]
@@ -666,7 +629,9 @@ def run_almansi(cfg: RunConfig) -> ResultTable:
         components = polyalg.polyharmonic_almansi(q, p)
         for k, comp in enumerate(components):
             out = comp
-            for _ in range(p):
+            for _ in range(p):  # Delta^p, stopped at the first zero
+                if out.is_zero():
+                    break
                 out = out.laplacian()
             table.add((k, comp.degree(), comp.to_text(), "ok"),
                       value=comp.coefficient_scale(), reference=0.0,
@@ -696,14 +661,43 @@ def run_dims(cfg: RunConfig) -> ResultTable:
     return table
 
 
-_RUNNERS = {
-    "kernel": run_kernel,
-    "dirichlet": run_dirichlet,
-    "verify": run_verify,
-    "hua-limit": run_hua_limit,
-    "almansi": run_almansi,
-    "dims": run_dims,
+class _Command(NamedTuple):
+    help: str
+    keys: frozenset  # the configuration keys it accepts
+    tolerance: float | None  # default row tolerance; None: per row
+    normalize: Callable  # (raw, n, p) -> RunConfig.data
+    run: Callable  # RunConfig -> ResultTable
+
+
+_COMMANDS = {
+    "kernel": _Command(
+        "evaluate zonal/Poisson/Cauchy-Hua kernels at point pairs",
+        _COMMON_KEYS | _PAIR_KEYS | {"p", "pairs", "degrees", "kernels"},
+        1e-10, _normalize_kernel, run_kernel),
+    "dirichlet": _Command(
+        "solve the Dirichlet problem for polynomial boundary data at "
+        "interior points",
+        _COMMON_KEYS | {"p", "resolution", "boundary", "points", "sectors"},
+        1e-9, _normalize_dirichlet, run_dirichlet),
+    "verify": _Command(
+        "run named verification suites",
+        _COMMON_KEYS | {"p", "suites"},
+        None, _normalize_verify, run_verify),
+    "hua-limit": _Command(
+        "rising-order limit experiment against the Cauchy-Hua integral",
+        _COMMON_KEYS | {"u", "z", "p_list", "resolution"},
+        1e-6, _normalize_hua_limit, run_hua_limit),
+    "almansi": _Command(
+        "exact Almansi decomposition of a polynomial",
+        _COMMON_KEYS | {"p", "polynomial"},
+        0.0, _normalize_almansi, run_almansi),
+    "dims": _Command(
+        "dimension tables for harmonic and polyharmonic spaces",
+        _COMMON_KEYS | {"p", "degrees"},
+        None, _normalize_dims, run_dims),
 }
+# dispatch through a plain dict of the runners, which a tracer can patch
+_RUNNERS = {name: command.run for name, command in _COMMANDS.items()}
 
 
 def run_command(command: str, config: dict) -> ResultTable:
@@ -725,18 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel and solver experiments on unions of rotated "
                     "balls, driven by a single JSON configuration.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "kernel": "evaluate zonal/Poisson/Cauchy-Hua kernels at point pairs",
-        "dirichlet": "solve the Dirichlet problem for polynomial boundary "
-                     "data at interior points",
-        "verify": "run named verification suites",
-        "hua-limit": "rising-order limit experiment against the Cauchy-Hua "
-                     "integral",
-        "almansi": "exact Almansi decomposition of a polynomial",
-        "dims": "dimension tables for harmonic and polyharmonic spaces",
-    }
-    for name, text in descriptions.items():
-        cmd = sub.add_parser(name, help=text, description=text)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help,
+                             description=command.help)
         cmd.add_argument("--config", required=True,
                          help="path to the JSON experiment document")
         cmd.add_argument("--out", help="write the table here instead of stdout")

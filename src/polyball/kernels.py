@@ -41,7 +41,7 @@ from .gegenbauer import _recurrence, gegenbauer_coefficients
 from .geometry import (RotatedVector, as_complex_vector, as_rotated,
                        bilinear_square, hermitian_dot, lie_norm,
                        principal_power)
-from .quadrature import compensated_sum
+from .quadrature import _MAX_NODES, compensated_sum
 
 __all__ = [
     "KernelParams",
@@ -405,30 +405,28 @@ def _series_values(n: int, p: int, B, P, radii, tol: float,
     ``radii``), or the ``ValueError`` that refused the pair (r too close to
     1, or ``SeriesToleranceError``).  One recurrence runs to the largest M;
     each pair sums its own M + 1 terms, so its value does not depend on the
-    other pairs."""
+    other pairs.  A table of (largest M + 1) x pairs terms above the node
+    cap raises ``ValueError`` before it is built."""
     out, degrees = [], []  # each pair's error, or its tail bound
     for r in radii:
         try:
-            if not r < 1.0 - 1e-6:
-                raise ValueError("series needs L(x) L(zeta) < 1 - 1e-6")
             M = truncation_degree(n, p, r, tol, max_terms)
             out.append(_tail_bound(n, p, r, M))
         except ValueError as err:
             M = -1
             out.append(err)
         degrees.append(M)
-    if max(degrees, default=-1) < 0:
+    top = max(degrees, default=-1)
+    if top < 0:
         return out
-    terms = _series_terms(n, p, B, P, max(degrees)).T
-    # zeros up to the next power of two change no bit of a compensated
-    # sum, so the pairs whose M + 1 share that power are summed together
-    for width in {1 << M.bit_length() for M in degrees if M >= 0}:
-        pairs = [i for i, M in enumerate(degrees)
-                 if M >= 0 and 1 << M.bit_length() == width]
-        block = np.zeros((len(pairs), width), dtype=complex)
-        for row, i in enumerate(pairs):
-            block[row, :degrees[i] + 1] = terms[i, :degrees[i] + 1]
-        for i, value in zip(pairs, compensated_sum(block, axis=-1)):
+    if (top + 1) * len(degrees) > _MAX_NODES:
+        raise ValueError(f"{len(degrees)} pairs of {top + 1} series terms "
+                         "exceed the node cap")
+    terms = _series_terms(n, p, B, P, top).T
+    # zeros after a pair's M + 1 terms change no bit of its compensated sum
+    terms[np.arange(top + 1) > np.array(degrees)[:, None]] = 0.0
+    for i, value in enumerate(compensated_sum(terms, axis=-1)):
+        if degrees[i] >= 0:
             out[i] = KernelValue(complex(value), degrees[i] + 1, out[i])
     return out
 

@@ -361,65 +361,59 @@ def _tokenize(text: str):
     return out
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
+def _parse_poly(text: str, n: int | None) -> MultiPoly:
+    """The flat grammar: a signed sum of terms, each an optional coefficient
+    (a number, or an "(re,im)" literal whose parts may carry signs), an
+    optional "*" after it, then factors "xi" or "xi^k"."""
+    toks = _tokenize(text)
+    if not toks:
+        raise ValueError("polynomial text: empty input")
+    # the next token last, above the end (None, None): every pop of the end
+    # is followed by a raise
+    stack = [(None, None)] + toks[::-1]
 
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
+    def sign() -> int:  # a run of + and -
+        out = 1
+        while stack[-1][1] in ("+", "-"):
+            out = -out if stack.pop()[1] == "-" else out
+        return out
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, val = self.next()
-        if val != value:
-            raise ValueError(f"polynomial text: expected {value!r}, got {val!r}")
-
-    def number(self, allow_sign=True):
-        sign = 1
-        while allow_sign and self.peek()[1] in ("+", "-"):
-            if self.next()[1] == "-":
-                sign = -sign
-        kind, val = self.next()
+    def number() -> Fraction:
+        kind, val = stack.pop()
         if kind != "num":
             raise ValueError(f"polynomial text: expected a number, got {val!r}")
         try:
-            return sign * Fraction(val)
+            return Fraction(val)
         except ZeroDivisionError:
             raise ValueError(
                 f"polynomial text: zero denominator in {val!r}") from None
 
-    def coefficient(self):
-        """(re, im) Fractions of a number or an "(re,im)" tuple."""
-        if self.peek()[1] == "(":
-            self.next()
-            re_part = self.number()
-            self.expect(",")
-            im_part = self.number()
-            self.expect(")")
-            return re_part, im_part
-        return self.number(allow_sign=False), Fraction(0)
-
-    def term(self):
-        coeff = None
-        if self.peek()[0] == "num" or self.peek()[1] == "(":
-            coeff = self.coefficient()
-            if self.peek()[1] == "*":
-                self.next()
+    raw = []  # (re, im, factor-dict) triples with signs folded in
+    while True:
+        outer, coeff = sign(), None
+        if stack[-1][1] == "(":
+            stack.pop()
+            coeff = []
+            for close in (",", ")"):
+                coeff.append(sign() * number())
+                val = stack.pop()[1]
+                if val != close:
+                    raise ValueError(
+                        f"polynomial text: expected {close!r}, got {val!r}")
+        elif stack[-1][0] == "num":
+            coeff = [number(), Fraction(0)]
+        if coeff is not None and stack[-1][1] == "*":
+            stack.pop()
         factors = {}
-        while self.peek()[0] == "var":
-            _, name = self.next()
+        while stack[-1][0] == "var":
+            name = stack.pop()[1]
             idx = int(name[1:])
             if idx < 1:
                 raise ValueError(f"polynomial text: bad variable {name!r}")
             power = 1
-            if self.peek()[1] == "^":
-                self.next()
-                kind, val = self.next()
+            if stack[-1][1] == "^":
+                stack.pop()
+                kind, val = stack.pop()
                 if kind != "num" or not val.isdigit():
                     raise ValueError(f"polynomial text: bad exponent {val!r}")
                 power = int(val)
@@ -427,42 +421,20 @@ class _Parser:
         if coeff is None:
             if not factors:
                 raise ValueError("polynomial text: empty term")
-            coeff = Fraction(1), Fraction(0)
-        return coeff, factors
-
-
-def _parse_poly(text: str, n: int | None) -> MultiPoly:
-    toks = _tokenize(text)
-    if not toks:
-        raise ValueError("polynomial text: empty input")
-    parser = _Parser(toks)
-    raw = []  # (coeff, factor-dict) pairs with signs folded in
-    sign = 1
-    while parser.peek()[1] in ("+", "-"):
-        if parser.next()[1] == "-":
-            sign = -sign
-    while True:
-        (re_part, im_part), factors = parser.term()
-        raw.append((sign * re_part, sign * im_part, factors))
-        kind, val = parser.peek()
+            coeff = [Fraction(1), Fraction(0)]
+        raw.append((outer * coeff[0], outer * coeff[1], factors))
+        kind, val = stack[-1]
         if kind is None:
             break
         if val not in ("+", "-"):
             raise ValueError(f"polynomial text: expected + or -, got {val!r}")
-        sign = 1
-        while parser.peek()[1] in ("+", "-"):
-            if parser.next()[1] == "-":
-                sign = -sign
-    max_idx = max((max(f, default=-1) for *_, f in raw), default=-1)
+    max_idx = max(max(f, default=-1) for *_, f in raw)
     dim = n if n is not None else max(max_idx + 1, 2)
     if max_idx + 1 > dim:
         raise ValueError(f"polynomial text: variable x{max_idx + 1} exceeds n={dim}")
     terms = {}
     for re_part, im_part, factors in raw:
-        exps = [0] * dim
-        for i, e in factors.items():
-            exps[i] = e
-        key = tuple(exps)
+        key = tuple(factors.get(k, 0) for k in range(dim))
         re0, im0 = terms.get(key, (0, 0))
         terms[key] = (re0 + re_part, im0 + im_part)
     return MultiPoly(dim, terms)
@@ -584,9 +556,12 @@ def harmonic_almansi(q: MultiPoly) -> list:
 
 
 def almansi_reassemble(components: list, n: int, p: int = 1) -> MultiPoly:
-    """sum_k |x|^{2kp} * components[k]."""
+    """sum_k |x|^{2kp} * components[k], by generic products: the check on
+    the Almansi ladders.  |x|^{2p} is built only for a second component."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    if len(components) < 2:
+        return components[0] if components else MultiPoly.zero(n)
     out = MultiPoly.zero(n)
     r2p = MultiPoly.radial_square(n) ** p
     for comp in reversed(components):  # Horner in |x|^{2p}
@@ -606,8 +581,8 @@ def polyharmonic_almansi(q: MultiPoly, p: int) -> list:
     if q.is_zero():
         return []
     ladder = harmonic_almansi(q)
-    return [_radial_horner(q.n, ladder[start:start + p], [1] * p)
-            for start in range(0, len(ladder), p)]
+    blocks = [ladder[start:start + p] for start in range(0, len(ladder), p)]
+    return [_radial_horner(q.n, block, [1] * len(block)) for block in blocks]
 
 
 def polyharmonic_split(q: MultiPoly, p: int) -> tuple:

@@ -13,10 +13,11 @@ bit-reproducible.  Deviations for exact-arithmetic checks count failures
 (0.0 means every case held exactly).  Rules are sized by proven bounds
 (``solver.choose_rule``, ``solver.choose_lie_rule``) or integrand degrees,
 but for ``far-cap``, whose cap holds for any positive rule.  Every suite
-accepts any n >= 2; one whose rule or kernel values exceed the node cap
-raises ``ValueError``, and so does a suite that enumerates the
-degree-``max_degree`` monomials when there are more than
-``_MAX_MONOMIALS`` of them.
+accepts any n >= 2 and p >= 1; one whose rule or kernel values exceed the
+node cap raises ``ValueError``, and so does a suite whose p sectors hold
+more values than the node cap (``_require_sectors``, checked before any of
+them is built) or that enumerates the degree-``max_degree`` monomials when
+there are more than ``_MAX_MONOMIALS`` of them.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def _require_monomials(n: int, degree: int):
     if count > _MAX_MONOMIALS:
         raise ValueError(f"n={n}: {count} monomials of degree {degree} "
                          f"exceed the cap of {_MAX_MONOMIALS}")
+
+
+def _require_sectors(p: int, per_sector: int, what: str):
+    """Refuse, before it is built, a suite whose p sectors of ``per_sector``
+    values each exceed the node cap."""
+    if p * per_sector > quadrature._MAX_NODES:
+        raise ValueError(f"p={p}: {p * per_sector} {what} exceed the node "
+                         "cap")
 
 
 @dataclass(frozen=True)
@@ -167,6 +176,7 @@ def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
     basis has dim_Hp elements, independent by construction (one free
     monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp."""
     _require_monomials(n, max_degree)
+    _require_sectors(p, samples * (max_degree + 1), "diagonal points")
     rng = np.random.default_rng(seed)
     worst = 0.0
     dim_misses = 0
@@ -245,6 +255,7 @@ def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0, delta: float = 0.5,
     positive rule summing to 1 and the decrease carries the content."""
     rng = np.random.default_rng(seed)
     rule = quadrature.sphere_rule(n, {2: 512, 3: 64, 4: 32}.get(n, 12))
+    _require_sectors(p, rule.count, "kernel values")
     eta = _unit_coords(rng, n)
     rn = np.sum(rule.nodes * rule.nodes, axis=1)
     masses = []
@@ -329,6 +340,9 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     """Poisson integrals reproduce every basis element of H_m^p at
     interior points, with an exact-degree rule."""
     rng = np.random.default_rng(seed)
+    # the integral operator holds a partial sum per point, datum and sector
+    elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
+    _require_sectors(p, p * points_per_sector * elements, "partial sums")
     rule = solver.choose_rule(n, p, max_degree, radius, 1e-11)
     xs = [RotatedVector.sector(j, p, rng.uniform(0.1, radius)
                                * _unit_coords(rng, n))
@@ -348,6 +362,8 @@ def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
     """Cross-degree inner products on the union of rotated spheres vanish."""
     rule = quadrature.sphere_rule(
         n, quadrature.resolution_for_exactness(n, 2 * max_degree))
+    elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
+    _require_sectors(p, elements * rule.count, "basis values")
     phases = solver._sector_phases(p)
     values = []  # per degree: array (basis, sector, node)
     for m in range(max_degree + 1):
@@ -372,6 +388,8 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     copy: the per-sector identity and its unit average."""
     rng = np.random.default_rng(seed)
     rule = solver.choose_rule(n, p, 0, radius, 1e-12)
+    # each sample, turned into every sector, meets p sectors of nodes
+    _require_sectors(p, p * rule.count, "kernel values per sample")
     samples = [rng.uniform(0.1, radius) * _unit_coords(rng, n)
                for _ in range(points)]
     # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once

@@ -14,9 +14,11 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,29 @@ def test_unknown_suite_is_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", {"n": 2, "suites": ["nope"]})
     assert code == cli.EXIT_CONFIG
     assert "nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("verify", {"n": 2, "suites": [["far-cap"]]}, "suites[0]"),
+    ("verify", {"n": 2, "suites": ["far-cap", {"a": 1}]}, "suites[1]"),
+    ("kernel", {"n": 2, "x": [0.5, 0], "zeta": [1, 0], "kernels": [["hua"]]},
+     "kernels[0]"),
+])
+def test_suite_and_kernel_names_must_be_strings(tmp_path, capsys, command,
+                                                config, message):
+    # an unhashable suite name once ended in an internal error (exit 4)
+    code, text = run(tmp_path, command, config)
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err == f"error: {message} must be a string\n"
+
+
+def test_readme_default_tolerances_match_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.findall(r"^`([a-z-]+)` [^\n]*\(default tolerance ([^)]+)\)",
+                        readme, re.MULTILINE)
+    assert {name: float(tol) for name, tol in stated} == {
+        name: command.tolerance for name, command in cli._COMMANDS.items()
+        if command.tolerance}
 
 
 # --------------------------------------------------------------------------
@@ -225,6 +250,26 @@ def test_kernel_series_bound_past_double_range_is_a_rejected_row(tmp_path):
     assert [row["status"] for row in rows_by(text)] == ["rejected"]
 
 
+def test_kernel_series_past_the_node_cap_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch):
+    # at r = 0.995 the series asks for M + 1 terms a pair; the first pair
+    # count past the node cap is refused before the term table is built
+    terms = kernels.truncation_degree(2, 1, 0.995, 1e-12) + 1
+    pairs = quadrature._MAX_NODES // terms + 1
+
+    def built(*args):
+        raise AssertionError("series terms built")
+
+    monkeypatch.setattr(kernels, "_series_terms", built)
+    code, text = run(tmp_path, "kernel", {
+        "n": 2, "kernels": ["poisson"],
+        "pairs": [{"x": [0.995, 0], "zeta": [1, 0]}] * pairs})
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err == (
+        f"error: poisson series: {pairs} pairs of {terms} series terms "
+        "exceed the node cap\n")
+
+
 @st.composite
 def kernel_configs(draw):
     # 1-4 pairs, one of them aligned near |x| = 1, where the closed forms
@@ -312,7 +357,8 @@ def almansi_configs(draw):
         terms.append(f"{draw(_COEFFICIENTS)} * {monomial}" if monomial
                      else draw(_COEFFICIENTS))
         degrees.reverse()
-    return {"n": n, "p": draw(st.integers(1, 3)),
+    # p past deg / 2 leaves one component
+    return {"n": n, "p": draw(st.integers(1, 8)),
             "polynomial": " + ".join(terms)}
 
 
@@ -333,6 +379,110 @@ def test_almansi_contract_holds_on_generated_configs(tmp_path_factory,
 @example({"n": 2000, "p": 1, "degrees": [2, 300]})  # dim past the doubles
 def test_dims_contract_holds_on_generated_configs(tmp_path_factory, config):
     assert_contract(tmp_path_factory, "dims", config)
+
+
+# values that no field accepts, or that only some fields accept
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.sampled_from([0.5, -1.5, 1e300, float("inf"), "", "x1",
+                                   "auto", [], [1], [[0.5]], {}, {"a": 1}]))
+
+
+def maybe_broken(draw, config: dict) -> dict:
+    """The config, or the config with one key dropped, set to junk, or
+    added unknown."""
+    config = dict(config)
+    how = draw(st.sampled_from(["keep", "keep", "drop", "junk", "extra"]))
+    key = draw(st.sampled_from(sorted(config)))
+    if how == "drop":
+        del config[key]
+    elif how == "junk":
+        config[key] = draw(_JUNK)
+    elif how == "extra":
+        config["extra"] = draw(_JUNK)
+    return config
+
+
+def polynomial_text(draw, n: int, degree: int) -> str:
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = draw(st.lists(st.integers(0, degree), min_size=n, max_size=n))
+        monomial = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+        terms.append(f"{draw(_COEFFICIENTS)} * {monomial}" if monomial
+                     else draw(_COEFFICIENTS))
+    return " + ".join(terms)
+
+
+@st.composite
+def dirichlet_configs(draw):
+    # points inside at radius <= 0.8, on the sphere or outside; p past the
+    # node cap is refused before any sector is built
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(st.one_of(st.integers(1, 3), st.just(2 ** 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = rng.standard_normal(n)
+        radius = draw(st.sampled_from([0.0, 0.3, 0.8, 1.0, 1.5]))
+        points.append((x * radius / np.linalg.norm(x)).tolist())
+    return maybe_broken(draw, {
+        "n": n, "p": p, "boundary": polynomial_text(draw, n, 2),
+        "points": points,
+        "sectors": [draw(st.integers(0, min(p, 3) - 1)) for _ in points],
+        "resolution": draw(st.sampled_from(["auto", 4, 12]))})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(dirichlet_configs())
+def test_dirichlet_contract_holds_on_generated_configs(tmp_path_factory,
+                                                       config):
+    assert_contract(tmp_path_factory, "dirichlet", config)
+
+
+# the suites that refuse a p past the node cap before building, and
+# almansi, which p past deg / 2 leaves with one component
+_P_SUITES = ["far-cap", "sector-integrals", "reproduction", "orthogonality",
+             "diagonal-dim", "almansi"]
+
+
+@st.composite
+def verify_configs(draw):
+    entry = st.one_of(st.sampled_from(_P_SUITES + ["nope"]), _JUNK)
+    return maybe_broken(draw, {
+        "n": draw(st.sampled_from([2, 3, 9, 400])),
+        "p": draw(st.one_of(st.integers(1, 2), st.just(2 ** 40))),
+        "seed": draw(st.integers(0, 2 ** 64 - 1)),
+        "suites": draw(st.lists(entry, min_size=1, max_size=2))})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(verify_configs())
+@example({"n": 2, "suites": [["far-cap"]]})  # an unhashable entry
+@example({"n": 2, "suites": [{"far-cap": 1}]})
+def test_verify_contract_holds_on_generated_configs(tmp_path_factory,
+                                                    config):
+    assert_contract(tmp_path_factory, "verify", config)
+
+
+@st.composite
+def hua_limit_configs(draw):
+    # z of Lie norm 0.3 or 0.6, or on or past the Lie sphere
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z *= draw(st.sampled_from([0.3, 0.6, 1.0, 1.5])) / lie_norm(z)
+    return maybe_broken(draw, {
+        "n": n, "u": polynomial_text(draw, n, 3),
+        "z": [[c.real, c.imag] if draw(st.booleans()) else c.real
+              for c in z],
+        "p_list": draw(st.lists(st.integers(1, 8), min_size=1, max_size=4)),
+        "resolution": draw(st.sampled_from(["auto", 4, 12]))})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(hua_limit_configs())
+def test_hua_limit_contract_holds_on_generated_configs(tmp_path_factory,
+                                                       config):
+    assert_contract(tmp_path_factory, "hua-limit", config)
 
 
 def _pair_rows(table) -> dict:
@@ -498,7 +648,7 @@ def test_aligned_dirichlet_builds_a_twentieth_of_the_shared_kernel_values(
     table = cli.run_command("dirichlet", config)
     assert [row[table.status_index] for row in table.rows] == ["ok"] * 16
     shared = solver.choose_rule(3, 2, 5, 0.8,
-                                cli._DEFAULT_TOLERANCE["dirichlet"] / 10.0)
+                                cli._COMMANDS["dirichlet"].tolerance / 10.0)
     assert 20 * sum(built) <= 16 * 2 * shared.count
 
 
@@ -905,6 +1055,26 @@ def test_almansi_refuses_polynomials_past_the_monomial_cap(tmp_path, capsys,
     monkeypatch.setattr(polyalg, "polyharmonic_almansi", no_ladder)
     code, text = run(tmp_path, "almansi", {"n": 5, "polynomial": "x1^20"})
     assert_monomial_cap_refusal(code, text, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("p,powers", [(1, 1), (1600, 0)])
+def test_almansi_builds_radial_powers_only_for_a_second_component(
+        monkeypatch, p, powers):
+    # past deg / 2 the decomposition has one component, so |x|^{2p} is not
+    # built, and Delta^p stops at its first zero; at p = 1600 both took
+    # seconds
+    counts = {"__pow__": 0, "laplacian": 0}
+    for name in counts:
+        def counted(self, *args, _name=name, _fn=getattr(polyalg.MultiPoly,
+                                                         name)):
+            counts[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(polyalg.MultiPoly, name, counted)
+    table = cli.run_command("almansi", {"n": 2, "p": p,
+                                        "polynomial": "x1^2 + 3 * x1 x2"})
+    assert [row[-2] for row in table.rows] == [0.0] * len(table.rows)
+    assert counts["__pow__"] == powers
+    assert counts["laplacian"] <= 6
 
 
 def test_dims_tabulates_dimension_formulas(tmp_path):

@@ -18,6 +18,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyball import polyalg
 from polyball.polyalg import (
     MultiPoly,
     almansi_reassemble,
@@ -123,6 +124,176 @@ def test_text_round_trip_is_exact():
             q = random_homogeneous(n, m, rng)
             again = MultiPoly.from_text(q.to_text(), n=n)
             assert (q - again).coefficient_scale() == 0.0
+
+
+# the recursive-descent reader that the flat one replaced, kept as the
+# reference for its results and its messages
+
+class _ReferenceParser:
+    def __init__(self, tokens):
+        self.toks = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
+
+    def next(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect(self, value):
+        kind, val = self.next()
+        if val != value:
+            raise ValueError(f"polynomial text: expected {value!r}, got {val!r}")
+
+    def number(self, allow_sign=True):
+        sign = 1
+        while allow_sign and self.peek()[1] in ("+", "-"):
+            if self.next()[1] == "-":
+                sign = -sign
+        kind, val = self.next()
+        if kind != "num":
+            raise ValueError(f"polynomial text: expected a number, got {val!r}")
+        try:
+            return sign * Fraction(val)
+        except ZeroDivisionError:
+            raise ValueError(
+                f"polynomial text: zero denominator in {val!r}") from None
+
+    def coefficient(self):
+        if self.peek()[1] == "(":
+            self.next()
+            re_part = self.number()
+            self.expect(",")
+            im_part = self.number()
+            self.expect(")")
+            return re_part, im_part
+        return self.number(allow_sign=False), Fraction(0)
+
+    def term(self):
+        coeff = None
+        if self.peek()[0] == "num" or self.peek()[1] == "(":
+            coeff = self.coefficient()
+            if self.peek()[1] == "*":
+                self.next()
+        factors = {}
+        while self.peek()[0] == "var":
+            _, name = self.next()
+            idx = int(name[1:])
+            if idx < 1:
+                raise ValueError(f"polynomial text: bad variable {name!r}")
+            power = 1
+            if self.peek()[1] == "^":
+                self.next()
+                kind, val = self.next()
+                if kind != "num" or not val.isdigit():
+                    raise ValueError(f"polynomial text: bad exponent {val!r}")
+                power = int(val)
+            factors[idx - 1] = factors.get(idx - 1, 0) + power
+        if coeff is None:
+            if not factors:
+                raise ValueError("polynomial text: empty term")
+            coeff = Fraction(1), Fraction(0)
+        return coeff, factors
+
+
+def _reference_parse(text: str, n):
+    toks = polyalg._tokenize(text)
+    if not toks:
+        raise ValueError("polynomial text: empty input")
+    parser = _ReferenceParser(toks)
+    raw = []
+    sign = 1
+    while parser.peek()[1] in ("+", "-"):
+        if parser.next()[1] == "-":
+            sign = -sign
+    while True:
+        (re_part, im_part), factors = parser.term()
+        raw.append((sign * re_part, sign * im_part, factors))
+        kind, val = parser.peek()
+        if kind is None:
+            break
+        if val not in ("+", "-"):
+            raise ValueError(f"polynomial text: expected + or -, got {val!r}")
+        sign = 1
+        while parser.peek()[1] in ("+", "-"):
+            if parser.next()[1] == "-":
+                sign = -sign
+    max_idx = max((max(f, default=-1) for *_, f in raw), default=-1)
+    dim = n if n is not None else max(max_idx + 1, 2)
+    if max_idx + 1 > dim:
+        raise ValueError(
+            f"polynomial text: variable x{max_idx + 1} exceeds n={dim}")
+    terms = {}
+    for re_part, im_part, factors in raw:
+        exps = [0] * dim
+        for i, e in factors.items():
+            exps[i] = e
+        key = tuple(exps)
+        re0, im0 = terms.get(key, (0, 0))
+        terms[key] = (re0 + re_part, im0 + im_part)
+    return MultiPoly(dim, terms)
+
+
+# every token kind, valid and not: numbers of each form, a zero
+# denominator, x0 and a variable past n, every operator, a bad character
+_TOKENS = ("x1", "x2", "x3", "x0", "x12", "2", "0", "17", "3/4", "3/0",
+           "0.25", ".5", "2.", "1e3", "2.5e-4", "(", ")", ",", "^", "*",
+           "+", "-", "y")
+
+
+def random_polynomial_text(rng) -> str:
+    """Token soup half the time; otherwise a well-formed sum of terms,
+    most of which parse, with a token now and then swapped or dropped."""
+    if rng.uniform() < 0.5:
+        picks = rng.integers(len(_TOKENS), size=rng.integers(0, 12))
+        return "".join(_TOKENS[k] + " " * int(rng.integers(0, 2))
+                       for k in picks)
+    parts = []
+    for t in range(int(rng.integers(1, 5))):
+        if t or rng.uniform() < 0.3:
+            parts += ["-" if rng.uniform() < 0.5 else "+"] \
+                * int(rng.integers(1, 3))
+        coeff = int(rng.integers(3))  # none, a number or a literal
+        if coeff == 1:
+            parts.append(_TOKENS[rng.integers(5, 15)])
+        elif coeff == 2:
+            parts += ["(", "-" * int(rng.integers(0, 2)),
+                      _TOKENS[rng.integers(5, 15)], ",",
+                      _TOKENS[rng.integers(5, 15)], ")"]
+        if coeff and rng.uniform() < 0.5:
+            parts.append("*")
+        for _ in range(int(rng.integers(0 if coeff else 1, 4))):
+            parts.append(_TOKENS[rng.integers(0, 3)])
+            if rng.uniform() < 0.5:
+                parts += ["^", _TOKENS[rng.integers(5, 8)]]
+    if rng.uniform() < 0.3:
+        k = int(rng.integers(len(parts)))
+        parts[k] = _TOKENS[rng.integers(len(_TOKENS))] \
+            if rng.uniform() < 0.5 else ""
+    return " ".join(parts)
+
+
+def parse_outcome(parse, text, n):
+    """A parse's polynomial, with its terms in order, or its error."""
+    try:
+        q = parse(text, n)
+    except ValueError as err:
+        return "error", str(err)
+    return q.n, q.denom, list(q.terms.items())
+
+
+def test_flat_reader_equals_the_recursive_descent_reference():
+    rng = np.random.default_rng(20)
+    accepted = 0
+    for _ in range(4000):
+        text = random_polynomial_text(rng)
+        n = (None, 2, 3)[rng.integers(3)]
+        got = parse_outcome(polyalg._parse_poly, text, n)
+        assert got == parse_outcome(_reference_parse, text, n), text
+        accepted += got[0] != "error"
+    assert accepted > 800
 
 
 def test_laplacian_matches_sympy():

@@ -187,3 +187,46 @@ def test_an_odd_circle_breaks_the_hua_reproduction_bound(monkeypatch):
     (row,) = suite_hua_reproduction(n=2, seed=0)
     assert row.deviation > 1e4 * kernels._nb_tail(1, 0.6, 2 * sized.angular)
     assert not row.passed
+
+
+def _first_refused_p(per_sector) -> int:
+    """The least p whose p sectors of per_sector(p) values pass the cap."""
+    p = 1
+    while p * per_sector(p) <= quadrature._MAX_NODES:
+        p += 1
+    return p
+
+
+# each suite's values per sector at n = 2, from its defaults, and a builder
+# that the refusal must come before
+_SECTOR_SIZES = {
+    "far-cap": (lambda p: quadrature.sphere_rule(2, 512).count,
+                (solver, "_sector_kernels")),
+    "sector-integrals": (
+        lambda p: p * solver.choose_rule(2, p, 0, 0.7, 1e-12).count,
+        (solver, "_integrate")),
+    "reproduction": (
+        lambda p: 20 * p * sum(polyalg.dim_Hp(2, m, p) for m in range(7)),
+        (solver, "choose_rule")),
+    "orthogonality": (
+        lambda p: sum(polyalg.dim_Hp(2, m, p) for m in range(7))
+        * quadrature.sphere_rule(
+            2, quadrature.resolution_for_exactness(2, 12)).count,
+        (solver, "_sector_phases")),
+    "diagonal-dim": (lambda p: 3 * 9, (suites, "polyharmonic_basis")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SECTOR_SIZES))
+def test_suites_refuse_p_past_the_node_cap_before_building(name,
+                                                           monkeypatch):
+    # the first refused p, computed: the suite is not run big below it
+    per_sector, (module, builder) = _SECTOR_SIZES[name]
+    p = _first_refused_p(per_sector)
+
+    def built(*args, **kwargs):
+        raise AssertionError(f"{builder} called at p={p}")
+
+    monkeypatch.setattr(module, builder, built)
+    with pytest.raises(ValueError, match=f"^p={p}: .* exceed the node cap"):
+        run_suite(name, n=2, p=p)
