@@ -41,6 +41,7 @@ from .polyalg import (
     dim_P,
     harmonic_almansi,
     is_polyharmonic,
+    poisson_polynomial,
     polyharmonic_almansi,
     polyharmonic_basis,
     polyharmonic_split,
@@ -96,7 +97,7 @@ __all__ = [
     "hermitian_dot", "lie_norm", "principal_power",
     "MultiPoly", "almansi_reassemble", "dim_H", "dim_Hp", "dim_P",
     "harmonic_almansi", "is_polyharmonic", "polyharmonic_almansi",
-    "polyharmonic_basis", "polyharmonic_split",
+    "polyharmonic_basis", "polyharmonic_split", "poisson_polynomial",
     "gegenbauer_coefficients", "gegenbauer_explicit",
     "generating_function", "generating_partial_sum",
     "KernelParams", "KernelValue", "ROUTES", "SingularKernelError",

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, kernels, polyalg, quadrature, solver, suites
-from .geometry import RotatedVector, bilinear_square, lie_norm
+from .geometry import RotatedVector, lie_norm
 from .kernels import ROUTE_GEGENBAUER_DIFF, ROUTES
 from .polyalg import MultiPoly, dim_H, dim_Hp, dim_P
 
@@ -475,15 +475,19 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _polynomial(cfg: RunConfig, key: str, what: str) -> MultiPoly:
-    """``cfg.data[key]`` parsed; unparsable text, or a coefficient past the
-    double range that every command evaluates in, is a ConfigError."""
+def _polynomial(cfg: RunConfig, key: str, what: str, orders=()) -> list:
+    """``cfg.data[key]`` parsed, then its exact Poisson integral over each
+    of ``orders`` (``polyalg.poisson_polynomial``); unparsable text, or a
+    coefficient of any of them past the double range that every command
+    evaluates in, is a ConfigError."""
     try:
         q = MultiPoly.from_text(cfg.data[key], n=cfg.n)
-        q.coefficient_scale()
+        out = [q] + [polyalg.poisson_polynomial(q, p) for p in orders]
+        for f in out:
+            f.coefficient_scale()
     except ValueError as err:
         raise ConfigError(f"{what}: {err}") from err
-    return q
+    return out
 
 
 def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
@@ -518,7 +522,7 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
 def run_dirichlet(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     tol = cfg.row_tolerance
-    q = _polynomial(cfg, "boundary", "boundary polynomial")
+    q, u_p = _polynomial(cfg, "boundary", "boundary polynomial", [p])
     points = [np.asarray(pt, dtype=float) for pt in cfg.data["points"]]
     radii = [float(np.linalg.norm(pt)) for pt in points]
     interior = [r < 1.0 - 1e-9 for r in radii]
@@ -529,7 +533,6 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius,
                        turns)
     data = solver.BoundaryData(q, p)
-    reproduces = polyalg.is_polyharmonic(q, p)
     coord_names = tuple(f"x{i + 1}" for i in range(n))
     metadata = _metadata(cfg, rule)
     if turns is not None:
@@ -541,20 +544,15 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
           for pt, j, ok in zip(points, cfg.data["sectors"], interior)]
     inside = [x for x in xs if x is not None]
     values = iter(solver.poisson_integrals([data], inside, rule)[:, 0])
-    wants = iter(solver._values_at([q], inside)[:, 0] if reproduces else ())
+    wants = iter(solver._values_at([u_p], inside)[:, 0])
     for i, (pt, j, x) in enumerate(zip(points, cfg.data["sectors"], xs)):
         inputs = (i, j) + tuple(float(c) for c in pt)
         if x is None:
             table.add(inputs + ("rejected",))
             continue
-        value = complex(next(values))
-        if reproduces:
-            want = complex(next(wants))
-            table.add(inputs + ("ok",), value=value, reference=want,
-                      error=abs(value - want),
-                      bound=tol * max(1.0, abs(want)))
-        else:
-            table.add(inputs + ("ok",), value=value)
+        value, want = complex(next(values)), complex(next(wants))
+        table.add(inputs + ("ok",), value=value, reference=want,
+                  error=abs(value - want), bound=tol * max(1.0, abs(want)))
     return table
 
 
@@ -574,22 +572,9 @@ def run_verify(cfg: RunConfig) -> ResultTable:
     return table
 
 
-def _limit_error_bound(u: MultiPoly, zc: np.ndarray, p: int) -> float:
-    """A priori bound on |u_p(z) - u(z)| from the exact harmonic ladder of
-    u: on the rotated spheres (z^2)^k collapses to (z^2)^{k mod p}, so the
-    discrepancy is at most sum_k |(z^2)^{k mod p} - (z^2)^k| |h_k(z)|."""
-    z2 = complex(bilinear_square(zc))
-    total = 0.0
-    for _, comp in sorted(u.homogeneous_components().items()):
-        for k, h in enumerate(polyalg.harmonic_almansi(comp)):
-            if k >= p:
-                total += abs(z2 ** (k % p) - z2 ** k) * abs(h.evaluate(zc))
-    return total
-
-
 def run_hua_limit(cfg: RunConfig) -> ResultTable:
     tol = cfg.row_tolerance
-    u = _polynomial(cfg, "u", "u polynomial")
+    u, *exact = _polynomial(cfg, "u", "u polynomial", cfg.data["p_list"])
     zc = np.array([complex(re, im) for re, im in cfg.data["z"]])
     radius, p_list = lie_norm(zc), cfg.data["p_list"]
     if not radius < 1.0:
@@ -608,10 +593,10 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
                           f"{err}") from err
     result = solver.polyharmonic_limit_experiment(u, zc, p_list, rule, lie)
     table = ResultTable("hua-limit", ("p", "status"), _metadata(cfg, rule))
-    for p, value, error in result.rows:
-        bound = _limit_error_bound(u, zc, p) + tol
-        table.add((p, "ok"), value=value, reference=result.reference,
-                  error=error, bound=bound)
+    for (p, value, _), u_p in zip(result.rows, exact):
+        want = u_p.evaluate(zc)
+        table.add((p, "ok"), value=value, reference=want,
+                  error=abs(value - want), bound=tol)
     table.add(("hua", "ok"), value=result.hua_value,
               reference=result.reference, error=result.hua_error, bound=tol)
     return table
@@ -620,7 +605,7 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
 def run_almansi(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     bound = cfg.row_tolerance
-    q = _polynomial(cfg, "polynomial", "polynomial")
+    [q] = _polynomial(cfg, "polynomial", "polynomial")
     table = ResultTable("almansi",
                         ("component", "degree", "polynomial", "status"),
                         _metadata(cfg))

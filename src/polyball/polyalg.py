@@ -52,6 +52,7 @@ __all__ = [
     "polyharmonic_split",
     "almansi_reassemble",
     "is_polyharmonic",
+    "poisson_polynomial",
     "polyharmonic_basis",
 ]
 
@@ -607,6 +608,18 @@ def is_polyharmonic(q: MultiPoly, p: int) -> bool:
             return True
         out = out.laplacian()
     return out.is_zero()
+
+
+def poisson_polynomial(q: MultiPoly, p: int) -> MultiPoly:
+    """The Poisson integral of q over the p rotated spheres, exact: the sum
+    of the order-p Almansi components of q's homogeneous parts, as
+    |x|^{2p} = 1 on every sector and the kernel reproduces p-polyharmonic
+    functions; q itself, without a ladder, when Delta^p q = 0."""
+    if is_polyharmonic(q, p):
+        return q
+    return sum((part for comp in q.homogeneous_components().values()
+                for part in polyharmonic_almansi(comp, p)),
+               MultiPoly.zero(q.n))
 
 
 # --------------------------------------------------------------------------

@@ -833,11 +833,17 @@ def test_hua_limit_table_shape_and_trailing_row(tmp_path):
                       "p_list": [1, 2, 4, 8]})
     assert code == 0
     obj = json.loads(text)
-    ps = [dict(zip(obj["columns"], r))["p"] for r in obj["rows"]]
-    assert ps == [1, 2, 4, 8, "hua"]
-    errs = [dict(zip(obj["columns"], r))["abs_error"] for r in obj["rows"]]
-    assert all(b <= a + 1e-12 for a, b in zip(errs[:-2], errs[1:-1]))
-    assert errs[0] == pytest.approx(0.4, abs=1e-9)
+    rows = [dict(zip(obj["columns"], r)) for r in obj["rows"]]
+    assert [row["p"] for row in rows] == [1, 2, 4, 8, "hua"]
+    # each order row checks its quadrature against the exact u_p(z); the
+    # convergence u_p(z) -> u(z) reads from the reference column against
+    # the hua row's u(z)
+    u_z = complex(rows[-1]["reference_re"], rows[-1]["reference_im"])
+    gaps = [abs(complex(row["reference_re"], row["reference_im"]) - u_z)
+            for row in rows[:-1]]
+    assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+    assert gaps[0] == pytest.approx(0.4, abs=1e-9)
+    assert all(row["abs_error"] <= row["bound"] for row in rows)
     record = obj["metadata"]["rule"]
     assert record["type"] == "sphere"
     assert_records(record, solver.choose_rule(
