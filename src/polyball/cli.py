@@ -305,7 +305,7 @@ class ResultTable:
             if status == "singular":
                 code = max(code, EXIT_SINGULAR)
             elif (row[error_at] is not None and row[bound_at] is not None
-                    and row[error_at] > row[bound_at]):
+                    and not row[error_at] <= row[bound_at]):
                 code = max(code, EXIT_TOLERANCE)
         return code
 
@@ -316,7 +316,7 @@ class ResultTable:
             raise ValueError(f"unknown format {fmt!r}")
         buf = io.StringIO()
         meta = json.dumps(self.metadata, sort_keys=True,
-                          separators=(",", ":"))
+                          separators=(",", ":"), allow_nan=False)
         buf.write(f"# {meta}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
@@ -334,9 +334,10 @@ class ResultTable:
         each "],\n      [" is a row boundary."""
         text = json.dumps({"columns": list(self.columns),
                            "metadata": self.metadata, "rows": []},
-                          indent=2, sort_keys=True)
+                          indent=2, sort_keys=True, allow_nan=False)
         if self.rows:
-            cells = json.dumps(self.rows, separators=(",\n      ", ": "))
+            cells = json.dumps(self.rows, separators=(",\n      ", ": "),
+                               allow_nan=False)
             rows = cells[2:-2].replace("],\n      [",
                                        "\n    ],\n    [\n      ")
             text = (text[:-len("[]\n}")] + "[\n    [\n      " + rows
@@ -348,6 +349,8 @@ def _csv_cell(cell) -> str:
     if cell is None:
         return ""
     if isinstance(cell, float):
+        if not math.isfinite(cell):  # as the JSON encoder refuses it
+            raise ValueError(f"non-finite table cell {cell!r}")
         return format(cell, ".17g")
     return str(cell)
 
@@ -436,9 +439,11 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
             raise ConfigError(f"degree {m}: the zonal coefficients "
                               "overflow a double") from err
         gaps = np.abs(values[:, None] - values).max(axis=1)
-        scale = kernels._zonal_term_scale(n, m, p, B, P)
-        zonal.append((m, values.T.tolist(), gaps.T.tolist(),
-                      (tol * np.fmax(1.0, scale)).tolist()))
+        bound = tol * np.fmax(1.0, kernels._zonal_term_scale(n, m, p, B, P))
+        finite = np.isfinite(values).all(axis=0) \
+            & np.isfinite(gaps).all(axis=0) & np.isfinite(bound)
+        zonal.append((m, values.T.tolist(), gaps.T.tolist(), bound.tolist(),
+                      finite.tolist()))
     lie = [lie_norm(x) * lie_norm(zeta) for x, zeta in zip(xs, zetas)]
     if "poisson" in which:
         closed, singular, finite = kernels._poisson_guarded(n, p, x2, B,
@@ -457,8 +462,11 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
                       for i in range(len(pairs))]
     reference = ROUTES.index(ROUTE_GEGENBAUER_DIFF)
     for i in range(len(pairs)):
-        for m, values, gaps, bound in zonal:
+        for m, values, gaps, bound, finite in zonal:
             for route, value, gap in zip(ROUTES, values[i], gaps[i]):
+                if not finite[i]:  # a value, gap or bound past the doubles
+                    table.add((i, "zonal", m, route, "rejected"))
+                    continue
                 table.add((i, "zonal", m, route, "ok"), value=value,
                           reference=values[i][reference], error=gap,
                           bound=bound[i])
@@ -611,6 +619,7 @@ def run_almansi(cfg: RunConfig) -> ResultTable:
                         _metadata(cfg))
     try:  # a component may pass the double range or the int-to-text limit
         suites._require_monomials(n, q.degree())  # before the ladder
+        polyalg._require_ladder(q)
         components = polyalg.polyharmonic_almansi(q, p)
         for k, comp in enumerate(components):
             out = comp
@@ -688,7 +697,10 @@ _RUNNERS = {name: command.run for name, command in _COMMANDS.items()}
 def run_command(command: str, config: dict) -> ResultTable:
     """Programmatic entry: validate a configuration mapping and run it."""
     cfg = RunConfig.from_mapping(command, config)
-    return _RUNNERS[command](cfg)
+    # a value past the double range gets a row status or a ConfigError,
+    # never a numpy warning on stderr
+    with np.errstate(all="ignore"):
+        return _RUNNERS[command](cfg)
 
 
 # --------------------------------------------------------------------------

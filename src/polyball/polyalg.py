@@ -581,9 +581,45 @@ def polyharmonic_almansi(q: MultiPoly, p: int) -> list:
     _require_homogeneous(q, "polyharmonic_almansi")
     if q.is_zero():
         return []
-    ladder = harmonic_almansi(q)
+    return _order_p(harmonic_almansi(q), q.n, p)
+
+
+def _order_p(ladder, n: int, p: int) -> list:
+    """The order-p components of a harmonic ladder [h_0, h_1, ...]: each
+    block of p entries joined by powers of |x|^2."""
     blocks = [ladder[start:start + p] for start in range(0, len(ladder), p)]
-    return [_radial_horner(q.n, block, [1] * len(block)) for block in blocks]
+    return [_radial_horner(n, block, [1] * len(block)) for block in blocks]
+
+
+# Most shift-adds the harmonic ladders of one polynomial may take: the
+# largest accepted, dense data of degree 144 at n = 2, take about 1 s
+_MAX_LADDER_STEPS = 1 << 19
+
+
+def _require_ladder(q: MultiPoly):
+    """Refuse, before any Laplacian, harmonic ladders of q's homogeneous
+    parts past ``_MAX_LADDER_STEPS`` shift-adds.  A part of degree m gives
+    its component of degree d = m - 2k by a Horner sum (``_radial_horner``)
+    of floor(d/2) + 1 terms, each of up to dim_P(n, d) monomials shifted n
+    ways.  The count stops at the cap, so a huge degree costs a few terms."""
+    steps = 0
+    for m in sorted({sum(e) for e in q.terms}, reverse=True):
+        for d in range(m, -1, -2):
+            steps += q.n * (d // 2 + 1) * dim_P(q.n, d)
+            if steps > _MAX_LADDER_STEPS:
+                raise ValueError(
+                    f"n={q.n}: the Almansi ladders of degree {q.degree()} "
+                    f"take more than the cap of {_MAX_LADDER_STEPS} steps")
+
+
+@lru_cache(maxsize=1)
+def _harmonic_ladders(q: MultiPoly) -> tuple:
+    """``harmonic_almansi`` of each homogeneous part of q, after
+    ``_require_ladder``; kept for the next call, so that the orders of one
+    request share it."""
+    _require_ladder(q)
+    return tuple(tuple(harmonic_almansi(comp))
+                 for comp in q.homogeneous_components().values())
 
 
 def polyharmonic_split(q: MultiPoly, p: int) -> tuple:
@@ -617,9 +653,8 @@ def poisson_polynomial(q: MultiPoly, p: int) -> MultiPoly:
     functions; q itself, without a ladder, when Delta^p q = 0."""
     if is_polyharmonic(q, p):
         return q
-    return sum((part for comp in q.homogeneous_components().values()
-                for part in polyharmonic_almansi(comp, p)),
-               MultiPoly.zero(q.n))
+    return sum((part for ladder in _harmonic_ladders(q)
+                for part in _order_p(ladder, q.n, p)), MultiPoly.zero(q.n))
 
 
 # --------------------------------------------------------------------------

@@ -330,9 +330,10 @@ def dirichlet_solve(f: BoundaryData, points,
     """Solve the Dirichlet problem at interior points via the boundary form.
 
     Each value is (1/p) sum_k int_S f(e^{ik pi/p} zeta)
-    (1-|x|^{2p}) / |e^{-ik pi/p} x - zeta|^n dsigma(zeta); for boundary data
-    restricted from an order-p polyharmonic polynomial this reproduces the
-    polynomial (up to quadrature truncation).
+    (1-|x|^{2p}) / |e^{-ik pi/p} x - zeta|^n dsigma(zeta).  For any
+    polynomial data q the integral is u_p(x) = ``polyalg.poisson_polynomial``
+    (q, p), the sum of q's order-p Almansi components, which is q itself
+    when Delta^p q = 0 (up to quadrature truncation).
     """
     pts, values = _rotated_integrals(_BOUNDARY_FORM, [f], points, rule)
     return DirichletSolution(

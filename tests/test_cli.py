@@ -15,6 +15,7 @@ import io
 import json
 import math
 import re
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyball import cli, kernels, polyalg, quadrature, solver
@@ -288,6 +289,10 @@ def kernel_configs(draw):
     aligned = pairs[draw(st.integers(0, len(pairs) - 1))]
     aligned["x"] = [(1.0 - 1e-9) * c for c in aligned["zeta"]]
     aligned["x_sector"] = aligned["zeta_sector"]
+    # a finite coordinate anywhere in the double range
+    far = pairs[draw(st.integers(0, len(pairs) - 1))][
+        draw(st.sampled_from(["x", "zeta"]))]
+    far[draw(st.integers(0, n - 1))] = draw(st.floats(-1.7e308, 1.7e308))
     return {"n": n, "p": p, "pairs": pairs,
             "degrees": draw(st.lists(st.integers(0, 40), min_size=1,
                                      max_size=3)),
@@ -326,6 +331,8 @@ def assert_contract(tmp_path_factory, command, config):
           "kernels": ["hua"]})
 @example({"n": 2, "p": 1, "x": [0.1, 0.1], "zeta": [1, 0],
           "degrees": [1500], "kernels": ["zonal"]})
+@example({"n": 2, "p": 2, "x": [0.5, 0], "zeta": [1, 1e300],  # NaN zonal
+          "kernels": ["zonal"], "degrees": [4]})
 def test_kernel_contract_holds_on_generated_configs(tmp_path_factory,
                                                     config):
     assert_contract(tmp_path_factory, "kernel", config)
@@ -480,6 +487,7 @@ def hua_limit_configs(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(hua_limit_configs())
+@example({"n": 2, "u": "x1^2", "z": [1e300, 0.1]})  # an overflowing norm
 def test_hua_limit_contract_holds_on_generated_configs(tmp_path_factory,
                                                        config):
     assert_contract(tmp_path_factory, "hua-limit", config)
@@ -650,6 +658,78 @@ def test_aligned_dirichlet_builds_a_twentieth_of_the_shared_kernel_values(
     shared = solver.choose_rule(3, 2, 5, 0.8,
                                 cli._COMMANDS["dirichlet"].tolerance / 10.0)
     assert 20 * sum(built) <= 16 * 2 * shared.count
+
+
+def _u_p_oracle(q, p: int, z) -> complex:
+    """u_p(z) = sum over q's homogeneous parts and their harmonic ladders
+    [h_0, h_1, ...] of (z.z)^{k mod p} h_k(z): on the rotated spheres
+    (x.x)^p = 1, so |x|^{2k} collapses to its residue power."""
+    z = np.asarray(z, dtype=complex)
+    z2 = complex(np.sum(z * z))
+    return sum(z2 ** (k % p) * h.evaluate(z)
+               for comp in q.homogeneous_components().values()
+               for k, h in enumerate(polyalg.harmonic_almansi(comp)))
+
+
+@st.composite
+def non_polyharmonic_requests(draw):
+    # data of degree <= 6 with Delta^p q != 0, 1-3 interior points and a
+    # point of the Lie ball
+    n, p = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    terms = []
+    for degree in [draw(st.integers(2 * p, 6))] + draw(
+            st.lists(st.integers(0, 6), max_size=3)):
+        cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n - 1,
+                                    max_size=n - 1)))
+        exps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+        monomial = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+        terms.append(f"{draw(_COEFFICIENTS)} * {monomial}" if monomial
+                     else draw(_COEFFICIENTS))
+    text = " + ".join(terms)
+    assume(not polyalg.is_polyharmonic(polyalg.MultiPoly.from_text(text, n),
+                                       p))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        x = rng.standard_normal(n)
+        points.append((x * draw(st.floats(0.0, 0.8)) / np.linalg.norm(x))
+                      .tolist())
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z *= draw(st.sampled_from([0.3, 0.6])) / lie_norm(z)
+    return {"n": n, "p": p, "text": text, "points": points,
+            "sectors": [draw(st.integers(0, p - 1)) for _ in points],
+            "z": z.tolist()}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(non_polyharmonic_requests())
+def test_every_integral_meets_the_exact_poisson_integral(request_):
+    # every dirichlet row and every hua-limit order row of data that are
+    # not p-polyharmonic meets u_p, computed here from the harmonic ladder,
+    # within the row's printed bound
+    n, p, text = request_["n"], request_["p"], request_["text"]
+    q = polyalg.MultiPoly.from_text(text, n)
+    table = cli.run_command("dirichlet", {
+        "n": n, "p": p, "boundary": text, "points": request_["points"],
+        "sectors": request_["sectors"]})
+    zs = [RotatedVector.sector(j, p, np.array(pt)).to_complex()
+          for pt, j in zip(request_["points"], request_["sectors"])]
+    z = np.array(request_["z"])
+    table_hua = cli.run_command("hua-limit", {
+        "n": n, "u": text, "z": [[c.real, c.imag] for c in z],
+        "p_list": [1, 2, 3]})
+    rows = [(dict(zip(table.columns, row)), x, p)
+            for row, x in zip(table.rows, zs)]
+    rows += [(dict(zip(table_hua.columns, row)), z, row[0])
+             for row in table_hua.rows[:-1]]
+    for cells, x, order in rows:
+        want = _u_p_oracle(q, order, x)
+        value = complex(cells["value_re"], cells["value_im"])
+        reference = complex(cells["reference_re"], cells["reference_im"])
+        assert cells["status"] == "ok"
+        assert abs(reference - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(value - want) <= cells["bound"], (order, value, want)
+    assert (table.exit_code(), table_hua.exit_code()) == (0, 0)
 
 
 @pytest.mark.parametrize("point", [[0.99999999, 0], [0.9999, 0]])
@@ -1063,6 +1143,63 @@ def test_almansi_refuses_polynomials_past_the_monomial_cap(tmp_path, capsys,
     assert_monomial_cap_refusal(code, text, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command,config", [
+    ("almansi", {"n": 2, "polynomial": "x1^2000"}),
+    ("dirichlet", {"n": 2, "boundary": "x1^2000", "points": [[0.3, 0.1]]}),
+    ("hua-limit", {"n": 2, "u": "x1^2000", "z": [0.3, 0.1]}),
+])
+def test_ladders_past_the_step_cap_are_refused_before_any_is_built(
+        monkeypatch, command, config):
+    # the ladder of x1^2000 took more than 120 s; its steps are counted
+    # from n and the degree alone
+    def no_ladder(q):
+        raise AssertionError("Almansi ladder built")
+
+    monkeypatch.setattr(polyalg, "harmonic_almansi", no_ladder)
+    start = time.perf_counter()
+    with pytest.raises(cli.ConfigError, match="Almansi ladders of degree "
+                       "2000 take more than the cap"):
+        cli.run_command(command, config)
+    assert time.perf_counter() - start < 0.01
+
+
+def _ladder_steps(n: int, m: int) -> int:
+    # component d = m - 2k: floor(d/2) + 1 Horner terms of dim P_d
+    # monomials, each shifted n ways
+    return sum(n * (d // 2 + 1) * math.comb(n + d - 1, n - 1)
+               for d in range(m, -1, -2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_the_step_cap_refuses_its_first_degree(n):
+    m = next(m for m in range(200)
+             if _ladder_steps(n, m) > polyalg._MAX_LADDER_STEPS)
+    def x1(power):
+        return polyalg.MultiPoly.monomial(n, (power,) + (0,) * (n - 1))
+
+    polyalg._require_ladder(x1(m - 1))
+    with pytest.raises(ValueError, match=f"degree {m} take more"):
+        polyalg._require_ladder(x1(m))
+
+
+def test_polyharmonic_data_never_reach_the_step_cap(monkeypatch):
+    # (x1 + i x2)^160 is harmonic: its own integral, found with no ladder,
+    # although a ladder of degree 160 is past the cap
+    monkeypatch.setattr(polyalg, "harmonic_almansi", None)
+    m = 160
+    assert _ladder_steps(2, m) > polyalg._MAX_LADDER_STEPS
+    unit = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # i^j
+    text = " + ".join(f"({re * math.comb(m, j)},{im * math.comb(m, j)}) "
+                      f"* x1^{m - j} x2^{j}"
+                      for j, (re, im) in ((j, unit[j % 4])
+                                          for j in range(m + 1)))
+    q = polyalg.MultiPoly.from_text(text, 2)
+    assert polyalg.poisson_polynomial(q, 1) is q
+    table = cli.run_command("dirichlet", {"n": 2, "boundary": text,
+                                          "points": [[0.5, 0.2]]})
+    assert [row[table.status_index] for row in table.rows] == ["ok"]
+
+
 @pytest.mark.parametrize("p,powers", [(1, 1), (1600, 0)])
 def test_almansi_builds_radial_powers_only_for_a_second_component(
         monkeypatch, p, powers):
@@ -1100,7 +1237,7 @@ def test_dims_tabulates_dimension_formulas(tmp_path):
 @pytest.mark.parametrize("rows", [
     [],
     [[0, "a],\n  [b", 1.5], ["\"q\" \\ é ☃ \u2028", "],", -2]],
-    [[None, -0.0, 0.0], [math.nan, math.inf, -math.inf], [1e300, 5e-324, 7]],
+    [[None, -0.0, 0.0], [1e300, 5e-324, 7]],
 ])
 def test_json_render_equals_the_indented_encoder(rows):
     # the rows go through the C encoder and are indented after; the bytes
@@ -1113,6 +1250,18 @@ def test_json_render_equals_the_indented_encoder(rows):
            "rows": table.rows}
     assert table.render("json") == json.dumps(obj, indent=2,
                                               sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+def test_no_render_holds_a_non_finite_cell(fmt, cell):
+    # NaN and Infinity are not JSON; a row that carries one is a gap in
+    # its command's statuses, which main reports as an internal error
+    table = cli.ResultTable("dims", ("status", "a"), {})
+    table.add(["ok", 1.0])
+    table.add(["ok", cell])
+    with pytest.raises(ValueError):
+        table.render(fmt)
 
 
 def test_csv_and_json_payloads_are_identical(tmp_path):
