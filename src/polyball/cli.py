@@ -485,9 +485,9 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
 
 def _polynomial(cfg: RunConfig, key: str, what: str, orders=()) -> list:
     """``cfg.data[key]`` parsed, then its exact Poisson integral over each
-    of ``orders`` (``polyalg.poisson_polynomial``); unparsable text, or a
-    coefficient of any of them past the double range that every command
-    evaluates in, is a ConfigError."""
+    of ``orders`` (``polyalg.poisson_polynomial``); unparsable text, a
+    ladder past its step cap, or a coefficient of any of them past the
+    double range that every command evaluates in, is a ConfigError."""
     try:
         q = MultiPoly.from_text(cfg.data[key], n=cfg.n)
         out = [q] + [polyalg.poisson_polynomial(q, p) for p in orders]
@@ -527,6 +527,19 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
     return rule
 
 
+def _add_checked(table: ResultTable, inputs: tuple, value: complex,
+                 want: complex, bound: float):
+    """A row of ``value`` against the reference ``want`` within ``bound``;
+    rejected, with empty cells, when any of them or the error is past the
+    double range (data too large for the quadrature's doubles)."""
+    error = abs(value - want)
+    if math.isfinite(error) and math.isfinite(bound):
+        table.add(inputs + ("ok",), value=value, reference=want, error=error,
+                  bound=bound)
+    else:
+        table.add(inputs + ("rejected",))
+
+
 def run_dirichlet(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     tol = cfg.row_tolerance
@@ -558,9 +571,9 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
         if x is None:
             table.add(inputs + ("rejected",))
             continue
-        value, want = complex(next(values)), complex(next(wants))
-        table.add(inputs + ("ok",), value=value, reference=want,
-                  error=abs(value - want), bound=tol * max(1.0, abs(want)))
+        want = complex(next(wants))
+        _add_checked(table, inputs, complex(next(values)), want,
+                     tol * max(1.0, abs(want)))
     return table
 
 
@@ -602,11 +615,8 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
     result = solver.polyharmonic_limit_experiment(u, zc, p_list, rule, lie)
     table = ResultTable("hua-limit", ("p", "status"), _metadata(cfg, rule))
     for (p, value, _), u_p in zip(result.rows, exact):
-        want = u_p.evaluate(zc)
-        table.add((p, "ok"), value=value, reference=want,
-                  error=abs(value - want), bound=tol)
-    table.add(("hua", "ok"), value=result.hua_value,
-              reference=result.reference, error=result.hua_error, bound=tol)
+        _add_checked(table, (p,), value, u_p.evaluate(zc), tol)
+    _add_checked(table, ("hua",), result.hua_value, result.reference, tol)
     return table
 
 

@@ -592,7 +592,8 @@ def _order_p(ladder, n: int, p: int) -> list:
 
 
 # Most shift-adds the harmonic ladders of one polynomial may take: the
-# largest accepted, dense data of degree 144 at n = 2, take about 1 s
+# largest accepted, dense data of degree 144 at n = 2 with one-digit
+# coefficients, take 0.4-0.8 s on a 2-core Xeon with Python 3.11
 _MAX_LADDER_STEPS = 1 << 19
 
 

@@ -440,6 +440,8 @@ def dirichlet_configs(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(dirichlet_configs())
+@example({"n": 2, "boundary": "1e300 * x1^12",  # values past the doubles
+          "points": [[0.3, 0.1], [0.2, 0.0]]})
 def test_dirichlet_contract_holds_on_generated_configs(tmp_path_factory,
                                                        config):
     assert_contract(tmp_path_factory, "dirichlet", config)
@@ -488,6 +490,7 @@ def hua_limit_configs(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(hua_limit_configs())
 @example({"n": 2, "u": "x1^2", "z": [1e300, 0.1]})  # an overflowing norm
+@example({"n": 2, "u": "1e300 * x1^12", "z": [0.3, 0.1]})
 def test_hua_limit_contract_holds_on_generated_configs(tmp_path_factory,
                                                        config):
     assert_contract(tmp_path_factory, "hua-limit", config)
