@@ -3,15 +3,21 @@ byte-identical (``tests/test_golden.py``).
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py          # rebuild
+    PYTHONPATH=src python tests/golden/make_golden.py --check  # compare
 
 The cases are every ``dirichlet`` and ``hua-limit`` request of one pass of
 the benchmark's solve template on seeds 5 and 6 (``perfbench.workloads``),
-and ``dirichlet`` requests whose data are not p-polyharmonic, at the probe
-shapes below.  Each case keeps its config, its exit code and the sha256 of
-its JSON and CSV renders; the file records the Python and numpy versions
-the digests were taken on.  A change that alters printed bits rebuilds the
-file in the same commit and names the tables that changed, and why.
+``dirichlet`` requests whose data are not p-polyharmonic, at the probe
+shapes below, every request of one pass of the algebra template on the
+same seeds, the algebra workload's one ``verify gegenbauer``, and
+``almansi`` requests whose texts use every number form the reader takes.  Each
+case keeps its config, its exit code and the sha256 of its JSON and CSV
+renders; the file records the Python and numpy versions the digests were
+taken on.  A change that alters printed bits rebuilds the file in the same
+commit and names the tables that changed, and why.  ``--check`` writes
+nothing: it prints the name of every case whose exit code or digests differ
+from the committed file, or that it lacks, and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -35,6 +41,16 @@ OUT = Path(__file__).resolve().parent / "corpus.json"
 SEEDS = (5, 6)
 # (n, p, degree) of the non-polyharmonic dirichlet probes, 4 points each
 PROBES = ((2, 1, 5), (3, 1, 4), (3, 2, 5), (2, 3, 7), (3, 3, 6), (4, 2, 4))
+# (n, p, text) of almansi requests in the number forms the workloads never
+# write: complex literals, decimals, exponents, signs and repeated factors
+TEXT_PROBES = (
+    (2, 1, "(3/4,-2/3) * x1^3 x2 + (0,5) * x2^4 + 0.25 x1^2 x2^2 "
+           "- 1e-3 * x1^4"),
+    (2, 2, "-(-1.5,2.5e1) x1^2 x2^4 + -x2^6 + 7/3 x1 x1^5 - (.5,0) x1^3 x2^3"),
+    (3, 2, "(1,1) x1^5 + (-2,0.5) x2^5 + (0,-7/3) x3^5 + x1 x2 x3^3 "
+           "+ 2. x1^2 x2^2 x3 - 3E2 x3^4 x1"),
+    (4, 1, "(12/18,-0.125) x1 x2 x3 x4 + 100/4 x4^4 + 0.000 x1^4"),
+)
 
 
 def solve_cases() -> list:
@@ -45,6 +61,22 @@ def solve_cases() -> list:
             if req.command in ("dirichlet", "hua-limit"):
                 cases.append((f"solve seed {seed} #{i} {req.label}",
                               req.command, req.config))
+    return cases
+
+
+def algebra_cases() -> list:
+    cases = [(f"almansi text probe {i}", "almansi",
+              {"n": n, "p": p, "polynomial": text})
+             for i, (n, p, text) in enumerate(TEXT_PROBES)]
+    for seed in SEEDS:
+        rng = workloads.rng_for("algebra", seed, "requests")
+        for i, req in enumerate(workloads._algebra_pass(rng)):
+            cases.append((f"algebra seed {seed} #{i} {req.label}",
+                          req.command, req.config))
+    # the suite ignores n, p and seed; the workload draws a seed all the same
+    req = workloads.verify(workloads.rng_for("algebra", SEEDS[0], "requests"),
+                           2, 1, "gegenbauer")
+    cases.append((req.label, req.command, req.config))
     return cases
 
 
@@ -84,11 +116,30 @@ def record(name: str, command: str, config: dict) -> dict:
             "csv": digest(table.render("csv"))}
 
 
-def main() -> int:
-    cases = solve_cases() + [probe_case(*shape) for shape in PROBES]
+def changed(built: list, committed: list) -> list:
+    """Names of the built cases whose exit code or digests differ from the
+    committed case of the same name, or that have none."""
+    def outcome(case):
+        return case["exit"], case["json"], case["csv"]
+
+    keep = {case["name"]: outcome(case) for case in committed}
+    return [case["name"] for case in built
+            if keep.get(case["name"]) != outcome(case)]
+
+
+def main(argv=None) -> int:
+    check = "--check" in (sys.argv[1:] if argv is None else argv)
+    cases = (solve_cases() + [probe_case(*shape) for shape in PROBES]
+             + algebra_cases())
     corpus = {"versions": {"python": platform.python_version(),
                            "numpy": np.__version__},
               "cases": [record(*case) for case in cases]}
+    if check:
+        names = changed(corpus["cases"], json.loads(OUT.read_text())["cases"])
+        for name in names:
+            print(name)
+        print(f"{len(names)} of {len(cases)} cases differ from {OUT}")
+        return 1 if names else 0
     OUT.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"{len(cases)} cases written to {OUT}")
     return 0

@@ -2,8 +2,10 @@
 its recorded code and renders its recorded bytes, in JSON and in CSV.
 
 The corpus holds every ``dirichlet`` and ``hua-limit`` request of the
-benchmark's solve template on two seeds, and ``dirichlet`` requests of data
-that are not p-polyharmonic; ``golden/make_golden.py`` rebuilds it.  The
+benchmark's solve template on two seeds, ``dirichlet`` requests of data
+that are not p-polyharmonic, every request of the algebra template on the
+same seeds and one ``verify gegenbauer``; ``golden/make_golden.py``
+rebuilds it, and with ``--check`` names the cases that differ.  The
 digests cover numpy's elementwise functions and the versions the metadata
 records, so they are compared only on the Python and numpy versions the
 corpus was built with; elsewhere the exit codes are compared and the test
