@@ -13,8 +13,11 @@ alternating sum
     C_m(t) = sum_k (-1)^k  (lambda)_{m-k} / (k! (m-2k)!)  (2t)^{m-2k},
 
 where (lambda)_j is the rising product lambda (lambda+1) ... (lambda+j-1).
-The explicit sum is the oracle: at a real t it is evaluated exactly, in
-Python integers over one common denominator, and rounded once.  Exact
+The explicit sum is the oracle.  Its coefficients come from this factorial
+formula, never from the recurrence, built once per (lambda, m) as integer
+numerators over one denominator: with lambda = a/b, (lambda)_j = R_j / b^j
+for the integers R_j = prod_{i<j} (a + i b).  At a real t = a'/b' (a float
+is one exactly) the sum is then Horner in integers, rounded once.  Exact
 rational coefficient arrays (as polynomials in t) back the kernel algebra
 elsewhere in the package.
 
@@ -25,9 +28,10 @@ expressions like C_m - C_{m-2p} valid for every m >= 0.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
+from itertools import accumulate, count, islice
 
 import numpy as np
 
@@ -79,24 +83,32 @@ def gegenbauer(lam, m: int, t):
     return complex(out) if scalar else out
 
 
+def _exact_ratio(x) -> tuple:  # x = a / b, b > 0: any int, float, Fraction
+    ratio = getattr(x, "as_integer_ratio", None)
+    return ratio() if ratio is not None else (operator.index(x), 1)
+
+
 @lru_cache(maxsize=None)
-def _explicit_coefficients(lam: Fraction, m: int) -> tuple:
+def _explicit_coefficients(lam, m: int) -> tuple:
     """(numerators, denominator): the coefficients (-1)^k (lambda)_{m-k} /
     (k! (m-2k)!) for k = 0..floor(m/2), all over their least common
-    denominator.
+    denominator; ((), 1) for m < 0.
 
     Built from the factorial formula, never from the recurrence table, so
-    the explicit sum stays an independent route.
+    the explicit sum stays an independent route: over b^m m! the k-th
+    numerator is (-1)^k R_{m-k} b^k m! / (k! (m-2k)!).
     """
-    coefs = []
-    for k in range(m // 2 + 1):
-        rising = Fraction(1)
-        for j in range(m - k):
-            rising *= lam + j
-        coefs.append((-1) ** k * rising
-                     / (math.factorial(k) * math.factorial(m - 2 * k)))
-    denom = math.lcm(*(c.denominator for c in coefs))
-    return tuple(c.numerator * (denom // c.denominator) for c in coefs), denom
+    _check_lambda(lam)
+    if m < 0:
+        return (), 1
+    a, b = _exact_ratio(lam)
+    rising = list(accumulate((a + i * b for i in range(m)), operator.mul,
+                             initial=1))
+    denom = b ** m * math.factorial(m)
+    nums = [(-1) ** k * rising[m - k] * b ** k * math.comb(m, k)
+            * math.perm(m - k, k) for k in range(m // 2 + 1)]
+    g = math.gcd(denom, *nums)
+    return tuple(num // g for num in nums), denom // g
 
 
 def gegenbauer_explicit(lam, m: int, t) -> complex:
@@ -106,18 +118,17 @@ def gegenbauer_explicit(lam, m: int, t) -> complex:
     A float is an exact rational, so the only rounding is the final one; in
     floating point the sum cancels catastrophically for large m, which would
     make the oracle useless at the tolerances it certifies.  With t = a/b
-    and the coefficients N_k / L over one denominator, Horner runs in
-    integers on sum_k N_k (2a)^{m-2k} b^{2k}, and one correctly rounded
-    division by L b^m ends it.
+    and the coefficients N_k / L over one denominator, cached per
+    (lambda, m), Horner runs in integers on sum_k N_k (2a)^{m-2k} b^{2k},
+    and one correctly rounded division by L b^m ends it.
     """
-    m = int(m)
-    if np.ndim(t) or isinstance(t, complex):
+    if not isinstance(t, float) and (np.ndim(t) or isinstance(t, complex)):
         raise ValueError("the explicit sum takes a real scalar t")
-    _check_lambda(lam)
+    m = int(m)
+    nums, denom = _explicit_coefficients(lam, m)
     if m < 0:
         return 0j
-    a, b = Fraction(t).as_integer_ratio()
-    nums, denom = _explicit_coefficients(Fraction(lam), m)
+    a, b = _exact_ratio(t)
     u, w = 4 * a * a, b * b  # (2t)^2 = u / w
     acc, wk = 0, 1
     for num in nums:

@@ -23,9 +23,10 @@ order-p decomposition with Delta^p-annihilated components.
 The bases of H_m^p = ker Delta^p come in closed form too.
 
 Text format: terms joined by " + ", each term "c * x1^a1 x2^a2 ...", with
-rational coefficients "p/q" and complex ones "(re,im)"; decimals such as
-"0.25" are read exactly.  Printing then parsing reproduces the polynomial
-exactly.
+rational coefficients "p/q" and complex ones "(re,im)"; every number,
+decimals such as "0.25" and "1e-3" too, is read as an exact integer ratio
+and printed as "p/q" in lowest terms, with no Fraction built either way.
+Printing then parsing reproduces the polynomial exactly.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ def _scalar(value) -> tuple:
             im.numerator * (d // im.denominator), d)
 
 
+def _ratio_text(a: int, d: int) -> str:  # str(Fraction(a, d)), d > 0
+    g = math.gcd(a, d)
+    return str(a // g) if d == g else f"{a // g}/{d // g}"
+
+
 # --------------------------------------------------------------------------
 # sparse multivariate polynomials
 # --------------------------------------------------------------------------
@@ -92,14 +98,13 @@ class MultiPoly:
     def __init__(self, n: int, terms=None):
         if n < 2:
             raise ValueError("n must be >= 2")
-        parsed, scale = [], 1
+        parsed = []
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for n={n}")
-            a, b, d = _scalar(c)
-            parsed.append((exps, a, b, d))
-            scale = math.lcm(scale, d)
+            parsed.append((exps, *_scalar(c)))
+        scale = math.lcm(*(d for *_, d in parsed))  # 1 for no terms
         clean = {}
         for exps, a, b, d in parsed:
             re0, im0 = clean.get(exps, (0, 0))
@@ -316,9 +321,9 @@ class MultiPoly:
         for exps, (a, b) in sorted(self.terms.items(), key=_term_order):
             factors = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
             try:
-                cs = str(Fraction(a, self.denom))
+                cs = _ratio_text(a, self.denom)
                 if b:
-                    cs = f"({cs},{Fraction(b, self.denom)})"
+                    cs = f"({cs},{_ratio_text(b, self.denom)})"
             except ValueError:  # past the int-to-text digit limit
                 e = math.log10(max(abs(a), abs(b))) - math.log10(self.denom)
                 raise ValueError(
@@ -340,105 +345,114 @@ class MultiPoly:
 # text format helpers
 # --------------------------------------------------------------------------
 
-_TOKEN = _re.compile(r"""
-      (?P<var>x\d+)
-    | (?P<num>\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-    | (?P<op>[()^*+,-])
-    | (?P<ws>\s+)
-""", _re.VERBOSE)
+# variables, numbers, operators, and any other non-space character (bad)
+_TOKEN = _re.compile(r"x\d+|\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+                     r"|[()^*+,-]|\S")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"polynomial text: bad character at position {pos}: "
-                             f"{text[pos:pos + 10]!r}")
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group()))
-        pos = m.end()
-    return out
+def _ratio(tok) -> tuple | None:
+    """(numerator, denominator > 0), unreduced, of a number token, None for
+    any other: the value of ``Fraction(tok)`` by its int conversions in their
+    order, so a part past the int-to-text digit limit raises alike."""
+    if not tok or not (tok[0].isdecimal() or tok[0] == "." and len(tok) > 1):
+        return None
+    num, slash, den = tok.partition("/")
+    if slash:
+        num, den = int(num), int(den)
+        if not den:
+            raise ValueError(f"polynomial text: zero denominator in {tok!r}")
+        return num, den
+    mantissa, _, exp = tok.replace("E", "e").partition("e")
+    whole, _, frac = mantissa.partition(".")
+    den = 10 ** len(frac)
+    num = int(whole or "0") * den + int(frac or "0")
+    shift = int(exp or "0")
+    return (num * 10 ** shift, den) if shift >= 0 else (num, den * 10**-shift)
+
+
+def _signs(toks: list, i: int) -> tuple:
+    """The sign of the run of + and - at toks[i], and the index after it."""
+    sign = 1
+    while toks[i] == "+" or toks[i] == "-":
+        sign, i = -sign if toks[i] == "-" else sign, i + 1
+    return sign, i
 
 
 def _parse_poly(text: str, n: int | None) -> MultiPoly:
     """The flat grammar: a signed sum of terms, each an optional coefficient
     (a number, or an "(re,im)" literal whose parts may carry signs), an
-    optional "*" after it, then factors "xi" or "xi^k"."""
-    toks = _tokenize(text)
-    if not toks:
-        raise ValueError("polynomial text: empty input")
-    # the next token last, above the end (None, None): every pop of the end
-    # is followed by a raise
-    stack = [(None, None)] + toks[::-1]
-
-    def sign() -> int:  # a run of + and -
-        out = 1
-        while stack[-1][1] in ("+", "-"):
-            out = -out if stack.pop()[1] == "-" else out
-        return out
-
-    def number() -> Fraction:
-        kind, val = stack.pop()
-        if kind != "num":
-            raise ValueError(f"polynomial text: expected a number, got {val!r}")
-        try:
-            return Fraction(val)
-        except ZeroDivisionError:
-            raise ValueError(
-                f"polynomial text: zero denominator in {val!r}") from None
-
-    raw = []  # (re, im, factor-dict) triples with signs folded in
-    while True:
-        outer, coeff = sign(), None
-        if stack[-1][1] == "(":
-            stack.pop()
-            coeff = []
-            for close in (",", ")"):
-                coeff.append(sign() * number())
-                val = stack.pop()[1]
-                if val != close:
-                    raise ValueError(
-                        f"polynomial text: expected {close!r}, got {val!r}")
-        elif stack[-1][0] == "num":
-            coeff = [number(), Fraction(0)]
-        if coeff is not None and stack[-1][1] == "*":
-            stack.pop()
-        factors = {}
-        while stack[-1][0] == "var":
-            name = stack.pop()[1]
-            idx = int(name[1:])
-            if idx < 1:
-                raise ValueError(f"polynomial text: bad variable {name!r}")
-            power = 1
-            if stack[-1][1] == "^":
-                stack.pop()
-                kind, val = stack.pop()
-                if kind != "num" or not val.isdigit():
-                    raise ValueError(f"polynomial text: bad exponent {val!r}")
-                power = int(val)
-            factors[idx - 1] = factors.get(idx - 1, 0) + power
-        if coeff is None:
-            if not factors:
-                raise ValueError("polynomial text: empty term")
-            coeff = [Fraction(1), Fraction(0)]
-        raw.append((outer * coeff[0], outer * coeff[1], factors))
-        kind, val = stack[-1]
-        if kind is None:
-            break
-        if val not in ("+", "-"):
-            raise ValueError(f"polynomial text: expected + or -, got {val!r}")
+    optional "*" after it, then factors "xi" or "xi^k".  A character that
+    starts no token is named, at its position, before any other error."""
+    toks = _TOKEN.findall(text) + [None]  # the end: each step onto it raises
+    raw, i = [], 0  # (sign, re, im, factor dict) of each term
+    try:
+        if len(toks) == 1:
+            raise ValueError("polynomial text: empty input")
+        while True:
+            sign, i = _signs(toks, i)
+            coeff = None
+            if toks[i] == "(":
+                coeff = []
+                for close in (",", ")"):
+                    part, i = _signs(toks, i + 1)
+                    if (ratio := _ratio(toks[i])) is None:
+                        raise ValueError("polynomial text: expected a "
+                                         f"number, got {toks[i]!r}")
+                    coeff.append((part * ratio[0], ratio[1]))
+                    i += 1
+                    if toks[i] != close:
+                        raise ValueError(f"polynomial text: expected "
+                                         f"{close!r}, got {toks[i]!r}")
+                i += 1
+            elif (ratio := _ratio(toks[i])) is not None:
+                coeff, i = [ratio, (0, 1)], i + 1
+            if coeff is not None and toks[i] == "*":
+                i += 1
+            factors = {}
+            while (tok := toks[i]) and tok[0] == "x" and len(tok) > 1:
+                idx = int(tok[1:])
+                if idx < 1:
+                    raise ValueError(f"polynomial text: bad variable {tok!r}")
+                power = 1
+                if toks[i + 1] == "^":
+                    i += 2
+                    if toks[i] is None or not toks[i].isdigit():
+                        raise ValueError(
+                            f"polynomial text: bad exponent {toks[i]!r}")
+                    power = int(toks[i])
+                factors[idx - 1] = factors.get(idx - 1, 0) + power
+                i += 1
+            if coeff is None:
+                if not factors:
+                    raise ValueError("polynomial text: empty term")
+                coeff = [(1, 1), (0, 1)]
+            raw.append((sign, *coeff, factors))
+            if toks[i] is None:
+                break
+            if toks[i] != "+" and toks[i] != "-":
+                raise ValueError(
+                    f"polynomial text: expected + or -, got {toks[i]!r}")
+    except ValueError:
+        for m in _TOKEN.finditer(text):  # the first bad character, if any
+            tok, at = m[0], m.start()
+            if len(tok) == 1 and tok not in "()^*+,-" and not tok.isdecimal():
+                raise ValueError("polynomial text: bad character at position "
+                                 f"{at}: {text[at:at + 10]!r}") from None
+        raise
     max_idx = max(max(f, default=-1) for *_, f in raw)
     dim = n if n is not None else max(max_idx + 1, 2)
     if max_idx + 1 > dim:
         raise ValueError(f"polynomial text: variable x{max_idx + 1} exceeds n={dim}")
+    if dim < 2:
+        raise ValueError("n must be >= 2")
+    denom = math.lcm(*(den for _, re, im, _ in raw for _, den in (re, im)))
     terms = {}
-    for re_part, im_part, factors in raw:
+    for sign, (a, da), (b, db), factors in raw:
         key = tuple(factors.get(k, 0) for k in range(dim))
         re0, im0 = terms.get(key, (0, 0))
-        terms[key] = (re0 + re_part, im0 + im_part)
-    return MultiPoly(dim, terms)
+        terms[key] = (re0 + sign * a * (denom // da),
+                      im0 + sign * b * (denom // db))
+    return MultiPoly._exact(dim, terms, denom)
 
 
 # --------------------------------------------------------------------------
@@ -478,17 +492,10 @@ def _monomials(n: int, m: int) -> list:
     """All exponent tuples of total degree m, graded-lex order."""
     if m < 0:
         return []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), m, n)
-    return out
+    if n == 1:
+        return [(m,)]
+    return [(e,) + rest for e in range(m, -1, -1)
+            for rest in _monomials(n - 1, m - e)]
 
 
 # --------------------------------------------------------------------------
@@ -501,15 +508,15 @@ def _require_homogeneous(q: MultiPoly, what: str):
 
 
 def _radial_horner(n: int, polys: list, weights: list) -> MultiPoly:
-    """sum_j weights[j] |x|^{2j} polys[j] over the pairs that
-    ``zip(polys, weights)`` gives, for int or Fraction weights; exact.
+    """sum_j |x|^{2j} polys[j] / weights[j] over the pairs that
+    ``zip(polys, weights)`` gives, for nonzero integer weights; exact.
 
     The sum is built as integer numerators over one denominator, the lcm of
-    den(weights[j]) * polys[j].denom, by Horner in |x|^2: multiplying by
-    |x|^2 adds each numerator at e + 2 e_i for every i.  One gcd reduces the
+    weights[j] * polys[j].denom, by Horner in |x|^2: multiplying by |x|^2
+    adds each numerator at e + 2 e_i for every i.  One gcd reduces the
     result; generic products would reduce at every step."""
     parts = list(zip(polys, weights))
-    denom = math.lcm(*(w.denominator * u.denom for u, w in parts))
+    denom = math.lcm(*(w * u.denom for u, w in parts))
     acc = {}
     for u, w in reversed(parts):
         shifted = {}
@@ -518,7 +525,7 @@ def _radial_horner(n: int, polys: list, weights: list) -> MultiPoly:
                 key = e[:i] + (e[i] + 2,) + e[i + 1:]
                 a0, b0 = shifted.get(key, (0, 0))
                 shifted[key] = (a0 + a, b0 + b)
-        f = w.numerator * (denom // (w.denominator * u.denom))
+        f = denom // (w * u.denom)  # exact, with the sign of w
         for e, (a, b) in u.terms.items():
             a0, b0 = shifted.get(e, (0, 0))
             shifted[e] = (a0 + a * f, b0 + b * f)
@@ -547,11 +554,11 @@ def harmonic_almansi(q: MultiPoly) -> list:
     components = []
     for k in range(m // 2 + 1):
         d = m - 2 * k
-        # weights[j] = c_j / a_k
-        weights = [Fraction(1, math.prod(2 * i * (n + 2 * d + 2 * i - 2)
-                                         for i in range(1, k + 1)))]
+        # 1 / weights[j] = c_j / a_k
+        weights = [math.prod(2 * i * (n + 2 * d + 2 * i - 2)
+                             for i in range(1, k + 1))]
         for j in range(1, d // 2 + 1):
-            weights.append(-weights[-1] / (2 * j * (n + 2 * d - 2 - 2 * j)))
+            weights.append(-weights[-1] * 2 * j * (n + 2 * d - 2 - 2 * j))
         components.append(_radial_horner(n, ladder[k:], weights))
     return components
 
@@ -591,26 +598,31 @@ def _order_p(ladder, n: int, p: int) -> list:
     return [_radial_horner(n, block, [1] * len(block)) for block in blocks]
 
 
-# Most shift-adds the harmonic ladders of one polynomial may take: the
-# largest accepted, dense data of degree 144 at n = 2 with one-digit
-# coefficients, take 0.4-0.8 s on a 2-core Xeon with Python 3.11
-_MAX_LADDER_STEPS = 1 << 19
+# Most shift-adds the harmonic ladders of one polynomial may take, each
+# weighing 1 + b // _STEP_BITS for b-bit data numerators: the largest
+# accepted, dense data of degree 144 at n = 2 with one-digit coefficients,
+# take 0.4-0.8 s on a 2-core Xeon with Python 3.11, b-bit data about
+# 1 + b / 1024 times as long per shift-add (b to 14,000, degree 60 to 144)
+_MAX_LADDER_STEPS, _STEP_BITS = 1 << 19, 1024
 
 
 def _require_ladder(q: MultiPoly):
     """Refuse, before any Laplacian, harmonic ladders of q's homogeneous
-    parts past ``_MAX_LADDER_STEPS`` shift-adds.  A part of degree m gives
-    its component of degree d = m - 2k by a Horner sum (``_radial_horner``)
-    of floor(d/2) + 1 terms, each of up to dim_P(n, d) monomials shifted n
-    ways.  The count stops at the cap, so a huge degree costs a few terms."""
-    steps = 0
+    parts past ``_MAX_LADDER_STEPS`` weighted shift-adds.  A part of degree
+    m gives its component of degree d = m - 2k by a Horner sum
+    (``_radial_horner``) of floor(d/2) + 1 terms, each of up to dim_P(n, d)
+    monomials shifted n ways.  The count stops at the cap, so a huge degree
+    costs a few terms."""
+    bits = max(x.bit_length() for x in chain([q.denom], *q.terms.values()))
+    weight, steps = 1 + bits // _STEP_BITS, 0
     for m in sorted({sum(e) for e in q.terms}, reverse=True):
         for d in range(m, -1, -2):
-            steps += q.n * (d // 2 + 1) * dim_P(q.n, d)
+            steps += weight * q.n * (d // 2 + 1) * dim_P(q.n, d)
             if steps > _MAX_LADDER_STEPS:
                 raise ValueError(
-                    f"n={q.n}: the Almansi ladders of degree {q.degree()} "
-                    f"take more than the cap of {_MAX_LADDER_STEPS} steps")
+                    f"n={q.n}: the Almansi ladders of degree {q.degree()}"
+                    + f" on {bits}-bit numerators" * (weight > 1)
+                    + f" take more than the cap of {_MAX_LADDER_STEPS} steps")
 
 
 @lru_cache(maxsize=1)

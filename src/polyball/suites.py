@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,27 +169,35 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
     ]
 
 
+@lru_cache(maxsize=None)
+def _annihilated(basis: tuple, p: int) -> bool:
+    """Whether Delta^p kills every element of ``basis``; once per basis."""
+    return all(polyalg.is_polyharmonic(q, p) for q in basis)
+
+
 def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
                        max_degree: int = 8, samples: int = 3,
                        tolerance: float = 1e-9) -> list:
     """Z_m^p(eta, eta) equals dim H_m^p in every sector, and each degree's
     basis has dim_Hp elements, independent by construction (one free
-    monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp."""
+    monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp.
+    A degree's points are drawn at once, equal bit for bit to the points of
+    ``RotatedVector.sector(j, p, _unit_coords(rng, n))`` in turn."""
     _require_monomials(n, max_degree)
     _require_sectors(p, samples * (max_degree + 1), "diagonal points")
     rng = np.random.default_rng(seed)
+    phases = np.repeat(np.exp(1j * (np.arange(p) * math.pi / p)), samples)
     worst = 0.0
     dim_misses = 0
     for m in range(max_degree + 1):
         dim = dim_Hp(n, m, p)
-        basis = polyharmonic_basis(n, m, p)
-        if len(basis) != dim or not all(polyalg.is_polyharmonic(q, p)
-                                        for q in basis):
+        basis = tuple(polyharmonic_basis(n, m, p))
+        if len(basis) != dim or not _annihilated(basis, p):
             dim_misses += 1
-        etas = np.array([RotatedVector.sector(j, p, _unit_coords(rng, n))
-                         .to_complex()
-                         for j in range(p) for _ in range(samples)]
-                        ).reshape(-1, n)  # (0, n) when samples = 0
+        coords = rng.standard_normal((p * samples, n))
+        # each row's norm as np.linalg.norm takes it: sqrt of the BLAS dot
+        coords /= np.sqrt(np.vecdot(coords, coords))[:, None]
+        etas = phases[:, None] * coords
         B, x2, zb2 = kernels.pair_invariants(etas, etas)
         # P and |value - dim| in Python complex arithmetic, which rounds as
         # the one-pair kernel does; numpy's array * and abs may not
@@ -420,14 +428,15 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
 # --------------------------------------------------------------------------
 
 def _random_homogeneous(rng, n: int, m: int) -> MultiPoly:
-    terms = {}
+    terms = {}  # numerators over 2520 = lcm(1, ..., 9)
     for exps in polyalg._monomials(n, m):
         if rng.uniform() < 0.65:
             num = int(rng.integers(-9, 10))
             den = int(rng.integers(1, 10))
             if num:
-                terms[exps] = Fraction(num, den)
-    return MultiPoly(n, terms or {(m,) + (0,) * (n - 1): 1})
+                terms[exps] = (num * (2520 // den), 0)
+    x1_m = (m,) + (0,) * (n - 1)
+    return MultiPoly._exact(n, terms or {x1_m: (2520, 0)}, 2520)
 
 
 def suite_almansi(n: int = 2, p: int = 1, seed: int = 0, count: int = 40,
@@ -477,7 +486,9 @@ def suite_gegenbauer(n: int = 2, p: int = 1, seed: int = 0,
                      max_degree: int = 30, t_points: int = 101,
                      tolerance: float = 1e-11) -> list:
     """Recurrence vs exact explicit sum, and geometric convergence of the
-    generating-function partial sums.  Ignores n and p."""
+    generating-function partial sums.  Ignores n and p.  The explicit sum
+    (``gegenbauer_explicit``) is the factorial formula, never the
+    recurrence, in integers at each float t, rounded once."""
     from . import gegenbauer as gg  # the submodule, imported lazily
 
     del n, p, seed

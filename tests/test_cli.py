@@ -1203,6 +1203,92 @@ def test_polyharmonic_data_never_reach_the_step_cap(monkeypatch):
     assert [row[table.status_index] for row in table.rows] == ["ok"]
 
 
+@pytest.mark.parametrize("bits", [1024, 5000])
+def test_the_step_cap_weighs_each_step_by_the_numerator_bits(bits):
+    # data of b bits weigh 1 + b // 1024 per shift-add, so the cap refuses
+    # them at the first degree whose weighted steps pass it
+    weight = 1 + bits // polyalg._STEP_BITS
+    m = next(m for m in range(200)
+             if weight * _ladder_steps(2, m) > polyalg._MAX_LADDER_STEPS)
+
+    def x1(power):
+        return polyalg.MultiPoly.monomial(2, (power, 0), 2 ** (bits - 1))
+
+    polyalg._require_ladder(x1(m - 1))
+    with pytest.raises(ValueError, match=f"degree {m} on {bits}-bit "
+                       "numerators take more"):
+        polyalg._require_ladder(x1(m))
+
+
+def test_hundred_digit_ratios_are_refused_before_any_ladder(monkeypatch):
+    # dense degree-144 data with 100-digit numerators and denominators have
+    # a 14,000-digit common denominator; their ladder ran 17 s before the
+    # components were refused as past the int-to-text limit
+    def no_ladder(q):
+        raise AssertionError("Almansi ladder built")
+
+    monkeypatch.setattr(polyalg, "harmonic_almansi", no_ladder)
+    rng = np.random.default_rng(144)
+
+    def digits():
+        return "".join(map(str, rng.integers(1, 10, size=100)))
+
+    text = " + ".join(f"{digits()}/{digits()} * x1^{144 - j} x2^{j}"
+                      for j in range(145))
+    start = time.perf_counter()
+    with pytest.raises(cli.ConfigError, match="Almansi ladders of degree "
+                       "144 on [0-9]+-bit numerators take more than the cap"):
+        cli.run_command("almansi", {"n": 2, "polynomial": text})
+    assert time.perf_counter() - start < 2.0
+
+
+def test_warm_exact_requests_construct_no_fraction():
+    """Warm almansi, dirichlet, verify almansi and verify gegenbauer
+    requests build no Fraction: exact values are integer numerators from
+    the text to the table.  Each shape runs once first, which builds the
+    lru-cached public tables that hold Fractions and are excluded here:
+    gegenbauer_coefficients (``gegenbauer._coeff_table``) and the zonal
+    coefficients ``kernels._zonal_p_coeffs`` and
+    ``kernels._explicit_p_coeffs``."""
+    def requests(seed):
+        rng = np.random.default_rng(seed)
+
+        def number():
+            return f"{rng.integers(-9, 10)}/{rng.integers(1, 10)}"
+
+        text = (f"({number()},{number()}) * x1^5 + {number()} * x1^2 x2^3 "
+                f"+ 0.25 x3^5 + -1e-2 x1 x2 x3^3")
+        return [
+            ("almansi", {"n": 3, "p": 2, "polynomial": text}),
+            ("dirichlet", {"n": 3, "p": 2, "boundary": text + " + (1.5,2) x2^2",
+                           "points": [[0.3, -0.1, 0.2], [0.1, 0.4, 0.0]],
+                           "sectors": [0, 1]}),
+            ("verify", {"n": 2, "p": 2, "seed": seed, "suites": ["almansi"]}),
+            ("verify", {"n": 2, "p": 1, "seed": seed,
+                        "suites": ["gegenbauer"]}),
+        ]
+
+    for command, config in requests(0):
+        cli.run_command(command, config).render("json")
+    built = vars(Fraction)["__new__"]
+    count = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return built.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        assert Fraction(1, 3) and count == 1  # the count sees constructions
+        count = 0
+        for command, config in requests(1):
+            cli.run_command(command, config).render("json")
+    finally:
+        Fraction.__new__ = built
+    assert count == 0
+
+
 @pytest.mark.parametrize("p,powers", [(1, 1), (1600, 0)])
 def test_almansi_builds_radial_powers_only_for_a_second_component(
         monkeypatch, p, powers):

@@ -10,6 +10,7 @@ zero, not merely small.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -126,8 +127,30 @@ def test_text_round_trip_is_exact():
             assert (q - again).coefficient_scale() == 0.0
 
 
-# the recursive-descent reader that the flat one replaced, kept as the
-# reference for its results and its messages
+# the recursive-descent reader and the match-loop tokenizer that the flat
+# reader replaced, kept as the reference for its results and its messages
+
+_REFERENCE_TOKEN = re.compile(r"""
+      (?P<var>x\d+)
+    | (?P<num>\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+    | (?P<op>[()^*+,-])
+    | (?P<ws>\s+)
+""", re.VERBOSE)
+
+
+def _reference_tokenize(text: str):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            raise ValueError(f"polynomial text: bad character at position {pos}: "
+                             f"{text[pos:pos + 10]!r}")
+        if m.lastgroup != "ws":
+            out.append((m.lastgroup, m.group()))
+        pos = m.end()
+    return out
+
 
 class _ReferenceParser:
     def __init__(self, tokens):
@@ -199,7 +222,7 @@ class _ReferenceParser:
 
 
 def _reference_parse(text: str, n):
-    toks = polyalg._tokenize(text)
+    toks = _reference_tokenize(text)
     if not toks:
         raise ValueError("polynomial text: empty input")
     parser = _ReferenceParser(toks)
@@ -237,10 +260,29 @@ def _reference_parse(text: str, n):
 
 
 # every token kind, valid and not: numbers of each form, a zero
-# denominator, x0 and a variable past n, every operator, a bad character
-_TOKENS = ("x1", "x2", "x3", "x0", "x12", "2", "0", "17", "3/4", "3/0",
-           "0.25", ".5", "2.", "1e3", "2.5e-4", "(", ")", ",", "^", "*",
-           "+", "-", "y")
+# denominator, x0 and a variable past n, every operator, bad characters
+_BIG = "7" * 4301  # one digit past the int-to-text limit
+_VARS = ("x1", "x2", "x3")
+_NUMBERS = ("2", "0", "17", "3/4", "3/0", "0.25", ".5", "2.", "1e3",
+            "2.5e-4")
+# rarer: more decimal and exponent forms, unreduced ratios, a 4401-digit
+# value, a non-ASCII digit, and numbers whose numerator, denominator,
+# decimals or exponent pass the digit limit
+_EDGE_NUMBERS = ("0/0", "5/10", "12.50e+2", "7E-3", "00.010", "1e4400",
+                 "\u0663", _BIG, "1/" + _BIG, "0." + _BIG, _BIG + "/0",
+                 "1e" + _BIG, "1e-" + _BIG)
+_EXPONENTS = ("2", "0", "17", "\u0663", "3/4", _BIG)
+_OTHERS = ("x0", "x12", "x" + _BIG, "(", ")", ",", "^", "*", "+", "-", "y",
+           "\u00b2", "x", ".", "\t", "\n")
+_TOKENS = _VARS + _NUMBERS + _EDGE_NUMBERS + _EXPONENTS + _OTHERS
+
+
+def _pick(rng, pool):
+    return pool[rng.integers(len(pool))]
+
+
+def _number(rng) -> str:
+    return _pick(rng, _EDGE_NUMBERS if rng.uniform() < 0.1 else _NUMBERS)
 
 
 def random_polynomial_text(rng) -> str:
@@ -257,21 +299,20 @@ def random_polynomial_text(rng) -> str:
                 * int(rng.integers(1, 3))
         coeff = int(rng.integers(3))  # none, a number or a literal
         if coeff == 1:
-            parts.append(_TOKENS[rng.integers(5, 15)])
+            parts.append(_number(rng))
         elif coeff == 2:
-            parts += ["(", "-" * int(rng.integers(0, 2)),
-                      _TOKENS[rng.integers(5, 15)], ",",
-                      _TOKENS[rng.integers(5, 15)], ")"]
+            parts += ["(", "-" * int(rng.integers(0, 2)), _number(rng), ",",
+                      _number(rng), ")"]
         if coeff and rng.uniform() < 0.5:
             parts.append("*")
         for _ in range(int(rng.integers(0 if coeff else 1, 4))):
-            parts.append(_TOKENS[rng.integers(0, 3)])
+            parts.append(_pick(rng, _VARS))
             if rng.uniform() < 0.5:
-                parts += ["^", _TOKENS[rng.integers(5, 8)]]
+                parts += ["^", _pick(rng, _EXPONENTS[:3])
+                          if rng.uniform() < 0.9 else _pick(rng, _EXPONENTS)]
     if rng.uniform() < 0.3:
         k = int(rng.integers(len(parts)))
-        parts[k] = _TOKENS[rng.integers(len(_TOKENS))] \
-            if rng.uniform() < 0.5 else ""
+        parts[k] = _pick(rng, _TOKENS) if rng.uniform() < 0.5 else ""
     return " ".join(parts)
 
 
@@ -294,6 +335,24 @@ def test_flat_reader_equals_the_recursive_descent_reference():
         assert got == parse_outcome(_reference_parse, text, n), text
         accepted += got[0] != "error"
     assert accepted > 800
+
+
+def test_flat_reader_equals_the_reference_on_every_number_form():
+    # each edge number as a coefficient, inside a literal and as an
+    # exponent, and bad characters after it: the same polynomial or the
+    # same message, the digit limit's and the bad position's included
+    outcomes = []
+    for tok in _NUMBERS + _EDGE_NUMBERS:
+        for text in (f"{tok} * x1", f"-(1, -{tok}) x2^2", f"x1^{tok}",
+                     f"{tok} x1 + \u00b2", f"({tok},{tok}"):
+            outcomes.append(parse_outcome(polyalg._parse_poly, text, None))
+            assert outcomes[-1] == parse_outcome(_reference_parse, text,
+                                                 None), text
+    messages = " ".join(str(got[1]) for got in outcomes if got[0] == "error")
+    for kind in ("zero denominator", "Exceeds the limit", "bad character",
+                 "bad exponent", "expected ')'"):
+        assert kind in messages
+    assert sum(got[0] != "error" for got in outcomes) > 20
 
 
 def test_laplacian_matches_sympy():
