@@ -98,13 +98,14 @@ class MultiPoly:
     def __init__(self, n: int, terms=None):
         if n < 2:
             raise ValueError("n must be >= 2")
-        parsed = []
+        parsed, scale = [], 1
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != n or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for n={n}")
-            parsed.append((exps, *_scalar(c)))
-        scale = math.lcm(*(d for *_, d in parsed))  # 1 for no terms
+            a, b, d = _scalar(c)
+            parsed.append((exps, a, b, d))
+            scale = math.lcm(scale, d)
         clean = {}
         for exps, a, b, d in parsed:
             re0, im0 = clean.get(exps, (0, 0))
@@ -492,10 +493,17 @@ def _monomials(n: int, m: int) -> list:
     """All exponent tuples of total degree m, graded-lex order."""
     if m < 0:
         return []
-    if n == 1:
-        return [(m,)]
-    return [(e,) + rest for e in range(m, -1, -1)
-            for rest in _monomials(n - 1, m - e)]
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), m, n)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -603,7 +611,8 @@ def _order_p(ladder, n: int, p: int) -> list:
 # accepted, dense data of degree 144 at n = 2 with one-digit coefficients,
 # take 0.4-0.8 s on a 2-core Xeon with Python 3.11, b-bit data about
 # 1 + b / 1024 times as long per shift-add (b to 14,000, degree 60 to 144)
-_MAX_LADDER_STEPS, _STEP_BITS = 1 << 19, 1024
+_MAX_LADDER_STEPS = 1 << 19
+_STEP_BITS = 1024
 
 
 def _require_ladder(q: MultiPoly):
@@ -614,15 +623,17 @@ def _require_ladder(q: MultiPoly):
     monomials shifted n ways.  The count stops at the cap, so a huge degree
     costs a few terms."""
     bits = max(x.bit_length() for x in chain([q.denom], *q.terms.values()))
-    weight, steps = 1 + bits // _STEP_BITS, 0
+    weight = 1 + bits // _STEP_BITS
+    steps = 0
     for m in sorted({sum(e) for e in q.terms}, reverse=True):
         for d in range(m, -1, -2):
             steps += weight * q.n * (d // 2 + 1) * dim_P(q.n, d)
             if steps > _MAX_LADDER_STEPS:
+                size = f" on {bits}-bit numerators" if weight > 1 else ""
                 raise ValueError(
                     f"n={q.n}: the Almansi ladders of degree {q.degree()}"
-                    + f" on {bits}-bit numerators" * (weight > 1)
-                    + f" take more than the cap of {_MAX_LADDER_STEPS} steps")
+                    f"{size} take more than the cap of {_MAX_LADDER_STEPS} "
+                    "steps")
 
 
 @lru_cache(maxsize=1)

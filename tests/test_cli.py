@@ -1258,9 +1258,10 @@ def test_warm_exact_requests_construct_no_fraction():
 
         text = (f"({number()},{number()}) * x1^5 + {number()} * x1^2 x2^3 "
                 f"+ 0.25 x3^5 + -1e-2 x1 x2 x3^3")
+        mixed = text + " + (1.5,2) x2^2"
         return [
             ("almansi", {"n": 3, "p": 2, "polynomial": text}),
-            ("dirichlet", {"n": 3, "p": 2, "boundary": text + " + (1.5,2) x2^2",
+            ("dirichlet", {"n": 3, "p": 2, "boundary": mixed,
                            "points": [[0.3, -0.1, 0.2], [0.1, 0.4, 0.0]],
                            "sectors": [0, 1]}),
             ("verify", {"n": 2, "p": 2, "seed": seed, "suites": ["almansi"]}),
