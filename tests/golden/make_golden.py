@@ -6,18 +6,23 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/make_golden.py          # rebuild
     PYTHONPATH=src python tests/golden/make_golden.py --check  # compare
 
-The cases are every ``dirichlet`` and ``hua-limit`` request of one pass of
-the benchmark's solve template on seeds 5 and 6 (``perfbench.workloads``),
-``dirichlet`` requests whose data are not p-polyharmonic, at the probe
-shapes below, every request of one pass of the algebra template on the
-same seeds, the algebra workload's one ``verify gegenbauer``, and
-``almansi`` requests whose texts use every number form the reader takes.  Each
-case keeps its config, its exit code and the sha256 of its JSON and CSV
-renders; the file records the Python and numpy versions the digests were
-taken on.  A change that alters printed bits rebuilds the file in the same
-commit and names the tables that changed, and why.  ``--check`` writes
-nothing: it prints the name of every case whose exit code or digests differ
-from the committed file, or that it lacks, and exits 1 if there is one.
+The cases are every ``dirichlet``, ``hua-limit`` and ``kernel`` request of
+one pass of the benchmark's solve template on seeds 5 and 6
+(``perfbench.workloads``), ``dirichlet`` requests whose data are not
+p-polyharmonic, at the probe shapes below, every request of one pass of the
+algebra template on the same seeds, the algebra workload's one ``verify
+gegenbauer``, ``almansi`` requests whose texts use every number form the
+reader takes, and every request of one pass of the reproduce template on
+seed 5.  Each case keeps its config, its exit code, the sha256 of its JSON
+and CSV renders and a short digest of each column; a table of at most
+``KEPT_ROWS`` rows also keeps its value cells.  The file records the Python
+and numpy versions the digests were taken on.  A change that alters printed
+bits rebuilds the file in the same commit and names the tables that
+changed, and why.  ``--check`` writes nothing: for every case whose exit
+code or digests differ from the committed file, or that it lacks, it prints
+the name, the columns that changed and, where the cells are kept, the
+largest change of each changed value column relative to max(1, |cell|);
+it exits 1 if there is such a case.
 """
 
 from __future__ import annotations
@@ -39,6 +44,9 @@ from polyball import cli, polyalg  # noqa: E402
 
 OUT = Path(__file__).resolve().parent / "corpus.json"
 SEEDS = (5, 6)
+# tables of at most this many rows keep their value cells (every table but
+# the kernel tables, which run to hundreds of rows)
+KEPT_ROWS = 64
 # (n, p, degree) of the non-polyharmonic dirichlet probes, 4 points each
 PROBES = ((2, 1, 5), (3, 1, 4), (3, 2, 5), (2, 3, 7), (3, 3, 6), (4, 2, 4))
 # (n, p, text) of almansi requests in the number forms the workloads never
@@ -58,10 +66,17 @@ def solve_cases() -> list:
     for seed in SEEDS:
         rng = workloads.rng_for("solve", seed, "requests")
         for i, req in enumerate(workloads._solve_pass(rng)):
-            if req.command in ("dirichlet", "hua-limit"):
+            if req.command in ("dirichlet", "hua-limit", "kernel"):
                 cases.append((f"solve seed {seed} #{i} {req.label}",
                               req.command, req.config))
     return cases
+
+
+def reproduce_cases() -> list:
+    rng = workloads.rng_for("reproduce", SEEDS[0], "requests")
+    return [(f"reproduce seed {SEEDS[0]} #{i} {req.label}", req.command,
+             req.config)
+            for i, req in enumerate(workloads._reproduce_pass(rng))]
 
 
 def algebra_cases() -> list:
@@ -111,35 +126,73 @@ def digest(text: str) -> str:
 
 def record(name: str, command: str, config: dict) -> dict:
     table = cli.run_command(command, config)
-    return {"name": name, "command": command, "config": config,
+    case = {"name": name, "command": command, "config": config,
             "exit": table.exit_code(), "json": digest(table.render("json")),
-            "csv": digest(table.render("csv"))}
+            "csv": digest(table.render("csv")),
+            "columns": {column: digest(json.dumps(cells))[:16]
+                        for column, cells in zip(table.columns,
+                                                 zip(*table.rows))}}
+    if len(table.rows) <= KEPT_ROWS:
+        start = len(table.columns) - len(cli.VALUE_COLUMNS)
+        case["values"] = [",".join("" if c is None else repr(c)
+                                   for c in row[start:])
+                          for row in table.rows]
+    return case
 
 
-def changed(built: list, committed: list) -> list:
-    """Names of the built cases whose exit code or digests differ from the
-    committed case of the same name, or that have none."""
-    def outcome(case):
-        return case["exit"], case["json"], case["csv"]
+def _cells(rows: list) -> list:
+    return [[None if c == "" else float(c) for c in row.split(",")]
+            for row in rows]
 
-    keep = {case["name"]: outcome(case) for case in committed}
-    return [case["name"] for case in built
-            if keep.get(case["name"]) != outcome(case)]
+
+def describe(new: dict, old: dict | None) -> str | None:
+    """What differs between a built case and its committed case: the exit
+    code, the changed columns and the largest change of each changed value
+    column relative to max(1, |cell|); None when nothing does."""
+    if old is None:
+        return "not in the committed corpus"
+    if all(new[k] == old[k] for k in ("exit", "json", "csv")):
+        return None
+    parts = [] if new["exit"] == old["exit"] \
+        else [f"exit {old['exit']} -> {new['exit']}"]
+    columns = [c for c in new["columns"]
+               if new["columns"][c] != old["columns"].get(c)]
+    parts.append(f"columns {', '.join(columns)}" if columns
+                 else "metadata only")
+    if "values" not in new or "values" not in old:
+        parts.append("cells not kept")
+    elif len(new["values"]) != len(old["values"]):
+        parts.append(f"rows {len(old['values'])} -> {len(new['values'])}")
+    else:
+        pairs = list(zip(_cells(old["values"]), _cells(new["values"])))
+        for k, column in enumerate(cli.VALUE_COLUMNS):
+            if column in columns:
+                worst = max((abs(b[k] - a[k]) / max(1.0, abs(a[k]))
+                             for a, b in pairs
+                             if a[k] is not None and b[k] is not None),
+                            default=float("nan"))
+                parts.append(f"{column} {worst:.2e}")
+    return "; ".join(parts)
 
 
 def main(argv=None) -> int:
     check = "--check" in (sys.argv[1:] if argv is None else argv)
     cases = (solve_cases() + [probe_case(*shape) for shape in PROBES]
-             + algebra_cases())
+             + algebra_cases() + reproduce_cases())
     corpus = {"versions": {"python": platform.python_version(),
                            "numpy": np.__version__},
               "cases": [record(*case) for case in cases]}
     if check:
-        names = changed(corpus["cases"], json.loads(OUT.read_text())["cases"])
-        for name in names:
-            print(name)
-        print(f"{len(names)} of {len(cases)} cases differ from {OUT}")
-        return 1 if names else 0
+        committed = {case["name"]: case
+                     for case in json.loads(OUT.read_text())["cases"]}
+        differ = 0
+        for case in corpus["cases"]:
+            note = describe(case, committed.get(case["name"]))
+            if note is not None:
+                differ += 1
+                print(f"{case['name']}: {note}")
+        print(f"{differ} of {len(cases)} cases differ from {OUT}")
+        return 1 if differ else 0
     OUT.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"{len(cases)} cases written to {OUT}")
     return 0

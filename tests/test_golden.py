@@ -1,11 +1,13 @@
 """Golden corpus: every request in ``golden/corpus.json`` still exits with
 its recorded code and renders its recorded bytes, in JSON and in CSV.
 
-The corpus holds every ``dirichlet`` and ``hua-limit`` request of the
-benchmark's solve template on two seeds, ``dirichlet`` requests of data
-that are not p-polyharmonic, every request of the algebra template on the
-same seeds and one ``verify gegenbauer``; ``golden/make_golden.py``
-rebuilds it, and with ``--check`` names the cases that differ.  The
+The corpus holds every ``dirichlet``, ``hua-limit`` and ``kernel`` request
+of the benchmark's solve template on two seeds, ``dirichlet`` requests of
+data that are not p-polyharmonic, every request of the algebra template on
+the same seeds, one ``verify gegenbauer`` and every request of the
+reproduce template on one seed; ``golden/make_golden.py`` rebuilds it, and
+with ``--check`` names the cases that differ, their changed columns and the
+largest change of each.  The
 digests cover numpy's elementwise functions and the versions the metadata
 records, so they are compared only on the Python and numpy versions the
 corpus was built with; elsewhere the exit codes are compared and the test
