@@ -284,8 +284,8 @@ class MultiPoly:
         term as phase**degree, which keeps rotated-point evaluation free of
         unnecessary complex coordinate arithmetic when points are real.  A
         1-d array of phases gives a (len(phase), R) array, row k equal bit
-        for bit to the call with phase[k]: every power and monomial column
-        is built once and shared by all phases.
+        for bit to the call with phase[k].  The one-polynomial case of
+        ``_evaluate``.
         """
         pts = np.asarray(points)
         if pts.ndim != 2 or pts.shape[1] != self.n:
@@ -294,24 +294,10 @@ class MultiPoly:
         scalar = isinstance(phase, (float, complex)) or np.ndim(phase) == 0
         if not scalar and np.ndim(phase) != 1:
             raise ValueError("phase must be a scalar or a 1-d array")
-        phases = [complex(phase)] if scalar else [complex(ph) for ph in phase]
-        out = np.zeros((len(phases), pts.shape[0]), dtype=complex)
-        powers, d = {}, self.denom
-        for exps, (a, b) in sorted(self.terms.items(), key=_term_order):
-            # a product started from 1.0, not a ones column: the two differ
-            # only in the sign of a zero, which adding into out erases
-            mono = 1.0
-            for i, e in enumerate(exps):
-                if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = pts[:, i] ** e
-                    mono = mono * power
-            # a / d is correctly rounded, as float(Fraction(a, d)) is
-            c, degree = complex(a / d, b / d), sum(exps)
-            for k, ph in enumerate(phases):
-                out[k] += (c * ph ** degree) * mono
-        return out[0] if scalar else out
+        phases = [phase] if scalar else phase
+        out = np.empty((1, len(phases), pts.shape[0]), dtype=complex)
+        _evaluate([self], _power_table(pts, [self]), phases, out)
+        return out[0, 0] if scalar else out[0]
 
     # -- text format -------------------------------------------------------
 
@@ -340,6 +326,47 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly(n={self.n}, {self.to_text()!r})"
+
+
+def _power_table(points: np.ndarray, polys: list) -> list:
+    """Row i holds x_i^e of the (R, n) ``points`` for e = 1 .. the largest
+    exponent of x_i in ``polys`` (row[0] is unused): x_i^1 is the column
+    itself and each higher power the one below it times x_i, so x_i^2 is
+    numpy's ``x_i ** 2`` and no power calls libm ``pow``."""
+    table = []
+    for i in range(points.shape[1]):
+        row = [1.0, points[:, i].copy()]  # contiguous, for the products
+        top = max((e[i] for q in polys for e in q.terms), default=0)
+        for _ in range(top - 1):
+            row.append(row[-1] * row[1])
+        table.append(row)
+    return table
+
+
+def _evaluate(polys: list, table: list, phases, out: np.ndarray):
+    """out[d, k] = polys[d](phases[k] * points) for the points of the power
+    table ``table`` (``_power_table``), out of shape (D, K, R).
+
+    Terms go in ``_term_order``; each monomial column is the product, in
+    coordinate order from 1.0, of its table entries (a product from 1.0,
+    not a ones column: the two differ only in the sign of a zero, which
+    adding into out erases), and enters every phase with one array
+    operation, ``out[d] += w[:, None] * mono``, w[k] = c * phases[k]**degree
+    in Python complex arithmetic.  So row k equals the one-phase call bit
+    for bit, and every datum of a call shares one table."""
+    phases = [complex(ph) for ph in phases]
+    for q, acc in zip(polys, out):
+        acc.fill(0.0)
+        d = q.denom
+        for exps, (a, b) in sorted(q.terms.items(), key=_term_order):
+            mono = 1.0
+            for i, e in enumerate(exps):
+                if e:
+                    mono = mono * table[i][e]
+            # a / d is correctly rounded, as float(Fraction(a, d)) is
+            c, degree = complex(a / d, b / d), sum(exps)
+            w = np.array([c * ph ** degree for ph in phases])
+            acc += w[:, None] * mono
 
 
 # --------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, quadrature
+from . import kernels, polyalg, quadrature
 from .geometry import RotatedVector, as_complex_vector, as_rotated, lie_norm
 from .polyalg import MultiPoly
 
@@ -155,6 +155,7 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
         else s_step
     # preallocated: stacking the data's arrays would hold them twice
     values = np.empty((len(data), e_step, size), dtype=complex)
+    table = polyalg._power_table(rule.nodes, data)
 
     def cut(d):  # the data slices (S, D, 2 slices, R) of a data block
         return quadrature._split(here[d:d + d_step].transpose(1, 0, 2),
@@ -165,9 +166,8 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
         block = slice(s0, min(s0 + s_step, sectors))
         if s0 % e_step == 0:  # the first kernel block of an evaluated one
             evaluated = phases[s0:s0 + e_step]
-            for d, f in enumerate(data):
-                values[d, :len(evaluated)] = f.eval_at(rule.nodes,
-                                                       phase=evaluated)
+            polyalg._evaluate(data, table, evaluated,
+                              values[:, :len(evaluated)])
         here = values[:, s0 % e_step:][:, :block.stop - s0]
         held = cut(0) if d_step == len(data) else None
         for i in range(0, len(zs), z_step):
@@ -239,10 +239,11 @@ def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
         ks = quadrature._split(rule.weights * np.repeat(_sector_kernels(
             route, p, zs, phases, polar, rn), per, axis=-1), width, slices)
         flat = nodes.reshape(-1, n)
-        vs = quadrature._split(np.array(
-            [f.eval_at(flat, phase=phases).reshape(p, points, size)
-             for f in data]
-        ).transpose(2, 1, 0, 3), width, slices)
+        values = np.empty((count, p, points * size), dtype=complex)
+        polyalg._evaluate(data, polyalg._power_table(flat, data), phases,
+                          values)
+        vs = quadrature._split(values.reshape(count, p, points, size)
+                               .transpose(2, 1, 0, 3), width, slices)
         sums = quadrature._sliced_sums(
             ks.reshape(points * p, 1, 2 * slices, size),
             vs.reshape(points * p, count, 2 * slices, size), slices)
@@ -252,16 +253,17 @@ def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
 
 
 def _values_at(qs: list, xs: list) -> np.ndarray:
-    """(len(xs), len(qs)) values of polynomials at rotated points, one
-    ``eval_at`` per polynomial and sector angle over that sector's points;
-    each value equals ``q.evaluate(x)`` bit for bit."""
-    out = np.empty((len(xs), len(qs)), dtype=complex)
-    for angle in {x.angle for x in xs}:
-        at = [i for i, x in enumerate(xs) if x.angle == angle]
-        coords = np.array([xs[i].coords for i in at])
-        for d, q in enumerate(qs):
-            out[at, d] = q.eval_at(coords, phase=np.exp(1j * angle))
-    return out
+    """(len(xs), len(qs)) values of polynomials at rotated points: one
+    ``_evaluate`` of every polynomial over every point, with the distinct
+    sector phases as one phase array, each point read from its own phase's
+    row; each value equals ``q.evaluate(x)`` bit for bit."""
+    angles = sorted({x.angle for x in xs})
+    rows = [angles.index(x.angle) for x in xs]
+    coords = np.array([x.coords for x in xs]).reshape(len(xs), qs[0].n)
+    values = np.empty((len(qs), len(angles), len(xs)), dtype=complex)
+    polyalg._evaluate(qs, polyalg._power_table(coords, qs),
+                      [np.exp(1j * angle) for angle in angles], values)
+    return values[:, rows, np.arange(len(xs))].T
 
 
 def _interior_point(x, p: int) -> RotatedVector:

@@ -331,8 +331,9 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
           for degree in range(max_degree + 1)
           for exps in polyalg._monomials(n, degree)]
     got = solver.hua_integrals(us, zs, lie)
-    want = np.array([u.eval_at(zs) for u in us]).T
-    worst = float(np.max(np.abs(got - want)))
+    want = np.empty((len(us), 1, points), dtype=complex)
+    polyalg._evaluate(us, polyalg._power_table(zs, us), [1.0], want)
+    worst = float(np.max(np.abs(got - want[:, 0].T)))
     return [PropertyResult("hua-reproduction", "max-reproduction-error",
                            worst, tolerance)]
 
@@ -373,11 +374,12 @@ def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
     _require_sectors(p, elements * rule.count, "basis values")
     phases = solver._sector_phases(p)
+    bases = [polyharmonic_basis(n, m, p) for m in range(max_degree + 1)]
+    table = polyalg._power_table(rule.nodes, sum(bases, []))
     values = []  # per degree: array (basis, sector, node)
-    for m in range(max_degree + 1):
-        basis = polyharmonic_basis(n, m, p)
-        values.append(np.array(
-            [q.eval_at(rule.nodes, phase=phases) for q in basis]))
+    for basis in bases:
+        values.append(np.empty((len(basis), p, rule.count), dtype=complex))
+        polyalg._evaluate(basis, table, phases, values[-1])
     worst = 0.0
     weighted = [v * rule.weights for v in values]
     for m in range(max_degree + 1):

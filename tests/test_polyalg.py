@@ -380,15 +380,19 @@ def test_evaluate_homogeneity_under_complex_phase():
 
 
 def _eval_term_by_term(q: MultiPoly, pts: np.ndarray, phase) -> np.ndarray:
-    """One phase, every monomial column rebuilt per term: the reference
-    order of operations for ``eval_at``."""
+    """One phase, every power and monomial column rebuilt per term, each
+    power x^e as x^(e-1) * x: the reference order of operations for
+    ``eval_at``."""
     out = np.zeros(pts.shape[0], dtype=complex)
     for exps, (re, im) in sorted(_coefficients(q).items(),
                                  key=lambda t: (-sum(t[0]), t[0])):
         mono = np.ones(pts.shape[0], dtype=pts.dtype)
         for i, e in enumerate(exps):
             if e:
-                mono = mono * pts[:, i] ** e
+                power = pts[:, i]
+                for _ in range(e - 1):
+                    power = power * pts[:, i]
+                mono = mono * power
         c = complex(float(re), float(im))
         out += (c * complex(phase) ** sum(exps)) * mono
     return out
@@ -419,6 +423,70 @@ def test_eval_at_phase_array_matches_per_phase_calls_bitwise(n):
             assert q.eval_at(pts).shape == (len(pts),)
     with pytest.raises(ValueError, match="1-d"):
         polys[-1].eval_at(real, phase=phases.reshape(2, 2))
+
+
+_UNIT = 2.0 ** -53
+
+
+def _gauss_mul(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+@st.composite
+def _evaluation_cases(draw):
+    """A Gaussian-rational polynomial (n 2-5, degree <= 10), double nodes
+    with zeros of both signs among them, and 1-3 phases."""
+    n = draw(st.integers(2, 5))
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        exps = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=10)):
+            exps[i] += 1
+        den = draw(st.integers(1, 1000))
+        terms[tuple(exps)] = (Fraction(draw(st.integers(-999, 999)), den),
+                              Fraction(draw(st.integers(-999, 999)), den))
+    coord = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-2.0, 2.0, allow_nan=False))
+    points = np.array(draw(st.lists(
+        st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6)))
+    angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1,
+                           max_size=3))
+    return MultiPoly(n, terms), points, np.exp(1j * np.array(angles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_evaluation_cases())
+def test_eval_at_meets_its_rounding_bound_against_exact_values(case):
+    # Each term c_a ph^k x^a (k = |a| <= d) rounds its coefficient once
+    # (u), forms ph^k by at most k - 1 complex products and w = c ph^k by
+    # one more, each within sqrt(2) gamma_2 <= gamma_3 (Higham, Lemma 3.5),
+    # forms x^a by k - 1 real products and w x^a by one rounding per part:
+    # gamma_{4k+1} in all.  The T terms are summed per part, within
+    # gamma_{T-1} of each part's sum of moduli, so sqrt(2) gamma_{T-1} <=
+    # gamma_{2T-2} in modulus (Higham, section 3.1).  With c = 4,
+    # |computed - exact| <= gamma_{4(d+T)} sum_a |c_a| |ph|^k |x^a|,
+    # the exact value taken at the double nodes and phases.
+    q, points, phases = case
+    got = q.eval_at(points, phase=phases)
+    coefficients = _coefficients(q)
+    slack = 4 * (q.degree() + len(coefficients)) * _UNIT
+    gamma = slack / (1 - slack)
+    for k, ph in enumerate(phases):
+        w = (Fraction(ph.real), Fraction(ph.imag))
+        for r, x in enumerate(points):
+            exact, scale = (Fraction(0), Fraction(0)), 0.0
+            for exps, c in coefficients.items():
+                term = c
+                for _ in range(sum(exps)):
+                    term = _gauss_mul(term, w)
+                mono = math.prod(Fraction(float(x[i])) ** e
+                                 for i, e in enumerate(exps))
+                exact = (exact[0] + term[0] * mono, exact[1] + term[1] * mono)
+                scale += abs(complex(*map(float, c))) * abs(ph) ** sum(exps) \
+                    * abs(float(mono))
+            error = abs(complex(Fraction(got[k, r].real) - exact[0],
+                                Fraction(got[k, r].imag) - exact[1]))
+            assert error <= gamma * scale, (k, r, error, scale)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from polyball import kernels, quadrature, solver, suites
+from polyball import kernels, polyalg, quadrature, solver, suites
 from polyball.geometry import RotatedVector, bilinear_square, lie_norm
 from polyball.polyalg import MultiPoly, polyharmonic_basis
 from polyball.solver import (
@@ -54,20 +54,21 @@ def test_boundary_data_is_its_polynomial():
 
 
 def _recorded_phases(monkeypatch) -> tuple:
-    """Lists that collect (datum, phases) of every ``eval_at`` call and the
-    phases of every kernel build."""
+    """Lists that collect (datum, phases) of every datum the operator
+    evaluates (``polyalg._evaluate``) and the phases of every kernel
+    build."""
     evaluated, built = [], []
-    eval_at, sector_kernels = MultiPoly.eval_at, solver._sector_kernels
+    evaluate, sector_kernels = polyalg._evaluate, solver._sector_kernels
 
-    def recorded_eval(self, points, phase=1.0):
-        evaluated.append((self, np.array(phase)))
-        return eval_at(self, points, phase)
+    def recorded_eval(polys, table, phases, out):
+        evaluated.extend((q, np.array(phases)) for q in polys)
+        return evaluate(polys, table, phases, out)
 
     def recorded_kernels(route, p, zs, phases, *args):
         built.append(np.array(phases))
         return sector_kernels(route, p, zs, phases, *args)
 
-    monkeypatch.setattr(MultiPoly, "eval_at", recorded_eval)
+    monkeypatch.setattr(polyalg, "_evaluate", recorded_eval)
     monkeypatch.setattr(solver, "_sector_kernels", recorded_kernels)
     return evaluated, built
 
@@ -347,15 +348,54 @@ def test_hua_integrals_evaluate_each_datum_once_per_block(monkeypatch):
     us = [MultiPoly.from_text(t, n=2) for t in ("1", "x1", "x2^2 + x1 x2")]
     zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
     phases = []
-    eval_at = MultiPoly.eval_at
+    evaluate = polyalg._evaluate
 
-    def recorded(self, points, phase=1.0):
-        phases.append(np.shape(phase))
-        return eval_at(self, points, phase)
+    def recorded(polys, table, phase, out):
+        phases.extend([np.shape(phase)] * len(polys))
+        return evaluate(polys, table, phase, out)
 
-    monkeypatch.setattr(MultiPoly, "eval_at", recorded)
+    monkeypatch.setattr(polyalg, "_evaluate", recorded)
     hua_integrals(us, zs, lie)
     assert phases == [(lie.angular,)] * len(us)
+
+
+def test_each_operator_call_builds_one_power_table_per_node_set(
+        monkeypatch):
+    # the node powers are built once per call and shared by every datum and
+    # every block of sectors; a pole-aligned template's node set is the
+    # turned copies of one block of points
+    shapes = []
+    power_table = polyalg._power_table
+
+    def recorded(points, polys):
+        shapes.append(points.shape)
+        return power_table(points, polys)
+
+    monkeypatch.setattr(polyalg, "_power_table", recorded)
+    data = [BoundaryData(MultiPoly.from_text(t, n=3), 3)
+            for t in ("x1^3 x2 + 2 * x3^2", "x3 - 1", "(0,1) x1 x2^4")]
+    points = interior_points(3, 3, 4, np.random.default_rng(3))
+    rule = quadrature.sphere_rule(3, 6)
+    template = solver.aligned_rule(3, 6, 5)
+    for budget in (1 << 20, 500, 1):
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
+        shapes.clear()
+        poisson_integrals(data, points, rule)
+        assert shapes == [rule.nodes.shape], budget
+        shapes.clear()
+        poisson_integrals(data, points, template)
+        assert all(r % template.count == 0 and k == 3 for r, k in shapes)
+        assert sum(r for r, _ in shapes) == len(points) * template.count
+        if budget == 1:
+            assert len(shapes) == len(points)
+    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
+    shapes.clear()
+    hua_integrals([MultiPoly.from_text(t, n=2) for t in ("x1^3", "x2^2")],
+                  [np.array([0.3, 0.1j]), np.array([-0.2, 0.4])], lie)
+    assert shapes == [lie.base.nodes.shape]
+    shapes.clear()
+    solver._values_at([f.q for f in data], points)
+    assert shapes == [(len(points), 3)]
 
 
 # --------------------------------------------------------------------------
