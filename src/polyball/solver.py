@@ -131,26 +131,32 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
     multiplied exactly and joined per (point, datum, sector) by
     ``quadrature._sliced_sums``; a compensated sum then adds the sectors.
     Each kernel value is built and cut once, in a block of points x sectors
-    shared by every datum.  Each datum is evaluated once per block of
-    sectors, by one phase-array ``eval_at`` into one (data, sectors, nodes)
-    array that lives for that block only: every sector at once when all the
-    values fit ``_BLOCK_ELEMENTS`` (so a small call makes one call per
-    datum), else the sectors of one kernel block.  The data are cut from it
-    once per block of points, or once in all when they fit one block.
+    shared by every datum.  The data are evaluated once per block of
+    sectors, by one ``polyalg._evaluate`` from the call's one power table
+    of the nodes into one (data, sectors, nodes) array that lives for that
+    block only: every sector at once when all the values fit
+    ``_BLOCK_ELEMENTS``, else the sectors of one kernel block.  The data
+    are cut from it once per block of points, or once in all when they fit
+    one block.
     """
     size, sectors = rule.count, len(phases)
     rn = np.sum(rule.nodes * rule.nodes, axis=1)
     width, slices = quadrature._slicing(size)
     # a block's kernel slices, its data slices, and its slice-pair sums
     # with the temporaries of their join (about four times the 4 k^2
-    # floats per point, datum and sector) each hold at most _BLOCK_ELEMENTS
+    # floats per point, datum and sector) each hold at most the budget:
+    # 8 _BLOCK_ELEMENTS when that makes the whole call one block, else
+    # _BLOCK_ELEMENTS
     row, pair = 2 * slices * size, 16 * slices * slices
-    z_step = max(1, min(len(zs), _BLOCK_ELEMENTS // row))
-    d_step = max(1, min(len(data), _BLOCK_ELEMENTS // row,
-                        _BLOCK_ELEMENTS // (pair * z_step)))
-    s_step = max(1, min(sectors, _BLOCK_ELEMENTS // (row * z_step),
-                        _BLOCK_ELEMENTS // (row * d_step),
-                        _BLOCK_ELEMENTS // (pair * z_step * d_step)))
+    budget = _BLOCK_ELEMENTS
+    if sectors * max(row * len(zs), row * len(data),
+                     pair * len(zs) * len(data)) <= 8 * budget:
+        budget *= 8
+    z_step = max(1, min(len(zs), budget // row))
+    d_step = max(1, min(len(data), budget // row, budget // (pair * z_step)))
+    s_step = max(1, min(sectors, budget // (row * z_step),
+                        budget // (row * d_step),
+                        budget // (pair * z_step * d_step)))
     e_step = sectors if len(data) * sectors * size <= _BLOCK_ELEMENTS \
         else s_step
     # preallocated: stacking the data's arrays would hold them twice

@@ -95,16 +95,17 @@ def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
     # for another block of points or data: its calls cover every sector
     # once.  A block holds every sector when all the values fit the budget
     # (one pass, even where the kernels take one sector at a time), else
-    # the sectors of one kernel block
+    # the sectors of one kernel block.  The whole call is one block when
+    # its slices and join (15,552 floats here) fit eight budgets
     evaluated, built = _recorded_phases(monkeypatch)
     qs = [MultiPoly.from_text(t, n=3)
           for t in ("x1^2 x2 + 2 * x3", "x3 - 1", "(0,1) x1 x2")]
-    points = interior_points(3, 3, 4, np.random.default_rng(3))
+    points = interior_points(3, 3, 12, np.random.default_rng(3))
     rule = quadrature.sphere_rule(3, 6)
     assert len(qs) * 3 * rule.count == 648  # the values of every sector
     for budget, passes, kernel_blocks in ((1 << 20, 1, 1), (1 << 16, 1, 1),
-                                          (700, 1, 3), (500, 3, 3),
-                                          (1, 3, 3)):
+                                          (2000, 1, 1), (700, 1, 3),
+                                          (500, 3, 3), (1, 3, 3)):
         evaluated.clear()
         built.clear()
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
@@ -396,6 +397,35 @@ def test_each_operator_call_builds_one_power_table_per_node_set(
     shapes.clear()
     solver._values_at([f.q for f in data], points)
     assert shapes == [(len(points), 3)]
+
+
+def test_a_call_whose_join_fits_eight_budgets_is_one_block(monkeypatch):
+    # verify hua-reproduction at n = 2 is 10 points x 15 monomials x 23 Lie
+    # angles x 10 nodes: one block, where the per-point budget alone would
+    # cut it into 8 blocks of 3 angles.  A 1 x 1 hua-limit integral builds
+    # no more kernel blocks than that budget alone gives
+    builds = []
+    sector_kernels = solver._sector_kernels
+
+    def recorded(route, p, zs, phases, *args):
+        builds.append((len(zs), len(phases)))
+        return sector_kernels(route, p, zs, phases, *args)
+
+    monkeypatch.setattr(solver, "_sector_kernels", recorded)
+    [row] = suites.suite_hua_reproduction(n=2, p=1)
+    assert row.passed and builds == [(10, 23)]
+    u = MultiPoly.from_text("x1^3 x2 + (0,2) * x3^4 - x2^2", n=3)
+    for degree, radius in ((8, 0.9), (10, 0.8), (6, 0.3)):
+        lie = solver.choose_lie_rule(3, degree, radius, 1e-12)
+        _, slices = quadrature._slicing(lie.base.count)
+        budget = solver._BLOCK_ELEMENTS
+        per_point = max(1, min(lie.angular,
+                               budget // (2 * slices * lie.base.count),
+                               budget // (16 * slices * slices)))
+        builds.clear()
+        hua_reproduce(u, np.array([0.3, 0.1j, -0.2]), lie)
+        assert sum(s for _, s in builds) == lie.angular
+        assert len(builds) <= -(-lie.angular // per_point)
 
 
 # --------------------------------------------------------------------------
