@@ -209,8 +209,8 @@ def _turned(nodes: np.ndarray, coords: np.ndarray) -> tuple:
             * _dots(v, nodes)[:, :, None], -sign * norm)
 
 
-def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
-                       data: list) -> np.ndarray:
+def _aligned_integrate(route, p: int, xs: list, phases: np.ndarray,
+                       rule: quadrature.SphereRule, data: list) -> np.ndarray:
     """The (len(xs), len(data)) matrix of ``_integrate`` for rotated real
     points x = e^{i theta} a and polynomial data, each point with its own copy
     H zeta of the pole-aligned template ``rule``, reflected by ``_turned``
@@ -221,20 +221,20 @@ def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
     nodes that share it (the template's polar index is outermost), so the
     reflection's rounding never reaches a kernel value.
 
-    Per block of points: the reflected nodes, one phase-array ``eval_at``
-    of each datum over all of them, one kernel build, one ``_split`` of
-    each, and one exact ``_sliced_sums`` whose stacked rows are
+    ``phases`` are the sectors' phases, as for ``_integrate``.  Per block
+    of points: the reflected nodes, one ``polyalg._evaluate`` of the data
+    from one power table of all of them, one kernel build, one ``_split``
+    of each, and one exact ``_sliced_sums`` whose stacked rows are
     (point, sector) pairs, so a product multiplies one point's slices with
     its own data.  A block's kernel slices and its data slices each hold at
     most ``_BLOCK_ELEMENTS`` floats (one point at least); every value is
     computed per point, so each is bit-identical for any budget."""
-    n, size, count = rule.n, rule.count, len(data)
+    n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
     per = size // rule.resolution  # nodes per polar node
     polar = rule.nodes[::per]
     rn = np.sum(polar * polar, axis=1)
-    phases = _sector_phases(p)
     width, slices = quadrature._slicing(size)
-    step = max(1, _BLOCK_ELEMENTS // (2 * slices * size * p * count))
+    step = max(1, _BLOCK_ELEMENTS // (2 * slices * size * sectors * count))
     out = np.empty((len(xs), count), dtype=complex)
     for i in range(0, len(xs), step):
         block = xs[i:i + step]
@@ -245,16 +245,17 @@ def _aligned_integrate(route, p: int, xs: list, rule: quadrature.SphereRule,
         ks = quadrature._split(rule.weights * np.repeat(_sector_kernels(
             route, p, zs, phases, polar, rn), per, axis=-1), width, slices)
         flat = nodes.reshape(-1, n)
-        values = np.empty((count, p, points * size), dtype=complex)
+        values = np.empty((count, sectors, points * size), dtype=complex)
         polyalg._evaluate(data, polyalg._power_table(flat, data), phases,
                           values)
-        vs = quadrature._split(values.reshape(count, p, points, size)
+        vs = quadrature._split(values.reshape(count, sectors, points, size)
                                .transpose(2, 1, 0, 3), width, slices)
         sums = quadrature._sliced_sums(
-            ks.reshape(points * p, 1, 2 * slices, size),
-            vs.reshape(points * p, count, 2 * slices, size), slices)
+            ks.reshape(points * sectors, 1, 2 * slices, size),
+            vs.reshape(points * sectors, count, 2 * slices, size), slices)
         out[i:i + points] = quadrature.compensated_sum(
-            sums.reshape(points, p, count).transpose(0, 2, 1), axis=-1) / p
+            sums.reshape(points, sectors, count).transpose(0, 2, 1),
+            axis=-1) / sectors
     return out
 
 
@@ -293,7 +294,8 @@ def _rotated_integrals(route, data: list, points,
         raise ValueError("dimension mismatch")
     qs = [f.q for f in data]
     if rule.azimuth is not None:
-        return xs, _aligned_integrate(route, p, xs, rule, qs)
+        return xs, _aligned_integrate(route, p, xs, _sector_phases(p), rule,
+                                      qs)
     zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), n)
     return xs, _integrate(route, p, zs, _sector_phases(p), rule, qs)
 

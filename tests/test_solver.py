@@ -328,6 +328,26 @@ def test_aligned_rows_equal_their_one_point_integrals(monkeypatch, budget):
     assert np.max(np.abs(forms - got[:, 1])) <= 1e-10
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_aligned_sector_integrals_match_the_shared_rule(p):
+    # sector-integrals at n >= 3: int_S P_p(e^{-ik pi/p} x, zeta) dsigma
+    # over sector 0 alone (the one-sector phase set), each sample on its own
+    # turned template, equals the shared rule's value
+    rng = np.random.default_rng(70 + p)
+    xs = [RotatedVector(-k * math.pi / p, rng.uniform(0.1, 0.7)
+                        * suites._unit_coords(rng, 3)) for k in range(p)]
+    one, sector = [MultiPoly.constant(3, 1)], np.ones(1)
+    shared = choose_rule(3, p, 0, 0.7, 1e-12)
+    template = choose_rule(3, p, 0, 0.7, 1e-12, aligned=True)
+    assert template.count * 40 < shared.count
+    got = solver._aligned_integrate(solver._POISSON, p, xs, sector,
+                                    template, one)
+    want = solver._integrate(solver._POISSON, p,
+                             np.array([x.to_complex() for x in xs]), sector,
+                             shared, one)
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def test_every_matrix_product_stays_on_the_calling_thread(monkeypatch):
     # OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
     # thread; a larger one wakes worker threads that spin after it returns
