@@ -378,6 +378,14 @@ _TOKEN = _re.compile(r"x\d+|\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
                      r"|[()^*+,-]|\S")
 
 
+# Largest decimal exponent read.  A number of at most 4,300 digits before
+# and after its point, times 10^e with |e| past twice that, lies beyond the
+# double range or rounds to 0, and its ratio in lowest terms has more than
+# 4,300 digits, so no command could use or print it; refusing it before
+# 10 ** e is built keeps the cost of reading it small.
+_MAX_EXPONENT = 8600
+
+
 def _ratio(tok) -> tuple | None:
     """(numerator, denominator > 0), unreduced, of a number token, None for
     any other: the value of ``Fraction(tok)`` by its int conversions in their
@@ -395,6 +403,9 @@ def _ratio(tok) -> tuple | None:
     den = 10 ** len(frac)
     num = int(whole or "0") * den + int(frac or "0")
     shift = int(exp or "0")
+    if abs(shift) > _MAX_EXPONENT:
+        raise ValueError(f"polynomial text: the exponent of {tok[:30]!r} is "
+                         f"outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
     return (num * 10 ** shift, den) if shift >= 0 else (num, den * 10**-shift)
 
 

@@ -19,6 +19,15 @@ polyharmonic Z_m^p.  Given a pole-aligned template (``aligned_rule``),
 kernel is zonal about the point's real direction, and evaluate the data at
 each point's own nodes.
 
+The block plan: a block's kernel slices (points x sectors x 2k nodes),
+data slices (data x sectors x 2k nodes) and slice-pair join (16 k^2 floats
+per point, datum and sector) each hold at most ``_BLOCK_ELEMENTS`` floats,
+but a call whose whole slices and join each fit 8 ``_BLOCK_ELEMENTS`` runs
+as one block.  The data are evaluated from one power table per node set
+(``polyalg._power_table``): one per call, or one per block of points on a
+turned template.  No block splits the node axis of a sum, and every slice
+takes its scale from its whole row, so no value depends on the plan.
+
 Two independent evaluation routes compute the same solution:
 
 * ``poisson_integral`` pairs boundary values with the closed-form kernel
@@ -82,9 +91,10 @@ _POISSON, _BOUNDARY_FORM, _HUA = "poisson", "boundary-form", "hua"
 
 # Most float64 values the slices of one block hold: the kernel slices of a
 # block of points x sectors, or the data slices of a block of data x
-# sectors.  It bounds peak memory only: no block splits the node axis of a
-# sum, and the scale of every slice comes from its whole row, so every
-# value is bit-identical for any budget.
+# sectors; eight times as many when that makes the whole call one block.
+# It bounds peak memory only: no block splits the node axis of a sum, and
+# the scale of every slice comes from its whole row, so every value is
+# bit-identical for any budget.
 _BLOCK_ELEMENTS = 1 << 16
 
 

@@ -1134,6 +1134,29 @@ def test_coefficients_past_the_text_digit_limit_are_named(tmp_path, capsys):
                    "1e-5000, has more than 4300 digits\n")
 
 
+@pytest.mark.parametrize("command,key,extra", [
+    ("almansi", "polynomial", {}),
+    ("dirichlet", "boundary", {"points": [[0.3, 0.1]]}),
+    ("hua-limit", "u", {"z": [0.4, 0.2]}),
+])
+@pytest.mark.parametrize("number", ["1e-10000000", "1e10000000", "1e-8601"])
+def test_decimal_exponents_past_the_cap_are_refused_before_the_power(
+        tmp_path, capsys, command, key, extra, number):
+    # 10 ** 10,000,000 alone takes seconds to build and reduce; the reader
+    # refuses the exponent before it, in well under 10 ms
+    config = {"n": 2, key: f"{number} * x1", **extra}
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, text = run(tmp_path, command, config)
+        elapsed.append(time.perf_counter() - start)
+        err = capsys.readouterr().err
+        assert (code, text) == (cli.EXIT_CONFIG, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"the exponent of '{number}' is outside [-8600, 8600]" in err
+    assert min(elapsed) < 0.01
+
+
 def test_almansi_refuses_polynomials_past_the_monomial_cap(tmp_path, capsys,
                                                           monkeypatch):
     # n=5 has 10,626 monomials of degree 20, past the cap of 8,192; the

@@ -178,6 +178,12 @@ class _ReferenceParser:
         kind, val = self.next()
         if kind != "num":
             raise ValueError(f"polynomial text: expected a number, got {val!r}")
+        mantissa, e, exp = val.lower().partition("e")
+        if e:  # after the digit limits, before 10 ** exponent is built
+            Fraction(mantissa)
+            if abs(int(exp)) > 8600:
+                raise ValueError(f"polynomial text: the exponent of "
+                                 f"{val[:30]!r} is outside [-8600, 8600]")
         try:
             return sign * Fraction(val)
         except ZeroDivisionError:
@@ -445,8 +451,10 @@ def _evaluation_cases(draw):
         den = draw(st.integers(1, 1000))
         terms[tuple(exps)] = (Fraction(draw(st.integers(-999, 999)), den),
                               Fraction(draw(st.integers(-999, 999)), den))
-    coord = st.one_of(st.sampled_from([0.0, -0.0]),
-                      st.floats(-2.0, 2.0, allow_nan=False))
+    # zeros, else moduli in [2^-40, 2]: every product stays in the normal
+    # range, where the rounding model of the bound below holds
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), st.builds(
+        math.copysign, st.floats(2.0 ** -40, 2.0), st.sampled_from([1, -1])))
     points = np.array(draw(st.lists(
         st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=6)))
     angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=1,
