@@ -378,11 +378,9 @@ _TOKEN = _re.compile(r"x\d+|\d+/\d+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
                      r"|[()^*+,-]|\S")
 
 
-# Largest decimal exponent read.  A number of at most 4,300 digits before
-# and after its point, times 10^e with |e| past twice that, lies beyond the
-# double range or rounds to 0, and its ratio in lowest terms has more than
-# 4,300 digits, so no command could use or print it; refusing it before
-# 10 ** e is built keeps the cost of reading it small.
+# Largest decimal exponent read: past twice the 4,300-digit limit on each
+# side of the point, a number is beyond the double range or rounds to 0, and
+# its ratio in lowest terms passes the limit, so it is refused before 10 ** e
 _MAX_EXPONENT = 8600
 
 

@@ -154,9 +154,8 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
     width, slices = quadrature._slicing(size)
     # a block's kernel slices, its data slices, and its slice-pair sums
     # with the temporaries of their join (about four times the 4 k^2
-    # floats per point, datum and sector) each hold at most the budget:
-    # 8 _BLOCK_ELEMENTS when that makes the whole call one block, else
-    # _BLOCK_ELEMENTS
+    # floats per point, datum and sector) each hold at most the budget,
+    # eight _BLOCK_ELEMENTS when that makes the whole call one block
     row, pair = 2 * slices * size, 16 * slices * slices
     budget = _BLOCK_ELEMENTS
     if sectors * max(row * len(zs), row * len(data),
@@ -184,6 +183,8 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
             evaluated = phases[s0:s0 + e_step]
             polyalg._evaluate(data, table, evaluated,
                               values[:, :len(evaluated)])
+            if s0 + e_step >= sectors:  # the last evaluation
+                del table
         here = values[:, s0 % e_step:][:, :block.stop - s0]
         held = cut(0) if d_step == len(data) else None
         for i in range(0, len(zs), z_step):
@@ -302,12 +303,18 @@ def _rotated_integrals(route, data: list, points,
     xs = [_interior_point(x, p) for x in points]
     if any(x.n != n for x in xs):
         raise ValueError("dimension mismatch")
-    qs = [f.q for f in data]
+    return xs, _integrals_at(route, p, xs, _sector_phases(p), rule,
+                             [f.q for f in data])
+
+
+def _integrals_at(route, p: int, xs: list, phases: np.ndarray,
+                  rule: quadrature.SphereRule, qs: list) -> np.ndarray:
+    """``_integrate`` at rotated points, each point with its own turned copy
+    of a pole-aligned template (``_aligned_integrate``)."""
     if rule.azimuth is not None:
-        return xs, _aligned_integrate(route, p, xs, _sector_phases(p), rule,
-                                      qs)
-    zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), n)
-    return xs, _integrate(route, p, zs, _sector_phases(p), rule, qs)
+        return _aligned_integrate(route, p, xs, phases, rule, qs)
+    zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), rule.n)
+    return _integrate(route, p, zs, phases, rule, qs)
 
 
 # --------------------------------------------------------------------------

@@ -397,12 +397,11 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     """Prescribed sphere integrals of the Poisson kernel over each rotated
     copy: the per-sector identity and its unit average.
 
-    At n >= 3 each sample integrates over its own copy of the pole-aligned
-    template of ``solver.choose_rule``'s polar resolution (100 nodes at
-    n = 3, against 5,000 for the shared rule).  Each sample e^{-ik pi/p} x
-    is a rotated real point and the integrand P_p(e^{-ik pi/p} x, .) is
-    zonal about x/|x|, so ``solver.aligned_rule``'s proof covers it with
-    the data the constant 1."""
+    At n >= 3 each sample integrates over its own turned copy of the
+    pole-aligned template of ``solver.choose_rule``'s polar resolution (100
+    nodes at n = 3, against 5,000 for the shared rule): each sample
+    e^{-ik pi/p} x is a rotated real point, so ``solver.aligned_rule``'s
+    proof covers P_p(e^{-ik pi/p} x, .) times the constant datum 1."""
     rng = np.random.default_rng(seed)
     rule = solver.choose_rule(n, p, 0, radius, 1e-12, aligned=n >= 3)
     # each sample, turned into every sector, meets p sectors of nodes
@@ -412,15 +411,9 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once
     xs = [RotatedVector(-k * math.pi / p, coords)
           for coords in samples for k in range(p)]
-    one, sector = [MultiPoly.constant(n, 1)], np.ones(1)
-    if rule.azimuth is None:
-        lhs_all = solver._integrate(
-            solver._POISSON, p, np.array([x.to_complex() for x in xs]),
-            sector, rule, one)
-    else:
-        lhs_all = solver._aligned_integrate(solver._POISSON, p, xs, sector,
-                                            rule, one)
-    lhs_all = lhs_all.reshape(points, p)
+    lhs_all = solver._integrals_at(solver._POISSON, p, xs, np.ones(1), rule,
+                                   [MultiPoly.constant(n, 1)]
+                                   ).reshape(points, p)
     dev_sector = 0.0
     dev_average = 0.0
     for coords, lhs_row in zip(samples, lhs_all):
