@@ -20,15 +20,15 @@ a vectorized Sum2 (Ogita, Rump, Oishi, SIAM J. Sci. Comput. 26(6), 2005):
 deterministic, and as accurate as a sum carried in twice the working
 precision.  The node sums of ``solver`` are exact sliced matrix products
 (Ozaki, Ogita, Oishi, Rump, Numer. Algorithms 59, 2012): ``_split`` cuts
-each row, scaled by its largest entry, into slices whose every product sum
-is exact; ``_matmul`` multiplies them in BLAS products small enough to run
-on the calling thread, so no bit depends on BLAS blocking or threads; and
-``_sliced_sums`` joins the exact slice-pair terms with ``compensated_sum``.
-Each real and imaginary part is then off by at most u|S| plus about
-u/32 R M_K M_V for R nodes and row maxima M_K, M_V (the bound is in
-``_sliced_sums``).  Sums over rotated copies of the sphere (the rotated
-sectors and Lie-sphere angles) reduce along the node axis first, then
-across the copies.
+each complex row, both parts on one scale from its largest part, into
+complex slices whose every product sum is exact; ``_matmul`` multiplies
+them in BLAS products small enough to run on the calling thread, so no
+bit depends on BLAS blocking or threads; and ``_sliced_sums`` joins the k^2
+exact slice-pair sums with ``compensated_sum``.  Each real and imaginary
+part is then off by at most u|S| plus about u/22 R M_K M_V for R nodes and
+row maxima M_K, M_V (the bound is in ``_sliced_sums``).  A sum over rotated
+copies of the sphere (the rotated sectors and Lie-sphere angles) takes
+groups of consecutive copies as one row of nodes, then joins the groups.
 """
 
 from __future__ import annotations
@@ -225,13 +225,15 @@ def compensated_sum(values, axis=None):
     return complex(total) if axis is None else np.array(total)  # no view
 
 
-# Most multiply-adds m*n*k of one matrix product.  OpenBLAS runs a product
-# this small on the calling thread; a larger one wakes worker threads that
-# spin after it returns.
-_GEMM_SIZE = 1 << 18
+# Most multiply-adds m*n*k of one complex matrix product.  OpenBLAS runs a
+# complex product below 2^16 multiply-adds (a float64 one up to 2^18) on
+# the calling thread; a larger one wakes worker threads that spin after it
+# returns.
+_GEMM_SIZE = (1 << 16) - 1
 
 # Least number of bits the slices of one factor carry: the dropped
-# remainder of every factor is at most 2^-60 = u/128 of its row maximum.
+# remainder of every part is at most 2^(1 - 60) = u/64 of the row's
+# largest part.
 _SLICE_BITS = 60
 
 
@@ -246,37 +248,47 @@ def _slicing(count: int) -> tuple:
 
 
 def _split(values, width: int, slices: int) -> np.ndarray:
-    """Error-free slices of complex ``values`` (..., R): an array
-    (..., 2 slices, R) whose rows along axis -2 are the real part's slices
-    x_1..x_k, then the imaginary part's.
+    """Error-free complex slices of complex ``values`` (..., R): an array
+    (..., slices, R) whose rows along axis -2 are z_1..z_k.
 
-    Each real row x with max |x| = 2^e m, m in [1/2, 1), is cut by the
-    rounding of (x + sigma) - sigma with sigma = 1.5 * 2^(e + 52 - j w):
-    slice j is x_j = N_j 2^(e - j w) with an integer |N_j| <= 2^w, and the
-    cut is exact for w <= 50 (Ozaki, Ogita, Oishi, Rump, Numer. Algorithms
-    59, 2012).  What is left, x - sum_{j<=k} x_j, is at most 2^(e - k w - 1)
-    <= 2^-kw max |x| in modulus.  A product of a row slice and a column
-    slice is N N' 2^c with |N N'| <= 2^(2w) and c fixed by the two rows and
-    the two slice indices, so any partial sum of R <= 2^L such products is
-    an integer times 2^c of modulus at most 2^(L + 2w) <= 2^53: exact, in
-    any order, with or without FMA (barring underflow below 2^-1022).  The
-    scale comes from the whole row, so a row's slices do not depend on the
-    block it is cut in.
+    Both parts of a row are cut on one grid, one bit above the row's
+    largest part: with max_r max(|Re z_r|, |Im z_r|) in [2^(e-1), 2^e),
+    each part is cut by the rounding of (x + sigma) - sigma with
+    sigma = 1.5 * 2^(e + 53 - j w), so slice j is z_j = N_j 2^(e + 1 - j w)
+    for a Gaussian integer N_j, and the cut is exact for w <= 50 (Ozaki,
+    Ogita, Oishi, Rump, Numer. Algorithms 59, 2012).  The guard bit bounds
+    every |N_j| by 2^w: slice 1 rounds z / 2^(e + 1 - w), of modulus below
+    sqrt2 2^(w - 1), and slice j > 1 a remainder whose parts are at most
+    half a unit of slice j - 1, of modulus at most 2^w / sqrt2; rounding
+    both parts moves a point by at most 1/sqrt2, and
+    (2^w + 1) / sqrt2 <= 2^w for w >= 2.  What is left, z - sum_{j<=k} z_j,
+    has parts at most 2^(e - k w) <= 2^(1 - k w) max part, so modulus at
+    most eps M with eps = sqrt2 2^(1 - k w) and M the row's largest
+    modulus.
+
+    A product of a row slice and a column slice is N N' 2^c with c fixed by
+    the two rows and the two slice indices.  By Cauchy-Schwarz
+    |Re N Re N'| + |Im N Im N'| <= |N| |N'| <= 2^(2w), and the same holds
+    for the two products of the imaginary part, so every partial sum of
+    R <= 2^L such products, of either part, as complex products or as
+    their real products, is an integer times 2^c of modulus at most
+    2^(L + 2w) <= 2^53: exact, in any order, with or without FMA (barring
+    underflow below 2^-1022).  The scale comes from the whole row, so a
+    row's slices do not depend on the block it is cut in.
     """
-    values = np.asarray(values, dtype=complex)
-    rest = np.stack((values.real, values.imag), axis=-2)
+    rest = np.array(values, dtype=complex).view(float)  # parts interleaved
     top = np.maximum(np.max(rest, axis=-1, keepdims=True),
                      -np.min(rest, axis=-1, keepdims=True))
     _, e = np.frexp(top)
     out = np.empty(rest.shape[:-1] + (slices, rest.shape[-1]))
     for j in range(slices):
-        sigma = np.ldexp(1.5, e + 52 - (j + 1) * width)
+        sigma = np.ldexp(1.5, e + 53 - (j + 1) * width)
         cut = out[..., j, :]
         np.add(rest, sigma, out=cut)
         cut -= sigma
         if j < slices - 1:
             rest -= cut
-    return out.reshape(values.shape[:-1] + (2 * slices, values.shape[-1]))
+    return out.view(complex)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,7 +303,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows, cols = -(-m // -(-m // 64)), -(-n // -(-n // 64))
     depth = _GEMM_SIZE // (rows * cols)
     depth = -(-size // -(-size // depth))
-    out = np.zeros(a.shape[:-2] + (m, n))
+    out = np.zeros(a.shape[:-2] + (m, n), dtype=a.dtype)
     for i in range(0, m, rows):
         for j in range(0, n, cols):
             tile = out[..., i:i + rows, j:j + cols]
@@ -301,37 +313,29 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sliced_sums(ks: np.ndarray, vs: np.ndarray, slices: int) -> np.ndarray:
-    """sum_r K[s, i, r] V[s, d, r] for the ``_split`` slices ks (S, P,
-    2 slices, R) of K and vs (S, D, 2 slices, R) of V: an (S, P, D) complex
-    array.
+def _sliced_sums(ks: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """sum_r K[s, i, r] V[s, d, r] for the ``_split`` slices ks (S, P, k, R)
+    of K and vs (S, D, k, R) of V: an (S, P, D) complex array.
 
-    One exact product per sector gives every slice-pair sum.  The real part
-    joins the k^2 terms Kr_j Vr_l and the k^2 terms -Ki_j Vi_l, the
-    imaginary part Kr_j Vi_l and Ki_j Vr_l; no two are combined before the
-    join, a ``compensated_sum`` over these 2 k^2 exact terms in a fixed
-    order.  For each part, with M_K = max_r |K_r|, M_V = max_r |V_r|, the
-    dropped remainders cost at most rho = 2^(1 - k w) (2 + 2^-kw) R M_K M_V
-    (two real dots of R terms), the terms sum in modulus to at most
-    T = 2 (1 + 2^(2 - w))^2 R M_K M_V, and the join adds u |S| + 2 h^2 u^2 T
-    with h = ceil(log2 2k^2), so |result - S| <= u |S| + (1 + u) rho +
-    2 h^2 u^2 T.  As k w >= 60, rho is at most 2^-58 (1 + 2^-61) R M_K M_V,
-    about u/32 R M_K M_V.
+    One exact complex product per batch item s gives the k^2 slice-pair
+    sums G_jl = sum_r K_j V_l, whose parts the join takes as they are: one
+    ``compensated_sum`` over the k^2 terms in a fixed order.  For each part,
+    with M_K = max_r |K_r| and M_V = max_r |V_r|, the dropped remainders
+    (``_split``'s eps) cost at most
+    rho = sum_r |K V - K^ V^| <= eps (2 + eps) R M_K M_V.  A slice sum
+    sum_j |K_j| is at most |K| + sqrt2 sum_j 2^(e + 1 - j w)
+    <= (1 + 2^(3 - w)) M_K, so the terms sum in modulus to at most
+    T = (1 + 2^(3 - w))^2 R M_K M_V, and the join adds u |S| + 2 h^2 u^2 T
+    with h = ceil(log2 k^2).  So |result - S| <= u |S| + (1 + u) rho +
+    2 h^2 u^2 T.  As k w >= 60, rho is at most 2^-57.5 (1 + 2^-59) R M_K M_V,
+    about u/22 R M_K M_V.
     """
-    sectors, points, _, size = ks.shape
+    batch, points, slices, size = ks.shape
     data = vs.shape[1]
-    g = _matmul(ks.reshape(sectors, -1, size),
-                vs.reshape(sectors, -1, size).transpose(0, 2, 1)).reshape(
-        sectors, points, 2, slices, data, 2, slices)
-    g = g.transpose(0, 1, 4, 2, 5, 3, 6)  # (s, i, d, K part, V part, j, l)
-    terms = np.empty((sectors, points, data, 2, slices, slices),
-                     dtype=complex)
-    terms.real[..., 0, :, :] = g[..., 0, 0, :, :]
-    terms.real[..., 1, :, :] = -g[..., 1, 1, :, :]
-    terms.imag[..., 0, :, :] = g[..., 0, 1, :, :]
-    terms.imag[..., 1, :, :] = g[..., 1, 0, :, :]
-    del g  # before the join's temporaries
-    return compensated_sum(terms.reshape(sectors, points, data, -1), axis=-1)
+    g = _matmul(ks.reshape(batch, -1, size),
+                vs.reshape(batch, -1, size).transpose(0, 2, 1))
+    g = g.reshape(batch, points, slices, data, slices).transpose(0, 1, 3, 2, 4)
+    return compensated_sum(g.reshape(batch, points, data, -1), axis=-1)
 
 
 # --------------------------------------------------------------------------

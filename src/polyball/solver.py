@@ -9,9 +9,9 @@ kernel is built from the pair invariants (B, x2 * zb2) once per bounded
 block of points x sectors, shared by every datum; every datum is a
 polynomial, which the operator evaluates at its own nodes with the
 kernels' phases, once per block of sectors; and the node sum of
-weights * kernel * data is an exact sliced matrix product
-(``quadrature._sliced_sums``), so no value depends on the blocks or on
-BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
+weights * kernel * data over a row of sectors is an exact sliced matrix
+product (``quadrature._sliced_sums``), so no value depends on the blocks
+or on BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
 batch points and data; ``poisson_integral`` and ``hua_reproduce`` are their
 1 x 1 cases, and ``spectral_component`` pairs the data with the zonal
 polyharmonic Z_m^p.  Given a pole-aligned template (``aligned_rule``),
@@ -19,14 +19,18 @@ polyharmonic Z_m^p.  Given a pole-aligned template (``aligned_rule``),
 kernel is zonal about the point's real direction, and evaluate the data at
 each point's own nodes.
 
-The block plan: a block's kernel slices (points x sectors x 2k nodes),
-data slices (data x sectors x 2k nodes) and slice-pair join (16 k^2 floats
-per point, datum and sector) each hold at most ``_BLOCK_ELEMENTS`` floats,
-but a call whose whole slices and join each fit 8 ``_BLOCK_ELEMENTS`` runs
-as one block.  The data are evaluated from one power table per node set
-(``polyalg._power_table``): one per call, or one per block of points on a
-turned template.  No block splits the node axis of a sum, and every slice
-takes its scale from its whole row, so no value depends on the plan.
+The block plan: g consecutive sectors, or Lie angles, form one row of
+g R <= 2^10 nodes (``_group``, fixed by R and the sector count alone), and
+each (point, datum, row) is one exact dot.  A block's kernel slices
+(points x sectors x 2k R floats), data slices (data x sectors x 2k R
+floats) and slice-pair join (8 k^2 floats per point, datum and row) each
+hold at most ``_BLOCK_ELEMENTS`` floats, its sectors rounded up to whole
+rows, but a call whose whole slices and join each fit 8
+``_BLOCK_ELEMENTS`` runs as one block.  The data are evaluated from one
+power table per node set (``polyalg._power_table``): one per call, or one
+per block of points on a turned template.  No block splits a row, and
+every slice takes its scale from its whole row, so no value depends on the
+plan.
 
 Two independent evaluation routes compute the same solution:
 
@@ -92,10 +96,38 @@ _POISSON, _BOUNDARY_FORM, _HUA = "poisson", "boundary-form", "hua"
 # Most float64 values the slices of one block hold: the kernel slices of a
 # block of points x sectors, or the data slices of a block of data x
 # sectors; eight times as many when that makes the whole call one block.
-# It bounds peak memory only: no block splits the node axis of a sum, and
-# the scale of every slice comes from its whole row, so every value is
+# It bounds peak memory only: no block splits a row of sectors, and the
+# scale of every slice comes from its whole row, so every value is
 # bit-identical for any budget.
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _group(size: int, sectors: int) -> tuple:
+    """(g, rows, width, slices) for ``sectors`` sectors of ``size`` nodes
+    summed g consecutive sectors to a row: the g of rows of at most 2^10
+    nodes (one sector at least) with the least work, ceil(S / g) rows of
+    g R nodes, zero sectors padding the last, plus 64 nodes' worth per row
+    for its products and its join; and the slicing of a row.  A row of at
+    most 2^10 nodes takes no more slices than one sector
+    (``quadrature._slicing``: 3 up to 2^13 nodes) and stays well inside a
+    block.  All four depend on the two counts alone, so no value depends on
+    the plan or on the batch."""
+    most = max(1, min(sectors, (1 << 10) // size))
+    group = min(range(most, 0, -1),
+                key=lambda g: -(-sectors // g) * (g * size + 64))
+    return (group, -(-sectors // group),
+            *quadrature._slicing(group * size))
+
+
+def _rows(values: np.ndarray, group: int) -> np.ndarray:
+    """(..., S, R) values as (..., ceil(S / group), group R) rows of
+    ``group`` consecutive sectors; zero sectors pad the last row and add
+    exact zeros to its sums."""
+    *lead, sectors, size = values.shape
+    if sectors % group:
+        values = np.concatenate((values, np.zeros(
+            (*lead, -sectors % group, size), dtype=values.dtype)), axis=-2)
+    return values.reshape(*lead, -1, group * size)
 
 
 def _sector_phases(p: int) -> np.ndarray:
@@ -136,49 +168,55 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
     """(len(zs), len(data)) matrix of (1/S) sum_s int_S K(z_i, phases[s]
     zeta) f_d(phases[s] zeta) dsigma for polynomials f_d = data[d].
 
-    The node sum is a matrix product per sector, taken exactly: weights * K
-    and the data are cut into error-free slices (``quadrature._split``),
-    multiplied exactly and joined per (point, datum, sector) by
-    ``quadrature._sliced_sums``; a compensated sum then adds the sectors.
-    Each kernel value is built and cut once, in a block of points x sectors
-    shared by every datum.  The data are evaluated once per block of
-    sectors, by one ``polyalg._evaluate`` from the call's one power table
-    of the nodes into one (data, sectors, nodes) array that lives for that
-    block only: every sector at once when all the values fit
-    ``_BLOCK_ELEMENTS``, else the sectors of one kernel block.  The data
-    are cut from it once per block of points, or once in all when they fit
-    one block.
+    The node sum is one exact dot per point, datum and group of g
+    consecutive sectors (``_group``), taken as one row of g R nodes:
+    weights * K and the data are cut into error-free slices
+    (``quadrature._split``), multiplied exactly and joined per (point,
+    datum, group) by ``quadrature._sliced_sums``; a compensated sum then
+    adds the groups.  Each kernel value is built and cut once, in a block
+    of points x whole groups shared by every datum.  The data are
+    evaluated once per block of sectors, by one ``polyalg._evaluate`` from
+    the call's one power table of the nodes into one (data, sectors, nodes)
+    array that lives for that block only: every sector at once when all
+    the values fit ``_BLOCK_ELEMENTS``, else the sectors of one kernel
+    block.  The data are cut from it once per block of points, or once in
+    all when they fit one block.
     """
     size, sectors = rule.count, len(phases)
     rn = np.sum(rule.nodes * rule.nodes, axis=1)
-    width, slices = quadrature._slicing(size)
-    # a block's kernel slices, its data slices, and its slice-pair sums
-    # with the temporaries of their join (about four times the 4 k^2
-    # floats per point, datum and sector) each hold at most the budget,
-    # eight _BLOCK_ELEMENTS when that makes the whole call one block
-    row, pair = 2 * slices * size, 16 * slices * slices
+    group, groups, width, slices = _group(size, sectors)
+    # a block's kernel slices and data slices (2 k R floats per point or
+    # datum and sector), and its slice-pair sums with the temporaries of
+    # their join (about four times the 2 k^2 floats per point, datum and
+    # group) each hold at most the budget, eight _BLOCK_ELEMENTS when that
+    # makes the whole call one block; a block's sectors, rounded up to
+    # whole groups, hold one group per point or datum at least
+    row, pair = 2 * slices * size, 8 * slices * slices
     budget = _BLOCK_ELEMENTS
-    if sectors * max(row * len(zs), row * len(data),
-                     pair * len(zs) * len(data)) <= 8 * budget:
+    if max(sectors * row * max(len(zs), len(data)),
+           groups * pair * len(zs) * len(data)) <= 8 * budget:
         budget *= 8
-    z_step = max(1, min(len(zs), budget // row))
-    d_step = max(1, min(len(data), budget // row, budget // (pair * z_step)))
+    z_step = max(1, min(len(zs), budget // (row * group)))
+    d_step = max(1, min(len(data), budget // (row * group),
+                        budget // (pair * z_step)))
     s_step = max(1, min(sectors, budget // (row * z_step),
                         budget // (row * d_step),
-                        budget // (pair * z_step * d_step)))
+                        group * (budget // (pair * z_step * d_step))))
+    s_step = -(-s_step // group) * group
     e_step = sectors if len(data) * sectors * size <= _BLOCK_ELEMENTS \
         else s_step
     # preallocated: stacking the data's arrays would hold them twice
     values = np.empty((len(data), e_step, size), dtype=complex)
     table = polyalg._power_table(rule.nodes, data)
 
-    def cut(d):  # the data slices (S, D, 2 slices, R) of a data block
-        return quadrature._split(here[d:d + d_step].transpose(1, 0, 2),
-                                 width, slices)
+    def cut(a):  # the slices (G, A, k, g R) of values a (A, S, R)
+        return quadrature._split(_rows(a, group).transpose(1, 0, 2), width,
+                                 slices)
 
-    partial = np.empty((len(zs), len(data), sectors), dtype=complex)
+    partial = np.empty((len(zs), len(data), groups), dtype=complex)
     for s0 in range(0, sectors, s_step):
         block = slice(s0, min(s0 + s_step, sectors))
+        rows = slice(s0 // group, -(-block.stop // group))
         if s0 % e_step == 0:  # the first kernel block of an evaluated one
             evaluated = phases[s0:s0 + e_step]
             polyalg._evaluate(data, table, evaluated,
@@ -186,15 +224,14 @@ def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
             if s0 + e_step >= sectors:  # the last evaluation
                 del table
         here = values[:, s0 % e_step:][:, :block.stop - s0]
-        held = cut(0) if d_step == len(data) else None
+        held = cut(here) if d_step == len(data) else None
         for i in range(0, len(zs), z_step):
-            ks = quadrature._split((rule.weights * _sector_kernels(
-                route, p, zs[i:i + z_step], phases[block], rule.nodes,
-                rn)).transpose(1, 0, 2), width, slices)
+            ks = cut(rule.weights * _sector_kernels(
+                route, p, zs[i:i + z_step], phases[block], rule.nodes, rn))
             for d in range(0, len(data), d_step):
-                vs = cut(d) if held is None else held
-                partial[i:i + z_step, d:d + d_step, block] = \
-                    quadrature._sliced_sums(ks, vs, slices).transpose(1, 2, 0)
+                vs = cut(here[d:d + d_step]) if held is None else held
+                partial[i:i + z_step, d:d + d_step, rows] = \
+                    quadrature._sliced_sums(ks, vs).transpose(1, 2, 0)
                 del vs  # each block is freed before the next one is built
             del ks
         del held
@@ -232,19 +269,21 @@ def _aligned_integrate(route, p: int, xs: list, phases: np.ndarray,
     nodes that share it (the template's polar index is outermost), so the
     reflection's rounding never reaches a kernel value.
 
-    ``phases`` are the sectors' phases, as for ``_integrate``.  Per block
-    of points: the reflected nodes, one ``polyalg._evaluate`` of the data
-    from one power table of all of them, one kernel build, one ``_split``
-    of each, and one exact ``_sliced_sums`` whose stacked rows are
-    (point, sector) pairs, so a product multiplies one point's slices with
-    its own data.  A block's kernel slices and its data slices each hold at
-    most ``_BLOCK_ELEMENTS`` floats (one point at least); every value is
-    computed per point, so each is bit-identical for any budget."""
+    ``phases`` are the sectors' phases, as for ``_integrate``, and the
+    sectors join in the same rows of g consecutive sectors (``_rows``).
+    Per block of points: the reflected nodes, one ``polyalg._evaluate`` of
+    the data from one power table of all of them, one kernel build, one
+    ``_split`` of each, and one exact ``_sliced_sums`` whose stacked rows
+    are (point, group) pairs, so a product multiplies one point's slices
+    with its own data.  A block's kernel slices and its data slices each
+    hold at most ``_BLOCK_ELEMENTS`` floats (one point at least); every
+    value is computed per point, so each is bit-identical for any
+    budget."""
     n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
     per = size // rule.resolution  # nodes per polar node
     polar = rule.nodes[::per]
     rn = np.sum(polar * polar, axis=1)
-    width, slices = quadrature._slicing(size)
+    group, groups, width, slices = _group(size, sectors)
     step = max(1, _BLOCK_ELEMENTS // (2 * slices * size * sectors * count))
     out = np.empty((len(xs), count), dtype=complex)
     for i in range(0, len(xs), step):
@@ -253,35 +292,44 @@ def _aligned_integrate(route, p: int, xs: list, phases: np.ndarray,
         nodes, pole = _turned(rule.nodes, np.array([x.coords for x in block]))
         zs = np.zeros((points, n), dtype=complex)
         zs[:, -1] = pole * np.exp(1j * np.array([x.angle for x in block]))
-        ks = quadrature._split(rule.weights * np.repeat(_sector_kernels(
-            route, p, zs, phases, polar, rn), per, axis=-1), width, slices)
+        ks = quadrature._split(_rows(rule.weights * np.repeat(_sector_kernels(
+            route, p, zs, phases, polar, rn), per, axis=-1), group),
+            width, slices)
         flat = nodes.reshape(-1, n)
         values = np.empty((count, sectors, points * size), dtype=complex)
         polyalg._evaluate(data, polyalg._power_table(flat, data), phases,
                           values)
-        vs = quadrature._split(values.reshape(count, sectors, points, size)
-                               .transpose(2, 1, 0, 3), width, slices)
+        vs = quadrature._split(_rows(values.reshape(
+            count, sectors, points, size).transpose(2, 0, 1, 3), group)
+            .transpose(0, 2, 1, 3), width, slices)
         sums = quadrature._sliced_sums(
-            ks.reshape(points * sectors, 1, 2 * slices, size),
-            vs.reshape(points * sectors, count, 2 * slices, size), slices)
+            ks.reshape(points * groups, 1, slices, -1),
+            vs.reshape(points * groups, count, slices, -1))
         out[i:i + points] = quadrature.compensated_sum(
-            sums.reshape(points, sectors, count).transpose(0, 2, 1),
+            sums.reshape(points, groups, count).transpose(0, 2, 1),
             axis=-1) / sectors
     return out
 
 
 def _values_at(qs: list, xs: list) -> np.ndarray:
-    """(len(xs), len(qs)) values of polynomials at rotated points: one
-    ``_evaluate`` of every polynomial over every point, with the distinct
-    sector phases as one phase array, each point read from its own phase's
-    row; each value equals ``q.evaluate(x)`` bit for bit."""
+    """(len(xs), len(qs)) values of polynomials at rotated points, with the
+    distinct sector phases as the phase array of ``_sector_values``; each
+    value equals ``q.evaluate(x)`` bit for bit."""
     angles = sorted({x.angle for x in xs})
-    rows = [angles.index(x.angle) for x in xs]
-    coords = np.array([x.coords for x in xs]).reshape(len(xs), qs[0].n)
-    values = np.empty((len(qs), len(angles), len(xs)), dtype=complex)
-    polyalg._evaluate(qs, polyalg._power_table(coords, qs),
-                      [np.exp(1j * angle) for angle in angles], values)
-    return values[:, rows, np.arange(len(xs))].T
+    return _sector_values(
+        qs, [np.exp(1j * angle) for angle in angles],
+        [angles.index(x.angle) for x in xs],
+        np.array([x.coords for x in xs]).reshape(len(xs), qs[0].n))
+
+
+def _sector_values(qs: list, phases: list, rows, coords: np.ndarray
+                   ) -> np.ndarray:
+    """(len(coords), len(qs)) values q(phases[rows[i]] * coords[i]): one
+    ``_evaluate`` of every polynomial over every point, with the phases as
+    one phase array, each point read from its own phase's row."""
+    values = np.empty((len(qs), len(phases), len(coords)), dtype=complex)
+    polyalg._evaluate(qs, polyalg._power_table(coords, qs), phases, values)
+    return values[:, rows, np.arange(len(coords))].T
 
 
 def _interior_point(x, p: int) -> RotatedVector:

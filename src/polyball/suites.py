@@ -353,14 +353,23 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
     _require_sectors(p, p * points_per_sector * elements, "partial sums")
     rule = solver.choose_rule(n, p, max_degree, radius, 1e-11)
-    xs = [RotatedVector.sector(j, p, rng.uniform(0.1, radius)
-                               * _unit_coords(rng, n))
-          for j in range(p) for _ in range(points_per_sector)]
+    # the points of RotatedVector.sector(j, p, r * _unit_coords(rng, n)),
+    # radius then direction, with each row's norm as np.linalg.norm takes
+    # it (sqrt of the BLAS dot), bit for bit
+    draws = [(rng.uniform(0.1, radius), rng.standard_normal(n))
+             for _ in range(p * points_per_sector)]
+    coords = np.array([v for _, v in draws])
+    coords /= np.sqrt(np.vecdot(coords, coords))[:, None]
+    coords *= np.array([r for r, _ in draws])[:, None]
+    phases = [np.exp(1j * (j * math.pi / p)) for j in range(p)]
+    rows = np.repeat(np.arange(p), points_per_sector)
     basis = [q for m in range(max_degree + 1)
              for q in polyharmonic_basis(n, m, p)]
-    got = solver.poisson_integrals(
-        [solver.BoundaryData(q, p) for q in basis], xs, rule)
-    worst = float(np.max(np.abs(got - solver._values_at(basis, xs))))
+    got = solver._integrate(solver._POISSON, p,
+                            np.array(phases)[rows, None] * coords,
+                            solver._sector_phases(p), rule, basis)
+    want = solver._sector_values(basis, phases, rows, coords)
+    worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("reproduction", "max-reproduction-error",
                            worst, tolerance)]
 

@@ -8,6 +8,7 @@ must hit these moments to 1e-13 through that degree.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -399,7 +400,8 @@ SLICE_COUNTS = [4, 100, 2048, 2049, (1 << 17) + 3]
 @pytest.mark.parametrize("cancel", [False, True])
 @pytest.mark.parametrize("count", SLICE_COUNTS)
 def test_sliced_sums_meet_their_bound_against_exact_products(count, cancel):
-    # |result - S| <= u |S| + (1 + u) rho + 2 h^2 u^2 T per part, and the
+    # |result - S| <= u |S| + (1 + u) rho + 2 h^2 u^2 T per part, with the
+    # k^2-term join's h, rho and T of quadrature._sliced_sums, and the
     # correctly rounded fsum is within u |S| of S
     rng = np.random.default_rng(count + 7 * cancel)
     width, slices = quadrature._slicing(count)
@@ -413,12 +415,12 @@ def test_sliced_sums_meet_their_bound_against_exact_products(count, cancel):
             1.0 + 2.0 ** -45 * rng.standard_normal((2, data, half)))
         values[..., 2 * half:] = 0.0
     got = quadrature._sliced_sums(quadrature._split(kernel, width, slices),
-                                  quadrature._split(values, width, slices),
-                                  slices)
+                                  quadrature._split(values, width, slices))
     assert got.shape == (2, points, data)
-    h = math.ceil(math.log2(2 * slices * slices))
-    rho = 2.0 ** (1 - slices * width) * (2 + 2.0 ** -(slices * width))
-    total = 2 * (1 + 2.0 ** (2 - width)) ** 2
+    h = math.ceil(math.log2(slices * slices))
+    eps = math.sqrt(2.0) * 2.0 ** (1 - slices * width)
+    rho = eps * (2 + eps)
+    total = (1 + 2.0 ** (3 - width)) ** 2
     worst_cond = math.inf
     for s, i, d in np.ndindex(*got.shape):
         k, v = kernel[s, i], values[s, d]
@@ -458,6 +460,63 @@ def test_slice_products_are_exact_for_any_tiling(monkeypatch, count):
     np.testing.assert_array_equal(a @ b, want)
     monkeypatch.setattr(quadrature, "_GEMM_SIZE", 64)
     np.testing.assert_array_equal(quadrature._matmul(a, b), want)
+
+
+def gaussian_columns(rng, top: int, count: int) -> tuple:
+    """Gaussian integers a + ib, a, b >= 0, of modulus at most ``top`` and
+    the largest such on the first node, and two columns whose products with
+    them have one sign per part: (c - id) gives a c + b d in the real part,
+    (d + ic) the same in the imaginary part."""
+    row, columns = np.empty(count, complex), np.empty((count, 2), complex)
+    for z in (row, columns[:, 0]):
+        theta = rng.uniform(0.0, math.pi / 2, count)
+        np.floor(top * np.cos(theta), out=z.real)
+        np.floor(top * np.sin(theta), out=z.imag)
+        z[0] = top
+    columns[:, 0].imag *= -1.0
+    columns[:, 1] = 1j * columns[:, 0]
+    return row, columns
+
+
+def near_top(rng, shape) -> np.ndarray:
+    """Complex values whose parts lie just below 1, the power of two that
+    sets their scale: a slice cut without the guard bit would reach
+    sqrt2 2^w units."""
+    return (1.0 - 2.0 ** -8 * rng.random(shape)) \
+        + 1j * (1.0 - 2.0 ** -8 * rng.random(shape))
+
+
+@pytest.mark.parametrize("count", [1 << 13, (1 << 13) + 1, 1 << 21])
+def test_shared_scale_slices_keep_every_product_sum_exact(monkeypatch,
+                                                         count):
+    # the proof's extreme: slices of modulus 2^w units whose products add
+    # with one sign, to R 2^(2w) <= 2^53; and the slices _split cuts from
+    # rows at the top of their scale, with data columns of aligned signs.
+    # Each tiling returns the sums of the exact products bit for bit
+    rng = np.random.default_rng(count)
+    width, slices = quadrature._slicing(count)
+    a, b = gaussian_columns(rng, 1 << width, count)
+    cases = [(a[None, None], b[None])]
+    small = count < 1 << 20  # the cut slices of 2^21 nodes need 0.4 GB
+    if small:
+        ks = quadrature._split(near_top(rng, (1, count)), width, slices)
+        values = near_top(rng, (2, count))
+        values[0] = values[0].conj()
+        vs = quadrature._split(values, width, slices)
+        cases.append((ks, vs.reshape(1, 2 * slices, count)
+                      .transpose(0, 2, 1)))
+    # a slice is N 2^c with |N| <= 2^(w + 1), so each product of two is
+    # exact in a double; fsum rounds their sum once
+    wants = [[[(math.fsum(itertools.chain(k.real * v.real, -k.imag * v.imag)),
+                math.fsum(itertools.chain(k.real * v.imag, k.imag * v.real)))
+               for v in y[0].T] for k in x[0]] for x, y in cases]
+    # 64 cuts 2^21 nodes into 300,000 products; it is left out there
+    for gemm in (quadrature._GEMM_SIZE, 1 << 10, 64)[:2 + small]:
+        monkeypatch.setattr(quadrature, "_GEMM_SIZE", gemm)
+        for (x, y), want in zip(cases, wants):
+            got = quadrature._matmul(x, y)[0]
+            assert [[(z.real, z.imag) for z in row] for row in got.tolist()] \
+                == want, gemm
 
 
 def test_slicing_widths_keep_every_sum_exact_and_the_remainder_small():

@@ -94,33 +94,60 @@ def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
     # each datum is evaluated once per block of sectors, and never again
     # for another block of points or data: its calls cover every sector
     # once.  A block holds every sector when all the values fit the budget
-    # (one pass, even where the kernels take one sector at a time), else
-    # the sectors of one kernel block.  The whole call is one block when
-    # its slices and join (15,552 floats here) fit eight budgets
+    # (one pass, even where the kernels take a few sectors at a time), else
+    # the sectors of one kernel block.  Kernel blocks cover every sector
+    # once, in whole groups: 7 sectors of 200 nodes join in rows of four
+    # (800 nodes, the last row padded) for any budget.  The whole call is
+    # one block when its slices (100,800 floats here) fit eight budgets
     evaluated, built = _recorded_phases(monkeypatch)
     qs = [MultiPoly.from_text(t, n=3)
           for t in ("x1^2 x2 + 2 * x3", "x3 - 1", "(0,1) x1 x2")]
-    points = interior_points(3, 3, 12, np.random.default_rng(3))
-    rule = quadrature.sphere_rule(3, 6)
-    assert len(qs) * 3 * rule.count == 648  # the values of every sector
+    points = interior_points(3, 7, 12, np.random.default_rng(3))
+    rule = quadrature.sphere_rule(3, 10)
+    phases = solver._sector_phases(7)
+    assert solver._group(rule.count, 7)[0] == 4
+    assert len(qs) * 7 * rule.count == 4200  # the values of every sector
     for budget, passes, kernel_blocks in ((1 << 20, 1, 1), (1 << 16, 1, 1),
-                                          (2000, 1, 1), (700, 1, 3),
-                                          (500, 3, 3), (1, 3, 3)):
+                                          (4500, 1, 2), (3000, 2, 2),
+                                          (1, 2, 2)):
         evaluated.clear()
         built.clear()
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
-        poisson_integrals([BoundaryData(q, 3) for q in qs], points, rule)
+        poisson_integrals([BoundaryData(q, 7) for q in qs], points, rule)
         blocks = []  # the kernels' sector blocks, each once per point block
-        for phases in built:
-            if not blocks or not np.array_equal(blocks[-1], phases):
-                blocks.append(phases)
+        for block in built:
+            if not blocks or not np.array_equal(blocks[-1], block):
+                blocks.append(block)
         assert len(blocks) == kernel_blocks, budget
+        assert all(len(block) % 4 == 0 for block in blocks[:-1]), budget
+        np.testing.assert_array_equal(np.concatenate(blocks), phases)
         assert len(evaluated) == len(qs) * passes, budget
         for q in qs:
             mine = [phase for q0, phase in evaluated if q0 is q]
             assert len(mine) == passes, budget
-            np.testing.assert_array_equal(np.concatenate(mine),
-                                          solver._sector_phases(3))
+            np.testing.assert_array_equal(np.concatenate(mine), phases)
+
+
+def test_one_by_one_integrals_equal_their_batched_entries():
+    # sectors join in rows fixed by the node and sector counts alone, so a
+    # 1 x 1 call reduces every entry as the batched call does: 7 sectors
+    # and 7 Lie angles of 200 nodes, each in rows of four with a padded
+    # last row
+    qs = [MultiPoly.from_text(t, n=3)
+          for t in ("x1^2 x2 + 2 * x3", "x3 - 1", "(0,1) x1 x2^3")]
+    data = [BoundaryData(q, 7) for q in qs]
+    points = interior_points(3, 7, 4, np.random.default_rng(5))
+    rule = quadrature.sphere_rule(3, 10)
+    lie = quadrature.lie_sphere_rule(rule, 7)
+    assert solver._group(rule.count, 7)[0] == 4
+    zs = [np.array([0.3, 0.1j, -0.2]), np.array([-0.2, 0.4 + 0.1j, 0.1])]
+    batched = poisson_integrals(data, points, rule)
+    hua = hua_integrals(qs, zs, lie)
+    for d, f in enumerate(data):
+        for i, x in enumerate(points):
+            assert poisson_integral(f, x, rule) == batched[i, d]
+        for i, z in enumerate(zs):
+            assert hua_reproduce(f.q, z, lie) == hua[i, d]
 
 
 # --------------------------------------------------------------------------
@@ -348,20 +375,47 @@ def test_aligned_sector_integrals_match_the_shared_rule(p):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
-def test_every_matrix_product_stays_on_the_calling_thread(monkeypatch):
-    # OpenBLAS runs a product of at most 2^18 multiply-adds on the calling
-    # thread; a larger one wakes worker threads that spin after it returns
+def _recorded_products(monkeypatch) -> list:
+    """A list that collects (dtype, m n k) of every ``np.matmul``."""
     sizes = []
     matmul = np.matmul
 
     def recorded(a, b, *args, **kwargs):
-        sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        sizes.append((a.dtype, a.shape[-2] * a.shape[-1] * b.shape[-1]))
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recorded)
-    [row] = suites.suite_reproduction(n=3, p=1)
-    assert row.passed
-    assert sizes and max(sizes) <= 1 << 18
+    return sizes
+
+
+def test_every_matrix_product_stays_on_the_calling_thread(monkeypatch):
+    # OpenBLAS 0.3.31 (numpy 2.4.6, 2 cores) runs a float64 product of at
+    # most 2^18 multiply-adds on the calling thread, and a complex128 one
+    # below 2^16 (it wakes its worker threads at 65,536, 32 x 64 x 32 and
+    # 64 x 16 x 64, not at 64,512 or 61,440); a larger one wakes worker
+    # threads that spin after it returns
+    sizes = _recorded_products(monkeypatch)
+    for suite, n, p in ((suites.suite_reproduction, 3, 1),
+                        (suites.suite_hua_reproduction, 2, 1),
+                        (suites.suite_reproduction, 2, 3)):
+        [row] = suite(n=n, p=p)
+        assert row.passed
+    assert {dtype for dtype, _ in sizes} <= {np.dtype(float),
+                                             np.dtype(complex)}
+    assert all(size <= 1 << 18 if dtype == float else size < 1 << 16
+               for dtype, size in sizes)
+    assert any(dtype == complex for dtype, _ in sizes)
+
+
+@pytest.mark.parametrize("n,products", [(4, 810), (5, 7821)])
+def test_hua_reproduction_makes_no_more_products_than_per_angle_dots(
+        monkeypatch, n, products):
+    # the products of the suite when every Lie angle took its own real
+    # dots over 2k slices per part: complex slices and rows of angles
+    # take no more
+    sizes = _recorded_products(monkeypatch)
+    [row] = suites.suite_hua_reproduction(n=n)
+    assert row.passed and len(sizes) <= products
 
 
 def test_hua_integrals_evaluate_each_datum_once_per_block(monkeypatch):
@@ -422,18 +476,27 @@ def test_each_operator_call_builds_one_power_table_per_node_set(
 def test_a_call_whose_join_fits_eight_budgets_is_one_block(monkeypatch):
     # verify hua-reproduction at n = 2 is 10 points x 15 monomials x 23 Lie
     # angles x 10 nodes: one block, where the per-point budget alone would
-    # cut it into 8 blocks of 3 angles.  A 1 x 1 hua-limit integral builds
-    # no more kernel blocks than that budget alone gives
-    builds = []
-    sector_kernels = solver._sector_kernels
+    # cut it into 8 blocks of 3 angles, and one exact dot over a row of all
+    # 230 nodes per point and monomial.  A 1 x 1 hua-limit integral builds
+    # no more kernel blocks than per-angle blocks of that budget alone
+    # would, its blocks rounded up to whole rows of angles
+    builds, dots = [], []
+    sector_kernels, sliced_sums = solver._sector_kernels, \
+        quadrature._sliced_sums
 
     def recorded(route, p, zs, phases, *args):
         builds.append((len(zs), len(phases)))
         return sector_kernels(route, p, zs, phases, *args)
 
+    def recorded_sums(ks, vs):
+        dots.append((ks.shape, vs.shape))
+        return sliced_sums(ks, vs)
+
     monkeypatch.setattr(solver, "_sector_kernels", recorded)
+    monkeypatch.setattr(quadrature, "_sliced_sums", recorded_sums)
     [row] = suites.suite_hua_reproduction(n=2, p=1)
     assert row.passed and builds == [(10, 23)]
+    assert dots == [((1, 10, 3, 230), (1, 15, 3, 230))]
     u = MultiPoly.from_text("x1^3 x2 + (0,2) * x3^4 - x2^2", n=3)
     for degree, radius in ((8, 0.9), (10, 0.8), (6, 0.3)):
         lie = solver.choose_lie_rule(3, degree, radius, 1e-12)
