@@ -9,8 +9,10 @@ Run from the repository root:
 The cases are every ``dirichlet``, ``hua-limit`` and ``kernel`` request of
 one pass of the benchmark's solve template on seeds 5 and 6
 (``perfbench.workloads``), ``dirichlet`` requests whose data are not
-p-polyharmonic, at the probe shapes below, every request of one pass of the
-algebra template on the same seeds, the algebra workload's one ``verify
+p-polyharmonic, at the probe shapes below, ``kernel`` requests that pin
+every status other than ``ok`` (the examples of README and of
+``tests/test_cli.py``), every request of one pass of the algebra template
+on the same seeds, the algebra workload's one ``verify
 gegenbauer``, ``almansi`` requests whose texts use every number form the
 reader takes, and every request of one pass of the reproduce template on
 seed 5.  Each case keeps its config, its exit code, the sha256 of its JSON
@@ -59,6 +61,62 @@ TEXT_PROBES = (
            "+ 2. x1^2 x2^2 x3 - 3E2 x3^4 x1"),
     (4, 1, "(12/18,-0.125) x1 x2 x3 x4 + 100/4 x4^4 + 0.000 x1^4"),
 )
+
+
+E1 = [1.0, 0.0]
+# (name, config) of kernel requests whose rows are not all ok
+KERNEL_PROBES = (
+    ("singular pair", {"n": 2, "pairs": [
+        {"x": [0.999999999, 0], "zeta": [1, 0]}, {"x": [0.5, 0], "zeta": E1}],
+        "kernels": ["poisson", "hua"]}),
+    ("x outside the balls", {"n": 2, "p": 2, "x": [1.5, 0], "zeta": E1,
+                             "kernels": ["zonal", "poisson", "hua"]}),
+    ("zeta off the sphere", {"n": 2, "x": [0.5, 0], "zeta": [0.5, 0],
+                             "kernels": ["zonal", "poisson", "hua"]}),
+    ("series refused", {"n": 2, "x": [1.0 - 1e-7, 0], "zeta": [0, 1],
+                        "kernels": ["poisson", "hua"]}),
+    ("zonal rows rejected", {"n": 2, "p": 2, "x": [0.5, 0],
+                             "zeta": [1, 1e300], "degrees": [4],
+                             "kernels": ["zonal", "poisson", "hua"]}),
+    ("closed forms overflow", {"n": 400, "x": [0.9] + [0] * 399,
+                               "zeta": [1] + [0] * 399,
+                               "kernels": ["zonal", "poisson", "hua"]}),
+    ("tail bound overflows", {"n": 300, "x": [0.9] + [0] * 299,
+                              "zeta": [1] + [0] * 299,
+                              "kernels": ["poisson"]}),
+    ("domain edges", {"n": 2, "p": 2, "pairs": [
+        {"x": [1.0, 0], "zeta": E1}, {"x": [0.6, 0.8], "zeta": [0, 1]},
+        {"x": [0.3, 0], "zeta": [1.0 + 9e-13, 0], "zeta_sector": 1},
+        {"x": [0.3, 0], "zeta": [1.0 - 2e-12, 0], "x_sector": 1}],
+        "kernels": ["poisson", "hua"]}),
+)
+
+
+def kernel_batch(n: int, p: int) -> dict:
+    """Seven random pairs on mixed sectors with a singular, an outside, an
+    off-sphere and a series-refused pair among them."""
+    rng = np.random.default_rng(40 + n)
+    e1 = [1.0] + [0.0] * (n - 1)
+    pairs = []
+    for k in range(7):
+        x, zeta = rng.standard_normal((2, n))
+        pairs.append({"x": ((0.05 + 0.13 * k) * x
+                            / np.linalg.norm(x)).tolist(),
+                      "zeta": (zeta / np.linalg.norm(zeta)).tolist(),
+                      "x_sector": int(rng.integers(p)),
+                      "zeta_sector": int(rng.integers(p))})
+    pairs[2:2] = [{"x": [0.999999999] + e1[1:], "zeta": e1},
+                  {"x": [1.5] + e1[1:], "zeta": e1},
+                  {"x": [0.5] + e1[1:], "zeta": [0.5] + e1[1:]},
+                  {"x": [1.0 - 1e-7] + e1[1:], "zeta": e1[1:] + [1.0]}]
+    return {"n": n, "p": p, "pairs": pairs, "degrees": list(range(9)),
+            "kernels": ["zonal", "poisson", "hua"]}
+
+
+def kernel_cases() -> list:
+    return ([(f"kernel probe {name}", "kernel", config)
+             for name, config in KERNEL_PROBES]
+            + [("kernel probe p=3 mixed batch", "kernel", kernel_batch(5, 3))])
 
 
 def solve_cases() -> list:
@@ -178,7 +236,7 @@ def describe(new: dict, old: dict | None) -> str | None:
 def main(argv=None) -> int:
     check = "--check" in (sys.argv[1:] if argv is None else argv)
     cases = (solve_cases() + [probe_case(*shape) for shape in PROBES]
-             + algebra_cases() + reproduce_cases())
+             + kernel_cases() + algebra_cases() + reproduce_cases())
     corpus = {"versions": {"python": platform.python_version(),
                            "numpy": np.__version__},
               "cases": [record(*case) for case in cases]}

@@ -3,7 +3,8 @@ its recorded code and renders its recorded bytes, in JSON and in CSV.
 
 The corpus holds every ``dirichlet``, ``hua-limit`` and ``kernel`` request
 of the benchmark's solve template on two seeds, ``dirichlet`` requests of
-data that are not p-polyharmonic, every request of the algebra template on
+data that are not p-polyharmonic, ``kernel`` requests with singular,
+rejected and overflowing pairs, every request of the algebra template on
 the same seeds, one ``verify gegenbauer`` and every request of the
 reproduce template on one seed; ``golden/make_golden.py`` rebuilds it, and
 with ``--check`` names the cases that differ, their changed columns and the
