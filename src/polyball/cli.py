@@ -375,10 +375,6 @@ def _metadata(cfg: RunConfig, rule=None) -> dict:
 # commands
 # --------------------------------------------------------------------------
 
-def _rotated(coords, j: int, p: int) -> RotatedVector:
-    return RotatedVector.sector(j, p, np.asarray(coords, dtype=float))
-
-
 def _coefficients_overflow(n: int, m: int) -> bool:
     """Whether Z_m's p = 1 coefficients e_k = a^m_k - a^{m-2}_{k-1}, which
     every zonal row converts, surely overflow: signs are opposite, so |e_k|
@@ -389,87 +385,85 @@ def _coefficients_overflow(n: int, m: int) -> bool:
                for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
 
 
-def _status(outside: bool, singular: bool, failed: bool) -> str:
-    """A closed-form row's status: rejected for a pair outside the kernel's
-    domain, singular for a vanished denominator, rejected for a value that
-    overflowed or a series that was refused."""
-    if outside:
-        return "rejected"
-    if singular:
-        return "singular"
-    return "rejected" if failed else "ok"
+def _statuses(outside, singular, failed) -> list:
+    """Each closed-form row's status from masks over the pairs: rejected
+    outside the kernel's domain, singular for a vanished denominator,
+    rejected for a value that overflowed or a series that was refused."""
+    return np.select([outside, singular, failed],
+                     ["rejected", "singular", "rejected"], "ok").tolist()
 
 
-def _outside_balls(x: RotatedVector, zeta: RotatedVector, p: int) -> bool:
-    """Whether the Poisson kernel refuses the pair: x not inside the
-    rotated balls or zeta not on the rotated spheres."""
-    try:
-        kernels._require_sector_interior(x, p)
-        kernels._require_sector_sphere(zeta, p)
-    except ValueError:
-        return True
-    return False
+def _sector_rows(pairs: list, key: str, p: int) -> tuple:
+    """(coords, points): the real rows (k, n) of the pairs' ``key`` points
+    and the complex points e^{i j pi / p} coords of their sectors j, each
+    row bit for bit ``RotatedVector.sector(j, p, coords).to_complex()``."""
+    coords = np.array([pair[key] for pair in pairs], dtype=float)
+    sectors = np.array([pair[f"{key}_sector"] for pair in pairs])
+    return coords, np.exp(1j * (sectors * math.pi / p))[:, None] * coords
 
 
 def run_kernel(cfg: RunConfig) -> ResultTable:
     """Every kernel is evaluated as arrays over all pairs at once; array
     operations act on each pair alone, so a pair's rows do not depend on
-    the rest of its batch."""
+    the rest of its batch.  Routes, degrees and scales share one table of
+    powers of B and P."""
     table = ResultTable("kernel",
                         ("pair", "kernel", "m", "route", "status"),
                         _metadata(cfg))
     tol = cfg.row_tolerance
     n, p, which = cfg.n, cfg.p, cfg.data["kernels"]
-    pairs = [(_rotated(pair["x"], pair["x_sector"], p),
-              _rotated(pair["zeta"], pair["zeta_sector"], p))
-             for pair in cfg.data["pairs"]]
-    xs = np.array([x.to_complex() for x, _ in pairs])
-    zetas = np.array([zeta.to_complex() for _, zeta in pairs])
+    x_coords, xs = _sector_rows(cfg.data["pairs"], "x", p)
+    zeta_coords, zetas = _sector_rows(cfg.data["pairs"], "zeta", p)
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
     P = x2 * zb2
-    zonal = []  # (m, route values, route gaps, bound), each per pair
-    for m in cfg.data["degrees"] if "zonal" in which else ():
+    powers = kernels._Powers(B), kernels._Powers(P)
+    reference = ROUTES.index(ROUTE_GEGENBAUER_DIFF)
+    degrees = cfg.data["degrees"] if "zonal" in which else []
+    values, scales = [], []
+    for m in degrees:
         try:  # the scale below reuses these float coefficients
             if _coefficients_overflow(n, m):  # before exact tables
                 raise OverflowError
-            values = np.array([kernels.zonal_from_products(n, m, p, B, P,
-                                                           route)
-                               for route in ROUTES])
+            values.append([kernels.zonal_from_products(n, m, p, *powers,
+                                                       route)
+                           for route in ROUTES])
         except OverflowError as err:  # exact coefficients > 2^1024
             raise ConfigError(f"degree {m}: the zonal coefficients "
                               "overflow a double") from err
-        gaps = np.abs(values[:, None] - values).max(axis=1)
-        bound = tol * np.fmax(1.0, kernels._zonal_term_scale(n, m, p, B, P))
-        finite = np.isfinite(values).all(axis=0) \
-            & np.isfinite(gaps).all(axis=0) & np.isfinite(bound)
-        zonal.append((m, values.T.tolist(), gaps.T.tolist(), bound.tolist(),
-                      finite.tolist()))
-    lie = [lie_norm(x) * lie_norm(zeta) for x, zeta in zip(xs, zetas)]
+        scales.append(kernels._zonal_term_scale(n, m, p, *powers))
+    # (degree, route, pair) values, their largest route gaps and bounds
+    values = np.array(values).reshape(len(degrees), len(ROUTES), len(xs))
+    gaps = np.abs(values[:, :, None] - values[:, None]).max(axis=2)
+    bound = tol * np.fmax(1.0, np.reshape(scales, (len(degrees), len(xs))))
+    zonal_ok = (np.isfinite(values).all(axis=1)
+                & np.isfinite(gaps).all(axis=1) & np.isfinite(bound)).T.tolist()
+    ref = values[:, [reference] * len(ROUTES)]
+    # the cells ResultTable.add writes, + 0.0 turning -0.0 into 0.0
+    cells = (np.array([values.real, values.imag, ref.real, ref.imag, gaps,
+                       np.broadcast_to(bound[:, None], gaps.shape)])
+             + 0.0).transpose(3, 1, 2, 0).tolist()
+    lie = lie_norm(xs) * lie_norm(zetas)
     if "poisson" in which:
+        inside, on_sphere = kernels._sector_masks(x_coords, zeta_coords)
         closed, singular, finite = kernels._poisson_guarded(n, p, x2, B,
                                                              zb2)
         try:  # aligned pairs attain the tail bound, so ask for tol / 100
-            series = kernels._series_values(n, p, B, P, lie,
+            series = kernels._series_values(n, p, B, P, lie.tolist(),
                                             max(tol / 100.0, 1e-13))
         except ValueError as err:  # the term table is above the node cap
             raise ConfigError(f"poisson series: {err}") from err
-        poisson = [_status(_outside_balls(x, zeta, p), singular[i],
-                           not finite[i] or isinstance(series[i], ValueError))
-                   for i, (x, zeta) in enumerate(pairs)]
+        poisson = _statuses(~(inside & on_sphere), singular, ~finite | [
+            isinstance(value, ValueError) for value in series])
     if "hua" in which:
         hua, singular, finite = kernels._hua_guarded(n, x2, B, zb2)
-        hua_status = [_status(not lie[i] < 1.0, singular[i], not finite[i])
-                      for i in range(len(pairs))]
-    reference = ROUTES.index(ROUTE_GEGENBAUER_DIFF)
-    for i in range(len(pairs)):
-        for m, values, gaps, bound, finite in zonal:
-            for route, value, gap in zip(ROUTES, values[i], gaps[i]):
-                if not finite[i]:  # a value, gap or bound past the doubles
-                    table.add((i, "zonal", m, route, "rejected"))
-                    continue
-                table.add((i, "zonal", m, route, "ok"), value=value,
-                          reference=values[i][reference], error=gap,
-                          bound=bound[i])
+        hua_status = _statuses(~(lie < 1.0), singular, ~finite)
+    for i in range(len(xs)):
+        for m, routes, ok in zip(degrees, cells[i], zonal_ok[i]):
+            table.rows += ([[i, "zonal", m, route, "ok", *row]
+                            for route, row in zip(ROUTES, routes)]
+                           if ok else  # a value, gap or bound past doubles
+                           [[i, "zonal", m, route, "rejected"] + [None] * 6
+                            for route in ROUTES])
         if "poisson" in which and poisson[i] == "ok":
             value, truth = complex(closed[i]), series[i]
             table.add((i, "poisson", "", "closed-form", "ok"), value=value,
@@ -561,7 +555,7 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     table = ResultTable("dirichlet",
                         ("point", "sector") + coord_names + ("status",),
                         metadata)
-    xs = [_rotated(pt, j, p) if ok else None
+    xs = [RotatedVector.sector(j, p, pt) if ok else None
           for pt, j, ok in zip(points, cfg.data["sectors"], interior)]
     inside = [x for x in xs if x is not None]
     values = iter(solver.poisson_integrals([data], inside, rule)[:, 0])

@@ -59,10 +59,10 @@ def _recurrence(lamf: float, t, c0):
     a scalar); the sequence is unbounded, so callers slice it.
     """
     yield c0
-    prev, cur = c0, 2.0 * lamf * t
+    prev, cur, two_t = c0, 2.0 * lamf * t, 2.0 * t  # 2 t s C = ((2 t) s) C
     for k in count(2):
         yield cur
-        prev, cur = cur, (2.0 * t * (k + lamf - 1.0) * cur
+        prev, cur = cur, (two_t * (k + lamf - 1.0) * cur
                           - (k + 2.0 * lamf - 2.0) * prev) / k
 
 

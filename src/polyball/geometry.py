@@ -207,8 +207,10 @@ def hermitian_dot(z, w):
     return out if za.ndim == 2 else complex(out)
 
 
-def lie_norm(z) -> float:
-    """L(z) = sqrt(|z|_h^2 + sqrt(|z|_h^4 - |z.z|^2)).
+def lie_norm(z):
+    """L(z) = sqrt(|z|_h^2 + sqrt(|z|_h^4 - |z.z|^2)); for a stack (P, n)
+    of points, the array of their Lie norms, each row bit for bit its
+    value alone (its minors built in blocks of at most 2^16).
 
     With z = a + ib (a, b real) the inner radicand equals the Lagrange
     form 4 sum_{i<j} (a_i b_j - a_j b_i)^2, a sum of squares.  Evaluating
@@ -216,10 +218,15 @@ def lie_norm(z) -> float:
     catastrophic cancellation on near-rotated-real vectors, where the
     radicand vanishes; there L(e^{i phi} x) = ||x|| to machine precision.
     """
-    arr = as_complex_vector(z)
-    a, b = arr.real, arr.imag
-    h2 = float(a @ a + b @ b)
-    minors = np.outer(a, b)
-    minors -= minors.T
-    inner = 2.0 * float(np.sum(minors * minors))
-    return math.sqrt(h2 + math.sqrt(inner))
+    arr = _as_points(z)
+    a, b = np.atleast_2d(arr.real), np.atleast_2d(arr.imag)
+    h2 = np.vecdot(a, a) + np.vecdot(b, b)
+    inner = np.empty_like(h2)
+    step = max(1, 2 ** 16 // a.shape[1] ** 2)
+    for i in range(0, len(a), step):
+        minors = a[i:i + step, :, None] * b[i:i + step, None, :]
+        minors -= minors.transpose(0, 2, 1)
+        inner[i:i + step] = 2.0 * (minors * minors).reshape(
+            len(minors), -1).sum(axis=1)
+    out = np.sqrt(h2 + np.sqrt(inner))
+    return out if arr.ndim == 2 else float(out[0])

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -163,13 +163,33 @@ def pair_invariants(x, zeta) -> tuple:
             bilinear_square(zeta).conjugate())
 
 
-def _poly_sum(coeffs, m: int, B, P):
+class _Powers(dict):
+    """j -> base ** j, each built once, when first asked, by numpy's own
+    ``**`` (a chain of products rounds differently); ``moduli`` is the
+    table of |base|.  Calls given one table share its powers."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def __missing__(self, j: int):
+        self[j] = power = self.base ** j
+        return power
+
+    @cached_property
+    def moduli(self) -> "_Powers":
+        return _Powers(np.abs(self.base))
+
+
+def _powers(v) -> _Powers:
+    """``v`` if it is a power table, else the table of v as complex."""
+    return v if isinstance(v, _Powers) else _Powers(np.asarray(v, complex))
+
+
+def _poly_sum(coeffs, m: int, B: _Powers, P: _Powers):
     """sum_k coeffs[k] B^{m-2k} P^k, vectorized over B and/or P."""
-    Ba = np.asarray(B, dtype=complex)
-    Pa = np.asarray(P, dtype=complex)
-    total = np.zeros(np.broadcast(Ba, Pa).shape, dtype=complex)
+    total = np.zeros(np.broadcast(B.base, P.base).shape, dtype=complex)
     for k, c in enumerate(coeffs):
-        total = total + c * Ba ** (m - 2 * k) * Pa ** k
+        total = total + c * B[m - 2 * k] * P[k]
     return total
 
 
@@ -179,10 +199,12 @@ def _poly_sum(coeffs, m: int, B, P):
 
 def zonal_from_products(n: int, m: int, p: int, B, P,
                         route: str = ROUTE_GEGENBAUER_DIFF):
-    """Z_m^p from precomputed invariants B and P = x2 * zb2 (vectorized)."""
+    """Z_m^p from precomputed invariants B and P = x2 * zb2 (vectorized),
+    or from ``_Powers`` tables of them that calls share."""
+    B, P = _powers(B), _powers(P)
     if m < 0:
-        return np.zeros(np.broadcast(np.asarray(B), np.asarray(P)).shape,
-                        dtype=complex) if np.ndim(B) or np.ndim(P) else 0j
+        return np.zeros(np.broadcast(B.base, P.base).shape, dtype=complex) \
+            if B.base.ndim or P.base.ndim else 0j
     if route == ROUTE_SUM_OF_ZONALS:
         total = 0
         for j in range(p):
@@ -190,8 +212,7 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
             if deg < 0:
                 break
             coeffs = _float_coeffs(n, deg, 1, False)
-            total = total + np.asarray(P, dtype=complex) ** j \
-                * _poly_sum(coeffs, deg, B, P)
+            total = total + P[j] * _poly_sum(coeffs, deg, B, P)
         return total
     if route == ROUTE_GEGENBAUER_DIFF:
         return _poly_sum(_float_coeffs(n, m, p, False), m, B, P)
@@ -202,13 +223,12 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
 
 def _zonal_term_scale(n: int, m: int, p: int, B, P) -> np.ndarray:
     """Magnitude budget of the monomial expansion sum_k c_k B^{m-2k} P^k,
-    an array over B and P; route gaps are measured against it so that
-    cancellation-heavy points do not inflate relative errors beyond what
-    double precision can express."""
+    an array over B and P (or their ``_Powers`` tables); route gaps are
+    measured against it so that cancellation-heavy points do not inflate
+    relative errors beyond what double precision can express."""
     coeffs = _float_coeffs(n, m, p, False)
-    aB, aP = np.abs(B), np.abs(P)
-    return sum(abs(c) * aB ** (m - 2 * k) * aP ** k
-               for k, c in enumerate(coeffs))
+    aB, aP = _powers(B).moduli, _powers(P).moduli
+    return sum(abs(c) * aB[m - 2 * k] * aP[k] for k, c in enumerate(coeffs))
 
 
 def zonal_polyharmonic(params: KernelParams, x, zeta) -> complex:
@@ -240,6 +260,14 @@ def _require_sector_interior(x, p: int) -> RotatedVector:
     if not x.radius < 1.0:
         raise ValueError("x must lie strictly inside the rotated unit balls")
     return x
+
+
+def _sector_masks(x_coords, zeta_coords) -> tuple:
+    """(inside, on_sphere): ``_require_sector_interior``'s and
+    ``_require_sector_sphere``'s radius tests as masks over real rows (k, n);
+    a radius is the square root of the BLAS dot np.linalg.norm takes."""
+    rx, rz = (np.sqrt(np.vecdot(c, c)) for c in (x_coords, zeta_coords))
+    return rx < 1.0, np.abs(rz - 1.0) <= 1e-12
 
 
 @np.errstate(all="ignore")  # a failed value is reported, not warned of
@@ -351,6 +379,11 @@ def truncation_degree(n: int, p: int, r: float, tol: float,
     """Smallest M whose proven tail bound sum_{m>M} dim H_m^p r^m falls
     below tol at Lie-radius product r.  A bound that overflows a double
     (large n near r = 1) raises ``SeriesToleranceError`` too."""
+    return _truncation(n, p, r, tol, max_terms)[0]
+
+
+def _truncation(n: int, p: int, r: float, tol: float, max_terms: int):
+    """(M, tail bound at M) of ``truncation_degree``."""
     if not 0.0 <= r < 1.0 - 1e-6:
         raise ValueError("truncation needs r < 1 - 1e-6")
     if tol <= 0:
@@ -366,28 +399,29 @@ def truncation_degree(n: int, p: int, r: float, tol: float,
             raise SeriesToleranceError(
                 f"tolerance {tol:g} unreachable within {max_terms} terms")
         tail = _tail_bound(n, p, r, M)
-    return M
+    return M, tail
 
 
 def _series_terms(n: int, p: int, B, P, top: int) -> np.ndarray:
     """Z_m^p for m <= top (rows) over pairs (columns) with invariants B and
     P = x2 * zb2, in the stable value form (C_m(t) - C_{m-2p}(t)) w^m with
     w^2 = P and t = B / w (branch-independent), by one recurrence over all
-    pairs.  An isotropic pair (P = 0) keeps only the leading Gegenbauer
-    coefficient: a_m B^m."""
+    pairs, whose rows C_m take C_{m-2p} and w^m = w^{m-1} w in place (two
+    such tables at most).  An isotropic pair (P = 0) keeps only the leading
+    Gegenbauer coefficient: a_m B^m."""
     B = np.asarray(B, dtype=complex)
     P = np.asarray(P, dtype=complex)
     isotropic = P == 0.0
     w = np.sqrt(np.where(isotropic, 1.0, P))
     t = B / w
-    cvals = list(islice(_recurrence(n / 2.0, t, np.ones_like(t)), top + 1))
-    terms = np.empty((top + 1, B.size), dtype=complex)
-    terms[0] = 1.0
-    wm = np.ones_like(w)
+    terms = np.array(list(islice(_recurrence(n / 2.0, t, np.ones_like(t)),
+                                 top + 1)))
+    terms[2 * p:] -= terms[:-2 * p]
+    wm = np.empty_like(terms)
+    wm[0] = 1.0
     for m in range(1, top + 1):
-        wm = wm * w
-        low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
-        terms[m] = (cvals[m] - low) * wm
+        np.multiply(wm[m - 1], w, out=wm[m])
+    terms *= wm
     if isotropic.any():
         a0, Bi = 1.0, B[isotropic]
         Bm = np.ones_like(Bi)
@@ -410,8 +444,8 @@ def _series_values(n: int, p: int, B, P, radii, tol: float,
     out, degrees = [], []  # each pair's error, or its tail bound
     for r in radii:
         try:
-            M = truncation_degree(n, p, r, tol, max_terms)
-            out.append(_tail_bound(n, p, r, M))
+            M, tail = _truncation(n, p, r, tol, max_terms)
+            out.append(tail)
         except ValueError as err:
             M = -1
             out.append(err)
@@ -507,7 +541,6 @@ def hua_convergence_gap(pairs, p: int) -> tuple:
         h = cauchy_hua(z, w)
         pk = poisson_from_hua(z, w, p)
         gap = max(gap, abs(pk - h))
-        alpha = max(alpha, lie_norm(as_complex_vector(z))
-                    * lie_norm(as_complex_vector(w)))
+        alpha = max(alpha, lie_norm(z) * lie_norm(w))
         hmax = max(hmax, abs(h))
     return gap, alpha ** (2 * p) * hmax

@@ -130,7 +130,7 @@ def suite_route_agreement(n: int = 2, p: int = 1, seed: int = 0,
     """The three zonal evaluation routes agree on random rotated pairs."""
     rng = np.random.default_rng(seed)
     B, x2, zb2 = kernels.pair_invariants(*_pairs(rng, n, p, pairs, 0.0, 0.9))
-    P = x2 * zb2
+    B, P = kernels._Powers(B), kernels._Powers(x2 * zb2)
     worst = 0.0
     for m in range(max_degree + 1):
         values = np.array([kernels.zonal_from_products(n, m, p, B, P, route)
@@ -152,8 +152,8 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
     closed = kernels.poisson_from_products(n, p, x2, B, zb2)
     series = kernels._series_values(
-        n, p, B, x2 * zb2, [lie_norm(x) * lie_norm(z) for x, z
-                            in zip(xs, zetas)], tolerance / 4.0, max_terms)
+        n, p, B, x2 * zb2, (lie_norm(xs) * lie_norm(zetas)).tolist(),
+        tolerance / 4.0, max_terms)
     worst = 0.0
     most_terms = 0
     for value, truth in zip(closed, series):

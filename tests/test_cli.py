@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from polyball import cli, kernels, polyalg, quadrature, solver
 from polyball.gegenbauer import gegenbauer_coefficients
 from polyball.geometry import RotatedVector, lie_norm
+from polyball.kernels import ROUTE_GEGENBAUER_DIFF
 
 VALUE_COLS = ["value_re", "value_im", "reference_re", "reference_im",
               "abs_error", "bound"]
@@ -540,7 +541,11 @@ def test_kernel_pair_rows_do_not_depend_on_the_batch(n, p):
 
 def test_kernel_request_makes_one_zonal_call_per_degree_and_route(
         monkeypatch):
+    # the overflow check runs once per degree; the three routes, every
+    # degree and the term scales share one table of each of B, P, |B| and
+    # |P|, in which each distinct power is built once per request
     calls = {"zonal": 0, "overflow": 0}
+    built = {}  # table -> exponents built in it
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -548,6 +553,12 @@ def test_kernel_request_makes_one_zonal_call_per_degree_and_route(
             return fn(*args, **kwargs)
         return wrapper
 
+    def missing(table, j):
+        built.setdefault(id(table), []).append(j)
+        return build(table, j)
+
+    build = kernels._Powers.__missing__
+    monkeypatch.setattr(kernels._Powers, "__missing__", missing)
     monkeypatch.setattr(kernels, "zonal_from_products",
                         counted("zonal", kernels.zonal_from_products))
     monkeypatch.setattr(cli, "_coefficients_overflow",
@@ -560,6 +571,90 @@ def test_kernel_request_makes_one_zonal_call_per_degree_and_route(
                                        "degrees": list(range(9))})
     assert len(table.rows) == 16 * (9 * 3 + 1)
     assert calls == {"zonal": 27, "overflow": 9}
+    # B^0..8 and |B|^0..8, P^0..4 and |P|^0..4: 28 distinct powers
+    assert sorted(sorted(js) for js in built.values()) == \
+        2 * [list(range(5))] + 2 * [list(range(9))]
+
+
+def _per_point_status(fn, *args) -> tuple:
+    """(status, value) of a per-point kernel function: rejected for a
+    ValueError, singular for a SingularKernelError."""
+    try:
+        return "ok", fn(*args)
+    except kernels.SingularKernelError:
+        return "singular", None
+    except ValueError:
+        return "rejected", None
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (5, 3), (9, 2)])
+@np.errstate(all="ignore")  # the last pair's values pass the doubles
+def test_kernel_rows_agree_with_the_per_point_functions(n, p):
+    # every row against the public per-point function on RotatedVector
+    # points: statuses equal, series references equal bit for bit, and
+    # values within 4 ulps of their term scale (measured: 1.6).  The
+    # per-point functions form x2 * zb2 as a Python complex product, which
+    # rounds differently from numpy's array product in the last bit, so
+    # bitwise equality is not possible there.  The term scale of a zonal
+    # row is bound / tol; of a closed form it is |value| times the
+    # condition (|x2 zb2| + 2|B| + 1) / |x2 zb2 - 2B + 1| of its base.
+    eps, tol = np.finfo(float).eps, cli._COMMANDS["kernel"].tolerance
+    rng = np.random.default_rng(70 + n)
+    e1 = [1.0] + [0.0] * (n - 1)
+    pairs = []
+    for _ in range(8):
+        x, zeta = rng.standard_normal((2, n))
+        pairs.append({"x": (rng.uniform(0, 0.95) * x
+                            / np.linalg.norm(x)).tolist(),
+                      "zeta": (zeta / np.linalg.norm(zeta)).tolist(),
+                      "x_sector": int(rng.integers(p)),
+                      "zeta_sector": int(rng.integers(p))})
+    pairs += [{"x": [0.999999999] + e1[1:], "zeta": e1},  # singular
+              {"x": [1.5] + e1[1:], "zeta": e1},  # outside the ball
+              {"x": [0.5] + e1[1:], "zeta": [0.5] + e1[1:]},  # off-sphere
+              {"x": [1.0 - 1e-7] + e1[1:], "zeta": e1[1:] + [1.0]},
+              {"x": [0.5] + e1[1:], "zeta": [1.0, 1e300] + e1[2:]}]
+    table = cli.run_command("kernel", {
+        "n": n, "p": p, "pairs": pairs, "degrees": list(range(9)),
+        "kernels": ["zonal", "poisson", "hua"]})
+    statuses = set()
+    for i, kernel, m, route, status, *cells in table.rows:
+        pair = pairs[i]
+        x, zeta = (RotatedVector.sector(pair.get(f"{key}_sector", 0), p,
+                                        np.array(pair[key]))
+                   for key in ("x", "zeta"))
+        value = None if cells[0] is None else complex(cells[0], cells[1])
+        statuses.add((kernel, status))
+        B, x2, zb2 = kernels.pair_invariants(x, zeta)
+        condition = (abs(x2 * zb2) + 2.0 * abs(B) + 1.0) \
+            / np.abs(x2 * zb2 - 2.0 * B + 1.0)
+        if kernel == "zonal":
+            # no pair here overflows a route or a scale but not the value
+            want = kernels.zonal_polyharmonic(kernels.KernelParams(n, p, m),
+                                              x, zeta)
+            assert status == ("ok" if np.isfinite(want) else "rejected")
+            if status == "ok" and route == ROUTE_GEGENBAUER_DIFF:
+                assert abs(value - want) <= 4 * eps * cells[5] / tol
+        elif kernel == "poisson":
+            want_status, want = _per_point_status(kernels.poisson_kernel,
+                                                  x, zeta, p)
+            if want_status == "ok":
+                want_status, truth = _per_point_status(
+                    kernels.poisson_kernel_series, x, zeta, p, tol / 100.0)
+            assert status == want_status, (i, kernel)
+            if status == "ok":
+                assert abs(value - want) <= 4 * eps * abs(want) * condition
+                assert complex(cells[2], cells[3]) == truth.value
+                assert cells[5] == truth.tail_bound + tol * max(1.0,
+                                                                abs(value))
+        else:
+            want_status, want = _per_point_status(kernels.cauchy_hua, x,
+                                                  zeta)
+            assert status == want_status, (i, kernel)
+            if status == "ok":
+                assert abs(value - want) <= 4 * eps * abs(want) * condition
+    assert {"singular", "rejected", "ok"} <= {s for k, s in statuses
+                                               if k == "poisson"}
 
 
 # --------------------------------------------------------------------------

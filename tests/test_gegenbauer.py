@@ -10,11 +10,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 
 from polyball.gegenbauer import (
+    _recurrence,
     gegenbauer,
     gegenbauer_coefficients,
     gegenbauer_explicit,
@@ -100,6 +105,23 @@ def test_array_recurrence_equals_scalar_calls_bitwise(lam):
     for m in list(range(31)) + [45, 60]:
         assert _bits(gegenbauer(lam, m, ts)) \
             == _bits([gegenbauer(lam, m, float(t)) for t in ts]), m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lam=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.5, 4.0]),
+       seed=st.integers(0, 2 ** 32 - 1), scalar=st.booleans())
+def test_recurrence_takes_two_t_once_without_changing_a_bit(lam, seed,
+                                                           scalar):
+    # 2 t s C_k has always grouped as ((2 t) s) C_k, so taking 2 t out of
+    # the loop is exact, for array t and for scalar t
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(5) * 2.0 + 1j * rng.standard_normal(5)
+    t, c0 = (complex(t[0]), 1.0 + 0j) if scalar else (t, np.ones_like(t))
+    want = [c0, 2.0 * lam * t]
+    for k in range(2, 120):
+        want.append((2.0 * t * (k + lam - 1.0) * want[-1]
+                     - (k + 2.0 * lam - 2.0) * want[-2]) / k)
+    assert _bits(list(islice(_recurrence(lam, t, c0), 120))) == _bits(want)
 
 
 def test_parity():

@@ -232,6 +232,40 @@ def test_as_complex_vector_embeds_rotated_points():
     assert_allclose(as_complex_vector(v), np.exp(0.7j) * np.array([0.2, -0.5]))
 
 
+def _lie_norm_per_point(z) -> float:
+    """L(z) as it was taken for one point before stacks: outer product,
+    antisymmetrized, summed flat."""
+    a, b = z.real, z.imag
+    minors = np.outer(a, b)
+    minors -= minors.T
+    inner = 2.0 * float(np.sum(minors * minors))
+    return math.sqrt(float(a @ a + b @ b) + math.sqrt(inner))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 90]),
+       k=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       wobble=st.sampled_from([0.0, 1e-16, 1e-14, 1e-9]))
+def test_stacked_lie_norm_equals_per_row_lie_norm_bitwise(n, k, seed,
+                                                          wobble):
+    # about half the rows are rotated real points e^{i phi} x, give or take
+    # a relative wobble of their imaginary part: their inner radicand is 0
+    # or nearly 0.  At n = 90 a stack of k > 8 rows spans two blocks.
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    real = rng.random(k) < 0.5
+    z[real] = np.exp(1j * rng.uniform(0, math.pi, (real.sum(), 1))) * (
+        rng.standard_normal((real.sum(), n))
+        * (1 + 1j * wobble * rng.standard_normal((real.sum(), n))))
+    z *= 10.0 ** rng.uniform(-3, 3, (k, 1))
+    stacked = lie_norm(z)
+    per_row = [lie_norm(row) for row in z]
+    assert all(type(value) is float for value in per_row)
+    assert stacked.tobytes() == np.array(per_row).tobytes()
+    assert stacked.tobytes() == np.array(
+        [_lie_norm_per_point(row) for row in z]).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     phi=st.floats(-8.0, 8.0, allow_nan=False),

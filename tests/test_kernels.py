@@ -14,8 +14,11 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_legendre
 
+from polyball import kernels
 from polyball.gegenbauer import _recurrence
 from polyball.geometry import RotatedVector, as_complex_vector, lie_norm
 from polyball.kernels import (
@@ -355,6 +358,74 @@ def test_zonal_values_obey_the_dimension_bound(n):
                 as_complex_vector(zeta))
             for m, value in enumerate(_zonal_terms(n, p, x, zeta, 60)):
                 assert abs(value) <= dim_Hp(n, m, p) * r ** m * (1 + 1e-12)
+
+
+def _series_terms_row_by_row(n: int, p: int, B, P, top: int) -> np.ndarray:
+    """The series term table one row at a time: the values of
+    ``gegenbauer._recurrence`` minus C_{m-2p}, times the running products
+    wm * w, and a_m B^m on isotropic pairs."""
+    isotropic = P == 0.0
+    w = np.sqrt(np.where(isotropic, 1.0, P))
+    cvals = list(islice(_recurrence(n / 2.0, B / w, np.ones_like(w)),
+                        top + 1))
+    terms = np.empty((top + 1, B.size), dtype=complex)
+    terms[0] = 1.0
+    wm = np.ones_like(w)
+    for m in range(1, top + 1):
+        wm = wm * w
+        low = cvals[m - 2 * p] if m - 2 * p >= 0 else 0.0
+        terms[m] = (cvals[m] - low) * wm
+    a0, Bm = 1.0, np.ones_like(B[isotropic])
+    for m in range(1, top + 1):
+        a0 *= 2.0 * (n / 2.0 + m - 1.0) / m
+        Bm = Bm * B[isotropic]
+        terms[m, isotropic] = a0 * Bm
+    return terms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), p=st.integers(1, 4), top=st.integers(0, 300),
+       pairs=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, p=4, top=7, pairs=3, seed=1)  # top < 2p: no C_{m-2p} row
+@example(n=2, p=1, top=0, pairs=1, seed=2)
+def test_stacked_series_terms_equal_the_row_by_row_table_bitwise(
+        n, p, top, pairs, seed):
+    # random pairs of Lie norm up to 1, some of them isotropic (P = 0)
+    rng = np.random.default_rng(seed)
+    x, zeta = rng.standard_normal((2, pairs, n)) \
+        + 1j * rng.standard_normal((2, pairs, n))
+    isotropic = rng.random(pairs) < 0.3
+    x[isotropic] = [1.0, 1j] + [0.0] * (n - 2)  # x.x = 0
+    x /= lie_norm(x)[:, None] / rng.uniform(0.05, 1.0, (pairs, 1))
+    zeta /= lie_norm(zeta)[:, None]
+    B, x2, zb2 = pair_invariants(x, zeta)
+    P = x2 * zb2
+    assert kernels._series_terms(n, p, B, P, top).tobytes() \
+        == _series_terms_row_by_row(n, p, B, P, top).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 6), p=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       edge=st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
+def test_sector_masks_equal_the_require_checks(n, p, seed, edge):
+    # radii edge + k ulp for |k| <= 6 (rounded once more by the scaling),
+    # each row a sector point for both checks
+    rng = np.random.default_rng(seed)
+    radii = [edge + k * math.ulp(edge) for k in range(-6, 7)]
+    coords = rng.standard_normal((len(radii), n))
+    coords *= (np.array(radii) / np.linalg.norm(coords, axis=1))[:, None]
+    inside, on_sphere = kernels._sector_masks(coords, coords)
+    for row, ok_x, ok_zeta in zip(coords, inside, on_sphere):
+        point = RotatedVector.sector(int(rng.integers(p)), p, row)
+        for check, ok in ((kernels._require_sector_interior, ok_x),
+                          (kernels._require_sector_sphere, ok_zeta)):
+            try:
+                check(point, p)
+            except ValueError:
+                assert not ok
+            else:
+                assert ok
 
 
 def test_truncation_degree_is_the_smallest_passing_degree():
