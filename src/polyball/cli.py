@@ -435,8 +435,8 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     values = np.array(values).reshape(len(degrees), len(ROUTES), len(xs))
     gaps = np.abs(values[:, :, None] - values[:, None]).max(axis=2)
     bound = tol * np.fmax(1.0, np.reshape(scales, (len(degrees), len(xs))))
-    zonal_ok = (np.isfinite(values).all(axis=1)
-                & np.isfinite(gaps).all(axis=1) & np.isfinite(bound)).T.tolist()
+    zonal_ok = (np.isfinite(values).all(axis=1) & np.isfinite(bound)
+                & np.isfinite(gaps).all(axis=1)).T.tolist()
     ref = values[:, [reference] * len(ROUTES)]
     # the cells ResultTable.add writes, + 0.0 turning -0.0 into 0.0
     cells = (np.array([values.real, values.imag, ref.real, ref.imag, gaps,
@@ -457,13 +457,13 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     if "hua" in which:
         hua, singular, finite = kernels._hua_guarded(n, x2, B, zb2)
         hua_status = _statuses(~(lie < 1.0), singular, ~finite)
+    # a zonal value, gap or bound past the doubles rejects the three rows
+    rejected = ("rejected",) + (None,) * len(VALUE_COLUMNS)
     for i in range(len(xs)):
         for m, routes, ok in zip(degrees, cells[i], zonal_ok[i]):
-            table.rows += ([[i, "zonal", m, route, "ok", *row]
-                            for route, row in zip(ROUTES, routes)]
-                           if ok else  # a value, gap or bound past doubles
-                           [[i, "zonal", m, route, "rejected"] + [None] * 6
-                            for route in ROUTES])
+            table.rows += [[i, "zonal", m, route, "ok", *row] if ok
+                           else [i, "zonal", m, route, *rejected]
+                           for route, row in zip(ROUTES, routes)]
         if "poisson" in which and poisson[i] == "ok":
             value, truth = complex(closed[i]), series[i]
             table.add((i, "poisson", "", "closed-form", "ok"), value=value,

@@ -209,8 +209,7 @@ def hermitian_dot(z, w):
 
 def lie_norm(z):
     """L(z) = sqrt(|z|_h^2 + sqrt(|z|_h^4 - |z.z|^2)); for a stack (P, n)
-    of points, the array of their Lie norms, each row bit for bit its
-    value alone (its minors built in blocks of at most 2^16).
+    of points, the array of their norms, each bit for bit that row's alone.
 
     With z = a + ib (a, b real) the inner radicand equals the Lagrange
     form 4 sum_{i<j} (a_i b_j - a_j b_i)^2, a sum of squares.  Evaluating
@@ -222,7 +221,7 @@ def lie_norm(z):
     a, b = np.atleast_2d(arr.real), np.atleast_2d(arr.imag)
     h2 = np.vecdot(a, a) + np.vecdot(b, b)
     inner = np.empty_like(h2)
-    step = max(1, 2 ** 16 // a.shape[1] ** 2)
+    step = max(1, 2 ** 16 // a.shape[1] ** 2)  # rows of minors per block
     for i in range(0, len(a), step):
         minors = a[i:i + step, :, None] * b[i:i + step, None, :]
         minors -= minors.transpose(0, 2, 1)

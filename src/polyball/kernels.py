@@ -20,7 +20,10 @@ the test suite.  The closed routes are alternating sums whose terms grow
 roughly like 4^m r^m against a value of order r^m, so they are intended for
 moderate degree (the agreement domain is m <= 8, they stay usable well past
 that); high-degree evaluation goes through ``poisson_kernel_series`` which
-uses the stable value recurrence (C_m(t) - C_{m-2p}(t)) w^m.
+uses the stable value recurrence (C_m(t) - C_{m-2p}(t)) w^m.  Its term table
+is stacked: the recurrence fills one row per degree over all pairs, then
+C_{m-2p} and w^m enter as whole-array operations in place.  Calls of the
+closed routes given one ``_Powers`` table share its powers B^j and P^k.
 
 Series truncation uses the proven bound |Z_m^p(x, zeta)| <= dim H_m^p r^m,
 r = L(x) L(zeta): the Lie norm is the growth gauge of zonal values (the
@@ -180,11 +183,6 @@ class _Powers(dict):
         return _Powers(np.abs(self.base))
 
 
-def _powers(v) -> _Powers:
-    """``v`` if it is a power table, else the table of v as complex."""
-    return v if isinstance(v, _Powers) else _Powers(np.asarray(v, complex))
-
-
 def _poly_sum(coeffs, m: int, B: _Powers, P: _Powers):
     """sum_k coeffs[k] B^{m-2k} P^k, vectorized over B and/or P."""
     total = np.zeros(np.broadcast(B.base, P.base).shape, dtype=complex)
@@ -201,7 +199,8 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
                         route: str = ROUTE_GEGENBAUER_DIFF):
     """Z_m^p from precomputed invariants B and P = x2 * zb2 (vectorized),
     or from ``_Powers`` tables of them that calls share."""
-    B, P = _powers(B), _powers(P)
+    B, P = (v if isinstance(v, _Powers) else _Powers(np.asarray(v, complex))
+            for v in (B, P))
     if m < 0:
         return np.zeros(np.broadcast(B.base, P.base).shape, dtype=complex) \
             if B.base.ndim or P.base.ndim else 0j
@@ -223,12 +222,12 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
 
 def _zonal_term_scale(n: int, m: int, p: int, B, P) -> np.ndarray:
     """Magnitude budget of the monomial expansion sum_k c_k B^{m-2k} P^k,
-    an array over B and P (or their ``_Powers`` tables); route gaps are
-    measured against it so that cancellation-heavy points do not inflate
-    relative errors beyond what double precision can express."""
-    coeffs = _float_coeffs(n, m, p, False)
-    aB, aP = _powers(B).moduli, _powers(P).moduli
-    return sum(abs(c) * aB[m - 2 * k] * aP[k] for k, c in enumerate(coeffs))
+    an array over the ``_Powers`` tables B and P; route gaps are measured
+    against it so that cancellation-heavy points do not inflate relative
+    errors beyond what double precision can express."""
+    aB, aP = B.moduli, P.moduli
+    return sum(abs(c) * aB[m - 2 * k] * aP[k]
+               for k, c in enumerate(_float_coeffs(n, m, p, False)))
 
 
 def zonal_polyharmonic(params: KernelParams, x, zeta) -> complex:

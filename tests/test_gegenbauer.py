@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
 from itertools import islice
 
 import numpy as np

@@ -233,8 +233,8 @@ def test_as_complex_vector_embeds_rotated_points():
 
 
 def _lie_norm_per_point(z) -> float:
-    """L(z) as it was taken for one point before stacks: outer product,
-    antisymmetrized, summed flat."""
+    """L(z) of one point from the outer product of its parts,
+    antisymmetrized and summed flat, finished in Python floats."""
     a, b = z.real, z.imag
     minors = np.outer(a, b)
     minors -= minors.T
