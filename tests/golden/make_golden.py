@@ -14,8 +14,9 @@ every status other than ``ok`` (the examples of README and of
 ``tests/test_cli.py``), every request of one pass of the algebra template
 on the same seeds, the algebra workload's one ``verify
 gegenbauer``, ``almansi`` requests whose texts use every number form the
-reader takes, and every request of one pass of the reproduce template on
-seed 5.  Each case keeps its config, its exit code, the sha256 of its JSON
+reader takes, every request of one pass of the reproduce template on
+seed 5, and the ``verify`` suites that no template runs (``SUITE_PROBES``)
+at n in {2, 3} and p in {1, 2} on seed 5.  Each case keeps its config, its exit code, the sha256 of its JSON
 and CSV renders and a short digest of each column; a table of at most
 ``KEPT_ROWS`` rows also keeps its value cells.  The file records the Python
 and numpy versions the digests were taken on.  A change that alters printed
@@ -91,6 +92,10 @@ KERNEL_PROBES = (
         "kernels": ["poisson", "hua"]}),
 )
 
+# the suites that no workload template requests
+SUITE_PROBES = ("route-agreement", "series-identity", "hua-convergence",
+                "kernel-symmetry")
+
 
 def kernel_batch(n: int, p: int) -> dict:
     """Seven random pairs on mixed sectors with a singular, an outside, an
@@ -151,6 +156,12 @@ def algebra_cases() -> list:
                            2, 1, "gegenbauer")
     cases.append((req.label, req.command, req.config))
     return cases
+
+
+def suite_cases() -> list:
+    return [(f"verify {suite} n={n} p={p} seed {SEEDS[0]}", "verify",
+             {"n": n, "p": p, "seed": SEEDS[0], "suites": [suite]})
+            for suite in SUITE_PROBES for n in (2, 3) for p in (1, 2)]
 
 
 def probe_case(n: int, p: int, degree: int) -> tuple:
@@ -236,7 +247,8 @@ def describe(new: dict, old: dict | None) -> str | None:
 def main(argv=None) -> int:
     check = "--check" in (sys.argv[1:] if argv is None else argv)
     cases = (solve_cases() + [probe_case(*shape) for shape in PROBES]
-             + kernel_cases() + algebra_cases() + reproduce_cases())
+             + kernel_cases() + algebra_cases() + reproduce_cases()
+             + suite_cases())
     corpus = {"versions": {"python": platform.python_version(),
                            "numpy": np.__version__},
               "cases": [record(*case) for case in cases]}
