@@ -79,7 +79,6 @@ from .quadrature import (
 )
 from .solver import (
     BoundaryData,
-    DirichletSolution,
     LimitExperiment,
     aligned_rule,
     choose_lie_rule,
@@ -107,7 +106,7 @@ __all__ = [
     "LieSphereRule", "SphereRule", "lie_sphere_rule",
     "resolution_for_exactness", "rule_from_json", "rule_to_json",
     "sphere_rule",
-    "BoundaryData", "DirichletSolution", "LimitExperiment", "aligned_rule",
+    "BoundaryData", "LimitExperiment", "aligned_rule",
     "choose_lie_rule", "choose_rule",
     "dirichlet_solve", "hua_reproduce", "poisson_integral",
     "polyharmonic_limit_experiment",

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, kernels, polyalg, quadrature, solver, suites
-from .geometry import RotatedVector, lie_norm
+from .geometry import lie_norm, sector_phases, sector_points
 from .kernels import ROUTE_GEGENBAUER_DIFF, ROUTES
 from .polyalg import MultiPoly, dim_H, dim_Hp, dim_P
 
@@ -393,15 +393,6 @@ def _statuses(outside, singular, failed) -> list:
                      ["rejected", "singular", "rejected"], "ok").tolist()
 
 
-def _sector_rows(pairs: list, key: str, p: int) -> tuple:
-    """(coords, points): the real rows (k, n) of the pairs' ``key`` points
-    and the complex points e^{i j pi / p} coords of their sectors j, each
-    row bit for bit ``RotatedVector.sector(j, p, coords).to_complex()``."""
-    coords = np.array([pair[key] for pair in pairs], dtype=float)
-    sectors = np.array([pair[f"{key}_sector"] for pair in pairs])
-    return coords, np.exp(1j * (sectors * math.pi / p))[:, None] * coords
-
-
 def run_kernel(cfg: RunConfig) -> ResultTable:
     """Every kernel is evaluated as arrays over all pairs at once; array
     operations act on each pair alone, so a pair's rows do not depend on
@@ -412,8 +403,12 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
                         _metadata(cfg))
     tol = cfg.row_tolerance
     n, p, which = cfg.n, cfg.p, cfg.data["kernels"]
-    x_coords, xs = _sector_rows(cfg.data["pairs"], "x", p)
-    zeta_coords, zetas = _sector_rows(cfg.data["pairs"], "zeta", p)
+    pairs = cfg.data["pairs"]
+    x_coords, zeta_coords = (np.array([pair[key] for pair in pairs])
+                             for key in ("x", "zeta"))
+    xs = sector_points(x_coords, [pair["x_sector"] for pair in pairs], p)
+    zetas = sector_points(zeta_coords, [pair["zeta_sector"] for pair in pairs],
+                          p)
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
     P = x2 * zb2
     powers = kernels._Powers(B), kernels._Powers(P)
@@ -538,13 +533,14 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     n, p = cfg.n, cfg.p
     tol = cfg.row_tolerance
     q, u_p = _polynomial(cfg, "boundary", "boundary polynomial", [p])
-    points = [np.asarray(pt, dtype=float) for pt in cfg.data["points"]]
-    radii = [float(np.linalg.norm(pt)) for pt in points]
-    interior = [r < 1.0 - 1e-9 for r in radii]
-    radius = max([r for r, ok in zip(radii, interior) if ok], default=0.0)
+    coords = np.array(cfg.data["points"], dtype=float)
+    sectors = np.array(cfg.data["sectors"])
+    radii = kernels._radii(coords)
+    interior = radii < 1.0 - 1e-9
+    radius = float(np.max(radii[interior], initial=0.0))
     # n = 2 keeps one trapezoid rule for every point: a circle has no
     # S^{n-2} factor for a pole-aligned template to shrink
-    turns = sum(interior) if n >= 3 else None
+    turns = int(np.sum(interior)) if n >= 3 else None
     rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius,
                        turns)
     data = solver.BoundaryData(q, p)
@@ -555,14 +551,14 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     table = ResultTable("dirichlet",
                         ("point", "sector") + coord_names + ("status",),
                         metadata)
-    xs = [RotatedVector.sector(j, p, pt) if ok else None
-          for pt, j, ok in zip(points, cfg.data["sectors"], interior)]
-    inside = [x for x in xs if x is not None]
-    values = iter(solver.poisson_integrals([data], inside, rule)[:, 0])
-    wants = iter(solver._values_at([u_p], inside)[:, 0])
-    for i, (pt, j, x) in enumerate(zip(points, cfg.data["sectors"], xs)):
-        inputs = (i, j) + tuple(float(c) for c in pt)
-        if x is None:
+    inside = coords[interior], sectors[interior]
+    values = iter(solver.poisson_integrals([data], *inside, rule)[:, 0])
+    wants = iter(solver._sector_values([u_p], sector_phases(range(p), p),
+                                       inside[1], inside[0])[:, 0])
+    for i, (pt, j, ok) in enumerate(zip(cfg.data["points"],
+                                        cfg.data["sectors"], interior)):
+        inputs = (i, j, *pt)
+        if not ok:
             table.add(inputs + ("rejected",))
             continue
         want = complex(next(wants))

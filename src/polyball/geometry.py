@@ -14,10 +14,12 @@ Conventions used throughout the package:
 * ``RotatedVector`` stores a point e^{i*angle} * a with real coordinate
   vector a and angle reduced into [0, pi) (the sign of a absorbs full-pi
   rotations, so the embedded complex point is preserved).  Sector points of
-  the union of rotated spheres/balls have angle = j*pi/p.
+  the union of rotated spheres/balls have angle = j*pi/p; batched code
+  holds them as real rows and sectors (``sector_points``).
 
 Public API (stable): bilinear_square, hermitian_dot, lie_norm,
-principal_power, as_complex_vector, as_rotated, RotatedVector.
+principal_power, as_complex_vector, as_rotated, RotatedVector,
+sector_phases, sector_points.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "hermitian_dot",
     "lie_norm",
     "principal_power",
+    "sector_phases",
+    "sector_points",
 ]
 
 
@@ -154,6 +158,20 @@ class RotatedVector:
             raise ValueError(
                 f"angle {self.angle!r} is not a multiple of pi/{p}")
         return j % p
+
+
+def sector_phases(sectors, p: int) -> np.ndarray:
+    """The phases e^{i j pi / p} of an int array of sectors j, one complex
+    exp of the angle j pi / p each: bit for bit the phase of
+    ``RotatedVector.sector(j, p, a)`` for 0 <= j < p."""
+    return np.exp(1j * (np.asarray(sectors) * math.pi / p))
+
+
+def sector_points(coords, sectors, p: int) -> np.ndarray:
+    """The complex points e^{i j pi / p} a of real rows a = ``coords``
+    (k, n) in ``sectors`` j (k,): each row bit for bit
+    ``RotatedVector.sector(j, p, a).to_complex()`` for 0 <= j < p."""
+    return sector_phases(sectors, p)[:, None] * coords
 
 
 def as_complex_vector(z) -> np.ndarray:

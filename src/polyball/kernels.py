@@ -41,9 +41,8 @@ from itertools import islice
 import numpy as np
 
 from .gegenbauer import _recurrence, gegenbauer_coefficients
-from .geometry import (RotatedVector, as_complex_vector, as_rotated,
-                       bilinear_square, hermitian_dot, lie_norm,
-                       principal_power)
+from .geometry import (as_complex_vector, as_rotated, bilinear_square,
+                       hermitian_dot, lie_norm, principal_power)
 from .quadrature import _MAX_NODES, compensated_sum
 
 __all__ = [
@@ -245,28 +244,16 @@ def zonal_polyharmonic(params: KernelParams, x, zeta) -> complex:
 # Poisson kernel on the union of rotated balls
 # --------------------------------------------------------------------------
 
-def _require_sector_sphere(zeta, p: int) -> RotatedVector:
-    zeta = as_rotated(zeta)
-    zeta.sector_index(p)
-    if abs(zeta.radius - 1.0) > 1e-12:
-        raise ValueError("zeta must lie on a unit sphere sector")
-    return zeta
-
-
-def _require_sector_interior(x, p: int) -> RotatedVector:
-    x = as_rotated(x)
-    x.sector_index(p)
-    if not x.radius < 1.0:
-        raise ValueError("x must lie strictly inside the rotated unit balls")
-    return x
+def _radii(coords) -> np.ndarray:
+    """The radii of real rows (k, n), each the square root of the BLAS dot
+    that np.linalg.norm takes: bit for bit ``RotatedVector.radius``."""
+    return np.sqrt(np.vecdot(coords, coords))
 
 
 def _sector_masks(x_coords, zeta_coords) -> tuple:
-    """(inside, on_sphere): ``_require_sector_interior``'s and
-    ``_require_sector_sphere``'s radius tests as masks over real rows (k, n);
-    a radius is the square root of the BLAS dot np.linalg.norm takes."""
-    rx, rz = (np.sqrt(np.vecdot(c, c)) for c in (x_coords, zeta_coords))
-    return rx < 1.0, np.abs(rz - 1.0) <= 1e-12
+    """(inside, on_sphere) over real rows (k, n): x strictly inside the
+    unit ball, zeta on the unit sphere to 1e-12 (``_radii``)."""
+    return _radii(x_coords) < 1.0, np.abs(_radii(zeta_coords) - 1.0) <= 1e-12
 
 
 @np.errstate(all="ignore")  # a failed value is reported, not warned of
@@ -323,10 +310,13 @@ def poisson_kernel(x, zeta, p: int) -> complex:
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    x = _require_sector_interior(x, p)
-    zeta = _require_sector_sphere(zeta, p)
+    x, zeta = as_rotated(x), as_rotated(zeta)
+    x.sector_index(p), zeta.sector_index(p)
     if x.n != zeta.n:
         raise ValueError("dimension mismatch")
+    if not all(_sector_masks(x.coords[None], zeta.coords[None])):
+        raise ValueError("x must lie strictly inside the rotated unit balls "
+                         "and zeta on their unit spheres")
     B, x2, zb2 = pair_invariants(x, zeta)
     return complex(poisson_from_products(x.n, p, x2, B, zb2))
 
@@ -529,17 +519,24 @@ def poisson_from_hua(z, w, p: int) -> complex:
 
 def hua_convergence_gap(pairs, p: int) -> tuple:
     """(gap, bound): max |P_p - H| over the pairs and alpha^{2p} max|H|,
-    with alpha the largest Lie-norm product over the pairs."""
+    with alpha the largest Lie-norm product over the pairs; one
+    ``pair_invariants`` over the stacked pairs."""
     if p < 1:
         raise ValueError("p must be >= 1")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
-    gap = alpha = hmax = 0.0
-    for z, w in pairs:
-        h = cauchy_hua(z, w)
-        pk = poisson_from_hua(z, w, p)
-        gap = max(gap, abs(pk - h))
-        alpha = max(alpha, lie_norm(z) * lie_norm(w))
+    zs, ws = (np.array([as_complex_vector(v) for v in side])
+              for side in zip(*pairs))
+    B, z2, wb2 = pair_invariants(zs, ws)  # checks the dimensions
+    lie = lie_norm(zs) * lie_norm(ws)
+    if not np.all(lie < 1.0):
+        raise ValueError("pair outside the Lie domain L(z) L(w) < 1")
+    # H and P_p = (1 - (z2 conj(w)2)^p) H pair by pair, as ``cauchy_hua``
+    # and ``poisson_from_hua`` round them; array powers may round otherwise
+    gap = hmax = 0.0
+    for b, a, c in zip(B.tolist(), z2.tolist(), wb2.tolist()):
+        h = complex(cauchy_hua_from_products(zs.shape[1], a, b, c))
+        gap = max(gap, abs((1.0 - (a * c) ** p) * h - h))
         hmax = max(hmax, abs(h))
-    return gap, alpha ** (2 * p) * hmax
+    return gap, float(np.max(lie)) ** (2 * p) * hmax

@@ -14,7 +14,8 @@ product (``quadrature._sliced_sums``), so no value depends on the blocks
 or on BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
 batch points and data; ``poisson_integral`` and ``hua_reproduce`` are their
 1 x 1 cases, and ``spectral_component`` pairs the data with the zonal
-polyharmonic Z_m^p.  Given a pole-aligned template (``aligned_rule``),
+polyharmonic Z_m^p.  Batched calls take sector points as real rows (k, n)
+and sectors (k,) (``geometry.sector_points``).  Given a pole-aligned template (``aligned_rule``),
 ``poisson_integrals`` and ``dirichlet_solve`` turn it to each point, whose
 kernel is zonal about the point's real direction, and evaluate the data at
 each point's own nodes.
@@ -46,17 +47,16 @@ identity between the two displays, and is enforced in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, polyalg, quadrature
-from .geometry import RotatedVector, as_complex_vector, as_rotated, lie_norm
+from .geometry import as_complex_vector, as_rotated, lie_norm, sector_phases
 from .polyalg import MultiPoly
 
 __all__ = [
     "BoundaryData",
-    "DirichletSolution",
     "LimitExperiment",
     "poisson_integral",
     "poisson_integrals",
@@ -257,10 +257,13 @@ def _turned(nodes: np.ndarray, coords: np.ndarray) -> tuple:
             * _dots(v, nodes)[:, :, None], -sign * norm)
 
 
-def _aligned_integrate(route, p: int, xs: list, phases: np.ndarray,
-                       rule: quadrature.SphereRule, data: list) -> np.ndarray:
-    """The (len(xs), len(data)) matrix of ``_integrate`` for rotated real
-    points x = e^{i theta} a and polynomial data, each point with its own copy
+def _integrals_at(route, p: int, coords: np.ndarray, turns: np.ndarray,
+                  phases: np.ndarray, rule: quadrature.SphereRule,
+                  data: list) -> np.ndarray:
+    """The (len(coords), len(data)) matrix of ``_integrate`` for rotated real
+    points x = e^{i theta} a, a = coords[i] and e^{i theta} = turns[i], and
+    polynomial data: at the complex points for a rule without a pole-aligned
+    template, else each point with its own copy
     H zeta of the pole-aligned template ``rule``, reflected by ``_turned``
     so that its pole lies on +-a/|a| (``aligned_rule`` has the proof of
     exactness).  The kernel at (x, H zeta) is the kernel at
@@ -279,19 +282,20 @@ def _aligned_integrate(route, p: int, xs: list, phases: np.ndarray,
     hold at most ``_BLOCK_ELEMENTS`` floats (one point at least); every
     value is computed per point, so each is bit-identical for any
     budget."""
+    if rule.azimuth is None:
+        return _integrate(route, p, turns[:, None] * coords, phases, rule, data)
     n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
     per = size // rule.resolution  # nodes per polar node
     polar = rule.nodes[::per]
     rn = np.sum(polar * polar, axis=1)
     group, groups, width, slices = _group(size, sectors)
     step = max(1, _BLOCK_ELEMENTS // (2 * slices * size * sectors * count))
-    out = np.empty((len(xs), count), dtype=complex)
-    for i in range(0, len(xs), step):
-        block = xs[i:i + step]
-        points = len(block)
-        nodes, pole = _turned(rule.nodes, np.array([x.coords for x in block]))
+    out = np.empty((len(coords), count), dtype=complex)
+    for i in range(0, len(coords), step):
+        points = len(coords[i:i + step])
+        nodes, pole = _turned(rule.nodes, coords[i:i + step])
         zs = np.zeros((points, n), dtype=complex)
-        zs[:, -1] = pole * np.exp(1j * np.array([x.angle for x in block]))
+        zs[:, -1] = pole * turns[i:i + step]
         ks = quadrature._split(_rows(rule.weights * np.repeat(_sector_kernels(
             route, p, zs, phases, polar, rn), per, axis=-1), group),
             width, slices)
@@ -311,17 +315,6 @@ def _aligned_integrate(route, p: int, xs: list, phases: np.ndarray,
     return out
 
 
-def _values_at(qs: list, xs: list) -> np.ndarray:
-    """(len(xs), len(qs)) values of polynomials at rotated points, with the
-    distinct sector phases as the phase array of ``_sector_values``; each
-    value equals ``q.evaluate(x)`` bit for bit."""
-    angles = sorted({x.angle for x in xs})
-    return _sector_values(
-        qs, [np.exp(1j * angle) for angle in angles],
-        [angles.index(x.angle) for x in xs],
-        np.array([x.coords for x in xs]).reshape(len(xs), qs[0].n))
-
-
 def _sector_values(qs: list, phases: list, rows, coords: np.ndarray
                    ) -> np.ndarray:
     """(len(coords), len(qs)) values q(phases[rows[i]] * coords[i]): one
@@ -332,77 +325,52 @@ def _sector_values(qs: list, phases: list, rows, coords: np.ndarray
     return values[:, rows, np.arange(len(coords))].T
 
 
-def _interior_point(x, p: int) -> RotatedVector:
-    x = as_rotated(x)
-    x.sector_index(p)
-    if not x.radius < 1.0 - 1e-9:
-        raise ValueError("interior points need hermitian radius < 1 - 1e-9")
-    return x
-
-
-def _rotated_integrals(route, data: list, points,
-                       rule: quadrature.SphereRule) -> tuple:
-    """Interior points and their (points, data) matrix on one route, for
-    boundary data sharing n and p; a pole-aligned template is turned to
-    each point."""
+def _sector_integrals(route, data: list, coords, sectors,
+                      rule: quadrature.SphereRule) -> np.ndarray:
+    """The (points, data) matrix on one route at interior sector points,
+    real rows ``coords`` (k, n) of radius < 1 - 1e-9 (``kernels._radii``)
+    in ``sectors`` (k,), for boundary data sharing n and p."""
     if len({(f.n, f.p) for f in data}) != 1:
         raise ValueError("need boundary data sharing n and p")
     n, p = data[0].n, data[0].p
-    xs = [_interior_point(x, p) for x in points]
-    if any(x.n != n for x in xs):
-        raise ValueError("dimension mismatch")
-    return xs, _integrals_at(route, p, xs, _sector_phases(p), rule,
-                             [f.q for f in data])
-
-
-def _integrals_at(route, p: int, xs: list, phases: np.ndarray,
-                  rule: quadrature.SphereRule, qs: list) -> np.ndarray:
-    """``_integrate`` at rotated points, each point with its own turned copy
-    of a pole-aligned template (``_aligned_integrate``)."""
-    if rule.azimuth is not None:
-        return _aligned_integrate(route, p, xs, phases, rule, qs)
-    zs = np.array([x.to_complex() for x in xs]).reshape(len(xs), rule.n)
-    return _integrate(route, p, zs, phases, rule, qs)
+    coords, sectors = np.asarray(coords, dtype=float), np.asarray(sectors)
+    if coords.shape != (len(sectors), n) or not np.isin(sectors,
+                                                         range(p)).all():
+        raise ValueError(f"need real rows (k, {n}) in sectors 0 to {p - 1}")
+    if not np.all(kernels._radii(coords) < 1.0 - 1e-9):
+        raise ValueError("interior points need hermitian radius < 1 - 1e-9")
+    return _integrals_at(route, p, coords, sector_phases(sectors, p),
+                         _sector_phases(p), rule, [f.q for f in data])
 
 
 # --------------------------------------------------------------------------
 # reproduction integrals
 # --------------------------------------------------------------------------
 
-def poisson_integrals(data, points,
+def poisson_integrals(data, coords, sectors,
                       rule: quadrature.SphereRule) -> np.ndarray:
-    """Poisson integrals of many boundary data at many interior points.
+    """Poisson integrals of many boundary data at many interior points,
+    real rows ``coords`` (k, n) in ``sectors`` (k,).
 
     Entry (i, d) is (1/p) sum_j int_S f_d(e^{ij pi/p} zeta)
     P(x_i, e^{ij pi/p} zeta) dsigma; every datum shares the kernel values,
     which are built once per block of points.
     """
-    return _rotated_integrals(_POISSON, list(data), points, rule)[1]
+    return _sector_integrals(_POISSON, list(data), coords, sectors, rule)
 
 
 def poisson_integral(f: BoundaryData, x, rule: quadrature.SphereRule) -> complex:
-    """(1/p) sum_j int_S f(e^{ij pi/p} zeta) P(x, e^{ij pi/p} zeta) dsigma."""
-    return complex(poisson_integrals([f], [x], rule)[0, 0])
+    """(1/p) sum_j int_S f(e^{ij pi/p} zeta) P(x, e^{ij pi/p} zeta) dsigma
+    at one point x, a ``RotatedVector`` or real coordinates of sector 0."""
+    x = as_rotated(x)
+    return complex(poisson_integrals([f], x.coords[None], [x.sector_index(f.p)],
+                                     rule)[0, 0])
 
 
-@dataclass
-class DirichletSolution:
-    """Solution values at interior points, with their data and rule."""
-
-    boundary: BoundaryData
-    rule: quadrature.SphereRule
-    points: list
-    values: np.ndarray
-    sector_indices: list = field(default_factory=list)
-
-    @property
-    def p(self) -> int:
-        return self.boundary.p
-
-
-def dirichlet_solve(f: BoundaryData, points,
-                    rule: quadrature.SphereRule) -> DirichletSolution:
-    """Solve the Dirichlet problem at interior points via the boundary form.
+def dirichlet_solve(f: BoundaryData, coords, sectors,
+                    rule: quadrature.SphereRule) -> np.ndarray:
+    """Solve the Dirichlet problem via the boundary form at interior points,
+    real rows ``coords`` (k, n) in ``sectors`` (k,): the (k,) values.
 
     Each value is (1/p) sum_k int_S f(e^{ik pi/p} zeta)
     (1-|x|^{2p}) / |e^{-ik pi/p} x - zeta|^n dsigma(zeta).  For any
@@ -410,10 +378,7 @@ def dirichlet_solve(f: BoundaryData, points,
     (q, p), the sum of q's order-p Almansi components, which is q itself
     when Delta^p q = 0 (up to quadrature truncation).
     """
-    pts, values = _rotated_integrals(_BOUNDARY_FORM, [f], points, rule)
-    return DirichletSolution(
-        boundary=f, rule=rule, points=pts, values=values[:, 0],
-        sector_indices=[x.sector_index(f.p) for x in pts])
+    return _sector_integrals(_BOUNDARY_FORM, [f], coords, sectors, rule)[:, 0]
 
 
 def spectral_component(f: BoundaryData, m: int, eta,
@@ -446,10 +411,10 @@ def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     zc = [as_complex_vector(z) for z in zs]
     if any(u.n != base.n for u in us) or any(z.size != base.n for z in zc):
         raise ValueError("dimension mismatch")
-    if not all(lie_norm(z) < 1.0 for z in zc):
+    zc = np.array(zc).reshape(len(zc), base.n)
+    if not np.all(lie_norm(zc) < 1.0):
         raise ValueError("z must lie in the open Lie ball")
-    return _integrate(_HUA, 0, np.array(zc).reshape(len(zc), base.n),
-                      np.exp(1j * lie_rule.angles), base, us)
+    return _integrate(_HUA, 0, zc, np.exp(1j * lie_rule.angles), base, us)
 
 
 def hua_reproduce(u: MultiPoly, z, lie_rule: quadrature.LieSphereRule) -> complex:
@@ -481,8 +446,7 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
     over ``lie_rule`` (``choose_lie_rule``).
     """
     zc = as_complex_vector(z)
-    if not lie_norm(zc) < 1.0:
-        raise ValueError("z must lie in the open Lie ball")
+    hua_value = hua_reproduce(u, zc, lie_rule)  # checks z's Lie norm
     reference = u.evaluate(zc)
     rows = []
     for p in map(int, p_list):
@@ -491,7 +455,6 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
         value = complex(_integrate(_POISSON, p, zc[None, :],
                                    _sector_phases(p), rule, [u])[0, 0])
         rows.append((p, value, abs(value - reference)))
-    hua_value = hua_reproduce(u, zc, lie_rule)
     return LimitExperiment(
         reference=complex(reference),
         rows=tuple(rows),

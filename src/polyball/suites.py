@@ -22,14 +22,15 @@ there are more than ``_MAX_MONOMIALS`` of them.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels, polyalg, quadrature, solver
-from .geometry import RotatedVector, lie_norm
+from .geometry import lie_norm, sector_phases, sector_points
 from .kernels import KernelParams, ROUTES
 from .polyalg import MultiPoly, dim_P, dim_Hp, polyharmonic_basis
 
@@ -89,35 +90,39 @@ class PropertyResult:
 # samplers
 # --------------------------------------------------------------------------
 
-def _unit_coords(rng, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def _sphere_point(rng, n: int, p: int) -> RotatedVector:
-    return RotatedVector.sector(int(rng.integers(p)), p, _unit_coords(rng, n))
-
-
-def _interior_point(rng, n: int, p: int, rmin: float,
-                    rmax: float) -> RotatedVector:
-    r = rng.uniform(rmin, rmax)
-    return RotatedVector.sector(int(rng.integers(p)), p,
-                                r * _unit_coords(rng, n))
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Real rows (k, n) over their norms as np.linalg.norm takes them
+    (``kernels._radii``)."""
+    return v / kernels._radii(v)[:, None]
 
 
 def _pairs(rng, n: int, p: int, count: int, rmin: float,
            rmax: float) -> tuple:
-    """``count`` pairs of an interior and a sphere point, drawn in turn,
-    as stacked complex arrays (count, n)."""
-    pairs = [(_interior_point(rng, n, p, rmin, rmax), _sphere_point(rng, n, p))
-             for _ in range(count)]
-    return (np.array([x.to_complex() for x, _ in pairs]).reshape(count, n),
-            np.array([z.to_complex() for _, z in pairs]).reshape(count, n))
+    """``count`` pairs of an interior and a sphere point, drawn in turn
+    (radius, sector and direction of x, then sector and direction of
+    zeta), as stacked complex arrays (count, n) of ``sector_points``."""
+    draws = [(rng.uniform(rmin, rmax), rng.integers(p), rng.standard_normal(n),
+              rng.integers(p), rng.standard_normal(n)) for _ in range(count)]
+    r, j, x, k, zeta = (np.array(column) for column in zip(*draws))
+    return (sector_points(r[:, None] * _unit_rows(x), j, p),
+            sector_points(_unit_rows(zeta), k, p))
 
 
-def _lie_point(rng, n: int, target: float) -> np.ndarray:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z * (target / lie_norm(z))
+def _lie_points(parts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Complex rows from the real and imaginary parts (k, 2, n), scaled to
+    the Lie norms ``targets`` by one stacked ``lie_norm``."""
+    zs = parts[:, 0] + 1j * parts[:, 1]
+    return zs * (targets / lie_norm(zs))[:, None]
+
+
+def _turned_back(coords: np.ndarray, p: int) -> tuple:
+    """(coords, turns) of the points e^{-ik pi/p} a, k < p fastest, of real
+    rows a (m, n), in the form ``RotatedVector(-k pi / p, a)`` stores them:
+    angle pi - k pi/p with coords -a for k >= 1."""
+    k = np.arange(p)
+    turned = coords[:, None] * np.where(k > 0, -1.0, 1.0)[:, None]
+    turns = np.exp(1j * np.where(k > 0, math.pi - k * math.pi / p, 0.0))
+    return turned.reshape(-1, coords.shape[1]), np.tile(turns, len(coords))
 
 
 # --------------------------------------------------------------------------
@@ -181,12 +186,11 @@ def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
     """Z_m^p(eta, eta) equals dim H_m^p in every sector, and each degree's
     basis has dim_Hp elements, independent by construction (one free
     monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp.
-    A degree's points are drawn at once, equal bit for bit to the points of
-    ``RotatedVector.sector(j, p, _unit_coords(rng, n))`` in turn."""
+    A degree's points are drawn at once, ``samples`` in each sector."""
     _require_monomials(n, max_degree)
     _require_sectors(p, samples * (max_degree + 1), "diagonal points")
     rng = np.random.default_rng(seed)
-    phases = np.repeat(np.exp(1j * (np.arange(p) * math.pi / p)), samples)
+    sectors = np.repeat(np.arange(p), samples)
     worst = 0.0
     dim_misses = 0
     for m in range(max_degree + 1):
@@ -194,10 +198,8 @@ def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
         basis = tuple(polyharmonic_basis(n, m, p))
         if len(basis) != dim or not _annihilated(basis, p):
             dim_misses += 1
-        coords = rng.standard_normal((p * samples, n))
-        # each row's norm as np.linalg.norm takes it: sqrt of the BLAS dot
-        coords /= np.sqrt(np.vecdot(coords, coords))[:, None]
-        etas = phases[:, None] * coords
+        etas = sector_points(_unit_rows(rng.standard_normal((p * samples, n))),
+                             sectors, p)
         B, x2, zb2 = kernels.pair_invariants(etas, etas)
         # P and |value - dim| in Python complex arithmetic, which rounds as
         # the one-pair kernel does; numpy's array * and abs may not
@@ -218,16 +220,22 @@ def suite_kernel_symmetry(n: int = 2, p: int = 1, seed: int = 0,
     """Hermitian symmetry, the scalar scaling rule, the diagonal bound,
     and same-sector reality/positivity of the Poisson kernel."""
     rng = np.random.default_rng(seed)
+    # per pair: the sectors and directions of zeta and eta, the scalar a,
+    # and the radius and direction of x, in zeta's sector
+    j, zeta, k, eta, scalars, r, x = (np.array(c) for c in zip(*[(
+        rng.integers(p), rng.standard_normal(n), rng.integers(p),
+        rng.standard_normal(n), complex(*rng.uniform(-1.4, 1.4, 2)),
+        rng.uniform(0.05, 0.95), rng.standard_normal(n))
+        for _ in range(pairs)]))
+    zetas = sector_points(_unit_rows(zeta), j, p)
+    B, x2, zb2 = kernels.pair_invariants(
+        sector_points(r[:, None] * _unit_rows(x), j, p), zetas)
     sym = 0.0
     scal = 0.0
     bound = 0.0
     pos = 0.0
-    for _ in range(pairs):
-        zeta = _sphere_point(rng, n, p)
-        eta = _sphere_point(rng, n, p)
-        a = complex(rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
-        zc = zeta.to_complex()
-        ec = eta.to_complex()
+    for zc, ec, a in zip(zetas, sector_points(_unit_rows(eta), k, p),
+                         scalars.tolist()):
         for m in range(max_degree + 1):
             params = KernelParams(n, p, m)
             fwd = kernels.zonal_polyharmonic(params, zc, ec)
@@ -239,9 +247,9 @@ def suite_kernel_symmetry(n: int = 2, p: int = 1, seed: int = 0,
             scale = max(1.0, abs(left), abs(right))
             scal = max(scal, abs(left - right) / scale)
             bound = max(bound, abs(fwd) / dim_Hp(n, m, p))
-        x = RotatedVector.sector(zeta.sector_index(p), p,
-                                 rng.uniform(0.05, 0.95) * _unit_coords(rng, n))
-        value = kernels.poisson_kernel(x, zeta, p)
+    for b, a, c in zip(B.tolist(), x2.tolist(), zb2.tolist()):
+        # pair by pair, as poisson_kernel rounds it: array powers may not
+        value = complex(kernels.poisson_from_products(n, p, a, b, c))
         pos = max(pos, abs(value.imag) / abs(value),
                   max(0.0, -value.real) / abs(value))
     return [
@@ -264,13 +272,13 @@ def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0, delta: float = 0.5,
     rng = np.random.default_rng(seed)
     rule = quadrature.sphere_rule(n, {2: 512, 3: 64, 4: 32}.get(n, 12))
     _require_sectors(p, rule.count, "kernel values")
-    eta = _unit_coords(rng, n)
+    eta = _unit_rows(rng.standard_normal((1, n)))[0]
     rn = np.sum(rule.nodes * rule.nodes, axis=1)
     masses = []
     excess = 0.0
     for r in radii:
-        xs = np.array([RotatedVector(-k * math.pi / p, r * eta).to_complex()
-                       for k in range(p)])
+        coords, turns = _turned_back((r * eta)[None], p)
+        xs = turns[:, None] * coords
         values = np.abs(solver._sector_kernels(
             solver._POISSON, p, xs, np.ones(1), rule.nodes, rn))[:, 0]
         node_cap = (1.0 - r ** (2 * p)) / delta ** n
@@ -291,11 +299,14 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
                           p_list: tuple = (1, 2, 4, 8)) -> list:
     """|P_p - H| stays under alpha^{2p} max|H| and decreases with p."""
     rng = np.random.default_rng(seed)
-    sample = []
-    for _ in range(pairs):
+    targets, parts = [], []
+    for _ in range(pairs):  # two Lie norms, then the parts of z and w
         lz = rng.uniform(0.3, 0.7)
-        lw = rng.uniform(0.3, min(0.98 * alpha / lz, 0.7))
-        sample.append((_lie_point(rng, n, lz), _lie_point(rng, n, lw)))
+        targets += [lz, rng.uniform(0.3, min(0.98 * alpha / lz, 0.7))]
+        parts.append(rng.standard_normal((2, 2, n)))
+    zs = _lie_points(np.concatenate(parts), np.array(targets))
+    sample = list(zip(zs[::2], zs[1::2]))
+
     ratio = 0.0
     gaps = []
     for q in p_list:
@@ -325,8 +336,9 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     values = points * lie.angular * lie.base.count
     if values > quadrature._MAX_NODES:
         raise ValueError(f"n={n}: {values} kernel values exceed the node cap")
-    zs = np.array([_lie_point(rng, n, rng.uniform(0.2, lie_radius))
-                   for _ in range(points)])
+    targets, parts = zip(*[(rng.uniform(0.2, lie_radius),
+                            rng.standard_normal((2, n))) for _ in range(points)])
+    zs = _lie_points(np.array(parts), np.array(targets))
     us = [MultiPoly.monomial(n, exps)
           for degree in range(max_degree + 1)
           for exps in polyalg._monomials(n, degree)]
@@ -353,22 +365,18 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
     _require_sectors(p, p * points_per_sector * elements, "partial sums")
     rule = solver.choose_rule(n, p, max_degree, radius, 1e-11)
-    # the points of RotatedVector.sector(j, p, r * _unit_coords(rng, n)),
-    # radius then direction, with each row's norm as np.linalg.norm takes
-    # it (sqrt of the BLAS dot), bit for bit
-    draws = [(rng.uniform(0.1, radius), rng.standard_normal(n))
-             for _ in range(p * points_per_sector)]
-    coords = np.array([v for _, v in draws])
-    coords /= np.sqrt(np.vecdot(coords, coords))[:, None]
-    coords *= np.array([r for r, _ in draws])[:, None]
-    phases = [np.exp(1j * (j * math.pi / p)) for j in range(p)]
+    # each point's radius, then its direction
+    r, v = (np.array(c) for c in zip(*[
+        (rng.uniform(0.1, radius), rng.standard_normal(n))
+        for _ in range(p * points_per_sector)]))
+    coords = r[:, None] * _unit_rows(v)
     rows = np.repeat(np.arange(p), points_per_sector)
     basis = [q for m in range(max_degree + 1)
              for q in polyharmonic_basis(n, m, p)]
-    got = solver._integrate(solver._POISSON, p,
-                            np.array(phases)[rows, None] * coords,
+    got = solver._integrate(solver._POISSON, p, sector_points(coords, rows, p),
                             solver._sector_phases(p), rule, basis)
-    want = solver._sector_values(basis, phases, rows, coords)
+    want = solver._sector_values(basis, sector_phases(np.arange(p), p), rows,
+                                 coords)
     worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("reproduction", "max-reproduction-error",
                            worst, tolerance)]
@@ -415,12 +423,14 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     rule = solver.choose_rule(n, p, 0, radius, 1e-12, aligned=n >= 3)
     # each sample, turned into every sector, meets p sectors of nodes
     _require_sectors(p, p * rule.count, "kernel values per sample")
-    samples = [rng.uniform(0.1, radius) * _unit_coords(rng, n)
-               for _ in range(points)]
+    r, v = (np.array(c) for c in zip(*[
+        (rng.uniform(0.1, radius), rng.standard_normal(n))
+        for _ in range(points)]))
+    samples = r[:, None] * _unit_rows(v)
     # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once
-    xs = [RotatedVector(-k * math.pi / p, coords)
-          for coords in samples for k in range(p)]
-    lhs_all = solver._integrals_at(solver._POISSON, p, xs, np.ones(1), rule,
+    lhs_all = solver._integrals_at(solver._POISSON, p,
+                                   *_turned_back(samples, p),
+                                   np.ones(1), rule,
                                    [MultiPoly.constant(n, 1)]
                                    ).reshape(points, p)
     dev_sector = 0.0
@@ -558,13 +568,15 @@ SUITES = {
 
 def run_suite(name: str, n: int = 2, p: int = 1, seed: int = 0,
               tolerance: float | None = None) -> list:
-    """Run one registered suite; ``tolerance`` overrides every row's
-    tolerance when given."""
+    """Run one registered suite.  A given ``tolerance`` goes to the suite's
+    own ``tolerance`` argument: it sets the suite's tolerance rows, and any
+    rule or series the suite sizes from it, never a count or ratio row; a
+    suite without that argument ignores it."""
     fn = SUITES.get(name)
     if fn is None:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r} (known: {known})")
-    rows = fn(n=n, p=p, seed=seed)
-    if tolerance is not None:
-        rows = [replace(row, tolerance=float(tolerance)) for row in rows]
-    return rows
+    if tolerance is not None and "tolerance" in inspect.signature(
+            fn).parameters:
+        return fn(n=n, p=p, seed=seed, tolerance=float(tolerance))
+    return fn(n=n, p=p, seed=seed)

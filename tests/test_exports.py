@@ -1,10 +1,12 @@
 """Every exported name resolves, so a deleted function cannot linger as a
-stale entry of ``__all__``."""
+stale entry of ``__all__``, and README's quick start runs, so it cannot
+name an API the package no longer has."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,12 @@ def test_the_benchmark_tracer_finds_every_module_and_class():
     missing += [f"{module}.{cls}" for module, cls in tables["CLASSES"]
                 if not hasattr(getattr(package, module, None), cls)]
     assert not missing, f"perfbench/tracer.py names {missing}"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_runs():
+    text = README.read_text().split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md quick start", "exec"), {})

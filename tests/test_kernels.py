@@ -405,27 +405,23 @@ def test_stacked_series_terms_equal_the_row_by_row_table_bitwise(
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(2, 6), p=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 32 - 1),
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
        edge=st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
-def test_sector_masks_equal_the_require_checks(n, p, seed, edge):
+def test_sector_masks_equal_the_per_row_linalg_norm_tests(n, seed, edge):
     # radii edge + k ulp for |k| <= 6 (rounded once more by the scaling),
-    # each row a sector point for both checks
+    # each row judged by np.linalg.norm alone, the radius RotatedVector
+    # reports: x inside when it is < 1, zeta on the sphere when it is
+    # within 1e-12 of 1
     rng = np.random.default_rng(seed)
     radii = [edge + k * math.ulp(edge) for k in range(-6, 7)]
     coords = rng.standard_normal((len(radii), n))
     coords *= (np.array(radii) / np.linalg.norm(coords, axis=1))[:, None]
     inside, on_sphere = kernels._sector_masks(coords, coords)
     for row, ok_x, ok_zeta in zip(coords, inside, on_sphere):
-        point = RotatedVector.sector(int(rng.integers(p)), p, row)
-        for check, ok in ((kernels._require_sector_interior, ok_x),
-                          (kernels._require_sector_sphere, ok_zeta)):
-            try:
-                check(point, p)
-            except ValueError:
-                assert not ok
-            else:
-                assert ok
+        radius = float(np.linalg.norm(row))
+        assert radius == RotatedVector.sector(1, 2, row).radius
+        assert ok_x == (radius < 1.0)
+        assert ok_zeta == (abs(radius - 1.0) <= 1e-12)
 
 
 def test_truncation_degree_is_the_smallest_passing_degree():

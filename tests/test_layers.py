@@ -8,7 +8,9 @@ No module below the property suites draws random numbers: every bound and
 rule size there is computed, not sampled.  A suite's rule takes its size
 from a sizing function, unless it is listed with the reason it needs none.
 Every public name is used by the package itself, or is kept on a list that
-says why.
+says why.  The solver, the suites and the command line hold points as real
+rows and sector arrays: they build no ``RotatedVector``, and only the
+per-point public wrappers read a sector index.
 """
 
 from __future__ import annotations
@@ -167,6 +169,41 @@ def test_suite_rules_take_their_size_from_a_sizing_function():
     assert set(fixed) == set(FIXED_RULES), fixed
 
 
+# The per-point public wrappers, the one place above geometry and kernels
+# where a point may arrive as a RotatedVector.
+PER_POINT_WRAPPERS = {("solver", "poisson_integral")}
+
+
+def _point_objects(tree: ast.AST):
+    """(enclosing function, line, what) of every ``RotatedVector(...)`` or
+    ``.sector(...)`` call and every ``sector_index`` read."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Call):
+                name = _callee(child)
+                if name in ("RotatedVector", "sector"):
+                    yield inner, child.lineno, f"{name}("
+            if (isinstance(child, (ast.Attribute, ast.Name))
+                    and "sector_index" in (getattr(child, "attr", None),
+                                           getattr(child, "id", None))):
+                yield inner, child.lineno, "sector_index"
+            yield from walk(child, inner)
+    yield from walk(tree, None)
+
+
+def test_batched_layers_build_no_rotated_points():
+    violations = []
+    for name in ("solver", "suites", "cli"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for function, line, what in _point_objects(tree):
+            if what != "sector_index" or (name, function) \
+                    not in PER_POINT_WRAPPERS:
+                violations.append(f"{name}.py:{line} {what}")
+    assert not violations, violations
+
+
 # Public names that no package code reads, each with the reason it stays.
 UNREFERENCED_PUBLIC = {
     "dirichlet_solve": "the boundary-form route, which cross-checks the "
@@ -177,6 +214,12 @@ UNREFERENCED_PUBLIC = {
                         "per-point reference of the batched dirichlet table",
     "poisson_kernel_series": "the one-pair case of the batched series: "
                              "the per-pair reference of the kernel table",
+    "poisson_kernel": "the one-pair closed form at rotated points: the "
+                      "per-pair reference of the kernel table's poisson rows",
+    "poisson_from_hua": "the one-pair form of the continued Poisson kernel "
+                        "that hua_convergence_gap evaluates over stacks",
+    "RotatedVector.sector": "builds the per-point form of a sector point; "
+                            "batched code uses geometry.sector_points",
     "rule_from_json": "reads back the rule record that every table carries",
     "PropertyResult.passed": "the acceptance gate reads it",
 }

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from polyball import kernels, polyalg, quadrature, solver, suites
-from polyball.geometry import RotatedVector, bilinear_square, lie_norm
+from polyball.geometry import (RotatedVector, bilinear_square, lie_norm,
+                               sector_phases)
 from polyball.polyalg import MultiPoly, polyharmonic_basis
 from polyball.solver import (
     BoundaryData,
@@ -32,13 +33,21 @@ RNG = np.random.default_rng(60)
 
 
 def interior_points(n: int, p: int, count: int, rng,
-                    rmax: float = 0.6) -> list:
-    out = []
+                    rmax: float = 0.6) -> tuple:
+    """(coords, sectors): ``count`` real rows of radius below ``rmax`` and
+    their sectors, the form the batched calls take."""
+    coords, sectors = [], []
     for _ in range(count):
         y = rng.standard_normal(n)
         y *= rng.uniform(0.1, rmax) / np.linalg.norm(y)
-        out.append(RotatedVector.sector(int(rng.integers(p)), p, y))
-    return out
+        coords.append(y)
+        sectors.append(int(rng.integers(p)))
+    return np.array(coords), np.array(sectors)
+
+
+def rotated(points: tuple, p: int) -> list:
+    """The ``RotatedVector`` of each of ``interior_points``' points."""
+    return [RotatedVector.sector(j, p, a) for a, j in zip(*points)]
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +122,7 @@ def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
         evaluated.clear()
         built.clear()
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
-        poisson_integrals([BoundaryData(q, 7) for q in qs], points, rule)
+        poisson_integrals([BoundaryData(q, 7) for q in qs], *points, rule)
         blocks = []  # the kernels' sector blocks, each once per point block
         for block in built:
             if not blocks or not np.array_equal(blocks[-1], block):
@@ -141,10 +150,10 @@ def test_one_by_one_integrals_equal_their_batched_entries():
     lie = quadrature.lie_sphere_rule(rule, 7)
     assert solver._group(rule.count, 7)[0] == 4
     zs = [np.array([0.3, 0.1j, -0.2]), np.array([-0.2, 0.4 + 0.1j, 0.1])]
-    batched = poisson_integrals(data, points, rule)
+    batched = poisson_integrals(data, *points, rule)
     hua = hua_integrals(qs, zs, lie)
     for d, f in enumerate(data):
-        for i, x in enumerate(points):
+        for i, x in enumerate(rotated(points, 7)):
             assert poisson_integral(f, x, rule) == batched[i, d]
         for i, z in enumerate(zs):
             assert hua_reproduce(f.q, z, lie) == hua[i, d]
@@ -160,7 +169,7 @@ def test_poisson_integral_reproduces_polyharmonic_basis(n, p, m):
     rule = choose_rule(n, p, m, radius=0.6, tol=1e-11)
     for q in polyharmonic_basis(n, m, p)[:4]:
         data = BoundaryData(q, p)
-        for x in interior_points(n, p, 5, rng):
+        for x in rotated(interior_points(n, p, 5, rng), p):
             got = poisson_integral(data, x, rule)
             want = q.evaluate(x)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
@@ -172,22 +181,27 @@ def test_dirichlet_solve_matches_poisson_integral():
     data = BoundaryData(q, p)
     rule = choose_rule(2, p, q.degree(), radius=0.7, tol=1e-11)
     pts = interior_points(2, p, 12, np.random.default_rng(5), rmax=0.7)
-    sol = dirichlet_solve(data, pts, rule)
-    for x, v in zip(pts, sol.values):
+    values = dirichlet_solve(data, *pts, rule)
+    assert values.shape == (12,)
+    for x, v in zip(rotated(pts, p), values):
         direct = poisson_integral(data, x, rule)
         assert abs(v - direct) <= 1e-11 * max(1.0, abs(direct))
-    assert sol.sector_indices == [x.sector_index(p) for x in pts]
 
 
 def test_dirichlet_rejects_exterior_and_off_sector_points():
     q = MultiPoly.from_text("x1", n=2)
     data = BoundaryData(q, 2)
     rule = quadrature.sphere_rule(2, 16)
-    with pytest.raises(ValueError):
-        dirichlet_solve(data, [np.array([1.5, 0.0])], rule)
-    with pytest.raises(ValueError):
-        dirichlet_solve(data, [RotatedVector(0.123, np.array([0.3, 0.0]))],
-                        rule)
+    edge = 1.0 - 1e-9  # the solver's interior radius
+    for coords, sectors in (([[1.5, 0.0]], [0]), ([[edge, 0.0]], [1]),
+                            ([[0.3, 0.0]], [2]), ([[0.3, 0.0]], [-1]),
+                            ([[0.3, 0.0, 0.0]], [0]), ([[0.3, 0.0]], [0, 1])):
+        with pytest.raises(ValueError):
+            dirichlet_solve(data, coords, sectors, rule)
+    assert dirichlet_solve(data, [[0.3, 0.0]], [1], rule).shape == (1,)
+    with pytest.raises(ValueError):  # the per-point form checks its angle
+        poisson_integral(data, RotatedVector(0.123, np.array([0.3, 0.0])),
+                         rule)
 
 
 # --------------------------------------------------------------------------
@@ -203,8 +217,8 @@ def reference_integrals(route: str, data, points, rule) -> np.ndarray:
     """One kernel array per point and sector from the point's own
     invariants, an fsum per sector and an fsum over the sectors."""
     rn = np.sum(rule.nodes ** 2, axis=1)
-    out = np.empty((len(points), len(data)), dtype=complex)
-    for i, x in enumerate(points):
+    out = np.empty((len(points[0]), len(data)), dtype=complex)
+    for i, x in enumerate(rotated(points, data[0].p)):
         xc = x.to_complex()
         x2 = bilinear_square(xc)
         for d, f in enumerate(data):
@@ -240,8 +254,8 @@ def operator_case(n: int, p: int):
 def test_batched_operator_matches_per_sector_loop(n, p):
     data, points, rule = operator_case(n, p)
     routes = {
-        "poisson": poisson_integrals(data, points, rule),
-        "boundary-form": np.array([dirichlet_solve(f, points, rule).values
+        "poisson": poisson_integrals(data, *points, rule),
+        "boundary-form": np.array([dirichlet_solve(f, *points, rule)
                                    for f in data]).T,
     }
     for route, got in routes.items():
@@ -281,8 +295,8 @@ def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
     zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
 
     def results():
-        return (poisson_integrals(data, points, rule),
-                dirichlet_solve(data[1], points, rule).values,
+        return (poisson_integrals(data, *points, rule),
+                dirichlet_solve(data[1], *points, rule),
                 hua_integrals(us, zs, lie))
 
     default = results()
@@ -320,11 +334,12 @@ def test_aligned_rule_integrates_zonal_times_data_exactly(n):
         f = BoundaryData(random_polynomial(n, d, rng), int(rng.integers(1, 4)))
         resolution = int(rng.integers(4, 7))
         template = solver.aligned_rule(n, resolution, d)
-        [x] = interior_points(n, f.p, 1, rng, rmax=0.9)
+        point = interior_points(n, f.p, 1, rng, rmax=0.9)
+        [x] = rotated(point, f.p)
         for m in (2 * int(rng.integers(0, d // 2 + 1)),
                   int(rng.integers(0, 2 * resolution - d))):
-            got = solver._rotated_integrals((route, m), [f], [x],
-                                            template)[1][0, 0]
+            got = solver._sector_integrals((route, m), [f], *point,
+                                           template)[0, 0]
             shared = quadrature.sphere_rule(
                 n, quadrature.resolution_for_exactness(n, m + d))
             want = spectral_component(f, m, x, shared, route)
@@ -342,14 +357,15 @@ def test_aligned_rows_equal_their_one_point_integrals(monkeypatch, budget):
     data, points, rule = operator_case(3, 2)
     template = choose_rule(3, 2, 3, radius=0.7, tol=1e-11, aligned=True)
     assert template.count * 20 < rule.count
-    shared = poisson_integrals(data, points, rule)
+    shared = poisson_integrals(data, *points, rule)
     monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
-    got = poisson_integrals(data, points, template)
-    forms = dirichlet_solve(data[1], points, template).values
-    for i, x in enumerate(points):
+    got = poisson_integrals(data, *points, template)
+    forms = dirichlet_solve(data[1], *points, template)
+    for i in range(len(forms)):
+        one = [a[i:i + 1] for a in points]
         np.testing.assert_array_equal(
-            got[i], poisson_integrals(data, [x], template)[0])
-        assert forms[i] == dirichlet_solve(data[1], [x], template).values[0]
+            got[i], poisson_integrals(data, *one, template)[0])
+        assert forms[i] == dirichlet_solve(data[1], *one, template)[0]
     # both rules reproduce the polyharmonic data to the tolerance
     assert np.max(np.abs(got - shared)) <= 1e-10
     assert np.max(np.abs(forms - got[:, 1])) <= 1e-10
@@ -361,14 +377,18 @@ def test_aligned_sector_integrals_match_the_shared_rule(p):
     # over sector 0 alone (the one-sector phase set), each sample on its own
     # turned template, equals the shared rule's value
     rng = np.random.default_rng(70 + p)
-    xs = [RotatedVector(-k * math.pi / p, rng.uniform(0.1, 0.7)
-                        * suites._unit_coords(rng, 3)) for k in range(p)]
+    xs = []
+    for k in range(p):
+        a = rng.standard_normal(3)
+        xs.append(RotatedVector(-k * math.pi / p,
+                                rng.uniform(0.1, 0.7) * a / np.linalg.norm(a)))
     one, sector = [MultiPoly.constant(3, 1)], np.ones(1)
     shared = choose_rule(3, p, 0, 0.7, 1e-12)
     template = choose_rule(3, p, 0, 0.7, 1e-12, aligned=True)
     assert template.count * 40 < shared.count
-    got = solver._aligned_integrate(solver._POISSON, p, xs, sector,
-                                    template, one)
+    got = solver._integrals_at(
+        solver._POISSON, p, np.array([x.coords for x in xs]),
+        np.exp(1j * np.array([x.angle for x in xs])), sector, template, one)
     want = solver._integrate(solver._POISSON, p,
                              np.array([x.to_complex() for x in xs]), sector,
                              shared, one)
@@ -455,22 +475,23 @@ def test_each_operator_call_builds_one_power_table_per_node_set(
     for budget in (1 << 20, 500, 1):
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
         shapes.clear()
-        poisson_integrals(data, points, rule)
+        poisson_integrals(data, *points, rule)
         assert shapes == [rule.nodes.shape], budget
         shapes.clear()
-        poisson_integrals(data, points, template)
+        poisson_integrals(data, *points, template)
         assert all(r % template.count == 0 and k == 3 for r, k in shapes)
-        assert sum(r for r, _ in shapes) == len(points) * template.count
+        assert sum(r for r, _ in shapes) == len(points[0]) * template.count
         if budget == 1:
-            assert len(shapes) == len(points)
+            assert len(shapes) == len(points[0])
     lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
     shapes.clear()
     hua_integrals([MultiPoly.from_text(t, n=2) for t in ("x1^3", "x2^2")],
                   [np.array([0.3, 0.1j]), np.array([-0.2, 0.4])], lie)
     assert shapes == [lie.base.nodes.shape]
     shapes.clear()
-    solver._values_at([f.q for f in data], points)
-    assert shapes == [(len(points), 3)]
+    solver._sector_values([f.q for f in data], sector_phases(range(3), 3),
+                          points[1], points[0])
+    assert shapes == [(len(points[0]), 3)]
 
 
 def test_a_call_whose_join_fits_eight_budgets_is_one_block(monkeypatch):
@@ -519,8 +540,8 @@ def test_poisson_integral_of_constant_is_one():
     for p in (1, 2, 3):
         data = BoundaryData(MultiPoly.constant(2, 1), p)
         rule = choose_rule(2, p, 0, radius=0.8, tol=1e-12)
-        for x in interior_points(2, p, 6, np.random.default_rng(7),
-                                 rmax=0.8):
+        for x in rotated(interior_points(2, p, 6, np.random.default_rng(7),
+                                         rmax=0.8), p):
             got = poisson_integral(data, x, rule)
             assert abs(got - 1.0) <= 1e-10
 
