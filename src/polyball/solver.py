@@ -15,8 +15,8 @@ or on BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
 batch points and data; ``poisson_integral`` and ``hua_reproduce`` are their
 1 x 1 cases, and ``spectral_component`` pairs the data with the zonal
 polyharmonic Z_m^p.  Batched calls take sector points as real rows (k, n)
-and sectors (k,) (``geometry.sector_points``).  Given a pole-aligned template (``aligned_rule``),
-``poisson_integrals`` and ``dirichlet_solve`` turn it to each point, whose
+and sectors (k,) (``geometry.sector_points``).  Given a pole-aligned
+template (``aligned_rule``), ``poisson_integrals`` and ``dirichlet_solve`` turn it to each point, whose
 kernel is zonal about the point's real direction, and evaluate the data at
 each point's own nodes.
 
@@ -283,7 +283,8 @@ def _integrals_at(route, p: int, coords: np.ndarray, turns: np.ndarray,
     value is computed per point, so each is bit-identical for any
     budget."""
     if rule.azimuth is None:
-        return _integrate(route, p, turns[:, None] * coords, phases, rule, data)
+        return _integrate(route, p, turns[:, None] * coords, phases, rule,
+                          data)
     n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
     per = size // rule.resolution  # nodes per polar node
     polar = rule.nodes[::per]
@@ -363,8 +364,8 @@ def poisson_integral(f: BoundaryData, x, rule: quadrature.SphereRule) -> complex
     """(1/p) sum_j int_S f(e^{ij pi/p} zeta) P(x, e^{ij pi/p} zeta) dsigma
     at one point x, a ``RotatedVector`` or real coordinates of sector 0."""
     x = as_rotated(x)
-    return complex(poisson_integrals([f], x.coords[None], [x.sector_index(f.p)],
-                                     rule)[0, 0])
+    return complex(poisson_integrals([f], x.coords[None],
+                                     [x.sector_index(f.p)], rule)[0, 0])
 
 
 def dirichlet_solve(f: BoundaryData, coords, sectors,

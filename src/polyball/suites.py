@@ -337,7 +337,8 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     if values > quadrature._MAX_NODES:
         raise ValueError(f"n={n}: {values} kernel values exceed the node cap")
     targets, parts = zip(*[(rng.uniform(0.2, lie_radius),
-                            rng.standard_normal((2, n))) for _ in range(points)])
+                            rng.standard_normal((2, n)))
+                           for _ in range(points)])
     zs = _lie_points(np.array(parts), np.array(targets))
     us = [MultiPoly.monomial(n, exps)
           for degree in range(max_degree + 1)

@@ -12,20 +12,20 @@ one pass of the benchmark's solve template on seeds 5 and 6
 p-polyharmonic, at the probe shapes below, ``kernel`` requests that pin
 every status other than ``ok`` (the examples of README and of
 ``tests/test_cli.py``), every request of one pass of the algebra template
-on the same seeds, the algebra workload's one ``verify
-gegenbauer``, ``almansi`` requests whose texts use every number form the
-reader takes, every request of one pass of the reproduce template on
-seed 5, and the ``verify`` suites that no template runs (``SUITE_PROBES``)
-at n in {2, 3} and p in {1, 2} on seed 5.  Each case keeps its config, its exit code, the sha256 of its JSON
-and CSV renders and a short digest of each column; a table of at most
-``KEPT_ROWS`` rows also keeps its value cells.  The file records the Python
-and numpy versions the digests were taken on.  A change that alters printed
-bits rebuilds the file in the same commit and names the tables that
-changed, and why.  ``--check`` writes nothing: for every case whose exit
-code or digests differ from the committed file, or that it lacks, it prints
-the name, the columns that changed and, where the cells are kept, the
-largest change of each changed value column relative to max(1, |cell|);
-it exits 1 if there is such a case.
+on the same seeds, the algebra workload's one ``verify gegenbauer``,
+``almansi`` requests whose texts use every number form the reader takes,
+every request of one pass of the reproduce template on seed 5, and the
+``verify`` suites that no template runs (``SUITE_PROBES``) at n in {2, 3}
+and p in {1, 2} on seed 5.  Each case keeps its config, its exit code, the
+sha256 of its JSON and CSV renders and a short digest of each column; a
+table of at most ``KEPT_ROWS`` rows also keeps its value cells.  The file
+records the Python and numpy versions the digests were taken on.  A change
+that alters printed bits rebuilds the file in the same commit and names the
+tables that changed, and why.  ``--check`` writes nothing: for every case
+whose exit code or digests differ from the committed file, or that it
+lacks, it prints the name, the columns that changed and, where the cells
+are kept, the largest change of each changed value column relative to
+max(1, |cell|); it exits 1 if there is such a case.
 """
 
 from __future__ import annotations
