@@ -311,7 +311,7 @@ def poisson_kernel(x, zeta, p: int) -> complex:
     if p < 1:
         raise ValueError("p must be >= 1")
     x, zeta = as_rotated(x), as_rotated(zeta)
-    x.sector_index(p), zeta.sector_index(p)
+    x.sector_index(p), zeta.sector_index(p)  # each raises off a sector
     if x.n != zeta.n:
         raise ValueError("dimension mismatch")
     if not all(_sector_masks(x.coords[None], zeta.coords[None])):
