@@ -16,9 +16,9 @@ batch points and data; ``poisson_integral`` and ``hua_reproduce`` are their
 1 x 1 cases, and ``spectral_component`` pairs the data with the zonal
 polyharmonic Z_m^p.  Batched calls take sector points as real rows (k, n)
 and sectors (k,) (``geometry.sector_points``).  Given a pole-aligned
-template (``aligned_rule``), ``poisson_integrals`` and ``dirichlet_solve`` turn it to each point, whose
-kernel is zonal about the point's real direction, and evaluate the data at
-each point's own nodes.
+template (``aligned_rule``), ``poisson_integrals`` and ``dirichlet_solve``
+turn it to each point, whose kernel is zonal about the point's real
+direction, and evaluate the data at each point's own nodes.
 
 The block plan: g consecutive sectors, or Lie angles, form one row of
 g R <= 2^10 nodes (``_group``, fixed by R and the sector count alone), and
@@ -128,10 +128,6 @@ def _rows(values: np.ndarray, group: int) -> np.ndarray:
         values = np.concatenate((values, np.zeros(
             (*lead, -sectors % group, size), dtype=values.dtype)), axis=-2)
     return values.reshape(*lead, -1, group * size)
-
-
-def _sector_phases(p: int) -> np.ndarray:
-    return np.exp(1j * np.arange(p) * math.pi / p)
 
 
 def _dots(zs: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -334,14 +330,18 @@ def _sector_integrals(route, data: list, coords, sectors,
     if len({(f.n, f.p) for f in data}) != 1:
         raise ValueError("need boundary data sharing n and p")
     n, p = data[0].n, data[0].p
+    if np.iscomplexobj(coords):
+        raise ValueError("need real rows: give complex sector points as "
+                         "their real rows and sectors")
     coords, sectors = np.asarray(coords, dtype=float), np.asarray(sectors)
     if coords.shape != (len(sectors), n) or not np.isin(sectors,
                                                          range(p)).all():
         raise ValueError(f"need real rows (k, {n}) in sectors 0 to {p - 1}")
     if not np.all(kernels._radii(coords) < 1.0 - 1e-9):
         raise ValueError("interior points need hermitian radius < 1 - 1e-9")
-    return _integrals_at(route, p, coords, sector_phases(sectors, p),
-                         _sector_phases(p), rule, [f.q for f in data])
+    phases = sector_phases(range(p), p)
+    return _integrals_at(route, p, coords, phases[sectors], phases, rule,
+                         [f.q for f in data])
 
 
 # --------------------------------------------------------------------------
@@ -364,8 +364,10 @@ def poisson_integral(f: BoundaryData, x, rule: quadrature.SphereRule) -> complex
     """(1/p) sum_j int_S f(e^{ij pi/p} zeta) P(x, e^{ij pi/p} zeta) dsigma
     at one point x, a ``RotatedVector`` or real coordinates of sector 0."""
     x = as_rotated(x)
-    return complex(poisson_integrals([f], x.coords[None],
-                                     [x.sector_index(f.p)], rule)[0, 0])
+    j = x.sector_index(f.p)
+    # an angle just below pi is sector 0 at the opposite coords
+    coords = -x.coords if round(x.angle * f.p / math.pi) == f.p else x.coords
+    return complex(poisson_integrals([f], coords[None], [j], rule)[0, 0])
 
 
 def dirichlet_solve(f: BoundaryData, coords, sectors,
@@ -395,7 +397,8 @@ def spectral_component(f: BoundaryData, m: int, eta,
     if eta_c.size != f.n:
         raise ValueError("dimension mismatch")
     return complex(_integrate((route, m), f.p, eta_c[None, :],
-                              _sector_phases(f.p), rule, [f.q])[0, 0])
+                              sector_phases(range(f.p), f.p), rule,
+                              [f.q])[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -454,7 +457,8 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
         if p < 1:
             raise ValueError("orders must be >= 1")
         value = complex(_integrate(_POISSON, p, zc[None, :],
-                                   _sector_phases(p), rule, [u])[0, 0])
+                                   sector_phases(range(p), p), rule,
+                                   [u])[0, 0])
         rows.append((p, value, abs(value - reference)))
     return LimitExperiment(
         reference=complex(reference),

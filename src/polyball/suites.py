@@ -374,10 +374,10 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     rows = np.repeat(np.arange(p), points_per_sector)
     basis = [q for m in range(max_degree + 1)
              for q in polyharmonic_basis(n, m, p)]
+    phases = sector_phases(range(p), p)
     got = solver._integrate(solver._POISSON, p, sector_points(coords, rows, p),
-                            solver._sector_phases(p), rule, basis)
-    want = solver._sector_values(basis, sector_phases(np.arange(p), p), rows,
-                                 coords)
+                            phases, rule, basis)
+    want = solver._sector_values(basis, phases, rows, coords)
     worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("reproduction", "max-reproduction-error",
                            worst, tolerance)]
@@ -391,7 +391,7 @@ def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
         n, quadrature.resolution_for_exactness(n, 2 * max_degree))
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
     _require_sectors(p, elements * rule.count, "basis values")
-    phases = solver._sector_phases(p)
+    phases = sector_phases(range(p), p)
     bases = [polyharmonic_basis(n, m, p) for m in range(max_degree + 1)]
     table = polyalg._power_table(rule.nodes, sum(bases, []))
     values = []  # per degree: array (basis, sector, node)

@@ -940,10 +940,11 @@ def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
                                                       config):
     # p sectors of the rule are refused from the counts alone, before any
     # array of sector phases exists
-    def no_phases(p):
+    def no_phases(*args):
         raise AssertionError("sector phases built")
 
-    monkeypatch.setattr(solver, "_sector_phases", no_phases)
+    for module in (solver, cli):
+        monkeypatch.setattr(module, "sector_phases", no_phases)
     code, text = run(tmp_path, command, config)
     assert (code, text) == (cli.EXIT_CONFIG, "")
     err = capsys.readouterr().err

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from polyball import kernels, polyalg, quadrature, solver, suites
+from polyball import geometry, kernels, polyalg, quadrature, solver, suites
 from polyball.geometry import (RotatedVector, bilinear_square, lie_norm,
                                sector_phases)
 from polyball.polyalg import MultiPoly, polyharmonic_basis
@@ -83,10 +83,11 @@ def _recorded_phases(monkeypatch) -> tuple:
 
 
 def test_boundary_data_uses_the_kernel_sector_phases(monkeypatch):
-    # p = 6 is the first order where the array and the scalar exp of
-    # e^{5 i pi / 6} round differently; data and kernels must share one
+    # p = 6 is the first order where e^{5 i pi / 6} from the real angle
+    # and from the complex product 1j * 5 * pi / 6 round differently; data
+    # and kernels must share one
     evaluated, built = _recorded_phases(monkeypatch)
-    want = solver._sector_phases(6)
+    want = sector_phases(range(6), 6)
     x = RotatedVector.sector(5, 6, np.array([0.2, -0.1, 0.3]))
     q = MultiPoly.from_text("x1^3 - 2 * x1 x2 + x3 + 1", n=3)
     for rule in (quadrature.sphere_rule(3, 6),
@@ -113,7 +114,7 @@ def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
           for t in ("x1^2 x2 + 2 * x3", "x3 - 1", "(0,1) x1 x2")]
     points = interior_points(3, 7, 12, np.random.default_rng(3))
     rule = quadrature.sphere_rule(3, 10)
-    phases = solver._sector_phases(7)
+    phases = sector_phases(range(7), 7)
     assert solver._group(rule.count, 7)[0] == 4
     assert len(qs) * 7 * rule.count == 4200  # the values of every sector
     for budget, passes, kernel_blocks in ((1 << 20, 1, 1), (1 << 16, 1, 1),
@@ -198,10 +199,26 @@ def test_dirichlet_rejects_exterior_and_off_sector_points():
                             ([[0.3, 0.0, 0.0]], [0]), ([[0.3, 0.0]], [0, 1])):
         with pytest.raises(ValueError):
             dirichlet_solve(data, coords, sectors, rule)
+    with pytest.raises(ValueError, match="real rows"):  # not cast to real
+        dirichlet_solve(data, geometry.sector_points([[0.3, 0.0]], [1], 2),
+                        [1], rule)
     assert dirichlet_solve(data, [[0.3, 0.0]], [1], rule).shape == (1,)
     with pytest.raises(ValueError):  # the per-point form checks its angle
         poisson_integral(data, RotatedVector(0.123, np.array([0.3, 0.0])),
                          rule)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_poisson_integral_of_an_angle_just_below_pi_is_its_own_point(p):
+    # RotatedVector(-1e-10, a) stores angle pi - 1e-10 with coords -a, and
+    # is the point a to 1e-10; odd data tell it from its antipode -a
+    a = np.array([0.3, -0.2, 0.1])
+    data = BoundaryData(MultiPoly.from_text("x1", n=3), p)
+    rule = solver.choose_rule(3, p, 1, 0.4, 1e-12)
+    near, on = (poisson_integral(data, RotatedVector(angle, a), rule)
+                for angle in (-1e-10, 0.0))
+    assert abs(on - 0.3) < 1e-12
+    assert abs(near - on) < 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -234,7 +251,7 @@ def reference_integrals(route: str, data, points, rule) -> np.ndarray:
                         f.n, f.p, x2,
                         bilinear_square(xk) - 2.0 * (rule.nodes @ xk) + rn)
                 values = f.q.eval_at(rule.nodes,
-                                     phase=solver._sector_phases(f.p)[j])
+                                     phase=sector_phases([j], f.p)[0])
                 parts.append(_fsum(rule.weights * values * kv))
             out[i, d] = _fsum(parts) / f.p
     return out

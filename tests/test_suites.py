@@ -252,7 +252,7 @@ _SECTOR_SIZES = {
         lambda p: sum(polyalg.dim_Hp(2, m, p) for m in range(7))
         * quadrature.sphere_rule(
             2, quadrature.resolution_for_exactness(2, 12)).count,
-        (solver, "_sector_phases")),
+        (suites, "sector_phases")),
     "diagonal-dim": (lambda p: 3 * 9, (suites, "polyharmonic_basis")),
 }
 
