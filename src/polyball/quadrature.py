@@ -328,7 +328,9 @@ def _sliced_sums(ks: np.ndarray, vs: np.ndarray) -> np.ndarray:
     T = (1 + 2^(3 - w))^2 R M_K M_V, and the join adds u |S| + 2 h^2 u^2 T
     with h = ceil(log2 k^2).  So |result - S| <= u |S| + (1 + u) rho +
     2 h^2 u^2 T.  As k w >= 60, rho is at most 2^-57.5 (1 + 2^-59) R M_K M_V,
-    about u/22 R M_K M_V.
+    about u/22 R M_K M_V.  R is the row length the slices were cut for:
+    where the caller sums slices over runs of equal K (``solver``'s turned
+    templates), the unfolded row's.
     """
     batch, points, slices, size = ks.shape
     data = vs.shape[1]

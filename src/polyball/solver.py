@@ -31,7 +31,10 @@ rows, but a call whose whole slices and join each fit 8
 power table per node set (``polyalg._power_table``): one per call, or one
 per block of points on a turned template.  No block splits a row, and
 every slice takes its scale from its whole row, so no value depends on the
-plan.
+plan.  On a turned template each circle of 2A azimuth nodes shares one
+kernel value and one weight, so a row's kernel is cut once per circle and
+its data slices are summed over each circle before the product: g R / (2A)
+terms, every bit as from g R.
 
 Two independent evaluation routes compute the same solution:
 
@@ -266,7 +269,13 @@ def _integrals_at(route, p: int, coords: np.ndarray, turns: np.ndarray,
     (H x, zeta) = (e^{i theta} c e_n, zeta), a function of t = zeta_n
     alone: it is built once per polar node and repeated over the S^{n-2}
     nodes that share it (the template's polar index is outermost), so the
-    reflection's rounding never reaches a kernel value.
+    reflection's rounding never reaches a kernel value.  Each run of 2A
+    consecutive nodes is one circle of the S^{n-2} factor: one kernel value
+    and one weight, so one kernel slice of the same row scale.  So the
+    kernel is weighted and cut once per run, and the data slices are
+    summed over each run first: every such sum regroups a partial sum of
+    the unfolded row, which ``_split`` proves exact at the width of g R
+    nodes, so g R / (2A) terms give every bit of g R.
 
     ``phases`` are the sectors' phases, as for ``_integrate``, and the
     sectors join in the same rows of g consecutive sectors (``_rows``).
@@ -282,7 +291,8 @@ def _integrals_at(route, p: int, coords: np.ndarray, turns: np.ndarray,
         return _integrate(route, p, turns[:, None] * coords, phases, rule,
                           data)
     n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
-    per = size // rule.resolution  # nodes per polar node
+    # the nodes of one polar ring, and of one circle of 2A azimuth angles
+    per, run = size // rule.resolution, 2 * rule.azimuth
     polar = rule.nodes[::per]
     rn = np.sum(polar * polar, axis=1)
     group, groups, width, slices = _group(size, sectors)
@@ -293,9 +303,9 @@ def _integrals_at(route, p: int, coords: np.ndarray, turns: np.ndarray,
         nodes, pole = _turned(rule.nodes, coords[i:i + step])
         zs = np.zeros((points, n), dtype=complex)
         zs[:, -1] = pole * turns[i:i + step]
-        ks = quadrature._split(_rows(rule.weights * np.repeat(_sector_kernels(
-            route, p, zs, phases, polar, rn), per, axis=-1), group),
-            width, slices)
+        ks = quadrature._split(_rows(rule.weights[::run] * np.repeat(
+            _sector_kernels(route, p, zs, phases, polar, rn), per // run,
+            axis=-1), group), width, slices)
         flat = nodes.reshape(-1, n)
         values = np.empty((count, sectors, points * size), dtype=complex)
         polyalg._evaluate(data, polyalg._power_table(flat, data), phases,
@@ -303,9 +313,14 @@ def _integrals_at(route, p: int, coords: np.ndarray, turns: np.ndarray,
         vs = quadrature._split(_rows(values.reshape(
             count, sectors, points, size).transpose(2, 0, 1, 3), group)
             .transpose(0, 2, 1, 3), width, slices)
+        del values
+        folded = vs[..., ::run].copy()  # each circle's exact slice sums
+        for j in range(1, run):
+            folded += vs[..., j::run]
+        del vs
         sums = quadrature._sliced_sums(
             ks.reshape(points * groups, 1, slices, -1),
-            vs.reshape(points * groups, count, slices, -1))
+            folded.reshape(points * groups, count, slices, -1))
         out[i:i + points] = quadrature.compensated_sum(
             sums.reshape(points, groups, count).transpose(0, 2, 1),
             axis=-1) / sectors

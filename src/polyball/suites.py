@@ -360,7 +360,9 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
                        radius: float = 0.6,
                        tolerance: float = 1e-9) -> list:
     """Poisson integrals reproduce every basis element of H_m^p at
-    interior points, with an exact-degree rule."""
+    interior points, with an exact-degree rule: the pole-aligned template
+    turned to each point when the points hold fewer template nodes than the
+    shared rule has (n = 4: 20 x 1,280 against 128,000 nodes)."""
     rng = np.random.default_rng(seed)
     # the integral operator holds a partial sum per point, datum and sector
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
@@ -374,9 +376,14 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     rows = np.repeat(np.arange(p), points_per_sector)
     basis = [q for m in range(max_degree + 1)
              for q in polyharmonic_basis(n, m, p)]
+    if n >= 3:
+        template = solver.choose_rule(n, p, max_degree, radius, 1e-11,
+                                      aligned=True)
+        if len(coords) * template.count < rule.count:
+            rule = template
     phases = sector_phases(range(p), p)
-    got = solver._integrate(solver._POISSON, p, sector_points(coords, rows, p),
-                            phases, rule, basis)
+    got = solver._integrals_at(solver._POISSON, p, coords, phases[rows],
+                               phases, rule, basis)
     want = solver._sector_values(basis, phases, rows, coords)
     worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("reproduction", "max-reproduction-error",

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from polyball import geometry, kernels, polyalg, quadrature, solver, suites
+from polyball import (cli, geometry, kernels, polyalg, quadrature, solver,
+                      suites)
 from polyball.geometry import (RotatedVector, bilinear_square, lie_norm,
                                sector_phases)
 from polyball.polyalg import MultiPoly, polyharmonic_basis
@@ -412,6 +413,124 @@ def test_aligned_sector_integrals_match_the_shared_rule(p):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def _per_node_template_integrals(route, p, coords, turns, phases, rule,
+                                 data):
+    """The template branch of ``solver._integrals_at`` with one term per
+    node: each polar kernel value is repeated over its whole ring, weighted
+    node by node, and every row's products run over all g R nodes."""
+    n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
+    per = size // rule.resolution
+    polar = rule.nodes[::per]
+    rn = np.sum(polar * polar, axis=1)
+    group, groups, width, slices = solver._group(size, sectors)
+    step = max(1, solver._BLOCK_ELEMENTS
+               // (2 * slices * size * sectors * count))
+    out = np.empty((len(coords), count), dtype=complex)
+    for i in range(0, len(coords), step):
+        points = len(coords[i:i + step])
+        nodes, pole = solver._turned(rule.nodes, coords[i:i + step])
+        zs = np.zeros((points, n), dtype=complex)
+        zs[:, -1] = pole * turns[i:i + step]
+        ks = quadrature._split(solver._rows(rule.weights * np.repeat(
+            solver._sector_kernels(route, p, zs, phases, polar, rn), per,
+            axis=-1), group), width, slices)
+        values = np.empty((count, sectors, points * size), dtype=complex)
+        polyalg._evaluate(data, polyalg._power_table(nodes.reshape(-1, n),
+                                                     data), phases, values)
+        vs = quadrature._split(solver._rows(values.reshape(
+            count, sectors, points, size).transpose(2, 0, 1, 3), group)
+            .transpose(0, 2, 1, 3), width, slices)
+        sums = quadrature._sliced_sums(
+            ks.reshape(points * groups, 1, slices, -1),
+            vs.reshape(points * groups, count, slices, -1))
+        out[i:i + points] = quadrature.compensated_sum(
+            sums.reshape(points, groups, count).transpose(0, 2, 1),
+            axis=-1) / sectors
+    return out
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (3, 4, 5) for p in (1, 2, 3)])
+def test_circle_folds_leave_every_template_value_bit_identical(monkeypatch,
+                                                               n, p):
+    # a template circle shares one kernel value and one weight, and the
+    # exact slice sums of its data regroup the exact sums of the whole row,
+    # so one term per circle gives every bit of one term per node; the
+    # azimuth A = 3 puts A^{n-3} circles on each polar ring at n >= 4
+    rng = np.random.default_rng(280 + 10 * n + p)
+    data = [random_polynomial(n, d, rng) for d in (1, 4)]
+    template = solver.aligned_rule(n, 5, 4)
+    coords, sectors = interior_points(n, p, 7, rng, rmax=0.8)
+    phases = sector_phases(range(p), p)
+    for budget in (1, 60000, 1 << 20):
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
+        for route in (solver._POISSON, solver._BOUNDARY_FORM):
+            args = (route, p, coords, phases[sectors], phases, template,
+                    data)
+            np.testing.assert_array_equal(
+                solver._integrals_at(*args),
+                _per_node_template_integrals(*args))
+
+
+def test_template_products_contract_one_term_per_circle(monkeypatch):
+    # dirichlet n=3, p=3 of degree-5 data at 16 points, the first at radius
+    # 0.8: a template of 75 polar nodes x 6 azimuth angles, one sector per
+    # row.  The kernel side is cut from 16 x 3 x 75 values, not 16 x 3 x
+    # 450, and each (point, row) product contracts 75 terms, not 450
+    cuts, products = [], []
+    split, sliced_sums = quadrature._split, quadrature._sliced_sums
+
+    def recorded_split(values, width, slices):
+        cuts.append(np.shape(values))
+        return split(values, width, slices)
+
+    def recorded_sums(ks, vs):
+        products.append((ks.shape, vs.shape))
+        return sliced_sums(ks, vs)
+
+    monkeypatch.setattr(quadrature, "_split", recorded_split)
+    monkeypatch.setattr(quadrature, "_sliced_sums", recorded_sums)
+    rng = np.random.default_rng(28)
+    coords, sectors = interior_points(3, 3, 16, rng, rmax=0.8)
+    coords[0] *= 0.8 / np.linalg.norm(coords[0])
+    table = cli.run_command("dirichlet", {
+        "n": 3, "p": 3, "boundary": random_polynomial(3, 5, rng).to_text(),
+        "points": coords.tolist(), "sectors": sectors.tolist()})
+    assert table.exit_code() == 0
+    rule = table.metadata["rule"]
+    assert (rule["count"], rule["azimuth"]) == (450, 3)
+    group, _, _, _ = solver._group(450, 3)
+    # the kernel slices are (points, rows, g R / 2A), the data's 4-d
+    kernel = [shape for shape in cuts if len(shape) == 3]
+    assert sum(math.prod(shape) for shape in kernel) == 16 * 3 * 75
+    assert products and all(
+        ks[-1] == vs[-1] == group * 75 and ks[1] == 1
+        for ks, vs in products)
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (3, 4) for p in (1, 2, 3)])
+def test_aligned_dirichlet_rows_meet_one_tail_term_of_the_polar_rule(n, p):
+    # every term Z_m^p f with m <= 2L - 1 - d is integrated exactly on the
+    # turned template, and its exact integral is 0 for m > d, so a row
+    # misses u_p(x) by at most sum |c_alpha| times the tail past
+    # 2L - 1 - d, plus the rounding slack of the aligned tests
+    rng = np.random.default_rng(290 + 10 * n + p)
+    q = random_polynomial(n, 3, rng)
+    coords, sectors = interior_points(n, p, 8, rng, rmax=0.8)
+    coords[0] *= 0.8 / np.linalg.norm(coords[0])
+    table = cli.run_command("dirichlet", {
+        "n": n, "p": p, "boundary": q.to_text(), "points": coords.tolist(),
+        "sectors": sectors.tolist()})
+    rule = table.metadata["rule"]
+    assert rule["type"] == "pole-aligned"
+    size = sum(abs(complex(a, b)) for a, b in q.terms.values()) / q.denom
+    top = 2 * rule["resolution"] - 1 - q.degree()
+    for row, x in zip(table.rows, coords):
+        cells = dict(zip(table.columns, row))
+        assert cells["status"] == "ok"
+        tail = kernels._tail_bound(n, p, float(np.linalg.norm(x)), top)
+        assert cells["abs_error"] <= size * (tail + 1e-13)
+
+
 def _recorded_products(monkeypatch) -> list:
     """A list that collects (dtype, m n k) of every ``np.matmul``."""
     sizes = []
@@ -431,12 +550,23 @@ def test_every_matrix_product_stays_on_the_calling_thread(monkeypatch):
     # below 2^16 (it wakes its worker threads at 65,536, 32 x 64 x 32 and
     # 64 x 16 x 64, not at 64,512 or 61,440); a larger one wakes worker
     # threads that spin after it returns
+    # threads too; turned templates run in the dirichlet request, the
+    # sector-integrals suite and reproduction at n = 4
     sizes = _recorded_products(monkeypatch)
-    for suite, n, p in ((suites.suite_reproduction, 3, 1),
-                        (suites.suite_hua_reproduction, 2, 1),
-                        (suites.suite_reproduction, 2, 3)):
-        [row] = suite(n=n, p=p)
-        assert row.passed
+    rng = np.random.default_rng(428)
+    coords, sectors = interior_points(3, 3, 16, rng, rmax=0.8)
+    table = cli.run_command("dirichlet", {
+        "n": 3, "p": 3, "boundary": random_polynomial(3, 5, rng).to_text(),
+        "points": coords.tolist(), "sectors": sectors.tolist()})
+    assert table.exit_code() == 0
+    for suite, n, p, sizing in (
+            (suites.suite_reproduction, 3, 1, {}),
+            (suites.suite_hua_reproduction, 2, 1, {}),
+            (suites.suite_reproduction, 2, 3, {}),
+            (suites.suite_sector_integrals, 3, 2, {}),
+            (suites.suite_reproduction, 4, 1,
+             {"max_degree": 4, "points_per_sector": 4})):
+        assert all(row.passed for row in suite(n=n, p=p, **sizing))
     assert {dtype for dtype, _ in sizes} <= {np.dtype(float),
                                              np.dtype(complex)}
     assert all(size <= 1 << 18 if dtype == float else size < 1 << 16

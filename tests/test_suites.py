@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,11 +53,49 @@ def test_reproduction_suite_passes():
 
 
 def test_reproduction_suite_passes_in_four_dimensions():
-    # a reduced basis and point set; the default n = 4 run (148,176 nodes)
-    # is too slow for this suite
+    # a reduced basis and point set, on templates turned to its 4 points
     rows = suite_reproduction(n=4, p=1, seed=1, max_degree=4,
                               points_per_sector=4)
     assert all(r.passed for r in rows)
+
+
+class _Chosen(Exception):
+    pass
+
+
+def test_reproduction_turns_a_template_only_where_the_counts_favour_it(
+        monkeypatch):
+    # points x template nodes against the shared rule's nodes: at n = 4,
+    # p = 1 the 20 points turn a template of 1,280 nodes (25,600 nodes in
+    # all, against 128,000) and the suite stays under 160 MB; every n <= 3
+    # shape at the default sizes keeps the shared rule
+    chosen = []
+    integrals_at = solver._integrals_at
+
+    def recorded(*args):
+        chosen.append((args[5].azimuth, args[5].count))
+        return integrals_at(*args)
+
+    monkeypatch.setattr(solver, "_integrals_at", recorded)
+    tracemalloc.start()
+    try:
+        [row] = suite_reproduction(n=4, p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.passed and peak < 160e6
+    assert chosen == [(4, 1280)]
+
+    def stopped(*args):
+        chosen.append(args[5].azimuth)
+        raise _Chosen
+
+    monkeypatch.setattr(solver, "_integrals_at", stopped)
+    for n, p in ((2, 1), (2, 3), (3, 1), (3, 2), (3, 3)):
+        chosen.clear()
+        with pytest.raises(_Chosen):
+            suite_reproduction(n=n, p=p)
+        assert chosen == [None], (n, p)
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (5, 2)])
