@@ -4,37 +4,43 @@ Boundary data is a polynomial q restricted to the union of p rotated unit
 spheres: on the sector e^{ij pi/p} S its values are q(e^{ij pi/p} zeta).
 ``BoundaryData`` holds q and p only; nothing is cached between calls.
 
-Every integral goes through one kernel operator: the data-independent
-kernel is built from the pair invariants (B, x2 * zb2) once per bounded
-block of points x sectors, shared by every datum; every datum is a
+Every integral goes through one kernel operator (``_integrals_at``): the
+data-independent kernel is built from the pair invariants (B, x2 * zb2)
+once per bounded block, shared by every datum; every datum is a
 polynomial, which the operator evaluates at its own nodes with the
-kernels' phases, once per block of sectors; and the node sum of
-weights * kernel * data over a row of sectors is an exact sliced matrix
-product (``quadrature._sliced_sums``), so no value depends on the blocks
-or on BLAS.  ``poisson_integrals``, ``dirichlet_solve`` and ``hua_integrals``
-batch points and data; ``poisson_integral`` and ``hua_reproduce`` are their
-1 x 1 cases, and ``spectral_component`` pairs the data with the zonal
-polyharmonic Z_m^p.  Batched calls take sector points as real rows (k, n)
-and sectors (k,) (``geometry.sector_points``).  Given a pole-aligned
-template (``aligned_rule``), ``poisson_integrals`` and ``dirichlet_solve``
-turn it to each point, whose kernel is zonal about the point's real
-direction, and evaluate the data at each point's own nodes.
+kernels' phases; and the node sum of weights * kernel * data over a row of
+sectors is an exact sliced matrix product (``quadrature._sliced_sums``),
+so no value depends on the blocks or on BLAS.  ``poisson_integrals``,
+``dirichlet_solve`` and ``hua_integrals`` batch points and data;
+``poisson_integral`` and ``hua_reproduce`` are their 1 x 1 cases, and
+``spectral_component`` pairs the data with the zonal polyharmonic Z_m^p.
+Batched calls take sector points as real rows (k, n) and sectors (k,)
+(``geometry.sector_points``).
 
-The block plan: g consecutive sectors, or Lie angles, form one row of
-g R <= 2^10 nodes (``_group``, fixed by R and the sector count alone), and
-each (point, datum, row) is one exact dot.  A block's kernel slices
-(points x sectors x 2k R floats), data slices (data x sectors x 2k R
-floats) and slice-pair join (8 k^2 floats per point, datum and row) each
-hold at most ``_BLOCK_ELEMENTS`` floats, its sectors rounded up to whole
-rows, but a call whose whole slices and join each fit 8
-``_BLOCK_ELEMENTS`` runs as one block.  The data are evaluated from one
-power table per node set (``polyalg._power_table``): one per call, or one
-per block of points on a turned template.  No block splits a row, and
-every slice takes its scale from its whole row, so no value depends on the
-plan.  On a turned template each circle of 2A azimuth nodes shares one
-kernel value and one weight, so a row's kernel is cut once per circle and
-its data slices are summed over each circle before the product: g R / (2A)
-terms, every bit as from g R.
+The block plan.  The operator sums over node sets.  A shared sphere rule,
+or a Lie rule's base, is one node set for every point; a pole-aligned
+template (``aligned_rule``) turned to each rotated real point is one node
+set per point, so it needs real points.  The kernel is built at the
+kernel nodes: every node of a shared rule, with circle run 1, or a
+template's polar nodes, repeated over their rings, with circle run 2A.
+g consecutive sectors, or Lie angles, form one row of g R <= 2^10 nodes
+(``_group``, fixed by R and the sector count alone), and each (point,
+datum, row) is one exact dot.  A block is node sets x points x data x
+sectors, its sectors rounded up to whole rows.  Its kernel slices
+(2k R floats per point and sector), data slices (2k R floats per node
+set, datum and sector) and slice-pair join (8 k^2 floats per point, datum
+and row) each hold at most ``_BLOCK_ELEMENTS`` floats, points first, then
+data, then sectors, and a block of several node sets holds at most that
+many evaluated values; but a call whose whole slices and join each fit 8
+``_BLOCK_ELEMENTS`` runs as one block.  Per block of node sets the data
+are evaluated from one power table (``polyalg._power_table``), every
+sector at once when the values fit, else per block of sectors.  Per
+block, the kernel and the data are cut (``quadrature._split``), the data
+slices are summed over circles of ``run`` nodes, and one
+``_sliced_sums`` runs over (node set x row) batches; one
+``compensated_sum`` then adds each entry's rows.  No block splits a row,
+and every slice takes its scale from its whole row, so no value depends
+on the plan.
 
 Two independent evaluation routes compute the same solution:
 
@@ -97,10 +103,10 @@ class BoundaryData:
 _POISSON, _BOUNDARY_FORM, _HUA = "poisson", "boundary-form", "hua"
 
 # Most float64 values the slices of one block hold: the kernel slices of a
-# block of points x sectors, or the data slices of a block of data x
-# sectors; eight times as many when that makes the whole call one block.
-# It bounds peak memory only: no block splits a row of sectors, and the
-# scale of every slice comes from its whole row, so every value is
+# block of points x sectors, or the data slices of a block of node sets x
+# data x sectors; eight times as many when that makes the whole call one
+# block.  It bounds peak memory only: no block splits a row of sectors, and
+# the scale of every slice comes from its whole row, so every value is
 # bit-identical for any budget.
 _BLOCK_ELEMENTS = 1 << 16
 
@@ -162,81 +168,6 @@ def _sector_kernels(route, p: int, zs: np.ndarray, phases: np.ndarray,
     return kernels.zonal_from_products(n, m, p, B, x2 * zb2, zonal)
 
 
-def _integrate(route, p: int, zs: np.ndarray, phases: np.ndarray,
-               rule: quadrature.SphereRule, data: list) -> np.ndarray:
-    """(len(zs), len(data)) matrix of (1/S) sum_s int_S K(z_i, phases[s]
-    zeta) f_d(phases[s] zeta) dsigma for polynomials f_d = data[d].
-
-    The node sum is one exact dot per point, datum and group of g
-    consecutive sectors (``_group``), taken as one row of g R nodes:
-    weights * K and the data are cut into error-free slices
-    (``quadrature._split``), multiplied exactly and joined per (point,
-    datum, group) by ``quadrature._sliced_sums``; a compensated sum then
-    adds the groups.  Each kernel value is built and cut once, in a block
-    of points x whole groups shared by every datum.  The data are
-    evaluated once per block of sectors, by one ``polyalg._evaluate`` from
-    the call's one power table of the nodes into one (data, sectors, nodes)
-    array that lives for that block only: every sector at once when all
-    the values fit ``_BLOCK_ELEMENTS``, else the sectors of one kernel
-    block.  The data are cut from it once per block of points, or once in
-    all when they fit one block.
-    """
-    size, sectors = rule.count, len(phases)
-    rn = np.sum(rule.nodes * rule.nodes, axis=1)
-    group, groups, width, slices = _group(size, sectors)
-    # a block's kernel slices and data slices (2 k R floats per point or
-    # datum and sector), and its slice-pair sums with the temporaries of
-    # their join (about four times the 2 k^2 floats per point, datum and
-    # group) each hold at most the budget, eight _BLOCK_ELEMENTS when that
-    # makes the whole call one block; a block's sectors, rounded up to
-    # whole groups, hold one group per point or datum at least
-    row, pair = 2 * slices * size, 8 * slices * slices
-    budget = _BLOCK_ELEMENTS
-    if max(sectors * row * max(len(zs), len(data)),
-           groups * pair * len(zs) * len(data)) <= 8 * budget:
-        budget *= 8
-    z_step = max(1, min(len(zs), budget // (row * group)))
-    d_step = max(1, min(len(data), budget // (row * group),
-                        budget // (pair * z_step)))
-    s_step = max(1, min(sectors, budget // (row * z_step),
-                        budget // (row * d_step),
-                        group * (budget // (pair * z_step * d_step))))
-    s_step = -(-s_step // group) * group
-    e_step = sectors if len(data) * sectors * size <= _BLOCK_ELEMENTS \
-        else s_step
-    # preallocated: stacking the data's arrays would hold them twice
-    values = np.empty((len(data), e_step, size), dtype=complex)
-    table = polyalg._power_table(rule.nodes, data)
-
-    def cut(a):  # the slices (G, A, k, g R) of values a (A, S, R)
-        return quadrature._split(_rows(a, group).transpose(1, 0, 2), width,
-                                 slices)
-
-    partial = np.empty((len(zs), len(data), groups), dtype=complex)
-    for s0 in range(0, sectors, s_step):
-        block = slice(s0, min(s0 + s_step, sectors))
-        rows = slice(s0 // group, -(-block.stop // group))
-        if s0 % e_step == 0:  # the first kernel block of an evaluated one
-            evaluated = phases[s0:s0 + e_step]
-            polyalg._evaluate(data, table, evaluated,
-                              values[:, :len(evaluated)])
-            if s0 + e_step >= sectors:  # the last evaluation
-                del table
-        here = values[:, s0 % e_step:][:, :block.stop - s0]
-        held = cut(here) if d_step == len(data) else None
-        for i in range(0, len(zs), z_step):
-            ks = cut(rule.weights * _sector_kernels(
-                route, p, zs[i:i + z_step], phases[block], rule.nodes, rn))
-            for d in range(0, len(data), d_step):
-                vs = cut(here[d:d + d_step]) if held is None else held
-                partial[i:i + z_step, d:d + d_step, rows] = \
-                    quadrature._sliced_sums(ks, vs).transpose(1, 2, 0)
-                del vs  # each block is freed before the next one is built
-            del ks
-        del held
-    return quadrature.compensated_sum(partial, axis=-1) / sectors
-
-
 def _turned(nodes: np.ndarray, coords: np.ndarray) -> tuple:
     """The Householder reflections H = I - 2 v v^T / (v . v), v = u + s e_n,
     of real points a = coords[i] (P, n), with u = a/|a| (e_n for a = 0) and
@@ -256,75 +187,112 @@ def _turned(nodes: np.ndarray, coords: np.ndarray) -> tuple:
             * _dots(v, nodes)[:, :, None], -sign * norm)
 
 
-def _integrals_at(route, p: int, coords: np.ndarray, turns: np.ndarray,
-                  phases: np.ndarray, rule: quadrature.SphereRule,
-                  data: list) -> np.ndarray:
-    """The (len(coords), len(data)) matrix of ``_integrate`` for rotated real
-    points x = e^{i theta} a, a = coords[i] and e^{i theta} = turns[i], and
-    polynomial data: at the complex points for a rule without a pole-aligned
-    template, else each point with its own copy
-    H zeta of the pole-aligned template ``rule``, reflected by ``_turned``
-    so that its pole lies on +-a/|a| (``aligned_rule`` has the proof of
-    exactness).  The kernel at (x, H zeta) is the kernel at
-    (H x, zeta) = (e^{i theta} c e_n, zeta), a function of t = zeta_n
-    alone: it is built once per polar node and repeated over the S^{n-2}
-    nodes that share it (the template's polar index is outermost), so the
-    reflection's rounding never reaches a kernel value.  Each run of 2A
-    consecutive nodes is one circle of the S^{n-2} factor: one kernel value
-    and one weight, so one kernel slice of the same row scale.  So the
-    kernel is weighted and cut once per run, and the data slices are
-    summed over each run first: every such sum regroups a partial sum of
-    the unfolded row, which ``_split`` proves exact at the width of g R
-    nodes, so g R / (2A) terms give every bit of g R.
+def _integrals_at(route, p: int, coords: np.ndarray, turns,
+               phases: np.ndarray, rule: quadrature.SphereRule,
+               data: list) -> np.ndarray:
+    """(len(coords), len(data)) matrix of (1/S) sum_s int_S K(z_i, phases[s]
+    zeta) f_d(phases[s] zeta) dsigma for polynomials f_d = data[d], at the
+    rotated real points z_i = turns[i] coords[i] of real rows ``coords``, or
+    at the complex points ``coords`` when ``turns`` is None.  A pole-aligned
+    template needs real points: at complex ones, ValueError.
 
-    ``phases`` are the sectors' phases, as for ``_integrate``, and the
-    sectors join in the same rows of g consecutive sectors (``_rows``).
-    Per block of points: the reflected nodes, one ``polyalg._evaluate`` of
-    the data from one power table of all of them, one kernel build, one
-    ``_split`` of each, and one exact ``_sliced_sums`` whose stacked rows
-    are (point, group) pairs, so a product multiplies one point's slices
-    with its own data.  A block's kernel slices and its data slices each
-    hold at most ``_BLOCK_ELEMENTS`` floats (one point at least); every
-    value is computed per point, so each is bit-identical for any
-    budget."""
-    if rule.azimuth is None:
-        return _integrate(route, p, turns[:, None] * coords, phases, rule,
-                          data)
+    On a template each point x = e^{i theta} a integrates over its own copy
+    H zeta, reflected by ``_turned`` so that its pole lies on +-a/|a|
+    (``aligned_rule`` has the proof of exactness).  The kernel at
+    (x, H zeta) is the kernel at (H x, zeta) = (e^{i theta} c e_n, zeta), a
+    function of t = zeta_n alone: it is built once per polar node, so the
+    reflection's rounding never reaches a kernel value.  The polar index is
+    outermost, so each run of 2A consecutive nodes is one circle of the
+    S^{n-2} factor: one kernel value and one weight, so one kernel slice of
+    the same row scale.  So the kernel is weighted and cut once per run,
+    and the data slices are summed over each run first: every such sum
+    regroups a partial sum of the unfolded row, which ``_split`` proves
+    exact at the width of g R nodes, so g R / (2A) terms give every bit of
+    g R."""
     n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
-    # the nodes of one polar ring, and of one circle of 2A azimuth angles
-    per, run = size // rule.resolution, 2 * rule.azimuth
-    polar = rule.nodes[::per]
+    template = rule.azimuth is not None
+    if template and turns is None:
+        raise ValueError("a pole-aligned template turns to real points only")
+    # node sets x points of each; nodes per polar ring, and per circle
+    sets, members = (len(coords), 1) if template else (1, len(coords))
+    per, run = (size // rule.resolution, 2 * rule.azimuth) if template \
+        else (1, 1)
+    polar, weights = rule.nodes[::per], rule.weights[::run]
     rn = np.sum(polar * polar, axis=1)
     group, groups, width, slices = _group(size, sectors)
-    step = max(1, _BLOCK_ELEMENTS // (2 * slices * size * sectors * count))
-    out = np.empty((len(coords), count), dtype=complex)
-    for i in range(0, len(coords), step):
-        points = len(coords[i:i + step])
-        nodes, pole = _turned(rule.nodes, coords[i:i + step])
-        zs = np.zeros((points, n), dtype=complex)
-        zs[:, -1] = pole * turns[i:i + step]
-        ks = quadrature._split(_rows(rule.weights[::run] * np.repeat(
-            _sector_kernels(route, p, zs, phases, polar, rn), per // run,
-            axis=-1), group), width, slices)
-        flat = nodes.reshape(-1, n)
-        values = np.empty((count, sectors, points * size), dtype=complex)
-        polyalg._evaluate(data, polyalg._power_table(flat, data), phases,
-                          values)
-        vs = quadrature._split(_rows(values.reshape(
-            count, sectors, points, size).transpose(2, 0, 1, 3), group)
-            .transpose(0, 2, 1, 3), width, slices)
-        del values
-        folded = vs[..., ::run].copy()  # each circle's exact slice sums
-        for j in range(1, run):
-            folded += vs[..., j::run]
-        del vs
-        sums = quadrature._sliced_sums(
-            ks.reshape(points * groups, 1, slices, -1),
-            folded.reshape(points * groups, count, slices, -1))
-        out[i:i + points] = quadrature.compensated_sum(
-            sums.reshape(points, groups, count).transpose(0, 2, 1),
-            axis=-1) / sectors
-    return out
+    row, pair = 2 * slices * size, 8 * slices * slices
+    budget = _BLOCK_ELEMENTS  # the block plan of the module docstring
+    if max(sectors * row * max(len(coords), sets * count),
+           groups * pair * len(coords) * count) <= 8 * budget:
+        budget *= 8
+    z_step = max(1, min(members, budget // (row * group)))
+    n_step = max(1, min(sets, budget // (row * group * z_step),
+                        budget // (max(count, 1) * sectors * size)))
+    d_step = max(1, min(count, budget // (row * group * n_step),
+                        budget // (pair * n_step * z_step)))
+    s_step = max(1, min(sectors, budget // (row * n_step * z_step),
+                        budget // (row * n_step * d_step),
+                        group * (budget // (pair * n_step * z_step
+                                            * d_step))))
+    s_step = -(-s_step // group) * group
+    e_step = sectors if n_step * count * sectors * size <= budget else s_step
+    if not template:
+        nodes = rule.nodes
+        zs = (coords if turns is None else turns[:, None] * coords)[None]
+
+    def cut(a, fold=1):  # the slices (N, G, A, k, g R / fold) of (N, A, S, R)
+        vs = quadrature._split(_rows(a, group).transpose(0, 2, 1, 3), width,
+                               slices)
+        if fold == 1:
+            return vs
+        folded = vs[..., ::fold].copy()  # each circle's exact slice sums
+        for j in range(1, fold):
+            folded += vs[..., j::fold]
+        return folded
+
+    partial = np.empty((sets, members, count, groups), dtype=complex)
+    for c0 in range(0, sets, n_step):
+        chosen = slice(c0, c0 + n_step)
+        if template:
+            nodes, pole = _turned(rule.nodes, coords[chosen])
+            zs = np.zeros((len(pole), 1, n), dtype=complex)
+            zs[:, 0, -1] = pole * turns[chosen]
+        # preallocated: stacking the data's arrays would hold them twice
+        values = np.empty((count, e_step, len(zs) * size), dtype=complex)
+        table = polyalg._power_table(nodes.reshape(-1, n), data)
+        for s0 in range(0, sectors, s_step):
+            block = slice(s0, min(s0 + s_step, sectors))
+            rows = slice(s0 // group, -(-block.stop // group))
+            if s0 % e_step == 0:  # the first kernel block of an evaluated one
+                evaluated = phases[s0:s0 + e_step]
+                polyalg._evaluate(data, table, evaluated,
+                                  values[:, :len(evaluated)])
+                if s0 + e_step >= sectors:  # the last evaluation
+                    del table
+            here = values[:, s0 % e_step:][:, :block.stop - s0]
+            here = here.reshape(*here.shape[:2], len(zs), size).transpose(
+                2, 0, 1, 3)
+            held = cut(here, run) if d_step == count else None
+            for i in range(0, members, z_step):
+                kv = _sector_kernels(route, p, zs[:, i:i + z_step].reshape(
+                    -1, n), phases[block], polar, rn)
+                if per > run:  # every circle of a polar ring
+                    kv = np.repeat(kv, per // run, axis=-1)
+                ks = cut((weights * kv).reshape(len(zs), -1, *kv.shape[1:]))
+                for d in range(0, count, d_step):
+                    vs = held if held is not None \
+                        else cut(here[:, d:d + d_step], run)
+                    sums = quadrature._sliced_sums(
+                        ks.reshape(-1, *ks.shape[2:]),
+                        vs.reshape(-1, *vs.shape[2:]))
+                    partial[chosen, i:i + z_step, d:d + d_step, rows] = \
+                        sums.reshape(len(zs), -1, *sums.shape[1:]) \
+                        .transpose(0, 2, 3, 1)
+                    del vs  # each block is freed before the next one is built
+                del ks
+            del held
+    return quadrature.compensated_sum(
+        partial.reshape(len(coords), count, groups), axis=-1) / sectors
 
 
 def _sector_values(qs: list, phases: list, rows, coords: np.ndarray
@@ -356,7 +324,7 @@ def _sector_integrals(route, data: list, coords, sectors,
         raise ValueError("interior points need hermitian radius < 1 - 1e-9")
     phases = sector_phases(range(p), p)
     return _integrals_at(route, p, coords, phases[sectors], phases, rule,
-                         [f.q for f in data])
+                      [f.q for f in data])
 
 
 # --------------------------------------------------------------------------
@@ -411,9 +379,9 @@ def spectral_component(f: BoundaryData, m: int, eta,
     eta_c = as_complex_vector(eta)
     if eta_c.size != f.n:
         raise ValueError("dimension mismatch")
-    return complex(_integrate((route, m), f.p, eta_c[None, :],
-                              sector_phases(range(f.p), f.p), rule,
-                              [f.q])[0, 0])
+    return complex(_integrals_at((route, m), f.p, eta_c[None, :], None,
+                                 sector_phases(range(f.p), f.p), rule,
+                                 [f.q])[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +393,7 @@ def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     polynomials u_d and points z_i of the open Lie ball: a (len(zs),
     len(us)) matrix.  Each entry reproduces u_d(z_i) for polynomial u_d.
     Each datum is evaluated once per block of angles, by one phase-array
-    ``eval_at`` on the real nodes."""
+    ``polyalg._evaluate`` on the real nodes."""
     us, base = list(us), lie_rule.base
     zc = [as_complex_vector(z) for z in zs]
     if any(u.n != base.n for u in us) or any(z.size != base.n for z in zc):
@@ -433,7 +401,8 @@ def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     zc = np.array(zc).reshape(len(zc), base.n)
     if not np.all(lie_norm(zc) < 1.0):
         raise ValueError("z must lie in the open Lie ball")
-    return _integrate(_HUA, 0, zc, np.exp(1j * lie_rule.angles), base, us)
+    return _integrals_at(_HUA, 0, zc, None, np.exp(1j * lie_rule.angles),
+                         base, us)
 
 
 def hua_reproduce(u: MultiPoly, z, lie_rule: quadrature.LieSphereRule) -> complex:
@@ -471,9 +440,9 @@ def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
     for p in map(int, p_list):
         if p < 1:
             raise ValueError("orders must be >= 1")
-        value = complex(_integrate(_POISSON, p, zc[None, :],
-                                   sector_phases(range(p), p), rule,
-                                   [u])[0, 0])
+        value = complex(_integrals_at(_POISSON, p, zc[None, :], None,
+                                      sector_phases(range(p), p), rule,
+                                      [u])[0, 0])
         rows.append((p, value, abs(value - reference)))
     return LimitExperiment(
         reference=complex(reference),

@@ -10,7 +10,8 @@ from a sizing function, unless it is listed with the reason it needs none.
 Every public name is used by the package itself, or is kept on a list that
 says why.  The solver, the suites and the command line hold points as real
 rows and sector arrays: they build no ``RotatedVector``, and only the
-per-point public wrappers read a sector index.
+per-point public wrappers read a sector index.  Every solver integral runs
+through one block loop: one function cuts and multiplies the slices.
 """
 
 from __future__ import annotations
@@ -202,6 +203,22 @@ def test_batched_layers_build_no_rotated_points():
                     not in PER_POINT_WRAPPERS:
                 violations.append(f"{name}.py:{line} {what}")
     assert not violations, violations
+
+
+SLICE_PRODUCTS = {"_split", "_sliced_sums"}
+
+
+def test_one_solver_function_cuts_and_multiplies_the_slices():
+    # a shared rule, a Lie rule's base and a turned template are node sets
+    # of one planner, so a second block loop is a second function here
+    users = {}
+    for function in ast.parse((PACKAGE / "solver.py").read_text()).body:
+        for node in ast.walk(function):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in SLICE_PRODUCTS:
+                users.setdefault(getattr(function, "name", None),
+                                 set()).add(name)
+    assert list(users.values()) == [SLICE_PRODUCTS], users
 
 
 # Public names that no package code reads, each with the reason it stays.

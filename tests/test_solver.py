@@ -370,7 +370,8 @@ def test_aligned_rule_integrates_zonal_times_data_exactly(n):
             assert abs(got - want) <= 1e-13 * scale, (d, m, f.p)
 
 
-@pytest.mark.parametrize("budget", [1, 60000, 1 << 20])  # 1, 2, 7 points
+# blocks of 1, 2 and all 7 points for poisson_integrals
+@pytest.mark.parametrize("budget", [1, 10000, 1 << 20])
 def test_aligned_rows_equal_their_one_point_integrals(monkeypatch, budget):
     data, points, rule = operator_case(3, 2)
     template = choose_rule(3, 2, 3, radius=0.7, tol=1e-11, aligned=True)
@@ -407,17 +408,18 @@ def test_aligned_sector_integrals_match_the_shared_rule(p):
     got = solver._integrals_at(
         solver._POISSON, p, np.array([x.coords for x in xs]),
         np.exp(1j * np.array([x.angle for x in xs])), sector, template, one)
-    want = solver._integrate(solver._POISSON, p,
-                             np.array([x.to_complex() for x in xs]), sector,
-                             shared, one)
+    want = solver._integrals_at(solver._POISSON, p,
+                                np.array([x.to_complex() for x in xs]), None,
+                                sector, shared, one)
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def _per_node_template_integrals(route, p, coords, turns, phases, rule,
                                  data):
-    """The template branch of ``solver._integrals_at`` with one term per
-    node: each polar kernel value is repeated over its whole ring, weighted
-    node by node, and every row's products run over all g R nodes."""
+    """A turned template's integrals with one term per node, computed
+    apart from ``solver._integrals_at``: each polar kernel value is repeated
+    over its whole ring, weighted node by node, and every row's products
+    run over all g R nodes."""
     n, size, count, sectors = rule.n, rule.count, len(data), len(phases)
     per = size // rule.resolution
     polar = rule.nodes[::per]
@@ -499,12 +501,55 @@ def test_template_products_contract_one_term_per_circle(monkeypatch):
     rule = table.metadata["rule"]
     assert (rule["count"], rule["azimuth"]) == (450, 3)
     group, _, _, _ = solver._group(450, 3)
-    # the kernel slices are (points, rows, g R / 2A), the data's 4-d
-    kernel = [shape for shape in cuts if len(shape) == 3]
+    # the kernel's rows are g R / 2A wide, the data's g R
+    kernel = [shape for shape in cuts if shape[-1] == group * 75]
     assert sum(math.prod(shape) for shape in kernel) == 16 * 3 * 75
     assert products and all(
         ks[-1] == vs[-1] == group * 75 and ks[1] == 1
         for ks, vs in products)
+
+
+def test_a_turned_template_call_that_fits_is_one_block(monkeypatch):
+    # dirichlet n=3, p=2 of degree-4 data at 16 points, the first at radius
+    # 0.8 (the solve workload's median shape): the slices of a 444-node
+    # template fit eight budgets, so one power table holds every point's
+    # turned copy, where one budget alone would take blocks of 12 and 4
+    shapes = []
+    power_table = polyalg._power_table
+
+    def recorded(points, polys):
+        shapes.append(points.shape)
+        return power_table(points, polys)
+
+    monkeypatch.setattr(polyalg, "_power_table", recorded)
+    rng = np.random.default_rng(29)
+    coords, sectors = interior_points(3, 2, 16, rng, rmax=0.8)
+    coords[0] *= 0.8 / np.linalg.norm(coords[0])
+    table = cli.run_command("dirichlet", {
+        "n": 3, "p": 2, "boundary": random_polynomial(3, 4, rng).to_text(),
+        "points": coords.tolist(), "sectors": sectors.tolist()})
+    assert table.exit_code() == 0
+    rule = table.metadata["rule"]
+    assert (rule["count"], rule["azimuth"]) == (444, 3)
+    # then the reference values u_p(x) at the 16 points themselves
+    assert shapes == [(16 * 444, 3), (16, 3)]
+
+
+def test_a_template_needs_real_points_to_turn_to():
+    # at a complex point a pole-aligned template has no real direction to
+    # turn to; taken as a shared rule its Lie rule missed u(z) here by
+    # 9.0e-3, where the sized Lie rule misses it by 1.4e-16
+    template = solver.aligned_rule(3, 8, 3)
+    u = MultiPoly.from_text("x1^2 x2 + (0,1) x3 - 1", n=3)
+    z = np.array([0.3, 0.1j, -0.2])
+    lie = solver.choose_lie_rule(3, u.degree(), lie_norm(z), 1e-12)
+    with pytest.raises(ValueError, match="real points"):
+        spectral_component(BoundaryData(u, 2), 2, z, template)
+    with pytest.raises(ValueError, match="real points"):
+        hua_integrals([u], [z], quadrature.lie_sphere_rule(template, 8))
+    with pytest.raises(ValueError, match="real points"):
+        polyharmonic_limit_experiment(u, z, [1, 2], template, lie)
+    assert abs(hua_reproduce(u, z, lie) - u.evaluate(z)) <= 1e-13
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n in (3, 4) for p in (1, 2, 3)])

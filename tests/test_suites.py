@@ -284,7 +284,7 @@ _SECTOR_SIZES = {
                 (solver, "_sector_kernels")),
     "sector-integrals": (
         lambda p: p * solver.choose_rule(2, p, 0, 0.7, 1e-12).count,
-        (solver, "_integrate")),
+        (solver, "_integrals_at")),
     "reproduction": (
         lambda p: 20 * p * sum(polyalg.dim_Hp(2, m, p) for m in range(7)),
         (solver, "choose_rule")),
