@@ -437,7 +437,11 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     cells = (np.array([values.real, values.imag, ref.real, ref.imag, gaps,
                        np.broadcast_to(bound[:, None], gaps.shape)])
              + 0.0).transpose(3, 1, 2, 0).tolist()
-    lie = lie_norm(xs) * lie_norm(zetas)
+    try:  # the poisson and hua rows only; n^2 minors may pass the node cap
+        lie = (lie_norm(xs) * lie_norm(zetas)
+               if {"poisson", "hua"} & set(which) else None)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     if "poisson" in which:
         inside, on_sphere = kernels._sector_masks(x_coords, zeta_coords)
         closed, singular, finite = kernels._poisson_guarded(n, p, x2, B,
@@ -587,7 +591,10 @@ def run_hua_limit(cfg: RunConfig) -> ResultTable:
     tol = cfg.row_tolerance
     u, *exact = _polynomial(cfg, "u", "u polynomial", cfg.data["p_list"])
     zc = np.array([complex(re, im) for re, im in cfg.data["z"]])
-    radius, p_list = lie_norm(zc), cfg.data["p_list"]
+    try:  # n^2 minors above the node cap raise
+        radius, p_list = lie_norm(zc), cfg.data["p_list"]
+    except ValueError as err:
+        raise ConfigError(f"z: {err}") from err
     if not radius < 1.0:
         raise ConfigError("z must lie in the open Lie ball")
     rule = _build_rule(cfg, f"Lie norm {radius!r}", max(p_list), u.degree(),

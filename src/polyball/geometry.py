@@ -29,6 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most entries of an array sized by the input: nodes, points or minors.
+_MAX_NODES = 1 << 21
+
 __all__ = [
     "RotatedVector",
     "as_complex_vector",
@@ -234,12 +237,16 @@ def lie_norm(z):
     that form instead of the difference of fourth powers avoids the
     catastrophic cancellation on near-rotated-real vectors, where the
     radicand vanishes; there L(e^{i phi} x) = ||x|| to machine precision.
+    n^2 minors per point above the node cap (n >= 1,449) raise at once.
     """
     arr = _as_points(z)
+    n = arr.shape[-1]
+    if n * n > _MAX_NODES:
+        raise ValueError(f"n={n}: {n * n} Lie-norm minors exceed the node cap")
     a, b = np.atleast_2d(arr.real), np.atleast_2d(arr.imag)
     h2 = np.vecdot(a, a) + np.vecdot(b, b)
     inner = np.empty_like(h2)
-    step = max(1, 2 ** 16 // a.shape[1] ** 2)  # rows of minors per block
+    step = max(1, 2 ** 16 // n ** 2)  # rows of minors per block
     for i in range(0, len(a), step):
         minors = a[i:i + step, :, None] * b[i:i + step, None, :]
         minors -= minors.transpose(0, 2, 1)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .gegenbauer import _recurrence, gegenbauer_coefficients
 from .geometry import (as_complex_vector, as_rotated, bilinear_square,
-                       hermitian_dot, lie_norm, principal_power)
+                       hermitian_dot, lie_norm, principal_power, sector_points)
 from .quadrature import _MAX_NODES, compensated_sum
 
 __all__ = [
@@ -165,6 +165,12 @@ def pair_invariants(x, zeta) -> tuple:
             bilinear_square(zeta).conjugate())
 
 
+def _one_row(*points) -> list:
+    """Each point as a one-row stack (1, n), so that a per-point kernel is
+    its row of a stacked call bit for bit (numpy scalars round otherwise)."""
+    return [as_complex_vector(v)[None] for v in points]
+
+
 class _Powers(dict):
     """j -> base ** j, each built once, when first asked, by numpy's own
     ``**`` (a chain of products rounds differently); ``moduli`` is the
@@ -201,8 +207,7 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
     B, P = (v if isinstance(v, _Powers) else _Powers(np.asarray(v, complex))
             for v in (B, P))
     if m < 0:
-        return np.zeros(np.broadcast(B.base, P.base).shape, dtype=complex) \
-            if B.base.ndim or P.base.ndim else 0j
+        return np.zeros(np.broadcast(B.base, P.base).shape, dtype=complex)
     if route == ROUTE_SUM_OF_ZONALS:
         total = 0
         for j in range(p):
@@ -230,14 +235,12 @@ def _zonal_term_scale(n: int, m: int, p: int, B, P) -> np.ndarray:
 
 
 def zonal_polyharmonic(params: KernelParams, x, zeta) -> complex:
-    """Reproducing kernel of degree-m order-p polyharmonics on the
-    union of rotated spheres, extended to C^n x C^n; at p = 1 the zonal
-    harmonic Z_m.  Degrees m < 0 give 0."""
-    if params.m < 0:
-        return 0j
-    B, x2, zb2 = pair_invariants(x, zeta)
+    """Reproducing kernel of degree-m order-p polyharmonics on the union of
+    rotated spheres, extended to C^n x C^n (the zonal harmonic Z_m at p = 1,
+    0 at m < 0): the one-row case of ``zonal_from_products``."""
+    B, x2, zb2 = pair_invariants(*_one_row(x, zeta))
     return complex(zonal_from_products(params.n, params.m, params.p, B,
-                                       x2 * zb2))
+                                       x2 * zb2)[0])
 
 
 # --------------------------------------------------------------------------
@@ -306,19 +309,22 @@ def poisson_kernel(x, zeta, p: int) -> complex:
 
     ``x`` must lie strictly inside the union of rotated balls (sector angle
     j*pi/p, |coords| < 1) and ``zeta`` on the union of rotated unit spheres.
-    Positive real when both points sit in the same sector.
+    Positive real when both points sit in the same sector.  The one-row
+    case of ``poisson_from_products``, each point the row that
+    ``sector_points`` builds from its coords and sector index.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     x, zeta = as_rotated(x), as_rotated(zeta)
-    x.sector_index(p), zeta.sector_index(p)  # each raises off a sector
-    if x.n != zeta.n:
-        raise ValueError("dimension mismatch")
+    # off a sector this raises; an angle just below pi is sector 0 at -coords
+    rows = [sector_points((-1.0 if round(v.angle * p / math.pi) == p else 1.0)
+                          * v.coords[None], [v.sector_index(p)], p)
+            for v in (x, zeta)]
+    B, x2, zb2 = pair_invariants(*rows)  # checks the dimensions
     if not all(_sector_masks(x.coords[None], zeta.coords[None])):
         raise ValueError("x must lie strictly inside the rotated unit balls "
                          "and zeta on their unit spheres")
-    B, x2, zb2 = pair_invariants(x, zeta)
-    return complex(poisson_from_products(x.n, p, x2, B, zb2))
+    return complex(poisson_from_products(x.n, p, x2, B, zb2)[0])
 
 
 def boundary_form_values(n: int, p: int, x2, v2):
@@ -465,15 +471,11 @@ def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    xs = as_complex_vector(x)
-    zs = as_complex_vector(zeta)
-    if xs.size != zs.size:
-        raise ValueError("dimension mismatch")
-    B, x2, zb2 = pair_invariants(xs[None], zs[None])
-    [value] = _series_values(xs.size, p, B, x2 * zb2,
-                             [lie_norm(xs) * lie_norm(zs)], tol, max_terms)
+    xs, zs = _one_row(x, zeta)
+    B, x2, zb2 = pair_invariants(xs, zs)  # checks the dimensions
+    [value] = _series_values(xs.shape[1], p, B, x2 * zb2,
+                             (lie_norm(xs) * lie_norm(zs)).tolist(), tol,
+                             max_terms)
     if isinstance(value, ValueError):
         raise value
     return value
@@ -493,50 +495,44 @@ def cauchy_hua_from_products(n: int, x2, B, zb2):
     return _checked("Cauchy-Hua", *_hua_guarded(n, x2, B, zb2))
 
 
-def cauchy_hua(z, w) -> complex:
-    """H(z, w) = (z2 * conj(w)2 - 2<z,w> + 1)^{-n/2} on L(z) L(w) < 1."""
-    zs = as_complex_vector(z)
-    ws = as_complex_vector(w)
-    if zs.size != ws.size:
-        raise ValueError("dimension mismatch")
-    if not lie_norm(zs) * lie_norm(ws) < 1.0:
+def _hua_stacks(zs, ws) -> tuple:
+    """(L(z) L(w), H, z2 * conj(w)2) over stacks (P, n) of pairs, which
+    must lie in the Lie domain L(z) L(w) < 1."""
+    B, z2, wb2 = pair_invariants(zs, ws)  # checks the dimensions
+    lie = lie_norm(zs) * lie_norm(ws)
+    if not np.all(lie < 1.0):
         raise ValueError("pair outside the Lie domain L(z) L(w) < 1")
-    B, z2, wb2 = pair_invariants(zs, ws)
-    return complex(cauchy_hua_from_products(zs.size, z2, B, wb2))
+    return lie, cauchy_hua_from_products(zs.shape[1], z2, B, wb2), z2 * wb2
+
+
+def cauchy_hua(z, w) -> complex:
+    """H(z, w) = (z2 * conj(w)2 - 2<z,w> + 1)^{-n/2} on L(z) L(w) < 1; the
+    one-row case of ``cauchy_hua_from_products``."""
+    return complex(_hua_stacks(*_one_row(z, w))[1][0])
 
 
 def poisson_from_hua(z, w, p: int) -> complex:
     """(1 - (z2 * conj(w)2)^p) H(z, w): the Poisson kernel continued to
     the Lie domain (coincides with the closed form when w is a rotated
-    sphere point, where (conj(w)2)^p = 1)."""
+    sphere point, where (conj(w)2)^p = 1); the one-row case of the stacked
+    P_p of ``hua_convergence_gap``."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    zs = as_complex_vector(z)
-    ws = as_complex_vector(w)
-    B, z2, wb2 = pair_invariants(zs, ws)
-    return complex((1.0 - (z2 * wb2) ** p) * cauchy_hua(zs, ws))
+    _, hua, P = _hua_stacks(*_one_row(z, w))
+    return complex(((1.0 - P ** p) * hua)[0])
 
 
 def hua_convergence_gap(pairs, p: int) -> tuple:
     """(gap, bound): max |P_p - H| over the pairs and alpha^{2p} max|H|,
-    with alpha the largest Lie-norm product over the pairs; one
-    ``pair_invariants`` over the stacked pairs."""
+    with alpha the largest Lie-norm product over the pairs; H and P_p over
+    the stacked pairs, as ``cauchy_hua`` and ``poisson_from_hua`` give
+    each."""
     if p < 1:
         raise ValueError("p must be >= 1")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
-    zs, ws = (np.array([as_complex_vector(v) for v in side])
-              for side in zip(*pairs))
-    B, z2, wb2 = pair_invariants(zs, ws)  # checks the dimensions
-    lie = lie_norm(zs) * lie_norm(ws)
-    if not np.all(lie < 1.0):
-        raise ValueError("pair outside the Lie domain L(z) L(w) < 1")
-    # H and P_p = (1 - (z2 conj(w)2)^p) H pair by pair, as ``cauchy_hua``
-    # and ``poisson_from_hua`` round them; array powers may round otherwise
-    gap = hmax = 0.0
-    for b, a, c in zip(B.tolist(), z2.tolist(), wb2.tolist()):
-        h = complex(cauchy_hua_from_products(zs.shape[1], a, b, c))
-        gap = max(gap, abs((1.0 - (a * c) ** p) * h - h))
-        hmax = max(hmax, abs(h))
-    return gap, float(np.max(lie)) ** (2 * p) * hmax
+    lie, hua, P = _hua_stacks(*(np.array([as_complex_vector(v) for v in side])
+                                for side in zip(*pairs)))
+    gap = float(np.max(np.abs((1.0 - P ** p) * hua - hua)))
+    return gap, float(np.max(lie)) ** (2 * p) * float(np.max(np.abs(hua)))

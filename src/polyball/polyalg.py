@@ -41,7 +41,7 @@ from operator import add
 
 import numpy as np
 
-from .geometry import RotatedVector
+from .geometry import _MAX_NODES, RotatedVector
 
 __all__ = [
     "MultiPoly",
@@ -482,6 +482,9 @@ def _parse_poly(text: str, n: int | None) -> MultiPoly:
         raise ValueError(f"polynomial text: variable x{max_idx + 1} exceeds n={dim}")
     if dim < 2:
         raise ValueError("n must be >= 2")
+    if dim * len(raw) > _MAX_NODES:  # counted before any exponent tuple
+        raise ValueError(f"n={dim}: {dim * len(raw)} exponents of "
+                         f"{len(raw)} terms exceed the node cap")
     denom = math.lcm(*(den for _, re, im, _ in raw for _, den in (re, im)))
     terms = {}
     for sign, (a, da), (b, db), factors in raw:

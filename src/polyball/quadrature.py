@@ -40,6 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import _MAX_NODES
+
 __all__ = [
     "SphereRule",
     "LieSphereRule",
@@ -50,9 +52,6 @@ __all__ = [
     "rule_to_json",
     "rule_from_json",
 ]
-
-# Most nodes a sphere rule, or points a Lie-sphere rule, may hold.
-_MAX_NODES = 1 << 21
 
 
 @dataclass(frozen=True, eq=False)

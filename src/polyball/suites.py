@@ -14,10 +14,9 @@ bit-reproducible.  Deviations for exact-arithmetic checks count failures
 (``solver.choose_rule``, ``solver.choose_lie_rule``) or integrand degrees,
 but for ``far-cap``, whose cap holds for any positive rule.  Every suite
 accepts any n >= 2 and p >= 1; one whose rule or kernel values exceed the
-node cap raises ``ValueError``, and so does a suite whose p sectors hold
-more values than the node cap (``_require_sectors``, checked before any of
-them is built) or that enumerates the degree-``max_degree`` monomials when
-there are more than ``_MAX_MONOMIALS`` of them.
+node cap raises ``ValueError``, and so do p sectors of values or sampled
+coordinates past it (``_require_nodes``, checked before any is built) and
+more than ``_MAX_MONOMIALS`` degree-``max_degree`` monomials to enumerate.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import kernels, polyalg, quadrature, solver
 from .geometry import lie_norm, sector_phases, sector_points
-from .kernels import KernelParams, ROUTES
+from .kernels import ROUTES
 from .polyalg import MultiPoly, dim_P, dim_Hp, polyharmonic_basis
 
 __all__ = [
@@ -64,12 +63,11 @@ def _require_monomials(n: int, degree: int):
                          f"exceed the cap of {_MAX_MONOMIALS}")
 
 
-def _require_sectors(p: int, per_sector: int, what: str):
-    """Refuse, before it is built, a suite whose p sectors of ``per_sector``
-    values each exceed the node cap."""
-    if p * per_sector > quadrature._MAX_NODES:
-        raise ValueError(f"p={p}: {p * per_sector} {what} exceed the node "
-                         "cap")
+def _require_nodes(size: str, count: int, what: str):
+    """Refuse, before they are built, ``count`` values above the node cap;
+    ``size`` names the input that sets them ("p=3", "n=5")."""
+    if count > quadrature._MAX_NODES:
+        raise ValueError(f"{size}: {count} {what} exceed the node cap")
 
 
 @dataclass(frozen=True)
@@ -115,16 +113,6 @@ def _lie_points(parts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return zs * (targets / lie_norm(zs))[:, None]
 
 
-def _turned_back(coords: np.ndarray, p: int) -> tuple:
-    """(coords, turns) of the points e^{-ik pi/p} a, k < p fastest, of real
-    rows a (m, n), in the form ``RotatedVector(-k pi / p, a)`` stores them:
-    angle pi - k pi/p with coords -a for k >= 1."""
-    k = np.arange(p)
-    turned = coords[:, None] * np.where(k > 0, -1.0, 1.0)[:, None]
-    turns = np.exp(1j * np.where(k > 0, math.pi - k * math.pi / p, 0.0))
-    return turned.reshape(-1, coords.shape[1]), np.tile(turns, len(coords))
-
-
 # --------------------------------------------------------------------------
 # kernel suites
 # --------------------------------------------------------------------------
@@ -133,6 +121,7 @@ def suite_route_agreement(n: int = 2, p: int = 1, seed: int = 0,
                           max_degree: int = 8, pairs: int = 100,
                           tolerance: float = 1e-10) -> list:
     """The three zonal evaluation routes agree on random rotated pairs."""
+    _require_nodes(f"n={n}", 2 * n * pairs, "sampled coordinates")
     rng = np.random.default_rng(seed)
     B, x2, zb2 = kernels.pair_invariants(*_pairs(rng, n, p, pairs, 0.0, 0.9))
     B, P = kernels._Powers(B), kernels._Powers(x2 * zb2)
@@ -152,6 +141,7 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
                           max_terms: int = 200,
                           tolerance: float = 1e-8) -> list:
     """Closed-form Poisson kernel equals its truncated zonal series."""
+    _require_nodes(f"n={n}", 2 * n * points, "sampled coordinates")
     rng = np.random.default_rng(seed)
     xs, zetas = _pairs(rng, n, p, points, 0.05, radius)
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
@@ -159,13 +149,11 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
     series = kernels._series_values(
         n, p, B, x2 * zb2, (lie_norm(xs) * lie_norm(zetas)).tolist(),
         tolerance / 4.0, max_terms)
-    worst = 0.0
-    most_terms = 0
-    for value, truth in zip(closed, series):
+    for truth in series:
         if isinstance(truth, ValueError):
             raise truth
-        worst = max(worst, abs(complex(value) - truth.value))
-        most_terms = max(most_terms, truth.terms_used)
+    worst = max(abs(complex(v) - t.value) for v, t in zip(closed, series))
+    most_terms = max(truth.terms_used for truth in series)
     return [
         PropertyResult("series-identity", "max-closed-vs-series-gap",
                        worst, tolerance),
@@ -188,7 +176,7 @@ def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
     monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp.
     A degree's points are drawn at once, ``samples`` in each sector."""
     _require_monomials(n, max_degree)
-    _require_sectors(p, samples * (max_degree + 1), "diagonal points")
+    _require_nodes(f"p={p}", p * samples * (max_degree + 1), "diagonal points")
     rng = np.random.default_rng(seed)
     sectors = np.repeat(np.arange(p), samples)
     worst = 0.0
@@ -201,11 +189,10 @@ def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
         etas = sector_points(_unit_rows(rng.standard_normal((p * samples, n))),
                              sectors, p)
         B, x2, zb2 = kernels.pair_invariants(etas, etas)
-        # P and |value - dim| in Python complex arithmetic, which rounds as
-        # the one-pair kernel does; numpy's array * and abs may not
-        P = [a * b for a, b in zip(x2.tolist(), zb2.tolist())]
-        for value in kernels.zonal_from_products(n, m, p, B, P).tolist():
-            worst = max(worst, abs(value - dim))
+        # |value - dim| by libm's hypot, as Python's abs takes it (numpy's
+        # complex abs rounds otherwise)
+        gaps = kernels.zonal_from_products(n, m, p, B, x2 * zb2) - dim
+        worst = max(worst, float(np.max(np.hypot(gaps.real, gaps.imag))))
     return [
         PropertyResult("diagonal-dim", "max-diagonal-vs-dimension-gap",
                        worst, tolerance),
@@ -218,7 +205,9 @@ def suite_kernel_symmetry(n: int = 2, p: int = 1, seed: int = 0,
                           max_degree: int = 8, pairs: int = 50,
                           tolerance: float = 1e-11) -> list:
     """Hermitian symmetry, the scalar scaling rule, the diagonal bound,
-    and same-sector reality/positivity of the Poisson kernel."""
+    and same-sector reality/positivity of the Poisson kernel over stacked
+    pairs; a Poisson value that underflows (large n) raises ValueError."""
+    _require_nodes(f"n={n}", 3 * n * pairs, "sampled coordinates")
     rng = np.random.default_rng(seed)
     # per pair: the sectors and directions of zeta and eta, the scalar a,
     # and the radius and direction of x, in zeta's sector
@@ -228,30 +217,29 @@ def suite_kernel_symmetry(n: int = 2, p: int = 1, seed: int = 0,
         rng.uniform(0.05, 0.95), rng.standard_normal(n))
         for _ in range(pairs)]))
     zetas = sector_points(_unit_rows(zeta), j, p)
+    etas = sector_points(_unit_rows(eta), k, p)
+    a = scalars[:, None]
+    # Z(zeta, eta), Z(eta, zeta), Z(a zeta, eta) and Z(zeta, conj(a) eta)
+    # over (degree, pair)
+    invariants = [kernels.pair_invariants(u, v) for u, v in (
+        (zetas, etas), (etas, zetas), (a * zetas, etas),
+        (zetas, np.conj(a) * etas))]
+    fwd, rev, left, right = (np.array([kernels.zonal_from_products(
+        n, m, p, B, x2 * zb2) for m in range(max_degree + 1)])
+        for B, x2, zb2 in invariants)
+    # the symmetry and scaling gaps, each max |u - v| / max(1, |u|, |v|)
+    sym, scal = (float(np.max(np.abs(u - v) / np.fmax(
+        1.0, np.fmax(np.abs(u), np.abs(v))))) for u, v in (
+            (np.conj(fwd), rev), (left, right)))
+    dims = [[float(dim_Hp(n, m, p))] for m in range(max_degree + 1)]
+    bound = float(np.max(np.abs(fwd) / dims))
     B, x2, zb2 = kernels.pair_invariants(
         sector_points(r[:, None] * _unit_rows(x), j, p), zetas)
-    sym = 0.0
-    scal = 0.0
-    bound = 0.0
-    pos = 0.0
-    for zc, ec, a in zip(zetas, sector_points(_unit_rows(eta), k, p),
-                         scalars.tolist()):
-        for m in range(max_degree + 1):
-            params = KernelParams(n, p, m)
-            fwd = kernels.zonal_polyharmonic(params, zc, ec)
-            rev = kernels.zonal_polyharmonic(params, ec, zc)
-            scale = max(1.0, abs(fwd), abs(rev))
-            sym = max(sym, abs(np.conj(fwd) - rev) / scale)
-            left = kernels.zonal_polyharmonic(params, a * zc, ec)
-            right = kernels.zonal_polyharmonic(params, zc, np.conj(a) * ec)
-            scale = max(1.0, abs(left), abs(right))
-            scal = max(scal, abs(left - right) / scale)
-            bound = max(bound, abs(fwd) / dim_Hp(n, m, p))
-    for b, a, c in zip(B.tolist(), x2.tolist(), zb2.tolist()):
-        # pair by pair, as poisson_kernel rounds it: array powers may not
-        value = complex(kernels.poisson_from_products(n, p, a, b, c))
-        pos = max(pos, abs(value.imag) / abs(value),
-                  max(0.0, -value.real) / abs(value))
+    value = kernels.poisson_from_products(n, p, x2, B, zb2)
+    if not np.all(np.abs(value) > 0.0):
+        raise ValueError(f"n={n}: a same-sector Poisson value underflows")
+    pos = float(np.max(np.fmax(np.abs(value.imag), -value.real)
+                       / np.abs(value)))
     return [
         PropertyResult("kernel-symmetry", "hermitian-symmetry", sym, tolerance),
         PropertyResult("kernel-symmetry", "scaling-rule", scal, tolerance),
@@ -271,14 +259,14 @@ def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0, delta: float = 0.5,
     positive rule summing to 1 and the decrease carries the content."""
     rng = np.random.default_rng(seed)
     rule = quadrature.sphere_rule(n, {2: 512, 3: 64, 4: 32}.get(n, 12))
-    _require_sectors(p, rule.count, "kernel values")
+    _require_nodes(f"p={p}", p * rule.count, "kernel values")
     eta = _unit_rows(rng.standard_normal((1, n)))[0]
     rn = np.sum(rule.nodes * rule.nodes, axis=1)
+    k = np.arange(p)  # e^{-ik pi/p} a is -a in sector p - k for k >= 1
     masses = []
     excess = 0.0
     for r in radii:
-        coords, turns = _turned_back((r * eta)[None], p)
-        xs = turns[:, None] * coords
+        xs = sector_points(np.where(k > 0, -r, r)[:, None] * eta, -k % p, p)
         values = np.abs(solver._sector_kernels(
             solver._POISSON, p, xs, np.ones(1), rule.nodes, rn))[:, 0]
         node_cap = (1.0 - r ** (2 * p)) / delta ** n
@@ -298,6 +286,7 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
                           pairs: int = 20, alpha: float = 0.5,
                           p_list: tuple = (1, 2, 4, 8)) -> list:
     """|P_p - H| stays under alpha^{2p} max|H| and decreases with p."""
+    _require_nodes(f"n={n}", 4 * n * pairs, "sampled coordinates")
     rng = np.random.default_rng(seed)
     targets, parts = [], []
     for _ in range(pairs):  # two Lie norms, then the parts of z and w
@@ -306,13 +295,9 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
         parts.append(rng.standard_normal((2, 2, n)))
     zs = _lie_points(np.concatenate(parts), np.array(targets))
     sample = list(zip(zs[::2], zs[1::2]))
-
-    ratio = 0.0
-    gaps = []
-    for q in p_list:
-        gap, bound = kernels.hua_convergence_gap(sample, int(q))
-        gaps.append(gap)
-        ratio = max(ratio, gap / bound)
+    gaps, bounds = zip(*(kernels.hua_convergence_gap(sample, int(q))
+                         for q in p_list))
+    ratio = max(gap / bound for gap, bound in zip(gaps, bounds))
     rise = max(max(0.0, b - a) for a, b in zip(gaps, gaps[1:]))
     return [
         PropertyResult("hua-convergence", "gap-over-bound-ratio",
@@ -333,9 +318,8 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     lie = solver.choose_lie_rule(n, max_degree, lie_radius, tolerance / 100)
-    values = points * lie.angular * lie.base.count
-    if values > quadrature._MAX_NODES:
-        raise ValueError(f"n={n}: {values} kernel values exceed the node cap")
+    _require_nodes(f"n={n}", points * lie.angular * lie.base.count,
+                   "kernel values")
     targets, parts = zip(*[(rng.uniform(0.2, lie_radius),
                             rng.standard_normal((2, n)))
                            for _ in range(points)])
@@ -366,7 +350,8 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     rng = np.random.default_rng(seed)
     # the integral operator holds a partial sum per point, datum and sector
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
-    _require_sectors(p, p * points_per_sector * elements, "partial sums")
+    _require_nodes(f"p={p}", p * p * points_per_sector * elements,
+                   "partial sums")
     rule = solver.choose_rule(n, p, max_degree, radius, 1e-11)
     # each point's radius, then its direction
     r, v = (np.array(c) for c in zip(*[
@@ -397,7 +382,7 @@ def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
     rule = quadrature.sphere_rule(
         n, quadrature.resolution_for_exactness(n, 2 * max_degree))
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
-    _require_sectors(p, elements * rule.count, "basis values")
+    _require_nodes(f"p={p}", p * elements * rule.count, "basis values")
     phases = sector_phases(range(p), p)
     bases = [polyharmonic_basis(n, m, p) for m in range(max_degree + 1)]
     table = polyalg._power_table(rule.nodes, sum(bases, []))
@@ -430,17 +415,18 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     rng = np.random.default_rng(seed)
     rule = solver.choose_rule(n, p, 0, radius, 1e-12, aligned=n >= 3)
     # each sample, turned into every sector, meets p sectors of nodes
-    _require_sectors(p, p * rule.count, "kernel values per sample")
+    _require_nodes(f"p={p}", p * p * rule.count, "kernel values per sample")
     r, v = (np.array(c) for c in zip(*[
         (rng.uniform(0.1, radius), rng.standard_normal(n))
         for _ in range(points)]))
     samples = r[:, None] * _unit_rows(v)
-    # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once
-    lhs_all = solver._integrals_at(solver._POISSON, p,
-                                   *_turned_back(samples, p),
-                                   np.ones(1), rule,
-                                   [MultiPoly.constant(n, 1)]
-                                   ).reshape(points, p)
+    # int_S P(e^{-ik pi/p} x, zeta) dsigma for every sample and k at once;
+    # e^{-ik pi/p} x is -x in sector p - k for k >= 1
+    turn = np.tile(np.arange(p), points)
+    lhs_all = solver._integrals_at(
+        solver._POISSON, p, np.where(turn > 0, -1.0, 1.0)[:, None]
+        * np.repeat(samples, p, axis=0), sector_phases(-turn % p, p),
+        np.ones(1), rule, [MultiPoly.constant(n, 1)]).reshape(points, p)
     dev_sector = 0.0
     dev_average = 0.0
     for coords, lhs_row in zip(samples, lhs_all):

@@ -591,14 +591,10 @@ def _per_point_status(fn, *args) -> tuple:
 @np.errstate(all="ignore")  # the last pair's values pass the doubles
 def test_kernel_rows_agree_with_the_per_point_functions(n, p):
     # every row against the public per-point function on RotatedVector
-    # points: statuses equal, series references equal bit for bit, and
-    # values within 4 ulps of their term scale (measured: 1.6).  The
-    # per-point functions form x2 * zb2 as a Python complex product, which
-    # rounds differently from numpy's array product in the last bit, so
-    # bitwise equality is not possible there.  The term scale of a zonal
-    # row is bound / tol; of a closed form it is |value| times the
-    # condition (|x2 zb2| + 2|B| + 1) / |x2 zb2 - 2B + 1| of its base.
-    eps, tol = np.finfo(float).eps, cli._COMMANDS["kernel"].tolerance
+    # points: statuses equal, and the reference zonal route, the closed
+    # forms and the series references equal bit for bit, as each per-point
+    # function is the one-row case of the batched one the command runs
+    tol = cli._COMMANDS["kernel"].tolerance
     rng = np.random.default_rng(70 + n)
     e1 = [1.0] + [0.0] * (n - 1)
     pairs = []
@@ -625,16 +621,13 @@ def test_kernel_rows_agree_with_the_per_point_functions(n, p):
                    for key in ("x", "zeta"))
         value = None if cells[0] is None else complex(cells[0], cells[1])
         statuses.add((kernel, status))
-        B, x2, zb2 = kernels.pair_invariants(x, zeta)
-        condition = (abs(x2 * zb2) + 2.0 * abs(B) + 1.0) \
-            / np.abs(x2 * zb2 - 2.0 * B + 1.0)
         if kernel == "zonal":
             # no pair here overflows a route or a scale but not the value
             want = kernels.zonal_polyharmonic(kernels.KernelParams(n, p, m),
                                               x, zeta)
             assert status == ("ok" if np.isfinite(want) else "rejected")
             if status == "ok" and route == ROUTE_GEGENBAUER_DIFF:
-                assert abs(value - want) <= 4 * eps * cells[5] / tol
+                assert value == want
         elif kernel == "poisson":
             want_status, want = _per_point_status(kernels.poisson_kernel,
                                                   x, zeta, p)
@@ -643,7 +636,7 @@ def test_kernel_rows_agree_with_the_per_point_functions(n, p):
                     kernels.poisson_kernel_series, x, zeta, p, tol / 100.0)
             assert status == want_status, (i, kernel)
             if status == "ok":
-                assert abs(value - want) <= 4 * eps * abs(want) * condition
+                assert value == want
                 assert complex(cells[2], cells[3]) == truth.value
                 assert cells[5] == truth.tail_bound + tol * max(1.0,
                                                                 abs(value))
@@ -652,7 +645,7 @@ def test_kernel_rows_agree_with_the_per_point_functions(n, p):
                                                   zeta)
             assert status == want_status, (i, kernel)
             if status == "ok":
-                assert abs(value - want) <= 4 * eps * abs(want) * condition
+                assert value == want
     assert {"singular", "rejected", "ok"} <= {s for k, s in statuses
                                                if k == "poisson"}
 
@@ -950,6 +943,81 @@ def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: p=") and "the node cap" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,config", [
+    ("kernel", {"n": 20000, "x": [0.1] + [0.0] * 19999,
+                "zeta": [1.0] + [0.0] * 19999}),
+    ("hua-limit", {"n": 20000, "u": "x1", "z": [0.1] + [0.0] * 19999}),
+    *[("verify", {"n": 100000, "suites": [suite]})
+      for suite in ("series-identity", "hua-convergence")],
+    *[("verify", {"n": 2 ** 40, "suites": [suite]})
+      for suite in ("route-agreement", "series-identity", "kernel-symmetry",
+                    "hua-convergence")],
+])
+def test_lie_norms_and_sampled_vectors_are_counted_before_they_are_built(
+        tmp_path, capsys, command, config):
+    # a Lie norm's n^2 minors per point (n >= 1,449) and a suite's sampled
+    # coordinates (points x n) are refused from their counts; these inputs
+    # ended in MemoryError, exit 4
+    tracemalloc.start()
+    try:
+        code, text = run(tmp_path, command, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the node cap" in err
+    assert err.count("\n") == 1
+    assert peak < 1 << 24
+
+
+@pytest.mark.parametrize("suite", ["series-identity", "hua-convergence"])
+def test_lie_norm_suites_refuse_minors_past_the_cap_at_once(tmp_path, capsys,
+                                                            suite):
+    # at n = 10,000 the sampled points fit the node cap but the minors of
+    # their Lie norms do not; these requests ran past 30 s
+    start = time.perf_counter()
+    code, text = run(tmp_path, "verify", {"n": 10000, "suites": [suite]})
+    assert time.perf_counter() - start < 2.0
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "n=10000: 100000000 Lie-norm minors exceed" in err
+
+
+def test_kernel_symmetry_refuses_a_poisson_value_that_underflows(tmp_path,
+                                                                 capsys):
+    # at n = 3000 a same-sector Poisson value underflows to 0, so its phase
+    # is not measurable: the sample is refused, with no division by zero
+    # (once an internal error, exit 4) and no NaN row
+    code, text = run(tmp_path, "verify",
+                     {"n": 3000, "suites": ["kernel-symmetry"]})
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: suite kernel-symmetry: n=3000: ")
+    assert err.count("\n") == 1
+    code, _ = run(tmp_path, "verify",
+                  {"n": 1000, "suites": ["kernel-symmetry"]})
+    assert code == cli.EXIT_OK
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(quadrature._MAX_NODES + 1, 2 ** 64),
+       text=st.sampled_from(["x1", "3", "(0,2) x2^3 - x1"]))
+def test_almansi_refuses_a_huge_n_before_any_exponent_tuple(n, text):
+    # n exponents per term are counted against the node cap before any
+    # tuple is built: n = 2^40 ran past 10 s.  The fastest of three runs
+    # is timed, so that one pause of the collector does not count
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(cli.ConfigError, match="exponents of .* terms "
+                           "exceed the node cap"):
+            cli.run_command("almansi", {"n": n, "polynomial": text})
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.01
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from scipy.special import eval_legendre
 
 from polyball import kernels
 from polyball.gegenbauer import _recurrence
-from polyball.geometry import RotatedVector, as_complex_vector, lie_norm
+from polyball.geometry import (RotatedVector, as_complex_vector, lie_norm,
+                               sector_points)
 from polyball.kernels import (
     KernelParams,
     ROUTE_EXPLICIT_SUM,
@@ -524,6 +525,40 @@ def test_hua_convergence_gap_shrinks_with_order():
         assert gap <= bound * (1 + 1e-9)
         gaps.append(gap)
     assert all(b <= a * (1 + 1e-12) for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 6)
+                                 for p in range(1, 4)])
+def test_per_point_kernels_equal_their_stacked_rows(n, p):
+    # each per-point kernel is the one-row case of the batched function
+    # that the kernel command runs on rows built by sector_points, so every
+    # per-point value is its pair's row of the stacked call, bit for bit
+    rng = np.random.default_rng(40 + 10 * n + p)
+    count = 16
+    j, k = rng.integers(p, size=(2, count))
+    x_coords = np.array([rng.uniform(0.05, 0.9) * unit_vector(n, rng)
+                         for _ in range(count)])
+    zeta_coords = np.array([unit_vector(n, rng) for _ in range(count)])
+    xs, zetas = sector_points(x_coords, j, p), sector_points(zeta_coords, k, p)
+    B, x2, zb2 = pair_invariants(xs, zetas)
+    P = x2 * zb2
+    zonal = [zonal_from_products(n, m, p, B, P) for m in range(9)]
+    poisson = kernels.poisson_from_products(n, p, x2, B, zb2)
+    hua = kernels.cauchy_hua_from_products(n, x2, B, zb2)
+    continued = (1.0 - P ** p) * hua
+    series = kernels._series_values(n, p, B, P, (lie_norm(xs)
+                                                 * lie_norm(zetas)).tolist(),
+                                    1e-10)
+    for i in range(count):
+        x = RotatedVector.sector(int(j[i]), p, x_coords[i])
+        zeta = RotatedVector.sector(int(k[i]), p, zeta_coords[i])
+        for m in range(9):
+            assert zonal_polyharmonic(KernelParams(n, p, m), x,
+                                      zeta) == zonal[m][i], (i, m)
+        assert poisson_kernel(x, zeta, p) == poisson[i], i
+        assert cauchy_hua(x, zeta) == hua[i], i
+        assert poisson_from_hua(x, zeta, p) == continued[i], i
+        assert poisson_kernel_series(x, zeta, p, 1e-10) == series[i], i
 
 
 def test_kernel_params_validation():

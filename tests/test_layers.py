@@ -229,12 +229,11 @@ UNREFERENCED_PUBLIC = {
                           "each of the three zonal routes",
     "poisson_integral": "the one-point case of poisson_integrals: the "
                         "per-point reference of the batched dirichlet table",
-    "poisson_kernel_series": "the one-pair case of the batched series: "
-                             "the per-pair reference of the kernel table",
-    "poisson_kernel": "the one-pair closed form at rotated points: the "
-                      "per-pair reference of the kernel table's poisson rows",
-    "poisson_from_hua": "the one-pair form of the continued Poisson kernel "
-                        "that hua_convergence_gap evaluates over stacks",
+    "zonal_polyharmonic": "bit-equal per-pair reference",
+    "poisson_kernel_series": "bit-equal per-pair reference",
+    "poisson_kernel": "bit-equal per-pair reference",
+    "cauchy_hua": "bit-equal per-pair reference",
+    "poisson_from_hua": "bit-equal per-pair reference",
     "RotatedVector.sector": "builds the per-point form of a sector point; "
                             "batched code uses geometry.sector_points",
     "rule_from_json": "reads back the rule record that every table carries",

@@ -13,7 +13,8 @@ from polyball.kernels import KernelParams
 from polyball.polyalg import MultiPoly
 from polyball.suites import (SUITES, PropertyResult, run_suite,
                              suite_diagonal_dim, suite_far_cap,
-                             suite_hua_reproduction, suite_reproduction)
+                             suite_hua_reproduction, suite_kernel_symmetry,
+                             suite_reproduction)
 
 EXPECTED_NAMES = {
     "route-agreement",
@@ -234,6 +235,52 @@ def test_diagonal_dim_makes_one_kernel_call_per_degree(monkeypatch):
     monkeypatch.setattr(kernels, "zonal_polyharmonic", None)
     suite_diagonal_dim(n=3, p=3, max_degree=8, samples=3)
     assert calls == [(m, 9) for m in range(9)]
+
+
+def _per_pair_kernel_symmetry(n, p, seed, max_degree=8, pairs=50):
+    """The kernel-symmetry deviations by per-point kernel calls, one pair
+    at a time, drawing the points in the suite's order."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.integers(p), rng.standard_normal(n), rng.integers(p),
+              rng.standard_normal(n), complex(*rng.uniform(-1.4, 1.4, 2)),
+              rng.uniform(0.05, 0.95), rng.standard_normal(n))
+             for _ in range(pairs)]
+    sym = scal = bound = pos = 0.0
+    for j, zeta, k, eta, a, r, x in draws:
+        zc = RotatedVector.sector(int(j), p, zeta / np.linalg.norm(zeta))
+        z = zc.to_complex()
+        e = RotatedVector.sector(int(k), p, eta / np.linalg.norm(eta)
+                                 ).to_complex()
+        for m in range(max_degree + 1):
+            params = KernelParams(n, p, m)
+            fwd = kernels.zonal_polyharmonic(params, z, e)
+            rev = kernels.zonal_polyharmonic(params, e, z)
+            sym = max(sym, abs(fwd.conjugate() - rev)
+                      / max(1.0, abs(fwd), abs(rev)))
+            left = kernels.zonal_polyharmonic(params, a * z, e)
+            right = kernels.zonal_polyharmonic(params, z, a.conjugate() * e)
+            scal = max(scal, abs(left - right)
+                       / max(1.0, abs(left), abs(right)))
+            bound = max(bound, abs(fwd) / polyalg.dim_Hp(n, m, p))
+        value = kernels.poisson_kernel(
+            RotatedVector.sector(int(j), p, r * (x / np.linalg.norm(x))), zc, p)
+        pos = max(pos, abs(value.imag) / abs(value), -value.real / abs(value))
+    return sym, scal, bound, pos
+
+
+@pytest.mark.parametrize("n,p", [(2, 1), (2, 3), (3, 2), (5, 3)])
+def test_kernel_symmetry_equals_the_per_pair_kernel_loop(n, p):
+    # the stacked rows against per-point calls pair by pair: the zonal and
+    # Poisson values are equal, but numpy's array abs and its products by
+    # the scalars a may round a last bit otherwise, so each row is held to
+    # 4 eps of max(1, deviation)
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        rows = suite_kernel_symmetry(n, p, seed)
+        want = _per_pair_kernel_symmetry(n, p, seed)
+        for row, value in zip(rows, want, strict=True):
+            assert abs(row.deviation - value) <= 4 * eps * max(1.0, value), (
+                seed, row.name, row.deviation, value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
