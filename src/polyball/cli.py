@@ -39,6 +39,8 @@ import json
 import math
 import platform
 import sys
+from itertools import chain, compress, islice
+from operator import not_
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,6 +58,11 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_INTERNAL = 4
 
+_MIN_REPEATS = 512  # floats repeated in a JSON table before a lookup pays
+_indented = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False,
+                             allow_nan=False).encode
+_cell_lines = json.JSONEncoder(separators=(",\n      ", ": "),
+                               check_circular=False, allow_nan=False).encode
 VALUE_COLUMNS = ("value_re", "value_im", "reference_re", "reference_im",
                  "abs_error", "bound")
 
@@ -326,23 +333,34 @@ class ResultTable:
 
     def _render_json(self) -> str:
         r"""``json.dumps(table, indent=2, sort_keys=True)`` plus a newline,
-        byte for byte, where table is {metadata, columns, rows}.  Metadata
-        and columns go through that call.  The rows, which sort last, go
-        through one call of the C encoder (which ``indent`` turns off) with
-        every cell on a line of its own; then the row boundaries are
-        indented.  An encoded JSON string never holds a raw newline, so
-        each "],\n      [" is a row boundary."""
-        text = json.dumps({"columns": list(self.columns),
-                           "metadata": self.metadata, "rows": []},
-                          indent=2, sort_keys=True, allow_nan=False)
-        if self.rows:
-            cells = json.dumps(self.rows, separators=(",\n      ", ": "),
-                               allow_nan=False)
-            rows = cells[2:-2].replace("],\n      [",
-                                       "\n    ],\n    [\n      ")
-            text = (text[:-len("[]\n}")] + "[\n    [\n      " + rows
-                    + "\n    ]\n  ]\n}")
-        return text + "\n"
+        byte for byte, from the C encoder with one cell a line (no encoded
+        string holds a raw newline).  Repeated floats (5 in 6 of a ``kernel``
+        table) are formatted once, in columns of exact floats and nulls, as
+        1 == 1.0 == True as keys; 0.0 == -0.0 too, so mixed zeros refuse it."""
+        table = {"columns": list(self.columns), "metadata": self.metadata}
+        columns = (list(zip(*self.rows)) if len(self.rows) * len(
+            self.columns) > _MIN_REPEATS else [list(chain(*self.rows))])
+        kinds = [set(map(type, col)) for col in columns]
+        if not self.rows or not set().union(*kinds) <= {
+                float, int, bool, str, type(None)}:  # no nested cells
+            return _indented({**table, "rows": self.rows}) + "\n"
+        floats = [kind <= {float, type(None)} for kind in kinds]
+        cells = list(chain(*compress(columns, floats)))
+        text = dict.fromkeys(cells)
+        if len(cells) - len(text) < _MIN_REPEATS or 0.0 in text and len(
+                {math.copysign(1.0, c) for c in cells if c == 0.0}) > 1:
+            rows = _cell_lines(self.rows)[2:-2].split("],\n      [")
+        else:
+            text = dict(zip(text, json.dumps(list(text), allow_nan=False)
+                            [1:-1].split(", ")))
+            other = iter(json.dumps(
+                list(chain(*compress(columns, map(not_, floats)))),
+                separators=("\n", ": "), allow_nan=False)[1:-1].split("\n"))
+            rows = map(",\n      ".join, zip(*[map(text.__getitem__, col)
+                if is_float else list(islice(other, len(col)))
+                for col, is_float in zip(columns, floats)]))
+        return _indented({**table, "rows": []})[:-4] + "[\n    [\n      " \
+            + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}\n"
 
 
 def _csv_cell(cell) -> str:
@@ -376,13 +394,13 @@ def _metadata(cfg: RunConfig, rule=None) -> dict:
 # --------------------------------------------------------------------------
 
 def _coefficients_overflow(n: int, m: int) -> bool:
-    """Whether Z_m's p = 1 coefficients e_k = a^m_k - a^{m-2}_{k-1}, which
-    every zonal row converts, surely overflow: signs are opposite, so |e_k|
-    >= |a^m_k| = 2^{m-2k} Gamma(n/2+m-k) / (Gamma(n/2) k! (m-2k)!)."""
-    return max((m - 2 * k) * math.log(2) + math.lgamma(n / 2 + m - k)
-               - math.lgamma(n / 2) - math.lgamma(k + 1)
-               - math.lgamma(m - 2 * k + 1)
-               for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
+    """Whether Z_m's p = 1 coefficients e_k = a^m_k - a^{m-2}_{k-1} surely
+    overflow: of opposite signs, |e_k| >= |a^m_k| = 2^{m-2k} Gamma(n/2+m-k)
+    / (Gamma(n/2) k! (m-2k)!), at k = 0 >= 2^m (n >= 2): so all m > 1025."""
+    return m > 1025 or max(
+        (m - 2 * k) * math.log(2) + math.lgamma(n / 2 + m - k)
+        - math.lgamma(n / 2) - math.lgamma(k + 1) - math.lgamma(m - 2 * k + 1)
+        for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
 
 
 def _statuses(outside, singular, failed) -> list:

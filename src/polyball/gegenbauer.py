@@ -51,19 +51,29 @@ def _check_lambda(lam) -> float:
     return lamf
 
 
-def _recurrence(lamf: float, t, c0):
+def _recurrence(lamf: float, t, c0, out=None):
     """Yield C_0, C_1, C_2, ... at t by the three-term recurrence.
 
     The single copy of the recurrence in the package.  ``c0`` is C_0 and
     fixes the value type (an array of ones for array ``t``, ``1.0 + 0j`` for
-    a scalar); the sequence is unbounded, so callers slice it.
+    a scalar); the sequence is unbounded, so callers slice it.  A complex
+    table ``out`` over array ``t`` takes C_k in row k from prebuilt factors:
+    Python floats' bits, at a fraction of the cost.
     """
     yield c0
     prev, cur, two_t = c0, 2.0 * lamf * t, 2.0 * t  # 2 t s C = ((2 t) s) C
-    for k in count(2):
-        yield cur
-        prev, cur = cur, (two_t * (k + lamf - 1.0) * cur
-                          - (k + 2.0 * lamf - 2.0) * prev) / k
+    if out is None:
+        for k in count(2):
+            yield cur
+            prev, cur = cur, (two_t * (k + lamf - 1.0) * cur
+                              - (k + 2.0 * lamf - 2.0) * prev) / k
+    out[0], out[1:2] = c0, cur
+    ks = np.arange(2.0, len(out))
+    for row, two_ts, q, k in zip(out[2:], two_t * (ks + lamf - 1.0)[:, None],
+                                 *np.array([ks + 2.0 * lamf - 2.0, ks],
+                                           dtype=complex)):
+        prev, cur = cur, np.divide(two_ts * cur - q * prev, k, out=row)
+    yield from out[1:]
 
 
 def gegenbauer(lam, m: int, t):
@@ -89,19 +99,18 @@ def _exact_ratio(x) -> tuple:  # x = a / b, b > 0: any int, float, Fraction
 
 
 @lru_cache(maxsize=None)
-def _explicit_coefficients(lam, m: int) -> tuple:
+def _explicit_coefficients(ratio: tuple, m: int) -> tuple:
     """(numerators, denominator): the coefficients (-1)^k (lambda)_{m-k} /
     (k! (m-2k)!) for k = 0..floor(m/2), all over their least common
     denominator; ((), 1) for m < 0.
 
-    Built from the factorial formula, never from the recurrence table, so
-    the explicit sum stays an independent route: over b^m m! the k-th
-    numerator is (-1)^k R_{m-k} b^k m! / (k! (m-2k)!).
+    Keyed on lambda's ratio (a, b), built from the factorial formula, never
+    from the recurrence, so the explicit sum stays an independent route:
+    over b^m m! the k-th numerator is (-1)^k R_{m-k} b^k m! / (k! (m-2k)!).
     """
-    _check_lambda(lam)
     if m < 0:
         return (), 1
-    a, b = _exact_ratio(lam)
+    a, b = ratio
     rising = list(accumulate((a + i * b for i in range(m)), operator.mul,
                              initial=1))
     denom = b ** m * math.factorial(m)
@@ -125,7 +134,8 @@ def gegenbauer_explicit(lam, m: int, t) -> complex:
     if not isinstance(t, float) and (np.ndim(t) or isinstance(t, complex)):
         raise ValueError("the explicit sum takes a real scalar t")
     m = int(m)
-    nums, denom = _explicit_coefficients(lam, m)
+    _check_lambda(lam)
+    nums, denom = _explicit_coefficients(_exact_ratio(lam), m)
     if m < 0:
         return 0j
     a, b = _exact_ratio(t)

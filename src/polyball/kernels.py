@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -409,13 +408,14 @@ def _series_terms(n: int, p: int, B, P, top: int) -> np.ndarray:
     isotropic = P == 0.0
     w = np.sqrt(np.where(isotropic, 1.0, P))
     t = B / w
-    terms = np.array(list(islice(_recurrence(n / 2.0, t, np.ones_like(t)),
-                                 top + 1)))
+    terms = np.empty((top + 1, t.size), dtype=complex)
+    for _ in _recurrence(n / 2.0, t, 1.0, terms):  # fills the table
+        pass
     terms[2 * p:] -= terms[:-2 * p]
     wm = np.empty_like(terms)
     wm[0] = 1.0
-    for m in range(1, top + 1):
-        np.multiply(wm[m - 1], w, out=wm[m])
+    for low, row in zip(wm, wm[1:]):
+        np.multiply(low, w, out=row)
     terms *= wm
     if isotropic.any():
         a0, Bi = 1.0, B[isotropic]

@@ -142,6 +142,7 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
                           tolerance: float = 1e-8) -> list:
     """Closed-form Poisson kernel equals its truncated zonal series."""
     _require_nodes(f"n={n}", 2 * n * points, "sampled coordinates")
+    _require_nodes(f"n={n}", n * n, "Lie-norm minors")  # lie_norm's cap
     rng = np.random.default_rng(seed)
     xs, zetas = _pairs(rng, n, p, points, 0.05, radius)
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
@@ -287,6 +288,7 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
                           p_list: tuple = (1, 2, 4, 8)) -> list:
     """|P_p - H| stays under alpha^{2p} max|H| and decreases with p."""
     _require_nodes(f"n={n}", 4 * n * pairs, "sampled coordinates")
+    _require_nodes(f"n={n}", n * n, "Lie-norm minors")  # lie_norm's cap
     rng = np.random.default_rng(seed)
     targets, parts = [], []
     for _ in range(pairs):  # two Lie norms, then the parts of z and w

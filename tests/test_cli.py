@@ -232,6 +232,32 @@ def test_certain_coefficient_overflow_builds_no_exact_table(tmp_path,
     assert (code, text) == (cli.EXIT_CONFIG, "")
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), m=st.integers(1026, 2 ** 64))
+@example(n=2, m=1026)
+@example(n=3, m=2 ** 63)
+def test_kernel_refuses_a_huge_degree_before_any_coefficient(
+        tmp_path_factory, n, m):
+    # the k = 0 coefficient alone passes 2^1025 at every m > 1025; its
+    # loop over m/2 terms took 0.75 s at m = 10^6 and did not end at 2^63.
+    # The fastest of three calls is timed
+    path = tmp_path_factory.mktemp("degree") / "config.json"
+    path.write_text(json.dumps({"n": n, "x": [0.1] * n,
+                                "zeta": [1.0] + [0.0] * (n - 1),
+                                "degrees": [m], "kernels": ["zonal"]}))
+    elapsed = []
+    for _ in range(3):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["kernel", "--config", str(path)])
+        elapsed.append(time.perf_counter() - start)
+        assert (code, out.getvalue()) == (cli.EXIT_CONFIG, "")
+        assert err.getvalue() == (f"error: degree {m}: the zonal "
+                                  "coefficients overflow a double\n")
+    assert min(elapsed) < 0.01
+
+
 @pytest.mark.parametrize("n", [5, 8])
 def test_coefficient_overflow_bound_is_sound_at_its_first_degree(n):
     # the first degree the log-scale bound refuses does overflow exactly
@@ -977,10 +1003,17 @@ def test_lie_norms_and_sampled_vectors_are_counted_before_they_are_built(
 def test_lie_norm_suites_refuse_minors_past_the_cap_at_once(tmp_path, capsys,
                                                             suite):
     # at n = 10,000 the sampled points fit the node cap but the minors of
-    # their Lie norms do not; these requests ran past 30 s
+    # their Lie norms do not; these requests ran past 30 s, and then drew
+    # 72 MB (series-identity) and 19 MB of points before the refusal
     start = time.perf_counter()
-    code, text = run(tmp_path, "verify", {"n": 10000, "suites": [suite]})
+    tracemalloc.start()
+    try:
+        code, text = run(tmp_path, "verify", {"n": 10000, "suites": [suite]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - start < 2.0
+    assert peak < 4 << 20
     assert (code, text) == (cli.EXIT_CONFIG, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -1346,11 +1379,14 @@ def test_ladders_past_the_step_cap_are_refused_before_any_is_built(
         raise AssertionError("Almansi ladder built")
 
     monkeypatch.setattr(polyalg, "harmonic_almansi", no_ladder)
-    start = time.perf_counter()
-    with pytest.raises(cli.ConfigError, match="Almansi ladders of degree "
-                       "2000 take more than the cap"):
-        cli.run_command(command, config)
-    assert time.perf_counter() - start < 0.01
+    elapsed = []  # the fastest of three, so one collector pause is not timed
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(cli.ConfigError, match="Almansi ladders of "
+                           "degree 2000 take more than the cap"):
+            cli.run_command(command, config)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.01
 
 
 def _ladder_steps(n: int, m: int) -> int:
@@ -1527,6 +1563,89 @@ def test_json_render_equals_the_indented_encoder(rows):
            "rows": table.rows}
     assert table.render("json") == json.dumps(obj, indent=2,
                                               sort_keys=True) + "\n"
+
+
+_ODD_TEXTS = ["", "\x00", '"q"', "],", "],\n      [", "a\nb", "\\",
+              "é ☃ \u2028"]
+_TABLE_CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([0.0, -0.0, 1, 1.0, True, 0.5, -2.5, 5e-324, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_ODD_TEXTS), st.text(max_size=4))
+_VALUES = st.sampled_from([0.0, 1.0, -0.5, 0.1, 1e-300, 7e22])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 600),
+       pools=st.lists(st.lists(_TABLE_CELLS, min_size=1, max_size=3),
+                      min_size=1, max_size=4),
+       values=st.lists(_VALUES, min_size=1, max_size=4),
+       nested=st.booleans(), bad=st.sampled_from([None, math.nan, math.inf]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(rows=600, pools=[[0.0, -0.0], [1, 1.0, True], [None, "],\n"]],
+         values=[0.0, 0.5], nested=False, bad=None, seed=1)
+@example(rows=600, pools=[[0.0, 2.0], [None, 1.5], ["x\x00"]],
+         values=[0.0, 0.5, 1.0], nested=False, bad=None, seed=2)
+@example(rows=600, pools=[[0.0, 2.0]], values=[0.5], nested=False,
+         bad=math.inf, seed=3)
+@example(rows=600, pools=[["é"]], values=[0.5, 0.0], nested=True, bad=None,
+         seed=4)
+def test_json_render_equals_the_indented_encoder_on_generated_tables(
+        rows, pools, values, nested, bad, seed):
+    # tables of many repeated floats format each distinct one once; the
+    # bytes stay those of the indented encoder whatever the cells: signed
+    # zeros, 1, 1.0 and True in one column, nulls, text that looks like
+    # JSON, a list cell.  A non-finite cell still raises ValueError
+    rng = np.random.default_rng(seed)
+
+    def pick(pool):
+        return pool[rng.integers(len(pool))]
+
+    table = cli.ResultTable("dims", [f"c{i}" for i in range(len(pools))]
+                            + ["status"], {"z": [1.5, None]})
+    for _ in range(rows):
+        value = complex(pick(values), pick(values))
+        table.add([pick(pool) for pool in pools] + ["ok"], value=value,
+                  reference=pick([value, None]), error=pick(values),
+                  bound=pick([None, *values]))
+    if rows and nested:
+        table.rows[rng.integers(rows)][0] = [1, [2.5, "a"], {"b": None}]
+    if rows and bad is not None:
+        table.rows[rng.integers(rows)][rng.integers(len(table.columns))] = bad
+        with pytest.raises(ValueError):
+            table.render("json")
+        return
+    obj = {"metadata": table.metadata, "columns": list(table.columns),
+           "rows": table.rows}
+    assert_same_text(table.render("json"),
+                     json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def assert_same_text(got: str, want: str):
+    """got == want, reported by the first difference: pytest's own diff of
+    two long texts takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"at {at}: {got[at - 60:at + 60]!r} != "
+                    f"{want[at - 60:at + 60]!r}")
+
+
+def test_kernel_tables_format_each_distinct_float_once(monkeypatch):
+    # a kernel table repeats most of its floats, so its rows take the
+    # lookup of distinct floats, not one encoder call on the whole rows,
+    # and keep the indented encoder's bytes
+    pairs = [{"x": [0.1 * k, 0.2], "zeta": [0.6, 0.8]} for k in range(8)]
+    table = cli.run_command("kernel", {"n": 2, "p": 2, "pairs": pairs})
+    obj = {"metadata": table.metadata, "columns": list(table.columns),
+           "rows": table.rows}
+    want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    def whole_rows(rows):
+        raise AssertionError("the rows were encoded whole")
+
+    monkeypatch.setattr(cli, "_cell_lines", whole_rows)
+    assert_same_text(table.render("json"), want)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

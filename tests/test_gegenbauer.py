@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_gegenbauer
 
+from polyball import gegenbauer as gegenbauer_module
 from polyball.gegenbauer import (
     _recurrence,
     gegenbauer,
@@ -96,6 +97,31 @@ def test_integer_explicit_sum_equals_fraction_horner_bitwise(lam):
         want = [_fraction_horner(coefs, m, float(t)) for t in ts]
         assert _bits([gegenbauer_explicit(lam, m, float(t)) for t in ts]) \
             == _bits(want), m
+
+
+def test_explicit_sum_at_a_float_lambda_builds_no_fraction_after_one():
+    # the coefficient cache is keyed on lambda's exact ratio; keyed on
+    # lambda, a Fraction(3, 2) cached first made every lookup of 1.5
+    # compare the two keys, which builds a Fraction
+    gegenbauer_module._explicit_coefficients.cache_clear()
+    want = gegenbauer_explicit(Fraction(3, 2), 9, 0.3)
+    built = vars(Fraction)["__new__"]
+    count = 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return built.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        assert Fraction(1, 3) and count == 1  # the count sees constructions
+        count = 0
+        got = [gegenbauer_explicit(1.5, 9, 0.3) for _ in range(3)]
+    finally:
+        Fraction.__new__ = built
+    assert count == 0
+    assert _bits(got) == _bits([want] * 3)
 
 
 @pytest.mark.parametrize("lam", SUITE_LAMBDAS)
