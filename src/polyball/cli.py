@@ -39,8 +39,7 @@ import json
 import math
 import platform
 import sys
-from itertools import chain, compress, islice
-from operator import not_
+from itertools import chain, compress
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,11 +57,11 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_INTERNAL = 4
 
-_MIN_REPEATS = 512  # floats repeated in a JSON table before a lookup pays
 _indented = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False,
                              allow_nan=False).encode
 _cell_lines = json.JSONEncoder(separators=(",\n      ", ": "),
                                check_circular=False, allow_nan=False).encode
+_MIN_CELLS = 512  # cells in a JSON table before a lookup of distinct ones pays
 VALUE_COLUMNS = ("value_re", "value_im", "reference_re", "reference_im",
                  "abs_error", "bound")
 
@@ -277,15 +276,34 @@ def _normalize_dims(raw: dict, n: int, p: int) -> dict:
 # result tables
 # --------------------------------------------------------------------------
 
+class _Row(list):
+    """A row copied from a table; a cell set in it is set in its column."""
+
+    def __init__(self, columns, at: int):
+        super().__init__(column[at] for column in columns)
+        self._columns, self._at = columns, at
+
+    def __setitem__(self, i, cell):
+        if i % len(self) >= len(self) - len(VALUE_COLUMNS):  # as add does
+            cell = None if cell is None else float(cell) + 0.0
+        super().__setitem__(i, cell)
+        self._columns[i][self._at] = cell
+
+
 class ResultTable:
-    """Rows of input cells plus the fixed numeric columns, with metadata."""
+    """Input and value cells as one list per column, with metadata."""
 
     def __init__(self, command: str, input_columns, metadata: dict):
         self.command = command
         self.columns = tuple(input_columns) + VALUE_COLUMNS
         self.status_index = list(input_columns).index("status")
-        self.rows: list = []
+        self.cells = tuple([] for _ in self.columns)
         self.metadata = metadata
+
+    @property
+    def rows(self) -> list:
+        """The cells row by row, rebuilt from the columns on each read."""
+        return [_Row(self.cells, at) for at in range(len(self.cells[0]))]
 
     def add(self, inputs, value=None, reference=None, error=None, bound=None):
         cells = list(inputs)
@@ -295,26 +313,18 @@ class ResultTable:
             else:
                 w = complex(w)
                 cells += [float(w.real) + 0.0, float(w.imag) + 0.0]
-        cells.append(None if error is None else float(error) + 0.0)
-        cells.append(None if bound is None else float(bound) + 0.0)
+        cells += [w if w is None else float(w) + 0.0 for w in (error, bound)]
         if len(cells) != len(self.columns):
             raise ValueError("row shape mismatch")
-        self.rows.append(cells)
+        for column, cell in zip(self.cells, cells):
+            column.append(cell)
 
     def exit_code(self) -> int:
-        code = EXIT_OK
-        error_at = self.columns.index("abs_error")
-        bound_at = self.columns.index("bound")
-        for row in self.rows:
-            status = row[self.status_index]
-            if status == "rejected":
-                return EXIT_CONFIG
-            if status == "singular":
-                code = max(code, EXIT_SINGULAR)
-            elif (row[error_at] is not None and row[bound_at] is not None
-                    and not row[error_at] <= row[bound_at]):
-                code = max(code, EXIT_TOLERANCE)
-        return code
+        status = self.cells[self.status_index]
+        return (EXIT_CONFIG if "rejected" in status else EXIT_SINGULAR
+                if "singular" in status else EXIT_TOLERANCE if any(
+                    e is not None and b is not None and not e <= b
+                    for e, b in zip(*self.cells[-2:])) else EXIT_OK)
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -327,38 +337,40 @@ class ResultTable:
         buf.write(f"# {meta}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_csv_cell(c) for c in row])
+        writer.writerows(zip(*[map(_csv_cell, col) for col in self.cells]))
         return buf.getvalue()
 
     def _render_json(self) -> str:
         r"""``json.dumps(table, indent=2, sort_keys=True)`` plus a newline,
-        byte for byte, from the C encoder with one cell a line (no encoded
-        string holds a raw newline).  Repeated floats (5 in 6 of a ``kernel``
-        table) are formatted once, in columns of exact floats and nulls, as
-        1 == 1.0 == True as keys; 0.0 == -0.0 too, so mixed zeros refuse it."""
+        byte for byte.  Past ``_MIN_CELLS`` cells, one C-encoder call formats
+        each distinct cell once, in a lookup per number type (as keys 1 ==
+        1.0 == True and 0.0 == -0.0; a value cell is never -0.0); smaller or
+        colliding tables go whole through the C encoder, one cell a line."""
         table = {"columns": list(self.columns), "metadata": self.metadata}
-        columns = (list(zip(*self.rows)) if len(self.rows) * len(
-            self.columns) > _MIN_REPEATS else [list(chain(*self.rows))])
-        kinds = [set(map(type, col)) for col in columns]
-        if not self.rows or not set().union(*kinds) <= {
+        kinds = [set(map(type, c)) for c in self.cells[:-len(VALUE_COLUMNS)]]
+        numbers = [frozenset(kind & {float, int, bool}) for kind in kinds]
+        if not self.cells[0] or not set().union(*kinds) <= {
                 float, int, bool, str, type(None)}:  # no nested cells
-            return _indented({**table, "rows": self.rows}) + "\n"
-        floats = [kind <= {float, type(None)} for kind in kinds]
-        cells = list(chain(*compress(columns, floats)))
-        text = dict.fromkeys(cells)
-        if len(cells) - len(text) < _MIN_REPEATS or 0.0 in text and len(
-                {math.copysign(1.0, c) for c in cells if c == 0.0}) > 1:
-            rows = _cell_lines(self.rows)[2:-2].split("],\n      [")
+            return _indented({**table, "rows": list(
+                map(list, zip(*self.cells)))}) + "\n"
+        if len(self.cells[0]) * len(self.cells) <= _MIN_CELLS or any(
+                len(number) > 1 or float in number and any(
+                    c == 0.0 and math.copysign(1.0, c) < 0.0
+                    for c in col if isinstance(c, float))
+                for number, col in zip(numbers, self.cells)):
+            rows = _cell_lines(list(map(list, zip(*self.cells))))[2:-2].split(
+                "],\n      [")  # no encoded string holds a raw newline
         else:
-            text = dict(zip(text, json.dumps(list(text), allow_nan=False)
-                            [1:-1].split(", ")))
-            other = iter(json.dumps(
-                list(chain(*compress(columns, map(not_, floats)))),
-                separators=("\n", ": "), allow_nan=False)[1:-1].split("\n"))
-            rows = map(",\n      ".join, zip(*[map(text.__getitem__, col)
-                if is_float else list(islice(other, len(col)))
-                for col, is_float in zip(columns, floats)]))
+            numbers += [frozenset({float})] * len(VALUE_COLUMNS)
+            lookups = {key: dict.fromkeys(chain(*compress(self.cells, map(
+                key.__eq__, numbers)))) for key in dict.fromkeys(numbers)}
+            texts = iter(json.dumps([*chain(*lookups.values())], separators=(
+                "\n", ": "), allow_nan=False)[1:-1].split("\n"))
+            lookups = {key: dict(zip(lookup, texts))
+                       for key, lookup in lookups.items()}
+            rows = map(",\n      ".join, zip(*[
+                map(lookups[number].__getitem__, col)
+                for number, col in zip(numbers, self.cells)]))
         return _indented({**table, "rows": []})[:-4] + "[\n    [\n      " \
             + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]\n}\n"
 
@@ -403,12 +415,15 @@ def _coefficients_overflow(n: int, m: int) -> bool:
         for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
 
 
-def _statuses(outside, singular, failed) -> list:
-    """Each closed-form row's status from masks over the pairs: rejected
-    outside the kernel's domain, singular for a vanished denominator,
-    rejected for a value that overflowed or a series that was refused."""
-    return np.select([outside, singular, failed],
-                     ["rejected", "singular", "rejected"], "ok").tolist()
+def _kernel_rows(block, at, cells, outside, singular=False, failed=False):
+    """Rows ``at`` of each pair's ``kernel`` cells: rejected outside the
+    domain, singular for a vanished denominator, rejected for a value past
+    the doubles or a refused series, else ok with cells + 0.0 (no -0.0)."""
+    for mask, status in [(True, "ok"), (failed, "rejected"),  # last wins
+                         (singular, "singular"), (outside, "rejected")]:
+        block[4, :, at][mask] = status
+    block[5:5 + len(cells), :, at] = np.asarray(cells) + 0.0
+    block[5:5 + len(cells), :, at][:, outside | singular | failed] = None
 
 
 def run_kernel(cfg: RunConfig) -> ResultTable:
@@ -430,7 +445,6 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
     P = x2 * zb2
     powers = kernels._Powers(B), kernels._Powers(P)
-    reference = ROUTES.index(ROUTE_GEGENBAUER_DIFF)
     degrees = cfg.data["degrees"] if "zonal" in which else []
     values, scales = [], []
     for m in degrees:
@@ -448,13 +462,23 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     values = np.array(values).reshape(len(degrees), len(ROUTES), len(xs))
     gaps = np.abs(values[:, :, None] - values[:, None]).max(axis=2)
     bound = tol * np.fmax(1.0, np.reshape(scales, (len(degrees), len(xs))))
-    zonal_ok = (np.isfinite(values).all(axis=1) & np.isfinite(bound)
-                & np.isfinite(gaps).all(axis=1)).T.tolist()
-    ref = values[:, [reference] * len(ROUTES)]
-    # the cells ResultTable.add writes, + 0.0 turning -0.0 into 0.0
-    cells = (np.array([values.real, values.imag, ref.real, ref.imag, gaps,
-                       np.broadcast_to(bound[:, None], gaps.shape)])
-             + 0.0).transpose(3, 1, 2, 0).tolist()
+    ref = values[:, [ROUTES.index(ROUTE_GEGENBAUER_DIFF)] * len(ROUTES)]
+    # each pair's rows: zonal by degree and route, then poisson and hua
+    extra = [name for name in ("poisson", "hua") if name in which]
+    zonal = len(degrees) * len(ROUTES)
+    block = np.empty((len(table.columns), len(xs), zonal + len(extra)),
+                     dtype=object)  # of None
+    block[0] = np.arange(len(xs))[:, None]
+    block[1:4] = np.array([("zonal", m, route) for m in degrees for route in
+                           ROUTES] + [(name, "", "closed-form") for name in
+                                      extra], dtype=object).T[:, None]
+    # a zonal value, gap or bound past the doubles rejects its three rows
+    _kernel_rows(block, slice(zonal), np.array([
+        values.real, values.imag, ref.real, ref.imag, gaps,
+        np.broadcast_to(bound[:, None], gaps.shape)]).transpose(0, 3, 1, 2)
+        .reshape(len(VALUE_COLUMNS), len(xs), zonal), np.repeat(~(
+            np.isfinite(values).all(axis=1) & np.isfinite(bound)
+            & np.isfinite(gaps).all(axis=1)).T, len(ROUTES), axis=1))
     try:  # the poisson and hua rows only; n^2 minors may pass the node cap
         lie = (lie_norm(xs) * lie_norm(zetas)
                if {"poisson", "hua"} & set(which) else None)
@@ -469,28 +493,21 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
                                             max(tol / 100.0, 1e-13))
         except ValueError as err:  # the term table is above the node cap
             raise ConfigError(f"poisson series: {err}") from err
-        poisson = _statuses(~(inside & on_sphere), singular, ~finite | [
-            isinstance(value, ValueError) for value in series])
+        truth = np.array([getattr(s, "value", 0j) for s in series])
+        # libm's hypot, as Python's abs takes it (numpy's complex abs differs)
+        error, size = (np.hypot(z.real, z.imag) for z in (closed - truth,
+                                                          closed))
+        _kernel_rows(block, zonal + extra.index("poisson"), [
+            closed.real, closed.imag, truth.real, truth.imag, error,
+            [getattr(s, "tail_bound", 0.0) for s in series]
+            + tol * np.fmax(1.0, size)], ~(inside & on_sphere), singular,
+            ~finite | [isinstance(s, ValueError) for s in series])
     if "hua" in which:
         hua, singular, finite = kernels._hua_guarded(n, x2, B, zb2)
-        hua_status = _statuses(~(lie < 1.0), singular, ~finite)
-    # a zonal value, gap or bound past the doubles rejects the three rows
-    rejected = ("rejected",) + (None,) * len(VALUE_COLUMNS)
-    for i in range(len(xs)):
-        for m, routes, ok in zip(degrees, cells[i], zonal_ok[i]):
-            table.rows += [[i, "zonal", m, route, "ok", *row] if ok
-                           else [i, "zonal", m, route, *rejected]
-                           for route, row in zip(ROUTES, routes)]
-        if "poisson" in which and poisson[i] == "ok":
-            value, truth = complex(closed[i]), series[i]
-            table.add((i, "poisson", "", "closed-form", "ok"), value=value,
-                      reference=truth.value, error=abs(value - truth.value),
-                      bound=truth.tail_bound + tol * max(1.0, abs(value)))
-        elif "poisson" in which:
-            table.add((i, "poisson", "", "closed-form", poisson[i]))
-        if "hua" in which:
-            table.add((i, "hua", "", "closed-form", hua_status[i]),
-                      value=hua[i] if hua_status[i] == "ok" else None)
+        _kernel_rows(block, zonal + extra.index("hua"), [hua.real, hua.imag],
+                     ~(lie < 1.0), singular, ~finite)
+    for column, cells in zip(table.cells, block.reshape(len(block), -1)):
+        column.extend(cells.tolist())
     return table
 
 

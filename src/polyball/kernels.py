@@ -337,14 +337,16 @@ def boundary_form_values(n: int, p: int, x2, v2):
 # series evaluation with a proven truncation bound
 # --------------------------------------------------------------------------
 
-def _nb_tail(k: int, r: float, N: int) -> float:
+def _nb_tail(k: int, r: float, N: int, inverse=None) -> float:
     """sum_{m>=N} C(m+k, k) r^m (sum_{m>=N} dim P_m r^m at k = n - 1) in
-    closed form: sum_{j<=k} C(N+k, j) (1-r)^{j-k-1} r^{N+k-j}."""
-    return sum(math.comb(N + k, j) * (1.0 - r) ** (j - k - 1)
-               * r ** (N + k - j) for j in range(k + 1))
+    closed form: sum_{j<=k} C(N+k, j) (1-r)^{j-k-1} r^{N+k-j}, whose powers
+    (1-r)^{j-k-1} a caller of many N passes once as ``inverse``."""
+    inverse = inverse or [(1.0 - r) ** (j - k - 1) for j in range(k + 1)]
+    return sum([math.comb(N + k, j) * a * r ** (N + k - j)
+                for j, a in enumerate(inverse)])
 
 
-def _tail_bound(n: int, p: int, r: float, M: int) -> float:
+def _tail_bound(n: int, p: int, r: float, M: int, shared=None) -> float:
     """sum_{m>M} dim H_m^p r^m in closed form.  It bounds the tail of
     sum_m Z_m^p(x, zeta) at r = L(x) L(zeta), as |Z_m^p| <= dim H_m^p r^m:
 
@@ -356,11 +358,12 @@ def _tail_bound(n: int, p: int, r: float, M: int) -> float:
       Lie sphere is the Shilov boundary of the Lie ball (Hua, AMS 1963).
 
     With k = n - 1 and the negative-binomial tail T = ``_nb_tail``, the sum
-    is T(M+1) - r^{2p} T(max(M+1-2p, 0)).
+    is T(M+1) - r^{2p} T(max(M+1-2p, 0)); ``shared``: (T's inverse, r^{2p}).
     """
+    inverse, r2p = shared or (None, r ** (2 * p))
     try:
-        tail = _nb_tail(n - 1, r, M + 1) \
-            - r ** (2 * p) * _nb_tail(n - 1, r, max(M + 1 - 2 * p, 0))
+        tail = _nb_tail(n - 1, r, M + 1, inverse) \
+            - r2p * _nb_tail(n - 1, r, max(M + 1 - 2 * p, 0), inverse)
     except OverflowError:  # a binomial or (1 - r)^{-n} past the double range
         tail = math.inf
     if not tail < math.inf:  # inf, or nan from inf - inf
@@ -382,8 +385,12 @@ def _truncation(n: int, p: int, r: float, tol: float, max_terms: int):
         raise ValueError("truncation needs r < 1 - 1e-6")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    try:  # every tail bound's powers of 1 - r and r, taken once
+        shared = [(1.0 - r) ** (j - n) for j in range(n)], r ** (2 * p)
+    except OverflowError:  # each tail bound raises it again
+        shared = None
     M = 0
-    tail = _tail_bound(n, p, r, M)
+    tail = _tail_bound(n, p, r, M, shared)
     while tail >= tol:
         # dim H_m^p never decreases in m, so tail(M + j) >= r^j tail(M):
         # no degree up to M + floor(log(tail / tol) / log(1 / r)) passes
@@ -392,7 +399,7 @@ def _truncation(n: int, p: int, r: float, tol: float, max_terms: int):
         if M > max_terms:
             raise SeriesToleranceError(
                 f"tolerance {tol:g} unreachable within {max_terms} terms")
-        tail = _tail_bound(n, p, r, M)
+        tail = _tail_bound(n, p, r, M, shared)
     return M, tail
 
 

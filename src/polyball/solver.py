@@ -529,7 +529,8 @@ def choose_lie_rule(n: int, degree: int, radius: float,
     base = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
         n, 2 * degree + 1))
     angular = max(4, degree // 2 + 1)
-    while (kernels._nb_tail(n - 1, radius, 2 * angular) > tol
+    inverse = [(1.0 - radius) ** (j - n) for j in range(n)]  # for every A
+    while (kernels._nb_tail(n - 1, radius, 2 * angular, inverse) > tol
            and angular * base.count <= quadrature._MAX_NODES):
         angular += 1
     return quadrature.lie_sphere_rule(base, angular)

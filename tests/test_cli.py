@@ -565,6 +565,70 @@ def test_kernel_pair_rows_do_not_depend_on_the_batch(n, p):
         assert _pair_rows(alone)[0] == batched[i], i
 
 
+def _csv_of_rows(table) -> str:
+    """The CSV render written row by row with ``csv.writer``."""
+    buf = io.StringIO()
+    buf.write("# " + json.dumps(table.metadata, sort_keys=True,
+                                separators=(",", ":")) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    writer.writerows([["" if c is None else format(c, ".17g")
+                       if isinstance(c, float) else c for c in row]
+                      for row in table.rows])
+    return buf.getvalue()
+
+
+_PAIR_CASES = ("ok", "outside", "off-sphere", "singular", "outside-lie")
+
+
+@st.composite
+def mixed_kernel_requests(draw):
+    # 1-16 pairs of five cases: ok; x outside the ball; zeta off the
+    # sphere; an aligned singular pair; a hua pair outside the Lie domain
+    # (zeta off the sphere with L(x) L(zeta) = 1.2)
+    n, p = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    e1 = [1.0] + [0.0] * (n - 1)
+    pairs = []
+    for case in draw(st.lists(st.sampled_from(_PAIR_CASES), min_size=1,
+                              max_size=16)):
+        u, v = (w / np.linalg.norm(w) for w in rng.standard_normal((2, n)))
+        radius, scale = {"ok": (rng.uniform(0.0, 0.9), 1.0),
+                         "outside": (1.5, 1.0), "off-sphere": (0.5, 0.5),
+                         "outside-lie": (0.6, 2.0)}.get(case, (None, None))
+        j = int(rng.integers(p))
+        pairs.append({"x": [0.999999999] + e1[1:], "zeta": e1,
+                      "x_sector": j, "zeta_sector": j}
+                     if case == "singular" else
+                     {"x": (radius * u).tolist(), "zeta": (scale * v).tolist(),
+                      "x_sector": j, "zeta_sector": int(rng.integers(p))})
+    degrees = draw(st.permutations(range(9)))[:draw(st.integers(1, 9))]
+    kernels_ = draw(st.permutations(["zonal", "poisson", "hua"]))
+    return {"n": n, "p": p, "pairs": pairs, "degrees": list(degrees),
+            "kernels": kernels_[:draw(st.integers(1, 3))]}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mixed_kernel_requests())
+def test_kernel_column_blocks_do_not_depend_on_the_batch(config):
+    # the rows that run_kernel writes as column blocks over all pairs are,
+    # cell for cell, the rows of each pair sent alone (pair index 0 there),
+    # and both renders equal the encoders run on those rows
+    table = cli.run_command("kernel", config)
+    batched = _pair_rows(table)
+    for i, pair in enumerate(config["pairs"]):
+        alone = cli.run_command("kernel", dict(config, pairs=[pair]))
+        assert [row[0] for row in alone.rows] == [0] * len(alone.rows)
+        assert _pair_rows(alone)[0] == batched[i], i
+    assert [row[0] for row in table.rows] == sorted(
+        row[0] for row in table.rows)
+    obj = {"metadata": table.metadata, "columns": list(table.columns),
+           "rows": table.rows}
+    assert_same_text(table.render("json"),
+                     json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    assert_same_text(table.render("csv"), _csv_of_rows(table))
+
+
 def test_kernel_request_makes_one_zonal_call_per_degree_and_route(
         monkeypatch):
     # the overflow check runs once per degree; the three routes, every
@@ -1621,6 +1685,27 @@ def test_json_render_equals_the_indented_encoder_on_generated_tables(
                      json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def test_value_cells_set_through_rows_are_written_as_add_writes_them():
+    # a value cell is never -0.0 or an int, so a render past the lookup
+    # size can share one float lookup over the value columns; a cell set
+    # through table.rows keeps that, and the bytes stay the encoder's
+    table = cli.ResultTable("dims", ("status",), {})
+    for k in range(100):
+        table.add(("ok",), value=complex(k % 3, 0.0), error=0.0, bound=1.0)
+    table.rows[5][-1] = -0.0
+    table.rows[6][1] = 1
+    table.rows[7][-2] = True
+    assert [table.rows[5][-1], table.rows[6][1], table.rows[7][-2]] == [
+        0.0, 1.0, 1.0]
+    assert {type(cell) for column in table.cells[1:] for cell in column} \
+        == {float, type(None)}
+    assert math.copysign(1.0, table.cells[-1][5]) == 1.0
+    obj = {"metadata": table.metadata, "columns": list(table.columns),
+           "rows": table.rows}
+    assert_same_text(table.render("json"),
+                     json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def assert_same_text(got: str, want: str):
     """got == want, reported by the first difference: pytest's own diff of
     two long texts takes minutes."""
@@ -1646,6 +1731,79 @@ def test_kernel_tables_format_each_distinct_float_once(monkeypatch):
 
     monkeypatch.setattr(cli, "_cell_lines", whole_rows)
     assert_same_text(table.render("json"), want)
+
+
+def test_kernel_tables_are_written_and_rendered_as_columns(monkeypatch):
+    # a 16-pair, 9-degree request writes its 432 zonal rows as column
+    # blocks, with no per-row call (at most two add calls a pair, for its
+    # poisson and hua rows), and its JSON render never reads the rows back
+    calls = []
+    add = cli.ResultTable.add
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add(self, *args, **kwargs)
+
+    def no_rows(self):
+        raise AssertionError("the columns were rebuilt from the rows")
+
+    rng = np.random.default_rng(32)
+    pairs = [{"x": (0.05 * k * v / np.linalg.norm(v)).tolist(),
+              "zeta": (w / np.linalg.norm(w)).tolist(), "x_sector": k % 2}
+             for k, (v, w) in enumerate(rng.standard_normal((16, 2, 4)))]
+    config = {"n": 4, "p": 2, "pairs": pairs, "degrees": list(range(9)),
+              "kernels": ["zonal", "poisson", "hua"]}
+    want = cli.run_command("kernel", config)
+    want = (want.render("json"), want.render("csv"), want.exit_code())
+    monkeypatch.setattr(cli.ResultTable, "add", counted)
+    monkeypatch.setattr(cli.ResultTable, "rows", property(no_rows))
+    table = cli.run_command("kernel", config)
+    assert len(calls) <= 2 * len(pairs)
+    assert [len(column) for column in table.cells] == \
+        [16 * (9 * 3 + 2)] * len(table.columns)
+    assert (table.render("json"), table.render("csv"),
+            table.exit_code()) == want
+
+
+def _row_scan_exit_code(table) -> int:
+    """The exit code as it was read row by row before the columns."""
+    code = cli.EXIT_OK
+    for row in table.rows:
+        status = row[table.status_index]
+        if status == "rejected":
+            return cli.EXIT_CONFIG
+        if status == "singular":
+            code = max(code, cli.EXIT_SINGULAR)
+        elif (row[-2] is not None and row[-1] is not None
+                and not row[-2] <= row[-1]):
+            code = max(code, cli.EXIT_TOLERANCE)
+    return code
+
+
+_BOUNDS = st.sampled_from([0.0, 5e-324, 1e-10, 0.5, 1.0, 1e300])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(["ok", "ok", "singular", "rejected"]),
+    st.one_of(st.none(), _BOUNDS), st.one_of(st.none(), _BOUNDS),
+    st.sampled_from([0.5, 1.0, 2.0])), max_size=12))
+def test_exit_code_reads_the_columns_as_the_row_scan_did(rows):
+    # statuses ok, singular and rejected; None and float error and bound
+    # cells; errors above, equal to and below their bound.  rejected
+    # outranks both others, and singular (3) outranks a tolerance failure
+    # (1), the larger code, as the row scan took it
+    table = cli.ResultTable("dims", ("status",), {})
+    for status, error, bound, ratio in rows:
+        if error is not None and bound is not None:
+            error = bound * ratio
+        table.add((status,), value=1.0, error=error, bound=bound)
+    assert table.exit_code() == _row_scan_exit_code(table)
+    statuses = {status for status, *_ in rows}
+    if "rejected" in statuses:
+        assert table.exit_code() == cli.EXIT_CONFIG
+    elif "singular" in statuses:
+        assert table.exit_code() == cli.EXIT_SINGULAR
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

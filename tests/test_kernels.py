@@ -329,6 +329,75 @@ def test_tail_bound_matches_the_direct_sum(n):
                 assert abs(got - want) <= 1e-12 * want, (p, r, M)
 
 
+def _nb_tail_by_terms(k: int, r: float, N: int) -> float:
+    """The tail sum as it was written before its powers were shared: every
+    term's binomial and both powers taken afresh."""
+    return sum(math.comb(N + k, j) * (1.0 - r) ** (j - k - 1)
+               * r ** (N + k - j) for j in range(k + 1))
+
+
+def _truncation_by_terms(n: int, p: int, r: float, tol: float,
+                         max_terms: int):
+    """``kernels._truncation`` with each tail bound from two fresh
+    ``_nb_tail_by_terms`` sums: the oracle of its bits and its errors."""
+    def tail_bound(M):
+        try:
+            tail = _nb_tail_by_terms(n - 1, r, M + 1) - r ** (2 * p) \
+                * _nb_tail_by_terms(n - 1, r, max(M + 1 - 2 * p, 0))
+        except OverflowError:
+            tail = math.inf
+        if not tail < math.inf:
+            raise SeriesToleranceError(
+                f"the tail bound at degree {M} overflows")
+        return tail
+
+    M, tail = 0, tail_bound(0)
+    while tail >= tol:
+        M += max(1, math.floor((math.log(tail) - math.log(tol))
+                               / -math.log(r)))
+        if M > max_terms:
+            raise SeriesToleranceError(
+                f"tolerance {tol:g} unreachable within {max_terms} terms")
+        tail = tail_bound(M)
+    return M, tail
+
+
+def _outcome(fn, *args):
+    """(M, the tail's bits), or the error's type and message."""
+    try:
+        M, tail = fn(*args)
+    except SeriesToleranceError as err:
+        return type(err), str(err)
+    return M, tail.hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), p=st.integers(1, 4),
+       r=st.one_of(st.just(0.0), st.floats(0.0, 1.0 - 1e-6, exclude_max=True),
+                   st.floats(1.0 - 1e-4, 1.0 - 1e-6, exclude_max=True)),
+       tol=st.floats(-14.0, -3.0).map(lambda e: 10.0 ** e),
+       max_terms=st.sampled_from([10000, 40]), N=st.integers(0, 300))
+@example(n=60, p=1, r=1.0 - 2e-6, tol=1e-11, max_terms=10000, N=0)
+@example(n=300, p=1, r=0.9, tol=1e-11, max_terms=10000, N=5)
+@example(n=2, p=1, r=0.999, tol=1e-14, max_terms=10000, N=0)
+def test_truncation_keeps_every_bit_of_the_term_by_term_tails(
+        n, p, r, tol, max_terms, N):
+    # the powers of 1 - r and r^{2p} are taken once per radius; M, the
+    # tail's bits, and each SeriesToleranceError (an unreachable tol, a
+    # bound past the double range) stay those of fresh terms
+    assert _outcome(kernels._truncation, n, p, r, tol, max_terms) == \
+        _outcome(_truncation_by_terms, n, p, r, tol, max_terms)
+    try:
+        want = _nb_tail_by_terms(n - 1, r, N).hex()
+    except OverflowError:
+        want = OverflowError
+    try:
+        got = kernels._nb_tail(n - 1, r, N).hex()
+    except OverflowError:
+        got = OverflowError
+    assert got == want
+
+
 def _zonal_terms(n: int, p: int, x, zeta, top: int) -> list:
     """Z_m^p(x, zeta) for m <= top by the value recurrence of the series."""
     B, x2, zb2 = pair_invariants(x, zeta)
