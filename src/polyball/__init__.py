@@ -55,18 +55,13 @@ from .gegenbauer import (
     generating_partial_sum,
 )
 from .kernels import (
-    KernelParams,
     KernelValue,
     ROUTES,
     SingularKernelError,
-    cauchy_hua,
     hua_convergence_gap,
     pair_invariants,
-    poisson_from_hua,
     poisson_kernel,
-    poisson_kernel_series,
     truncation_degree,
-    zonal_polyharmonic,
 )
 from .quadrature import (
     LieSphereRule,
@@ -85,7 +80,6 @@ from .solver import (
     choose_rule,
     dirichlet_solve,
     hua_reproduce,
-    poisson_integral,
     polyharmonic_limit_experiment,
 )
 from .suites import SUITES, PropertyResult, run_suite
@@ -99,16 +93,13 @@ __all__ = [
     "polyharmonic_basis", "polyharmonic_split", "poisson_polynomial",
     "gegenbauer_coefficients", "gegenbauer_explicit",
     "generating_function", "generating_partial_sum",
-    "KernelParams", "KernelValue", "ROUTES", "SingularKernelError",
-    "cauchy_hua", "hua_convergence_gap", "pair_invariants",
-    "poisson_from_hua", "poisson_kernel", "poisson_kernel_series",
-    "truncation_degree", "zonal_polyharmonic",
+    "KernelValue", "ROUTES", "SingularKernelError", "hua_convergence_gap",
+    "pair_invariants", "poisson_kernel", "truncation_degree",
     "LieSphereRule", "SphereRule", "lie_sphere_rule",
     "resolution_for_exactness", "rule_from_json", "rule_to_json",
     "sphere_rule",
     "BoundaryData", "LimitExperiment", "aligned_rule",
     "choose_lie_rule", "choose_rule",
-    "dirichlet_solve", "hua_reproduce", "poisson_integral",
-    "polyharmonic_limit_experiment",
+    "dirichlet_solve", "hua_reproduce", "polyharmonic_limit_experiment",
     "SUITES", "PropertyResult", "run_suite",
 ]

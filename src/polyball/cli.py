@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, kernels, polyalg, quadrature, solver, suites
-from .geometry import lie_norm, sector_phases, sector_points
+from .geometry import _require_nodes, lie_norm, sector_phases, sector_points
 from .kernels import ROUTE_GEGENBAUER_DIFF, ROUTES
 from .polyalg import MultiPoly, dim_H, dim_Hp, dim_P
 
@@ -548,10 +548,12 @@ def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
             rule = quadrature.sphere_rule(cfg.n, cfg.data["resolution"])
     except ValueError as err:
         raise ConfigError(f"no quadrature rule for {where}: {err}") from err
-    built = p * rule.count * (points if aligned else 1)
-    if built > quadrature._MAX_NODES:
-        where = f"p={p}, {points} points" if aligned else f"p={p}"
-        raise ConfigError(f"{where}: {built} sector nodes exceed the node cap")
+    try:
+        _require_nodes(f"p={p}, {points} points" if aligned else f"p={p}",
+                       p * rule.count * (points if aligned else 1),
+                       "sector nodes")
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     return rule
 
 

@@ -32,6 +32,14 @@ import numpy as np
 # Most entries of an array sized by the input: nodes, points or minors.
 _MAX_NODES = 1 << 21
 
+
+def _require_nodes(size: str, count: int, what: str):
+    """Refuse, before they are built, ``count`` values above the node cap;
+    ``size`` names the input that sets them ("p=3", "n=5")."""
+    if count > _MAX_NODES:
+        raise ValueError(f"{size}: {count} {what} exceed the node cap")
+
+
 __all__ = [
     "RotatedVector",
     "as_complex_vector",
@@ -241,8 +249,7 @@ def lie_norm(z):
     """
     arr = _as_points(z)
     n = arr.shape[-1]
-    if n * n > _MAX_NODES:
-        raise ValueError(f"n={n}: {n * n} Lie-norm minors exceed the node cap")
+    _require_nodes(f"n={n}", n * n, "Lie-norm minors")
     a, b = np.atleast_2d(arr.real), np.atleast_2d(arr.imag)
     h2 = np.vecdot(a, a) + np.vecdot(b, b)
     inner = np.empty_like(h2)

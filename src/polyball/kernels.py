@@ -19,11 +19,13 @@ a fully explicit factorial sum); they must agree and are cross-checked in
 the test suite.  The closed routes are alternating sums whose terms grow
 roughly like 4^m r^m against a value of order r^m, so they are intended for
 moderate degree (the agreement domain is m <= 8, they stay usable well past
-that); high-degree evaluation goes through ``poisson_kernel_series`` which
-uses the stable value recurrence (C_m(t) - C_{m-2p}(t)) w^m.  Its term table
-is stacked: the recurrence fills one row per degree over all pairs, then
-C_{m-2p} and w^m enter as whole-array operations in place.  Calls of the
-closed routes given one ``_Powers`` table share its powers B^j and P^k.
+that); high-degree evaluation goes through the Poisson series
+(``_series_values``), which uses the stable value recurrence
+(C_m(t) - C_{m-2p}(t)) w^m.  Its term table is stacked: the recurrence
+fills one row per degree over all pairs, then C_{m-2p} and w^m enter as
+whole-array operations in place.  Calls of the closed routes given one
+``_Powers`` table share its powers B^j and P^k.  Every function here acts
+on each pair alone, so a pair's value is the same in any stack.
 
 Series truncation uses the proven bound |Z_m^p(x, zeta)| <= dim H_m^p r^m,
 r = L(x) L(zeta): the Lie norm is the growth gauge of zonal values (the
@@ -45,7 +47,6 @@ from .geometry import (as_complex_vector, as_rotated, bilinear_square,
 from .quadrature import _MAX_NODES, compensated_sum
 
 __all__ = [
-    "KernelParams",
     "KernelValue",
     "ROUTES",
     "ROUTE_SUM_OF_ZONALS",
@@ -53,15 +54,11 @@ __all__ = [
     "ROUTE_EXPLICIT_SUM",
     "SingularKernelError",
     "SeriesToleranceError",
-    "zonal_polyharmonic",
     "zonal_from_products",
     "poisson_kernel",
     "poisson_from_products",
-    "poisson_kernel_series",
     "truncation_degree",
-    "cauchy_hua",
     "cauchy_hua_from_products",
-    "poisson_from_hua",
     "hua_convergence_gap",
 ]
 
@@ -77,21 +74,6 @@ class SingularKernelError(ArithmeticError):
 
 class SeriesToleranceError(ValueError):
     """Requested series tolerance unreachable (term cap or double range)."""
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Dimension n >= 2, polyharmonic order p >= 1, degree m."""
-
-    n: int
-    p: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,12 +146,6 @@ def pair_invariants(x, zeta) -> tuple:
             bilinear_square(zeta).conjugate())
 
 
-def _one_row(*points) -> list:
-    """Each point as a one-row stack (1, n), so that a per-point kernel is
-    its row of a stacked call bit for bit (numpy scalars round otherwise)."""
-    return [as_complex_vector(v)[None] for v in points]
-
-
 class _Powers(dict):
     """j -> base ** j, each built once, when first asked, by numpy's own
     ``**`` (a chain of products rounds differently); ``moduli`` is the
@@ -231,15 +207,6 @@ def _zonal_term_scale(n: int, m: int, p: int, B, P) -> np.ndarray:
     aB, aP = B.moduli, P.moduli
     return sum(abs(c) * aB[m - 2 * k] * aP[k]
                for k, c in enumerate(_float_coeffs(n, m, p, False)))
-
-
-def zonal_polyharmonic(params: KernelParams, x, zeta) -> complex:
-    """Reproducing kernel of degree-m order-p polyharmonics on the union of
-    rotated spheres, extended to C^n x C^n (the zonal harmonic Z_m at p = 1,
-    0 at m < 0): the one-row case of ``zonal_from_products``."""
-    B, x2, zb2 = pair_invariants(*_one_row(x, zeta))
-    return complex(zonal_from_products(params.n, params.m, params.p, B,
-                                       x2 * zb2)[0])
 
 
 # --------------------------------------------------------------------------
@@ -467,27 +434,6 @@ def _series_values(n: int, p: int, B, P, radii, tol: float,
     return out
 
 
-def poisson_kernel_series(x, zeta, p: int, tol: float = 1e-10,
-                          max_terms: int = 10000) -> KernelValue:
-    """Poisson kernel as sum_m Z_m^p(x, zeta), truncated with a proven tail.
-
-    Terms use the stable value form (C_m(t) - C_{m-2p}(t)) w^m with
-    w^2 = x2 * zb2 and t = B / w (branch-independent).  The truncation M is
-    the smallest degree whose tail bound sum_{m>M} dim H_m^p r^m with
-    r = L(x) L(zeta) falls below ``tol``; it holds for complex x and zeta.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    xs, zs = _one_row(x, zeta)
-    B, x2, zb2 = pair_invariants(xs, zs)  # checks the dimensions
-    [value] = _series_values(xs.shape[1], p, B, x2 * zb2,
-                             (lie_norm(xs) * lie_norm(zs)).tolist(), tol,
-                             max_terms)
-    if isinstance(value, ValueError):
-        raise value
-    return value
-
-
 # --------------------------------------------------------------------------
 # Cauchy-Hua kernel on the Lie ball
 # --------------------------------------------------------------------------
@@ -502,44 +448,24 @@ def cauchy_hua_from_products(n: int, x2, B, zb2):
     return _checked("Cauchy-Hua", *_hua_guarded(n, x2, B, zb2))
 
 
-def _hua_stacks(zs, ws) -> tuple:
-    """(L(z) L(w), H, z2 * conj(w)2) over stacks (P, n) of pairs, which
-    must lie in the Lie domain L(z) L(w) < 1."""
-    B, z2, wb2 = pair_invariants(zs, ws)  # checks the dimensions
-    lie = lie_norm(zs) * lie_norm(ws)
-    if not np.all(lie < 1.0):
-        raise ValueError("pair outside the Lie domain L(z) L(w) < 1")
-    return lie, cauchy_hua_from_products(zs.shape[1], z2, B, wb2), z2 * wb2
-
-
-def cauchy_hua(z, w) -> complex:
-    """H(z, w) = (z2 * conj(w)2 - 2<z,w> + 1)^{-n/2} on L(z) L(w) < 1; the
-    one-row case of ``cauchy_hua_from_products``."""
-    return complex(_hua_stacks(*_one_row(z, w))[1][0])
-
-
-def poisson_from_hua(z, w, p: int) -> complex:
-    """(1 - (z2 * conj(w)2)^p) H(z, w): the Poisson kernel continued to
-    the Lie domain (coincides with the closed form when w is a rotated
-    sphere point, where (conj(w)2)^p = 1); the one-row case of the stacked
-    P_p of ``hua_convergence_gap``."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    _, hua, P = _hua_stacks(*_one_row(z, w))
-    return complex(((1.0 - P ** p) * hua)[0])
-
-
 def hua_convergence_gap(pairs, p: int) -> tuple:
     """(gap, bound): max |P_p - H| over the pairs and alpha^{2p} max|H|,
-    with alpha the largest Lie-norm product over the pairs; H and P_p over
-    the stacked pairs, as ``cauchy_hua`` and ``poisson_from_hua`` give
-    each."""
+    with alpha the largest Lie-norm product over the pairs, which must lie
+    in the Lie domain L(z) L(w) < 1.  Over the stacked pairs, H is
+    ``cauchy_hua_from_products`` and P_p = (1 - (z2 * conj(w)2)^p) H is the
+    Poisson kernel continued to the Lie domain (the closed form when w is
+    a rotated sphere point, where (conj(w)2)^p = 1)."""
     if p < 1:
         raise ValueError("p must be >= 1")
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one pair")
-    lie, hua, P = _hua_stacks(*(np.array([as_complex_vector(v) for v in side])
-                                for side in zip(*pairs)))
-    gap = float(np.max(np.abs((1.0 - P ** p) * hua - hua)))
+    zs, ws = (np.array([as_complex_vector(v) for v in side])
+              for side in zip(*pairs))
+    B, z2, wb2 = pair_invariants(zs, ws)  # checks the dimensions
+    lie = lie_norm(zs) * lie_norm(ws)
+    if not np.all(lie < 1.0):
+        raise ValueError("pair outside the Lie domain L(z) L(w) < 1")
+    hua = cauchy_hua_from_products(zs.shape[1], z2, B, wb2)
+    gap = float(np.max(np.abs((1.0 - (z2 * wb2) ** p) * hua - hua)))
     return gap, float(np.max(lie)) ** (2 * p) * float(np.max(np.abs(hua)))

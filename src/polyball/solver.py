@@ -12,7 +12,7 @@ kernels' phases; and the node sum of weights * kernel * data over a row of
 sectors is an exact sliced matrix product (``quadrature._sliced_sums``),
 so no value depends on the blocks or on BLAS.  ``poisson_integrals``,
 ``dirichlet_solve`` and ``hua_integrals`` batch points and data;
-``poisson_integral`` and ``hua_reproduce`` are their 1 x 1 cases, and
+``hua_reproduce`` is the 1 x 1 case of ``hua_integrals``, and
 ``spectral_component`` pairs the data with the zonal polyharmonic Z_m^p.
 Batched calls take sector points as real rows (k, n) and sectors (k,)
 (``geometry.sector_points``).
@@ -44,7 +44,7 @@ on the plan.
 
 Two independent evaluation routes compute the same solution:
 
-* ``poisson_integral`` pairs boundary values with the closed-form kernel
+* ``poisson_integrals`` pairs boundary values with the closed-form kernel
   P(x, e^{ij pi/p} zeta) (hermitian-symmetry route);
 * ``dirichlet_solve`` pairs them with the boundary form
   (1 - |x|^{2p}) / |e^{-ik pi/p} x - zeta|^n (principal-sqrt route).
@@ -55,19 +55,17 @@ identity between the two displays, and is enforced in the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels, polyalg, quadrature
-from .geometry import as_complex_vector, as_rotated, lie_norm, sector_phases
+from .geometry import as_complex_vector, lie_norm, sector_phases
 from .polyalg import MultiPoly
 
 __all__ = [
     "BoundaryData",
     "LimitExperiment",
-    "poisson_integral",
     "poisson_integrals",
     "dirichlet_solve",
     "spectral_component",
@@ -341,16 +339,6 @@ def poisson_integrals(data, coords, sectors,
     which are built once per block of points.
     """
     return _sector_integrals(_POISSON, list(data), coords, sectors, rule)
-
-
-def poisson_integral(f: BoundaryData, x, rule: quadrature.SphereRule) -> complex:
-    """(1/p) sum_j int_S f(e^{ij pi/p} zeta) P(x, e^{ij pi/p} zeta) dsigma
-    at one point x, a ``RotatedVector`` or real coordinates of sector 0."""
-    x = as_rotated(x)
-    j = x.sector_index(f.p)
-    # an angle just below pi is sector 0 at the opposite coords
-    coords = -x.coords if round(x.angle * f.p / math.pi) == f.p else x.coords
-    return complex(poisson_integrals([f], coords[None], [j], rule)[0, 0])
 
 
 def dirichlet_solve(f: BoundaryData, coords, sectors,

@@ -15,8 +15,9 @@ bit-reproducible.  Deviations for exact-arithmetic checks count failures
 but for ``far-cap``, whose cap holds for any positive rule.  Every suite
 accepts any n >= 2 and p >= 1; one whose rule or kernel values exceed the
 node cap raises ``ValueError``, and so do p sectors of values or sampled
-coordinates past it (``_require_nodes``, checked before any is built) and
-more than ``_MAX_MONOMIALS`` degree-``max_degree`` monomials to enumerate.
+coordinates past it (``geometry._require_nodes``, checked before any is
+built) and more than ``_MAX_MONOMIALS`` degree-``max_degree`` monomials to
+enumerate.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, polyalg, quadrature, solver
-from .geometry import lie_norm, sector_phases, sector_points
+from .geometry import _require_nodes, lie_norm, sector_phases, sector_points
 from .kernels import ROUTES
 from .polyalg import MultiPoly, dim_P, dim_Hp, polyharmonic_basis
 
@@ -61,13 +62,6 @@ def _require_monomials(n: int, degree: int):
     if count > _MAX_MONOMIALS:
         raise ValueError(f"n={n}: {count} monomials of degree {degree} "
                          f"exceed the cap of {_MAX_MONOMIALS}")
-
-
-def _require_nodes(size: str, count: int, what: str):
-    """Refuse, before they are built, ``count`` values above the node cap;
-    ``size`` names the input that sets them ("p=3", "n=5")."""
-    if count > quadrature._MAX_NODES:
-        raise ValueError(f"{size}: {count} {what} exceed the node cap")
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[2]
-sys.path.insert(0, str(ROOT))
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 
 from perfbench import workloads  # noqa: E402
 from polyball import cli, polyalg  # noqa: E402

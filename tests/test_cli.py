@@ -666,9 +666,9 @@ def test_kernel_request_makes_one_zonal_call_per_degree_and_route(
         2 * [list(range(5))] + 2 * [list(range(9))]
 
 
-def _per_point_status(fn, *args) -> tuple:
-    """(status, value) of a per-point kernel function: rejected for a
-    ValueError, singular for a SingularKernelError."""
+def _status(fn, *args) -> tuple:
+    """(status, value) of a kernel function: rejected for a ValueError,
+    singular for a SingularKernelError."""
     try:
         return "ok", fn(*args)
     except kernels.SingularKernelError:
@@ -680,10 +680,11 @@ def _per_point_status(fn, *args) -> tuple:
 @pytest.mark.parametrize("n,p", [(2, 1), (3, 2), (5, 3), (9, 2)])
 @np.errstate(all="ignore")  # the last pair's values pass the doubles
 def test_kernel_rows_agree_with_the_per_point_functions(n, p):
-    # every row against the public per-point function on RotatedVector
-    # points: statuses equal, and the reference zonal route, the closed
-    # forms and the series references equal bit for bit, as each per-point
-    # function is the one-row case of the batched one the command runs
+    # every row against its pair alone: the batched kernels on the pair's
+    # one-row (1, n) stack, and poisson_kernel on its RotatedVector points.
+    # Statuses are equal, and the reference zonal route, the closed forms
+    # and the series references equal bit for bit, as the batched functions
+    # the command runs act on each pair alone
     tol = cli._COMMANDS["kernel"].tolerance
     rng = np.random.default_rng(70 + n)
     e1 = [1.0] + [0.0] * (n - 1)
@@ -709,21 +710,24 @@ def test_kernel_rows_agree_with_the_per_point_functions(n, p):
         x, zeta = (RotatedVector.sector(pair.get(f"{key}_sector", 0), p,
                                         np.array(pair[key]))
                    for key in ("x", "zeta"))
+        xs, zetas = x.to_complex()[None], zeta.to_complex()[None]
+        B, x2, zb2 = kernels.pair_invariants(xs, zetas)
+        lie = (lie_norm(xs) * lie_norm(zetas)).tolist()
         value = None if cells[0] is None else complex(cells[0], cells[1])
         statuses.add((kernel, status))
         if kernel == "zonal":
             # no pair here overflows a route or a scale but not the value
-            want = kernels.zonal_polyharmonic(kernels.KernelParams(n, p, m),
-                                              x, zeta)
+            [want] = kernels.zonal_from_products(n, m, p, B, x2 * zb2)
             assert status == ("ok" if np.isfinite(want) else "rejected")
             if status == "ok" and route == ROUTE_GEGENBAUER_DIFF:
                 assert value == want
         elif kernel == "poisson":
-            want_status, want = _per_point_status(kernels.poisson_kernel,
-                                                  x, zeta, p)
+            want_status, want = _status(kernels.poisson_kernel, x, zeta, p)
             if want_status == "ok":
-                want_status, truth = _per_point_status(
-                    kernels.poisson_kernel_series, x, zeta, p, tol / 100.0)
+                [truth] = kernels._series_values(n, p, B, x2 * zb2, lie,
+                                                 tol / 100.0)
+                if isinstance(truth, ValueError):
+                    want_status = "rejected"
             assert status == want_status, (i, kernel)
             if status == "ok":
                 assert value == want
@@ -731,11 +735,13 @@ def test_kernel_rows_agree_with_the_per_point_functions(n, p):
                 assert cells[5] == truth.tail_bound + tol * max(1.0,
                                                                 abs(value))
         else:
-            want_status, want = _per_point_status(kernels.cauchy_hua, x,
-                                                  zeta)
+            want_status, want = _status(kernels.cauchy_hua_from_products, n,
+                                        x2, B, zb2)
+            if not lie[0] < 1.0:  # outside the Lie domain
+                want_status = "rejected"
             assert status == want_status, (i, kernel)
             if status == "ok":
-                assert value == want
+                assert value == want[0]
     assert {"singular", "rejected", "ok"} <= {s for k, s in statuses
                                                if k == "poisson"}
 
@@ -790,7 +796,8 @@ def test_dirichlet_exterior_point_rejected_per_row(tmp_path):
 
 def test_dirichlet_rows_equal_the_per_point_poisson_integrals():
     # one batched integral for every interior point; no value depends on
-    # the batch, so each equals its own one-point integral bit for bit
+    # the batch, so each equals its own one-point (1 x 1) integral bit for
+    # bit
     config = {"n": 3, "p": 2, "boundary": "x1^2 x2 + (0,1) x3 - 2",
               "points": [[0.1, 0.2, 0.3], [1.5, 0.0, 0.0],
                          [-0.4, 0.1, 0.2], [0.0, 0.0, 0.05]],
@@ -805,8 +812,7 @@ def test_dirichlet_rows_equal_the_per_point_poisson_integrals():
         cells = dict(zip(table.columns, row))
         states.append(cells["status"])
         if cells["status"] == "ok":
-            want = solver.poisson_integral(
-                data, RotatedVector.sector(j, 2, np.array(point)), rule)
+            [[want]] = solver.poisson_integrals([data], [point], [j], rule)
             assert (cells["value_re"], cells["value_im"]) == (
                 want.real + 0.0, want.imag + 0.0)
     assert states == ["ok", "rejected", "ok", "ok"]
@@ -1115,6 +1121,29 @@ def test_almansi_refuses_a_huge_n_before_any_exponent_tuple(n, text):
             cli.run_command("almansi", {"n": n, "polynomial": text})
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.01
+
+
+@pytest.mark.parametrize("command,config,line", [
+    ("hua-limit", {"n": 1449, "u": "x1", "z": [0.1] + [0.0] * 1448},
+     "z: n=1449: 2099601 Lie-norm minors exceed the node cap"),
+    ("almansi", {"n": 2 ** 21 + 1, "polynomial": "x1"},
+     "polynomial: n=2097153: 2097153 exponents of 1 terms exceed the node "
+     "cap"),
+    ("dirichlet", {"n": 2, "p": 10 ** 6, "boundary": "x1",
+                   "points": [[0.1, 0.2]]},
+     "p=1000000: 23000000 sector nodes exceed the node cap"),
+    ("verify", {"n": 2 ** 40, "suites": ["route-agreement"]},
+     "suite route-agreement: n=1099511627776: 219902325555200 sampled "
+     "coordinates exceed the node cap"),
+])
+def test_node_cap_refusals_print_their_exact_error_line(tmp_path, capsys,
+                                                        command, config,
+                                                        line):
+    # one refusal per site that words the cap as "{size}: {count} {what}
+    # exceed the node cap": Lie-norm minors, polynomial exponents, sector
+    # nodes and a suite's sampled coordinates
+    assert run(tmp_path, command, config) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,9 @@ name an API the package no longer has."""
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -58,3 +60,42 @@ def test_readme_quick_start_runs():
     text = README.read_text().split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
     exec(compile(block, "README.md quick start", "exec"), {})
+
+
+# one small request of each command
+REQUESTS = {
+    "kernel": {"n": 3, "p": 2, "x": [0.2, 0.1, 0.0], "zeta": [0.6, 0.8, 0.0],
+               "degrees": [0, 3]},
+    "dirichlet": {"n": 2, "p": 2, "boundary": "x1^2 + x2",
+                  "points": [[0.3, 0.1], [0.0, 0.5]], "sectors": [0, 1]},
+    "hua-limit": {"n": 2, "u": "x1 x2", "z": [0.3, 0.1], "p_list": [1, 2]},
+    "almansi": {"n": 2, "polynomial": "x1^2 x2"},
+    "dims": {"n": 3, "degrees": [1, 2]},
+    "verify": {"n": 2, "suites": ["route-agreement"]},
+}
+
+
+def test_traced_commands_write_the_untraced_tables(tmp_path, monkeypatch,
+                                                   capsys):
+    # perfbench's tracer wraps every public function and counts work from
+    # some results, so a renamed function whose result a counter misreads
+    # would break a traced benchmark run; each command's table and exit
+    # code must be the same traced and untraced
+    monkeypatch.syspath_prepend(str(TRACER.parents[1]))
+    import polyball.cli
+    from perfbench.tracer import Tracer
+
+    tracer = Tracer(polyball)
+    for command, config in REQUESTS.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        runs, spans = [], len(tracer.spans)
+        for traced in (False, True):
+            out = tmp_path / f"{command}-{traced}.out"
+            with tracer if traced else contextlib.nullcontext():
+                code = polyball.cli.main([command, "--config", str(path),
+                                          "--out", str(out)])
+            runs.append((code, capsys.readouterr().err,
+                         out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1], command
+        assert runs[0][:2] == (0, "") and len(tracer.spans) > spans, command

@@ -23,24 +23,19 @@ from polyball.gegenbauer import _recurrence
 from polyball.geometry import (RotatedVector, as_complex_vector, lie_norm,
                                sector_points)
 from polyball.kernels import (
-    KernelParams,
-    ROUTE_EXPLICIT_SUM,
-    ROUTE_GEGENBAUER_DIFF,
-    ROUTE_SUM_OF_ZONALS,
     ROUTES,
     SeriesToleranceError,
     SingularKernelError,
+    _series_values,
     _tail_bound,
     boundary_form_values,
-    cauchy_hua,
+    cauchy_hua_from_products,
     hua_convergence_gap,
     pair_invariants,
-    poisson_from_hua,
+    poisson_from_products,
     poisson_kernel,
-    poisson_kernel_series,
     truncation_degree,
     zonal_from_products,
-    zonal_polyharmonic,
 )
 from polyball.polyalg import dim_Hp
 
@@ -63,6 +58,25 @@ def sector_interior_point(n: int, p: int, rng,
         rng.uniform(0.05, rmax) * unit_vector(n, rng))
 
 
+def stack(points) -> np.ndarray:
+    """Points, each a RotatedVector or an array, as one stack (k, n)."""
+    return np.array([as_complex_vector(v) for v in points])
+
+
+def stacked_invariants(xs, zetas) -> tuple:
+    """(B, x2, zb2, P = x2 * zb2) over the stacked pairs (xs[i], zetas[i])."""
+    B, x2, zb2 = pair_invariants(stack(xs), stack(zetas))
+    return B, x2, zb2, x2 * zb2
+
+
+def stacked_series(n: int, p: int, xs, zetas, tol: float) -> list:
+    """``_series_values`` over the stacked pairs, at their Lie radii."""
+    xs, zetas = stack(xs), stack(zetas)
+    B, x2, zb2 = pair_invariants(xs, zetas)
+    return _series_values(n, p, B, x2 * zb2,
+                          (lie_norm(xs) * lie_norm(zetas)).tolist(), tol)
+
+
 # --------------------------------------------------------------------------
 # zonal harmonics against classical closed forms
 # --------------------------------------------------------------------------
@@ -70,40 +84,40 @@ def sector_interior_point(n: int, p: int, rng,
 def test_zonal_harmonic_n2_is_twice_cosine():
     rng = np.random.default_rng(1)
     for m in range(1, 9):
-        for _ in range(20):
-            a, b = rng.uniform(0, 2 * math.pi, 2)
-            x = np.array([math.cos(a), math.sin(a)])
-            zeta = np.array([math.cos(b), math.sin(b)])
-            got = zonal_polyharmonic(KernelParams(2, 1, m), x, zeta)
-            want = 2.0 * math.cos(m * (a - b))
-            assert abs(got - want) <= 1e-11
-    assert zonal_polyharmonic(KernelParams(2, 1, 0), np.array([1.0, 0]),
-                              np.array([0.0, 1])) == pytest.approx(1.0)
+        a, b = np.array([rng.uniform(0, 2 * math.pi, 2)
+                         for _ in range(20)]).T
+        B, _, _, P = stacked_invariants(np.array([np.cos(a), np.sin(a)]).T,
+                                        np.array([np.cos(b), np.sin(b)]).T)
+        got = zonal_from_products(2, m, 1, B, P)
+        want = 2.0 * np.cos(m * (a - b))
+        assert np.all(np.abs(got - want) <= 1e-11)
+    B, _, _, P = stacked_invariants([[1.0, 0]], [[0.0, 1]])
+    assert zonal_from_products(2, 0, 1, B, P)[0] == pytest.approx(1.0)
 
 
 def test_zonal_harmonic_n3_is_legendre():
     rng = np.random.default_rng(2)
     for m in range(9):
-        for _ in range(20):
-            x = unit_vector(3, rng)
-            zeta = unit_vector(3, rng)
-            got = zonal_polyharmonic(KernelParams(3, 1, m), x, zeta)
-            want = (2 * m + 1) * eval_legendre(m, float(x @ zeta))
-            assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+        x, zeta = np.array([[unit_vector(3, rng), unit_vector(3, rng)]
+                            for _ in range(20)]).transpose(1, 0, 2)
+        B, _, _, P = stacked_invariants(x, zeta)
+        got = zonal_from_products(3, m, 1, B, P)
+        want = (2 * m + 1) * eval_legendre(m, np.sum(x * zeta, axis=1))
+        assert np.all(np.abs(got - want) <= 1e-11 * np.fmax(1.0, abs(want)))
 
 
 def test_zonal_harmonic_is_homogeneous_of_degree_m_in_each_slot():
     rng = np.random.default_rng(3)
     x, zeta = unit_vector(3, rng), unit_vector(3, rng)
+    B, _, _, P = stacked_invariants([x, 0.7 * x], [zeta, zeta])
     for m in (2, 5):
-        base = zonal_polyharmonic(KernelParams(3, 1, m), x, zeta)
-        scaled = zonal_polyharmonic(KernelParams(3, 1, m), 0.7 * x, zeta)
+        base, scaled = zonal_from_products(3, m, 1, B, P)
         assert scaled == pytest.approx(0.7 ** m * base, rel=1e-12)
 
 
 def test_zonal_negative_degree_is_zero():
-    assert zonal_polyharmonic(KernelParams(2, 1, -1), np.array([1.0, 0]),
-                              np.array([1.0, 0])) == 0
+    B, _, _, P = stacked_invariants([[1.0, 0]], [[1.0, 0]])
+    assert zonal_from_products(2, -1, 1, B, P).tolist() == [0]
 
 
 # --------------------------------------------------------------------------
@@ -134,11 +148,12 @@ def test_zonal_polyharmonic_diagonal_equals_dimension():
     for n in (2, 3):
         for p in (1, 2, 3):
             for m in range(9):
-                for j in range(p):
-                    eta = RotatedVector.sector(j, p, unit_vector(n, RNG))
-                    got = zonal_polyharmonic(KernelParams(n, p, m), eta, eta)
-                    want = dim_Hp(n, m, p)
-                    assert abs(got - want) <= 1e-9 * max(1.0, want)
+                etas = [RotatedVector.sector(j, p, unit_vector(n, RNG))
+                        for j in range(p)]
+                B, _, _, P = stacked_invariants(etas, etas)
+                got = zonal_from_products(n, m, p, B, P)
+                want = dim_Hp(n, m, p)
+                assert np.all(np.abs(got - want) <= 1e-9 * max(1.0, want))
 
 
 def test_zonal_polyharmonic_bound_by_dimension():
@@ -147,11 +162,12 @@ def test_zonal_polyharmonic_bound_by_dimension():
         for p in (1, 2):
             for m in (1, 3, 6):
                 cap = dim_Hp(n, m, p) * (1 + 1e-9)
-                for _ in range(30):
-                    zeta = sector_sphere_point(n, p, rng)
-                    eta = sector_sphere_point(n, p, rng)
-                    v = zonal_polyharmonic(KernelParams(n, p, m), zeta, eta)
-                    assert abs(v) <= cap
+                zeta, eta = zip(*[(sector_sphere_point(n, p, rng),
+                                   sector_sphere_point(n, p, rng))
+                                  for _ in range(30)])
+                B, _, _, P = stacked_invariants(zeta, eta)
+                assert np.all(np.abs(zonal_from_products(n, m, p, B, P))
+                              <= cap)
 
 
 def test_zonal_hermitian_symmetry():
@@ -160,9 +176,9 @@ def test_zonal_hermitian_symmetry():
         p = int(rng.integers(1, 4))
         zeta = sector_sphere_point(3, p, rng)
         eta = sector_sphere_point(3, p, rng)
+        B, _, _, P = stacked_invariants([zeta, eta], [eta, zeta])
         for m in (1, 4):
-            a = zonal_polyharmonic(KernelParams(3, p, m), zeta, eta)
-            b = zonal_polyharmonic(KernelParams(3, p, m), eta, zeta)
+            a, b = zonal_from_products(3, m, p, B, P)
             assert abs(np.conj(a) - b) <= 1e-11 * max(1.0, abs(a))
 
 
@@ -173,10 +189,10 @@ def test_zonal_scaling_rule_moves_conjugate_scalar():
         zeta = sector_sphere_point(2, p, rng).to_complex()
         eta = sector_sphere_point(2, p, rng).to_complex()
         a = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        B, _, _, P = stacked_invariants([a * zeta, zeta],
+                                        [eta, np.conj(a) * eta])
         for m in (2, 3):
-            lhs = zonal_polyharmonic(KernelParams(2, p, m), a * zeta, eta)
-            rhs = zonal_polyharmonic(KernelParams(2, p, m), zeta,
-                                     np.conj(a) * eta)
+            lhs, rhs = zonal_from_products(2, m, p, B, P)
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs))
 
 
@@ -205,21 +221,22 @@ def test_poisson_series_matches_closed_form_within_tail_bound():
     rng = np.random.default_rng(12)
     for n in (2, 3):
         for p in (1, 2, 3):
-            for _ in range(25):
-                x = sector_interior_point(n, p, rng, rmax=0.8)
-                zeta = sector_sphere_point(n, p, rng)
-                closed = poisson_kernel(x, zeta, p)
-                series = poisson_kernel_series(x, zeta, p, tol=1e-10)
+            xs, zetas = zip(*[(sector_interior_point(n, p, rng, rmax=0.8),
+                               sector_sphere_point(n, p, rng))
+                              for _ in range(25)])
+            B, x2, zb2, _ = stacked_invariants(xs, zetas)
+            closed = poisson_from_products(n, p, x2, B, zb2)
+            for value, series in zip(closed, stacked_series(n, p, xs, zetas,
+                                                            1e-10)):
                 assert series.terms_used <= 201
-                assert abs(closed - series.value) \
-                    <= series.tail_bound + 1e-10 * max(1.0, abs(closed))
+                assert abs(value - series.value) \
+                    <= series.tail_bound + 1e-10 * max(1.0, abs(value))
 
 
 def test_poisson_series_tail_bound_certifies_truncation():
-    x = RotatedVector(0.0, np.array([0.7, 0.1]))
-    zeta = RotatedVector(0.0, np.array([0.6, 0.8]))
-    loose = poisson_kernel_series(x, zeta, 1, tol=1e-4)
-    tight = poisson_kernel_series(x, zeta, 1, tol=1e-12)
+    x, zeta = [[0.7, 0.1]], [[0.6, 0.8]]
+    [loose] = stacked_series(2, 1, x, zeta, 1e-4)
+    [tight] = stacked_series(2, 1, x, zeta, 1e-12)
     assert loose.terms_used < tight.terms_used
     assert abs(loose.value - tight.value) \
         <= loose.tail_bound + 1e-11
@@ -252,15 +269,29 @@ def test_poisson_singular_near_boundary_touch():
         poisson_kernel(x, zeta, 1)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_poisson_kernel_of_an_angle_just_below_pi_is_its_own_point(p):
+    # RotatedVector(-1e-10, a) stores angle pi - 1e-10 with coords -a, and
+    # is the point a to 1e-10; the kernel tells it from its antipode -a
+    a, zeta = np.array([0.3, -0.2, 0.1]), np.array([1.0, 0.0, 0.0])
+    near, on, antipode = (poisson_kernel(RotatedVector(angle, a), zeta, p)
+                          for angle in (-1e-10, 0.0, math.pi))
+    B, x2, zb2, _ = stacked_invariants([a], [zeta])
+    assert on == poisson_from_products(3, p, x2, B, zb2)[0]
+    assert abs(near - on) < 1e-9 * abs(on)
+    assert abs(antipode - on) > 0.5 * abs(on)
+
+
 @pytest.mark.parametrize("n", [400, 401])
 def test_closed_forms_past_the_double_range_raise_without_warnings(n):
     # |x - zeta|^2 = 0.01, so the denominator power is 10^{n/2 * 2} > 2^1024;
     # at odd n the half-integer power underflows and divides by zero instead
     x = RotatedVector(0.0, np.array([0.9] + [0.0] * (n - 1)))
     zeta = np.array([1.0] + [0.0] * (n - 1))
+    B, x2, zb2, _ = stacked_invariants([x], [zeta])
     calls = (lambda: poisson_kernel(x, zeta, 1),
              lambda: boundary_form_values(n, 1, 0.81, 0.01),
-             lambda: cauchy_hua(x.to_complex(), zeta))
+             lambda: cauchy_hua_from_products(n, x2, B, zb2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
@@ -533,12 +564,16 @@ def test_poisson_series_error_within_the_proven_tail(n):
     for p in (1, 2, 3):
         for r in (0.3, 0.8, 0.95):
             terms = (1.0 - r ** (2 * p)) / (1.0 - r) ** n
+            xs, zetas = [], []
             for k in range(6):
                 zeta = sector_sphere_point(n, p, rng)
                 eta = zeta.coords if k == 0 else unit_vector(n, rng)
-                x = RotatedVector(zeta.angle, r * eta)
-                closed = poisson_kernel(x, zeta, p)
-                series = poisson_kernel_series(x, zeta, p, tol=1e-9)
+                xs.append(RotatedVector(zeta.angle, r * eta))
+                zetas.append(zeta)
+            B, x2, zb2, _ = stacked_invariants(xs, zetas)
+            for k, (closed, series) in enumerate(zip(
+                    poisson_from_products(n, p, x2, B, zb2),
+                    stacked_series(n, p, xs, zetas, 1e-9))):
                 slack = 1e-15 * series.terms_used * max(1.0, terms)
                 assert abs(closed - series.value) <= series.tail_bound + slack
                 if n == 2 and k == 0:  # rounding is far below the bound
@@ -553,30 +588,32 @@ def test_poisson_series_error_within_the_proven_tail(n):
 def test_cauchy_hua_matches_poisson_on_rotated_pairs():
     rng = np.random.default_rng(15)
     for p in (1, 2, 4):
-        for _ in range(20):
-            x = sector_interior_point(2, p, rng)
-            zeta = sector_sphere_point(2, p, rng)
-            closed = poisson_kernel(x, zeta, p)
-            via_hua = poisson_from_hua(x.to_complex(), zeta.to_complex(), p)
-            assert abs(closed - via_hua) <= 1e-11 * max(1.0, abs(closed))
+        xs, zetas = zip(*[(sector_interior_point(2, p, rng),
+                           sector_sphere_point(2, p, rng))
+                          for _ in range(20)])
+        B, x2, zb2, P = stacked_invariants(xs, zetas)
+        closed = poisson_from_products(2, p, x2, B, zb2)
+        # the Poisson kernel continued to the Lie domain: (1 - P^p) H
+        via_hua = (1.0 - P ** p) * cauchy_hua_from_products(2, x2, B, zb2)
+        assert np.all(np.abs(closed - via_hua)
+                      <= 1e-11 * np.fmax(1.0, np.abs(closed)))
 
 
 def test_cauchy_hua_at_origin_is_one():
-    assert cauchy_hua(np.zeros(2), np.array([0.3 + 0.1j, -0.2])) \
-        == pytest.approx(1.0)
+    B, x2, zb2, _ = stacked_invariants([np.zeros(2)], [[0.3 + 0.1j, -0.2]])
+    assert cauchy_hua_from_products(2, x2, B, zb2)[0] == pytest.approx(1.0)
 
 
 def test_cauchy_hua_rejects_pairs_outside_lie_domain():
     w = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        cauchy_hua(2.0 * w, w)
+    with pytest.raises(ValueError, match="outside the Lie domain"):
+        hua_convergence_gap([(2.0 * w, w)], 1)
 
 
 def test_cauchy_hua_singular_denominator():
-    z = np.array([1.0 - 1e-9, 0.0])
-    w = np.array([1.0, 0.0])
+    B, x2, zb2, _ = stacked_invariants([[1.0 - 1e-9, 0.0]], [[1.0, 0.0]])
     with pytest.raises(SingularKernelError):
-        cauchy_hua(z, w)
+        cauchy_hua_from_products(2, x2, B, zb2)
 
 
 def test_hua_convergence_gap_shrinks_with_order():
@@ -599,9 +636,9 @@ def test_hua_convergence_gap_shrinks_with_order():
 @pytest.mark.parametrize("n,p", [(n, p) for n in range(2, 6)
                                  for p in range(1, 4)])
 def test_per_point_kernels_equal_their_stacked_rows(n, p):
-    # each per-point kernel is the one-row case of the batched function
-    # that the kernel command runs on rows built by sector_points, so every
-    # per-point value is its pair's row of the stacked call, bit for bit
+    # every batched kernel acts on each pair alone: row i of a shuffled
+    # stack of pairs, built by sector_points as the kernel command builds
+    # them, equals the one-row (1, n) call on its pair, bit for bit
     rng = np.random.default_rng(40 + 10 * n + p)
     count = 16
     j, k = rng.integers(p, size=(2, count))
@@ -609,29 +646,21 @@ def test_per_point_kernels_equal_their_stacked_rows(n, p):
                          for _ in range(count)])
     zeta_coords = np.array([unit_vector(n, rng) for _ in range(count)])
     xs, zetas = sector_points(x_coords, j, p), sector_points(zeta_coords, k, p)
-    B, x2, zb2 = pair_invariants(xs, zetas)
-    P = x2 * zb2
-    zonal = [zonal_from_products(n, m, p, B, P) for m in range(9)]
-    poisson = kernels.poisson_from_products(n, p, x2, B, zb2)
-    hua = kernels.cauchy_hua_from_products(n, x2, B, zb2)
-    continued = (1.0 - P ** p) * hua
-    series = kernels._series_values(n, p, B, P, (lie_norm(xs)
-                                                 * lie_norm(zetas)).tolist(),
-                                    1e-10)
-    for i in range(count):
-        x = RotatedVector.sector(int(j[i]), p, x_coords[i])
-        zeta = RotatedVector.sector(int(k[i]), p, zeta_coords[i])
-        for m in range(9):
-            assert zonal_polyharmonic(KernelParams(n, p, m), x,
-                                      zeta) == zonal[m][i], (i, m)
-        assert poisson_kernel(x, zeta, p) == poisson[i], i
-        assert cauchy_hua(x, zeta) == hua[i], i
-        assert poisson_from_hua(x, zeta, p) == continued[i], i
-        assert poisson_kernel_series(x, zeta, p, 1e-10) == series[i], i
+    order = rng.permutation(count)
 
+    def kernels_of(rows):  # every batched kernel on the pairs ``rows``
+        B, x2, zb2 = pair_invariants(xs[rows], zetas[rows])
+        P = x2 * zb2
+        values = [zonal_from_products(n, m, p, B, P, route)
+                  for m in range(9) for route in ROUTES]
+        values += [poisson_from_products(n, p, x2, B, zb2),
+                   cauchy_hua_from_products(n, x2, B, zb2),
+                   lie_norm(xs[rows]) * lie_norm(zetas[rows])]
+        return values, _series_values(n, p, B, P, values[-1].tolist(), 1e-10)
 
-def test_kernel_params_validation():
-    with pytest.raises(ValueError):
-        KernelParams(1, 1, 0)
-    with pytest.raises(ValueError):
-        KernelParams(2, 0, 0)
+    stacked, stacked_series_values = kernels_of(order)
+    for i, pair in enumerate(order):
+        alone, [alone_series] = kernels_of([pair])
+        for row, value in zip(stacked, alone):
+            assert row[i] == value[0], (i, pair)
+        assert stacked_series_values[i] == alone_series, (i, pair)

@@ -170,38 +170,23 @@ def test_suite_rules_take_their_size_from_a_sizing_function():
     assert set(fixed) == set(FIXED_RULES), fixed
 
 
-# The per-point public wrappers, the one place above geometry and kernels
-# where a point may arrive as a RotatedVector.
-PER_POINT_WRAPPERS = {("solver", "poisson_integral")}
-
-
 def _point_objects(tree: ast.AST):
-    """(enclosing function, line, what) of every ``RotatedVector(...)`` or
-    ``.sector(...)`` call and every ``sector_index`` read."""
-    def walk(node, function):
-        for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-            if isinstance(child, ast.Call):
-                name = _callee(child)
-                if name in ("RotatedVector", "sector"):
-                    yield inner, child.lineno, f"{name}("
-            if (isinstance(child, (ast.Attribute, ast.Name))
-                    and "sector_index" in (getattr(child, "attr", None),
-                                           getattr(child, "id", None))):
-                yield inner, child.lineno, "sector_index"
-            yield from walk(child, inner)
-    yield from walk(tree, None)
+    """(line, what) of every ``RotatedVector(...)`` or ``.sector(...)``
+    call and every ``sector_index`` read."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and _callee(node) in ("RotatedVector", "sector")):
+            yield node.lineno, f"{_callee(node)}("
+        if "sector_index" in (getattr(node, "attr", None),
+                              getattr(node, "id", None)):
+            yield node.lineno, "sector_index"
 
 
 def test_batched_layers_build_no_rotated_points():
-    violations = []
-    for name in ("solver", "suites", "cli"):
-        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
-        for function, line, what in _point_objects(tree):
-            if what != "sector_index" or (name, function) \
-                    not in PER_POINT_WRAPPERS:
-                violations.append(f"{name}.py:{line} {what}")
+    violations = [f"{name}.py:{line} {what}"
+                  for name in ("solver", "suites", "cli")
+                  for line, what in _point_objects(
+                      ast.parse((PACKAGE / f"{name}.py").read_text()))]
     assert not violations, violations
 
 
@@ -227,15 +212,10 @@ UNREFERENCED_PUBLIC = {
                        "Poisson-integral route",
     "spectral_component": "the only check that Z_m^p reproduces H_m^p, by "
                           "each of the three zonal routes",
-    "poisson_integral": "the one-point case of poisson_integrals: the "
-                        "per-point reference of the batched dirichlet table",
-    "zonal_polyharmonic": "bit-equal per-pair reference",
-    "poisson_kernel_series": "bit-equal per-pair reference",
-    "poisson_kernel": "bit-equal per-pair reference",
-    "cauchy_hua": "bit-equal per-pair reference",
-    "poisson_from_hua": "bit-equal per-pair reference",
-    "RotatedVector.sector": "builds the per-point form of a sector point; "
-                            "batched code uses geometry.sector_points",
+    "poisson_kernel": "perfbench/tests call it; a benchmark-only PR moves "
+                      "it",
+    "RotatedVector.sector": "perfbench/tests call it; a benchmark-only PR "
+                            "moves it",
     "rule_from_json": "reads back the rule record that every table carries",
     "PropertyResult.passed": "the acceptance gate reads it",
 }

@@ -24,7 +24,6 @@ from polyball.solver import (
     dirichlet_solve,
     hua_integrals,
     hua_reproduce,
-    poisson_integral,
     poisson_integrals,
     polyharmonic_limit_experiment,
     spectral_component,
@@ -89,13 +88,12 @@ def test_boundary_data_uses_the_kernel_sector_phases(monkeypatch):
     # and kernels must share one
     evaluated, built = _recorded_phases(monkeypatch)
     want = sector_phases(range(6), 6)
-    x = RotatedVector.sector(5, 6, np.array([0.2, -0.1, 0.3]))
     q = MultiPoly.from_text("x1^3 - 2 * x1 x2 + x3 + 1", n=3)
     for rule in (quadrature.sphere_rule(3, 6),
                  solver.aligned_rule(3, 6, q.degree())):
         evaluated.clear()
         built.clear()
-        poisson_integral(BoundaryData(q, 6), x, rule)
+        poisson_integrals([BoundaryData(q, 6)], [[0.2, -0.1, 0.3]], [5], rule)
         np.testing.assert_array_equal(
             np.concatenate([phase for _, phase in evaluated]), want)
         np.testing.assert_array_equal(np.concatenate(built), want)
@@ -155,8 +153,9 @@ def test_one_by_one_integrals_equal_their_batched_entries():
     batched = poisson_integrals(data, *points, rule)
     hua = hua_integrals(qs, zs, lie)
     for d, f in enumerate(data):
-        for i, x in enumerate(rotated(points, 7)):
-            assert poisson_integral(f, x, rule) == batched[i, d]
+        for i, (coords, j) in enumerate(zip(*points)):
+            assert poisson_integrals([f], [coords], [j], rule)[0, 0] \
+                == batched[i, d]
         for i, z in enumerate(zs):
             assert hua_reproduce(f.q, z, lie) == hua[i, d]
 
@@ -170,11 +169,11 @@ def test_poisson_integral_reproduces_polyharmonic_basis(n, p, m):
     rng = np.random.default_rng(1000 + n + 10 * p + 100 * m)
     rule = choose_rule(n, p, m, radius=0.6, tol=1e-11)
     for q in polyharmonic_basis(n, m, p)[:4]:
-        data = BoundaryData(q, p)
-        for x in rotated(interior_points(n, p, 5, rng), p):
-            got = poisson_integral(data, x, rule)
+        points = interior_points(n, p, 5, rng)
+        got = poisson_integrals([BoundaryData(q, p)], *points, rule)[:, 0]
+        for value, x in zip(got, rotated(points, p)):
             want = q.evaluate(x)
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+            assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_dirichlet_solve_matches_poisson_integral():
@@ -185,8 +184,7 @@ def test_dirichlet_solve_matches_poisson_integral():
     pts = interior_points(2, p, 12, np.random.default_rng(5), rmax=0.7)
     values = dirichlet_solve(data, *pts, rule)
     assert values.shape == (12,)
-    for x, v in zip(rotated(pts, p), values):
-        direct = poisson_integral(data, x, rule)
+    for v, direct in zip(values, poisson_integrals([data], *pts, rule)[:, 0]):
         assert abs(v - direct) <= 1e-11 * max(1.0, abs(direct))
 
 
@@ -204,22 +202,8 @@ def test_dirichlet_rejects_exterior_and_off_sector_points():
         dirichlet_solve(data, geometry.sector_points([[0.3, 0.0]], [1], 2),
                         [1], rule)
     assert dirichlet_solve(data, [[0.3, 0.0]], [1], rule).shape == (1,)
-    with pytest.raises(ValueError):  # the per-point form checks its angle
-        poisson_integral(data, RotatedVector(0.123, np.array([0.3, 0.0])),
-                         rule)
-
-
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_poisson_integral_of_an_angle_just_below_pi_is_its_own_point(p):
-    # RotatedVector(-1e-10, a) stores angle pi - 1e-10 with coords -a, and
-    # is the point a to 1e-10; odd data tell it from its antipode -a
-    a = np.array([0.3, -0.2, 0.1])
-    data = BoundaryData(MultiPoly.from_text("x1", n=3), p)
-    rule = solver.choose_rule(3, p, 1, 0.4, 1e-12)
-    near, on = (poisson_integral(data, RotatedVector(angle, a), rule)
-                for angle in (-1e-10, 0.0))
-    assert abs(on - 0.3) < 1e-12
-    assert abs(near - on) < 1e-9
+    with pytest.raises(ValueError):  # the Poisson route checks its sectors
+        poisson_integrals([data], [[0.3, 0.0]], [2], rule)
 
 
 # --------------------------------------------------------------------------
@@ -732,10 +716,9 @@ def test_poisson_integral_of_constant_is_one():
     for p in (1, 2, 3):
         data = BoundaryData(MultiPoly.constant(2, 1), p)
         rule = choose_rule(2, p, 0, radius=0.8, tol=1e-12)
-        for x in rotated(interior_points(2, p, 6, np.random.default_rng(7),
-                                         rmax=0.8), p):
-            got = poisson_integral(data, x, rule)
-            assert abs(got - 1.0) <= 1e-10
+        got = poisson_integrals([data], *interior_points(
+            2, p, 6, np.random.default_rng(7), rmax=0.8), rule)
+        assert np.all(np.abs(got - 1.0) <= 1e-10)
 
 
 def test_spectral_component_recovers_polyharmonic_values():

@@ -9,7 +9,6 @@ import pytest
 
 from polyball import kernels, polyalg, quadrature, solver, suites
 from polyball.geometry import RotatedVector
-from polyball.kernels import KernelParams
 from polyball.polyalg import MultiPoly
 from polyball.suites import (SUITES, PropertyResult, run_suite,
                              suite_diagonal_dim, suite_far_cap,
@@ -199,8 +198,8 @@ def test_diagonal_dim_counts_a_basis_element_that_is_not_annihilated(
 
 
 def _per_sample_diagonal_gap(n, p, seed, max_degree=8, samples=3):
-    """The diagonal-dim gap by one scalar kernel call per sample, drawing
-    the points in the suite's order."""
+    """The diagonal-dim gap by one kernel call on a one-row stack per
+    sample, drawing the points in the suite's order."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for m in range(max_degree + 1):
@@ -209,8 +208,9 @@ def _per_sample_diagonal_gap(n, p, seed, max_degree=8, samples=3):
             for _ in range(samples):
                 v = rng.standard_normal(n)
                 eta = RotatedVector.sector(j, p, v / np.linalg.norm(v))
-                value = kernels.zonal_polyharmonic(KernelParams(n, p, m),
-                                                   eta, eta)
+                B, x2, zb2 = kernels.pair_invariants(
+                    *[eta.to_complex()[None]] * 2)
+                [value] = kernels.zonal_from_products(n, m, p, B, x2 * zb2)
                 worst = max(worst, abs(value - dim))
     return worst
 
@@ -232,14 +232,14 @@ def test_diagonal_dim_makes_one_kernel_call_per_degree(monkeypatch):
         return batched(n, m, p, B, P, *args)
 
     monkeypatch.setattr(kernels, "zonal_from_products", counted)
-    monkeypatch.setattr(kernels, "zonal_polyharmonic", None)
     suite_diagonal_dim(n=3, p=3, max_degree=8, samples=3)
     assert calls == [(m, 9) for m in range(9)]
 
 
 def _per_pair_kernel_symmetry(n, p, seed, max_degree=8, pairs=50):
-    """The kernel-symmetry deviations by per-point kernel calls, one pair
-    at a time, drawing the points in the suite's order."""
+    """The kernel-symmetry deviations by kernel calls on one pair at a time
+    (its four zonal arguments stacked), drawing the points in the suite's
+    order."""
     rng = np.random.default_rng(seed)
     draws = [(rng.integers(p), rng.standard_normal(n), rng.integers(p),
               rng.standard_normal(n), complex(*rng.uniform(-1.4, 1.4, 2)),
@@ -251,14 +251,13 @@ def _per_pair_kernel_symmetry(n, p, seed, max_degree=8, pairs=50):
         z = zc.to_complex()
         e = RotatedVector.sector(int(k), p, eta / np.linalg.norm(eta)
                                  ).to_complex()
+        B, x2, zb2 = kernels.pair_invariants(
+            np.array([z, e, a * z, z]), np.array([e, z, e, a.conjugate() * e]))
         for m in range(max_degree + 1):
-            params = KernelParams(n, p, m)
-            fwd = kernels.zonal_polyharmonic(params, z, e)
-            rev = kernels.zonal_polyharmonic(params, e, z)
+            fwd, rev, left, right = map(complex, kernels.zonal_from_products(
+                n, m, p, B, x2 * zb2))
             sym = max(sym, abs(fwd.conjugate() - rev)
                       / max(1.0, abs(fwd), abs(rev)))
-            left = kernels.zonal_polyharmonic(params, a * z, e)
-            right = kernels.zonal_polyharmonic(params, z, a.conjugate() * e)
             scal = max(scal, abs(left - right)
                        / max(1.0, abs(left), abs(right)))
             bound = max(bound, abs(fwd) / polyalg.dim_Hp(n, m, p))
@@ -270,7 +269,7 @@ def _per_pair_kernel_symmetry(n, p, seed, max_degree=8, pairs=50):
 
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 3), (3, 2), (5, 3)])
 def test_kernel_symmetry_equals_the_per_pair_kernel_loop(n, p):
-    # the stacked rows against per-point calls pair by pair: the zonal and
+    # the stacked rows against kernel calls pair by pair: the zonal and
     # Poisson values are equal, but numpy's array abs and its products by
     # the scalars a may round a last bit otherwise, so each row is held to
     # 4 eps of max(1, deviation)
