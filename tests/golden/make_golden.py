@@ -26,15 +26,26 @@ whose exit code or digests differ from the committed file, or that it
 lacks, it prints the name, the columns that changed and, where the cells
 are kept, the largest change of each changed value column relative to
 max(1, |cell|); it exits 1 if there is such a case.
+
+The same run rebuilds ``errors.json``: the same configs broken on purpose
+(``error_cases``), each refused by validation, with its exit code and its
+``error:`` line.  Every key of every command gets each of its faults
+alone; then come configs with two or three faults on distinct keys, which
+pin the order of the checks.  ``--check`` runs the committed refusals
+through ``cli.main`` again and names those whose exit code or line
+changed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +57,7 @@ from perfbench import workloads  # noqa: E402
 from polyball import cli, polyalg  # noqa: E402
 
 OUT = Path(__file__).resolve().parent / "corpus.json"
+ERRORS = OUT.with_name("errors.json")
 SEEDS = (5, 6)
 # tables of at most this many rows keep their value cells (every table but
 # the kernel tables, which run to hundreds of rows)
@@ -189,6 +201,262 @@ def probe_case(n: int, p: int, degree: int) -> tuple:
     return f"probe n={n} p={p} deg={degree}", "dirichlet", config
 
 
+# --------------------------------------------------------------------------
+# error lines: corpus configs broken on purpose, refused by validation
+# --------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+# the keys each command accepts, in no particular order; "unknown" adds a
+# key it does not accept
+KEYS = {
+    "kernel": ("n", "p", "seed", "tolerance", "x", "zeta", "x_sector",
+               "zeta_sector", "pairs", "degrees", "kernels"),
+    "dirichlet": ("n", "p", "seed", "tolerance", "boundary", "points",
+                  "sectors", "resolution"),
+    "verify": ("n", "p", "seed", "tolerance", "suites"),
+    "hua-limit": ("n", "seed", "tolerance", "u", "z", "p_list",
+                  "resolution"),
+    "almansi": ("n", "p", "seed", "tolerance", "polynomial"),
+    "dims": ("n", "p", "seed", "tolerance", "degrees"),
+}
+ERROR_CASES = 1000  # configs drawn with two or three faults
+MAX_BYTES = 2048  # the largest config JSON kept
+
+
+def _pick(rng, values, config):
+    value = rng.choice(values)
+    return value(config) if callable(value) else value
+
+
+def _where(rng, config, key):
+    """The mapping that holds ``key``: the config, or, for a pair key of a
+    pairs list, one of its entries."""
+    pairs = config.get("pairs")
+    pairs = [entry for entry in pairs if isinstance(entry, dict)] \
+        if isinstance(pairs, list) else []
+    if key in ("x", "zeta", "x_sector", "zeta_sector") and pairs:
+        return rng.choice(pairs)
+    return config
+
+
+def put(key, kind, *values):
+    """Set ``key`` to one of ``values`` (a callable takes the config)."""
+    def fault(rng, config):
+        _where(rng, config, key)[key] = _pick(rng, values, config)
+        return f"{key}: {kind}"
+    return fault
+
+
+def drop(key):
+    def fault(rng, config):
+        _where(rng, config, key).pop(key, None)
+        return f"{key}: missing"
+    return fault
+
+
+def item(key, kind, *values, depth=1):
+    """Set one entry of the list at ``key`` (``depth`` 2: one coordinate
+    of one entry) to one of ``values``."""
+    def fault(rng, config):
+        at = _where(rng, config, key)
+        cells = at.get(key)
+        for _ in range(depth - 1):
+            if not isinstance(cells, list) or not cells:
+                break
+            cells = rng.choice(cells)
+        if not isinstance(cells, list) or not cells:
+            at[key] = _pick(rng, values, config)
+        else:
+            cells[rng.randrange(len(cells))] = _pick(rng, values, config)
+        return f"{key}: {kind}"
+    return fault
+
+
+def resize(key, depth=1):
+    """Add or drop the last entry of the list at ``key`` (``depth`` 2: of
+    one of its entries)."""
+    def fault(rng, config):
+        cells = _where(rng, config, key).get(key)
+        for _ in range(depth - 1):
+            if isinstance(cells, list) and cells:
+                cells = rng.choice(cells)
+        if isinstance(cells, list) and cells and rng.random() < 0.5:
+            cells.pop()
+        elif isinstance(cells, list):
+            cells.append(cells[-1] if cells else 0.5)
+        return f"{key}: length"
+    return fault
+
+
+def _n(config):
+    return config.get("n") if isinstance(config.get("n"), int) else 2
+
+
+def _p(config):
+    return config.get("p") if isinstance(config.get("p"), int) else 1
+
+
+def conflict(rng, config):
+    """Give both a pairs list and a top-level x or zeta."""
+    n = _n(config)
+    if "pairs" in config:
+        config[rng.choice(("x", "zeta"))] = [0.5] * n
+    else:
+        config["pairs"] = [{"x": [0.5] * n, "zeta": [1.0] + [0.0] * (n - 1)}]
+    return "pairs: conflict"
+
+
+_VECTOR = (
+    drop, lambda k: put(k, "type", 0.5, "x", {}, None, True),
+    lambda k: resize(k),
+    lambda k: item(k, "type", "0", None, True, [0.5]),
+    lambda k: item(k, "non-finite", NAN, INF, -INF))
+_SECTOR = (
+    lambda k: put(k, "type", "0", 0.0, True, None, [0]),
+    lambda k: put(k, "below", -1, -2 ** 63),
+    lambda k: put(k, "above", _p, lambda c: _p(c) + 3, 2 ** 64))
+_TEXT = (drop, lambda k: put(k, "type", 1, None, ["x1"], True, {"x1": 1}))
+_NAMES = (
+    lambda k: put(k, "type", "zonal", None, 1, {}),
+    lambda k: put(k, "empty", []),
+    lambda k: item(k, "type", 1, None, ["hua"], True),
+    lambda k: item(k, "value", "nope", "Zonal", "far_cap", ""))
+_DEGREES = (
+    lambda k: put(k, "type", 3, "0", {}, None),
+    lambda k: put(k, "empty", []),
+    lambda k: item(k, "type", "1", 1.5, None, True),
+    lambda k: item(k, "below", -1, -10))
+_RESOLUTION = (
+    lambda k: put(k, "type", "4", "Auto", 4.5, True, None, [8]),
+    lambda k: put(k, "below", 3, 0, -4))
+_SOME_KEYS = ("extra", "P", "Seed", "tol", "x ", "u", "pairs", "resolution",
+              "p", "suites", "boundary", "degrees", "z", "sectors")
+FAULTS = {
+    "n": (drop, lambda k: put(k, "type", "2", 2.0, True, None, [2]),
+          lambda k: put(k, "below", 1, 0, -3),
+          lambda k: put(k, "changed", lambda c: _n(c) + 1)),
+    "p": (lambda k: put(k, "type", "1", 1.0, False, None),
+          lambda k: put(k, "below", 0, -1),
+          lambda k: put(k, "changed", 1)),
+    "seed": (lambda k: put(k, "type", "0", 0.5, True, [0]),
+             lambda k: put(k, "below", -1),
+             lambda k: put(k, "above", 2 ** 64, 2 ** 70)),
+    "tolerance": (lambda k: put(k, "type", "1e-6", True, [1e-6], {}),
+                  lambda k: put(k, "below", 0, 0.0, -1e-6),
+                  lambda k: put(k, "non-finite", NAN, INF, -INF)),
+    "x": _VECTOR, "zeta": _VECTOR,
+    "x_sector": _SECTOR, "zeta_sector": _SECTOR,
+    "pairs": (drop, lambda k: put(k, "type", {}, "pairs", None, 3),
+              lambda k: put(k, "empty", []),
+              lambda k: item(k, "type", "x", 3, None, [0.5, 0.0]),
+              lambda k: item(k, "unknown", {"x": [0.5, 0.0], "zeta": [1.0, 0.0],
+                                            "y": 1}, {"X_sector": 0}),
+              lambda k: conflict),
+    "degrees": _DEGREES, "kernels": _NAMES, "suites": _NAMES,
+    "boundary": _TEXT, "u": _TEXT, "polynomial": _TEXT,
+    "points": (drop, lambda k: put(k, "type", None, {}, "p", [0.5]),
+               lambda k: put(k, "empty", []),
+               lambda k: item(k, "type", "x", 0.5, None, {}),
+               lambda k: resize(k, depth=2),
+               lambda k: item(k, "type", "0", None, True, depth=2),
+               lambda k: item(k, "non-finite", NAN, INF, -INF, depth=2)),
+    "sectors": (lambda k: put(k, "type", None, 0, "0", {}),
+                lambda k: resize(k),
+                lambda k: item(k, "type", "0", 1.5, None, True),
+                lambda k: item(k, "below", -1),
+                lambda k: item(k, "above", _p, lambda c: _p(c) + 1)),
+    "resolution": _RESOLUTION,
+    "z": (drop, lambda k: put(k, "type", "z", 0.5, None, {}),
+          lambda k: resize(k),
+          lambda k: item(k, "type", "0", None, True, {}),
+          lambda k: item(k, "length", [0.1], [0.1, 0.2, 0.3], []),
+          lambda k: item(k, "type", [0.1, "0"], [None, 0.0], [True, 0.0]),
+          lambda k: item(k, "non-finite", NAN, INF, [0.1, NAN], [INF, 0.0])),
+    "p_list": (lambda k: put(k, "type", 4, "1", None, {}),
+               lambda k: put(k, "empty", []),
+               lambda k: item(k, "type", "2", 1.5, True, None),
+               lambda k: item(k, "below", 0, -1),
+               lambda k: put(k, "order", [1, 1], [2, 1], [1, 4, 3],
+                             [1, 2, 2, 8])),
+}
+
+
+def break_config(rng, command: str, config: dict, faults) -> tuple:
+    """A copy of ``config`` with the faults ``(key, index)`` (an index of
+    None: one drawn) and their labels.  A pairs list keeps at most three
+    pairs, in order; "unknown" adds a key the command does not accept."""
+    config = json.loads(json.dumps(config))
+    if isinstance(config.get("pairs"), list) and len(config["pairs"]) > 3:
+        kept = sorted(rng.sample(range(len(config["pairs"])), 3))
+        config["pairs"] = [config["pairs"][i] for i in kept]
+    labels = []
+    for key, index in faults:
+        if key == "unknown":
+            extra = rng.choice([k for k in _SOME_KEYS
+                                if k not in KEYS[command]])
+            config[extra] = rng.choice([1, "x", None, [0.5]])
+            labels.append(f"{extra}: unknown")
+            continue
+        if index is None:
+            index = rng.randrange(len(FAULTS[key]))
+        labels.append(FAULTS[key][index](key)(rng, config))
+    return config, labels
+
+
+def _accepted(cfg):
+    raise RuntimeError("validation accepted the config")
+
+
+def refusal(command: str, config: dict, path: Path) -> tuple:
+    """``cli.main``'s exit code and stderr on ``config``, written to
+    ``path``, with every runner replaced by one that raises: a config that
+    validation accepts ends with exit 4, and nothing runs."""
+    path.write_text(json.dumps(config))
+    runners, err = dict(cli._RUNNERS), io.StringIO()
+    cli._RUNNERS.update(dict.fromkeys(runners, _accepted))
+    try:
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path)])
+    finally:
+        cli._RUNNERS.update(runners)
+    return code, err.getvalue()
+
+
+def error_cases(cases: list, path: Path) -> list:
+    """Configs of ``cases`` broken with a fixed seed, each refused by
+    validation: for every key of every command, each of its faults alone,
+    twice, then ``ERROR_CASES`` draws of two or three faults on
+    distinct keys.  Each keeps its config, faults, exit code and stderr
+    line.  A config above ``MAX_BYTES`` of JSON, or drawn before, is
+    dropped."""
+    rng = random.Random("golden:error-lines")
+    bases = {}
+    for _, command, config in cases:
+        bases.setdefault(command, []).append(config)
+    plans = [(command, [(key, index)]) for command in KEYS
+             for key in KEYS[command] for index in range(len(FAULTS[key]))
+             for _ in range(2)]
+    plans += [(command, [("unknown", None)]) for command in KEYS
+              for _ in range(2)]
+    for _ in range(ERROR_CASES):
+        command = rng.choice(sorted(KEYS))
+        keys = rng.sample(KEYS[command] + ("unknown",), rng.choice((2, 2, 3)))
+        plans.append((command, [(key, None) for key in keys]))
+    out, seen = [], set()
+    for command, faults in plans:
+        config, labels = break_config(rng, command,
+                                      rng.choice(bases[command]), faults)
+        text = json.dumps(config, sort_keys=True)
+        if len(text) > MAX_BYTES or (command, text) in seen:
+            continue
+        seen.add((command, text))
+        code, stderr = refusal(command, config, path)
+        if code == cli.EXIT_CONFIG:
+            out.append({"command": command, "config": config,
+                        "faults": labels, "exit": code, "stderr": stderr})
+    return out
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -252,7 +520,19 @@ def main(argv=None) -> int:
     corpus = {"versions": {"python": platform.python_version(),
                            "numpy": np.__version__},
               "cases": [record(*case) for case in cases]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        if check:
+            changed = [case for case in json.loads(ERRORS.read_text())["cases"]
+                       if refusal(case["command"], case["config"], path)
+                       != (case["exit"], case["stderr"])]
+        else:
+            errors = error_cases(cases, path)
     if check:
+        for case in changed:
+            print(f"{case['command']} {json.dumps(case['config'])[:120]}: "
+                  f"error line changed from {case['stderr']!r}")
+        print(f"{len(changed)} error lines differ from {ERRORS}")
         committed = {case["name"]: case
                      for case in json.loads(OUT.read_text())["cases"]}
         differ = 0
@@ -262,9 +542,12 @@ def main(argv=None) -> int:
                 differ += 1
                 print(f"{case['name']}: {note}")
         print(f"{differ} of {len(cases)} cases differ from {OUT}")
-        return 1 if differ else 0
+        return 1 if differ or changed else 0
     OUT.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"{len(cases)} cases written to {OUT}")
+    ERRORS.write_text("{\"cases\": [\n" + ",\n".join(
+        json.dumps(case, sort_keys=True) for case in errors) + "\n]}\n")
+    print(f"{len(errors)} refused configs written to {ERRORS}")
     return 0
 
 

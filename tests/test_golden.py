@@ -15,6 +15,11 @@ digests cover numpy's elementwise functions and the versions the metadata
 records, so they are compared only on the Python and numpy versions the
 corpus was built with; elsewhere the exit codes are compared and the test
 is skipped, not passed.
+
+``golden/errors.json`` holds corpus configs broken on purpose with a fixed
+seed, one to three faults each, that validation refuses: each still ends
+with its recorded exit code and ``error:`` line, on every platform.  The
+cases with two or three faults pin the order of the checks.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import pytest
 from polyball import cli
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "corpus.json"
+ERRORS = CORPUS.with_name("errors.json")
 
 
 def test_golden_tables_are_byte_identical():
@@ -48,3 +54,25 @@ def test_golden_tables_are_byte_identical():
     if here != corpus["versions"]:
         pytest.skip(f"digests taken on {corpus['versions']}, not {here}")
     assert not changed, f"tables changed: {changed}"
+
+
+def _accepted(cfg):
+    raise RuntimeError("validation accepted the config")
+
+
+def test_refused_configs_print_their_recorded_error_lines(tmp_path, capsys,
+                                                          monkeypatch):
+    # every runner raises: a config that validation accepts ends with exit
+    # 4 and runs nothing
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS,
+                                                       _accepted))
+    path = tmp_path / "config.json"
+    changed = []
+    for case in json.loads(ERRORS.read_text())["cases"]:
+        path.write_text(json.dumps(case["config"]))
+        code = cli.main([case["command"], "--config", str(path)])
+        err = capsys.readouterr().err
+        if (code, err) != (case["exit"], case["stderr"]):
+            changed.append(f"{case['command']} {case['faults']}: "
+                           f"{case['stderr']!r} -> exit {code} {err!r}")
+    assert not changed, f"{len(changed)} error lines changed: {changed[:5]}"
