@@ -65,9 +65,6 @@ _MIN_CELLS = 512  # cells in a JSON table before a lookup of distinct ones pays
 VALUE_COLUMNS = ("value_re", "value_im", "reference_re", "reference_im",
                  "abs_error", "bound")
 
-_COMMON_KEYS = frozenset({"n", "seed", "tolerance"})
-_PAIR_KEYS = {"x", "zeta", "x_sector", "zeta_sector"}
-
 
 class ConfigError(ValueError):
     """Invalid configuration document or unparsable embedded text."""
@@ -96,29 +93,16 @@ def _as_float(value, key: str) -> float:
     return out
 
 
-def _as_str(value, key: str) -> str:
+def _as_str(value, key: str, cfg=None) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string")
     return value
 
 
-def _as_vector(value, key: str, n: int) -> list:
-    if not isinstance(value, list) or len(value) != n:
-        raise ConfigError(f"{key} must be a list of {n} numbers")
+def _as_vector(value, key: str, cfg: dict) -> list:
+    if not isinstance(value, list) or len(value) != cfg["n"]:
+        raise ConfigError(f"{key} must be a list of {cfg['n']} numbers")
     return [_as_float(v, f"{key}[{i}]") for i, v in enumerate(value)]
-
-
-def _required(raw: dict, key: str, what: str):
-    if key not in raw:
-        raise ConfigError(f"{what} is required")
-    return raw[key]
-
-
-def _nonempty_list(raw: dict, key: str, default) -> list:
-    value = raw.get(key, default)
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key} must be a non-empty list")
-    return value
 
 
 def _as_complex_entry(value, key: str) -> list:
@@ -128,6 +112,109 @@ def _as_complex_entry(value, key: str) -> list:
             raise ConfigError(f"{key} must be a number or an [re, im] pair")
         return [_as_float(value[0], f"{key}[0]"), _as_float(value[1], f"{key}[1]")]
     return [_as_float(value, key), 0.0]
+
+
+class _Required(str):
+    """The error that the absence of a key without a default raises."""
+
+
+def _int(minimum=None, maximum=None):
+    return lambda value, key, cfg: _as_int(value, key, minimum, maximum)
+
+
+def _sector(value, key: str, cfg: dict) -> int:
+    return _as_int(value, key, 0, cfg["p"] - 1)
+
+
+def _listed(check):
+    """A non-empty list, each entry checked by ``check``."""
+    def read(value, key, cfg):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{key} must be a non-empty list")
+        return [check(v, f"{key}[{i}]", cfg) for i, v in enumerate(value)]
+    return read
+
+
+def _named(names, unknown: str):
+    """A string in ``names``; ``unknown`` words any other string."""
+    def read(value, key, cfg):
+        if _as_str(value, key) not in names:
+            raise ConfigError(unknown.format(value))
+        return value
+    return read
+
+
+def _tolerance(value, key: str, cfg: dict) -> float | None:
+    if value is not None and _as_float(value, key) <= 0:
+        raise ConfigError(f"{key} must be positive")
+    return value if value is None else float(value)
+
+
+def _coordinates(value, key: str, cfg: dict) -> list:
+    if not isinstance(value, list) or len(value) != cfg["n"]:
+        raise ConfigError(f"{key} must be a list of {cfg['n']} coordinates")
+    return [_as_complex_entry(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
+
+def _increasing(value, key: str, cfg: dict) -> list:
+    value = _listed(_int(1))(value, key, cfg)
+    if any(b <= a for a, b in zip(value, value[1:])):
+        raise ConfigError(f"{key} must be strictly increasing")
+    return value
+
+
+def _read(table: dict, raw: dict, cfg=None, at: str = "") -> dict:
+    """The keys of ``table`` read from ``raw`` in table order and named
+    with the prefix ``at``: into ``cfg`` at the top level, into a dict of
+    its own for a pairs entry.  An entry is a pair (``check(value, name,
+    cfg)``, default), a cross-key rule ``(raw, cfg)``, or None for a key
+    that a rule reads; ``cfg`` holds the keys checked before."""
+    out = {}
+    cfg = out if cfg is None else cfg
+    for key, entry in table.items():
+        if callable(entry):
+            out[key] = entry(raw, cfg)
+        elif entry is not None:
+            check, default = entry
+            if isinstance(default, _Required) and key not in raw:
+                raise ConfigError(default)
+            out[key] = check(raw.get(key, default), at + key, cfg)
+    return out
+
+
+_COMMON = {"n": (_int(2), _Required("n is required")), "p": (_int(1), 1),
+           "seed": (_int(0, 2 ** 64 - 1), 0), "tolerance": (_tolerance, None)}
+_PAIR = {"x": (_as_vector, None), "zeta": (_as_vector, None),
+         "x_sector": (_sector, 0), "zeta_sector": (_sector, 0)}
+
+
+def _pair(value, key: str, cfg: dict) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    unknown = sorted(value.keys() - _PAIR.keys())
+    if unknown:
+        raise ConfigError(f"unknown keys in {key}: " + ", ".join(unknown))
+    return _read(_PAIR, value, cfg, f"{key}.")
+
+
+def _pairs(raw: dict, cfg: dict) -> list:
+    """kernel's cross-key rule: a pairs list, or a single x/zeta pair at
+    the top level, normalized as a one-entry pairs list."""
+    if "pairs" not in raw:
+        if "x" in raw and "zeta" in raw:
+            return [_read(_PAIR, raw, cfg)]
+        raise ConfigError("kernel needs x and zeta (or a pairs list)")
+    if "x" in raw or "zeta" in raw:
+        raise ConfigError("give either pairs or a single x/zeta, not both")
+    return _listed(_pair)(raw["pairs"], "pairs", cfg)
+
+
+def _sectors(raw: dict, cfg: dict) -> list:
+    """dirichlet's cross-key rule: one sector index per point, all 0."""
+    sectors = raw.get("sectors", [0] * len(cfg["points"]))
+    if not isinstance(sectors, list) or len(sectors) != len(cfg["points"]):
+        raise ConfigError("sectors must list one sector index per point")
+    return [_sector(s, f"sectors[{i}]", cfg) for i, s in enumerate(sectors)]
 
 
 class RunConfig:
@@ -148,27 +235,20 @@ class RunConfig:
             raise ConfigError(f"unknown command {command!r}")
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        unknown = sorted(set(raw) - _COMMANDS[command].keys)
+        table = _COMMANDS[command].table
+        unknown = sorted(raw.keys() - table.keys())
         if unknown:
             raise ConfigError(
                 f"unknown configuration keys for {command}: "
                 + ", ".join(unknown))
-        n = _as_int(_required(raw, "n", "n"), "n", minimum=2)
-        p = _as_int(raw.get("p", 1), "p", minimum=1)
-        seed = _as_int(raw.get("seed", 0), "seed", minimum=0,
-                       maximum=2 ** 64 - 1)
-        tolerance = raw.get("tolerance")
-        if tolerance is not None:
-            tolerance = _as_float(tolerance, "tolerance")
-            if tolerance <= 0:
-                raise ConfigError("tolerance must be positive")
-        data = _COMMANDS[command].normalize(raw, n, p)
-        return cls(command, n, p, seed, tolerance, data)
+        data = _read(table, raw)
+        return cls(command, data.pop("n"), data.pop("p", 1),
+                   data.pop("seed"), data.pop("tolerance"), data)
 
     def effective(self) -> dict:
         """The fully normalized configuration (defaults materialized)."""
         out = {"n": self.n, "seed": self.seed, "tolerance": self.tolerance}
-        if "p" in _COMMANDS[self.command].keys:
+        if "p" in _COMMANDS[self.command].table:
             out["p"] = self.p
         out.update(self.data)
         return out
@@ -180,115 +260,9 @@ class RunConfig:
         return _COMMANDS[self.command].tolerance
 
 
-def _normalize_kernel(raw: dict, n: int, p: int) -> dict:
-    """The single x/zeta form is normalized as a one-entry pairs list."""
-    if "pairs" in raw and ("x" in raw or "zeta" in raw):
-        raise ConfigError("give either pairs or a single x/zeta, not both")
-    if "pairs" in raw:
-        entries = _nonempty_list(raw, "pairs", None)
-        names = [f"pairs[{i}]" for i in range(len(entries))]
-    elif "x" in raw and "zeta" in raw:
-        entries, names = [{k: raw[k] for k in _PAIR_KEYS if k in raw}], [""]
-    else:
-        raise ConfigError("kernel needs x and zeta (or a pairs list)")
-    pairs = []
-    for entry, name in zip(entries, names):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{name} must be an object")
-        unknown = sorted(set(entry) - _PAIR_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown keys in {name}: " + ", ".join(unknown))
-        at = f"{name}." if name else ""
-        pairs.append({
-            "x": _as_vector(entry.get("x"), f"{at}x", n),
-            "zeta": _as_vector(entry.get("zeta"), f"{at}zeta", n),
-            "x_sector": _as_int(entry.get("x_sector", 0), f"{at}x_sector",
-                                0, p - 1),
-            "zeta_sector": _as_int(entry.get("zeta_sector", 0),
-                                   f"{at}zeta_sector", 0, p - 1),
-        })
-    degrees = [_as_int(m, f"degrees[{i}]", 0) for i, m
-               in enumerate(_nonempty_list(raw, "degrees", [0, 1, 2, 3, 4]))]
-    which = _nonempty_list(raw, "kernels", ["zonal", "poisson"])
-    for i, name in enumerate(which):
-        if _as_str(name, f"kernels[{i}]") not in ("zonal", "poisson", "hua"):
-            raise ConfigError(f"unknown kernel {name!r} "
-                              "(choose from zonal, poisson, hua)")
-    return {"pairs": pairs, "degrees": degrees, "kernels": list(which)}
-
-
-def _normalize_resolution(raw: dict) -> object:
-    resolution = raw.get("resolution", "auto")
-    if resolution == "auto":
-        return "auto"
-    return _as_int(resolution, "resolution", minimum=4)
-
-
-def _normalize_dirichlet(raw: dict, n: int, p: int) -> dict:
-    boundary = _as_str(_required(raw, "boundary", "boundary (polynomial text)"),
-                       "boundary")
-    points = [_as_vector(pt, f"points[{i}]", n)
-              for i, pt in enumerate(_nonempty_list(raw, "points", None))]
-    sectors = raw.get("sectors", [0] * len(points))
-    if not isinstance(sectors, list) or len(sectors) != len(points):
-        raise ConfigError("sectors must list one sector index per point")
-    sectors = [_as_int(s, f"sectors[{i}]", 0, p - 1)
-               for i, s in enumerate(sectors)]
-    return {"boundary": boundary, "points": points, "sectors": sectors,
-            "resolution": _normalize_resolution(raw)}
-
-
-def _normalize_verify(raw: dict, n: int, p: int) -> dict:
-    names = _nonempty_list(raw, "suites", None)
-    for i, name in enumerate(names):
-        if _as_str(name, f"suites[{i}]") not in suites.SUITES:
-            known = ", ".join(sorted(suites.SUITES))
-            raise ConfigError(f"unknown suite {name!r} (known: {known})")
-    return {"suites": list(names)}
-
-
-def _normalize_hua_limit(raw: dict, n: int, p: int) -> dict:
-    u = _as_str(_required(raw, "u", "u (holomorphic polynomial text)"), "u")
-    z = raw.get("z")
-    if not isinstance(z, list) or len(z) != n:
-        raise ConfigError(f"z must be a list of {n} coordinates")
-    z = [_as_complex_entry(v, f"z[{i}]") for i, v in enumerate(z)]
-    p_list = [_as_int(q, f"p_list[{i}]", 1) for i, q
-              in enumerate(_nonempty_list(raw, "p_list", [1, 2, 4, 8]))]
-    if any(b <= a for a, b in zip(p_list, p_list[1:])):
-        raise ConfigError("p_list must be strictly increasing")
-    return {"u": u, "z": z, "p_list": p_list,
-            "resolution": _normalize_resolution(raw)}
-
-
-def _normalize_almansi(raw: dict, n: int, p: int) -> dict:
-    return {"polynomial": _as_str(_required(raw, "polynomial",
-                                            "polynomial (text)"), "polynomial")}
-
-
-def _normalize_dims(raw: dict, n: int, p: int) -> dict:
-    return {"degrees": [_as_int(m, f"degrees[{i}]", 0) for i, m
-                        in enumerate(_nonempty_list(raw, "degrees",
-                                                    list(range(9))))]}
-
-
 # --------------------------------------------------------------------------
 # result tables
 # --------------------------------------------------------------------------
-
-class _Row(list):
-    """A row copied from a table; a cell set in it is set in its column."""
-
-    def __init__(self, columns, at: int):
-        super().__init__(column[at] for column in columns)
-        self._columns, self._at = columns, at
-
-    def __setitem__(self, i, cell):
-        if i % len(self) >= len(self) - len(VALUE_COLUMNS):  # as add does
-            cell = None if cell is None else float(cell) + 0.0
-        super().__setitem__(i, cell)
-        self._columns[i][self._at] = cell
-
 
 class ResultTable:
     """Input and value cells as one list per column, with metadata."""
@@ -302,8 +276,8 @@ class ResultTable:
 
     @property
     def rows(self) -> list:
-        """The cells row by row, rebuilt from the columns on each read."""
-        return [_Row(self.cells, at) for at in range(len(self.cells[0]))]
+        """A copy of the cells row by row."""
+        return [list(row) for row in zip(*self.cells)]
 
     def add(self, inputs, value=None, reference=None, error=None, bound=None):
         cells = list(inputs)
@@ -701,38 +675,57 @@ def run_dims(cfg: RunConfig) -> ResultTable:
 
 class _Command(NamedTuple):
     help: str
-    keys: frozenset  # the configuration keys it accepts
     tolerance: float | None  # default row tolerance; None: per row
-    normalize: Callable  # (raw, n, p) -> RunConfig.data
+    table: dict  # key -> entry, in check order (see _read)
     run: Callable  # RunConfig -> ResultTable
 
 
+_RESOLUTION = (lambda value, key, cfg: value if value == "auto"
+               else _as_int(value, key, minimum=4), "auto")
 _COMMANDS = {
     "kernel": _Command(
-        "evaluate zonal/Poisson/Cauchy-Hua kernels at point pairs",
-        _COMMON_KEYS | _PAIR_KEYS | {"p", "pairs", "degrees", "kernels"},
-        1e-10, _normalize_kernel, run_kernel),
+        "evaluate zonal/Poisson/Cauchy-Hua kernels at point pairs", 1e-10, {
+            **_COMMON,
+            "pairs": _pairs, **dict.fromkeys(_PAIR),
+            "degrees": (_listed(_int(0)), [0, 1, 2, 3, 4]),
+            "kernels": (_listed(_named(
+                ("zonal", "poisson", "hua"),
+                "unknown kernel {!r} (choose from zonal, poisson, hua)")),
+                ["zonal", "poisson"]),
+        }, run_kernel),
     "dirichlet": _Command(
         "solve the Dirichlet problem for polynomial boundary data at "
-        "interior points",
-        _COMMON_KEYS | {"p", "resolution", "boundary", "points", "sectors"},
-        1e-9, _normalize_dirichlet, run_dirichlet),
-    "verify": _Command(
-        "run named verification suites",
-        _COMMON_KEYS | {"p", "suites"},
-        None, _normalize_verify, run_verify),
+        "interior points", 1e-9, {
+            **_COMMON,
+            "boundary": (_as_str,
+                         _Required("boundary (polynomial text) is required")),
+            "points": (_listed(_as_vector), None),
+            "sectors": _sectors,
+            "resolution": _RESOLUTION,
+        }, run_dirichlet),
+    "verify": _Command("run named verification suites", None, {
+        **_COMMON,
+        "suites": (_listed(_named(suites.SUITES, "unknown suite {!r} (known: "
+                                  + ", ".join(sorted(suites.SUITES)) + ")")),
+                   None),
+    }, run_verify),
     "hua-limit": _Command(
         "rising-order limit experiment against the Cauchy-Hua integral",
-        _COMMON_KEYS | {"u", "z", "p_list", "resolution"},
-        1e-6, _normalize_hua_limit, run_hua_limit),
-    "almansi": _Command(
-        "exact Almansi decomposition of a polynomial",
-        _COMMON_KEYS | {"p", "polynomial"},
-        0.0, _normalize_almansi, run_almansi),
+        1e-6, {
+            **{key: _COMMON[key] for key in ("n", "seed", "tolerance")},
+            "u": (_as_str, _Required("u (holomorphic polynomial text) is "
+                                     "required")),
+            "z": (_coordinates, None),
+            "p_list": (_increasing, [1, 2, 4, 8]),
+            "resolution": _RESOLUTION,
+        }, run_hua_limit),
+    "almansi": _Command("exact Almansi decomposition of a polynomial", 0.0, {
+        **_COMMON,
+        "polynomial": (_as_str, _Required("polynomial (text) is required")),
+    }, run_almansi),
     "dims": _Command(
-        "dimension tables for harmonic and polyharmonic spaces",
-        _COMMON_KEYS | {"p", "degrees"},
-        None, _normalize_dims, run_dims),
+        "dimension tables for harmonic and polyharmonic spaces", None,
+        {**_COMMON, "degrees": (_listed(_int(0)), list(range(9)))}, run_dims),
 }
 # dispatch through a plain dict of the runners, which a tracer can patch
 _RUNNERS = {name: command.run for name, command in _COMMANDS.items()}

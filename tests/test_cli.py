@@ -137,6 +137,18 @@ def test_suite_and_kernel_names_must_be_strings(tmp_path, capsys, command,
     assert capsys.readouterr().err == f"error: {message} must be a string\n"
 
 
+def _schema_texts() -> tuple:
+    """README's "Configuration schema" common-fields paragraph, and each
+    command's text: from its paragraph to the next command's."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("### Configuration schema\n")[1].split("\n### ")[0]
+    starts = sorted((re.search(rf"^`{name}` ", schema, re.MULTILINE).start(),
+                     name) for name in cli._COMMANDS)
+    ends = [at for at, _ in starts[1:]] + [len(schema)]
+    return schema[:starts[0][0]], {name: schema[at:end] for (at, name), end
+                                   in zip(starts, ends)}
+
+
 def test_readme_default_tolerances_match_the_command_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     stated = re.findall(r"^`([a-z-]+)` [^\n]*\(default tolerance ([^)]+)\)",
@@ -144,6 +156,144 @@ def test_readme_default_tolerances_match_the_command_table():
     assert {name: float(tol) for name, tol in stated} == {
         name: command.tolerance for name, command in cli._COMMANDS.items()
         if command.tolerance}
+    # each key of each table is named where README describes it: a key
+    # that every command but one takes among the common fields, the others
+    # in the command's text, with its default in a paragraph or item that
+    # names it
+    common, texts = _schema_texts()
+    for name, command in cli._COMMANDS.items():
+        for key, entry in command.table.items():
+            text = common if key in cli._COMMON else texts[name]
+            items = [" ".join(item.split()) for item in re.split(
+                r"\n\n|\n- ", text) if f"`{key}`" in item]
+            assert items, f"README does not name {name}'s {key}"
+            # a rule's default is its own; a key a rule reads is a pair key
+            default = None if callable(entry) else (entry or cli._PAIR[key])[1]
+            if default is not None and not isinstance(default, cli._Required):
+                want = f"default `{json.dumps(default)}`"
+                assert any(want in item for item in items), \
+                    f"README does not give {name}'s {key} {want}"
+
+
+# the violations of each key: a config with exactly that fault; DROP
+# removes the key
+DROP = object()
+VALID = {
+    "kernel": {"n": 2, "p": 2, "seed": 1, "tolerance": 1e-8,
+               "x": [0.5, 0.0], "zeta": [1.0, 0.0], "x_sector": 0,
+               "zeta_sector": 0, "degrees": [0, 1], "kernels": ["zonal"]},
+    "dirichlet": {"n": 2, "p": 2, "seed": 1, "tolerance": 1e-8,
+                  "boundary": "x1", "points": [[0.1, 0.2]], "sectors": [0],
+                  "resolution": 8},
+    "verify": {"n": 2, "p": 1, "seed": 1, "tolerance": 1e-6,
+               "suites": ["almansi"]},
+    "hua-limit": {"n": 2, "seed": 1, "tolerance": 1e-6, "u": "x1",
+                  "z": [0.1, [0.1, 0.1]], "p_list": [1, 2], "resolution": 8},
+    "almansi": {"n": 2, "p": 1, "seed": 1, "tolerance": 1e-6,
+                "polynomial": "x1^2"},
+    "dims": {"n": 2, "p": 1, "seed": 1, "tolerance": 1e-6,
+             "degrees": [0, 1]},
+}
+_VECTOR_FAULTS = {"missing": DROP, "type": "x", "length": [0.5],
+                  "non-finite": [math.nan, 0.0]}
+_SECTOR_FAULTS = {"type": 1.0, "below": -1, "above": 2}
+VIOLATIONS = {
+    "n": {"missing": DROP, "type": 2.0, "below": 1},
+    "p": {"type": True, "below": 0},
+    "seed": {"type": "1", "below": -1, "above": 2 ** 64},
+    "tolerance": {"type": "1e-6", "below": 0.0, "non-finite": math.inf},
+    "x": _VECTOR_FAULTS, "zeta": _VECTOR_FAULTS,
+    "x_sector": _SECTOR_FAULTS, "zeta_sector": _SECTOR_FAULTS,
+    "pairs": {"missing": DROP, "type": {}, "length": [],
+              "unknown": [{"x": [0.5, 0.0], "zeta": [1.0, 0.0], "w": 0}]},
+    "degrees": {"type": 2, "length": [], "below": [-1]},
+    "kernels": {"type": "zonal", "length": []},
+    "boundary": {"missing": DROP, "type": 1},
+    "points": {"missing": DROP, "type": {}, "length": [[0.1]],
+               "non-finite": [[math.inf, 0.0]]},
+    "sectors": {"type": 1, "length": [1, 1], "below": [-1], "above": [2]},
+    "resolution": {"type": "8", "below": 3},
+    "suites": {"missing": DROP, "type": "almansi", "length": []},
+    "u": {"missing": DROP, "type": ["x1"]},
+    "z": {"missing": DROP, "type": "z", "length": [0.1],
+          "non-finite": [math.nan, 0.1]},
+    "p_list": {"type": 2, "length": [], "below": [0]},
+    "polynomial": {"missing": DROP, "type": None},
+}
+
+
+def _with(config: dict, key: str, value) -> dict:
+    config = json.loads(json.dumps(config))
+    if value is DROP:
+        config.pop(key)
+    else:
+        config[key] = value
+    return config
+
+
+def _violations():
+    """(command, name, class, config) for each violation of each key of
+    each table, a pair key also inside a pairs entry, and each key of the
+    other tables that the command does not accept."""
+    every = set().union(*(c.table for c in cli._COMMANDS.values()))
+    for command, table in ((name, c.table) for name, c in
+                           cli._COMMANDS.items()):
+        valid = VALID[command]
+        pair = {k: v for k, v in valid.items() if table[k] is None}
+        listed = {**{k: v for k, v in valid.items() if k not in pair},
+                  "pairs": [pair]}
+        for key in table:
+            for kind, value in VIOLATIONS[key].items():
+                if key == "pairs":
+                    yield command, key, kind, _with(listed, key, value)
+                    continue
+                yield command, key, kind, _with(valid, key, value)
+                if key in pair:
+                    yield command, f"pairs[0].{key}", kind, {
+                        **listed, "pairs": [_with(pair, key, value)]}
+        for key in sorted(every - table.keys()):
+            yield command, key, "unknown", {**valid, key: 1}
+
+
+def _refuses(command: str, config: dict) -> bool:
+    try:
+        cli.RunConfig.from_mapping(command, config)
+    except cli.ConfigError:
+        return True
+    return False
+
+
+def test_every_key_violation_is_one_error_line_that_names_the_key(
+        tmp_path, capsys, monkeypatch):
+    # every runner raises: a fault that validation misses ends with exit 4
+    def accepted(cfg):
+        raise RuntimeError("validation accepted the config")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS,
+                                                       accepted))
+    keys = {key for command in cli._COMMANDS.values() for key in command.table}
+    assert set(VIOLATIONS) == keys
+    assert all(not _refuses(command, config)
+               for command, config in VALID.items())
+    path, wrong = tmp_path / "config.json", []
+    for command, name, kind, config in _violations():
+        path.write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        if not (code == cli.EXIT_CONFIG and out == "" and err.count("\n") == 1
+                and err.startswith("error: ") and re.search(
+                    rf"(^|[^\w.]){re.escape(name)}\b", err[7:])):
+            wrong.append((command, name, kind, code, err))
+    assert not wrong, wrong
+    # a key is required exactly where it has a "missing" violation; an
+    # absent key with a default takes it
+    for command, table in ((n, c.table) for n, c in cli._COMMANDS.items()):
+        for key in table:
+            if key == "pairs" or table[key] is None:
+                continue
+            config = {k: v for k, v in VALID[command].items() if k != key}
+            assert _refuses(command, config) == \
+                ("missing" in VIOLATIONS[key]), (command, key)
 
 
 # --------------------------------------------------------------------------
@@ -1702,33 +1852,13 @@ def test_json_render_equals_the_indented_encoder_on_generated_tables(
                   reference=pick([value, None]), error=pick(values),
                   bound=pick([None, *values]))
     if rows and nested:
-        table.rows[rng.integers(rows)][0] = [1, [2.5, "a"], {"b": None}]
+        table.cells[0][rng.integers(rows)] = [1, [2.5, "a"], {"b": None}]
     if rows and bad is not None:
-        table.rows[rng.integers(rows)][rng.integers(len(table.columns))] = bad
+        at = rng.integers(rows)
+        table.cells[rng.integers(len(table.columns))][at] = bad
         with pytest.raises(ValueError):
             table.render("json")
         return
-    obj = {"metadata": table.metadata, "columns": list(table.columns),
-           "rows": table.rows}
-    assert_same_text(table.render("json"),
-                     json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def test_value_cells_set_through_rows_are_written_as_add_writes_them():
-    # a value cell is never -0.0 or an int, so a render past the lookup
-    # size can share one float lookup over the value columns; a cell set
-    # through table.rows keeps that, and the bytes stay the encoder's
-    table = cli.ResultTable("dims", ("status",), {})
-    for k in range(100):
-        table.add(("ok",), value=complex(k % 3, 0.0), error=0.0, bound=1.0)
-    table.rows[5][-1] = -0.0
-    table.rows[6][1] = 1
-    table.rows[7][-2] = True
-    assert [table.rows[5][-1], table.rows[6][1], table.rows[7][-2]] == [
-        0.0, 1.0, 1.0]
-    assert {type(cell) for column in table.cells[1:] for cell in column} \
-        == {float, type(None)}
-    assert math.copysign(1.0, table.cells[-1][5]) == 1.0
     obj = {"metadata": table.metadata, "columns": list(table.columns),
            "rows": table.rows}
     assert_same_text(table.render("json"),
