@@ -14,9 +14,11 @@ every status other than ``ok`` (the examples of README and of
 ``tests/test_cli.py``), every request of one pass of the algebra template
 on the same seeds, the algebra workload's one ``verify gegenbauer``,
 ``almansi`` requests whose texts use every number form the reader takes,
-every request of one pass of the reproduce template on seed 5, and the
+every request of one pass of the reproduce template on seed 5, the
 ``verify`` suites that no template runs (``SUITE_PROBES``) at n in {2, 3}
-and p in {1, 2} on seed 5.  Each case keeps its config, its exit code, the
+and p in {1, 2} on seed 5, the other suites but gegenbauer at the shapes
+of those that no template runs them at (``SUITE_GAPS``), and one
+``verify`` table that exits 1.  Each case keeps its config, its exit code, the
 sha256 of its JSON and CSV renders and a short digest of each column; a
 table of at most ``KEPT_ROWS`` rows also keeps its value cells.  The file
 records the Python and numpy versions the digests were taken on.  A change
@@ -107,6 +109,14 @@ KERNEL_PROBES = (
 # the suites that no workload template requests
 SUITE_PROBES = ("route-agreement", "series-identity", "hua-convergence",
                 "kernel-symmetry")
+# (suite, n, p) where the templates run the other suites at n in {2, 3}
+# and p in {1, 2} nowhere; gegenbauer ignores n and p, and the algebra
+# template's case covers it
+SUITE_GAPS = (("diagonal-dim", 3, 1), ("diagonal-dim", 3, 2),
+              ("hua-reproduction", 3, 1), ("hua-reproduction", 3, 2),
+              ("almansi", 2, 1), ("almansi", 3, 1), ("almansi", 3, 2),
+              ("reproduction", 3, 2), ("orthogonality", 3, 2),
+              ("far-cap", 3, 2), ("sector-integrals", 3, 2))
 
 
 def kernel_batch(n: int, p: int) -> dict:
@@ -170,10 +180,23 @@ def algebra_cases() -> list:
     return cases
 
 
+def suite_case(suite: str, n: int, p: int, **extra) -> tuple:
+    name = " ".join([f"verify {suite} n={n} p={p} seed {SEEDS[0]}"]
+                    + [f"{key} {value}" for key, value in extra.items()])
+    return name, "verify", {"n": n, "p": p, "seed": SEEDS[0],
+                            "suites": [suite], **extra}
+
+
 def suite_cases() -> list:
-    return [(f"verify {suite} n={n} p={p} seed {SEEDS[0]}", "verify",
-             {"n": n, "p": p, "seed": SEEDS[0], "suites": [suite]})
+    return [suite_case(suite, n, p)
             for suite in SUITE_PROBES for n in (2, 3) for p in (1, 2)]
+
+
+def gap_cases() -> list:
+    """``SUITE_GAPS``, and one table that exits 1: diagonal-dim held to a
+    tolerance below its rounding."""
+    return ([suite_case(*gap) for gap in SUITE_GAPS]
+            + [suite_case("diagonal-dim", 2, 1, tolerance=1e-30)])
 
 
 def probe_case(n: int, p: int, degree: int) -> tuple:
@@ -517,9 +540,12 @@ def main(argv=None) -> int:
     cases = (solve_cases() + [probe_case(*shape) for shape in PROBES]
              + kernel_cases() + algebra_cases() + reproduce_cases()
              + suite_cases())
+    # errors.json breaks configs of ``cases`` only, so its draws do not
+    # depend on the gap cases
+    tables = cases + gap_cases()
     corpus = {"versions": {"python": platform.python_version(),
                            "numpy": np.__version__},
-              "cases": [record(*case) for case in cases]}
+              "cases": [record(*case) for case in tables]}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         if check:
@@ -541,10 +567,10 @@ def main(argv=None) -> int:
             if note is not None:
                 differ += 1
                 print(f"{case['name']}: {note}")
-        print(f"{differ} of {len(cases)} cases differ from {OUT}")
+        print(f"{differ} of {len(tables)} cases differ from {OUT}")
         return 1 if differ or changed else 0
     OUT.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
-    print(f"{len(cases)} cases written to {OUT}")
+    print(f"{len(tables)} cases written to {OUT}")
     ERRORS.write_text("{\"cases\": [\n" + ",\n".join(
         json.dumps(case, sort_keys=True) for case in errors) + "\n]}\n")
     print(f"{len(errors)} refused configs written to {ERRORS}")

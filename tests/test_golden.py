@@ -6,9 +6,9 @@ of the benchmark's solve template on two seeds, ``dirichlet`` requests of
 data that are not p-polyharmonic, ``kernel`` requests with singular,
 rejected and overflowing pairs, every request of the algebra template on
 the same seeds, one ``verify gegenbauer``, every request of the
-reproduce template on one seed, and the four suites that no template runs
-(route-agreement, series-identity, hua-convergence, kernel-symmetry) at
-n in {2, 3} and p in {1, 2}; ``golden/make_golden.py`` rebuilds it, and
+reproduce template on one seed, every suite but gegenbauer at n in
+{2, 3} and p in {1, 2}, and one ``verify`` table that exits 1;
+``golden/make_golden.py`` rebuilds it, and
 with ``--check`` names the cases that differ, their changed columns and the
 largest change of each.  The
 digests cover numpy's elementwise functions and the versions the metadata
