@@ -636,7 +636,7 @@ def run_almansi(cfg: RunConfig) -> ResultTable:
                         ("component", "degree", "polynomial", "status"),
                         _metadata(cfg))
     try:  # a component may pass the double range or the int-to-text limit
-        suites._require_monomials(n, q.degree())  # before the ladder
+        polyalg._require_monomials(n, q.degree())  # before the ladder
         polyalg._require_ladder(q)
         components = polyalg.polyharmonic_almansi(q, p)
         for k, comp in enumerate(components):

@@ -527,6 +527,18 @@ def dim_Hp(n: int, m: int, p: int) -> int:
 # monomial bases
 # --------------------------------------------------------------------------
 
+# Most monomials of one degree that a suite or an almansi request
+# enumerates: n = 8 at degree 8.
+_MAX_MONOMIALS = 1 << 13
+
+
+def _require_monomials(n: int, degree: int):
+    count = dim_P(n, degree)
+    if count > _MAX_MONOMIALS:
+        raise ValueError(f"n={n}: {count} monomials of degree {degree} "
+                         f"exceed the cap of {_MAX_MONOMIALS}")
+
+
 def _monomials(n: int, m: int) -> list:
     """All exponent tuples of total degree m, graded-lex order."""
     if m < 0:

@@ -12,12 +12,14 @@ Conventions: sampling is driven entirely by the ``seed`` argument
 bit-reproducible.  Deviations for exact-arithmetic checks count failures
 (0.0 means every case held exactly).  Rules are sized by proven bounds
 (``solver.choose_rule``, ``solver.choose_lie_rule``) or integrand degrees,
-but for ``far-cap``, whose cap holds for any positive rule.  Every suite
-accepts any n >= 2 and p >= 1; one whose rule or kernel values exceed the
-node cap raises ``ValueError``, and so do p sectors of values or sampled
-coordinates past it (``geometry._require_nodes``, checked before any is
-built) and more than ``_MAX_MONOMIALS`` degree-``max_degree`` monomials to
-enumerate.
+but for ``far-cap``, whose cap holds for any positive rule.  A suite
+takes n, p and seed, and ``tolerance`` where it has tolerance rows; its
+sample counts, radii and top degrees are constants that its docstring
+states.  Every suite accepts any n >= 2 and p >= 1; one whose rule or
+kernel values exceed the node cap raises ``ValueError``, and so do p
+sectors of values or sampled coordinates past it
+(``geometry._require_nodes``, checked before any is built) and more than
+``polyalg._MAX_MONOMIALS`` monomials of its top degree to enumerate.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import gegenbauer as gg
 from . import kernels, polyalg, quadrature, solver
 from .geometry import _require_nodes, lie_norm, sector_phases, sector_points
 from .kernels import ROUTES
-from .polyalg import MultiPoly, dim_P, dim_Hp, polyharmonic_basis
+from .polyalg import MultiPoly, dim_Hp, polyharmonic_basis
 
 __all__ = [
     "PropertyResult",
@@ -51,17 +54,6 @@ __all__ = [
     "suite_far_cap",
     "suite_gegenbauer",
 ]
-
-
-# Most degree-max_degree monomials a suite enumerates: n = 8 at degree 8.
-_MAX_MONOMIALS = 1 << 13
-
-
-def _require_monomials(n: int, degree: int):
-    count = dim_P(n, degree)
-    if count > _MAX_MONOMIALS:
-        raise ValueError(f"n={n}: {count} monomials of degree {degree} "
-                         f"exceed the cap of {_MAX_MONOMIALS}")
 
 
 @dataclass(frozen=True)
@@ -112,9 +104,10 @@ def _lie_points(parts: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def suite_route_agreement(n: int = 2, p: int = 1, seed: int = 0,
-                          max_degree: int = 8, pairs: int = 100,
                           tolerance: float = 1e-10) -> list:
-    """The three zonal evaluation routes agree on random rotated pairs."""
+    """The three zonal evaluation routes agree on 100 random rotated pairs
+    at every degree 0 to 8."""
+    max_degree, pairs = 8, 100
     _require_nodes(f"n={n}", 2 * n * pairs, "sampled coordinates")
     rng = np.random.default_rng(seed)
     B, x2, zb2 = kernels.pair_invariants(*_pairs(rng, n, p, pairs, 0.0, 0.9))
@@ -131,10 +124,11 @@ def suite_route_agreement(n: int = 2, p: int = 1, seed: int = 0,
 
 
 def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
-                          points: int = 100, radius: float = 0.8,
-                          max_terms: int = 200,
                           tolerance: float = 1e-8) -> list:
-    """Closed-form Poisson kernel equals its truncated zonal series."""
+    """Closed-form Poisson kernel equals its truncated zonal series, on 100
+    pairs with |x| up to 0.8, the series cut at tolerance / 4 within 200
+    terms."""
+    points, radius, max_terms = 100, 0.8, 200
     _require_nodes(f"n={n}", 2 * n * points, "sampled coordinates")
     _require_nodes(f"n={n}", n * n, "Lie-norm minors")  # lie_norm's cap
     rng = np.random.default_rng(seed)
@@ -164,13 +158,14 @@ def _annihilated(basis: tuple, p: int) -> bool:
 
 
 def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
-                       max_degree: int = 8, samples: int = 3,
                        tolerance: float = 1e-9) -> list:
     """Z_m^p(eta, eta) equals dim H_m^p in every sector, and each degree's
     basis has dim_Hp elements, independent by construction (one free
     monomial each) and annihilated exactly by Delta^p: dim ker >= dim_Hp.
-    A degree's points are drawn at once, ``samples`` in each sector."""
-    _require_monomials(n, max_degree)
+    Degrees 0 to 8; a degree's points are drawn at once, 3 in each
+    sector."""
+    max_degree, samples = 8, 3
+    polyalg._require_monomials(n, max_degree)
     _require_nodes(f"p={p}", p * samples * (max_degree + 1), "diagonal points")
     rng = np.random.default_rng(seed)
     sectors = np.repeat(np.arange(p), samples)
@@ -197,11 +192,12 @@ def suite_diagonal_dim(n: int = 2, p: int = 1, seed: int = 0,
 
 
 def suite_kernel_symmetry(n: int = 2, p: int = 1, seed: int = 0,
-                          max_degree: int = 8, pairs: int = 50,
                           tolerance: float = 1e-11) -> list:
-    """Hermitian symmetry, the scalar scaling rule, the diagonal bound,
-    and same-sector reality/positivity of the Poisson kernel over stacked
-    pairs; a Poisson value that underflows (large n) raises ValueError."""
+    """Hermitian symmetry, the scalar scaling rule, the diagonal bound at
+    degrees 0 to 8, and same-sector reality/positivity of the Poisson
+    kernel over 50 stacked pairs; a Poisson value that underflows (large
+    n) raises ValueError."""
+    max_degree, pairs = 8, 50
     _require_nodes(f"n={n}", 3 * n * pairs, "sampled coordinates")
     rng = np.random.default_rng(seed)
     # per pair: the sectors and directions of zeta and eta, the scalar a,
@@ -243,15 +239,16 @@ def suite_kernel_symmetry(n: int = 2, p: int = 1, seed: int = 0,
     ]
 
 
-def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0, delta: float = 0.5,
-                  radii: tuple = (0.9, 0.99, 0.999),
+def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0,
                   tolerance: float = 1e-9) -> list:
     """Mass of |P_p| far from the boundary point stays under the cap
-    p (1 - r^{2p}) / delta^n and shrinks as r -> 1.
+    p (1 - r^{2p}) / delta^n, delta = 0.5, and shrinks as r runs through
+    0.9, 0.99 and 0.999.
 
     A node is far when the kernel denominator has |v^2| > delta^2, that is
     when |P_p| < (1 - r^{2p}) / delta^n there, so the cap holds for any
     positive rule summing to 1 and the decrease carries the content."""
+    delta, radii = 0.5, (0.9, 0.99, 0.999)
     rng = np.random.default_rng(seed)
     rule = quadrature.sphere_rule(n, {2: 512, 3: 64, 4: 32}.get(n, 12))
     _require_nodes(f"p={p}", p * rule.count, "kernel values")
@@ -277,10 +274,11 @@ def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0, delta: float = 0.5,
     ]
 
 
-def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
-                          pairs: int = 20, alpha: float = 0.5,
-                          p_list: tuple = (1, 2, 4, 8)) -> list:
-    """|P_p - H| stays under alpha^{2p} max|H| and decreases with p."""
+def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0) -> list:
+    """|P_p - H| stays under alpha^{2p} max|H| and decreases as p runs
+    through 1, 2, 4 and 8, on 20 pairs with L(z) L(w) <= 0.98 alpha,
+    alpha = 0.5.  The orders are fixed, so p is ignored."""
+    pairs, alpha, p_list = 20, 0.5, (1, 2, 4, 8)
     _require_nodes(f"n={n}", 4 * n * pairs, "sampled coordinates")
     _require_nodes(f"n={n}", n * n, "Lie-norm minors")  # lie_norm's cap
     rng = np.random.default_rng(seed)
@@ -291,7 +289,7 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
         parts.append(rng.standard_normal((2, 2, n)))
     zs = _lie_points(np.concatenate(parts), np.array(targets))
     sample = list(zip(zs[::2], zs[1::2]))
-    gaps, bounds = zip(*(kernels.hua_convergence_gap(sample, int(q))
+    gaps, bounds = zip(*(kernels.hua_convergence_gap(sample, q)
                          for q in p_list))
     ratio = max(gap / bound for gap, bound in zip(gaps, bounds))
     rise = max(max(0.0, b - a) for a, b in zip(gaps, gaps[1:]))
@@ -303,15 +301,15 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0,
 
 
 def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
-                           max_degree: int = 4, points: int = 10,
-                           lie_radius: float = 0.6,
                            tolerance: float = 1e-6) -> list:
-    """Lie-sphere quadrature of H(z, .) u reproduces holomorphic monomials.
+    """Lie-sphere quadrature of H(z, .) u reproduces the holomorphic
+    monomials u of degree 0 to 4 at 10 points of Lie norm up to 0.6.
 
     Its rule is ``solver.choose_lie_rule`` at tolerance / 100, and |u| <= 1
     on the Lie sphere, so the row is proven at every n.  Its kernel values,
     points x angles x nodes, are held to the node cap: n >= 6 is refused.
     """
+    max_degree, points, lie_radius = 4, 10, 0.6
     rng = np.random.default_rng(seed)
     lie = solver.choose_lie_rule(n, max_degree, lie_radius, tolerance / 100)
     _require_nodes(f"n={n}", points * lie.angular * lie.base.count,
@@ -336,13 +334,13 @@ def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
 # --------------------------------------------------------------------------
 
 def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
-                       max_degree: int = 6, points_per_sector: int = 20,
-                       radius: float = 0.6,
                        tolerance: float = 1e-9) -> list:
-    """Poisson integrals reproduce every basis element of H_m^p at
-    interior points, with an exact-degree rule: the pole-aligned template
-    turned to each point when the points hold fewer template nodes than the
-    shared rule has (n = 4: 20 x 1,280 against 128,000 nodes)."""
+    """Poisson integrals reproduce every basis element of H_m^p, m = 0 to
+    6, at 20 interior points per sector of radius up to 0.6, with an
+    exact-degree rule: the pole-aligned template turned to each point when
+    the points hold fewer template nodes than the shared rule has (n = 4:
+    20 x 1,280 against 128,000 nodes)."""
+    max_degree, points_per_sector, radius = 6, 20, 0.6
     rng = np.random.default_rng(seed)
     # the integral operator holds a partial sum per point, datum and sector
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
@@ -372,9 +370,10 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
 
 
 def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
-                        max_degree: int = 6,
                         tolerance: float = 1e-10) -> list:
-    """Cross-degree inner products on the union of rotated spheres vanish."""
+    """Cross-degree inner products of the bases of degrees 0 to 6 on the
+    union of rotated spheres vanish."""
+    max_degree = 6
     rule = quadrature.sphere_rule(
         n, quadrature.resolution_for_exactness(n, 2 * max_degree))
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
@@ -398,16 +397,17 @@ def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
 
 
 def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
-                           points: int = 20, radius: float = 0.7,
                            tolerance: float = 1e-10) -> list:
     """Prescribed sphere integrals of the Poisson kernel over each rotated
-    copy: the per-sector identity and its unit average.
+    copy, at 20 samples of radius up to 0.7: the per-sector identity and
+    its unit average.
 
     At n >= 3 each sample integrates over its own turned copy of the
     pole-aligned template of ``solver.choose_rule``'s polar resolution (100
     nodes at n = 3, against 5,000 for the shared rule): each sample
     e^{-ik pi/p} x is a rotated real point, so ``solver.aligned_rule``'s
     proof covers P_p(e^{-ik pi/p} x, .) times the constant datum 1."""
+    points, radius = 20, 0.7
     rng = np.random.default_rng(seed)
     rule = solver.choose_rule(n, p, 0, radius, 1e-12, aligned=n >= 3)
     # each sample, turned into every sector, meets p sectors of nodes
@@ -457,11 +457,12 @@ def _random_homogeneous(rng, n: int, m: int) -> MultiPoly:
     return MultiPoly._exact(n, terms or {x1_m: (2520, 0)}, 2520)
 
 
-def suite_almansi(n: int = 2, p: int = 1, seed: int = 0, count: int = 40,
-                  max_degree: int = 8) -> list:
-    """Exact Almansi behavior on random rational homogeneous polynomials:
-    reassembly, annihilation, uniqueness, and the one-step direct sum."""
-    _require_monomials(n, max_degree)
+def suite_almansi(n: int = 2, p: int = 1, seed: int = 0) -> list:
+    """Exact Almansi behavior on 40 random rational homogeneous polynomials
+    of degree up to 8: reassembly, annihilation, uniqueness, and the
+    one-step direct sum."""
+    count, max_degree = 40, 8
+    polyalg._require_monomials(n, max_degree)
     rng = np.random.default_rng(seed)
     reassembly = annihilation = uniqueness = direct_sum = 0
     for _ in range(count):
@@ -501,17 +502,15 @@ def suite_almansi(n: int = 2, p: int = 1, seed: int = 0, count: int = 40,
 # --------------------------------------------------------------------------
 
 def suite_gegenbauer(n: int = 2, p: int = 1, seed: int = 0,
-                     max_degree: int = 30, t_points: int = 101,
                      tolerance: float = 1e-11) -> list:
-    """Recurrence vs exact explicit sum, and geometric convergence of the
-    generating-function partial sums.  Ignores n and p.  The explicit sum
-    (``gegenbauer_explicit``) is the factorial formula, never the
-    recurrence, in integers at each float t, rounded once."""
-    from . import gegenbauer as gg  # the submodule, imported lazily
-
+    """Recurrence vs exact explicit sum at degrees 0 to 30 and 101 even
+    steps of t in [-1, 1], and geometric convergence of the
+    generating-function partial sums.  Ignores n, p and seed.  The
+    explicit sum (``gegenbauer_explicit``) is the factorial formula, never
+    the recurrence, in integers at each float t, rounded once."""
     del n, p, seed
-    lambdas = (1, 1.5, 2, 2.5)
-    ts = np.linspace(-1.0, 1.0, t_points)
+    max_degree, lambdas = 30, (1, 1.5, 2, 2.5)
+    ts = np.linspace(-1.0, 1.0, 101)
     worst = 0.0
     for lam in lambdas:
         for m in range(max_degree + 1):

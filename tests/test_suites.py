@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -53,9 +55,8 @@ def test_reproduction_suite_passes():
 
 
 def test_reproduction_suite_passes_in_four_dimensions():
-    # a reduced basis and point set, on templates turned to its 4 points
-    rows = suite_reproduction(n=4, p=1, seed=1, max_degree=4,
-                              points_per_sector=4)
+    # on templates turned to its 20 points
+    rows = suite_reproduction(n=4, p=1, seed=1)
     assert all(r.passed for r in rows)
 
 
@@ -111,6 +112,40 @@ def test_gegenbauer_suite_ignores_geometry_arguments():
     b = run_suite("gegenbauer", n=3, p=3, seed=9)
     assert [(r.name, r.deviation) for r in a] \
         == [(r.name, r.deviation) for r in b]
+
+
+# the suites without tolerance rows
+TOLERANCE_FREE = {"hua-convergence", "almansi"}
+
+
+def test_suites_take_only_what_run_suite_passes(monkeypatch):
+    # n, p and seed, and tolerance where a suite has tolerance rows: sample
+    # counts, radii and top degrees are constants of each suite
+    for name, fn in SUITES.items():
+        want = ["n", "p", "seed"] + (
+            [] if name in TOLERANCE_FREE else ["tolerance"])
+        assert list(inspect.signature(fn).parameters) == want, name
+    calls = {}
+
+    def recorded(name, fn):
+        @functools.wraps(fn)  # run_suite reads the suite's signature
+        def call(**kwargs):
+            calls[name] = kwargs
+            return []
+        return call
+
+    for name, fn in SUITES.items():
+        monkeypatch.setitem(SUITES, name, recorded(name, fn))
+    for name in SUITES:
+        run_suite(name, n=3, p=2, seed=7, tolerance=1e-7)
+    forwarded = {name for name, kwargs in calls.items()
+                 if kwargs.pop("tolerance", None) == 1e-7}
+    assert forwarded == set(SUITES) - TOLERANCE_FREE and len(forwarded) == 10
+    assert all(kwargs == {"n": 3, "p": 2, "seed": 7}
+               for kwargs in calls.values())
+    for name in SUITES:
+        run_suite(name, n=3, p=2, seed=7)
+        assert calls[name] == {"n": 3, "p": 2, "seed": 7}, name
 
 
 def test_unknown_suite_raises_with_known_names():
@@ -175,9 +210,10 @@ def test_series_identity_tolerance_sizes_the_series_not_its_term_bound():
 def test_diagonal_dim_counts_a_basis_element_that_is_not_annihilated(
         monkeypatch):
     # the right count is not enough: |x|^2 x1^(m-2) added to the first
-    # element keeps the count and breaks Delta^1 at every degree m >= 2
+    # element keeps the count and breaks Delta^1 at every degree m >= 2,
+    # that is at degrees 2 to 8
     def nullspace_row():
-        rows = suite_diagonal_dim(n=2, p=1, max_degree=6, samples=1)
+        rows = suite_diagonal_dim(n=2, p=1)
         return next(r for r in rows
                     if r.name == "dimension-formula-vs-nullspace")
 
@@ -194,7 +230,7 @@ def test_diagonal_dim_counts_a_basis_element_that_is_not_annihilated(
 
     monkeypatch.setattr(polyalg, "_polyharmonic_basis", spoiled)
     row = nullspace_row()
-    assert row.deviation == 5.0 and not row.passed
+    assert row.deviation == 7.0 and not row.passed
 
 
 def _per_sample_diagonal_gap(n, p, seed, max_degree=8, samples=3):
@@ -232,7 +268,7 @@ def test_diagonal_dim_makes_one_kernel_call_per_degree(monkeypatch):
         return batched(n, m, p, B, P, *args)
 
     monkeypatch.setattr(kernels, "zonal_from_products", counted)
-    suite_diagonal_dim(n=3, p=3, max_degree=8, samples=3)
+    suite_diagonal_dim(n=3, p=3)
     assert calls == [(m, 9) for m in range(9)]
 
 
@@ -323,7 +359,7 @@ def _first_refused_p(per_sector) -> int:
     return p
 
 
-# each suite's values per sector at n = 2, from its defaults, and a builder
+# each suite's values per sector at n = 2, from its fixed sizes, and a builder
 # that the refusal must come before
 _SECTOR_SIZES = {
     "far-cap": (lambda p: quadrature.sphere_rule(2, 512).count,
