@@ -1712,10 +1712,9 @@ def test_warm_exact_requests_construct_no_fraction():
     """Warm almansi, dirichlet, verify almansi and verify gegenbauer
     requests build no Fraction: exact values are integer numerators from
     the text to the table.  Each shape runs once first, which builds the
-    lru-cached public tables that hold Fractions and are excluded here:
-    gegenbauer_coefficients (``gegenbauer._coeff_table``) and the zonal
-    coefficients ``kernels._zonal_p_coeffs`` and
-    ``kernels._explicit_p_coeffs``."""
+    lru-cached tables that hold Fractions and are excluded here: the zonal
+    coefficients ``kernels._zonal_p_coeffs``, built from
+    gegenbauer_coefficients, and ``kernels._explicit_p_coeffs``."""
     def requests(seed):
         rng = np.random.default_rng(seed)
 
