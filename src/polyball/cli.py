@@ -206,7 +206,12 @@ def _pairs(raw: dict, cfg: dict) -> list:
         raise ConfigError("kernel needs x and zeta (or a pairs list)")
     if "x" in raw or "zeta" in raw:
         raise ConfigError("give either pairs or a single x/zeta, not both")
-    return _listed(_pair)(raw["pairs"], "pairs", cfg)
+    pairs = _listed(_pair)(raw["pairs"], "pairs", cfg)
+    for key in ("x_sector", "zeta_sector"):
+        if key in raw:
+            raise ConfigError(f"give {key} in each pairs entry, not beside "
+                              "pairs")
+    return pairs
 
 
 def _sectors(raw: dict, cfg: dict) -> list:

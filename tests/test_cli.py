@@ -86,6 +86,26 @@ def test_unknown_keys_are_rejected(tmp_path, capsys):
     assert "extra" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,key", [
+    ({"x_sector": "junk", "zeta_sector": [1]}, "x_sector"),
+    ({"zeta_sector": 0}, "zeta_sector"),
+    ({"x_sector": 1}, "x_sector")])
+def test_sector_keys_beside_a_pairs_list_are_refused(tmp_path, capsys, extra,
+                                                     key):
+    # a top-level sector is read only with a single x/zeta: beside a pairs
+    # list it would be dropped unread, valid or not
+    config = {"n": 2, "p": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
+              **extra}
+    code, text = run(tmp_path, "kernel", config)
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err \
+        == f"error: give {key} in each pairs entry, not beside pairs\n"
+    # the pairs list is checked first
+    config["pairs"] = [{"x": [0.5], "zeta": [1, 0]}]
+    assert run(tmp_path, "kernel", config)[0] == cli.EXIT_CONFIG
+    assert "pairs[0].x" in capsys.readouterr().err
+
+
 def test_n_is_required_and_validated(tmp_path):
     code, _ = run(tmp_path, "dims", {"degrees": [1]})
     assert code == cli.EXIT_CONFIG
