@@ -503,8 +503,8 @@ def suite_almansi(n: int = 2, p: int = 1, seed: int = 0) -> list:
 
 def suite_gegenbauer(n: int = 2, p: int = 1, seed: int = 0,
                      tolerance: float = 1e-11) -> list:
-    """Recurrence vs exact explicit sum at degrees 0 to 30 and 101 even
-    steps of t in [-1, 1], and geometric convergence of the
+    """Recurrence vs exact explicit sum at degrees 0 to 30 and 101 evenly
+    spaced t in [-1, 1], and geometric convergence of the
     generating-function partial sums.  Ignores n, p and seed.  The
     explicit sum (``gegenbauer_explicit``) is the factorial formula, never
     the recurrence, in integers at each float t, rounded once."""
