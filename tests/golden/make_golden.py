@@ -35,7 +35,7 @@ The same run rebuilds ``errors.json``: the same configs broken on purpose
 alone; then come configs with two or three faults on distinct keys, which
 pin the order of the checks.  ``--check`` runs the committed refusals
 through ``cli.main`` again and names those whose exit code or line
-changed.
+changed, with the recorded and the new exit code and line.
 """
 
 from __future__ import annotations
@@ -549,15 +549,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         if check:
-            changed = [case for case in json.loads(ERRORS.read_text())["cases"]
-                       if refusal(case["command"], case["config"], path)
-                       != (case["exit"], case["stderr"])]
+            changed = [(case, now) for case in json.loads(
+                ERRORS.read_text())["cases"] if (now := refusal(
+                    case["command"], case["config"], path))
+                != (case["exit"], case["stderr"])]
         else:
             errors = error_cases(cases, path)
     if check:
-        for case in changed:
+        for case, (code, stderr) in changed:
             print(f"{case['command']} {json.dumps(case['config'])[:120]}: "
-                  f"error line changed from {case['stderr']!r}")
+                  f"error line changed from exit {case['exit']} "
+                  f"{case['stderr']!r} to exit {code} {stderr!r}")
         print(f"{len(changed)} error lines differ from {ERRORS}")
         committed = {case["name"]: case
                      for case in json.loads(OUT.read_text())["cases"]}
