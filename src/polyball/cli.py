@@ -1,8 +1,9 @@
 """Command-line surface: JSON-configured experiments, machine-readable tables.
 
-An experiment is a single JSON document passed via ``--config``; the
-``--seed`` and ``--tolerance`` flags override the top-level scalar fields of
-the same names, and nothing else.  Unknown configuration keys are rejected.
+An experiment is a single JSON document passed via ``--config``; a command
+takes only the keys its run reads (``seed`` only in ``verify``, ``tolerance``
+in all but ``dims``) and rejects others.  The ``--seed`` and ``--tolerance``
+flags, offered where the key is taken, override the top-level fields.
 Results are emitted as one table (CSV or JSON) whose rows end with the fixed
 numeric columns
 
@@ -183,7 +184,7 @@ def _read(table: dict, raw: dict, cfg=None, at: str = "") -> dict:
 
 
 _COMMON = {"n": (_int(2), _Required("n is required")), "p": (_int(1), 1),
-           "seed": (_int(0, 2 ** 64 - 1), 0), "tolerance": (_tolerance, None)}
+           "tolerance": (_tolerance, None)}
 _PAIR = {"x": (_as_vector, None), "zeta": (_as_vector, None),
          "x_sector": (_sector, 0), "zeta_sector": (_sector, 0)}
 
@@ -223,15 +224,11 @@ def _sectors(raw: dict, cfg: dict) -> list:
 
 
 class RunConfig:
-    """Validated, normalized experiment configuration for one command."""
+    """Validated, normalized experiment configuration for one command: the
+    keys of its table, defaults materialized."""
 
-    def __init__(self, command: str, n: int, p: int, seed: int,
-                 tolerance, data: dict):
+    def __init__(self, command: str, data: dict):
         self.command = command
-        self.n = n
-        self.p = p
-        self.seed = seed
-        self.tolerance = tolerance
         self.data = data
 
     @classmethod
@@ -246,23 +243,25 @@ class RunConfig:
             raise ConfigError(
                 f"unknown configuration keys for {command}: "
                 + ", ".join(unknown))
-        data = _read(table, raw)
-        return cls(command, data.pop("n"), data.pop("p", 1),
-                   data.pop("seed"), data.pop("tolerance"), data)
+        return cls(command, _read(table, raw))
 
     def effective(self) -> dict:
         """The fully normalized configuration (defaults materialized)."""
-        out = {"n": self.n, "seed": self.seed, "tolerance": self.tolerance}
-        if "p" in _COMMANDS[self.command].table:
-            out["p"] = self.p
-        out.update(self.data)
-        return out
+        return dict(self.data)
+
+    @property
+    def n(self) -> int:
+        return self.data["n"]
+
+    @property
+    def p(self) -> int:
+        return self.data["p"]
 
     @property
     def row_tolerance(self) -> float | None:
-        if self.tolerance is not None:
-            return self.tolerance
-        return _COMMANDS[self.command].tolerance
+        tolerance = self.data.get("tolerance")
+        return (_COMMANDS[self.command].tolerance if tolerance is None
+                else tolerance)
 
 
 # --------------------------------------------------------------------------
@@ -592,8 +591,8 @@ def run_verify(cfg: RunConfig) -> ResultTable:
                         _metadata(cfg))
     for name in cfg.data["suites"]:
         try:
-            rows = suites.run_suite(name, n=cfg.n, p=cfg.p, seed=cfg.seed,
-                                    tolerance=cfg.tolerance)
+            rows = suites.run_suite(name, cfg.n, cfg.p, cfg.data["seed"],
+                                    cfg.data["tolerance"])
         except ValueError as err:
             raise ConfigError(f"suite {name}: {err}") from err
         for row in rows:
@@ -680,7 +679,7 @@ def run_dims(cfg: RunConfig) -> ResultTable:
 
 class _Command(NamedTuple):
     help: str
-    tolerance: float | None  # default row tolerance; None: per row
+    tolerance: float | None  # default row tolerance; None: per row or none
     table: dict  # key -> entry, in check order (see _read)
     run: Callable  # RunConfig -> ResultTable
 
@@ -709,7 +708,8 @@ _COMMANDS = {
             "resolution": _RESOLUTION,
         }, run_dirichlet),
     "verify": _Command("run named verification suites", None, {
-        **_COMMON,
+        "n": _COMMON["n"], "p": _COMMON["p"],
+        "seed": (_int(0, 2 ** 64 - 1), 0), "tolerance": _COMMON["tolerance"],
         "suites": (_listed(_named(suites.SUITES, "unknown suite {!r} (known: "
                                   + ", ".join(sorted(suites.SUITES)) + ")")),
                    None),
@@ -717,7 +717,7 @@ _COMMANDS = {
     "hua-limit": _Command(
         "rising-order limit experiment against the Cauchy-Hua integral",
         1e-6, {
-            **{key: _COMMON[key] for key in ("n", "seed", "tolerance")},
+            **{key: _COMMON[key] for key in ("n", "tolerance")},
             "u": (_as_str, _Required("u (holomorphic polynomial text) is "
                                      "required")),
             "z": (_coordinates, None),
@@ -730,7 +730,8 @@ _COMMANDS = {
     }, run_almansi),
     "dims": _Command(
         "dimension tables for harmonic and polyharmonic spaces", None,
-        {**_COMMON, "degrees": (_listed(_int(0)), list(range(9)))}, run_dims),
+        {"n": _COMMON["n"], "p": _COMMON["p"],
+         "degrees": (_listed(_int(0)), list(range(9)))}, run_dims),
 }
 # dispatch through a plain dict of the runners, which a tracer can patch
 _RUNNERS = {name: command.run for name, command in _COMMANDS.items()}
@@ -766,10 +767,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="write the table here instead of stdout")
         cmd.add_argument("--format", choices=("csv", "json"), default="json",
                          help="table format (default json)")
-        cmd.add_argument("--seed", type=int,
-                         help="override the top-level seed field")
-        cmd.add_argument("--tolerance", type=float,
-                         help="override the top-level tolerance field")
+        for key, kind in (("seed", int), ("tolerance", float)):
+            if key in command.table:
+                cmd.add_argument(f"--{key}", type=kind,
+                                 help=f"override the top-level {key} field")
     return parser
 
 
@@ -789,10 +790,9 @@ def main(argv=None) -> int:
         raw = _load_config(args.config)
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.tolerance is not None:
-            raw["tolerance"] = args.tolerance
+        for key in ("seed", "tolerance"):
+            if getattr(args, key, None) is not None:
+                raw[key] = getattr(args, key)
         table = run_command(args.command, raw)
         text = table.render(args.format)
     except ConfigError as err:

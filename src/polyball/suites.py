@@ -12,10 +12,11 @@ Conventions: sampling is driven entirely by the ``seed`` argument
 bit-reproducible.  Deviations for exact-arithmetic checks count failures
 (0.0 means every case held exactly).  Rules are sized by proven bounds
 (``solver.choose_rule``, ``solver.choose_lie_rule``) or integrand degrees,
-but for ``far-cap``, whose cap holds for any positive rule.  A suite
-takes n, p and seed, and ``tolerance`` where it has tolerance rows; its
-sample counts, radii and top degrees are constants that its docstring
-states.  Every suite accepts any n >= 2 and p >= 1; one whose rule or
+but for ``far-cap``, whose cap holds for any positive rule.  A suite's
+signature names only those of n, p, seed and ``tolerance`` that its body
+reads, and ``run_suite`` passes it exactly those; its sample counts, radii
+and top degrees are constants that its docstring states.  Every suite
+accepts any n >= 2 and p >= 1; one whose rule or
 kernel values exceed the node cap raises ``ValueError``, and so do p
 sectors of values or sampled coordinates past it
 (``geometry._require_nodes``, checked before any is built) and more than
@@ -274,10 +275,10 @@ def suite_far_cap(n: int = 2, p: int = 1, seed: int = 0,
     ]
 
 
-def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0) -> list:
+def suite_hua_convergence(n: int = 2, seed: int = 0) -> list:
     """|P_p - H| stays under alpha^{2p} max|H| and decreases as p runs
-    through 1, 2, 4 and 8, on 20 pairs with L(z) L(w) <= 0.98 alpha,
-    alpha = 0.5.  The orders are fixed, so p is ignored."""
+    through the fixed orders 1, 2, 4 and 8, on 20 pairs with L(z) L(w) <=
+    0.98 alpha, alpha = 0.5."""
     pairs, alpha, p_list = 20, 0.5, (1, 2, 4, 8)
     _require_nodes(f"n={n}", 4 * n * pairs, "sampled coordinates")
     _require_nodes(f"n={n}", n * n, "Lie-norm minors")  # lie_norm's cap
@@ -300,7 +301,7 @@ def suite_hua_convergence(n: int = 2, p: int = 1, seed: int = 0) -> list:
     ]
 
 
-def suite_hua_reproduction(n: int = 2, p: int = 1, seed: int = 0,
+def suite_hua_reproduction(n: int = 2, seed: int = 0,
                            tolerance: float = 1e-6) -> list:
     """Lie-sphere quadrature of H(z, .) u reproduces the holomorphic
     monomials u of degree 0 to 4 at 10 points of Lie norm up to 0.6.
@@ -369,7 +370,7 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
                            worst, tolerance)]
 
 
-def suite_orthogonality(n: int = 2, p: int = 1, seed: int = 0,
+def suite_orthogonality(n: int = 2, p: int = 1,
                         tolerance: float = 1e-10) -> list:
     """Cross-degree inner products of the bases of degrees 0 to 6 on the
     union of rotated spheres vanish."""
@@ -501,14 +502,12 @@ def suite_almansi(n: int = 2, p: int = 1, seed: int = 0) -> list:
 # special-function suite
 # --------------------------------------------------------------------------
 
-def suite_gegenbauer(n: int = 2, p: int = 1, seed: int = 0,
-                     tolerance: float = 1e-11) -> list:
+def suite_gegenbauer(tolerance: float = 1e-11) -> list:
     """Recurrence vs exact explicit sum at degrees 0 to 30 and 101 evenly
     spaced t in [-1, 1], and geometric convergence of the
-    generating-function partial sums.  Ignores n, p and seed.  The
-    explicit sum (``gegenbauer_explicit``) is the factorial formula, never
-    the recurrence, in integers at each float t, rounded once."""
-    del n, p, seed
+    generating-function partial sums.  The explicit sum
+    (``gegenbauer_explicit``) is the factorial formula, never the
+    recurrence, in integers at each float t, rounded once."""
     max_degree, lambdas = 30, (1, 1.5, 2, 2.5)
     ts = np.linspace(-1.0, 1.0, 101)
     worst = 0.0
@@ -557,15 +556,14 @@ SUITES = {
 
 def run_suite(name: str, n: int = 2, p: int = 1, seed: int = 0,
               tolerance: float | None = None) -> list:
-    """Run one registered suite.  A given ``tolerance`` goes to the suite's
-    own ``tolerance`` argument: it sets the suite's tolerance rows, and any
-    rule or series the suite sizes from it, never a count or ratio row; a
-    suite without that argument ignores it."""
+    """Run one registered suite, passing it exactly those inputs that its
+    signature names; a ``tolerance`` of None leaves the suite's own.  A
+    given ``tolerance`` sets the suite's tolerance rows, and any rule or
+    series the suite sizes from it, never a count or ratio row."""
     fn = SUITES.get(name)
     if fn is None:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r} (known: {known})")
-    if tolerance is not None and "tolerance" in inspect.signature(
-            fn).parameters:
-        return fn(n=n, p=p, seed=seed, tolerance=float(tolerance))
-    return fn(n=n, p=p, seed=seed)
+    given = {"n": n, "p": p, "seed": seed, "tolerance": tolerance}
+    return fn(**{key: given[key] for key in inspect.signature(fn).parameters
+                 if given[key] is not None})

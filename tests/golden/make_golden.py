@@ -18,7 +18,9 @@ every request of one pass of the reproduce template on seed 5, the
 ``verify`` suites that no template runs (``SUITE_PROBES``) at n in {2, 3}
 and p in {1, 2} on seed 5, the other suites but gegenbauer at the shapes
 of those that no template runs them at (``SUITE_GAPS``), and one
-``verify`` table that exits 1.  Each case keeps its config, its exit code, the
+``verify`` table that exits 1.  ``hua-convergence`` takes no p, so its
+p = 2 cases repeat the value cells of its p = 1 cases: they pin that p is
+unread, and a change that starts to read it fails them.  Each case keeps its config, its exit code, the
 sha256 of its JSON and CSV renders and a short digest of each column; a
 table of at most ``KEPT_ROWS`` rows also keeps its value cells.  The file
 records the Python and numpy versions the digests were taken on.  A change
@@ -33,7 +35,9 @@ The same run rebuilds ``errors.json``: the same configs broken on purpose
 (``error_cases``), each refused by validation, with its exit code and its
 ``error:`` line.  Every key of every command gets each of its faults
 alone; then come configs with two or three faults on distinct keys, which
-pin the order of the checks.  ``--check`` runs the committed refusals
+pin the order of the checks, and last a ``kernel`` config with a pairs list
+and, beside it, a top-level ``x_sector`` or ``zeta_sector``
+(``SECTOR_KEYS``), which no draw gives.  ``--check`` runs the committed refusals
 through ``cli.main`` again and names those whose exit code or line
 changed, with the recorded and the new exit code and line.
 """
@@ -229,8 +233,11 @@ def probe_case(n: int, p: int, degree: int) -> tuple:
 # --------------------------------------------------------------------------
 
 NAN, INF = float("nan"), float("inf")
-# the keys each command accepts, in no particular order; "unknown" adds a
-# key it does not accept
+# the keys each command accepted before seed left every table but verify's
+# and tolerance left dims', in no particular order: kept, so that a rebuild
+# draws the same configs in the same order, and those that give seed (or
+# dims' tolerance) pin its unknown-key refusal; "unknown" adds a key
+# outside these
 KEYS = {
     "kernel": ("n", "p", "seed", "tolerance", "x", "zeta", "x_sector",
                "zeta_sector", "pairs", "degrees", "kernels"),
@@ -243,6 +250,8 @@ KEYS = {
     "dims": ("n", "p", "seed", "tolerance", "degrees"),
 }
 ERROR_CASES = 1000  # configs drawn with two or three faults
+# pair keys that _where puts in a pairs entry, given beside the list once
+SECTOR_KEYS = ("x_sector", "zeta_sector")
 MAX_BYTES = 2048  # the largest config JSON kept
 
 
@@ -449,9 +458,10 @@ def error_cases(cases: list, path: Path) -> list:
     """Configs of ``cases`` broken with a fixed seed, each refused by
     validation: for every key of every command, each of its faults alone,
     twice, then ``ERROR_CASES`` draws of two or three faults on
-    distinct keys.  Each keeps its config, faults, exit code and stderr
-    line.  A config above ``MAX_BYTES`` of JSON, or drawn before, is
-    dropped."""
+    distinct keys, then, with no draw, ``SECTOR_KEYS`` beside the first
+    three pairs of the first ``kernel`` config with a pairs list.  Each keeps its
+    config, faults, exit code and stderr line.  A config above
+    ``MAX_BYTES`` of JSON, or drawn before, is dropped."""
     rng = random.Random("golden:error-lines")
     bases = {}
     for _, command, config in cases:
@@ -465,10 +475,13 @@ def error_cases(cases: list, path: Path) -> list:
         command = rng.choice(sorted(KEYS))
         keys = rng.sample(KEYS[command] + ("unknown",), rng.choice((2, 2, 3)))
         plans.append((command, [(key, None) for key in keys]))
+    plans = [(command, *break_config(rng, command, rng.choice(
+        bases[command]), faults)) for command, faults in plans]
+    base = next(c for c in bases["kernel"] if "pairs" in c)
+    plans += [("kernel", {**base, "pairs": base["pairs"][:3], key: 0},
+               [f"{key}: beside pairs"]) for key in SECTOR_KEYS]
     out, seen = [], set()
-    for command, faults in plans:
-        config, labels = break_config(rng, command,
-                                      rng.choice(bases[command]), faults)
+    for command, config, labels in plans:
         text = json.dumps(config, sort_keys=True)
         if len(text) > MAX_BYTES or (command, text) in seen:
             continue

@@ -199,20 +199,18 @@ def test_readme_default_tolerances_match_the_command_table():
 # removes the key
 DROP = object()
 VALID = {
-    "kernel": {"n": 2, "p": 2, "seed": 1, "tolerance": 1e-8,
+    "kernel": {"n": 2, "p": 2, "tolerance": 1e-8,
                "x": [0.5, 0.0], "zeta": [1.0, 0.0], "x_sector": 0,
                "zeta_sector": 0, "degrees": [0, 1], "kernels": ["zonal"]},
-    "dirichlet": {"n": 2, "p": 2, "seed": 1, "tolerance": 1e-8,
+    "dirichlet": {"n": 2, "p": 2, "tolerance": 1e-8,
                   "boundary": "x1", "points": [[0.1, 0.2]], "sectors": [0],
                   "resolution": 8},
     "verify": {"n": 2, "p": 1, "seed": 1, "tolerance": 1e-6,
                "suites": ["almansi"]},
-    "hua-limit": {"n": 2, "seed": 1, "tolerance": 1e-6, "u": "x1",
+    "hua-limit": {"n": 2, "tolerance": 1e-6, "u": "x1",
                   "z": [0.1, [0.1, 0.1]], "p_list": [1, 2], "resolution": 8},
-    "almansi": {"n": 2, "p": 1, "seed": 1, "tolerance": 1e-6,
-                "polynomial": "x1^2"},
-    "dims": {"n": 2, "p": 1, "seed": 1, "tolerance": 1e-6,
-             "degrees": [0, 1]},
+    "almansi": {"n": 2, "p": 1, "tolerance": 1e-6, "polynomial": "x1^2"},
+    "dims": {"n": 2, "p": 1, "degrees": [0, 1]},
 }
 _VECTOR_FAULTS = {"missing": DROP, "type": "x", "length": [0.5],
                   "non-finite": [math.nan, 0.0]}
@@ -314,6 +312,40 @@ def test_every_key_violation_is_one_error_line_that_names_the_key(
             config = {k: v for k, v in VALID[command].items() if k != key}
             assert _refuses(command, config) == \
                 ("missing" in VIOLATIONS[key]), (command, key)
+
+
+# the keys that no run of the command reads: only verify's suites draw
+# random samples, and dims' rows carry no bound
+UNREAD = [(command, "seed") for command in ("kernel", "dirichlet",
+                                            "hua-limit", "almansi", "dims")]
+UNREAD.append(("dims", "tolerance"))
+
+
+@pytest.mark.parametrize("command,key", UNREAD)
+def test_a_key_that_no_run_reads_is_refused(tmp_path, capsys, command, key):
+    config = {**VALID[command], key: {"seed": 0, "tolerance": 1e-6}[key]}
+    assert run(tmp_path, command, config) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err \
+        == f"error: unknown configuration keys for {command}: {key}\n"
+
+
+@pytest.mark.parametrize("command,key", UNREAD)
+def test_a_flag_that_no_run_reads_is_a_usage_error(tmp_path, capsys,
+                                                   command, key):
+    with pytest.raises(SystemExit) as stop:
+        run(tmp_path, command, VALID[command], f"--{key}", "1")
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+
+
+def test_verify_seed_flag_sets_the_seed(tmp_path):
+    # p = 2, where the three routes round differently, so seeds differ
+    config = {"n": 2, "p": 2, "suites": ["route-agreement"]}
+    tables = [run(tmp_path, "verify", config, *flags)[1] for flags in (
+        ("--seed", "9"), ())] + [run(tmp_path, "verify",
+                                     {**config, "seed": 9})[1]]
+    assert tables[0] == tables[2] and rows_by(tables[0]) != rows_by(tables[1])
+    assert json.loads(tables[0])["metadata"]["config"]["seed"] == 9
 
 
 # --------------------------------------------------------------------------
@@ -2025,20 +2057,18 @@ def test_csv_floats_use_17_significant_digits(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    config = {"n": 2, "p": 2, "boundary": "x1^2", "points": [[0.3, 0.1]],
-              "seed": 5}
+    config = {"n": 2, "p": 2, "boundary": "x1^2", "points": [[0.3, 0.1]]}
     _, first = run(tmp_path, "dirichlet", config)
     _, second = run(tmp_path, "dirichlet", config)
     assert first == second
 
 
 def test_metadata_records_effective_config_and_hash(tmp_path):
-    code, text = run(tmp_path, "kernel",
-                     {"n": 2, "x": [0.5, 0], "zeta": [1, 0]},
+    code, text = run(tmp_path, "verify", {"n": 2, "suites": ["almansi"]},
                      "--seed", "9", "--tolerance", "1e-8")
     assert code == 0
     meta = json.loads(text)["metadata"]
-    assert meta["command"] == "kernel"
+    assert meta["command"] == "verify"
     assert meta["config"]["seed"] == 9
     assert meta["config"]["tolerance"] == 1e-8
     assert len(meta["config_sha256"]) == 64

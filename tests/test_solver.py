@@ -588,12 +588,10 @@ def test_every_matrix_product_stays_on_the_calling_thread(monkeypatch):
         "n": 3, "p": 3, "boundary": random_polynomial(3, 5, rng).to_text(),
         "points": coords.tolist(), "sectors": sectors.tolist()})
     assert table.exit_code() == 0
-    for suite, n, p in ((suites.suite_reproduction, 3, 1),
-                        (suites.suite_hua_reproduction, 2, 1),
-                        (suites.suite_reproduction, 2, 3),
-                        (suites.suite_sector_integrals, 3, 2),
-                        (suites.suite_reproduction, 4, 1)):
-        assert all(row.passed for row in suite(n=n, p=p))
+    for suite, n, p in (("reproduction", 3, 1), ("hua-reproduction", 2, 1),
+                        ("reproduction", 2, 3), ("sector-integrals", 3, 2),
+                        ("reproduction", 4, 1)):
+        assert all(row.passed for row in suites.run_suite(suite, n=n, p=p))
     assert {dtype for dtype, _ in sizes} <= {np.dtype(float),
                                              np.dtype(complex)}
     assert all(size <= 1 << 18 if dtype == float else size < 1 << 16
@@ -689,7 +687,7 @@ def test_a_call_whose_join_fits_eight_budgets_is_one_block(monkeypatch):
 
     monkeypatch.setattr(solver, "_sector_kernels", recorded)
     monkeypatch.setattr(quadrature, "_sliced_sums", recorded_sums)
-    [row] = suites.suite_hua_reproduction(n=2, p=1)
+    [row] = suites.suite_hua_reproduction(n=2)
     assert row.passed and builds == [(10, 23)]
     assert dots == [((1, 10, 3, 230), (1, 15, 3, 230))]
     u = MultiPoly.from_text("x1^3 x2 + (0,2) * x3^4 - x2^2", n=3)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import inspect
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -114,17 +116,20 @@ def test_gegenbauer_suite_ignores_geometry_arguments():
         == [(r.name, r.deviation) for r in b]
 
 
-# the suites without tolerance rows
-TOLERANCE_FREE = {"hua-convergence", "almansi"}
-
-
-def test_suites_take_only_what_run_suite_passes(monkeypatch):
-    # n, p and seed, and tolerance where a suite has tolerance rows: sample
-    # counts, radii and top degrees are constants of each suite
+def test_every_suite_parameter_is_read_in_its_body():
+    # a parameter that a suite deletes or never loads is an input that
+    # shapes no row
     for name, fn in SUITES.items():
-        want = ["n", "p", "seed"] + (
-            [] if name in TOLERANCE_FREE else ["tolerance"])
-        assert list(inspect.signature(fn).parameters) == want, name
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        loaded = {node.id for node in ast.walk(tree.body[0])
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        params = set(inspect.signature(fn).parameters)
+        assert params <= {"n", "p", "seed", "tolerance"}, name
+        assert params <= loaded, (name, params - loaded)
+
+
+def test_run_suite_passes_each_suite_exactly_its_parameters(monkeypatch):
     calls = {}
 
     def recorded(name, fn):
@@ -136,16 +141,15 @@ def test_suites_take_only_what_run_suite_passes(monkeypatch):
 
     for name, fn in SUITES.items():
         monkeypatch.setitem(SUITES, name, recorded(name, fn))
+    given = {"n": 3, "p": 2, "seed": 7, "tolerance": 1e-7}
     for name in SUITES:
-        run_suite(name, n=3, p=2, seed=7, tolerance=1e-7)
-    forwarded = {name for name, kwargs in calls.items()
-                 if kwargs.pop("tolerance", None) == 1e-7}
-    assert forwarded == set(SUITES) - TOLERANCE_FREE and len(forwarded) == 10
-    assert all(kwargs == {"n": 3, "p": 2, "seed": 7}
-               for kwargs in calls.values())
-    for name in SUITES:
+        params = inspect.signature(SUITES[name]).parameters
+        run_suite(name, **given)
+        assert calls[name] == {key: given[key] for key in params}, name
+        # no tolerance leaves the suite's own default
         run_suite(name, n=3, p=2, seed=7)
-        assert calls[name] == {"n": 3, "p": 2, "seed": 7}, name
+        assert calls[name] == {key: given[key] for key in params
+                               if key != "tolerance"}, name
 
 
 def test_unknown_suite_raises_with_known_names():
