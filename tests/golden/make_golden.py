@@ -20,9 +20,10 @@ and p in {1, 2} on seed 5, the other suites but gegenbauer at the shapes
 of those that no template runs them at (``SUITE_GAPS``), and one
 ``verify`` table that exits 1.  ``hua-convergence`` takes no p, so its
 p = 2 cases repeat the value cells of its p = 1 cases: they pin that p is
-unread, and a change that starts to read it fails them.  Each case keeps its config, its exit code, the
-sha256 of its JSON and CSV renders and a short digest of each column; a
-table of at most ``KEPT_ROWS`` rows also keeps its value cells.  The file
+unread, and a change that starts to read it fails them.  Each case keeps
+its config, its exit code, the sha256 of its JSON and CSV renders and a
+short digest of each column; a table of at most ``KEPT_ROWS`` rows also
+keeps its value cells.  The file
 records the Python and numpy versions the digests were taken on.  A change
 that alters printed bits rebuilds the file in the same commit and names the
 tables that changed, and why.  ``--check`` writes nothing: for every case
@@ -35,11 +36,11 @@ The same run rebuilds ``errors.json``: the same configs broken on purpose
 (``error_cases``), each refused by validation, with its exit code and its
 ``error:`` line.  Every key of every command gets each of its faults
 alone; then come configs with two or three faults on distinct keys, which
-pin the order of the checks, and last a ``kernel`` config with a pairs list
-and, beside it, a top-level ``x_sector`` or ``zeta_sector``
-(``SECTOR_KEYS``), which no draw gives.  ``--check`` runs the committed refusals
-through ``cli.main`` again and names those whose exit code or line
-changed, with the recorded and the new exit code and line.
+pin the order of the checks, and last a ``kernel`` config with a pairs
+list and, beside it, a top-level ``x_sector`` or ``zeta_sector``
+(``SECTOR_KEYS``), which no draw gives.  ``--check`` runs the committed
+refusals through ``cli.main`` again and names those whose exit code or
+line changed, with the recorded and the new exit code and line.
 """
 
 from __future__ import annotations
@@ -459,8 +460,8 @@ def error_cases(cases: list, path: Path) -> list:
     validation: for every key of every command, each of its faults alone,
     twice, then ``ERROR_CASES`` draws of two or three faults on
     distinct keys, then, with no draw, ``SECTOR_KEYS`` beside the first
-    three pairs of the first ``kernel`` config with a pairs list.  Each keeps its
-    config, faults, exit code and stderr line.  A config above
+    three pairs of the first ``kernel`` config with a pairs list.  Each
+    keeps its config, faults, exit code and stderr line.  A config above
     ``MAX_BYTES`` of JSON, or drawn before, is dropped."""
     rng = random.Random("golden:error-lines")
     bases = {}
