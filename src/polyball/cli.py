@@ -641,7 +641,6 @@ def run_almansi(cfg: RunConfig) -> ResultTable:
                         _metadata(cfg))
     try:  # a component may pass the double range or the int-to-text limit
         polyalg._require_monomials(n, q.degree())  # before the ladder
-        polyalg._require_ladder(q)
         components = polyalg.polyharmonic_almansi(q, p)
         for k, comp in enumerate(components):
             out = comp

@@ -17,10 +17,10 @@ The explicit sum is the oracle.  Its coefficients come from this factorial
 formula, never from the recurrence, built once per (lambda, m) as integer
 numerators over one denominator: with lambda = a/b, (lambda)_j = R_j / b^j
 for the integers R_j = prod_{i<j} (a + i b).  At a real t = a'/b' (a float
-is one exactly) the sum is then Horner in integers, rounded once.  The
-same table, its k-th entry scaled by 2^{m-2k}, gives the exact Fraction
-coefficients of C_m in t (``gegenbauer_coefficients``) that back the
-kernel algebra elsewhere in the package.
+is one exactly, its b' a power of two whose powers are shifts) the sum is
+Horner in integers, rounded once.  The same table, its k-th entry scaled
+by 2^{m-2k}, gives the exact Fraction coefficients of C_m in t
+(``gegenbauer_coefficients``) that back the kernel algebra elsewhere.
 
 Degrees m < 0 evaluate to 0 everywhere; this convention makes difference
 expressions like C_m - C_{m-2p} valid for every m >= 0.
@@ -131,8 +131,8 @@ def gegenbauer_explicit(lam, m: int, t) -> complex:
     floating point the sum cancels catastrophically for large m, which would
     make the oracle useless at the tolerances it certifies.  With t = a/b
     and the coefficients N_k / L over one denominator, cached per
-    (lambda, m), Horner runs in integers on sum_k N_k (2a)^{m-2k} b^{2k},
-    and one correctly rounded division by L b^m ends it.
+    (lambda, m), Horner runs in integers on sum_k N_k (2a)^{m-2k} b^{2k}, a
+    shift for b = 2^e, and one correctly rounded division by L b^m ends it.
     """
     if not isinstance(t, float) and (np.ndim(t) or isinstance(t, complex)):
         raise ValueError("the explicit sum takes a real scalar t")
@@ -142,12 +142,18 @@ def gegenbauer_explicit(lam, m: int, t) -> complex:
     if m < 0:
         return 0j
     a, b = _exact_ratio(t)
-    u, w = 4 * a * a, b * b  # (2t)^2 = u / w
-    acc, wk = 0, 1
-    for num in nums:
-        acc = acc * u + num * wk
-        wk *= w
-    denom *= wk // w
+    u, w, e = 4 * a * a, b * b, b.bit_length() - 1  # (2t)^2 = u / w
+    acc, wk, shift = 0, 1, 0
+    if b == 1 << e:  # w^k = 2^{2ek} is a shift, as for every float t
+        for num in nums:
+            acc = acc * u + (num << shift)
+            shift += 2 * e
+        denom <<= shift - 2 * e
+    else:
+        for num in nums:
+            acc = acc * u + num * wk
+            wk *= w
+        denom *= wk // w
     if m % 2:
         acc, denom = 2 * a * acc, b * denom
     return complex(acc / denom)

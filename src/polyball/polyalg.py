@@ -17,8 +17,14 @@ in closed form: u_{m-2k} is the harmonic projection of Delta^k q divided by
 prod_{i=1..k} 2i (n + 2(m-2k) + 2i - 2), and the projection of f of degree d
 is sum_j (-1)^j |x|^{2j} Delta^j f / (2^j j! prod_{i=1..j} (n + 2d - 2 - 2i))
 (Axler, Bourdon, Ramey, Harmonic Function Theory, 2nd ed., GTM 137, ch. 5).
-No linear system is solved.  Grouping the ladder in blocks of p gives the
-order-p decomposition with Delta^p-annihilated components.
+No linear system is solved.  With L_s = Delta^s q that is u_{m-2k} =
+sum_j |x|^{2j} L_{k+j} / W^{(k)}_j, so the order-p component joining
+u_{m-2bp} .. u_{m-2bp-2p+2}, with Delta^p Q_b = 0, is one Horner sum
+
+    Q_b = sum_s r_s |x|^{2s} L_{bp+s},  r_s = sum_{i<p} 1 / W^{(bp+i)}_{s-i},
+
+its r_s integer numerators over one denominator; p = 1 gives the u.  The
+ladder of a polynomial, and its blocks at an order, are built once.
 
 The bases of H_m^p = ker Delta^p come in closed form too.
 
@@ -86,6 +92,11 @@ def _term_order(item):
     return (-sum(exps), exps)
 
 
+@lru_cache(maxsize=256)
+def _factor_text(exps: tuple) -> str:  # "x1^a x2^b ...", without zeros
+    return " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+
+
 class MultiPoly:
     """Sparse polynomial in n variables: ``terms`` maps exponent tuples to
     Gaussian-integer numerators (re, im) over the common ``denom``.
@@ -112,10 +123,11 @@ class MultiPoly:
             clean[exps] = (re0 + a * (scale // d), im0 + b * (scale // d))
         self._set(n, clean, scale)
 
-    def _set(self, n: int, terms: dict, denom: int):
-        """Store terms / denom with zero terms and common factors removed."""
+    def _set(self, n: int, terms: dict, denom: int, lowest: bool = False):
+        """Store terms / denom, zeros dropped, reduced unless ``lowest``."""
         terms = {e: c for e, c in terms.items() if c[0] or c[1]}
-        g = math.gcd(denom, *chain.from_iterable(terms.values()))
+        g = 1 if lowest else math.gcd(denom,
+                                      *chain.from_iterable(terms.values()))
         if g > 1:
             terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
         object.__setattr__(self, "n", n)
@@ -123,11 +135,12 @@ class MultiPoly:
         object.__setattr__(self, "denom", denom // g)
 
     @classmethod
-    def _exact(cls, n: int, terms: dict, denom: int) -> "MultiPoly":
+    def _exact(cls, n: int, terms: dict, denom: int,
+               lowest: bool = False) -> "MultiPoly":
         """The reduced polynomial of integer numerators over ``denom``,
         without the public constructor's checks."""
         out = object.__new__(cls)
-        out._set(n, terms, denom)
+        out._set(n, terms, denom, lowest)
         return out
 
     def __setattr__(self, *_):
@@ -305,8 +318,10 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
+        # past n = 64 the 256 cached exponent tuples would take megabytes
+        text = _factor_text if self.n <= 64 else _factor_text.__wrapped__
         for exps, (a, b) in sorted(self.terms.items(), key=_term_order):
-            factors = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
+            factors = text(exps)
             try:
                 cs = _ratio_text(a, self.denom)
                 if b:
@@ -385,9 +400,9 @@ _MAX_EXPONENT = 8600
 
 
 def _ratio(tok) -> tuple | None:
-    """(numerator, denominator > 0), unreduced, of a number token, None for
-    any other: the value of ``Fraction(tok)`` by its int conversions in their
-    order, so a part past the int-to-text digit limit raises alike."""
+    """(numerator, denominator > 0) in lowest terms of a number token, None
+    for any other: the value of ``Fraction(tok)`` by its int conversions in
+    their order, so a part past the int-to-text digit limit raises alike."""
     if not tok or not (tok[0].isdecimal() or tok[0] == "." and len(tok) > 1):
         return None
     num, slash, den = tok.partition("/")
@@ -395,16 +410,19 @@ def _ratio(tok) -> tuple | None:
         num, den = int(num), int(den)
         if not den:
             raise ValueError(f"polynomial text: zero denominator in {tok!r}")
-        return num, den
-    mantissa, _, exp = tok.replace("E", "e").partition("e")
-    whole, _, frac = mantissa.partition(".")
-    den = 10 ** len(frac)
-    num = int(whole or "0") * den + int(frac or "0")
-    shift = int(exp or "0")
-    if abs(shift) > _MAX_EXPONENT:
-        raise ValueError(f"polynomial text: the exponent of {tok[:30]!r} is "
-                         f"outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
-    return (num * 10 ** shift, den) if shift >= 0 else (num, den * 10**-shift)
+    else:
+        mantissa, _, exp = tok.replace("E", "e").partition("e")
+        whole, _, frac = mantissa.partition(".")
+        den = 10 ** len(frac)
+        num = int(whole or "0") * den + int(frac or "0")
+        shift = int(exp or "0")
+        if abs(shift) > _MAX_EXPONENT:
+            raise ValueError(f"polynomial text: the exponent of {tok[:30]!r} "
+                             f"is outside [-{_MAX_EXPONENT}, {_MAX_EXPONENT}]")
+        num, den = (num * 10 ** shift, den) if shift >= 0 else (
+            num, den * 10 ** -shift)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _signs(toks: list, i: int) -> tuple:
@@ -491,7 +509,9 @@ def _parse_poly(text: str, n: int | None) -> MultiPoly:
         re0, im0 = terms.get(key, (0, 0))
         terms[key] = (re0 + sign * a * (denom // da),
                       im0 + sign * b * (denom // db))
-    return MultiPoly._exact(dim, terms, denom)
+    # Ratios in lowest terms, unless two terms merged, have gcd 1 over denom:
+    # a prime's top power in denom divides a denominator but not its ratio.
+    return MultiPoly._exact(dim, terms, denom, len(terms) == len(raw))
 
 
 # --------------------------------------------------------------------------
@@ -565,60 +585,67 @@ def _require_homogeneous(q: MultiPoly, what: str):
         raise ValueError(f"{what} requires a homogeneous polynomial")
 
 
-def _radial_horner(n: int, polys: list, weights: list) -> MultiPoly:
-    """sum_j |x|^{2j} polys[j] / weights[j] over the pairs that
-    ``zip(polys, weights)`` gives, for nonzero integer weights; exact.
+def _radial_horner(n: int, polys: list, nums: list, denom: int) -> MultiPoly:
+    """sum_j |x|^{2j} polys[j] nums[j] / denom over the pairs that
+    ``zip(polys, nums)`` gives, for integers nums[j] and denom > 0; exact.
 
-    The sum is built as integer numerators over one denominator, the lcm of
-    weights[j] * polys[j].denom, by Horner in |x|^2: multiplying by |x|^2
-    adds each numerator at e + 2 e_i for every i.  One gcd reduces the
-    result; generic products would reduce at every step."""
-    parts = list(zip(polys, weights))
-    denom = math.lcm(*(w * u.denom for u, w in parts))
+    The sum is built as integer numerators over denom times the lcm of the
+    polys' denominators, by Horner in |x|^2: multiplying by |x|^2 adds each
+    numerator at e + 2 e_i for every i.  One gcd reduces the result."""
+    parts = list(zip(polys, nums))
+    scale = math.lcm(*(u.denom for u, _ in parts))
     acc = {}
-    for u, w in reversed(parts):
+    for u, num in reversed(parts):
         shifted = {}
         for e, (a, b) in acc.items():
             for i in range(n):
                 key = e[:i] + (e[i] + 2,) + e[i + 1:]
                 a0, b0 = shifted.get(key, (0, 0))
                 shifted[key] = (a0 + a, b0 + b)
-        f = denom // (w * u.denom)  # exact, with the sign of w
+        f = num * (scale // u.denom)
         for e, (a, b) in u.terms.items():
             a0, b0 = shifted.get(e, (0, 0))
             shifted[e] = (a0 + a * f, b0 + b * f)
         acc = shifted
-    return MultiPoly._exact(n, acc, denom)
+    return MultiPoly._exact(n, acc, denom * scale)
+
+
+def _blocks(q: MultiPoly, p: int) -> list:
+    """The order-p components [Q_0, Q_1, ...] of a homogeneous q of degree
+    m, each one Horner sum over its ladder (module docstring); with
+    d = m - 2k, W^{(k)}_0 = prod_{i=1..k} 2i (n + 2d + 2i - 2) and
+    W^{(k)}_j = -W^{(k)}_{j-1} 2j (n + 2d - 2 - 2j), j <= floor(d/2)."""
+    n, m, ladder = q.n, q.degree(), [q]
+    for _ in range(m // 2):
+        ladder.append(ladder[-1].laplacian())
+    blocks = []
+    for start in range(0, len(ladder), p):
+        weights = [[] for _ in ladder[start:]]  # the W of each r_s
+        for k in range(start, min(start + p, len(ladder))):
+            d = m - 2 * k
+            w = math.prod(2 * i * (n + 2 * d + 2 * i - 2)
+                          for i in range(1, k + 1))
+            for j in range(d // 2 + 1):
+                w = -w * 2 * j * (n + 2 * d - 2 - 2 * j) if j else w
+                weights[k - start + j].append(w)
+        denom = math.lcm(*chain.from_iterable(weights))
+        nums = [sum(denom // w for w in ws) for ws in weights]
+        blocks.append(_radial_horner(n, ladder[start:], nums, denom))
+    return blocks
 
 
 def harmonic_almansi(q: MultiPoly) -> list:
-    """Components [u_m, u_{m-2}, ...] with q = sum_k |x|^{2k} u_{m-2k}.
-
-    Exact and unique; zero components are kept so the k-th entry always has
-    degree m - 2k.  The zero polynomial decomposes as [].  With the Laplacian
-    ladder L_k = Delta^k q and d = m - 2k, the harmonic projection gives
-
-        u_{m-2k} = a_k^{-1} sum_{j=0}^{floor(d/2)} c_j |x|^{2j} L_{k+j},
-        c_0 = 1,  c_j = -c_{j-1} / (2j (n + 2d - 2 - 2j)),
-        a_k = prod_{i=1..k} 2i (n + 2d + 2i - 2).
-    """
+    """Harmonic components [u_m, u_{m-2}, ...] with q = sum_k |x|^{2k}
+    u_{m-2k}: ``polyharmonic_almansi`` at p = 1.  Zero components are kept,
+    so the k-th entry has degree m - 2k; the zero polynomial gives []."""
     _require_homogeneous(q, "harmonic_almansi")
-    if q.is_zero():
-        return []
-    n, m = q.n, q.degree()
-    ladder = [q]
-    for _ in range(m // 2):
-        ladder.append(ladder[-1].laplacian())
-    components = []
-    for k in range(m // 2 + 1):
-        d = m - 2 * k
-        # 1 / weights[j] = c_j / a_k
-        weights = [math.prod(2 * i * (n + 2 * d + 2 * i - 2)
-                             for i in range(1, k + 1))]
-        for j in range(1, d // 2 + 1):
-            weights.append(-weights[-1] * 2 * j * (n + 2 * d - 2 - 2 * j))
-        components.append(_radial_horner(n, ladder[k:], weights))
-    return components
+    return polyharmonic_almansi(q, 1)
+
+
+@lru_cache(maxsize=8)
+def _radial_power(n: int, p: int) -> MultiPoly:
+    """|x|^{2p}, built once per (n, p)."""
+    return MultiPoly.radial_square(n) ** p
 
 
 def almansi_reassemble(components: list, n: int, p: int = 1) -> MultiPoly:
@@ -629,7 +656,7 @@ def almansi_reassemble(components: list, n: int, p: int = 1) -> MultiPoly:
     if len(components) < 2:
         return components[0] if components else MultiPoly.zero(n)
     out = MultiPoly.zero(n)
-    r2p = MultiPoly.radial_square(n) ** p
+    r2p = _radial_power(n, p)
     for comp in reversed(components):  # Horner in |x|^{2p}
         out = r2p * out + comp
     return out
@@ -638,28 +665,19 @@ def almansi_reassemble(components: list, n: int, p: int = 1) -> MultiPoly:
 def polyharmonic_almansi(q: MultiPoly, p: int) -> list:
     """Order-p components [q_0, q_1, ...] with q = sum_k |x|^{2kp} q_k.
 
-    Each component satisfies Delta^p q_k = 0; obtained by grouping the
-    harmonic ladder in blocks of p.
+    Each component satisfies Delta^p q_k = 0: a block of p harmonic
+    components, one Horner sum over the Laplacian ladder (``_blocks``).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     _require_homogeneous(q, "polyharmonic_almansi")
-    if q.is_zero():
-        return []
-    return _order_p(harmonic_almansi(q), q.n, p)
-
-
-def _order_p(ladder, n: int, p: int) -> list:
-    """The order-p components of a harmonic ladder [h_0, h_1, ...]: each
-    block of p entries joined by powers of |x|^2."""
-    blocks = [ladder[start:start + p] for start in range(0, len(ladder), p)]
-    return [_radial_horner(n, block, [1] * len(block)) for block in blocks]
+    return [comp for part in _almansi(q, p) for comp in part]  # q's one part
 
 
 # Most shift-adds the harmonic ladders of one polynomial may take, each
 # weighing 1 + b // _STEP_BITS for b-bit data numerators: the largest
 # accepted, dense data of degree 144 at n = 2 with one-digit coefficients,
-# take 0.4-0.8 s on a 2-core Xeon with Python 3.11, b-bit data about
+# take 0.25-0.4 s on a 2-core Xeon with Python 3.11, b-bit data about
 # 1 + b / 1024 times as long per shift-add (b to 14,000, degree 60 to 144)
 _MAX_LADDER_STEPS = 1 << 19
 _STEP_BITS = 1024
@@ -668,10 +686,11 @@ _STEP_BITS = 1024
 def _require_ladder(q: MultiPoly):
     """Refuse, before any Laplacian, harmonic ladders of q's homogeneous
     parts past ``_MAX_LADDER_STEPS`` weighted shift-adds.  A part of degree
-    m gives its component of degree d = m - 2k by a Horner sum
-    (``_radial_horner``) of floor(d/2) + 1 terms, each of up to dim_P(n, d)
-    monomials shifted n ways.  The count stops at the cap, so a huge degree
-    costs a few terms."""
+    m gives its harmonic component of degree d = m - 2k by a Horner sum of
+    floor(d/2) + 1 terms, each of up to dim_P(n, d) monomials shifted n
+    ways.  An order-p block starting at component k costs what component k
+    does, so the count is an upper bound on the block sums of every p.
+    The count stops at the cap, so a huge degree costs a few terms."""
     bits = max(x.bit_length() for x in chain([q.denom], *q.terms.values()))
     weight = 1 + bits // _STEP_BITS
     steps = 0
@@ -687,24 +706,19 @@ def _require_ladder(q: MultiPoly):
 
 
 @lru_cache(maxsize=1)
-def _harmonic_ladders(q: MultiPoly) -> tuple:
-    """``harmonic_almansi`` of each homogeneous part of q, after
-    ``_require_ladder``; kept for the next call, so that the orders of one
-    request share it."""
+def _almansi(q: MultiPoly, p: int) -> tuple:
+    """``_blocks`` of each homogeneous part of q, after ``_require_ladder``;
+    kept for the next call, so that ``polyharmonic_split`` or
+    ``poisson_polynomial`` after ``polyharmonic_almansi`` builds no ladder."""
     _require_ladder(q)
-    return tuple(tuple(harmonic_almansi(comp))
-                 for comp in q.homogeneous_components().values())
+    return tuple(tuple(_blocks(part, p))
+                 for part in q.homogeneous_components().values())
 
 
 def polyharmonic_split(q: MultiPoly, p: int) -> tuple:
     """One Almansi step at order p: q = h + |x|^{2p} r with Delta^p h = 0."""
-    groups = polyharmonic_almansi(q, p)
-    if not groups:
-        zero = MultiPoly.zero(q.n)
-        return zero, zero
-    head = groups[0]
-    rest = almansi_reassemble(groups[1:], q.n, p)
-    return head, rest
+    groups = polyharmonic_almansi(q, p) or [MultiPoly.zero(q.n)]
+    return groups[0], almansi_reassemble(groups[1:], q.n, p)
 
 
 def is_polyharmonic(q: MultiPoly, p: int) -> bool:
@@ -727,8 +741,8 @@ def poisson_polynomial(q: MultiPoly, p: int) -> MultiPoly:
     functions; q itself, without a ladder, when Delta^p q = 0."""
     if is_polyharmonic(q, p):
         return q
-    return sum((part for ladder in _harmonic_ladders(q)
-                for part in _order_p(ladder, q.n, p)), MultiPoly.zero(q.n))
+    return sum((part for blocks in _almansi(q, p) for part in blocks),
+               MultiPoly.zero(q.n))
 
 
 # --------------------------------------------------------------------------

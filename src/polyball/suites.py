@@ -481,7 +481,7 @@ def suite_almansi(n: int = 2, p: int = 1, seed: int = 0) -> list:
             uniqueness += 1
         if m >= 2 * p:
             head, rest = polyalg.polyharmonic_split(q, p)
-            radial = MultiPoly.radial_square(n) ** p
+            radial = polyalg._radial_power(n, p)
             ok = (polyalg.is_polyharmonic(head, p)
                   and head + radial * rest == q)
             if not ok:

@@ -99,6 +99,20 @@ def test_integer_explicit_sum_equals_fraction_horner_bitwise(lam):
             == _bits(want), m
 
 
+@pytest.mark.parametrize("lam", SUITE_LAMBDAS)
+def test_explicit_sum_at_rational_t_equals_fraction_horner_bitwise(lam):
+    # a denominator other than a power of two multiplies by its powers;
+    # ints and dyadic Fractions shift, as floats do
+    ts = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 6),
+          Fraction(-99, 100), Fraction(10**20 + 1, 3 * 10**20),
+          Fraction(3, 8), 0, 1, -1, 2)
+    for m in range(31):
+        coefs = _fraction_coefficients(lam, m)
+        want = [_fraction_horner(coefs, m, t) for t in ts]
+        assert _bits([gegenbauer_explicit(lam, m, t) for t in ts]) \
+            == _bits(want), m
+
+
 def test_explicit_sum_at_a_float_lambda_builds_no_fraction_after_one():
     # the coefficient cache is keyed on lambda's exact ratio; keyed on
     # lambda, a Fraction(3, 2) cached first made every lookup of 1.5

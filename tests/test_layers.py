@@ -218,6 +218,9 @@ UNREFERENCED_PUBLIC = {
                             "moves it",
     "rule_from_json": "reads back the rule record that every table carries",
     "PropertyResult.passed": "the acceptance gate reads it",
+    "harmonic_almansi": "the p = 1 case of polyharmonic_almansi, the "
+                        "harmonic split that the Poisson-integral oracle "
+                        "of the tests reads",
 }
 
 

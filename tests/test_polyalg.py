@@ -796,6 +796,48 @@ def test_almansi_ladders_equal_the_generic_product_horner(n):
                 assert polyharmonic_almansi(q, p) == groups, (n, m, p)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wide_order_blocks_equal_the_generic_product_grouping(n):
+    # at orders 4 and 5 one block sum joins up to five harmonic components
+    # of degree <= 8, against generic products of the generic ladder
+    rng = np.random.default_rng(190 + n)
+    r2 = MultiPoly.radial_square(n)
+    for m in range(9):
+        scale = (Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))),
+                 Fraction(int(rng.integers(-4, 5)), 7))
+        q = random_homogeneous(n, m, rng) * scale
+        want = _generic_harmonic_almansi(q)
+        for p in (4, 5):
+            groups = []
+            for start in range(0, len(want), p):
+                block = MultiPoly.zero(n)
+                for u in reversed(want[start:start + p]):
+                    block = r2 * block + u
+                groups.append(block)
+            assert polyharmonic_almansi(q, p) == groups, (n, m, p)
+
+
+def test_split_after_the_decomposition_builds_no_ladder(monkeypatch):
+    # polyharmonic_split reuses the blocks polyharmonic_almansi just built
+    rng = np.random.default_rng(59)
+    calls = []
+    laplacian = MultiPoly.laplacian
+
+    def counted(self):
+        calls.append(self.degree())
+        return laplacian(self)
+
+    for n, m, p in ((2, 7, 1), (3, 6, 2), (3, 8, 3)):
+        q = random_homogeneous(n, m, rng)
+        comps = polyharmonic_almansi(q, p)
+        monkeypatch.setattr(MultiPoly, "laplacian", counted)
+        head, rest = polyharmonic_split(q, p)
+        monkeypatch.undo()
+        assert not calls, (n, m, p)
+        assert head == comps[0]
+        assert rest == almansi_reassemble(comps[1:], n, p)
+
+
 def test_harmonic_almansi_keeps_zero_components():
     # a harmonic q: the ladder is [q, 0, 0, 0]
     q = MultiPoly.from_text("x1^6 - 15 x1^4 x2^2 + 15 x1^2 x2^4 - x2^6",
