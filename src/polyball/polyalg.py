@@ -24,7 +24,8 @@ u_{m-2bp} .. u_{m-2bp-2p+2}, with Delta^p Q_b = 0, is one Horner sum
     Q_b = sum_s r_s |x|^{2s} L_{bp+s},  r_s = sum_{i<p} 1 / W^{(bp+i)}_{s-i},
 
 its r_s integer numerators over one denominator; p = 1 gives the u.  The
-ladder of a polynomial, and its blocks at an order, are built once.
+ladder of a polynomial, and its blocks at an order, are built once; the
+Poisson sums of all its orders group its p = 1 blocks.
 
 The bases of H_m^p = ker Delta^p come in closed form too.
 
@@ -90,11 +91,6 @@ def _ratio_text(a: int, d: int) -> str:  # str(Fraction(a, d)), d > 0
 def _term_order(item):
     exps, _ = item
     return (-sum(exps), exps)
-
-
-@lru_cache(maxsize=256)
-def _factor_text(exps: tuple) -> str:  # "x1^a x2^b ...", without zeros
-    return " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
 
 
 class MultiPoly:
@@ -318,10 +314,8 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        # past n = 64 the 256 cached exponent tuples would take megabytes
-        text = _factor_text if self.n <= 64 else _factor_text.__wrapped__
         for exps, (a, b) in sorted(self.terms.items(), key=_term_order):
-            factors = text(exps)
+            factors = " ".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e)
             try:
                 cs = _ratio_text(a, self.denom)
                 if b:
@@ -738,10 +732,13 @@ def poisson_polynomial(q: MultiPoly, p: int) -> MultiPoly:
     """The Poisson integral of q over the p rotated spheres, exact: the sum
     of the order-p Almansi components of q's homogeneous parts, as
     |x|^{2p} = 1 on every sector and the kernel reproduces p-polyharmonic
-    functions; q itself, without a ladder, when Delta^p q = 0."""
+    functions; q itself, without a ladder, when Delta^p q = 0.  Each
+    component joins p harmonic ones, so every order of one q groups the
+    same cached p = 1 blocks."""
     if is_polyharmonic(q, p):
         return q
-    return sum((part for blocks in _almansi(q, p) for part in blocks),
+    return sum((_radial_horner(q.n, us[s:s + p], [1] * p, 1)
+                for us in _almansi(q, 1) for s in range(0, len(us), p)),
                MultiPoly.zero(q.n))
 
 

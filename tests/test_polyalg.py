@@ -838,6 +838,30 @@ def test_split_after_the_decomposition_builds_no_ladder(monkeypatch):
         assert rest == almansi_reassemble(comps[1:], n, p)
 
 
+def test_poisson_polynomials_of_several_orders_share_one_ladder(monkeypatch):
+    # hua-limit's orders of one u: after the first, each order applies only
+    # the p Laplacians of its is_polyharmonic test
+    rng = np.random.default_rng(61)
+    q = random_homogeneous(3, 8, rng) + random_homogeneous(3, 5, rng)
+    parts = q.homogeneous_components().values()
+    want = {p: sum((c for part in parts
+                    for c in polyharmonic_almansi(part, p)), MultiPoly.zero(3))
+            for p in (1, 2, 3, 4)}
+    assert polyalg.poisson_polynomial(q, 1) == want[1]
+    calls = []
+    laplacian = MultiPoly.laplacian
+
+    def counted(self):
+        calls.append(self.degree())
+        return laplacian(self)
+
+    monkeypatch.setattr(MultiPoly, "laplacian", counted)
+    for p in (2, 3, 4):
+        calls.clear()
+        assert polyalg.poisson_polynomial(q, p) == want[p], p
+        assert len(calls) == p, (p, calls)
+
+
 def test_harmonic_almansi_keeps_zero_components():
     # a harmonic q: the ladder is [q, 0, 0, 0]
     q = MultiPoly.from_text("x1^6 - 15 x1^4 x2^2 + 15 x1^2 x2^4 - x2^6",
