@@ -2,8 +2,9 @@
 
 An experiment is a single JSON document passed via ``--config``; a command
 takes only the keys its run reads (``seed`` only in ``verify``, ``tolerance``
-in all but ``dims``) and rejects others.  The ``--seed`` and ``--tolerance``
-flags, offered where the key is taken, override the top-level fields.
+in all but ``dims``) and rejects others; ``kernel`` reads its point pairs
+only from its ``pairs`` list.  The ``--seed`` and ``--tolerance`` flags,
+offered where the key is taken, override the top-level fields.
 Results are emitted as one table (CSV or JSON) whose rows end with the fixed
 numeric columns
 
@@ -12,7 +13,8 @@ numeric columns
 preceded by command-specific input columns (always including ``status``).
 Empty reference/bound cells mark informational rows.  Table metadata carries
 the normalized configuration, its SHA-256 hash, package versions, and the
-quadrature rule when one drove the run, recorded by its (n, resolution)
+quadrature rule when one drove the run, always sized by
+``solver.choose_rule`` (no key sets it), recorded by its (n, resolution)
 and a digest of its nodes and weights (``quadrature.rule_to_json``).  A
 ``dirichlet`` run at n >= 3 records its pole-aligned template, whose
 azimuth resolution comes from the data degree, and the number of nodes
@@ -115,8 +117,11 @@ def _as_complex_entry(value, key: str) -> list:
     return [_as_float(value, key), 0.0]
 
 
-class _Required(str):
-    """The error that the absence of a key without a default raises."""
+def _required(message: str):
+    """The default of a key that must be given: raises ``message``."""
+    def default(cfg):
+        raise ConfigError(message)
+    return default
 
 
 def _int(minimum=None, maximum=None):
@@ -167,23 +172,19 @@ def _increasing(value, key: str, cfg: dict) -> list:
 def _read(table: dict, raw: dict, cfg=None, at: str = "") -> dict:
     """The keys of ``table`` read from ``raw`` in table order and named
     with the prefix ``at``: into ``cfg`` at the top level, into a dict of
-    its own for a pairs entry.  An entry is a pair (``check(value, name,
-    cfg)``, default), a cross-key rule ``(raw, cfg)``, or None for a key
-    that a rule reads; ``cfg`` holds the keys checked before."""
+    its own for a pairs entry.  Each entry is a pair (``check(value, name,
+    cfg)``, default); a callable default is computed as ``default(cfg)``
+    from the keys checked before, or raises for a required key."""
     out = {}
     cfg = out if cfg is None else cfg
-    for key, entry in table.items():
-        if callable(entry):
-            out[key] = entry(raw, cfg)
-        elif entry is not None:
-            check, default = entry
-            if isinstance(default, _Required) and key not in raw:
-                raise ConfigError(default)
-            out[key] = check(raw.get(key, default), at + key, cfg)
+    for key, (check, default) in table.items():
+        value = (raw[key] if key in raw else default(cfg) if callable(default)
+                 else default)
+        out[key] = check(value, at + key, cfg)
     return out
 
 
-_COMMON = {"n": (_int(2), _Required("n is required")), "p": (_int(1), 1),
+_COMMON = {"n": (_int(2), _required("n is required")), "p": (_int(1), 1),
            "tolerance": (_tolerance, None)}
 _PAIR = {"x": (_as_vector, None), "zeta": (_as_vector, None),
          "x_sector": (_sector, 0), "zeta_sector": (_sector, 0)}
@@ -198,29 +199,10 @@ def _pair(value, key: str, cfg: dict) -> dict:
     return _read(_PAIR, value, cfg, f"{key}.")
 
 
-def _pairs(raw: dict, cfg: dict) -> list:
-    """kernel's cross-key rule: a pairs list, or a single x/zeta pair at
-    the top level, normalized as a one-entry pairs list."""
-    if "pairs" not in raw:
-        if "x" in raw and "zeta" in raw:
-            return [_read(_PAIR, raw, cfg)]
-        raise ConfigError("kernel needs x and zeta (or a pairs list)")
-    if "x" in raw or "zeta" in raw:
-        raise ConfigError("give either pairs or a single x/zeta, not both")
-    pairs = _listed(_pair)(raw["pairs"], "pairs", cfg)
-    for key in ("x_sector", "zeta_sector"):
-        if key in raw:
-            raise ConfigError(f"give {key} in each pairs entry, not beside "
-                              "pairs")
-    return pairs
-
-
-def _sectors(raw: dict, cfg: dict) -> list:
-    """dirichlet's cross-key rule: one sector index per point, all 0."""
-    sectors = raw.get("sectors", [0] * len(cfg["points"]))
-    if not isinstance(sectors, list) or len(sectors) != len(cfg["points"]):
-        raise ConfigError("sectors must list one sector index per point")
-    return [_sector(s, f"sectors[{i}]", cfg) for i, s in enumerate(sectors)]
+def _sectors(value, key: str, cfg: dict) -> list:
+    if not isinstance(value, list) or len(value) != len(cfg["points"]):
+        raise ConfigError(f"{key} must list one sector index per point")
+    return [_sector(s, f"{key}[{i}]", cfg) for i, s in enumerate(value)]
 
 
 class RunConfig:
@@ -507,23 +489,16 @@ def _polynomial(cfg: RunConfig, key: str, what: str, orders=()) -> list:
 def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
                 radius: float, points: int | None = None):
     """The sphere rule of a dirichlet or hua-limit run: ``choose_rule`` for
-    degree-``degree`` data up to ``radius``, or the configured (polar)
-    resolution.  Given the number of ``points``, the pole-aligned template
-    that is turned to each of them (``solver.aligned_rule``).  An
+    degree-``degree`` data up to ``radius``; given the number of
+    ``points``, its pole-aligned template, turned to each of them.  An
     unresolvable truncation, or a rule or the nodes built from it
     (p sectors, times the points of a template) above the node cap, is a
     configuration error, raised before any array of p sector phases is
     built."""
     aligned = points is not None
-    try:
-        if cfg.data["resolution"] == "auto":
-            rule = solver.choose_rule(  # SeriesToleranceError is a ValueError
-                cfg.n, p, degree, radius, max(cfg.row_tolerance / 10.0, 1e-13),
-                aligned)
-        elif aligned:
-            rule = solver.aligned_rule(cfg.n, cfg.data["resolution"], degree)
-        else:
-            rule = quadrature.sphere_rule(cfg.n, cfg.data["resolution"])
+    try:  # SeriesToleranceError is a ValueError
+        rule = solver.choose_rule(cfg.n, p, degree, radius, max(
+            cfg.row_tolerance / 10.0, 1e-13), aligned)
     except ValueError as err:
         raise ConfigError(f"no quadrature rule for {where}: {err}") from err
     try:
@@ -683,13 +658,12 @@ class _Command(NamedTuple):
     run: Callable  # RunConfig -> ResultTable
 
 
-_RESOLUTION = (lambda value, key, cfg: value if value == "auto"
-               else _as_int(value, key, minimum=4), "auto")
 _COMMANDS = {
     "kernel": _Command(
         "evaluate zonal/Poisson/Cauchy-Hua kernels at point pairs", 1e-10, {
             **_COMMON,
-            "pairs": _pairs, **dict.fromkeys(_PAIR),
+            "pairs": (_listed(_pair),
+                      _required("pairs (a list of x/zeta pairs) is required")),
             "degrees": (_listed(_int(0)), [0, 1, 2, 3, 4]),
             "kernels": (_listed(_named(
                 ("zonal", "poisson", "hua"),
@@ -701,10 +675,9 @@ _COMMANDS = {
         "interior points", 1e-9, {
             **_COMMON,
             "boundary": (_as_str,
-                         _Required("boundary (polynomial text) is required")),
+                         _required("boundary (polynomial text) is required")),
             "points": (_listed(_as_vector), None),
-            "sectors": _sectors,
-            "resolution": _RESOLUTION,
+            "sectors": (_sectors, lambda cfg: [0] * len(cfg["points"])),
         }, run_dirichlet),
     "verify": _Command("run named verification suites", None, {
         "n": _COMMON["n"], "p": _COMMON["p"],
@@ -717,15 +690,14 @@ _COMMANDS = {
         "rising-order limit experiment against the Cauchy-Hua integral",
         1e-6, {
             **{key: _COMMON[key] for key in ("n", "tolerance")},
-            "u": (_as_str, _Required("u (holomorphic polynomial text) is "
+            "u": (_as_str, _required("u (holomorphic polynomial text) is "
                                      "required")),
             "z": (_coordinates, None),
             "p_list": (_increasing, [1, 2, 4, 8]),
-            "resolution": _RESOLUTION,
         }, run_hua_limit),
     "almansi": _Command("exact Almansi decomposition of a polynomial", 0.0, {
         **_COMMON,
-        "polynomial": (_as_str, _Required("polynomial (text) is required")),
+        "polynomial": (_as_str, _required("polynomial (text) is required")),
     }, run_almansi),
     "dims": _Command(
         "dimension tables for harmonic and polyharmonic spaces", None,

@@ -38,9 +38,12 @@ The same run rebuilds ``errors.json``: the same configs broken on purpose
 alone; then come configs with two or three faults on distinct keys, which
 pin the order of the checks, and last a ``kernel`` config with a pairs
 list and, beside it, a top-level ``x_sector`` or ``zeta_sector``
-(``SECTOR_KEYS``), which no draw gives.  ``--check`` runs the committed
-refusals through ``cli.main`` again and names those whose exit code or
-line changed, with the recorded and the new exit code and line.
+(``SECTOR_KEYS``), which no draw gives.  The keys and faults are those of
+the first draw, so a rebuild draws the same configs; the keys that have
+since left a table (a top-level ``kernel`` pair, ``resolution``, ``seed``
+outside ``verify``) pin their unknown-key refusals.  ``--check`` runs the
+committed refusals through ``cli.main`` again and names those whose exit
+code or line changed, with the recorded and the new exit code and line.
 """
 
 from __future__ import annotations
@@ -89,21 +92,23 @@ KERNEL_PROBES = (
     ("singular pair", {"n": 2, "pairs": [
         {"x": [0.999999999, 0], "zeta": [1, 0]}, {"x": [0.5, 0], "zeta": E1}],
         "kernels": ["poisson", "hua"]}),
-    ("x outside the balls", {"n": 2, "p": 2, "x": [1.5, 0], "zeta": E1,
-                             "kernels": ["zonal", "poisson", "hua"]}),
-    ("zeta off the sphere", {"n": 2, "x": [0.5, 0], "zeta": [0.5, 0],
-                             "kernels": ["zonal", "poisson", "hua"]}),
-    ("series refused", {"n": 2, "x": [1.0 - 1e-7, 0], "zeta": [0, 1],
-                        "kernels": ["poisson", "hua"]}),
-    ("zonal rows rejected", {"n": 2, "p": 2, "x": [0.5, 0],
-                             "zeta": [1, 1e300], "degrees": [4],
-                             "kernels": ["zonal", "poisson", "hua"]}),
-    ("closed forms overflow", {"n": 400, "x": [0.9] + [0] * 399,
-                               "zeta": [1] + [0] * 399,
-                               "kernels": ["zonal", "poisson", "hua"]}),
-    ("tail bound overflows", {"n": 300, "x": [0.9] + [0] * 299,
-                              "zeta": [1] + [0] * 299,
-                              "kernels": ["poisson"]}),
+    ("x outside the balls", {"n": 2, "p": 2, "pairs": [
+        {"x": [1.5, 0], "zeta": E1}], "kernels": ["zonal", "poisson", "hua"]}),
+    ("zeta off the sphere", {"n": 2, "pairs": [
+        {"x": [0.5, 0], "zeta": [0.5, 0]}],
+        "kernels": ["zonal", "poisson", "hua"]}),
+    ("series refused", {"n": 2, "pairs": [
+        {"x": [1.0 - 1e-7, 0], "zeta": [0, 1]}],
+        "kernels": ["poisson", "hua"]}),
+    ("zonal rows rejected", {"n": 2, "p": 2, "pairs": [
+        {"x": [0.5, 0], "zeta": [1, 1e300]}], "degrees": [4],
+        "kernels": ["zonal", "poisson", "hua"]}),
+    ("closed forms overflow", {"n": 400, "pairs": [
+        {"x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399}],
+        "kernels": ["zonal", "poisson", "hua"]}),
+    ("tail bound overflows", {"n": 300, "pairs": [
+        {"x": [0.9] + [0] * 299, "zeta": [1] + [0] * 299}],
+        "kernels": ["poisson"]}),
     ("domain edges", {"n": 2, "p": 2, "pairs": [
         {"x": [1.0, 0], "zeta": E1}, {"x": [0.6, 0.8], "zeta": [0, 1]},
         {"x": [0.3, 0], "zeta": [1.0 + 9e-13, 0], "zeta_sector": 1},
@@ -234,10 +239,11 @@ def probe_case(n: int, p: int, degree: int) -> tuple:
 # --------------------------------------------------------------------------
 
 NAN, INF = float("nan"), float("inf")
-# the keys each command accepted before seed left every table but verify's
-# and tolerance left dims', in no particular order: kept, so that a rebuild
-# draws the same configs in the same order, and those that give seed (or
-# dims' tolerance) pin its unknown-key refusal; "unknown" adds a key
+# the keys each command accepted before seed left every table but verify's,
+# tolerance left dims', resolution left dirichlet's and hua-limit's, and
+# kernel's pair keys left its top level, in no particular order: kept, so
+# that a rebuild draws the same configs in the same order, and those that
+# give a key that left pin its unknown-key refusal; "unknown" adds a key
 # outside these
 KEYS = {
     "kernel": ("n", "p", "seed", "tolerance", "x", "zeta", "x_sector",
@@ -466,6 +472,12 @@ def error_cases(cases: list, path: Path) -> list:
     rng = random.Random("golden:error-lines")
     bases = {}
     for _, command, config in cases:
+        if command == "kernel" and len(config["pairs"]) == 1:
+            # a one-pair probe with its pair at the top level, the spelling
+            # that kernel took when the draws were first made: so a rebuild
+            # draws the same configs
+            config = {**{k: v for k, v in config.items() if k != "pairs"},
+                      **config["pairs"][0]}
         bases.setdefault(command, []).append(config)
     plans = [(command, [(key, index)]) for command in KEYS
              for key in KEYS[command] for index in range(len(FAULTS[key]))

@@ -81,42 +81,16 @@ def rows_by(table_text, **match):
 
 def test_unknown_keys_are_rejected(tmp_path, capsys):
     code, _ = run(tmp_path, "kernel",
-                  {"n": 2, "x": [0.5, 0], "zeta": [1, 0], "extra": 1})
+                  {"n": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
+                   "extra": 1})
     assert code == cli.EXIT_CONFIG
     assert "extra" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("extra,key", [
-    ({"x_sector": "junk", "zeta_sector": [1]}, "x_sector"),
-    ({"zeta_sector": 0}, "zeta_sector"),
-    ({"x_sector": 1}, "x_sector")])
-def test_sector_keys_beside_a_pairs_list_are_refused(tmp_path, capsys, extra,
-                                                     key):
-    # a top-level sector is read only with a single x/zeta: beside a pairs
-    # list it would be dropped unread, valid or not
-    config = {"n": 2, "p": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
-              **extra}
-    code, text = run(tmp_path, "kernel", config)
-    assert (code, text) == (cli.EXIT_CONFIG, "")
-    assert capsys.readouterr().err \
-        == f"error: give {key} in each pairs entry, not beside pairs\n"
-    # the pairs list is checked first
-    config["pairs"] = [{"x": [0.5], "zeta": [1, 0]}]
-    assert run(tmp_path, "kernel", config)[0] == cli.EXIT_CONFIG
-    assert "pairs[0].x" in capsys.readouterr().err
 
 
 def test_n_is_required_and_validated(tmp_path):
     code, _ = run(tmp_path, "dims", {"degrees": [1]})
     assert code == cli.EXIT_CONFIG
     code, _ = run(tmp_path, "dims", {"n": 1})
-    assert code == cli.EXIT_CONFIG
-
-
-def test_resolution_floor(tmp_path):
-    code, _ = run(tmp_path, "dirichlet",
-                  {"n": 2, "boundary": "x1", "points": [[0.1, 0.1]],
-                   "resolution": 3})
     assert code == cli.EXIT_CONFIG
 
 
@@ -146,8 +120,8 @@ def test_unknown_suite_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("command,config,message", [
     ("verify", {"n": 2, "suites": [["far-cap"]]}, "suites[0]"),
     ("verify", {"n": 2, "suites": ["far-cap", {"a": 1}]}, "suites[1]"),
-    ("kernel", {"n": 2, "x": [0.5, 0], "zeta": [1, 0], "kernels": [["hua"]]},
-     "kernels[0]"),
+    ("kernel", {"n": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
+                "kernels": [["hua"]]}, "kernels[0]"),
 ])
 def test_suite_and_kernel_names_must_be_strings(tmp_path, capsys, command,
                                                 config, message):
@@ -182,17 +156,26 @@ def test_readme_default_tolerances_match_the_command_table():
     # names it
     common, texts = _schema_texts()
     for name, command in cli._COMMANDS.items():
-        for key, entry in command.table.items():
+        pair = cli._PAIR if "pairs" in command.table else {}
+        for key, (_, default) in {**command.table, **pair}.items():
             text = common if key in cli._COMMON else texts[name]
             items = [" ".join(item.split()) for item in re.split(
                 r"\n\n|\n- ", text) if f"`{key}`" in item]
             assert items, f"README does not name {name}'s {key}"
-            # a rule's default is its own; a key a rule reads is a pair key
-            default = None if callable(entry) else (entry or cli._PAIR[key])[1]
-            if default is not None and not isinstance(default, cli._Required):
+            # a computed default, or a required key's refusal, is its own
+            if default is not None and not callable(default):
                 want = f"default `{json.dumps(default)}`"
                 assert any(want in item for item in items), \
                     f"README does not give {name}'s {key} {want}"
+
+
+def test_every_key_table_entry_is_a_check_and_default_pair():
+    # one entry kind for _read: no cross-key rule, and no placeholder for a
+    # key that such a rule reads
+    for table in [cli._PAIR] + [c.table for c in cli._COMMANDS.values()]:
+        for key, entry in table.items():
+            assert isinstance(entry, tuple) and len(entry) == 2 \
+                and callable(entry[0]), key
 
 
 # the violations of each key: a config with exactly that fault; DROP
@@ -200,15 +183,15 @@ def test_readme_default_tolerances_match_the_command_table():
 DROP = object()
 VALID = {
     "kernel": {"n": 2, "p": 2, "tolerance": 1e-8,
-               "x": [0.5, 0.0], "zeta": [1.0, 0.0], "x_sector": 0,
-               "zeta_sector": 0, "degrees": [0, 1], "kernels": ["zonal"]},
+               "pairs": [{"x": [0.5, 0.0], "zeta": [1.0, 0.0], "x_sector": 0,
+                          "zeta_sector": 0}],
+               "degrees": [0, 1], "kernels": ["zonal"]},
     "dirichlet": {"n": 2, "p": 2, "tolerance": 1e-8,
-                  "boundary": "x1", "points": [[0.1, 0.2]], "sectors": [0],
-                  "resolution": 8},
+                  "boundary": "x1", "points": [[0.1, 0.2]], "sectors": [0]},
     "verify": {"n": 2, "p": 1, "seed": 1, "tolerance": 1e-6,
                "suites": ["almansi"]},
     "hua-limit": {"n": 2, "tolerance": 1e-6, "u": "x1",
-                  "z": [0.1, [0.1, 0.1]], "p_list": [1, 2], "resolution": 8},
+                  "z": [0.1, [0.1, 0.1]], "p_list": [1, 2]},
     "almansi": {"n": 2, "p": 1, "tolerance": 1e-6, "polynomial": "x1^2"},
     "dims": {"n": 2, "p": 1, "degrees": [0, 1]},
 }
@@ -230,7 +213,6 @@ VIOLATIONS = {
     "points": {"missing": DROP, "type": {}, "length": [[0.1]],
                "non-finite": [[math.inf, 0.0]]},
     "sectors": {"type": 1, "length": [1, 1], "below": [-1], "above": [2]},
-    "resolution": {"type": "8", "below": 3},
     "suites": {"missing": DROP, "type": "almansi", "length": []},
     "u": {"missing": DROP, "type": ["x1"]},
     "z": {"missing": DROP, "type": "z", "length": [0.1],
@@ -251,24 +233,19 @@ def _with(config: dict, key: str, value) -> dict:
 
 def _violations():
     """(command, name, class, config) for each violation of each key of
-    each table, a pair key also inside a pairs entry, and each key of the
-    other tables that the command does not accept."""
-    every = set().union(*(c.table for c in cli._COMMANDS.values()))
+    each table, of each pair key inside a pairs entry, and each key of the
+    other tables, or of a pair, that the command does not accept."""
+    every = set(cli._PAIR).union(*(c.table for c in cli._COMMANDS.values()))
     for command, table in ((name, c.table) for name, c in
                            cli._COMMANDS.items()):
         valid = VALID[command]
-        pair = {k: v for k, v in valid.items() if table[k] is None}
-        listed = {**{k: v for k, v in valid.items() if k not in pair},
-                  "pairs": [pair]}
         for key in table:
             for kind, value in VIOLATIONS[key].items():
-                if key == "pairs":
-                    yield command, key, kind, _with(listed, key, value)
-                    continue
                 yield command, key, kind, _with(valid, key, value)
-                if key in pair:
-                    yield command, f"pairs[0].{key}", kind, {
-                        **listed, "pairs": [_with(pair, key, value)]}
+        for key in cli._PAIR if "pairs" in table else ():
+            for kind, value in VIOLATIONS[key].items():
+                yield command, f"pairs[0].{key}", kind, {
+                    **valid, "pairs": [_with(valid["pairs"][0], key, value)]}
         for key in sorted(every - table.keys()):
             yield command, key, "unknown", {**valid, key: 1}
 
@@ -290,7 +267,7 @@ def test_every_key_violation_is_one_error_line_that_names_the_key(
     monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS,
                                                        accepted))
     keys = {key for command in cli._COMMANDS.values() for key in command.table}
-    assert set(VIOLATIONS) == keys
+    assert set(VIOLATIONS) == keys | set(cli._PAIR)
     assert all(not _refuses(command, config)
                for command, config in VALID.items())
     path, wrong = tmp_path / "config.json", []
@@ -307,11 +284,15 @@ def test_every_key_violation_is_one_error_line_that_names_the_key(
     # absent key with a default takes it
     for command, table in ((n, c.table) for n, c in cli._COMMANDS.items()):
         for key in table:
-            if key == "pairs" or table[key] is None:
-                continue
             config = {k: v for k, v in VALID[command].items() if k != key}
             assert _refuses(command, config) == \
                 ("missing" in VIOLATIONS[key]), (command, key)
+    [pair] = VALID["kernel"]["pairs"]
+    for key in cli._PAIR:
+        config = {**VALID["kernel"],
+                  "pairs": [{k: v for k, v in pair.items() if k != key}]}
+        assert _refuses("kernel", config) == ("missing" in VIOLATIONS[key]), \
+            key
 
 
 # the keys that no run of the command reads: only verify's suites draw
@@ -321,12 +302,30 @@ UNREAD = [(command, "seed") for command in ("kernel", "dirichlet",
 UNREAD.append(("dims", "tolerance"))
 
 
-@pytest.mark.parametrize("command,key", UNREAD)
+# and the second spellings: a kernel pair at the top level, and a rule
+# resolution, with a value that each once took
+SPELLINGS = {"x": [0.5, 0.0], "zeta": [1.0, 0.0], "x_sector": 0,
+             "zeta_sector": 0, "resolution": "auto"}
+
+
+@pytest.mark.parametrize("command,key", UNREAD + [
+    ("kernel", key) for key in cli._PAIR] + [
+    (command, "resolution") for command in ("dirichlet", "hua-limit")])
 def test_a_key_that_no_run_reads_is_refused(tmp_path, capsys, command, key):
-    config = {**VALID[command], key: {"seed": 0, "tolerance": 1e-6}[key]}
+    config = {**VALID[command],
+              key: {"seed": 0, "tolerance": 1e-6, **SPELLINGS}[key]}
     assert run(tmp_path, command, config) == (cli.EXIT_CONFIG, "")
     assert capsys.readouterr().err \
         == f"error: unknown configuration keys for {command}: {key}\n"
+    if key in cli._PAIR:  # nor does a pair key stand in for a pairs list
+        config.pop("pairs")
+        assert run(tmp_path, command, config) == (cli.EXIT_CONFIG, "")
+        assert capsys.readouterr().err \
+            == f"error: unknown configuration keys for {command}: {key}\n"
+        config.pop(key)
+        assert run(tmp_path, command, config) == (cli.EXIT_CONFIG, "")
+        assert capsys.readouterr().err \
+            == "error: pairs (a list of x/zeta pairs) is required\n"
 
 
 @pytest.mark.parametrize("command,key", UNREAD)
@@ -354,7 +353,8 @@ def test_verify_seed_flag_sets_the_seed(tmp_path):
 
 def test_kernel_poisson_spot_value_three(tmp_path):
     code, text = run(tmp_path, "kernel",
-                     {"n": 2, "p": 1, "x": [0.5, 0], "zeta": [1, 0]})
+                     {"n": 2, "p": 1,
+                      "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}]})
     assert code == 0
     [row] = rows_by(text, kernel="poisson")
     assert row["value_re"] == pytest.approx(3.0, rel=1e-12)
@@ -364,7 +364,8 @@ def test_kernel_poisson_spot_value_three(tmp_path):
 
 def test_kernel_at_origin_gives_unit_values(tmp_path):
     code, text = run(tmp_path, "kernel",
-                     {"n": 2, "p": 2, "x": [0, 0], "zeta": [0.6, 0.8],
+                     {"n": 2, "p": 2,
+                      "pairs": [{"x": [0, 0], "zeta": [0.6, 0.8]}],
                       "degrees": [0], "kernels": ["zonal", "poisson", "hua"]})
     assert code == 0
     for row in json.loads(text)["rows"]:
@@ -375,8 +376,9 @@ def test_kernel_at_origin_gives_unit_values(tmp_path):
 
 def test_kernel_route_gaps_within_tolerance_on_stock_config(tmp_path):
     code, text = run(tmp_path, "kernel",
-                     {"n": 3, "p": 2, "x": [0.3, -0.2, 0.4],
-                      "zeta": [0.6, 0.48, 0.64], "x_sector": 1,
+                     {"n": 3, "p": 2, "pairs": [
+                         {"x": [0.3, -0.2, 0.4], "zeta": [0.6, 0.48, 0.64],
+                          "x_sector": 1}],
                       "degrees": [0, 2, 5, 8]})
     assert code == 0
     for row in rows_by(text, kernel="zonal"):
@@ -400,8 +402,8 @@ def test_kernel_singular_row_continues_and_exits_three(tmp_path):
 
 def test_kernel_sector_index_range_is_validated(tmp_path):
     code, _ = run(tmp_path, "kernel",
-                  {"n": 2, "p": 2, "x": [0.5, 0], "zeta": [1, 0],
-                   "x_sector": 2})
+                  {"n": 2, "p": 2, "pairs": [
+                      {"x": [0.5, 0], "zeta": [1, 0], "x_sector": 2}]})
     assert code == cli.EXIT_CONFIG
 
 
@@ -411,8 +413,9 @@ def test_kernel_degree_past_double_range_is_config_error(tmp_path, capsys,
     # a log-scale bound on the Gegenbauer coefficients refuses the degree
     # before any exact table is built
     code, text = run(tmp_path, "kernel",
-                     {"n": n, "p": p, "x": [0.1] * n,
-                      "zeta": [1] + [0] * (n - 1), "degrees": [degree],
+                     {"n": n, "p": p, "pairs": [
+                         {"x": [0.1] * n, "zeta": [1] + [0] * (n - 1)}],
+                      "degrees": [degree],
                       "kernels": ["zonal"]})
     assert code == cli.EXIT_CONFIG
     assert text == ""
@@ -429,7 +432,7 @@ def test_certain_coefficient_overflow_builds_no_exact_table(tmp_path,
     monkeypatch.setattr(kernels, "_zonal_p_coeffs", built)
     monkeypatch.setattr(kernels, "_explicit_p_coeffs", built)
     code, text = run(tmp_path, "kernel",
-                     {"n": 2, "x": [0.1, 0.1], "zeta": [1, 0],
+                     {"n": 2, "pairs": [{"x": [0.1, 0.1], "zeta": [1, 0]}],
                       "degrees": [1500], "kernels": ["zonal"]})
     assert (code, text) == (cli.EXIT_CONFIG, "")
 
@@ -444,8 +447,9 @@ def test_kernel_refuses_a_huge_degree_before_any_coefficient(
     # loop over m/2 terms took 0.75 s at m = 10^6 and did not end at 2^63.
     # The fastest of three calls is timed
     path = tmp_path_factory.mktemp("degree") / "config.json"
-    path.write_text(json.dumps({"n": n, "x": [0.1] * n,
-                                "zeta": [1.0] + [0.0] * (n - 1),
+    path.write_text(json.dumps({"n": n, "pairs": [
+                                    {"x": [0.1] * n,
+                                     "zeta": [1.0] + [0.0] * (n - 1)}],
                                 "degrees": [m], "kernels": ["zonal"]}))
     elapsed = []
     for _ in range(3):
@@ -474,8 +478,10 @@ def test_kernel_series_bound_past_double_range_is_a_rejected_row(tmp_path):
     # row, not a traceback
     n = 300
     code, text = run(tmp_path, "kernel",
-                     {"n": n, "p": 1, "x": [0.9] + [0] * (n - 1),
-                      "zeta": [1] + [0] * (n - 1), "kernels": ["poisson"]})
+                     {"n": n, "p": 1, "pairs": [
+                         {"x": [0.9] + [0] * (n - 1),
+                          "zeta": [1] + [0] * (n - 1)}],
+                      "kernels": ["poisson"]})
     assert code == cli.EXIT_CONFIG
     assert [row["status"] for row in rows_by(text)] == ["rejected"]
 
@@ -554,13 +560,16 @@ def assert_contract(tmp_path_factory, command, config):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(kernel_configs())
-@example({"n": 400, "p": 1, "x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399,
+@example({"n": 400, "p": 1,
+          "pairs": [{"x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399}],
           "kernels": ["zonal", "poisson", "hua"]})
-@example({"n": 400, "p": 1, "x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399,
+@example({"n": 400, "p": 1,
+          "pairs": [{"x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399}],
           "kernels": ["hua"]})
-@example({"n": 2, "p": 1, "x": [0.1, 0.1], "zeta": [1, 0],
+@example({"n": 2, "p": 1, "pairs": [{"x": [0.1, 0.1], "zeta": [1, 0]}],
           "degrees": [1500], "kernels": ["zonal"]})
-@example({"n": 2, "p": 2, "x": [0.5, 0], "zeta": [1, 1e300],  # NaN zonal
+@example({"n": 2, "p": 2,
+          "pairs": [{"x": [0.5, 0], "zeta": [1, 1e300]}],  # NaN zonal
           "kernels": ["zonal"], "degrees": [4]})
 def test_kernel_contract_holds_on_generated_configs(tmp_path_factory,
                                                     config):
@@ -1135,14 +1144,6 @@ def test_dirichlet_unresolvable_radius_is_config_error(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
-def test_dirichlet_explicit_resolution_is_used(tmp_path):
-    code, text = run(tmp_path, "dirichlet",
-                     {"n": 2, "boundary": "x1", "points": [[0.2, 0.1]],
-                      "resolution": 64})
-    assert code == 0
-    assert json.loads(text)["metadata"]["rule"]["resolution"] == 64
-
-
 def assert_records(record, rule):
     """The rule record holds no array and rebuilds ``rule`` bit for bit."""
     assert not any(isinstance(v, list) for v in record.values())
@@ -1188,10 +1189,10 @@ def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
 
 
 @pytest.mark.parametrize("command,config", [
-    ("dirichlet", {"n": 2, "boundary": "x1", "points": [[0.1, 0.1]],
-                   "resolution": 10 ** 9}),
-    ("dirichlet", {"n": 3, "boundary": "x1", "points": [[0.1, 0.1, 0.0]],
-                   "resolution": 10 ** 5}),
+    # the rules that choose_rule sizes: for many dimensions, or for a point
+    # near the sphere
+    ("dirichlet", {"n": 8, "boundary": "x1", "points": [[0.1] + [0.0] * 7]}),
+    ("dirichlet", {"n": 3, "boundary": "x1", "points": [[0.99, 0.0, 0.0]]}),
     ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.4, 0.2],
                    "p_list": [1, 1048576]}),
     ("verify", {"n": 6, "suites": ["reproduction"]}),
@@ -1218,13 +1219,13 @@ def test_rules_above_the_node_cap_are_config_errors(tmp_path, capsys,
     ("dirichlet", {"n": 2, "p": 10 ** 6, "boundary": "x1",
                    "points": [[0.1, 0.2]]}),
     ("dirichlet", {"n": 3, "p": 10 ** 18, "boundary": "x1^2",
-                   "points": [[0.1, 0.2, 0.0]], "resolution": 4}),
+                   "points": [[0.1, 0.2, 0.0]]}),
     ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.3, 0.1],
                    "p_list": [1, 10 ** 6]}),
-    # 1000 sectors of a 128-node template fit the cap; turned to each of
+    # 5000 sectors of the 26-node template fit the cap; turned to each of
     # 17 points they do not
-    ("dirichlet", {"n": 3, "p": 1000, "boundary": "x1",
-                   "points": [[0.1, 0.2, 0.0]] * 17, "resolution": 64}),
+    ("dirichlet", {"n": 3, "p": 5000, "boundary": "x1",
+                   "points": [[0.1, 0.2, 0.0]] * 17}),
 ])
 def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
                                                       monkeypatch, command,
@@ -1244,8 +1245,8 @@ def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command,config", [
-    ("kernel", {"n": 20000, "x": [0.1] + [0.0] * 19999,
-                "zeta": [1.0] + [0.0] * 19999}),
+    ("kernel", {"n": 20000, "pairs": [{"x": [0.1] + [0.0] * 19999,
+                                       "zeta": [1.0] + [0.0] * 19999}]}),
     ("hua-limit", {"n": 20000, "u": "x1", "z": [0.1] + [0.0] * 19999}),
     *[("verify", {"n": 100000, "suites": [suite]})
       for suite in ("series-identity", "hua-convergence")],
@@ -2036,7 +2037,7 @@ def test_no_render_holds_a_non_finite_cell(fmt, cell):
 
 
 def test_csv_and_json_payloads_are_identical(tmp_path):
-    config = {"n": 2, "p": 2, "x": [0.4, 0.1], "zeta": [0.8, 0.6],
+    config = {"n": 2, "p": 2, "pairs": [{"x": [0.4, 0.1], "zeta": [0.8, 0.6]}],
               "kernels": ["zonal", "poisson"], "degrees": [0, 3]}
     _, json_text = run(tmp_path, "kernel", config)
     _, csv_text = run(tmp_path, "kernel", config, "--format=csv")
@@ -2085,7 +2086,7 @@ def test_metadata_records_effective_config_and_hash(tmp_path):
 def test_flag_overrides_feed_back_into_the_run(tmp_path):
     # rerunning from the emitted effective config reproduces the table
     code, text = run(tmp_path, "kernel",
-                     {"n": 2, "x": [0.5, 0], "zeta": [1, 0]},
+                     {"n": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}]},
                      "--tolerance", "1e-9")
     assert code == 0
     effective = json.loads(text)["metadata"]["config"]

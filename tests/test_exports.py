@@ -64,7 +64,8 @@ def test_readme_quick_start_runs():
 
 # one small request of each command
 REQUESTS = {
-    "kernel": {"n": 3, "p": 2, "x": [0.2, 0.1, 0.0], "zeta": [0.6, 0.8, 0.0],
+    "kernel": {"n": 3, "p": 2,
+               "pairs": [{"x": [0.2, 0.1, 0.0], "zeta": [0.6, 0.8, 0.0]}],
                "degrees": [0, 3]},
     "dirichlet": {"n": 2, "p": 2, "boundary": "x1^2 + x2",
                   "points": [[0.3, 0.1], [0.0, 0.5]], "sectors": [0, 1]},
