@@ -237,6 +237,20 @@ def test_diagonal_dim_counts_a_basis_element_that_is_not_annihilated(
     assert row.deviation == 7.0 and not row.passed
 
 
+def test_almansi_counts_a_split_whose_head_is_not_polyharmonic(monkeypatch):
+    # a split that returns (q, 0) reassembles q, but its head is not
+    # p-polyharmonic at any of the 23 draws of degree 2p or more
+    def direct_sum_row():
+        rows = run_suite("almansi", n=2, p=2, seed=11)
+        return next(r for r in rows if r.name == "direct-sum-failures")
+
+    assert direct_sum_row().deviation == 0.0
+    monkeypatch.setattr(polyalg, "polyharmonic_split",
+                        lambda q, p: (q, MultiPoly.zero(q.n)))
+    row = direct_sum_row()
+    assert row.deviation == 23.0 and not row.passed
+
+
 def _per_sample_diagonal_gap(n, p, seed, max_degree=8, samples=3):
     """The diagonal-dim gap by one kernel call on a one-row stack per
     sample, drawing the points in the suite's order."""
