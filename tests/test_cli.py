@@ -87,6 +87,29 @@ def test_unknown_keys_are_rejected(tmp_path, capsys):
     assert "extra" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,key", [
+    ({"x_sector": "junk", "zeta_sector": [1]}, "x_sector"),
+    ({"zeta_sector": 0}, "zeta_sector"),
+    ({"x_sector": 1}, "x_sector")])
+def test_sector_keys_beside_a_pairs_list_are_refused(tmp_path, capsys, extra,
+                                                     key):
+    # a sector is read only inside a pairs entry: beside the list it is an
+    # unknown key, valid value or not, and every such key is named, key first
+    config = {"n": 2, "p": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
+              **extra}
+    line = f"error: unknown configuration keys for kernel: " \
+        f"{', '.join(sorted(extra))}\n"
+    assert line.startswith(f"error: unknown configuration keys for kernel: "
+                           f"{key}")
+    code, text = run(tmp_path, "kernel", config)
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err == line
+    # the unknown keys are refused before the pairs list is read
+    config["pairs"] = [{"x": [0.5], "zeta": [1, 0]}]
+    assert run(tmp_path, "kernel", config)[0] == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == line
+
+
 def test_n_is_required_and_validated(tmp_path):
     code, _ = run(tmp_path, "dims", {"degrees": [1]})
     assert code == cli.EXIT_CONFIG
