@@ -55,7 +55,6 @@ from .gegenbauer import (
     generating_partial_sum,
 )
 from .kernels import (
-    KernelValue,
     ROUTES,
     SingularKernelError,
     hua_convergence_gap,
@@ -66,7 +65,6 @@ from .kernels import (
 from .quadrature import (
     LieSphereRule,
     SphereRule,
-    lie_sphere_rule,
     resolution_for_exactness,
     rule_from_json,
     rule_to_json,
@@ -93,9 +91,9 @@ __all__ = [
     "polyharmonic_basis", "polyharmonic_split", "poisson_polynomial",
     "gegenbauer_coefficients", "gegenbauer_explicit",
     "generating_function", "generating_partial_sum",
-    "KernelValue", "ROUTES", "SingularKernelError", "hua_convergence_gap",
+    "ROUTES", "SingularKernelError", "hua_convergence_gap",
     "pair_invariants", "poisson_kernel", "truncation_degree",
-    "LieSphereRule", "SphereRule", "lie_sphere_rule",
+    "LieSphereRule", "SphereRule",
     "resolution_for_exactness", "rule_from_json", "rule_to_json",
     "sphere_rule",
     "BoundaryData", "LimitExperiment", "aligned_rule",

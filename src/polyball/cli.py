@@ -1,12 +1,12 @@
 """Command-line surface: JSON-configured experiments, machine-readable tables.
 
-An experiment is a single JSON document passed via ``--config``; a command
-takes only the keys its run reads (``seed`` only in ``verify``, ``tolerance``
-in all but ``dims``) and rejects others; ``kernel`` reads its point pairs
-only from its ``pairs`` list.  The ``--seed`` and ``--tolerance`` flags,
-offered where the key is taken, override the top-level fields.
-Results are emitted as one table (CSV or JSON) whose rows end with the fixed
-numeric columns
+An experiment is a single JSON document passed via ``--config``, the one
+spelling of every input: no flag overrides a key.  A command takes only
+the keys its run reads (``seed`` only in ``verify``, ``tolerance`` in all
+but ``dims``) and rejects others; ``kernel`` reads its point pairs only
+from its ``pairs`` list.  Each run lays out a table over public batched
+calls of the lower modules.  Results are emitted as one table (CSV or
+JSON) whose rows end with the fixed numeric columns
 
     value_re, value_im, reference_re, reference_im, abs_error, bound
 
@@ -227,10 +227,6 @@ class RunConfig:
                 + ", ".join(unknown))
         return cls(command, _read(table, raw))
 
-    def effective(self) -> dict:
-        """The fully normalized configuration (defaults materialized)."""
-        return dict(self.data)
-
     @property
     def n(self) -> int:
         return self.data["n"]
@@ -346,7 +342,7 @@ def _csv_cell(cell) -> str:
 
 
 def _metadata(cfg: RunConfig, rule=None) -> dict:
-    effective = cfg.effective()
+    effective = dict(cfg.data)
     blob = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     return {
         "command": cfg.command,
@@ -365,16 +361,6 @@ def _metadata(cfg: RunConfig, rule=None) -> dict:
 # commands
 # --------------------------------------------------------------------------
 
-def _coefficients_overflow(n: int, m: int) -> bool:
-    """Whether Z_m's p = 1 coefficients e_k = a^m_k - a^{m-2}_{k-1} surely
-    overflow: of opposite signs, |e_k| >= |a^m_k| = 2^{m-2k} Gamma(n/2+m-k)
-    / (Gamma(n/2) k! (m-2k)!), at k = 0 >= 2^m (n >= 2): so all m > 1025."""
-    return m > 1025 or max(
-        (m - 2 * k) * math.log(2) + math.lgamma(n / 2 + m - k)
-        - math.lgamma(n / 2) - math.lgamma(k + 1) - math.lgamma(m - 2 * k + 1)
-        for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
-
-
 def _kernel_rows(block, at, cells, outside, singular=False, failed=False):
     """Rows ``at`` of each pair's ``kernel`` cells: rejected outside the
     domain, singular for a vanished denominator, rejected for a value past
@@ -390,7 +376,7 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     """Every kernel is evaluated as arrays over all pairs at once; array
     operations act on each pair alone, so a pair's rows do not depend on
     the rest of its batch.  Routes, degrees and scales share one table of
-    powers of B and P."""
+    powers of B and P (``kernels.zonal_routes``)."""
     table = ResultTable("kernel",
                         ("pair", "kernel", "m", "route", "status"),
                         _metadata(cfg))
@@ -404,24 +390,12 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
                           p)
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
     P = x2 * zb2
-    powers = kernels._Powers(B), kernels._Powers(P)
     degrees = cfg.data["degrees"] if "zonal" in which else []
-    values, scales = [], []
-    for m in degrees:
-        try:  # the scale below reuses these float coefficients
-            if _coefficients_overflow(n, m):  # before exact tables
-                raise OverflowError
-            values.append([kernels.zonal_from_products(n, m, p, *powers,
-                                                       route)
-                           for route in ROUTES])
-        except OverflowError as err:  # exact coefficients > 2^1024
-            raise ConfigError(f"degree {m}: the zonal coefficients "
-                              "overflow a double") from err
-        scales.append(kernels._zonal_term_scale(n, m, p, *powers))
-    # (degree, route, pair) values, their largest route gaps and bounds
-    values = np.array(values).reshape(len(degrees), len(ROUTES), len(xs))
-    gaps = np.abs(values[:, :, None] - values[:, None]).max(axis=2)
-    bound = tol * np.fmax(1.0, np.reshape(scales, (len(degrees), len(xs))))
+    try:  # (degree, route, pair) values, their largest route gaps, scales
+        values, gaps, scales = kernels.zonal_routes(n, degrees, p, B, P)
+    except OverflowError as err:  # exact coefficients > 2^1024
+        raise ConfigError(str(err)) from err
+    bound = tol * np.fmax(1.0, scales)
     ref = values[:, [ROUTES.index(ROUTE_GEGENBAUER_DIFF)] * len(ROUTES)]
     # each pair's rows: zonal by degree and route, then poisson and hua
     extra = [name for name in ("poisson", "hua") if name in which]
@@ -445,25 +419,22 @@ def run_kernel(cfg: RunConfig) -> ResultTable:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     if "poisson" in which:
-        inside, on_sphere = kernels._sector_masks(x_coords, zeta_coords)
-        closed, singular, finite = kernels._poisson_guarded(n, p, x2, B,
-                                                             zb2)
+        inside, on_sphere = kernels.sector_masks(x_coords, zeta_coords)
+        closed, singular, finite = kernels.poisson_masked(n, p, x2, B, zb2)
         try:  # aligned pairs attain the tail bound, so ask for tol / 100
-            series = kernels._series_values(n, p, B, P, lie.tolist(),
-                                            max(tol / 100.0, 1e-13))
+            truth, _, tails, refusals = kernels.poisson_series(
+                n, p, B, P, lie.tolist(), max(tol / 100.0, 1e-13))
         except ValueError as err:  # the term table is above the node cap
             raise ConfigError(f"poisson series: {err}") from err
-        truth = np.array([getattr(s, "value", 0j) for s in series])
         # libm's hypot, as Python's abs takes it (numpy's complex abs differs)
         error, size = (np.hypot(z.real, z.imag) for z in (closed - truth,
                                                           closed))
         _kernel_rows(block, zonal + extra.index("poisson"), [
             closed.real, closed.imag, truth.real, truth.imag, error,
-            [getattr(s, "tail_bound", 0.0) for s in series]
-            + tol * np.fmax(1.0, size)], ~(inside & on_sphere), singular,
-            ~finite | [isinstance(s, ValueError) for s in series])
+            tails + tol * np.fmax(1.0, size)], ~(inside & on_sphere),
+            singular, ~finite | [err is not None for err in refusals])
     if "hua" in which:
-        hua, singular, finite = kernels._hua_guarded(n, x2, B, zb2)
+        hua, singular, finite = kernels.cauchy_hua_masked(n, x2, B, zb2)
         _kernel_rows(block, zonal + extra.index("hua"), [hua.real, hua.imag],
                      ~(lie < 1.0), singular, ~finite)
     for column, cells in zip(table.cells, block.reshape(len(block), -1)):
@@ -529,7 +500,7 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     q, u_p = _polynomial(cfg, "boundary", "boundary polynomial", [p])
     coords = np.array(cfg.data["points"], dtype=float)
     sectors = np.array(cfg.data["sectors"])
-    radii = kernels._radii(coords)
+    radii = kernels.point_radii(coords)
     interior = radii < 1.0 - 1e-9
     radius = float(np.max(radii[interior], initial=0.0))
     # n = 2 keeps one trapezoid rule for every point: a circle has no
@@ -547,8 +518,8 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
                         metadata)
     inside = coords[interior], sectors[interior]
     values = iter(solver.poisson_integrals([data], *inside, rule)[:, 0])
-    wants = iter(solver._sector_values([u_p], sector_phases(range(p), p),
-                                       inside[1], inside[0])[:, 0])
+    wants = iter(solver.sector_values([u_p], sector_phases(range(p), p),
+                                      inside[1], inside[0])[:, 0])
     for i, (pt, j, ok) in enumerate(zip(cfg.data["points"],
                                         cfg.data["sectors"], interior)):
         inputs = (i, j, *pt)
@@ -615,17 +586,12 @@ def run_almansi(cfg: RunConfig) -> ResultTable:
                         ("component", "degree", "polynomial", "status"),
                         _metadata(cfg))
     try:  # a component may pass the double range or the int-to-text limit
-        polyalg._require_monomials(n, q.degree())  # before the ladder
         components = polyalg.polyharmonic_almansi(q, p)
         for k, comp in enumerate(components):
-            out = comp
-            for _ in range(p):  # Delta^p, stopped at the first zero
-                if out.is_zero():
-                    break
-                out = out.laplacian()
             table.add((k, comp.degree(), comp.to_text(), "ok"),
                       value=comp.coefficient_scale(), reference=0.0,
-                      error=out.coefficient_scale(), bound=bound)
+                      error=polyalg.laplacian_power(comp, p)
+                      .coefficient_scale(), bound=bound)
         mismatch = (polyalg.almansi_reassemble(components, n, p)
                     - q).coefficient_scale()
         table.add(("reassembly", q.degree(), q.to_text(), "ok"),
@@ -738,10 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="write the table here instead of stdout")
         cmd.add_argument("--format", choices=("csv", "json"), default="json",
                          help="table format (default json)")
-        for key, kind in (("seed", int), ("tolerance", float)):
-            if key in command.table:
-                cmd.add_argument(f"--{key}", type=kind,
-                                 help=f"override the top-level {key} field")
     return parser
 
 
@@ -758,13 +720,7 @@ def _load_config(path: str) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = _load_config(args.config)
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration must be a JSON object")
-        for key in ("seed", "tolerance"):
-            if getattr(args, key, None) is not None:
-                raw[key] = getattr(args, key)
-        table = run_command(args.command, raw)
+        table = run_command(args.command, _load_config(args.config))
         text = table.render(args.format)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,12 +20,13 @@ the test suite.  The closed routes are alternating sums whose terms grow
 roughly like 4^m r^m against a value of order r^m, so they are intended for
 moderate degree (the agreement domain is m <= 8, they stay usable well past
 that); high-degree evaluation goes through the Poisson series
-(``_series_values``), which uses the stable value recurrence
+(``poisson_series``), which uses the stable value recurrence
 (C_m(t) - C_{m-2p}(t)) w^m.  Its term table is stacked: the recurrence
 fills one row per degree over all pairs, then C_{m-2p} and w^m enter as
-whole-array operations in place.  Calls of the closed routes given one
-``_Powers`` table share its powers B^j and P^k.  Every function here acts
-on each pair alone, so a pair's value is the same in any stack.
+whole-array operations in place.  ``zonal_routes`` runs the three routes
+and the term scales over a list of degrees from one table of each of the
+powers B^j, P^k, |B|^j and |P|^k.  Every function here acts on each pair
+alone, so a pair's value is the same in any stack.
 
 Series truncation uses the proven bound |Z_m^p(x, zeta)| <= dim H_m^p r^m,
 r = L(x) L(zeta): the Lie norm is the growth gauge of zonal values (the
@@ -35,7 +36,6 @@ hermitian norm underestimates them off the rotated-real slices).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -47,7 +47,6 @@ from .geometry import (as_complex_vector, as_rotated, bilinear_square,
 from .quadrature import _MAX_NODES, compensated_sum
 
 __all__ = [
-    "KernelValue",
     "ROUTES",
     "ROUTE_SUM_OF_ZONALS",
     "ROUTE_GEGENBAUER_DIFF",
@@ -55,9 +54,15 @@ __all__ = [
     "SingularKernelError",
     "SeriesToleranceError",
     "zonal_from_products",
+    "zonal_routes",
+    "point_radii",
+    "sector_masks",
+    "poisson_masked",
     "poisson_kernel",
     "poisson_from_products",
     "truncation_degree",
+    "poisson_series",
+    "cauchy_hua_masked",
     "cauchy_hua_from_products",
     "hua_convergence_gap",
 ]
@@ -74,15 +79,6 @@ class SingularKernelError(ArithmeticError):
 
 class SeriesToleranceError(ValueError):
     """Requested series tolerance unreachable (term cap or double range)."""
-
-
-@dataclass(frozen=True)
-class KernelValue:
-    """Series evaluation record: value, number of terms, tail bound."""
-
-    value: complex
-    terms_used: int
-    tail_bound: float
 
 
 # --------------------------------------------------------------------------
@@ -127,6 +123,16 @@ def _explicit_p_coeffs(n: int, m: int, p: int) -> tuple:
         denom = (2 ** k) * math.factorial(k) * math.factorial(m - 2 * k)
         out.append((-1) ** k * bracket / denom)
     return tuple(out)
+
+
+def _coefficients_overflow(n: int, m: int) -> bool:
+    """Whether Z_m's p = 1 coefficients e_k = a^m_k - a^{m-2}_{k-1} surely
+    overflow: of opposite signs, |e_k| >= |a^m_k| = 2^{m-2k} Gamma(n/2+m-k)
+    / (Gamma(n/2) k! (m-2k)!), at k = 0 >= 2^m (n >= 2): so all m > 1025."""
+    return m > 1025 or max(
+        (m - 2 * k) * math.log(2) + math.lgamma(n / 2 + m - k)
+        - math.lgamma(n / 2) - math.lgamma(k + 1) - math.lgamma(m - 2 * k + 1)
+        for k in range(m // 2 + 1)) > 1025 * math.log(2)  # 1 bit
 
 
 @lru_cache(maxsize=None)
@@ -199,30 +205,51 @@ def zonal_from_products(n: int, m: int, p: int, B, P,
     raise ValueError(f"unknown route {route!r}")
 
 
-def _zonal_term_scale(n: int, m: int, p: int, B, P) -> np.ndarray:
-    """Magnitude budget of the monomial expansion sum_k c_k B^{m-2k} P^k,
-    an array over the ``_Powers`` tables B and P; route gaps are measured
-    against it so that cancellation-heavy points do not inflate relative
-    errors beyond what double precision can express."""
+def zonal_routes(n: int, degrees, p: int, B, P) -> tuple:
+    """(values, gaps, scales) of Z_m^p at ``degrees`` over the pairs with
+    invariants B and P = x2 * zb2: values (degree, route, pair) by each of
+    ``ROUTES``, each route's largest gap to the others, and (degree, pair)
+    the budget sum_k |c_k| |B|^{m-2k} |P|^k of the monomial expansion, the
+    scale of the gaps (cancellation does not inflate them past what doubles
+    express).  All share one ``_Powers`` table of each of B, P, |B|, |P|.
+    OverflowError names the first degree whose exact coefficients pass the
+    doubles, before any exact table of a sure one
+    (``_coefficients_overflow``)."""
+    B, P = (_Powers(np.asarray(v, dtype=complex)) for v in (B, P))
     aB, aP = B.moduli, P.moduli
-    return sum(abs(c) * aB[m - 2 * k] * aP[k]
-               for k, c in enumerate(_float_coeffs(n, m, p, False)))
+    values, scales = [], []
+    for m in degrees:
+        try:  # the scale below reuses these float coefficients
+            if _coefficients_overflow(n, m):  # before exact tables
+                raise OverflowError
+            values.append([zonal_from_products(n, m, p, B, P, route)
+                           for route in ROUTES])
+        except OverflowError as err:  # exact coefficients > 2^1024
+            raise OverflowError(f"degree {m}: the zonal coefficients "
+                                "overflow a double") from err
+        scales.append(sum(abs(c) * aB[m - 2 * k] * aP[k] for k, c in
+                          enumerate(_float_coeffs(n, m, p, False))))
+    shape = (len(values), len(ROUTES), *np.broadcast(B.base, P.base).shape)
+    values = np.array(values, dtype=complex).reshape(shape)
+    gaps = np.abs(values[:, :, None] - values[:, None]).max(axis=2)
+    return values, gaps, np.reshape(scales, (shape[0], *shape[2:]))
 
 
 # --------------------------------------------------------------------------
 # Poisson kernel on the union of rotated balls
 # --------------------------------------------------------------------------
 
-def _radii(coords) -> np.ndarray:
+def point_radii(coords) -> np.ndarray:
     """The radii of real rows (k, n), each the square root of the BLAS dot
     that np.linalg.norm takes: bit for bit ``RotatedVector.radius``."""
     return np.sqrt(np.vecdot(coords, coords))
 
 
-def _sector_masks(x_coords, zeta_coords) -> tuple:
+def sector_masks(x_coords, zeta_coords) -> tuple:
     """(inside, on_sphere) over real rows (k, n): x strictly inside the
-    unit ball, zeta on the unit sphere to 1e-12 (``_radii``)."""
-    return _radii(x_coords) < 1.0, np.abs(_radii(zeta_coords) - 1.0) <= 1e-12
+    unit ball, zeta on the unit sphere to 1e-12 (``point_radii``)."""
+    return (point_radii(x_coords) < 1.0,
+            np.abs(point_radii(zeta_coords) - 1.0) <= 1e-12)
 
 
 @np.errstate(all="ignore")  # a failed value is reported, not warned of
@@ -259,7 +286,7 @@ def _hua_base(x2, B, zb2) -> np.ndarray:
             - 2.0 * np.asarray(B, dtype=complex) + 1.0)
 
 
-def _poisson_guarded(n: int, p: int, x2, B, zb2) -> tuple:
+def poisson_masked(n: int, p: int, x2, B, zb2) -> tuple:
     """``_denominator_power`` of the closed-form Poisson kernel."""
     return _denominator_power(_hua_base(x2, B, zb2), n,
                               1.0 - np.asarray(x2, dtype=complex) ** p)
@@ -267,7 +294,7 @@ def _poisson_guarded(n: int, p: int, x2, B, zb2) -> tuple:
 
 def poisson_from_products(n: int, p: int, x2, B, zb2):
     """(1 - x2^p) / (x2*zb2 - 2B + 1)^{n/2}, vectorized, with singular guard."""
-    return _checked("Poisson kernel", *_poisson_guarded(n, p, x2, B, zb2))
+    return _checked("Poisson kernel", *poisson_masked(n, p, x2, B, zb2))
 
 
 def poisson_kernel(x, zeta, p: int) -> complex:
@@ -287,7 +314,7 @@ def poisson_kernel(x, zeta, p: int) -> complex:
                           * v.coords[None], [v.sector_index(p)], p)
             for v in (x, zeta)]
     B, x2, zb2 = pair_invariants(*rows)  # checks the dimensions
-    if not all(_sector_masks(x.coords[None], zeta.coords[None])):
+    if not all(sector_masks(x.coords[None], zeta.coords[None])):
         raise ValueError("x must lie strictly inside the rotated unit balls "
                          "and zeta on their unit spheres")
     return complex(poisson_from_products(x.n, p, x2, B, zb2)[0])
@@ -401,51 +428,54 @@ def _series_terms(n: int, p: int, B, P, top: int) -> np.ndarray:
     return terms
 
 
-def _series_values(n: int, p: int, B, P, radii, tol: float,
-                   max_terms: int = 10000) -> list:
-    """Per pair, the ``KernelValue`` of sum_m Z_m^p truncated at the pair's
-    own proven degree M (``truncation_degree`` at r = L(x) L(zeta) from
-    ``radii``), or the ``ValueError`` that refused the pair (r too close to
-    1, or ``SeriesToleranceError``).  One recurrence runs to the largest M;
-    each pair sums its own M + 1 terms, so its value does not depend on the
-    other pairs.  A table of (largest M + 1) x pairs terms above the node
-    cap raises ``ValueError`` before it is built."""
-    out, degrees = [], []  # each pair's error, or its tail bound
+def poisson_series(n: int, p: int, B, P, radii, tol: float,
+                   max_terms: int = 10000) -> tuple:
+    """(values, terms, tails, refusals) over the pairs: sum_m Z_m^p
+    truncated at the pair's own proven degree M (``truncation_degree`` at
+    r = L(x) L(zeta) from ``radii``), its M + 1 terms and its tail bound,
+    and the ``ValueError`` that refused the pair (r too close to 1, or
+    ``SeriesToleranceError``) or None.  A refused pair reads 0 in the
+    three arrays.  One recurrence runs to the largest M; each pair sums its
+    own M + 1 terms, so its value does not depend on the other pairs.  A
+    table of (largest M + 1) x pairs terms above the node cap raises
+    ``ValueError`` before it is built."""
+    degrees, tails, refusals = [], [], []
     for r in radii:
         try:
             M, tail = _truncation(n, p, r, tol, max_terms)
-            out.append(tail)
+            refusals.append(None)
         except ValueError as err:
-            M = -1
-            out.append(err)
+            M, tail = -1, 0.0
+            refusals.append(err)
         degrees.append(M)
-    top = max(degrees, default=-1)
-    if top < 0:
-        return out
-    if (top + 1) * len(degrees) > _MAX_NODES:
-        raise ValueError(f"{len(degrees)} pairs of {top + 1} series terms "
-                         "exceed the node cap")
-    terms = _series_terms(n, p, B, P, top).T
-    # zeros after a pair's M + 1 terms change no bit of its compensated sum
-    terms[np.arange(top + 1) > np.array(degrees)[:, None]] = 0.0
-    for i, value in enumerate(compensated_sum(terms, axis=-1)):
-        if degrees[i] >= 0:
-            out[i] = KernelValue(complex(value), degrees[i] + 1, out[i])
-    return out
+        tails.append(tail)
+    degrees = np.array(degrees, dtype=int)
+    top = int(degrees.max(initial=-1))
+    values = np.zeros(len(degrees), dtype=complex)
+    if top >= 0:
+        if (top + 1) * len(degrees) > _MAX_NODES:
+            raise ValueError(f"{len(degrees)} pairs of {top + 1} series "
+                             "terms exceed the node cap")
+        terms = _series_terms(n, p, B, P, top).T
+        # zeros after a pair's M + 1 terms change no bit of its compensated
+        # sum, and a refused pair sums none
+        terms[np.arange(top + 1) > degrees[:, None]] = 0.0
+        values = compensated_sum(terms, axis=-1)
+    return values, degrees + 1, np.array(tails, dtype=float), refusals
 
 
 # --------------------------------------------------------------------------
 # Cauchy-Hua kernel on the Lie ball
 # --------------------------------------------------------------------------
 
-def _hua_guarded(n: int, x2, B, zb2) -> tuple:
+def cauchy_hua_masked(n: int, x2, B, zb2) -> tuple:
     """``_denominator_power`` of the Cauchy-Hua kernel."""
     return _denominator_power(_hua_base(x2, B, zb2), n)
 
 
 def cauchy_hua_from_products(n: int, x2, B, zb2):
     """(x2*zb2 - 2B + 1)^{-n/2}, vectorized, with singular guard."""
-    return _checked("Cauchy-Hua", *_hua_guarded(n, x2, B, zb2))
+    return _checked("Cauchy-Hua", *cauchy_hua_masked(n, x2, B, zb2))
 
 
 def hua_convergence_gap(pairs, p: int) -> tuple:

@@ -59,6 +59,7 @@ __all__ = [
     "polyharmonic_almansi",
     "polyharmonic_split",
     "almansi_reassemble",
+    "laplacian_power",
     "is_polyharmonic",
     "poisson_polynomial",
     "polyharmonic_basis",
@@ -661,9 +662,11 @@ def polyharmonic_almansi(q: MultiPoly, p: int) -> list:
 
     Each component satisfies Delta^p q_k = 0: a block of p harmonic
     components, one Horner sum over the Laplacian ladder (``_blocks``).
+    Past ``_MAX_MONOMIALS`` monomials of q's degree, refused first.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    _require_monomials(q.n, q.degree())
     _require_homogeneous(q, "polyharmonic_almansi")
     return [comp for part in _almansi(q, p) for comp in part]  # q's one part
 
@@ -715,17 +718,22 @@ def polyharmonic_split(q: MultiPoly, p: int) -> tuple:
     return groups[0], almansi_reassemble(groups[1:], q.n, p)
 
 
-def is_polyharmonic(q: MultiPoly, p: int) -> bool:
-    """Whether Delta^p q = 0, tested exactly.  The loop stops at the first
-    zero Laplacian, so it applies at most floor(deg q / 2) + 1 of them."""
+def laplacian_power(q: MultiPoly, p: int) -> MultiPoly:
+    """Delta^p q, exact.  The loop stops at the first zero Laplacian, so it
+    applies at most floor(deg q / 2) + 1 of them."""
     if p < 1:
         raise ValueError("p must be >= 1")
     out = q
     for _ in range(p):
         if out.is_zero():
-            return True
+            break
         out = out.laplacian()
-    return out.is_zero()
+    return out
+
+
+def is_polyharmonic(q: MultiPoly, p: int) -> bool:
+    """Whether Delta^p q = 0 (``laplacian_power``), tested exactly."""
+    return laplacian_power(q, p).is_zero()
 
 
 def poisson_polynomial(q: MultiPoly, p: int) -> MultiPoly:

@@ -46,7 +46,6 @@ __all__ = [
     "SphereRule",
     "LieSphereRule",
     "sphere_rule",
-    "lie_sphere_rule",
     "resolution_for_exactness",
     "compensated_sum",
     "rule_to_json",
@@ -176,10 +175,6 @@ def resolution_for_exactness(n: int, degree: int) -> int:
     if n == 2:
         return max(degree + 1, 4)
     return max(math.ceil((degree + 1) / 2), 4)
-
-
-def lie_sphere_rule(base: SphereRule, angular: int) -> LieSphereRule:
-    return LieSphereRule(base, int(angular))
 
 
 # --------------------------------------------------------------------------

@@ -71,6 +71,7 @@ __all__ = [
     "spectral_component",
     "hua_reproduce",
     "hua_integrals",
+    "sector_values",
     "polyharmonic_limit_experiment",
     "choose_rule",
     "aligned_rule",
@@ -293,11 +294,12 @@ def _integrals_at(route, p: int, coords: np.ndarray, turns,
         partial.reshape(len(coords), count, groups), axis=-1) / sectors
 
 
-def _sector_values(qs: list, phases: list, rows, coords: np.ndarray
-                   ) -> np.ndarray:
-    """(len(coords), len(qs)) values q(phases[rows[i]] * coords[i]): one
-    ``_evaluate`` of every polynomial over every point, with the phases as
-    one phase array, each point read from its own phase's row."""
+def sector_values(qs: list, phases: list, rows, coords: np.ndarray
+                  ) -> np.ndarray:
+    """(len(coords), len(qs)) values q(phases[rows[i]] * coords[i]) at the
+    rows ``coords`` (k, n), real or complex: one ``_evaluate`` of every
+    polynomial over every point, with the phases as one phase array, each
+    point read from its own phase's row."""
     values = np.empty((len(qs), len(phases), len(coords)), dtype=complex)
     polyalg._evaluate(qs, polyalg._power_table(coords, qs), phases, values)
     return values[:, rows, np.arange(len(coords))].T
@@ -306,8 +308,9 @@ def _sector_values(qs: list, phases: list, rows, coords: np.ndarray
 def _sector_integrals(route, data: list, coords, sectors,
                       rule: quadrature.SphereRule) -> np.ndarray:
     """The (points, data) matrix on one route at interior sector points,
-    real rows ``coords`` (k, n) of radius < 1 - 1e-9 (``kernels._radii``)
-    in ``sectors`` (k,), for boundary data sharing n and p."""
+    real rows ``coords`` (k, n) of radius < 1 - 1e-9
+    (``kernels.point_radii``) in ``sectors`` (k,), for boundary data
+    sharing n and p."""
     if len({(f.n, f.p) for f in data}) != 1:
         raise ValueError("need boundary data sharing n and p")
     n, p = data[0].n, data[0].p
@@ -318,7 +321,7 @@ def _sector_integrals(route, data: list, coords, sectors,
     if coords.shape != (len(sectors), n) or not np.isin(sectors,
                                                          range(p)).all():
         raise ValueError(f"need real rows (k, {n}) in sectors 0 to {p - 1}")
-    if not np.all(kernels._radii(coords) < 1.0 - 1e-9):
+    if not np.all(kernels.point_radii(coords) < 1.0 - 1e-9):
         raise ValueError("interior points need hermitian radius < 1 - 1e-9")
     phases = sector_phases(range(p), p)
     return _integrals_at(route, p, coords, phases[sectors], phases, rule,
@@ -521,4 +524,4 @@ def choose_lie_rule(n: int, degree: int, radius: float,
     while (kernels._nb_tail(n - 1, radius, 2 * angular, inverse) > tol
            and angular * base.count <= quadrature._MAX_NODES):
         angular += 1
-    return quadrature.lie_sphere_rule(base, angular)
+    return quadrature.LieSphereRule(base, angular)

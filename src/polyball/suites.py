@@ -35,7 +35,6 @@ import numpy as np
 from . import gegenbauer as gg
 from . import kernels, polyalg, quadrature, solver
 from .geometry import _require_nodes, lie_norm, sector_phases, sector_points
-from .kernels import ROUTES
 from .polyalg import MultiPoly, dim_Hp, polyharmonic_basis
 
 __all__ = [
@@ -77,8 +76,8 @@ class PropertyResult:
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
     """Real rows (k, n) over their norms as np.linalg.norm takes them
-    (``kernels._radii``)."""
-    return v / kernels._radii(v)[:, None]
+    (``kernels.point_radii``)."""
+    return v / kernels.point_radii(v)[:, None]
 
 
 def _pairs(rng, n: int, p: int, count: int, rmin: float,
@@ -112,14 +111,10 @@ def suite_route_agreement(n: int = 2, p: int = 1, seed: int = 0,
     _require_nodes(f"n={n}", 2 * n * pairs, "sampled coordinates")
     rng = np.random.default_rng(seed)
     B, x2, zb2 = kernels.pair_invariants(*_pairs(rng, n, p, pairs, 0.0, 0.9))
-    B, P = kernels._Powers(B), kernels._Powers(x2 * zb2)
-    worst = 0.0
-    for m in range(max_degree + 1):
-        values = np.array([kernels.zonal_from_products(n, m, p, B, P, route)
-                           for route in ROUTES])
-        scale = np.maximum(kernels._zonal_term_scale(n, m, p, B, P), 1e-30)
-        gap = np.abs(values[:, None] - values).max(axis=(0, 1))
-        worst = max(worst, float(np.max(gap / scale, initial=0.0)))
+    _, gaps, scales = kernels.zonal_routes(n, range(max_degree + 1), p, B,
+                                           x2 * zb2)
+    worst = float(np.max(gaps.max(axis=1) / np.maximum(scales, 1e-30),
+                         initial=0.0))
     return [PropertyResult("route-agreement", "max-relative-route-gap",
                            worst, tolerance)]
 
@@ -136,14 +131,14 @@ def suite_series_identity(n: int = 2, p: int = 1, seed: int = 0,
     xs, zetas = _pairs(rng, n, p, points, 0.05, radius)
     B, x2, zb2 = kernels.pair_invariants(xs, zetas)
     closed = kernels.poisson_from_products(n, p, x2, B, zb2)
-    series = kernels._series_values(
+    values, terms, _, refusals = kernels.poisson_series(
         n, p, B, x2 * zb2, (lie_norm(xs) * lie_norm(zetas)).tolist(),
         tolerance / 4.0, max_terms)
-    for truth in series:
-        if isinstance(truth, ValueError):
-            raise truth
-    worst = max(abs(complex(v) - t.value) for v, t in zip(closed, series))
-    most_terms = max(truth.terms_used for truth in series)
+    for refusal in refusals:
+        if refusal is not None:
+            raise refusal
+    worst = max(map(abs, (closed - values).tolist()))
+    most_terms = int(terms.max())
     return [
         PropertyResult("series-identity", "max-closed-vs-series-gap",
                        worst, tolerance),
@@ -323,9 +318,8 @@ def suite_hua_reproduction(n: int = 2, seed: int = 0,
           for degree in range(max_degree + 1)
           for exps in polyalg._monomials(n, degree)]
     got = solver.hua_integrals(us, zs, lie)
-    want = np.empty((len(us), 1, points), dtype=complex)
-    polyalg._evaluate(us, polyalg._power_table(zs, us), [1.0], want)
-    worst = float(np.max(np.abs(got - want[:, 0].T)))
+    want = solver.sector_values(us, [1.0], np.zeros(points, dtype=int), zs)
+    worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("hua-reproduction", "max-reproduction-error",
                            worst, tolerance)]
 
@@ -364,7 +358,7 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     phases = sector_phases(range(p), p)
     got = solver._integrals_at(solver._POISSON, p, coords, phases[rows],
                                phases, rule, basis)
-    want = solver._sector_values(basis, phases, rows, coords)
+    want = solver.sector_values(basis, phases, rows, coords)
     worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("reproduction", "max-reproduction-error",
                            worst, tolerance)]

@@ -80,11 +80,12 @@ def rows_by(table_text, **match):
 # --------------------------------------------------------------------------
 
 def test_unknown_keys_are_rejected(tmp_path, capsys):
-    code, _ = run(tmp_path, "kernel",
-                  {"n": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
-                   "extra": 1})
-    assert code == cli.EXIT_CONFIG
-    assert "extra" in capsys.readouterr().err
+    code, text = run(tmp_path, "kernel",
+                     {"n": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
+                      "extra": 1})
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err \
+        == "error: unknown configuration keys for kernel: extra\n"
 
 
 @pytest.mark.parametrize("extra,key", [
@@ -351,9 +352,13 @@ def test_a_key_that_no_run_reads_is_refused(tmp_path, capsys, command, key):
             == "error: pairs (a list of x/zeta pairs) is required\n"
 
 
-@pytest.mark.parametrize("command,key", UNREAD)
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command in cli._COMMANDS
+    for key in ("seed", "tolerance")])
 def test_a_flag_that_no_run_reads_is_a_usage_error(tmp_path, capsys,
                                                    command, key):
+    # the configuration is the one spelling of every input: no command
+    # takes a --seed or --tolerance flag, even where it reads the key
     with pytest.raises(SystemExit) as stop:
         run(tmp_path, command, VALID[command], f"--{key}", "1")
     assert stop.value.code == 2
@@ -361,11 +366,11 @@ def test_a_flag_that_no_run_reads_is_a_usage_error(tmp_path, capsys,
 
 
 def test_verify_seed_flag_sets_the_seed(tmp_path):
-    # p = 2, where the three routes round differently, so seeds differ
+    # the seed key, the one spelling of the seed, sets it.  p = 2, where
+    # the three routes round differently, so seeds differ
     config = {"n": 2, "p": 2, "suites": ["route-agreement"]}
-    tables = [run(tmp_path, "verify", config, *flags)[1] for flags in (
-        ("--seed", "9"), ())] + [run(tmp_path, "verify",
-                                     {**config, "seed": 9})[1]]
+    tables = [run(tmp_path, "verify", {**config, **seed})[1]
+              for seed in ({"seed": 9}, {}, {"seed": 9})]
     assert tables[0] == tables[2] and rows_by(tables[0]) != rows_by(tables[1])
     assert json.loads(tables[0])["metadata"]["config"]["seed"] == 9
 
@@ -423,11 +428,13 @@ def test_kernel_singular_row_continues_and_exits_three(tmp_path):
     assert rows[1]["value_re"] == pytest.approx(3.0, rel=1e-12)
 
 
-def test_kernel_sector_index_range_is_validated(tmp_path):
-    code, _ = run(tmp_path, "kernel",
-                  {"n": 2, "p": 2, "pairs": [
-                      {"x": [0.5, 0], "zeta": [1, 0], "x_sector": 2}]})
-    assert code == cli.EXIT_CONFIG
+def test_kernel_sector_index_range_is_validated(tmp_path, capsys):
+    code, text = run(tmp_path, "kernel",
+                     {"n": 2, "p": 2, "pairs": [
+                         {"x": [0.5, 0], "zeta": [1, 0], "x_sector": 2}]})
+    assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err \
+        == "error: pairs[0].x_sector must be <= 1\n"
 
 
 @pytest.mark.parametrize("n,p,degree", [(2, 1, 1500), (5, 2, 800)])
@@ -447,7 +454,7 @@ def test_kernel_degree_past_double_range_is_config_error(tmp_path, capsys,
     assert err.count("\n") == 1
 
 
-def test_certain_coefficient_overflow_builds_no_exact_table(tmp_path,
+def test_certain_coefficient_overflow_builds_no_exact_table(tmp_path, capsys,
                                                            monkeypatch):
     def built(*args):
         raise AssertionError("an exact coefficient table was built")
@@ -458,6 +465,8 @@ def test_certain_coefficient_overflow_builds_no_exact_table(tmp_path,
                      {"n": 2, "pairs": [{"x": [0.1, 0.1], "zeta": [1, 0]}],
                       "degrees": [1500], "kernels": ["zonal"]})
     assert (code, text) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err \
+        == "error: degree 1500: the zonal coefficients overflow a double\n"
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,7 +499,7 @@ def test_kernel_refuses_a_huge_degree_before_any_coefficient(
 @pytest.mark.parametrize("n", [5, 8])
 def test_coefficient_overflow_bound_is_sound_at_its_first_degree(n):
     # the first degree the log-scale bound refuses does overflow exactly
-    m = next(m for m in range(1000) if cli._coefficients_overflow(n, m))
+    m = next(m for m in range(1000) if kernels._coefficients_overflow(n, m))
     table = gegenbauer_coefficients(Fraction(n, 2), m)
     with pytest.raises(OverflowError):
         float(max(abs(c) for c in table))
@@ -559,9 +568,10 @@ def kernel_configs(draw):
                                      min_size=1, unique=True))}
 
 
-def assert_contract(tmp_path_factory, command, config):
+def assert_contract(tmp_path_factory, command, config) -> str:
     """Exit 0-3 with either a strict-JSON table and a silent stderr, or one
-    "error:" line and no table; never a traceback, a warning or exit 4."""
+    "error:" line and no table; never a traceback, a warning or exit 4.
+    Returns what was written to stderr."""
     path = tmp_path_factory.mktemp("contract") / "config.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
@@ -579,6 +589,7 @@ def assert_contract(tmp_path_factory, command, config):
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1 \
             and err.getvalue().endswith("\n")
+    return err.getvalue()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -589,14 +600,24 @@ def assert_contract(tmp_path_factory, command, config):
 @example({"n": 400, "p": 1,
           "pairs": [{"x": [0.9] + [0] * 399, "zeta": [1] + [0] * 399}],
           "kernels": ["hua"]})
-@example({"n": 2, "p": 1, "pairs": [{"x": [0.1, 0.1], "zeta": [1, 0]}],
-          "degrees": [1500], "kernels": ["zonal"]})
 @example({"n": 2, "p": 2,
           "pairs": [{"x": [0.5, 0], "zeta": [1, 1e300]}],  # NaN zonal
           "kernels": ["zonal"], "degrees": [4]})
 def test_kernel_contract_holds_on_generated_configs(tmp_path_factory,
                                                     config):
     assert_contract(tmp_path_factory, "kernel", config)
+
+
+@pytest.mark.parametrize("config,line", [pytest.param(
+    {"n": 2, "p": 1, "pairs": [{"x": [0.1, 0.1], "zeta": [1, 0]}],
+     "degrees": [1500], "kernels": ["zonal"]},
+    "degree 1500: the zonal coefficients overflow a double",
+    id="degree-past-the-doubles")])
+def test_refused_kernel_contract_examples_print_their_exact_line(
+        tmp_path_factory, config, line):
+    # the kernel contract's refused examples, each with its one error line
+    assert assert_contract(tmp_path_factory, "kernel", config) \
+        == f"error: {line}\n"
 
 
 _COEFFICIENTS = st.one_of(
@@ -885,8 +906,8 @@ def test_kernel_request_makes_one_zonal_call_per_degree_and_route(
     monkeypatch.setattr(kernels._Powers, "__missing__", missing)
     monkeypatch.setattr(kernels, "zonal_from_products",
                         counted("zonal", kernels.zonal_from_products))
-    monkeypatch.setattr(cli, "_coefficients_overflow",
-                        counted("overflow", cli._coefficients_overflow))
+    monkeypatch.setattr(kernels, "_coefficients_overflow",
+                        counted("overflow", kernels._coefficients_overflow))
     rng = np.random.default_rng(3)
     pairs = [{"x": (0.05 * k * v / np.linalg.norm(v)).tolist(),
               "zeta": (w / np.linalg.norm(w)).tolist()}
@@ -958,16 +979,15 @@ def test_kernel_rows_agree_with_the_per_point_functions(n, p):
         elif kernel == "poisson":
             want_status, want = _status(kernels.poisson_kernel, x, zeta, p)
             if want_status == "ok":
-                [truth] = kernels._series_values(n, p, B, x2 * zb2, lie,
-                                                 tol / 100.0)
-                if isinstance(truth, ValueError):
+                [truth], _, [tail], [refusal] = kernels.poisson_series(
+                    n, p, B, x2 * zb2, lie, tol / 100.0)
+                if refusal is not None:
                     want_status = "rejected"
             assert status == want_status, (i, kernel)
             if status == "ok":
                 assert value == want
-                assert complex(cells[2], cells[3]) == truth.value
-                assert cells[5] == truth.tail_bound + tol * max(1.0,
-                                                                abs(value))
+                assert complex(cells[2], cells[3]) == truth
+                assert cells[5] == tail + tol * max(1.0, abs(value))
         else:
             want_status, want = _status(kernels.cauchy_hua_from_products, n,
                                         x2, B, zb2)
@@ -1389,9 +1409,9 @@ def test_verify_emits_one_row_per_property_and_passes(tmp_path):
 
 
 def test_verify_tolerance_flag_forces_failure_exit(tmp_path):
+    # the tolerance key, the one spelling of the tolerance
     code, _ = run(tmp_path, "verify",
-                  {"n": 2, "suites": ["diagonal-dim"]},
-                  "--tolerance", "1e-30")
+                  {"n": 2, "suites": ["diagonal-dim"], "tolerance": 1e-30})
     assert code == cli.EXIT_TOLERANCE
 
 
@@ -1680,7 +1700,7 @@ def test_almansi_refuses_polynomials_past_the_monomial_cap(tmp_path, capsys,
     def no_ladder(q, p):
         raise AssertionError("Almansi ladder built")
 
-    monkeypatch.setattr(polyalg, "polyharmonic_almansi", no_ladder)
+    monkeypatch.setattr(polyalg, "_almansi", no_ladder)
     code, text = run(tmp_path, "almansi", {"n": 5, "polynomial": "x1^20"})
     assert_monomial_cap_refusal(code, text, capsys.readouterr().err)
 
@@ -2095,8 +2115,8 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_metadata_records_effective_config_and_hash(tmp_path):
-    code, text = run(tmp_path, "verify", {"n": 2, "suites": ["almansi"]},
-                     "--seed", "9", "--tolerance", "1e-8")
+    code, text = run(tmp_path, "verify", {"n": 2, "suites": ["almansi"],
+                                          "seed": 9, "tolerance": 1e-8})
     assert code == 0
     meta = json.loads(text)["metadata"]
     assert meta["command"] == "verify"
@@ -2109,8 +2129,8 @@ def test_metadata_records_effective_config_and_hash(tmp_path):
 def test_flag_overrides_feed_back_into_the_run(tmp_path):
     # rerunning from the emitted effective config reproduces the table
     code, text = run(tmp_path, "kernel",
-                     {"n": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}]},
-                     "--tolerance", "1e-9")
+                     {"n": 2, "pairs": [{"x": [0.5, 0], "zeta": [1, 0]}],
+                      "tolerance": 1e-9})
     assert code == 0
     effective = json.loads(text)["metadata"]["config"]
     code2, text2 = run(tmp_path, "kernel", effective)

@@ -22,7 +22,6 @@ from polyball.quadrature import (
     LieSphereRule,
     SphereRule,
     compensated_sum,
-    lie_sphere_rule,
     resolution_for_exactness,
     rule_from_json,
     rule_to_json,
@@ -198,9 +197,9 @@ def test_rules_above_the_node_cap_are_refused_before_building():
         with pytest.raises(ValueError, match="node cap"):
             sphere_rule(n, resolution)
     base = sphere_rule(3, 16)  # 512 nodes
-    lie_sphere_rule(base, cap // base.count)  # exactly at the cap
+    LieSphereRule(base, cap // base.count)  # exactly at the cap
     with pytest.raises(ValueError, match="node cap"):
-        lie_sphere_rule(base, cap // base.count + 1)
+        LieSphereRule(base, cap // base.count + 1)
 
 
 # --------------------------------------------------------------------------
@@ -208,13 +207,13 @@ def test_rules_above_the_node_cap_are_refused_before_building():
 # --------------------------------------------------------------------------
 
 def test_lie_sphere_integral_of_constant_is_one():
-    lie = lie_sphere_rule(sphere_rule(2, 32), 16)
+    lie = LieSphereRule(sphere_rule(2, 32), 16)
     got = lie_average(lambda pts: np.ones(pts.shape[0], dtype=complex), lie)
     assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_lie_sphere_integral_kills_odd_phase_frequencies():
-    lie = lie_sphere_rule(sphere_rule(2, 32), 16)
+    lie = LieSphereRule(sphere_rule(2, 32), 16)
     # z1^2 has even total degree: survives with the x1^2 moment at phase^2
     got = lie_average(lambda pts: pts[:, 0] ** 2, lie)
     assert abs(got) <= 1e-14  # e^{2i a} averages to zero over [0, pi)
@@ -226,15 +225,15 @@ def test_lie_sphere_integral_doubling_stability():
         return np.abs(z1) ** 4
 
     base = sphere_rule(3, resolution_for_exactness(3, 8))
-    coarse = lie_average(F, lie_sphere_rule(base, 16))
-    fine = lie_average(F, lie_sphere_rule(
+    coarse = lie_average(F, LieSphereRule(base, 16))
+    fine = lie_average(F, LieSphereRule(
         sphere_rule(3, 2 * base.resolution), 32))
     assert abs(coarse - fine) <= 1e-10
 
 
 def test_angular_resolution_floor():
     with pytest.raises(ValueError):
-        lie_sphere_rule(sphere_rule(2, 16), 3)
+        LieSphereRule(sphere_rule(2, 16), 3)
 
 
 # --------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_one_by_one_integrals_equal_their_batched_entries():
     data = [BoundaryData(q, 7) for q in qs]
     points = interior_points(3, 7, 4, np.random.default_rng(5))
     rule = quadrature.sphere_rule(3, 10)
-    lie = quadrature.lie_sphere_rule(rule, 7)
+    lie = quadrature.LieSphereRule(rule, 7)
     assert solver._group(rule.count, 7)[0] == 4
     zs = [np.array([0.3, 0.1j, -0.2]), np.array([-0.2, 0.4 + 0.1j, 0.1])]
     batched = poisson_integrals(data, *points, rule)
@@ -268,7 +268,7 @@ def test_batched_operator_matches_per_sector_loop(n, p):
 
 def test_batched_hua_matches_per_angle_loop():
     rng = np.random.default_rng(41)
-    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(3, 8), 6)
+    lie = quadrature.LieSphereRule(quadrature.sphere_rule(3, 8), 6)
     us = [MultiPoly.from_text(t, n=3)
           for t in ("1", "x1 x3", "x2^3 + (0,1) x1")]
     zs = [z * (0.5 / lie_norm(z)) for z in
@@ -292,7 +292,7 @@ def test_batched_hua_matches_per_angle_loop():
 def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
                                                          budget):
     data, points, rule = operator_case(2, 2)
-    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
+    lie = quadrature.LieSphereRule(quadrature.sphere_rule(2, 12), 8)
     us = [MultiPoly.from_text(t, n=2) for t in ("x1", "x2^2")]
     zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
 
@@ -530,7 +530,7 @@ def test_a_template_needs_real_points_to_turn_to():
     with pytest.raises(ValueError, match="real points"):
         spectral_component(BoundaryData(u, 2), 2, z, template)
     with pytest.raises(ValueError, match="real points"):
-        hua_integrals([u], [z], quadrature.lie_sphere_rule(template, 8))
+        hua_integrals([u], [z], quadrature.LieSphereRule(template, 8))
     with pytest.raises(ValueError, match="real points"):
         polyharmonic_limit_experiment(u, z, [1, 2], template, lie)
     assert abs(hua_reproduce(u, z, lie) - u.evaluate(z)) <= 1e-13
@@ -611,7 +611,7 @@ def test_hua_reproduction_makes_no_more_products_than_per_angle_dots(
 
 
 def test_hua_integrals_evaluate_each_datum_once_per_block(monkeypatch):
-    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
+    lie = quadrature.LieSphereRule(quadrature.sphere_rule(2, 12), 8)
     us = [MultiPoly.from_text(t, n=2) for t in ("1", "x1", "x2^2 + x1 x2")]
     zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
     phases = []
@@ -655,14 +655,14 @@ def test_each_operator_call_builds_one_power_table_per_node_set(
         assert sum(r for r, _ in shapes) == len(points[0]) * template.count
         if budget == 1:
             assert len(shapes) == len(points[0])
-    lie = quadrature.lie_sphere_rule(quadrature.sphere_rule(2, 12), 8)
+    lie = quadrature.LieSphereRule(quadrature.sphere_rule(2, 12), 8)
     shapes.clear()
     hua_integrals([MultiPoly.from_text(t, n=2) for t in ("x1^3", "x2^2")],
                   [np.array([0.3, 0.1j]), np.array([-0.2, 0.4])], lie)
     assert shapes == [lie.base.nodes.shape]
     shapes.clear()
-    solver._sector_values([f.q for f in data], sector_phases(range(3), 3),
-                          points[1], points[0])
+    solver.sector_values([f.q for f in data], sector_phases(range(3), 3),
+                         points[1], points[0])
     assert shapes == [(len(points[0]), 3)]
 
 
@@ -760,7 +760,7 @@ def test_hua_reproduce_monomials():
     rng = np.random.default_rng(33)
     base = quadrature.sphere_rule(2, quadrature.resolution_for_exactness(
         2, 42))
-    lie = quadrature.lie_sphere_rule(base, 32)
+    lie = quadrature.LieSphereRule(base, 32)
     for text in ("1", "x1^2", "x1 x2"):
         u = MultiPoly.from_text(text, n=2)
         for _ in range(4):
@@ -792,7 +792,7 @@ def test_limit_experiment_error_column_and_hua_row():
 def test_limit_experiment_validates_inputs():
     u = MultiPoly.from_text("x1", n=2)
     rule = quadrature.sphere_rule(2, 16)
-    lie = quadrature.lie_sphere_rule(rule, 8)
+    lie = quadrature.LieSphereRule(rule, 8)
     with pytest.raises(ValueError):
         polyharmonic_limit_experiment(u, np.array([1.2, 0.0]), [1], rule, lie)
     with pytest.raises(ValueError):

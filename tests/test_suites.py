@@ -360,7 +360,7 @@ def test_an_odd_circle_breaks_the_hua_reproduction_bound(monkeypatch):
     # exactness 2 * max_degree gives the n = 2 circle 9 points: not
     # symmetric under zeta -> -zeta, so the odd d - m terms survive
     sized = solver.choose_lie_rule(2, 4, 0.6, 1e-8)
-    odd = quadrature.lie_sphere_rule(quadrature.sphere_rule(
+    odd = quadrature.LieSphereRule(quadrature.sphere_rule(
         2, quadrature.resolution_for_exactness(2, 8)), sized.angular)
     assert odd.base.count == 9
     monkeypatch.setattr(solver, "choose_lie_rule", lambda *args: odd)
