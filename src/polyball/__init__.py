@@ -39,7 +39,6 @@ from .polyalg import (
     dim_H,
     dim_Hp,
     dim_P,
-    harmonic_almansi,
     is_polyharmonic,
     poisson_polynomial,
     polyharmonic_almansi,
@@ -76,7 +75,6 @@ from .solver import (
     aligned_rule,
     choose_lie_rule,
     choose_rule,
-    dirichlet_solve,
     hua_reproduce,
     polyharmonic_limit_experiment,
 )
@@ -87,8 +85,8 @@ __all__ = [
     "RotatedVector", "as_complex_vector", "as_rotated", "bilinear_square",
     "hermitian_dot", "lie_norm", "principal_power",
     "MultiPoly", "almansi_reassemble", "dim_H", "dim_Hp", "dim_P",
-    "harmonic_almansi", "is_polyharmonic", "polyharmonic_almansi",
-    "polyharmonic_basis", "polyharmonic_split", "poisson_polynomial",
+    "is_polyharmonic", "polyharmonic_almansi", "polyharmonic_basis",
+    "polyharmonic_split", "poisson_polynomial",
     "gegenbauer_coefficients", "gegenbauer_explicit",
     "generating_function", "generating_partial_sum",
     "ROUTES", "SingularKernelError", "hua_convergence_gap",
@@ -98,6 +96,6 @@ __all__ = [
     "sphere_rule",
     "BoundaryData", "LimitExperiment", "aligned_rule",
     "choose_lie_rule", "choose_rule",
-    "dirichlet_solve", "hua_reproduce", "polyharmonic_limit_experiment",
+    "hua_reproduce", "polyharmonic_limit_experiment",
     "SUITES", "PropertyResult", "run_suite",
 ]

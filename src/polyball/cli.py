@@ -508,7 +508,6 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     turns = int(np.sum(interior)) if n >= 3 else None
     rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius,
                        turns)
-    data = solver.BoundaryData(q, p)
     coord_names = tuple(f"x{i + 1}" for i in range(n))
     metadata = _metadata(cfg, rule)
     if turns is not None:
@@ -517,7 +516,7 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
                         ("point", "sector") + coord_names + ("status",),
                         metadata)
     inside = coords[interior], sectors[interior]
-    values = iter(solver.poisson_integrals([data], *inside, rule)[:, 0])
+    values = iter(solver.poisson_integrals([q], p, *inside, rule)[:, 0])
     wants = iter(solver.sector_values([u_p], sector_phases(range(p), p),
                                       inside[1], inside[0])[:, 0])
     for i, (pt, j, ok) in enumerate(zip(cfg.data["points"],

@@ -42,9 +42,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .gegenbauer import _recurrence, gegenbauer_coefficients
-from .geometry import (as_complex_vector, as_rotated, bilinear_square,
-                       hermitian_dot, lie_norm, principal_power, sector_points)
-from .quadrature import _MAX_NODES, compensated_sum
+from .geometry import (_require_nodes, as_complex_vector, as_rotated,
+                       bilinear_square, hermitian_dot, lie_norm,
+                       principal_power, sector_points)
+from .quadrature import compensated_sum
 
 __all__ = [
     "ROUTES",
@@ -453,9 +454,8 @@ def poisson_series(n: int, p: int, B, P, radii, tol: float,
     top = int(degrees.max(initial=-1))
     values = np.zeros(len(degrees), dtype=complex)
     if top >= 0:
-        if (top + 1) * len(degrees) > _MAX_NODES:
-            raise ValueError(f"{len(degrees)} pairs of {top + 1} series "
-                             "terms exceed the node cap")
+        _require_nodes(f"{len(degrees)} pairs", (top + 1) * len(degrees),
+                       "series terms")
         terms = _series_terms(n, p, B, P, top).T
         # zeros after a pair's M + 1 terms change no bit of its compensated
         # sum, and a refused pair sums none

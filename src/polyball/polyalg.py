@@ -55,7 +55,6 @@ __all__ = [
     "dim_P",
     "dim_H",
     "dim_Hp",
-    "harmonic_almansi",
     "polyharmonic_almansi",
     "polyharmonic_split",
     "almansi_reassemble",
@@ -627,14 +626,6 @@ def _blocks(q: MultiPoly, p: int) -> list:
         nums = [sum(denom // w for w in ws) for ws in weights]
         blocks.append(_radial_horner(n, ladder[start:], nums, denom))
     return blocks
-
-
-def harmonic_almansi(q: MultiPoly) -> list:
-    """Harmonic components [u_m, u_{m-2}, ...] with q = sum_k |x|^{2k}
-    u_{m-2k}: ``polyharmonic_almansi`` at p = 1.  Zero components are kept,
-    so the k-th entry has degree m - 2k; the zero polynomial gives []."""
-    _require_homogeneous(q, "harmonic_almansi")
-    return polyharmonic_almansi(q, 1)
 
 
 @lru_cache(maxsize=8)

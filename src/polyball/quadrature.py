@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _MAX_NODES
+from .geometry import _require_nodes
 
 __all__ = [
     "SphereRule",
@@ -96,8 +96,8 @@ class LieSphereRule:
     def __post_init__(self):
         if self.angular < 4:
             raise ValueError("angular resolution must be >= 4")
-        if self.angular * self.base.count > _MAX_NODES:
-            raise ValueError(f"{self.angular} angles exceed the node cap")
+        _require_nodes(f"{self.angular} angles",
+                       self.angular * self.base.count, "Lie-sphere nodes")
 
     @property
     def angles(self) -> np.ndarray:
@@ -151,8 +151,9 @@ def sphere_rule(n: int, resolution: int,
         raise ValueError("azimuth needs n >= 3 and 1 <= azimuth <= resolution")
     # the rule of one resolution holds 2 L^{n-1} nodes (L at n = 2);
     # resolution >= 4, so the exponent 23 already passes the cap at any n
-    if (1 if n == 2 else 2) * resolution ** min(n - 1, 23) > _MAX_NODES:
-        raise ValueError(f"n={n}, resolution {resolution}: over the node cap")
+    _require_nodes(f"n={n}, resolution {resolution}",
+                   (1 if n == 2 else 2) * resolution ** min(n - 1, 23),
+                   "nodes" if n <= 24 else "or more nodes")
     m = resolution if n == 2 else 2 * inner  # circle angles
     theta = 2.0 * math.pi * np.arange(m) / m
     nodes = np.column_stack([np.cos(theta), np.sin(theta)])

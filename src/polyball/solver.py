@@ -2,7 +2,7 @@
 
 Boundary data is a polynomial q restricted to the union of p rotated unit
 spheres: on the sector e^{ij pi/p} S its values are q(e^{ij pi/p} zeta).
-``BoundaryData`` holds q and p only; nothing is cached between calls.
+Calls take q and p themselves; nothing is cached between calls.
 
 Every integral goes through one kernel operator (``_integrals_at``): the
 data-independent kernel is built from the pair invariants (B, x2 * zb2)
@@ -10,12 +10,10 @@ once per bounded block, shared by every datum; every datum is a
 polynomial, which the operator evaluates at its own nodes with the
 kernels' phases; and the node sum of weights * kernel * data over a row of
 sectors is an exact sliced matrix product (``quadrature._sliced_sums``),
-so no value depends on the blocks or on BLAS.  ``poisson_integrals``,
-``dirichlet_solve`` and ``hua_integrals`` batch points and data;
-``hua_reproduce`` is the 1 x 1 case of ``hua_integrals``, and
-``spectral_component`` pairs the data with the zonal polyharmonic Z_m^p.
-Batched calls take sector points as real rows (k, n) and sectors (k,)
-(``geometry.sector_points``).
+so no value depends on the blocks or on BLAS.  ``poisson_integrals`` and
+``hua_integrals`` batch points and data, and ``hua_reproduce`` is the
+1 x 1 case of ``hua_integrals``.  Batched calls take sector points as real
+rows (k, n) and sectors (k,) (``geometry.sector_points``).
 
 The block plan.  The operator sums over node sets.  A shared sphere rule,
 or a Lie rule's base, is one node set for every point; a pole-aligned
@@ -42,15 +40,15 @@ slices are summed over circles of ``run`` nodes, and one
 and every slice takes its scale from its whole row, so no value depends
 on the plan.
 
-Two independent evaluation routes compute the same solution:
-
-* ``poisson_integrals`` pairs boundary values with the closed-form kernel
-  P(x, e^{ij pi/p} zeta) (hermitian-symmetry route);
-* ``dirichlet_solve`` pairs them with the boundary form
-  (1 - |x|^{2p}) / |e^{-ik pi/p} x - zeta|^n (principal-sqrt route).
-
-Their agreement (1e-11 scale) is a genuine numeric check of the conjugation
-identity between the two displays, and is enforced in the test suite.
+The kernel routes (``_sector_kernels``) evaluate one integral
+independently: the closed-form kernel P(x, e^{ij pi/p} zeta)
+(hermitian-symmetry route), which ``poisson_integrals`` takes; its
+boundary form (1 - |x|^{2p}) / |e^{-ik pi/p} x - zeta|^n (principal-sqrt
+route); and Z_m^p(x, e^{ij pi/p} zeta) by each zonal route, whose
+integral is the degree-m spectral value of the data, q(x) for q in H_m^p.
+The test suite holds the first two to agree at the 1e-11 scale, a genuine
+numeric check of the conjugation identity between the two displays, and
+every zonal route to reproduce H_m^p.
 """
 
 from __future__ import annotations
@@ -60,15 +58,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, polyalg, quadrature
-from .geometry import as_complex_vector, lie_norm, sector_phases
+from .geometry import (_require_nodes, as_complex_vector, lie_norm,
+                       sector_phases)
 from .polyalg import MultiPoly
 
 __all__ = [
     "BoundaryData",
     "LimitExperiment",
     "poisson_integrals",
-    "dirichlet_solve",
-    "spectral_component",
     "hua_reproduce",
     "hua_integrals",
     "sector_values",
@@ -80,11 +77,8 @@ __all__ = [
 
 
 class BoundaryData:
-    """Restriction of a polynomial q to the union of p rotated unit spheres:
-    on the sector e^{ij pi/p} S its values are q(e^{ij pi/p} zeta).  It
-    holds no values: the kernel operator evaluates q at its own nodes with
-    the kernels' sector phases, and callers size the rule (``choose_rule``)
-    from q's degree."""
+    """Restriction of a polynomial q to the union of p rotated unit
+    spheres.  No call takes it: ``poisson_integrals`` takes q and p."""
 
     def __init__(self, q: MultiPoly, p: int):
         if p < 1:
@@ -305,15 +299,15 @@ def sector_values(qs: list, phases: list, rows, coords: np.ndarray
     return values[:, rows, np.arange(len(coords))].T
 
 
-def _sector_integrals(route, data: list, coords, sectors,
+def _sector_integrals(route, qs: list, p: int, coords, sectors,
                       rule: quadrature.SphereRule) -> np.ndarray:
     """The (points, data) matrix on one route at interior sector points,
     real rows ``coords`` (k, n) of radius < 1 - 1e-9
-    (``kernels.point_radii``) in ``sectors`` (k,), for boundary data
-    sharing n and p."""
-    if len({(f.n, f.p) for f in data}) != 1:
-        raise ValueError("need boundary data sharing n and p")
-    n, p = data[0].n, data[0].p
+    (``kernels.point_radii``) in ``sectors`` (k,), for polynomials ``qs``
+    sharing n on the union of p rotated spheres."""
+    if len({q.n for q in qs}) != 1 or p < 1:
+        raise ValueError("need polynomials sharing n, and p >= 1")
+    n = qs[0].n
     if np.iscomplexobj(coords):
         raise ValueError("need real rows: give complex sector points as "
                          "their real rows and sectors")
@@ -324,55 +318,26 @@ def _sector_integrals(route, data: list, coords, sectors,
     if not np.all(kernels.point_radii(coords) < 1.0 - 1e-9):
         raise ValueError("interior points need hermitian radius < 1 - 1e-9")
     phases = sector_phases(range(p), p)
-    return _integrals_at(route, p, coords, phases[sectors], phases, rule,
-                      [f.q for f in data])
+    return _integrals_at(route, p, coords, phases[sectors], phases, rule, qs)
 
 
 # --------------------------------------------------------------------------
 # reproduction integrals
 # --------------------------------------------------------------------------
 
-def poisson_integrals(data, coords, sectors,
+def poisson_integrals(qs, p: int, coords, sectors,
                       rule: quadrature.SphereRule) -> np.ndarray:
-    """Poisson integrals of many boundary data at many interior points,
-    real rows ``coords`` (k, n) in ``sectors`` (k,).
+    """Poisson integrals of many polynomials qs, restricted to the union of
+    p rotated spheres, at many interior points, real rows ``coords`` (k, n)
+    in ``sectors`` (k,).
 
-    Entry (i, d) is (1/p) sum_j int_S f_d(e^{ij pi/p} zeta)
+    Entry (i, d) is (1/p) sum_j int_S q_d(e^{ij pi/p} zeta)
     P(x_i, e^{ij pi/p} zeta) dsigma; every datum shares the kernel values,
-    which are built once per block of points.
+    which are built once per block of points.  For any polynomial q the
+    integral is u_p(x) = ``polyalg.poisson_polynomial`` (q, p), which is q
+    itself when Delta^p q = 0 (up to quadrature truncation).
     """
-    return _sector_integrals(_POISSON, list(data), coords, sectors, rule)
-
-
-def dirichlet_solve(f: BoundaryData, coords, sectors,
-                    rule: quadrature.SphereRule) -> np.ndarray:
-    """Solve the Dirichlet problem via the boundary form at interior points,
-    real rows ``coords`` (k, n) in ``sectors`` (k,): the (k,) values.
-
-    Each value is (1/p) sum_k int_S f(e^{ik pi/p} zeta)
-    (1-|x|^{2p}) / |e^{-ik pi/p} x - zeta|^n dsigma(zeta).  For any
-    polynomial data q the integral is u_p(x) = ``polyalg.poisson_polynomial``
-    (q, p), the sum of q's order-p Almansi components, which is q itself
-    when Delta^p q = 0 (up to quadrature truncation).
-    """
-    return _sector_integrals(_BOUNDARY_FORM, [f], coords, sectors, rule)[:, 0]
-
-
-def spectral_component(f: BoundaryData, m: int, eta,
-                       rule: quadrature.SphereRule,
-                       route: str = kernels.ROUTE_GEGENBAUER_DIFF) -> complex:
-    """<f, Z_m^p(., eta)> over the rotated spheres: the degree-m spectral
-    value of f at eta.  For f restricted from a degree-m order-p
-    polyharmonic q this equals q(eta).  By hermitian symmetry it is
-    (1/p) sum_j int_S Z_m^p(eta, e^{ij pi/p} zeta) f(e^{ij pi/p} zeta)."""
-    if m < 0:
-        return 0j
-    eta_c = as_complex_vector(eta)
-    if eta_c.size != f.n:
-        raise ValueError("dimension mismatch")
-    return complex(_integrals_at((route, m), f.p, eta_c[None, :], None,
-                                 sector_phases(range(f.p), f.p), rule,
-                                 [f.q])[0, 0])
+    return _sector_integrals(_POISSON, list(qs), p, coords, sectors, rule)
 
 
 # --------------------------------------------------------------------------
@@ -521,7 +486,8 @@ def choose_lie_rule(n: int, degree: int, radius: float,
         n, 2 * degree + 1))
     angular = max(4, degree // 2 + 1)
     inverse = [(1.0 - radius) ** (j - n) for j in range(n)]  # for every A
-    while (kernels._nb_tail(n - 1, radius, 2 * angular, inverse) > tol
-           and angular * base.count <= quadrature._MAX_NODES):
+    while kernels._nb_tail(n - 1, radius, 2 * angular, inverse) > tol:
+        _require_nodes(f"{angular} angles", angular * base.count,
+                       "Lie-sphere nodes")
         angular += 1
     return quadrature.LieSphereRule(base, angular)

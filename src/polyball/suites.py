@@ -21,6 +21,10 @@ kernel values exceed the node cap raises ``ValueError``, and so do p
 sectors of values or sampled coordinates past it
 (``geometry._require_nodes``, checked before any is built) and more than
 ``polyalg._MAX_MONOMIALS`` monomials of its top degree to enumerate.
+Suites call the solver's public batched names, but ``sector-integrals``
+(one sphere) and ``far-cap`` (kernel values at the nodes) read
+``solver._integrals_at`` and ``_sector_kernels``; a test lists each
+private name that this module reads, with its reason.
 """
 
 from __future__ import annotations
@@ -355,10 +359,9 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
                                       aligned=True)
         if len(coords) * template.count < rule.count:
             rule = template
-    phases = sector_phases(range(p), p)
-    got = solver._integrals_at(solver._POISSON, p, coords, phases[rows],
-                               phases, rule, basis)
-    want = solver.sector_values(basis, phases, rows, coords)
+    got = solver.poisson_integrals(basis, p, coords, rows, rule)
+    want = solver.sector_values(basis, sector_phases(range(p), p), rows,
+                                coords)
     worst = float(np.max(np.abs(got - want)))
     return [PropertyResult("reproduction", "max-reproduction-error",
                            worst, tolerance)]
@@ -476,10 +479,9 @@ def suite_almansi(n: int = 2, p: int = 1, seed: int = 0) -> list:
             uniqueness += 1
         if m >= 2 * p:
             head, rest = polyalg.polyharmonic_split(q, p)
-            radial = polyalg._radial_power(n, p)
             ok = ((harmonic[0] if head == components[0]  # Delta^p applied
                    else polyalg.is_polyharmonic(head, p))
-                  and head + radial * rest == q)
+                  and polyalg.almansi_reassemble([head, rest], n, p) == q)
             if not ok:
                 direct_sum += 1
     return [

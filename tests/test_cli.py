@@ -26,7 +26,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polyball import cli, kernels, polyalg, quadrature, solver
+from polyball import cli, geometry, kernels, polyalg, quadrature, solver
 from polyball.gegenbauer import gegenbauer_coefficients
 from polyball.geometry import RotatedVector, lie_norm
 from polyball.kernels import ROUTE_GEGENBAUER_DIFF
@@ -523,7 +523,7 @@ def test_kernel_series_past_the_node_cap_is_refused_before_it_is_built(
     # at r = 0.995 the series asks for M + 1 terms a pair; the first pair
     # count past the node cap is refused before the term table is built
     terms = kernels.truncation_degree(2, 1, 0.995, 1e-12) + 1
-    pairs = quadrature._MAX_NODES // terms + 1
+    pairs = geometry._MAX_NODES // terms + 1
 
     def built(*args):
         raise AssertionError("series terms built")
@@ -534,8 +534,8 @@ def test_kernel_series_past_the_node_cap_is_refused_before_it_is_built(
         "pairs": [{"x": [0.995, 0], "zeta": [1, 0]}] * pairs})
     assert (code, text) == (cli.EXIT_CONFIG, "")
     assert capsys.readouterr().err == (
-        f"error: poisson series: {pairs} pairs of {terms} series terms "
-        "exceed the node cap\n")
+        f"error: poisson series: {pairs} pairs: {pairs * terms} series "
+        "terms exceed the node cap\n")
 
 
 @st.composite
@@ -1058,15 +1058,14 @@ def test_dirichlet_rows_equal_the_per_point_poisson_integrals():
               "sectors": [0, 1, 1, 0]}
     table = cli.run_command("dirichlet", config)
     rule = quadrature.rule_from_json(table.metadata["rule"])
-    data = solver.BoundaryData(
-        polyalg.MultiPoly.from_text(config["boundary"], n=3), 2)
+    q = polyalg.MultiPoly.from_text(config["boundary"], n=3)
     states = []
     for row, point, j in zip(table.rows, config["points"],
                              config["sectors"]):
         cells = dict(zip(table.columns, row))
         states.append(cells["status"])
         if cells["status"] == "ok":
-            [[want]] = solver.poisson_integrals([data], [point], [j], rule)
+            [[want]] = solver.poisson_integrals([q], 2, [point], [j], rule)
             assert (cells["value_re"], cells["value_im"]) == (
                 want.real + 0.0, want.imag + 0.0)
     assert states == ["ok", "rejected", "ok", "ok"]
@@ -1109,7 +1108,7 @@ def _u_p_oracle(q, p: int, z) -> complex:
     z2 = complex(np.sum(z * z))
     return sum(z2 ** (k % p) * h.evaluate(z)
                for comp in q.homogeneous_components().values()
-               for k, h in enumerate(polyalg.harmonic_almansi(comp)))
+               for k, h in enumerate(polyalg.polyharmonic_almansi(comp, 1)))
 
 
 @st.composite
@@ -1353,7 +1352,7 @@ def test_kernel_symmetry_refuses_a_poisson_value_that_underflows(tmp_path,
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(quadrature._MAX_NODES + 1, 2 ** 64),
+@given(n=st.integers(geometry._MAX_NODES + 1, 2 ** 64),
        text=st.sampled_from(["x1", "3", "(0,2) x2^3 - x1"]))
 def test_almansi_refuses_a_huge_n_before_any_exponent_tuple(n, text):
     # n exponents per term are counted against the node cap before any

@@ -210,19 +210,13 @@ def test_one_solver_function_cuts_and_multiplies_the_slices():
 
 # Public names that no package code reads, each with the reason it stays.
 UNREFERENCED_PUBLIC = {
-    "dirichlet_solve": "the boundary-form route, which cross-checks the "
-                       "Poisson-integral route",
-    "spectral_component": "the only check that Z_m^p reproduces H_m^p, by "
-                          "each of the three zonal routes",
     "poisson_kernel": "perfbench/tests call it; a benchmark-only PR moves "
                       "it",
     "RotatedVector.sector": "perfbench/tests call it; a benchmark-only PR "
                             "moves it",
     "rule_from_json": "reads back the rule record that every table carries",
     "PropertyResult.passed": "the acceptance gate reads it",
-    "harmonic_almansi": "the p = 1 case of polyharmonic_almansi, the "
-                        "harmonic split that the Poisson-integral oracle "
-                        "of the tests reads",
+    "BoundaryData": "perfbench's tracer names it; item 1 deletes it",
 }
 
 
@@ -305,3 +299,32 @@ def test_the_command_line_reads_no_private_name_of_another_module():
     # each name listed is read, or is a stale allowlist entry
     assert found == set(CLI_PRIVATE_READS), sorted(
         found ^ set(CLI_PRIVATE_READS))
+
+
+# Private names of other package modules that suites.py may read, each with
+# the reason it stays.
+SUITES_PRIVATE_READS = {
+    ("geometry", "_require_nodes"): "ROADMAP item 9: one work plan per "
+                                    "request replaces the per-site node "
+                                    "caps",
+    ("polyalg", "_require_monomials"): "ROADMAP item 9, as _require_nodes",
+    ("polyalg", "_monomials"): "its order fixes every seeded sample",
+    ("polyalg", "_power_table"): "the orthogonality quadrature, which "
+                                 "ROADMAP items 2 and 18 replace",
+    ("polyalg", "_evaluate"): "the orthogonality quadrature, which ROADMAP "
+                              "items 2 and 18 replace",
+    ("solver", "_integrals_at"): "sector-integrals integrates over one "
+                                 "sphere, which no public call does",
+    ("solver", "_POISSON"): "sector-integrals integrates over one sphere, "
+                            "which no public call does",
+    ("solver", "_sector_kernels"): "far-cap masks kernel values at the "
+                                   "nodes",
+}
+
+
+def test_the_suites_read_only_their_listed_private_names():
+    found = set(_private_reads(
+        ast.parse((PACKAGE / "suites.py").read_text())))
+    # each name listed is read, or is a stale allowlist entry
+    assert found == set(SUITES_PRIVATE_READS), sorted(
+        found ^ set(SUITES_PRIVATE_READS))

@@ -26,7 +26,6 @@ from polyball.polyalg import (
     dim_H,
     dim_Hp,
     dim_P,
-    harmonic_almansi,
     is_polyharmonic,
     polyharmonic_almansi,
     polyharmonic_basis,
@@ -718,7 +717,7 @@ def test_returned_bases_are_fresh_lists():
 
 def test_harmonic_almansi_of_x1_squared():
     q = MultiPoly.from_text("x1^2", n=2)
-    comps = harmonic_almansi(q)
+    comps = polyharmonic_almansi(q, 1)
     want0 = MultiPoly.from_text("1/2 x1^2 - 1/2 x2^2", n=2)
     want1 = MultiPoly.from_text("1/2", n=2)
     assert (comps[0] - want0).coefficient_scale() == 0.0
@@ -740,7 +739,7 @@ def test_harmonic_almansi_reassembles_exactly():
     for n in (2, 3, 5):
         for m in (3, 5, 8):
             q = random_homogeneous(n, m, rng)
-            comps = harmonic_almansi(q)
+            comps = polyharmonic_almansi(q, 1)
             assert len(comps) == m // 2 + 1
             for k, c in enumerate(comps):
                 assert c.laplacian().coefficient_scale() == 0.0
@@ -774,7 +773,7 @@ def _generic_harmonic_almansi(q: MultiPoly) -> list:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_almansi_ladders_equal_the_generic_product_horner(n):
-    # the numerator Horner of harmonic_almansi and polyharmonic_almansi
+    # the numerator Horner of polyharmonic_almansi, at p = 1 and above,
     # against generic products, on Gaussian-rational data of degree 0-8
     rng = np.random.default_rng(180 + n)
     r2 = MultiPoly.radial_square(n)
@@ -785,7 +784,7 @@ def test_almansi_ladders_equal_the_generic_product_horner(n):
                      Fraction(int(rng.integers(-4, 5)), 7))
             q = random_homogeneous(n, m, rng) * scale
             want = _generic_harmonic_almansi(q)
-            assert harmonic_almansi(q) == want, (n, m)
+            assert polyharmonic_almansi(q, 1) == want, (n, m)
             for p in (1, 2, 3):
                 groups = []
                 for start in range(0, len(want), p):
@@ -866,12 +865,13 @@ def test_harmonic_almansi_keeps_zero_components():
     # a harmonic q: the ladder is [q, 0, 0, 0]
     q = MultiPoly.from_text("x1^6 - 15 x1^4 x2^2 + 15 x1^2 x2^4 - x2^6",
                             n=2)
-    assert harmonic_almansi(q) == [q] + [MultiPoly.zero(2)] * 3
+    assert polyharmonic_almansi(q, 1) == [q] + [MultiPoly.zero(2)] * 3
     # |x|^4 x1 at n = 3: only the degree-1 component survives
     x1 = MultiPoly.monomial(3, (1, 0, 0))
     q = MultiPoly.radial_square(3) ** 2 * x1
-    assert harmonic_almansi(q) == [MultiPoly.zero(3), MultiPoly.zero(3), x1]
-    assert harmonic_almansi(MultiPoly.zero(3)) == []
+    assert polyharmonic_almansi(q, 1) == [MultiPoly.zero(3),
+                                          MultiPoly.zero(3), x1]
+    assert polyharmonic_almansi(MultiPoly.zero(3), 1) == []
 
 
 def test_polyharmonic_almansi_annihilates_and_reassembles():
@@ -893,7 +893,7 @@ def test_polyharmonic_almansi_annihilates_and_reassembles():
 def test_almansi_uniqueness_by_perturbation():
     rng = np.random.default_rng(47)
     q = random_homogeneous(3, 6, rng)
-    comps = harmonic_almansi(q)
+    comps = polyharmonic_almansi(q, 1)
     bump = (polyharmonic_basis(3, comps[1].degree(), 1)[0]
             if comps[1].degree() >= 0 else MultiPoly.constant(3, 1))
     perturbed = list(comps)

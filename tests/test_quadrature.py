@@ -17,7 +17,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_gegenbauer
 
-from polyball import quadrature
+from polyball import geometry, quadrature
 from polyball.quadrature import (
     LieSphereRule,
     SphereRule,
@@ -191,7 +191,7 @@ def test_polar_rules_are_built_once_per_process(monkeypatch):
 
 
 def test_rules_above_the_node_cap_are_refused_before_building():
-    cap = quadrature._MAX_NODES
+    cap = geometry._MAX_NODES
     for n, resolution in ((2, cap + 1), (2, 10 ** 12), (3, 1025), (4, 102),
                           (6, 31), (10 ** 9, 4)):
         with pytest.raises(ValueError, match="node cap"):

@@ -21,12 +21,10 @@ from polyball.polyalg import MultiPoly, polyharmonic_basis
 from polyball.solver import (
     BoundaryData,
     choose_rule,
-    dirichlet_solve,
     hua_integrals,
     hua_reproduce,
     poisson_integrals,
     polyharmonic_limit_experiment,
-    spectral_component,
 )
 
 RNG = np.random.default_rng(60)
@@ -48,6 +46,23 @@ def interior_points(n: int, p: int, count: int, rng,
 def rotated(points: tuple, p: int) -> list:
     """The ``RotatedVector`` of each of ``interior_points``' points."""
     return [RotatedVector.sector(j, p, a) for a, j in zip(*points)]
+
+
+def boundary_form(qs: list, p: int, coords, sectors, rule) -> np.ndarray:
+    """The boundary-form route's (points, data) matrix: (1/p) sum_k int_S
+    q(e^{ik pi/p} zeta) (1 - |x|^{2p}) / |e^{-ik pi/p} x - zeta|^n."""
+    return solver._sector_integrals(solver._BOUNDARY_FORM, qs, p, coords,
+                                    sectors, rule)
+
+
+def spectral(q: MultiPoly, p: int, m: int, eta, rule,
+             route: str = kernels.ROUTE_GEGENBAUER_DIFF) -> complex:
+    """<q, Z_m^p(., eta)> over the p rotated spheres, Z_m^p by ``route``:
+    the degree-m spectral value of q at eta, which is q(eta) for q in
+    H_m^p."""
+    return complex(solver._integrals_at(
+        (route, m), p, geometry.as_complex_vector(eta)[None, :], None,
+        sector_phases(range(p), p), rule, [q])[0, 0])
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +108,7 @@ def test_boundary_data_uses_the_kernel_sector_phases(monkeypatch):
                  solver.aligned_rule(3, 6, q.degree())):
         evaluated.clear()
         built.clear()
-        poisson_integrals([BoundaryData(q, 6)], [[0.2, -0.1, 0.3]], [5], rule)
+        poisson_integrals([q], 6, [[0.2, -0.1, 0.3]], [5], rule)
         np.testing.assert_array_equal(
             np.concatenate([phase for _, phase in evaluated]), want)
         np.testing.assert_array_equal(np.concatenate(built), want)
@@ -122,7 +137,7 @@ def test_boundary_data_evaluates_every_sector_in_one_pass(monkeypatch):
         evaluated.clear()
         built.clear()
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
-        poisson_integrals([BoundaryData(q, 7) for q in qs], *points, rule)
+        poisson_integrals(qs, 7, *points, rule)
         blocks = []  # the kernels' sector blocks, each once per point block
         for block in built:
             if not blocks or not np.array_equal(blocks[-1], block):
@@ -144,20 +159,19 @@ def test_one_by_one_integrals_equal_their_batched_entries():
     # last row
     qs = [MultiPoly.from_text(t, n=3)
           for t in ("x1^2 x2 + 2 * x3", "x3 - 1", "(0,1) x1 x2^3")]
-    data = [BoundaryData(q, 7) for q in qs]
     points = interior_points(3, 7, 4, np.random.default_rng(5))
     rule = quadrature.sphere_rule(3, 10)
     lie = quadrature.LieSphereRule(rule, 7)
     assert solver._group(rule.count, 7)[0] == 4
     zs = [np.array([0.3, 0.1j, -0.2]), np.array([-0.2, 0.4 + 0.1j, 0.1])]
-    batched = poisson_integrals(data, *points, rule)
+    batched = poisson_integrals(qs, 7, *points, rule)
     hua = hua_integrals(qs, zs, lie)
-    for d, f in enumerate(data):
+    for d, q in enumerate(qs):
         for i, (coords, j) in enumerate(zip(*points)):
-            assert poisson_integrals([f], [coords], [j], rule)[0, 0] \
+            assert poisson_integrals([q], 7, [coords], [j], rule)[0, 0] \
                 == batched[i, d]
         for i, z in enumerate(zs):
-            assert hua_reproduce(f.q, z, lie) == hua[i, d]
+            assert hua_reproduce(q, z, lie) == hua[i, d]
 
 
 # --------------------------------------------------------------------------
@@ -170,40 +184,41 @@ def test_poisson_integral_reproduces_polyharmonic_basis(n, p, m):
     rule = choose_rule(n, p, m, radius=0.6, tol=1e-11)
     for q in polyharmonic_basis(n, m, p)[:4]:
         points = interior_points(n, p, 5, rng)
-        got = poisson_integrals([BoundaryData(q, p)], *points, rule)[:, 0]
+        got = poisson_integrals([q], p, *points, rule)[:, 0]
         for value, x in zip(got, rotated(points, p)):
             want = q.evaluate(x)
             assert abs(value - want) <= 1e-9 * max(1.0, abs(want))
 
 
-def test_dirichlet_solve_matches_poisson_integral():
+def test_boundary_form_route_matches_poisson_integral():
     q = MultiPoly.from_text("x1^2 - x2^2 + x1 x2", n=2)
     p = 2
-    data = BoundaryData(q, p)
     rule = choose_rule(2, p, q.degree(), radius=0.7, tol=1e-11)
     pts = interior_points(2, p, 12, np.random.default_rng(5), rmax=0.7)
-    values = dirichlet_solve(data, *pts, rule)
+    values = boundary_form([q], p, *pts, rule)[:, 0]
     assert values.shape == (12,)
-    for v, direct in zip(values, poisson_integrals([data], *pts, rule)[:, 0]):
+    for v, direct in zip(values, poisson_integrals([q], p, *pts, rule)[:, 0]):
         assert abs(v - direct) <= 1e-11 * max(1.0, abs(direct))
 
 
 def test_dirichlet_rejects_exterior_and_off_sector_points():
     q = MultiPoly.from_text("x1", n=2)
-    data = BoundaryData(q, 2)
     rule = quadrature.sphere_rule(2, 16)
     edge = 1.0 - 1e-9  # the solver's interior radius
     for coords, sectors in (([[1.5, 0.0]], [0]), ([[edge, 0.0]], [1]),
                             ([[0.3, 0.0]], [2]), ([[0.3, 0.0]], [-1]),
                             ([[0.3, 0.0, 0.0]], [0]), ([[0.3, 0.0]], [0, 1])):
         with pytest.raises(ValueError):
-            dirichlet_solve(data, coords, sectors, rule)
+            boundary_form([q], 2, coords, sectors, rule)
     with pytest.raises(ValueError, match="real rows"):  # not cast to real
-        dirichlet_solve(data, geometry.sector_points([[0.3, 0.0]], [1], 2),
-                        [1], rule)
-    assert dirichlet_solve(data, [[0.3, 0.0]], [1], rule).shape == (1,)
+        boundary_form([q], 2, geometry.sector_points([[0.3, 0.0]], [1], 2),
+                      [1], rule)
+    assert boundary_form([q], 2, [[0.3, 0.0]], [1], rule).shape == (1, 1)
     with pytest.raises(ValueError):  # the Poisson route checks its sectors
-        poisson_integrals([data], [[0.3, 0.0]], [2], rule)
+        poisson_integrals([q], 2, [[0.3, 0.0]], [2], rule)
+    for qs, p in (([q], 0), ([q, MultiPoly.from_text("x1", n=3)], 2)):
+        with pytest.raises(ValueError, match="sharing n, and p >= 1"):
+            poisson_integrals(qs, p, [[0.3, 0.0]], [0], rule)
 
 
 # --------------------------------------------------------------------------
@@ -215,30 +230,29 @@ def _fsum(values) -> complex:
     return complex(math.fsum(values.real), math.fsum(values.imag))
 
 
-def reference_integrals(route: str, data, points, rule) -> np.ndarray:
+def reference_integrals(route: str, qs, p, points, rule) -> np.ndarray:
     """One kernel array per point and sector from the point's own
     invariants, an fsum per sector and an fsum over the sectors."""
     rn = np.sum(rule.nodes ** 2, axis=1)
-    out = np.empty((len(points[0]), len(data)), dtype=complex)
-    for i, x in enumerate(rotated(points, data[0].p)):
+    out = np.empty((len(points[0]), len(qs)), dtype=complex)
+    for i, x in enumerate(rotated(points, p)):
         xc = x.to_complex()
         x2 = bilinear_square(xc)
-        for d, f in enumerate(data):
+        for d, q in enumerate(qs):
             parts = []
-            for j in range(f.p):
-                conj = np.conj(np.exp(1j * j * math.pi / f.p))
+            for j in range(p):
+                conj = np.conj(np.exp(1j * j * math.pi / p))
                 if route == "poisson":
                     kv = kernels.poisson_from_products(
-                        f.n, f.p, x2, conj * (rule.nodes @ xc), conj ** 2 * rn)
+                        q.n, p, x2, conj * (rule.nodes @ xc), conj ** 2 * rn)
                 else:
                     xk = conj * xc
                     kv = kernels.boundary_form_values(
-                        f.n, f.p, x2,
+                        q.n, p, x2,
                         bilinear_square(xk) - 2.0 * (rule.nodes @ xk) + rn)
-                values = f.q.eval_at(rule.nodes,
-                                     phase=sector_phases([j], f.p)[0])
+                values = q.eval_at(rule.nodes, phase=sector_phases([j], p)[0])
                 parts.append(_fsum(rule.weights * values * kv))
-            out[i, d] = _fsum(parts) / f.p
+            out[i, d] = _fsum(parts) / p
     return out
 
 
@@ -247,21 +261,19 @@ def operator_case(n: int, p: int):
     the rule choose_rule picks for them."""
     rng = np.random.default_rng(200 + 10 * n + p)
     basis = [q for m in range(4) for q in polyharmonic_basis(n, m, p)]
-    data = [BoundaryData(q, p) for q in basis[::2]]
     rule = choose_rule(n, p, basis[-1].degree(), radius=0.7, tol=1e-11)
-    return data, interior_points(n, p, 7, rng, rmax=0.7), rule
+    return basis[::2], interior_points(n, p, 7, rng, rmax=0.7), rule
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n in (2, 3) for p in (1, 2, 3)])
 def test_batched_operator_matches_per_sector_loop(n, p):
-    data, points, rule = operator_case(n, p)
+    qs, points, rule = operator_case(n, p)
     routes = {
-        "poisson": poisson_integrals(data, *points, rule),
-        "boundary-form": np.array([dirichlet_solve(f, *points, rule)
-                                   for f in data]).T,
+        "poisson": poisson_integrals(qs, p, *points, rule),
+        "boundary-form": boundary_form(qs, p, *points, rule),
     }
     for route, got in routes.items():
-        want = reference_integrals(route, data, points, rule)
+        want = reference_integrals(route, qs, p, points, rule)
         scale = np.maximum(1.0, np.abs(want))
         assert np.max(np.abs(got - want) / scale) <= 1e-13, route
 
@@ -291,14 +303,14 @@ def test_batched_hua_matches_per_angle_loop():
 @pytest.mark.parametrize("budget", [1, 500, 1 << 20])
 def test_operator_blocks_leave_every_value_bit_identical(monkeypatch,
                                                          budget):
-    data, points, rule = operator_case(2, 2)
+    qs, points, rule = operator_case(2, 2)
     lie = quadrature.LieSphereRule(quadrature.sphere_rule(2, 12), 8)
     us = [MultiPoly.from_text(t, n=2) for t in ("x1", "x2^2")]
     zs = [np.array([0.3, 0.1j]), np.array([-0.2, 0.4 + 0.1j])]
 
     def results():
-        return (poisson_integrals(data, *points, rule),
-                dirichlet_solve(data[1], *points, rule),
+        return (poisson_integrals(qs, 2, *points, rule),
+                boundary_form(qs[1:2], 2, *points, rule),
                 hua_integrals(us, zs, lie))
 
     default = results()
@@ -333,42 +345,42 @@ def test_aligned_rule_integrates_zonal_times_data_exactly(n):
     rng = np.random.default_rng(160 + n)
     route = kernels.ROUTE_GEGENBAUER_DIFF
     for d in range(7):
-        f = BoundaryData(random_polynomial(n, d, rng), int(rng.integers(1, 4)))
+        q, p = random_polynomial(n, d, rng), int(rng.integers(1, 4))
         resolution = int(rng.integers(4, 7))
         template = solver.aligned_rule(n, resolution, d)
-        point = interior_points(n, f.p, 1, rng, rmax=0.9)
-        [x] = rotated(point, f.p)
+        point = interior_points(n, p, 1, rng, rmax=0.9)
+        [x] = rotated(point, p)
         for m in (2 * int(rng.integers(0, d // 2 + 1)),
                   int(rng.integers(0, 2 * resolution - d))):
-            got = solver._sector_integrals((route, m), [f], *point,
+            got = solver._sector_integrals((route, m), [q], p, *point,
                                            template)[0, 0]
             shared = quadrature.sphere_rule(
                 n, quadrature.resolution_for_exactness(n, m + d))
-            want = spectral_component(f, m, x, shared, route)
+            want = spectral(q, p, m, x, shared, route)
             # every zonal term is at most sum |e_k| |a|^m, the data sum |c|
-            # (the terms are numerators over f.q.denom)
+            # (the terms are numerators over q.denom)
             scale = sum(abs(c) for c in kernels._float_coeffs(
-                n, m, f.p, False)) * x.radius ** m \
-                * sum(abs(complex(a, b)) for a, b in f.q.terms.values()) \
-                / f.q.denom
-            assert abs(got - want) <= 1e-13 * scale, (d, m, f.p)
+                n, m, p, False)) * x.radius ** m \
+                * sum(abs(complex(a, b)) for a, b in q.terms.values()) \
+                / q.denom
+            assert abs(got - want) <= 1e-13 * scale, (d, m, p)
 
 
 # blocks of 1, 2 and all 7 points for poisson_integrals
 @pytest.mark.parametrize("budget", [1, 10000, 1 << 20])
 def test_aligned_rows_equal_their_one_point_integrals(monkeypatch, budget):
-    data, points, rule = operator_case(3, 2)
+    qs, points, rule = operator_case(3, 2)
     template = choose_rule(3, 2, 3, radius=0.7, tol=1e-11, aligned=True)
     assert template.count * 20 < rule.count
-    shared = poisson_integrals(data, *points, rule)
+    shared = poisson_integrals(qs, 2, *points, rule)
     monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
-    got = poisson_integrals(data, *points, template)
-    forms = dirichlet_solve(data[1], *points, template)
+    got = poisson_integrals(qs, 2, *points, template)
+    forms = boundary_form(qs[1:2], 2, *points, template)[:, 0]
     for i in range(len(forms)):
         one = [a[i:i + 1] for a in points]
         np.testing.assert_array_equal(
-            got[i], poisson_integrals(data, *one, template)[0])
-        assert forms[i] == dirichlet_solve(data[1], *one, template)[0]
+            got[i], poisson_integrals(qs, 2, *one, template)[0])
+        assert forms[i] == boundary_form(qs[1:2], 2, *one, template)[0, 0]
     # both rules reproduce the polyharmonic data to the tolerance
     assert np.max(np.abs(got - shared)) <= 1e-10
     assert np.max(np.abs(forms - got[:, 1])) <= 1e-10
@@ -528,7 +540,7 @@ def test_a_template_needs_real_points_to_turn_to():
     z = np.array([0.3, 0.1j, -0.2])
     lie = solver.choose_lie_rule(3, u.degree(), lie_norm(z), 1e-12)
     with pytest.raises(ValueError, match="real points"):
-        spectral_component(BoundaryData(u, 2), 2, z, template)
+        spectral(u, 2, 2, z, template)
     with pytest.raises(ValueError, match="real points"):
         hua_integrals([u], [z], quadrature.LieSphereRule(template, 8))
     with pytest.raises(ValueError, match="real points"):
@@ -639,18 +651,18 @@ def test_each_operator_call_builds_one_power_table_per_node_set(
         return power_table(points, polys)
 
     monkeypatch.setattr(polyalg, "_power_table", recorded)
-    data = [BoundaryData(MultiPoly.from_text(t, n=3), 3)
-            for t in ("x1^3 x2 + 2 * x3^2", "x3 - 1", "(0,1) x1 x2^4")]
+    qs = [MultiPoly.from_text(t, n=3)
+          for t in ("x1^3 x2 + 2 * x3^2", "x3 - 1", "(0,1) x1 x2^4")]
     points = interior_points(3, 3, 4, np.random.default_rng(3))
     rule = quadrature.sphere_rule(3, 6)
     template = solver.aligned_rule(3, 6, 5)
     for budget in (1 << 20, 500, 1):
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
         shapes.clear()
-        poisson_integrals(data, *points, rule)
+        poisson_integrals(qs, 3, *points, rule)
         assert shapes == [rule.nodes.shape], budget
         shapes.clear()
-        poisson_integrals(data, *points, template)
+        poisson_integrals(qs, 3, *points, template)
         assert all(r % template.count == 0 and k == 3 for r, k in shapes)
         assert sum(r for r, _ in shapes) == len(points[0]) * template.count
         if budget == 1:
@@ -661,8 +673,8 @@ def test_each_operator_call_builds_one_power_table_per_node_set(
                   [np.array([0.3, 0.1j]), np.array([-0.2, 0.4])], lie)
     assert shapes == [lie.base.nodes.shape]
     shapes.clear()
-    solver.sector_values([f.q for f in data], sector_phases(range(3), 3),
-                         points[1], points[0])
+    solver.sector_values(qs, sector_phases(range(3), 3), points[1],
+                         points[0])
     assert shapes == [(len(points[0]), 3)]
 
 
@@ -710,17 +722,15 @@ def test_a_call_whose_join_fits_eight_budgets_is_one_block(monkeypatch):
 
 def test_poisson_integral_of_constant_is_one():
     for p in (1, 2, 3):
-        data = BoundaryData(MultiPoly.constant(2, 1), p)
         rule = choose_rule(2, p, 0, radius=0.8, tol=1e-12)
-        got = poisson_integrals([data], *interior_points(
-            2, p, 6, np.random.default_rng(7), rmax=0.8), rule)
+        points = interior_points(2, p, 6, np.random.default_rng(7), rmax=0.8)
+        got = poisson_integrals([MultiPoly.constant(2, 1)], p, *points, rule)
         assert np.all(np.abs(got - 1.0) <= 1e-10)
 
 
 def test_spectral_component_recovers_polyharmonic_values():
     n, p, m = 2, 2, 4
     q = polyharmonic_basis(n, m, p)[1]
-    data = BoundaryData(q, p)
     rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
         n, 2 * m + 4))
     rng = np.random.default_rng(9)
@@ -730,14 +740,13 @@ def test_spectral_component_recovers_polyharmonic_values():
                                    y / np.linalg.norm(y))
         want = q.evaluate(eta)
         for route in kernels.ROUTES:  # each route's kernel at the nodes
-            got = spectral_component(data, m, eta.to_complex(), rule, route)
+            got = spectral(q, p, m, eta.to_complex(), rule, route)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), route
 
 
 def test_spectral_components_sum_to_boundary_value():
     n, p = 2, 2
     q = MultiPoly.from_text("x1^3 + x1 x2 - 1/2 x2^2", n=2)
-    data = BoundaryData(q, p)
     d = q.degree()
     rule = quadrature.sphere_rule(n, quadrature.resolution_for_exactness(
         n, 2 * d + 4))
@@ -746,7 +755,7 @@ def test_spectral_components_sum_to_boundary_value():
         y = rng.standard_normal(n)
         eta = RotatedVector.sector(int(rng.integers(p)), p,
                                    y / np.linalg.norm(y))
-        total = sum(spectral_component(data, m, eta.to_complex(), rule)
+        total = sum(spectral(q, p, m, eta.to_complex(), rule)
                     for m in range(d + 1))
         want = q.evaluate(eta)
         assert abs(total - want) <= 1e-9 * max(1.0, abs(want))

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from polyball import kernels, polyalg, quadrature, solver, suites
+from polyball import geometry, kernels, polyalg, quadrature, solver, suites
 from polyball.geometry import RotatedVector
 from polyball.polyalg import MultiPoly
 from polyball.suites import (SUITES, PropertyResult, run_suite,
@@ -372,7 +372,7 @@ def test_an_odd_circle_breaks_the_hua_reproduction_bound(monkeypatch):
 def _first_refused_p(per_sector) -> int:
     """The least p whose p sectors of per_sector(p) values pass the cap."""
     p = 1
-    while p * per_sector(p) <= quadrature._MAX_NODES:
+    while p * per_sector(p) <= geometry._MAX_NODES:
         p += 1
     return p
 
