@@ -15,7 +15,7 @@ Modules:
     gegenbauer  Gegenbauer recurrence, explicit sums, generating function
     kernels     zonal, Poisson, boundary-form, and Cauchy-Hua kernels
     quadrature  sphere and Lie-sphere rules with serialization
-    solver      Poisson integrals, Dirichlet solves, limit experiments
+    solver      Poisson and Cauchy-Hua integrals, rule selection
     suites      named property suites over random samples
     cli         JSON-configured experiments emitting result tables
 """
@@ -71,12 +71,9 @@ from .quadrature import (
 )
 from .solver import (
     BoundaryData,
-    LimitExperiment,
     aligned_rule,
     choose_lie_rule,
     choose_rule,
-    hua_reproduce,
-    polyharmonic_limit_experiment,
 )
 from .suites import SUITES, PropertyResult, run_suite
 
@@ -94,8 +91,6 @@ __all__ = [
     "LieSphereRule", "SphereRule",
     "resolution_for_exactness", "rule_from_json", "rule_to_json",
     "sphere_rule",
-    "BoundaryData", "LimitExperiment", "aligned_rule",
-    "choose_lie_rule", "choose_rule",
-    "hua_reproduce", "polyharmonic_limit_experiment",
+    "BoundaryData", "aligned_rule", "choose_lie_rule", "choose_rule",
     "SUITES", "PropertyResult", "run_suite",
 ]

@@ -10,10 +10,11 @@ once per bounded block, shared by every datum; every datum is a
 polynomial, which the operator evaluates at its own nodes with the
 kernels' phases; and the node sum of weights * kernel * data over a row of
 sectors is an exact sliced matrix product (``quadrature._sliced_sums``),
-so no value depends on the blocks or on BLAS.  ``poisson_integrals`` and
-``hua_integrals`` batch points and data, and ``hua_reproduce`` is the
-1 x 1 case of ``hua_integrals``.  Batched calls take sector points as real
-rows (k, n) and sectors (k,) (``geometry.sector_points``).
+so no value depends on the blocks or on BLAS.  Three calls batch points
+and data: ``poisson_integrals`` at sector points, which it takes as real
+rows (k, n) and sectors (k,) (``geometry.sector_points``), and
+``lie_ball_poisson_integrals`` and ``hua_integrals`` at complex points
+(k, n) of the open Lie ball.
 
 The block plan.  The operator sums over node sets.  A shared sphere rule,
 or a Lie rule's base, is one node set for every point; a pole-aligned
@@ -53,23 +54,18 @@ every zonal route to reproduce H_m^p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels, polyalg, quadrature
-from .geometry import (_require_nodes, as_complex_vector, lie_norm,
-                       sector_phases)
+from .geometry import _require_nodes, lie_norm, sector_phases
 from .polyalg import MultiPoly
 
 __all__ = [
     "BoundaryData",
-    "LimitExperiment",
     "poisson_integrals",
-    "hua_reproduce",
     "hua_integrals",
+    "lie_ball_poisson_integrals",
     "sector_values",
-    "polyharmonic_limit_experiment",
     "choose_rule",
     "aligned_rule",
     "choose_lie_rule",
@@ -341,8 +337,19 @@ def poisson_integrals(qs, p: int, coords, sectors,
 
 
 # --------------------------------------------------------------------------
-# Cauchy-Hua reproduction and the order limit
+# Cauchy-Hua reproduction and the order limit on the Lie ball
 # --------------------------------------------------------------------------
+
+def _lie_ball_points(us: list, zs, n: int) -> np.ndarray:
+    """The points ``zs`` of the open Lie ball as a complex (k, n) stack, for
+    polynomials ``us`` in n variables."""
+    zc = np.array(zs, dtype=complex)
+    if any(u.n != n for u in us) or zc.ndim != 2 or zc.shape[1] != n:
+        raise ValueError("dimension mismatch")
+    if not np.all(lie_norm(zc) < 1.0):
+        raise ValueError("z must lie in the open Lie ball")
+    return zc
+
 
 def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     """Lie-sphere averages of H(z_i, w) u_d(w) for many holomorphic
@@ -350,61 +357,25 @@ def hua_integrals(us, zs, lie_rule: quadrature.LieSphereRule) -> np.ndarray:
     len(us)) matrix.  Each entry reproduces u_d(z_i) for polynomial u_d.
     Each datum is evaluated once per block of angles, by one phase-array
     ``polyalg._evaluate`` on the real nodes."""
-    us, base = list(us), lie_rule.base
-    zc = [as_complex_vector(z) for z in zs]
-    if any(u.n != base.n for u in us) or any(z.size != base.n for z in zc):
-        raise ValueError("dimension mismatch")
-    zc = np.array(zc).reshape(len(zc), base.n)
-    if not np.all(lie_norm(zc) < 1.0):
-        raise ValueError("z must lie in the open Lie ball")
+    us = list(us)
+    zc = _lie_ball_points(us, zs, lie_rule.base.n)
     return _integrals_at(_HUA, 0, zc, None, np.exp(1j * lie_rule.angles),
-                         base, us)
+                         lie_rule.base, us)
 
 
-def hua_reproduce(u: MultiPoly, z, lie_rule: quadrature.LieSphereRule) -> complex:
-    """Average of H(z, w) u(w) over the Lie sphere; reproduces holomorphic
-    polynomials at z in the open Lie ball."""
-    return complex(hua_integrals([u], [z], lie_rule)[0, 0])
-
-
-@dataclass(frozen=True)
-class LimitExperiment:
-    """Rows (p, value, error vs the holomorphic reference) plus the
-    Cauchy-Hua integral of the same data."""
-
-    reference: complex
-    rows: tuple
-    hua_value: complex
-    hua_error: float
-
-
-def polyharmonic_limit_experiment(u: MultiPoly, z, p_list,
-                                  rule: quadrature.SphereRule,
-                                  lie_rule: quadrature.LieSphereRule
-                                  ) -> LimitExperiment:
-    """Evaluate u_p(z) for increasing order p and compare with u(z).
-
-    ``u`` is a holomorphic polynomial (boundary data on each rotated sphere
-    union is its restriction); as p grows, u_p(z) converges to u(z) for z in
-    the open Lie ball, and matches the Cauchy-Hua reproduction integral
-    over ``lie_rule`` (``choose_lie_rule``).
-    """
-    zc = as_complex_vector(z)
-    hua_value = hua_reproduce(u, zc, lie_rule)  # checks z's Lie norm
-    reference = u.evaluate(zc)
-    rows = []
-    for p in map(int, p_list):
-        if p < 1:
-            raise ValueError("orders must be >= 1")
-        value = complex(_integrals_at(_POISSON, p, zc[None, :], None,
-                                      sector_phases(range(p), p), rule,
-                                      [u])[0, 0])
-        rows.append((p, value, abs(value - reference)))
-    return LimitExperiment(
-        reference=complex(reference),
-        rows=tuple(rows),
-        hua_value=complex(hua_value),
-        hua_error=abs(hua_value - reference))
+def lie_ball_poisson_integrals(qs, p: int, zs,
+                               rule: quadrature.SphereRule) -> np.ndarray:
+    """Poisson integrals u_p(z_i) of many polynomials q_d at points z_i of
+    the open Lie ball: the (len(zs), len(qs)) matrix of (1/p) sum_j int_S
+    P_p(z_i, e^{ij pi/p} zeta) q_d(e^{ij pi/p} zeta) dsigma.  For
+    holomorphic q, u_p(z) converges to q(z), the Cauchy-Hua integral
+    (``hua_integrals``), as p grows."""
+    if p < 1:
+        raise ValueError("orders must be >= 1")
+    qs = list(qs)
+    zc = _lie_ball_points(qs, zs, rule.n)
+    return _integrals_at(_POISSON, p, zc, None, sector_phases(range(p), p),
+                         rule, qs)
 
 
 # --------------------------------------------------------------------------

@@ -377,12 +377,10 @@ def suite_orthogonality(n: int = 2, p: int = 1,
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
     _require_nodes(f"p={p}", p * elements * rule.count, "basis values")
     phases = sector_phases(range(p), p)
-    bases = [polyharmonic_basis(n, m, p) for m in range(max_degree + 1)]
-    table = polyalg._power_table(rule.nodes, sum(bases, []))
-    values = []  # per degree: array (basis, sector, node)
-    for basis in bases:
-        values.append(np.empty((len(basis), p, rule.count), dtype=complex))
-        polyalg._evaluate(basis, table, phases, values[-1])
+    # per degree: values (basis, sector, node)
+    values = [np.array([q.eval_at(rule.nodes, phases)
+                        for q in polyharmonic_basis(n, m, p)])
+              for m in range(max_degree + 1)]
     worst = 0.0
     weighted = [v * rule.weights for v in values]
     for m in range(max_degree + 1):

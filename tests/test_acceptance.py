@@ -21,7 +21,11 @@ from polyball.polyalg import (
     almansi_reassemble,
     polyharmonic_almansi,
 )
-from polyball.solver import choose_lie_rule, polyharmonic_limit_experiment
+from polyball.solver import (
+    choose_lie_rule,
+    hua_integrals,
+    lie_ball_poisson_integrals,
+)
 from polyball.suites import run_suite
 
 NP_COMBOS = [(n, p) for n in (2, 3) for p in (1, 2, 3)]
@@ -167,15 +171,17 @@ def test_criterion_10_limit_theorem():
     rule = quadrature.sphere_rule(
         2, quadrature.resolution_for_exactness(2, 2 + trunc + 4))
     lie = choose_lie_rule(2, u.degree(), lie_norm(z), 1e-8)
-    result = polyharmonic_limit_experiment(u, z, p_list, rule, lie)
-    errors = [row[2] for row in result.rows]
+    values = [lie_ball_poisson_integrals([u], p, [z], rule)[0, 0]
+              for p in p_list]
+    errors = [abs(value - u.evaluate(z)) for value in values]
+    gap = abs(values[-1] - hua_integrals([u], [z], lie)[0, 0])
     monotone = all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     final_ok = errors[-1] <= 1e-3
-    hua_ok = abs(result.rows[-1][1] - result.hua_value) <= 1e-4
+    hua_ok = gap <= 1e-4
     ok = monotone and final_ok and hua_ok
     report(10, "limit-theorem", ok,
            f"errors {errors[0]:.2e} -> {errors[-1]:.2e}, "
-           f"|u_64 - hua| {abs(result.rows[-1][1] - result.hua_value):.2e}")
+           f"|u_64 - hua| {gap:.2e}")
     assert monotone, "error column must be non-increasing"
     assert final_ok, "p = 64 error must be <= 1e-3"
     assert hua_ok, "u_64 must match the Cauchy-Hua integral within 1e-4"

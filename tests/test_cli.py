@@ -1501,6 +1501,31 @@ def test_hua_limit_rejects_exterior_z_and_bad_p_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("n,u,z", [
+    (2, "1/2 x1^2 + (0,1/4) x1 x2", [[0.3, 0.1], [-0.2, 0.25]]),
+    (3, "1/2 x1 x3 - (0,1/4) x2^3", [[0.2, -0.1], 0.3, [0.0, 0.15]]),
+])
+def test_hua_limit_rows_equal_the_one_point_lie_ball_integrals(n, u, z):
+    # each order row is one batched Lie-ball Poisson integral and the hua
+    # row one Cauchy-Hua integral, so each equals its own 1 x 1 call bit
+    # for bit
+    table = cli.run_command("hua-limit", {"n": n, "u": u, "z": z})
+    rule = quadrature.rule_from_json(table.metadata["rule"])
+    q = polyalg.MultiPoly.from_text(u, n=n)
+    zc = np.array([complex(*c) if isinstance(c, list) else c for c in z])
+    # sum |c_alpha| <= 1 here, so the Lie rule is sized to tolerance / 100
+    lie = solver.choose_lie_rule(n, q.degree(), lie_norm(zc), 1e-6 / 100)
+    wants = [solver.lie_ball_poisson_integrals([q], p, zc[None], rule)[0, 0]
+             for p in (1, 2, 4, 8)]
+    wants.append(solver.hua_integrals([q], zc[None], lie)[0, 0])
+    assert [row[0] for row in table.rows] == [1, 2, 4, 8, "hua"]
+    for row, want in zip(table.rows, wants):
+        cells = dict(zip(table.columns, row))
+        assert cells["status"] == "ok"
+        assert (cells["value_re"], cells["value_im"]) == (
+            want.real + 0.0, want.imag + 0.0)
+
+
 # --------------------------------------------------------------------------
 # almansi and dims commands
 # --------------------------------------------------------------------------

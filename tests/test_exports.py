@@ -53,6 +53,69 @@ def test_the_benchmark_tracer_finds_every_module_and_class():
     assert not missing, f"perfbench/tracer.py names {missing}"
 
 
+# Functions that perfbench's counters and layers name but the package no
+# longer has: ROADMAP item 1 drops or re-points each.  Pinned, so that a
+# deletion that strands one more name has to list it here.
+PERFBENCH_STALE = {
+    "kernels.cauchy_hua", "kernels.poisson_boundary_form",
+    "kernels.poisson_from_hua", "kernels.poisson_kernel_series",
+    "kernels.zonal_harmonic", "kernels.zonal_polyharmonic",
+    "polyalg.harmonic_almansi", "polyalg.harmonic_basis",
+    "quadrature.lie_sphere_integral", "quadrature.lie_sphere_rule",
+    "quadrature.rotated_inner_product", "quadrature.sphere_integral",
+    "quadrature.weighted_dot", "solver.BoundaryData.sector_values",
+    "solver.dirichlet_solve", "solver.hua_reproduce",
+    "solver.poisson_integral", "solver.polyharmonic_limit_experiment",
+    "solver.spectral_component",
+}
+
+
+def _perfbench_function_names() -> set:
+    """The dotted function names of tracer.py's ``COUNTERS`` and of
+    layers.py's ``LAYERS``, ``INTEGRALS`` and ``SECTOR_VALUES``, read with
+    ``ast``; a layer entry's ``@variant`` suffix is dropped."""
+    def text(node, constants):  # a string, a string constant, or their sum
+        if isinstance(node, ast.BinOp):
+            return text(node.left, constants) + text(node.right, constants)
+        return constants[node.id] if isinstance(node, ast.Name) else node.value
+
+    names = set()
+    for path in (TRACER, TRACER.with_name("layers.py")):
+        constants = {}
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            target, value = node.targets[0].id, node.value
+            if isinstance(value, ast.Constant):
+                constants[target] = value.value
+            if target == "COUNTERS":
+                found = value.keys
+            elif target == "LAYERS":  # layer -> (functions, counter)
+                found = [e for v in value.values for e in v.elts[0].elts]
+            elif target in ("INTEGRALS", "SECTOR_VALUES"):
+                found = getattr(value, "elts", [value])
+            else:
+                continue
+            names.update(text(e, constants).split("@")[0] for e in found)
+    return names
+
+
+def test_perfbench_names_no_more_missing_functions_than_listed():
+    def resolves(name):
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"polyball.{module}")
+        for attr in path:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+
+    stale = {name for name in _perfbench_function_names()
+             if not resolves(name)}
+    assert stale == PERFBENCH_STALE, sorted(stale ^ PERFBENCH_STALE)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

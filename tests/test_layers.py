@@ -309,10 +309,6 @@ SUITES_PRIVATE_READS = {
                                     "caps",
     ("polyalg", "_require_monomials"): "ROADMAP item 9, as _require_nodes",
     ("polyalg", "_monomials"): "its order fixes every seeded sample",
-    ("polyalg", "_power_table"): "the orthogonality quadrature, which "
-                                 "ROADMAP items 2 and 18 replace",
-    ("polyalg", "_evaluate"): "the orthogonality quadrature, which ROADMAP "
-                              "items 2 and 18 replace",
     ("solver", "_integrals_at"): "sector-integrals integrates over one "
                                  "sphere, which no public call does",
     ("solver", "_POISSON"): "sector-integrals integrates over one sphere, "

@@ -22,9 +22,8 @@ from polyball.solver import (
     BoundaryData,
     choose_rule,
     hua_integrals,
-    hua_reproduce,
+    lie_ball_poisson_integrals,
     poisson_integrals,
-    polyharmonic_limit_experiment,
 )
 
 RNG = np.random.default_rng(60)
@@ -171,7 +170,7 @@ def test_one_by_one_integrals_equal_their_batched_entries():
             assert poisson_integrals([q], 7, [coords], [j], rule)[0, 0] \
                 == batched[i, d]
         for i, z in enumerate(zs):
-            assert hua_reproduce(q, z, lie) == hua[i, d]
+            assert hua_integrals([q], [z], lie)[0, 0] == hua[i, d]
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +231,9 @@ def _fsum(values) -> complex:
 
 def reference_integrals(route: str, qs, p, points, rule) -> np.ndarray:
     """One kernel array per point and sector from the point's own
-    invariants, an fsum per sector and an fsum over the sectors."""
+    invariants (the boundary form straight from (1 - x2^p) / v2^{n/2},
+    v2 = (e^{-ij pi/p} x - zeta)^2, not from ``kernels``), an fsum per
+    sector and an fsum over the sectors."""
     rn = np.sum(rule.nodes ** 2, axis=1)
     out = np.empty((len(points[0]), len(qs)), dtype=complex)
     for i, x in enumerate(rotated(points, p)):
@@ -245,11 +246,9 @@ def reference_integrals(route: str, qs, p, points, rule) -> np.ndarray:
                 if route == "poisson":
                     kv = kernels.poisson_from_products(
                         q.n, p, x2, conj * (rule.nodes @ xc), conj ** 2 * rn)
-                else:
-                    xk = conj * xc
-                    kv = kernels.boundary_form_values(
-                        q.n, p, x2,
-                        bilinear_square(xk) - 2.0 * (rule.nodes @ xk) + rn)
+                else:  # the boundary form from its formula
+                    v2 = np.sum((conj * xc - rule.nodes) ** 2, axis=1)
+                    kv = (1.0 - x2 ** p) / v2 ** (q.n / 2)
                 values = q.eval_at(rule.nodes, phase=sector_phases([j], p)[0])
                 parts.append(_fsum(rule.weights * values * kv))
             out[i, d] = _fsum(parts) / p
@@ -544,8 +543,8 @@ def test_a_template_needs_real_points_to_turn_to():
     with pytest.raises(ValueError, match="real points"):
         hua_integrals([u], [z], quadrature.LieSphereRule(template, 8))
     with pytest.raises(ValueError, match="real points"):
-        polyharmonic_limit_experiment(u, z, [1, 2], template, lie)
-    assert abs(hua_reproduce(u, z, lie) - u.evaluate(z)) <= 1e-13
+        lie_ball_poisson_integrals([u], 2, [z], template)
+    assert abs(hua_integrals([u], [z], lie)[0, 0] - u.evaluate(z)) <= 1e-13
 
 
 @pytest.mark.parametrize("n,p", [(n, p) for n in (3, 4) for p in (1, 2, 3)])
@@ -711,7 +710,7 @@ def test_a_call_whose_join_fits_eight_budgets_is_one_block(monkeypatch):
                                budget // (2 * slices * lie.base.count),
                                budget // (16 * slices * slices)))
         builds.clear()
-        hua_reproduce(u, np.array([0.3, 0.1j, -0.2]), lie)
+        hua_integrals([u], [np.array([0.3, 0.1j, -0.2])], lie)
         assert sum(s for _, s in builds) == lie.angular
         assert len(builds) <= -(-lie.angular // per_point)
 
@@ -775,7 +774,7 @@ def test_hua_reproduce_monomials():
         for _ in range(4):
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             z *= 0.5 / lie_norm(z)
-            got = hua_reproduce(u, z, lie)
+            got = hua_integrals([u], [z], lie)[0, 0]
             want = u.evaluate(z)
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
@@ -787,25 +786,32 @@ def test_limit_experiment_error_column_and_hua_row():
     rule = quadrature.sphere_rule(2, quadrature.resolution_for_exactness(
         2, 2 + trunc + 4))
     lie = solver.choose_lie_rule(2, u.degree(), lie_norm(z), 1e-8)
-    result = polyharmonic_limit_experiment(u, z, [1, 2, 4, 8, 16, 64], rule,
-                                           lie)
-    errors = [row[2] for row in result.rows]
+    values = [lie_ball_poisson_integrals([u], p, [z], rule)[0, 0]
+              for p in (1, 2, 4, 8, 16, 64)]
+    reference = u.evaluate(z)
+    errors = [abs(value - reference) for value in values]
     # the p = 1 error is the exact ladder discrepancy |1 - z^2| * 1/2
     assert errors[0] == pytest.approx(0.4, abs=1e-9)
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] <= 1e-3
-    assert abs(result.rows[-1][1] - result.hua_value) <= 1e-4
-    assert result.reference == pytest.approx(0.16, abs=1e-15)
+    assert abs(values[-1] - hua_integrals([u], [z], lie)[0, 0]) <= 1e-4
+    assert reference == pytest.approx(0.16, abs=1e-15)
 
 
 def test_limit_experiment_validates_inputs():
     u = MultiPoly.from_text("x1", n=2)
     rule = quadrature.sphere_rule(2, 16)
     lie = quadrature.LieSphereRule(rule, 8)
-    with pytest.raises(ValueError):
-        polyharmonic_limit_experiment(u, np.array([1.2, 0.0]), [1], rule, lie)
-    with pytest.raises(ValueError):
-        polyharmonic_limit_experiment(u, np.array([0.3, 0.0]), [0], rule, lie)
+    with pytest.raises(ValueError, match="open Lie ball"):
+        lie_ball_poisson_integrals([u], 1, [np.array([1.2, 0.0])], rule)
+    with pytest.raises(ValueError, match="open Lie ball"):
+        hua_integrals([u], [np.array([1.2, 0.0])], lie)
+    with pytest.raises(ValueError, match="orders must be >= 1"):
+        lie_ball_poisson_integrals([u], 0, [np.array([0.3, 0.0])], rule)
+    for call in (lambda zs: lie_ball_poisson_integrals([u], 1, zs, rule),
+                 lambda zs: hua_integrals([u], zs, lie)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            call([np.array([0.3, 0.0, 0.1])])
 
 
 # --------------------------------------------------------------------------
