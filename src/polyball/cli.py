@@ -16,11 +16,11 @@ the normalized configuration, its SHA-256 hash, package versions, and the
 quadrature rule when one drove the run, always sized by
 ``solver.choose_rule`` (no key sets it), recorded by its (n, resolution)
 and a digest of its nodes and weights (``quadrature.rule_to_json``).  A
-``dirichlet`` run at n >= 3 records its pole-aligned template, whose
-azimuth resolution comes from the data degree, and the number of nodes
-turned to its points.  A report rebuilds its rule bit for bit wherever
-``sphere_rule`` yields the same bits; ``rule_from_json`` detects a rule
-that differs and refuses it.
+``dirichlet`` run whose turned copies hold fewer nodes than the shared rule
+records its pole-aligned template, whose azimuth resolution comes from the
+data degree, and the number of nodes turned to its points.  A report
+rebuilds its rule bit for bit wherever ``sphere_rule`` yields the same
+bits; ``rule_from_json`` detects a rule that differs and refuses it.
 
 CSV cells print floats with 17 significant digits; the JSON emitter writes
 native floats.  Both parse back to identical binary values.
@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, kernels, polyalg, quadrature, solver, suites
-from .geometry import _require_nodes, lie_norm, sector_phases, sector_points
+from .geometry import lie_norm, sector_phases, sector_points
 from .kernels import ROUTE_GEGENBAUER_DIFF, ROUTES
 from .polyalg import MultiPoly, dim_H, dim_Hp, dim_P
 
@@ -459,26 +459,15 @@ def _polynomial(cfg: RunConfig, key: str, what: str, orders=()) -> list:
 
 def _build_rule(cfg: RunConfig, where: str, p: int, degree: int,
                 radius: float, points: int | None = None):
-    """The sphere rule of a dirichlet or hua-limit run: ``choose_rule`` for
-    degree-``degree`` data up to ``radius``; given the number of
-    ``points``, its pole-aligned template, turned to each of them.  An
-    unresolvable truncation, or a rule or the nodes built from it
-    (p sectors, times the points of a template) above the node cap, is a
-    configuration error, raised before any array of p sector phases is
-    built."""
-    aligned = points is not None
+    """``choose_rule``'s rule for degree-``degree`` data up to ``radius`` at
+    ``points`` real points (dirichlet) or complex ones (None).  Its
+    refusals, raised before any rule or sector phase is built, are
+    configuration errors."""
     try:  # SeriesToleranceError is a ValueError
-        rule = solver.choose_rule(cfg.n, p, degree, radius, max(
-            cfg.row_tolerance / 10.0, 1e-13), aligned)
+        return solver.choose_rule(cfg.n, p, degree, radius, max(
+            cfg.row_tolerance / 10.0, 1e-13), points)
     except ValueError as err:
         raise ConfigError(f"no quadrature rule for {where}: {err}") from err
-    try:
-        _require_nodes(f"p={p}, {points} points" if aligned else f"p={p}",
-                       p * rule.count * (points if aligned else 1),
-                       "sector nodes")
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return rule
 
 
 def _add_checked(table: ResultTable, inputs: tuple, value: complex,
@@ -503,14 +492,12 @@ def run_dirichlet(cfg: RunConfig) -> ResultTable:
     radii = kernels.point_radii(coords)
     interior = radii < 1.0 - 1e-9
     radius = float(np.max(radii[interior], initial=0.0))
-    # n = 2 keeps one trapezoid rule for every point: a circle has no
-    # S^{n-2} factor for a pole-aligned template to shrink
-    turns = int(np.sum(interior)) if n >= 3 else None
+    turns = int(np.sum(interior))
     rule = _build_rule(cfg, f"radius {radius!r}", p, q.degree(), radius,
                        turns)
     coord_names = tuple(f"x{i + 1}" for i in range(n))
     metadata = _metadata(cfg, rule)
-    if turns is not None:
+    if rule.azimuth is not None:
         metadata["rule"]["nodes"] = p * turns * rule.count
     table = ResultTable("dirichlet",
                         ("point", "sector") + coord_names + ("status",),

@@ -383,22 +383,35 @@ def lie_ball_poisson_integrals(qs, p: int, zs,
 # --------------------------------------------------------------------------
 
 def choose_rule(n: int, p: int, degree: int, radius: float, tol: float,
-                aligned: bool = False) -> quadrature.SphereRule:
-    """The one rule-sizing policy: for Poisson integrals of data of degree
-    d = ``degree`` up to ``radius``, exactness d + M + 4 with M the kernel
-    truncation degree at r = radius: the smallest whose proven tail bound
-    sum_{m>M} dim H_m^p r^m is below ``tol``.  With ``aligned`` (n >= 3),
-    the pole-aligned template of that polar exactness (``aligned_rule``).
-    An unresolvable truncation or a rule above the node cap raises
-    ValueError."""
+                points: int | None = None) -> quadrature.SphereRule:
+    """The one rule policy for Poisson integrals of degree-d data
+    (d = ``degree``) up to ``radius``: exactness d + M + 4, M the kernel
+    truncation degree whose proven tail bound sum_{m>M} dim H_m^p r^m at
+    r = radius is below ``tol``.  Of the two rules of that polar resolution
+    L, the pole-aligned template (``aligned_rule``, n >= 3), 2 A^{n-2} L
+    nodes turned to each of ``points`` rotated real points, is chosen when
+    its copies hold strictly fewer nodes than the shared rule of one
+    resolution, 2 L^{n-1} (L at n = 2), which complex points (None) take.
+    p sectors of the chosen nodes above the node cap, refused before either
+    rule is built, an unresolvable truncation and a rule of one resolution
+    above the cap raise ValueError."""
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must be in [0, 1)")
     m_trunc = kernels.truncation_degree(n, p, radius, tol)
     resolution = quadrature.resolution_for_exactness(
         n, max(degree, 0) + m_trunc + 4)
-    if aligned:
+    shared = (1 if n == 2 else 2) * resolution ** (n - 1)
+    turned = points * 2 * _azimuth(resolution, degree) ** (n - 2) \
+        * resolution if n >= 3 and points is not None else shared
+    if turned < shared:
+        _require_nodes(f"p={p}, {points} points", p * turned, "sector nodes")
         return aligned_rule(n, resolution, degree)
+    _require_nodes(f"p={p}", p * shared, "sector nodes")
     return quadrature.sphere_rule(n, resolution)
+
+
+def _azimuth(resolution: int, degree: int) -> int:
+    return min(resolution, max(1, (degree + 2) // 2))  # aligned_rule's A
 
 
 def aligned_rule(n: int, resolution: int,
@@ -432,8 +445,7 @@ def aligned_rule(n: int, resolution: int,
     polar resolution leaves the same tail as its rule of one resolution,
     from far fewer nodes: at n = 3, 2A azimuth angles instead of 2L."""
     return quadrature.sphere_rule(n, resolution,
-                                  azimuth=min(resolution,
-                                              max(1, (degree + 2) // 2)))
+                                  azimuth=_azimuth(resolution, degree))
 
 
 def choose_lie_rule(n: int, degree: int, radius: float,

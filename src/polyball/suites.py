@@ -335,17 +335,17 @@ def suite_hua_reproduction(n: int = 2, seed: int = 0,
 def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
                        tolerance: float = 1e-9) -> list:
     """Poisson integrals reproduce every basis element of H_m^p, m = 0 to
-    6, at 20 interior points per sector of radius up to 0.6, with an
-    exact-degree rule: the pole-aligned template turned to each point when
-    the points hold fewer template nodes than the shared rule has (n = 4:
-    20 x 1,280 against 128,000 nodes)."""
+    6, at 20 interior points per sector of radius up to 0.6, with the
+    exact-degree rule ``solver.choose_rule`` picks for them (n = 4, p = 1:
+    the turned template, 20 x 1,280 against 128,000 nodes)."""
     max_degree, points_per_sector, radius = 6, 20, 0.6
     rng = np.random.default_rng(seed)
     # the integral operator holds a partial sum per point, datum and sector
     elements = sum(dim_Hp(n, m, p) for m in range(max_degree + 1))
     _require_nodes(f"p={p}", p * p * points_per_sector * elements,
                    "partial sums")
-    rule = solver.choose_rule(n, p, max_degree, radius, 1e-11)
+    rule = solver.choose_rule(n, p, max_degree, radius, 1e-11,
+                              p * points_per_sector)
     # each point's radius, then its direction
     r, v = (np.array(c) for c in zip(*[
         (rng.uniform(0.1, radius), rng.standard_normal(n))
@@ -354,11 +354,6 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     rows = np.repeat(np.arange(p), points_per_sector)
     basis = [q for m in range(max_degree + 1)
              for q in polyharmonic_basis(n, m, p)]
-    if n >= 3:
-        template = solver.choose_rule(n, p, max_degree, radius, 1e-11,
-                                      aligned=True)
-        if len(coords) * template.count < rule.count:
-            rule = template
     got = solver.poisson_integrals(basis, p, coords, rows, rule)
     want = solver.sector_values(basis, sector_phases(range(p), p), rows,
                                 coords)
@@ -398,14 +393,13 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
     copy, at 20 samples of radius up to 0.7: the per-sector identity and
     its unit average.
 
-    At n >= 3 each sample integrates over its own turned copy of the
-    pole-aligned template of ``solver.choose_rule``'s polar resolution (100
-    nodes at n = 3, against 5,000 for the shared rule): each sample
-    e^{-ik pi/p} x is a rotated real point, so ``solver.aligned_rule``'s
-    proof covers P_p(e^{-ik pi/p} x, .) times the constant datum 1."""
+    Each sample e^{-ik pi/p} x is a rotated real point, so
+    ``solver.aligned_rule``'s proof covers P_p(e^{-ik pi/p} x, .) times the
+    constant datum 1: the rule is the one ``solver.choose_rule`` picks for
+    the 20 p turned samples (n = 3: turned templates up to p = 2)."""
     points, radius = 20, 0.7
     rng = np.random.default_rng(seed)
-    rule = solver.choose_rule(n, p, 0, radius, 1e-12, aligned=n >= 3)
+    rule = solver.choose_rule(n, p, 0, radius, 1e-12, points * p)
     # each sample, turned into every sector, meets p sectors of nodes
     _require_nodes(f"p={p}", p * p * rule.count, "kernel values per sample")
     r, v = (np.array(c) for c in zip(*[

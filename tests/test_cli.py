@@ -125,6 +125,10 @@ def test_malformed_json_and_missing_file(tmp_path, capsys):
     assert cli.main(["dims", "--config", str(tmp_path / "none.json")]) \
         == cli.EXIT_CONFIG
     capsys.readouterr()
+    # valid JSON that is not an object writes no table
+    assert run(tmp_path, "dims", [1, 2]) == (cli.EXIT_CONFIG, "")
+    assert capsys.readouterr().err \
+        == "error: configuration must be a JSON object\n"
 
 
 def test_bad_polynomial_text_is_config_error(tmp_path, capsys):
@@ -139,6 +143,9 @@ def test_unknown_suite_is_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", {"n": 2, "suites": ["nope"]})
     assert code == cli.EXIT_CONFIG
     assert "nope" in capsys.readouterr().err
+    # the parser offers only known commands; run_command checks its own
+    with pytest.raises(cli.ConfigError, match="^unknown command 'nope'$"):
+        cli.run_command("nope", {})
 
 
 @pytest.mark.parametrize("command,config,message", [
@@ -1203,7 +1210,7 @@ def test_dirichlet_table_records_its_rule_compactly(tmp_path):
     assert len(text.encode()) < 10_000
     radius = max(float(np.linalg.norm(pt)) for pt in points)
     assert_records(json.loads(text)["metadata"]["rule"],
-                   solver.choose_rule(3, 2, 2, radius, 1e-10, aligned=True))
+                   solver.choose_rule(3, 2, 2, radius, 1e-10, len(points)))
 
 
 def test_dirichlet_four_dimensional_harmonic_boundary_reproduces(tmp_path):
@@ -1264,26 +1271,28 @@ def test_rules_above_the_node_cap_are_config_errors(tmp_path, capsys,
                    "points": [[0.1, 0.2, 0.0]]}),
     ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.3, 0.1],
                    "p_list": [1, 10 ** 6]}),
-    # 5000 sectors of the 26-node template fit the cap; turned to each of
-    # 17 points they do not
-    ("dirichlet", {"n": 3, "p": 5000, "boundary": "x1",
-                   "points": [[0.1, 0.2, 0.0]] * 17}),
+    # 7000 sectors of the 26-node template fit the cap; turned to each of
+    # 12 points they do not (13 points take the 338-node shared rule)
+    ("dirichlet", {"n": 3, "p": 7000, "boundary": "x1",
+                   "points": [[0.1, 0.2, 0.0]] * 12}),
 ])
 def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
                                                       monkeypatch, command,
                                                       config):
-    # p sectors of the rule are refused from the counts alone, before any
-    # array of sector phases exists
-    def no_phases(*args):
-        raise AssertionError("sector phases built")
+    # p sectors of the chosen rule are refused from the counts alone,
+    # before either rule or any array of sector phases exists
+    def built(*args, **kwargs):
+        raise AssertionError("a rule or sector phases built")
 
-    for module in (solver, cli):
-        monkeypatch.setattr(module, "sector_phases", no_phases)
+    for module, name in [(solver, "sector_phases"), (cli, "sector_phases"),
+                         (quadrature, "sphere_rule"),
+                         (solver, "aligned_rule")]:
+        monkeypatch.setattr(module, name, built)
     code, text = run(tmp_path, command, config)
     assert (code, text) == (cli.EXIT_CONFIG, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error: p=") and "the node cap" in err
-    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: no quadrature rule for [^:]+: p=\d+"
+                        r"(, \d+ points)?: \d+ sector nodes exceed the node "
+                        r"cap\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command,config", [
@@ -1376,17 +1385,21 @@ def test_almansi_refuses_a_huge_n_before_any_exponent_tuple(n, text):
      "cap"),
     ("dirichlet", {"n": 2, "p": 10 ** 6, "boundary": "x1",
                    "points": [[0.1, 0.2]]},
-     "p=1000000: 23000000 sector nodes exceed the node cap"),
+     "no quadrature rule for radius 0.223606797749979: p=1000000: 23000000 "
+     "sector nodes exceed the node cap"),
     ("verify", {"n": 2 ** 40, "suites": ["route-agreement"]},
      "suite route-agreement: n=1099511627776: 219902325555200 sampled "
      "coordinates exceed the node cap"),
+    ("hua-limit", {"n": 2, "u": "1e250 * x1^30", "z": [0.995, 0.0]},
+     "no Lie-sphere rule for Lie norm 0.995: 33826 angles: 2097212 "
+     "Lie-sphere nodes exceed the node cap"),
 ])
 def test_node_cap_refusals_print_their_exact_error_line(tmp_path, capsys,
                                                         command, config,
                                                         line):
     # one refusal per site that words the cap as "{size}: {count} {what}
     # exceed the node cap": Lie-norm minors, polynomial exponents, sector
-    # nodes and a suite's sampled coordinates
+    # nodes, Lie-sphere nodes and a suite's sampled coordinates
     assert run(tmp_path, command, config) == (cli.EXIT_CONFIG, "")
     assert capsys.readouterr().err == f"error: {line}\n"
 

@@ -11,9 +11,11 @@ Every public name is used by the package itself, or is kept on a list that
 says why.  The solver, the suites and the command line hold points as real
 rows and sector arrays: they build no ``RotatedVector``, and only the
 per-point public wrappers read a sector index.  Every solver integral runs
-through one block loop: one function cuts and multiplies the slices.  The
-command line reaches the other modules through their public names only,
-but for the names listed with the reason they stay.
+through one block loop: one function cuts and multiplies the slices.  One
+function, ``solver.choose_rule``, chooses between a shared rule and a
+turned template.  The command line reaches the other modules through their
+public names only, and the suites through theirs but for the names listed
+with the reason they stay.
 """
 
 from __future__ import annotations
@@ -208,6 +210,30 @@ def test_one_solver_function_cuts_and_multiplies_the_slices():
     assert list(users.values()) == [SLICE_PRODUCTS], users
 
 
+def _calls_of(name: str):
+    """(module, top-level function or class, call) of every call of
+    ``name``, plain or as an attribute, in the package's modules."""
+    for module in RANK:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _callee(node) == name:
+                    yield module, getattr(top, "name", None), node
+
+
+def test_choose_rule_is_the_one_rule_policy():
+    # only choose_rule turns the template, and only the template's builder
+    # and the record reader give sphere_rule an azimuth, so no caller
+    # decides between the two rules again
+    aligned = {(module, top) for module, top, _ in _calls_of("aligned_rule")}
+    assert aligned == {("solver", "choose_rule")}, aligned
+    azimuth = {(module, top) for module, top, call in _calls_of("sphere_rule")
+               if len(call.args) > 2
+               or any(k.arg in ("azimuth", None) for k in call.keywords)}
+    assert azimuth == {("solver", "aligned_rule"),
+                       ("quadrature", "rule_from_json")}, azimuth
+
+
 # Public names that no package code reads, each with the reason it stays.
 UNREFERENCED_PUBLIC = {
     "poisson_kernel": "perfbench/tests call it; a benchmark-only PR moves "
@@ -267,11 +293,7 @@ def test_every_public_name_is_read_by_package_code():
 
 # Private names of other package modules that cli.py may read, each with
 # the reason it stays.
-CLI_PRIVATE_READS = {
-    ("geometry", "_require_nodes"): "ROADMAP item 9: one work plan per "
-                                    "request replaces the per-site node "
-                                    "caps",
-}
+CLI_PRIVATE_READS = {}
 
 
 def _private_reads(tree: ast.AST):

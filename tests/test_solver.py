@@ -369,7 +369,7 @@ def test_aligned_rule_integrates_zonal_times_data_exactly(n):
 @pytest.mark.parametrize("budget", [1, 10000, 1 << 20])
 def test_aligned_rows_equal_their_one_point_integrals(monkeypatch, budget):
     qs, points, rule = operator_case(3, 2)
-    template = choose_rule(3, 2, 3, radius=0.7, tol=1e-11, aligned=True)
+    template = choose_rule(3, 2, 3, radius=0.7, tol=1e-11, points=1)
     assert template.count * 20 < rule.count
     shared = poisson_integrals(qs, 2, *points, rule)
     monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", budget)
@@ -398,7 +398,7 @@ def test_aligned_sector_integrals_match_the_shared_rule(p):
                                 rng.uniform(0.1, 0.7) * a / np.linalg.norm(a)))
     one, sector = [MultiPoly.constant(3, 1)], np.ones(1)
     shared = choose_rule(3, p, 0, 0.7, 1e-12)
-    template = choose_rule(3, p, 0, 0.7, 1e-12, aligned=True)
+    template = choose_rule(3, p, 0, 0.7, 1e-12, points=1)
     assert template.count * 40 < shared.count
     got = solver._integrals_at(
         solver._POISSON, p, np.array([x.coords for x in xs]),
@@ -831,6 +831,37 @@ def test_choose_rule_tagged_covers_high_dimension():
     needed = 3 + kernels.truncation_degree(4, 2, 0.5, 1e-10) + 4
     assert rule.exactness >= needed
     assert rule.kind == "gauss-product"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_choose_rule_turns_the_template_when_its_copies_hold_fewer_nodes(n):
+    # the counts choose_rule compares are the built rules' counts, and the
+    # template wins exactly when points x its count < the shared count: at
+    # degree 1 (A = 1) the two are equal at a whole number of points
+    p, degree, radius, tol = 2, 1, 0.22, 1e-9
+    shared = choose_rule(n, p, degree, radius, tol)
+    resolution = shared.resolution
+    template = solver.aligned_rule(n, resolution, degree)
+    assert shared.count == 2 * resolution ** (n - 1)
+    assert template.count == 2 * template.azimuth ** (n - 2) * resolution
+    tie = shared.count // template.count
+    assert tie * template.count == shared.count
+    for points in (0, 1, tie - 1, tie, tie + 1):
+        rule = choose_rule(n, p, degree, radius, tol, points)
+        want = template if points * template.count < shared.count \
+            else shared
+        assert (rule.azimuth, rule.count) == (want.azimuth, want.count)
+        np.testing.assert_array_equal(rule.nodes, want.nodes)
+
+
+@pytest.mark.parametrize("n,points", [(2, None), (2, 1), (3, None),
+                                      (4, None)])
+def test_choose_rule_shares_one_rule_at_n_2_and_at_complex_points(n, points):
+    # a circle has no S^{n-2} factor to shrink, and a template turns to
+    # real points only
+    rule = choose_rule(n, 1, 2, 0.5, 1e-10, points)
+    assert rule.azimuth is None
+    assert rule.count == (1 if n == 2 else 2) * rule.resolution ** (n - 1)
 
 
 def test_choose_rule_rejects_bad_radius():

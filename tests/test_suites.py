@@ -251,6 +251,36 @@ def test_almansi_counts_a_split_whose_head_is_not_polyharmonic(monkeypatch):
     assert row.deviation == 23.0 and not row.passed
 
 
+_ALMANSI = polyalg.polyharmonic_almansi
+# each count row of almansi, a spoiler that breaks what it counts, and the
+# count at n = 2, p = 2, seed 11: 40 draws, 23 of degree 2p or more
+ALMANSI_SPOILERS = {
+    # doubled components are still p-polyharmonic but reassemble 2q
+    "reassembly-failures": (polyalg, "polyharmonic_almansi",
+                            lambda q, p: [2 * c for c in _ALMANSI(q, p)],
+                            40.0),
+    # [q] reassembles q, but q is not p-polyharmonic from degree 2p
+    "annihilation-failures": (polyalg, "polyharmonic_almansi",
+                              lambda q, p: [q], 23.0),
+    # a zero bump perturbs nothing, so the perturbed components reassemble q
+    "uniqueness-failures": (MultiPoly, "monomial", classmethod(
+        lambda cls, n, exps, c=1: cls.zero(n)), 40.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALMANSI_SPOILERS))
+def test_almansi_counts_each_failure_under_its_spoiler(monkeypatch, name):
+    def row():
+        rows = run_suite("almansi", n=2, p=2, seed=11)
+        return next(r for r in rows if r.name == name)
+
+    assert row().deviation == 0.0
+    module, attribute, spoiled, count = ALMANSI_SPOILERS[name]
+    monkeypatch.setattr(module, attribute, spoiled)
+    spoiled_row = row()
+    assert spoiled_row.deviation == count and not spoiled_row.passed
+
+
 def _per_sample_diagonal_gap(n, p, seed, max_degree=8, samples=3):
     """The diagonal-dim gap by one kernel call on a one-row stack per
     sample, drawing the points in the suite's order."""
