@@ -16,9 +16,9 @@ the normalized configuration, its SHA-256 hash, package versions, and the
 quadrature rule when one drove the run, always sized by
 ``solver.choose_rule`` (no key sets it), recorded by its (n, resolution)
 and a digest of its nodes and weights (``quadrature.rule_to_json``).  A
-``dirichlet`` run whose turned copies hold fewer nodes than the shared rule
-records its pole-aligned template, whose azimuth resolution comes from the
-data degree, and the number of nodes turned to its points.  A report
+``dirichlet`` run at n >= 3 records its pole-aligned template, whose
+azimuth resolution comes from the data degree, and the number of nodes
+turned to its points, unless the shared rule makes fewer values.  A report
 rebuilds its rule bit for bit wherever ``sphere_rule`` yields the same
 bits; ``rule_from_json`` detects a rule that differs and refuses it.
 

@@ -149,11 +149,7 @@ def sphere_rule(n: int, resolution: int,
     inner = resolution if azimuth is None else azimuth
     if azimuth is not None and not (n >= 3 and 1 <= azimuth <= resolution):
         raise ValueError("azimuth needs n >= 3 and 1 <= azimuth <= resolution")
-    # the rule of one resolution holds 2 L^{n-1} nodes (L at n = 2);
-    # resolution >= 4, so the exponent 23 already passes the cap at any n
-    _require_nodes(f"n={n}, resolution {resolution}",
-                   (1 if n == 2 else 2) * resolution ** min(n - 1, 23),
-                   "nodes" if n <= 24 else "or more nodes")
+    _rule_count(n, resolution, azimuth)
     m = resolution if n == 2 else 2 * inner  # circle angles
     theta = 2.0 * math.pi * np.arange(m) / m
     nodes = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -167,6 +163,17 @@ def sphere_rule(n: int, resolution: int,
     return SphereRule(n, nodes, weights, m - 1,
                       "trapezoid" if n == 2 else "gauss-product", resolution,
                       azimuth)
+
+
+def _rule_count(n: int, resolution: int, azimuth: int | None = None) -> int:
+    """The 2 A^{n-2} L nodes of ``sphere_rule(n, L, A)`` (A = L by default,
+    L at n = 2), once its rule of one resolution passes the node cap."""
+    # resolution >= 4, so the exponent 23 already passes the cap at any n
+    _require_nodes(f"n={n}, resolution {resolution}",
+                   (1 if n == 2 else 2) * resolution ** min(n - 1, 23),
+                   "nodes" if n <= 24 else "or more nodes")
+    return (1 if n == 2 else 2) * (azimuth or resolution) ** (n - 2) \
+        * resolution
 
 
 def resolution_for_exactness(n: int, degree: int) -> int:

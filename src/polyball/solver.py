@@ -57,7 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels, polyalg, quadrature
-from .geometry import _require_nodes, lie_norm, sector_phases
+from .geometry import _MAX_NODES, _require_nodes, lie_norm, sector_phases
 from .polyalg import MultiPoly
 
 __all__ = [
@@ -383,31 +383,37 @@ def lie_ball_poisson_integrals(qs, p: int, zs,
 # --------------------------------------------------------------------------
 
 def choose_rule(n: int, p: int, degree: int, radius: float, tol: float,
-                points: int | None = None) -> quadrature.SphereRule:
-    """The one rule policy for Poisson integrals of degree-d data
-    (d = ``degree``) up to ``radius``: exactness d + M + 4, M the kernel
-    truncation degree whose proven tail bound sum_{m>M} dim H_m^p r^m at
-    r = radius is below ``tol``.  Of the two rules of that polar resolution
-    L, the pole-aligned template (``aligned_rule``, n >= 3), 2 A^{n-2} L
-    nodes turned to each of ``points`` rotated real points, is chosen when
-    its copies hold strictly fewer nodes than the shared rule of one
-    resolution, 2 L^{n-1} (L at n = 2), which complex points (None) take.
-    p sectors of the chosen nodes above the node cap, refused before either
-    rule is built, an unresolvable truncation and a rule of one resolution
-    above the cap raise ValueError."""
+                points: int | None = None,
+                data: int = 1) -> quadrature.SphereRule:
+    """The one rule policy for Poisson integrals of ``data`` polynomials of
+    degree d = ``degree`` up to ``radius``: exactness d + M + 4, M the
+    kernel truncation degree whose proven tail bound sum_{m>M} dim H_m^p
+    r^m at r = radius is below ``tol``.  n = 2 and complex points
+    (``points`` None) take the rule of one resolution, S nodes.  At n >= 3
+    each of ``points`` rotated real points turns a copy of the T-node
+    template (``aligned_rule``), unless the shared rule makes no more
+    kernel and data values per sector, (points + data) S against
+    (1 + data) points T, and p x points x S pass the node cap.  p x S or
+    p x points x T above the cap, an unresolvable truncation and a rule of
+    one resolution above the cap raise ValueError before any rule is
+    built."""
     if not 0.0 <= radius < 1.0:
         raise ValueError("radius must be in [0, 1)")
     m_trunc = kernels.truncation_degree(n, p, radius, tol)
     resolution = quadrature.resolution_for_exactness(
         n, max(degree, 0) + m_trunc + 4)
-    shared = (1 if n == 2 else 2) * resolution ** (n - 1)
-    turned = points * 2 * _azimuth(resolution, degree) ** (n - 2) \
-        * resolution if n >= 3 and points is not None else shared
-    if turned < shared:
-        _require_nodes(f"p={p}, {points} points", p * turned, "sector nodes")
-        return aligned_rule(n, resolution, degree)
-    _require_nodes(f"p={p}", p * shared, "sector nodes")
-    return quadrature.sphere_rule(n, resolution)
+    shared = quadrature._rule_count(n, resolution)
+    if n == 2 or points is None:
+        _require_nodes(f"p={p}", p * shared, "sector nodes")
+        return quadrature.sphere_rule(n, resolution)
+    turned = quadrature._rule_count(n, resolution,
+                                    _azimuth(resolution, degree))
+    _require_nodes(f"p={p}, {points} points", p * points * turned,
+                   "sector nodes")
+    if ((points + data) * shared <= (1 + data) * points * turned
+            and p * points * shared <= _MAX_NODES):
+        return quadrature.sphere_rule(n, resolution)
+    return aligned_rule(n, resolution, degree)
 
 
 def _azimuth(resolution: int, degree: int) -> int:

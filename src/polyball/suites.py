@@ -336,8 +336,9 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
                        tolerance: float = 1e-9) -> list:
     """Poisson integrals reproduce every basis element of H_m^p, m = 0 to
     6, at 20 interior points per sector of radius up to 0.6, with the
-    exact-degree rule ``solver.choose_rule`` picks for them (n = 4, p = 1:
-    the turned template, 20 x 1,280 against 128,000 nodes)."""
+    exact-degree rule ``solver.choose_rule`` picks for the basis at one
+    sector's points (shared at n = 3, turned at n = 4), so that its cap on
+    p x points x nodes leaves p to the cap on the partial sums."""
     max_degree, points_per_sector, radius = 6, 20, 0.6
     rng = np.random.default_rng(seed)
     # the integral operator holds a partial sum per point, datum and sector
@@ -345,7 +346,7 @@ def suite_reproduction(n: int = 2, p: int = 1, seed: int = 0,
     _require_nodes(f"p={p}", p * p * points_per_sector * elements,
                    "partial sums")
     rule = solver.choose_rule(n, p, max_degree, radius, 1e-11,
-                              p * points_per_sector)
+                              points_per_sector, elements)
     # each point's radius, then its direction
     r, v = (np.array(c) for c in zip(*[
         (rng.uniform(0.1, radius), rng.standard_normal(n))
@@ -395,11 +396,11 @@ def suite_sector_integrals(n: int = 2, p: int = 1, seed: int = 0,
 
     Each sample e^{-ik pi/p} x is a rotated real point, so
     ``solver.aligned_rule``'s proof covers P_p(e^{-ik pi/p} x, .) times the
-    constant datum 1: the rule is the one ``solver.choose_rule`` picks for
-    the 20 p turned samples (n = 3: turned templates up to p = 2)."""
+    constant datum 1: ``solver.choose_rule`` turns its template to one
+    sample's p turns, the unit of the kernel cap here, at n >= 3."""
     points, radius = 20, 0.7
     rng = np.random.default_rng(seed)
-    rule = solver.choose_rule(n, p, 0, radius, 1e-12, points * p)
+    rule = solver.choose_rule(n, p, 0, radius, 1e-12, p)
     # each sample, turned into every sector, meets p sectors of nodes
     _require_nodes(f"p={p}", p * p * rule.count, "kernel values per sample")
     r, v = (np.array(c) for c in zip(*[

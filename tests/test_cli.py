@@ -1271,10 +1271,19 @@ def test_rules_above_the_node_cap_are_config_errors(tmp_path, capsys,
                    "points": [[0.1, 0.2, 0.0]]}),
     ("hua-limit", {"n": 2, "u": "x1^2", "z": [0.3, 0.1],
                    "p_list": [1, 10 ** 6]}),
-    # 7000 sectors of the 26-node template fit the cap; turned to each of
-    # 12 points they do not (13 points take the 338-node shared rule)
+    # 5000 and 7000 sectors of the 26-node template fit the cap; turned to
+    # each of 17 and 12 points they do not
+    ("dirichlet", {"n": 3, "p": 5000, "boundary": "x1",
+                   "points": [[0.1, 0.2, 0.0]] * 17}),
     ("dirichlet", {"n": 3, "p": 7000, "boundary": "x1",
                    "points": [[0.1, 0.2, 0.0]] * 12}),
+    # many points hold the copies, not the shared rule, to the cap
+    ("dirichlet", {"n": 3, "p": 6000, "boundary": "x1",
+                   "points": [[0.1, 0.2, 0.0]] * 1000}),
+    # the 72-node shared rule makes fewer values than 3 copies of the
+    # 48-node template, but p x 3 x 48 already exceed the cap
+    ("dirichlet", {"n": 3, "p": 15000, "boundary": "x1^6",
+                   "points": [[0.0, 0.0, 0.0]] * 3}),
 ])
 def test_sectors_above_the_node_cap_are_config_errors(tmp_path, capsys,
                                                       monkeypatch, command,

@@ -834,24 +834,45 @@ def test_choose_rule_tagged_covers_high_dimension():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_choose_rule_turns_the_template_when_its_copies_hold_fewer_nodes(n):
-    # the counts choose_rule compares are the built rules' counts, and the
-    # template wins exactly when points x its count < the shared count: at
-    # degree 1 (A = 1) the two are equal at a whole number of points
-    p, degree, radius, tol = 2, 1, 0.22, 1e-9
+def test_choose_rule_turns_the_template_unless_the_shared_rule_makes_fewer(
+        n):
+    # kernel values at the points plus data values, per sector: the shared
+    # rule's (points + data) S against the turned copies' (1 + data)
+    # points T, counted as the rules choose_rule builds count them.
+    # Degree-6 data at the origin keep T near S, so both sides win
+    p, degree, radius, tol = 2, 6, 0.0, 1e-10
     shared = choose_rule(n, p, degree, radius, tol)
     resolution = shared.resolution
     template = solver.aligned_rule(n, resolution, degree)
-    assert shared.count == 2 * resolution ** (n - 1)
-    assert template.count == 2 * template.azimuth ** (n - 2) * resolution
-    tie = shared.count // template.count
-    assert tie * template.count == shared.count
-    for points in (0, 1, tie - 1, tie, tie + 1):
-        rule = choose_rule(n, p, degree, radius, tol, points)
-        want = template if points * template.count < shared.count \
-            else shared
-        assert (rule.azimuth, rule.count) == (want.azimuth, want.count)
-        np.testing.assert_array_equal(rule.nodes, want.nodes)
+    assert shared.count == quadrature._rule_count(n, resolution) \
+        == 2 * resolution ** (n - 1)
+    assert template.count \
+        == quadrature._rule_count(n, resolution, template.azimuth) \
+        == 2 * template.azimuth ** (n - 2) * resolution
+    chosen = set()
+    for points in (0, 1, 2, 3, 20):
+        for data in (1, 5, 100):
+            rule = choose_rule(n, p, degree, radius, tol, points, data)
+            fewer = (1 + data) * points * template.count \
+                < (points + data) * shared.count
+            want = template if fewer else shared
+            assert (rule.azimuth, rule.count) == (want.azimuth, want.count)
+            np.testing.assert_array_equal(rule.nodes, want.nodes)
+            chosen.add(fewer)
+    assert chosen == {True, False}
+
+
+def test_choose_rule_caps_the_kernel_values_at_its_points():
+    # n = 3, degree 6 at the origin: 3 points make fewer values on the
+    # shared rule of 72 nodes than on copies of the 48-node template.
+    # p x 3 x 72 above the cap turns the template instead, and p x 3 x 48
+    # above it too is refused from the counts, naming the copies
+    args = (6, 0.0, 1e-10, 3)
+    assert choose_rule(3, 9000, *args).azimuth is None
+    assert choose_rule(3, 10000, *args).count == 48
+    with pytest.raises(ValueError, match=r"^p=15000, 3 points: 2160000 "
+                       r"sector nodes exceed the node cap$"):
+        choose_rule(3, 15000, *args)
 
 
 @pytest.mark.parametrize("n,points", [(2, None), (2, 1), (3, None),

@@ -17,7 +17,7 @@ from polyball.polyalg import MultiPoly
 from polyball.suites import (SUITES, PropertyResult, run_suite,
                              suite_diagonal_dim, suite_far_cap,
                              suite_hua_reproduction, suite_kernel_symmetry,
-                             suite_reproduction)
+                             suite_reproduction, suite_sector_integrals)
 
 EXPECTED_NAMES = {
     "route-agreement",
@@ -68,9 +68,9 @@ class _Chosen(Exception):
 
 def test_reproduction_turns_a_template_only_where_the_counts_favour_it(
         monkeypatch):
-    # points x template nodes against the shared rule's nodes: at n = 4,
-    # p = 1 the 20 points turn a template of 1,280 nodes (25,600 nodes in
-    # all, against 128,000) and the suite stays under 160 MB; every n <= 3
+    # kernel and data values per sector on each rule: at n = 4, p = 1 the
+    # 20 points turn a template of 1,280 nodes (141 x 20 x 1,280 values
+    # against 160 x 128,000) and the suite stays under 160 MB; every n <= 3
     # shape at the default sizes keeps the shared rule
     chosen = []
     integrals_at = solver._integrals_at
@@ -99,6 +99,34 @@ def test_reproduction_turns_a_template_only_where_the_counts_favour_it(
         with pytest.raises(_Chosen):
             suite_reproduction(n=n, p=p)
         assert chosen == [None], (n, p)
+
+
+@pytest.mark.parametrize("p", [1, 3, 19, 138, 139])
+def test_sector_integrals_turn_the_template_wherever_they_run(monkeypatch,
+                                                              p):
+    # each sample's p turns make fewer values on copies of the template
+    # (104 nodes at n = 3, p = 3) than on the shared rule (5,408), and p
+    # sectors of p copies are capped as the suite's kernel values per
+    # sample were: p = 138 runs, p = 139 is refused
+    chosen = []
+
+    def stopped(*args):
+        chosen.append(args[5].azimuth)
+        raise _Chosen
+
+    monkeypatch.setattr(solver, "_integrals_at", stopped)
+    if p == 139:
+        with pytest.raises(ValueError, match=r"^p=139, 139 points: 2125310 "
+                           r"sector nodes exceed the node cap$"):
+            suite_sector_integrals(n=3, p=p)
+        assert chosen == []
+        return
+    with pytest.raises(_Chosen):
+        suite_sector_integrals(n=3, p=p)
+    assert chosen == [1]
+    if p == 19:
+        monkeypatch.undo()
+        assert all(r.passed for r in suite_sector_integrals(n=3, p=p))
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (4, 3), (5, 2)])
